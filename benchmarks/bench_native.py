@@ -1,6 +1,6 @@
-"""Native-tier bench: jitted-vs-numpy route speedups + parallel reply bytes.
+"""Native-tier bench: jitted-vs-numpy route speedups.
 
-Two gates, one JSON (``benchmarks/BENCH_native.json``):
+One gate, one JSON (``benchmarks/BENCH_native.json``):
 
 * **jit speedup gate** — ``backend="native"`` must be >= 2x over numpy on
   every covered route (base, LONA-Forward, LONA-Backward, weighted base,
@@ -12,11 +12,11 @@ Two gates, one JSON (``benchmarks/BENCH_native.json``):
   without numba the report records ``gate_evaluated: false`` with the
   reason — the interpreted escape hatch is a correctness shim, not a
   performance tier, and timing it would be dishonest either way.
-* **reply-bytes gate** — the parallel backend's per-round pipe bytes
-  received must drop >= 5x with shared-memory result buffers vs pickled
-  pipe replies, at identical static task structure (work-stealing off on
-  both sides so the task count matches).  This is a byte-counter gate,
-  not a timer: it evaluates on any runner, any CPU count.
+
+(The parallel round's pipe traffic is no longer A/B-tested here: shared
+reply buffers and work stealing are simply how the pipe link works, and
+``bench/run.py --workload shard-100k`` reports ``parallel.pipe_bytes_per_op``
+and ``parallel.tasks_per_op`` for every run.)
 
 Two modes, mirroring the other committed baselines:
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -44,10 +43,6 @@ BASELINE_PATH = _BENCH_DIR / "BENCH_native.json"
 
 K = 100
 SPEEDUP_GATE = 2.0
-REPLY_BYTES_GATE = 5.0
-PIPE_NODES = 4000
-PIPE_K = 128
-PIPE_WORKERS = 2
 
 
 def measure_speedups(scale: float) -> dict:
@@ -111,57 +106,10 @@ def measure_speedups(scale: float) -> dict:
     }
 
 
-def measure_reply_bytes() -> dict:
-    """Pipe bytes per scan round, shared reply buffers on vs off."""
-    from repro.graph.graph import Graph
-    from repro.session import Network
-
-    rng = random.Random(37)
-    edges = set()
-    while len(edges) < 3 * PIPE_NODES:
-        u, v = rng.randrange(PIPE_NODES), rng.randrange(PIPE_NODES)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    graph = Graph.from_edges(sorted(edges), num_nodes=PIPE_NODES)
-    scores = [rng.random() for _ in range(PIPE_NODES)]
-
-    def run(result_buffers: bool):
-        net = Network(graph, hops=2, backend="parallel")
-        net.add_scores("s", scores)
-        engine = net.parallel(
-            workers=PIPE_WORKERS,
-            min_nodes=0,
-            work_stealing=False,
-            result_buffers=result_buffers,
-        )
-        try:
-            res = net.topk("s", PIPE_K)
-            return res.entries, int(res.stats.extra["pipe_bytes_received"])
-        finally:
-            engine.close()
-
-    lean_entries, lean_bytes = run(True)
-    fat_entries, fat_bytes = run(False)
-    assert lean_entries == fat_entries, "reply transports diverged"
-    ratio = fat_bytes / max(lean_bytes, 1)
-    return {
-        "gate_evaluated": True,
-        "gate": REPLY_BYTES_GATE,
-        "gate_passed": ratio >= REPLY_BYTES_GATE,
-        "nodes": PIPE_NODES,
-        "k": PIPE_K,
-        "workers": PIPE_WORKERS,
-        "pipe_reply_bytes": fat_bytes,
-        "shared_buffer_bytes": lean_bytes,
-        "reduction": round(ratio, 2),
-    }
-
-
 def measure(scale: float = 1.0) -> dict:
     return {
         "scale": scale,
         "jit_speedup": measure_speedups(scale),
-        "reply_bytes": measure_reply_bytes(),
     }
 
 
@@ -187,19 +135,6 @@ def check(report: dict, baseline: dict, tolerance: float) -> list:
                 )
     else:
         print(f"jit gate not evaluated: {jit['reason']}")
-
-    reply = report["reply_bytes"]
-    if reply["reduction"] < reply["gate"]:
-        warnings.append(
-            f"reply-bytes gate: {reply['reduction']:.2f}x < "
-            f"{reply['gate']:.1f}x reduction"
-        )
-    recorded = baseline.get("reply_bytes", {}).get("reduction")
-    if recorded is not None and reply["reduction"] < recorded * (1.0 - tolerance):
-        warnings.append(
-            f"reply-bytes reduction regressed: {recorded:.2f}x -> "
-            f"{reply['reduction']:.2f}x (> {tolerance:.0%} drop)"
-        )
     return warnings
 
 

@@ -186,27 +186,17 @@ _HOT_PATHS = {
         ),
         helpers=frozenset({"_expand_block", "_eval_block", "_native_eval"}),
     ),
-    "src/repro/parallel/engine.py": HotModule(
+    # The one sharded coordinator: both engines (pipe link, socket link)
+    # inherit these routes and own no round loop themselves.
+    "src/repro/parallel/coordinator.py": HotModule(
         functions=frozenset(
             {
-                "ParallelEngine.execute_scan",
-                "ParallelEngine.execute_backward",
-                "ParallelEngine.execute_weighted",
-                "ParallelEngine.run_batch",
-                "ParallelEngine._verify_frontier",
-            }
-        ),
-        delegates=frozenset({"_run_round", "_verify_frontier"}),
-    ),
-    "src/repro/cluster/engine.py": HotModule(
-        functions=frozenset(
-            {
-                "ClusterEngine._collect_topk",
-                "ClusterEngine.execute_scan",
-                "ClusterEngine.execute_backward",
-                "ClusterEngine.execute_weighted",
-                "ClusterEngine.run_batch",
-                "ClusterEngine._verify_frontier",
+                "ShardedCoordinator._collect_topk",
+                "ShardedCoordinator.execute_scan",
+                "ShardedCoordinator.execute_backward",
+                "ShardedCoordinator.execute_weighted",
+                "ShardedCoordinator.run_batch",
+                "ShardedCoordinator._verify_frontier",
             }
         ),
         delegates=frozenset({"_run_round", "_verify_frontier"}),
@@ -270,7 +260,6 @@ DEFAULT_CONFIG = AnalysisConfig(
     lock_contracts=_LOCK_CONTRACTS,
     dispatch_modules=(
         "src/repro/parallel/pool.py",
-        "src/repro/parallel/engine.py",
         "src/repro/cluster/engine.py",
         "src/repro/cluster/transport.py",
         "src/repro/cluster/worker.py",

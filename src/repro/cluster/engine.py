@@ -1,81 +1,44 @@
-"""The cluster backend's coordinator-side engine: stores, rounds, merge.
+"""The cluster backend's engine: the sharded coordinator over the socket link.
 
-One :class:`ClusterEngine` lives on a
-:class:`~repro.core.context.GraphContext` and drives remote
-``cluster-worker`` processes through a :class:`~repro.cluster.transport.ClusterTransport`.
-It is the wire-transport sibling of
-:class:`~repro.parallel.engine.ParallelEngine` and deliberately mirrors its
-structure — same shard plan, same worker task payloads, same
-:func:`~repro.parallel.merge.merge_shard_entries` at the end — so answers
-stay entry-for-entry identical to the local backends.  What replaces the
-shared-memory exports is a **store registry**: the CSR view (``csr@v``),
-its reversal (``rev@v``), and per-shard owned arrays (``owned{i}@v``) are
-named with the graph version they were built from and shipped lazily to
-each peer (the transport re-ships on a worker's ``missing`` answer).  A
-graph mutation moves the version, which renames those stores — the delta
-re-export: only the graph-derived stores re-ship, while score-vector and
-bound stores (keyed by score identity, which any score mutation replaces)
-stay valid on every peer.
+:class:`ClusterEngine` is a
+:class:`~repro.parallel.coordinator.ShardedCoordinator` — every route, the
+decline rule, the refresh and the stale retry are the coordinator's, which
+is what keeps answers entry-for-entry identical to the local backends —
+whose workers are remote ``cluster-worker`` processes driven through a
+:class:`~repro.cluster.transport.ClusterTransport`.  This module holds only
+what the socket link decides:
 
-On top of the parallel backend's routes, this engine adds the two
-communication optimizations the round protocol exists for:
-
-* **θ-shipping** — every entry-producing task carries the coordinator's
-  current k-th bound θ; workers drop candidates strictly below θ before
-  serializing (``>= θ`` ships so rank-k ties keep node-id resolution).
-  θ starts at a sound seed (the k-th largest self score, when the
-  aggregate makes F(v) >= f(v)) and only tightens, so a dropped candidate
-  can never belong to the answer.
-* **ADiT-style adaptive per-peer k** — each shard's first-round candidate
-  quota is allocated from its share of the total score mass instead of a
-  uniform ``k``.  Quotas never cost exactness: a shard whose parked
-  remainder could still beat the merged k-th value (its ``rest_bound``)
-  is resumed until no remainder can matter.
-
-Every route snapshots the transport's byte counters around its rounds and
-publishes measured ``bytes_sent``/``bytes_received``/candidate counts in
-``stats.extra`` — the numbers the cluster bench compares against the BSP
-simulator's predicted message volume.
+* **How data reaches a worker** — a **store registry**: every export is a
+  named ``put`` payload (``csr#1``, ``owned0#3``, ``scores#5``...) that the
+  transport ships lazily to each peer and re-ships on a worker's
+  ``missing`` answer; a task names stores by ``{"store": name}`` (the CSR
+  with the graph version it was built from, which the worker checks).  A
+  graph mutation retires only the graph-derived stores — the delta
+  re-export — while score stores stay valid on every peer.
+* **How a round is dispatched** — ``ClusterTransport.run`` with, per task, a
+  peer hint (``shard % workers``), the ``ship`` spec (``ship_policy``:
+  ``"threshold"`` = θ-shipping + ADiT-style adaptive quotas with resume,
+  ``"all"`` = the naive ship-everything reference), the stores and frame
+  arrays it needs, and the ``fallback`` full task of a ``resume``.
+* **How traffic is accounted** — the transport's byte totals around the
+  query plus the rounds and candidate counts the coordinator logged,
+  published as ``comm_rounds`` / ``bytes_*`` / ``candidates_*`` in
+  ``stats.extra`` and kept as ``last_comm`` — the numbers the cluster bench
+  compares against the BSP simulator's predicted message volume.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-import time
-import weakref
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.aggregates.functions import AggregateKind
 from repro.cluster.transport import ClusterTransport
-from repro.core.deadline import check_deadline
-from repro.core.results import QueryStats, TopKResult
-from repro.core.topk import TopKAccumulator
-from repro.errors import ClusterError, InvalidParameterError, StaleShardError
-from repro.parallel.merge import merge_counters, merge_shard_entries
-from repro.parallel.shards import ShardPlan, build_shard_plan
+from repro.errors import ClusterError, InvalidParameterError
+from repro.parallel.coordinator import DEFAULT_MIN_NODES, ShardedCoordinator
 
 __all__ = ["DEFAULT_MIN_NODES", "ClusterEngine"]
 
-#: Below this many nodes the engine declines and the query runs in-process:
-#: a round of socket IPC costs strictly more than the pool's queue IPC, so
-#: the parallel backend's floor is the right floor here too.
-DEFAULT_MIN_NODES = 8192
-
-#: Resident score-vector stores kept per engine (LRU beyond this).
-_SCORE_STORE_LIMIT = 16
-
-#: Resident static-bound stores kept per engine (LRU beyond this).
-_BOUND_STORE_LIMIT = 8
-
-#: Candidates verified per TA round of the sharded backward pipeline.
-_VERIFY_ROUND = 256
-
 #: Wire bytes per shipped candidate entry (int64 node + float64 value).
 ENTRY_BYTES = 16
-
-_NEG_INF = float("-inf")
 
 
 def _close_transport(resources: dict) -> None:
@@ -89,38 +52,47 @@ def _close_transport(resources: dict) -> None:
     resources["transport"] = None
 
 
-class _CommScope:
-    """Per-query communication accounting over one transport."""
+class _Store:
+    """A named entry of the store registry; ``meta()`` is what tasks embed."""
 
-    def __init__(self, transport: ClusterTransport) -> None:
-        self.transport = transport
-        self.before = transport.totals()
-        self.rounds = 0
-        self.shipped = 0
-        self.total = 0
+    __slots__ = ("name", "version")
 
-    def ingest(self, header: dict) -> None:
-        self.shipped += int(header.get("candidates_shipped", 0))
-        self.total += int(header.get("candidates_total", 0))
+    def __init__(self, name: str, version: Optional[int] = None) -> None:
+        self.name = name
+        self.version = version
 
-    def finish(self, stats: QueryStats) -> Dict[str, float]:
-        after = self.transport.totals()
-        comm = {
-            "comm_rounds": float(self.rounds),
-            "bytes_sent": float(after["bytes_sent"] - self.before["bytes_sent"]),
-            "bytes_received": float(
-                after["bytes_received"] - self.before["bytes_received"]
-            ),
-            "candidates_shipped": float(self.shipped),
-            "candidates_pruned": float(max(0, self.total - self.shipped)),
-            "shipped_candidate_bytes": float(self.shipped * ENTRY_BYTES),
-        }
-        stats.extra.update(comm)
-        return comm
+    def meta(self) -> dict:
+        if self.version is None:
+            return {"store": self.name}
+        return {"store": self.name, "version": self.version}
 
 
-class ClusterEngine:
+def _store_names(task: dict) -> List[str]:
+    """Every store a worker task references (batch score lists included)."""
+    metas = list(task.values())
+    metas.extend(item[0] for item in task.get("scores_list", ()))
+    return [m["store"] for m in metas if isinstance(m, dict) and "store" in m]
+
+
+def _pairs(arrays: dict, suffix: str = "") -> List[Tuple[int, float]]:
+    nodes = arrays.get("nodes" + suffix)
+    if nodes is None:
+        return []
+    return list(zip(nodes.tolist(), arrays["values" + suffix].tolist()))
+
+
+class ClusterEngine(ShardedCoordinator):
     """Socket-cluster execution over one graph context (see module doc)."""
+
+    backend = "cluster"
+    closed_error = ClusterError
+
+    # The routes are the coordinator's.  They are bound on this class as
+    # well so per-link instrumentation (bench/trace.py wraps
+    # ``ClusterEngine.execute_scan``) finds them here and wraps this link only.
+    execute_scan = ShardedCoordinator.execute_scan
+    execute_backward = ShardedCoordinator.execute_backward
+    run_batch = ShardedCoordinator.run_batch
 
     def __init__(
         self,
@@ -150,49 +122,26 @@ class ClusterEngine:
         )
         if transport.num_peers < 1:
             raise InvalidParameterError("cluster needs at least one worker")
-        self.ctx = ctx
-        self.workers = transport.num_peers
-        self.shards = int(shards) if shards is not None else transport.num_peers
-        if self.shards < 1:
-            raise InvalidParameterError(f"shards must be >= 1, got {self.shards}")
-        self.min_nodes = int(min_nodes)
-        self.partitioner = partitioner
-        self.seed = seed
-        self.timeout = timeout
-        self.ship_policy = ship_policy
-        self._lock = threading.RLock()
-        self._closed = False
-        self._resources: dict = {"transport": transport}
-        self._finalizer = weakref.finalize(
-            self, _close_transport, self._resources
+        if shards is None:
+            shards = transport.num_peers
+        if int(shards) < 1:
+            raise InvalidParameterError(f"shards must be >= 1, got {shards}")
+        super().__init__(
+            ctx,
+            {"transport": transport},
+            _close_transport,
+            workers=transport.num_peers,
+            shards=shards,
+            min_nodes=min_nodes,
+            partitioner=partitioner,
+            seed=seed,
         )
-        self._plan: Optional[ShardPlan] = None
-        self._version: Optional[int] = None
+        self.ship_policy = ship_policy
         # name -> ("put" header, arrays): everything shippable to a peer.
         self._payloads: Dict[str, Tuple[dict, dict]] = {}
-        self._csr_store: Optional[str] = None
-        self._rev_store: Optional[str] = None
-        self._owned_stores: List[str] = []
-        self._score_stores: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
-        self._bound_stores: "OrderedDict[Tuple, Tuple[object, str]]" = OrderedDict()
-        # Stores evicted from the LRUs while a round's tasks are being
-        # built may already be referenced by that round; their deletion is
-        # deferred until the round returns (the cluster analogue of the
-        # parallel engine's deferred unlink).
-        self._deferred_drops: List[str] = []
         self._store_serial = 0
-        self.queries_served = 0
-        self.declined = 0
-        self.stale_retries = 0
         #: Measured communication of the most recent cluster-run query.
         self.last_comm: Optional[Dict[str, float]] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle / stores
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def _transport(self) -> ClusterTransport:
         transport = self._resources["transport"]
@@ -200,97 +149,38 @@ class ClusterEngine:
             raise ClusterError("cluster engine has been closed")
         return transport
 
-    def _graph_version(self) -> int:
-        return int(getattr(self.ctx.graph, "version", 0) or 0)
-
-    def invalidate(self) -> None:
-        """Force re-export of graph-derived stores on the next query."""
-        with self._lock:
-            self._version = None
-
     def close(self) -> None:
         """Shut every peer down and forget the store registry."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+            super().close()
             self._payloads.clear()
-            self._score_stores.clear()
-            self._bound_stores.clear()
-            self._deferred_drops = []
-            self._finalizer()
 
-    def _refresh(self) -> None:
-        """(Re)build the shard plan and graph-derived stores if stale."""
-        if self._closed:
-            raise ClusterError("cluster engine has been closed")
-        version = self._graph_version()
-        if self._plan is not None and self._version == version:
-            return
-        old = [
-            name
-            for name in [self._csr_store, self._rev_store, *self._owned_stores]
-            if name is not None
-        ]
-        csr = self.ctx.csr()
-        self._plan = build_shard_plan(
-            self.ctx.graph,
-            self.shards,
-            partitioner=self.partitioner,
-            seed=self.seed,
-        )
-        self._csr_store = f"csr@{version}"
+    # ------------------------------------------------------------------
+    # Stores
+    # ------------------------------------------------------------------
+    def _register(self, label: str, header: dict, arrays: dict, version=None) -> _Store:
+        self._store_serial += 1
+        name = f"{label}#{self._store_serial}"
+        self._payloads[name] = (dict(header, type="put", store=name), arrays)
+        return _Store(name, version)
+
+    def _export_csr(self, csr, version: int, label: str) -> _Store:
         arrays = {"indptr": csr.indptr, "indices": csr.indices}
         if csr.weights is not None:
             arrays["weights"] = csr.weights
-        self._payloads[self._csr_store] = (
-            {
-                "type": "put",
-                "store": self._csr_store,
-                "kind": "csr",
-                "version": version,
-                "directed": bool(csr.directed),
-            },
-            arrays,
-        )
-        rev = self.ctx.rev_csr()
-        self._rev_store = None
-        if rev is not None:
-            self._rev_store = f"rev@{version}"
-            rev_arrays = {"indptr": rev.indptr, "indices": rev.indices}
-            if rev.weights is not None:
-                rev_arrays["weights"] = rev.weights
-            self._payloads[self._rev_store] = (
-                {
-                    "type": "put",
-                    "store": self._rev_store,
-                    "kind": "csr",
-                    "version": version,
-                    "directed": bool(rev.directed),
-                },
-                rev_arrays,
-            )
-        self._owned_stores = []
-        for shard, owned in enumerate(self._plan.owned):
-            name = f"owned{shard}@{version}"
-            self._payloads[name] = (
-                {"type": "put", "store": name, "kind": "array"},
-                {"data": owned},
-            )
-            self._owned_stores.append(name)
-        # Delta re-export: only the graph-derived stores are renamed and
-        # dropped; score/bound stores survive the version move.
-        for name in old:
-            self._payloads.pop(name, None)
-        self._transport().drop_stores(old)
-        self._version = version
+        header = {"kind": "csr", "version": version, "directed": bool(csr.directed)}
+        return self._register(label, header, arrays, version)
 
-    def shard_plan(self) -> ShardPlan:
-        """The current shard ownership map (builds stores if needed)."""
-        with self._lock:
-            self._refresh()
-            assert self._plan is not None
-            return self._plan
+    def _export_array(self, array, label: str) -> _Store:
+        return self._register(label, {"kind": "array"}, {"data": array})
+
+    def _drop(self, exports: list) -> None:
+        if not exports:
+            return
+        names = [store.name for store in exports]
+        for name in names:
+            self._payloads.pop(name, None)
+        self._transport().drop_stores(names)
 
     def _store_payload(self, name: str) -> Tuple[dict, dict]:
         payload = self._payloads.get(name)
@@ -298,807 +188,66 @@ class ClusterEngine:
             raise ClusterError(f"store {name!r} is no longer exported")
         return payload
 
-    def _score_store(self, scores) -> str:
-        """Register (or reuse) a score vector store; key is object identity.
-
-        Identity is value identity here for the same reason as the
-        parallel engine's score exports: the session replaces score
-        vectors wholesale on mutation, and the strong reference kept in
-        the LRU pins the id.
-        """
-        import numpy as np
-
-        key = id(scores)
-        hit = self._score_stores.get(key)
-        if hit is not None:
-            self._score_stores.move_to_end(key)
-            return hit[1]
-        values = scores.values() if hasattr(scores, "values") else list(scores)
-        arr = np.asarray(values, dtype=np.float64)
-        self._store_serial += 1
-        name = f"scores{self._store_serial}"
-        self._payloads[name] = (
-            {"type": "put", "store": name, "kind": "array"},
-            {"data": arr},
-        )
-        self._score_stores[key] = (scores, name)
-        while len(self._score_stores) > _SCORE_STORE_LIMIT:
-            _, (_vec, dropped) = self._score_stores.popitem(last=False)
-            self._deferred_drops.append(dropped)
-        return name
-
-    def _bounds_store(
-        self, scores, kind: AggregateKind, include_self: bool
-    ) -> str:
-        """Register per-node static upper bounds for the pruned forward scan."""
-        import numpy as np
-
-        from repro.core.vectorized import static_upper_bounds_array
-
-        key = (id(scores), kind.value, include_self)
-        hit = self._bound_stores.get(key)
-        if hit is not None:
-            self._bound_stores.move_to_end(key)
-            return hit[1]
-        values = scores.values() if hasattr(scores, "values") else list(scores)
-        bounds = static_upper_bounds_array(
-            np, values, self.ctx.size_index(), kind, include_self
-        )
-        self._store_serial += 1
-        name = f"bounds{self._store_serial}"
-        self._payloads[name] = (
-            {"type": "put", "store": name, "kind": "array"},
-            {"data": bounds},
-        )
-        self._bound_stores[key] = (scores, name)
-        while len(self._bound_stores) > _BOUND_STORE_LIMIT:
-            _, (_vec, dropped) = self._bound_stores.popitem(last=False)
-            self._deferred_drops.append(dropped)
-        return name
-
-    def _flush_deferred_drops(self) -> None:
-        if not self._deferred_drops:
-            return
-        names = self._deferred_drops
-        self._deferred_drops = []
-        for name in names:
-            self._payloads.pop(name, None)
-        self._transport().drop_stores(names)
-
-    def _block_size(self, queries: int = 1) -> int:
-        from repro.core.vectorized import resolve_block_size
-
-        csr = self.ctx.csr()
-        block = resolve_block_size(
-            None, self.ctx.graph.num_nodes, int(csr.num_arcs)
-        )
-        if queries > 1:
-            block = max(4, block // queries)
-        return block
-
     # ------------------------------------------------------------------
-    # Dispatch plumbing
+    # Dispatch
     # ------------------------------------------------------------------
-    def _declines(
-        self, *, force: bool = False, work_items: Optional[int] = None
-    ) -> bool:
-        """Whether this query should run in-process instead.
-
-        Same rule as the parallel engine, against configured peers — the
-        check must not spawn workers, so it never touches live sockets.
-        """
-        if force:
-            return False
-        if self.workers < 2:
-            return True
-        size = self.ctx.graph.num_nodes if work_items is None else work_items
-        return size < self.min_nodes
-
-    def _run_round(self, build_tasks) -> List[Tuple[dict, dict]]:
-        """Build tasks against fresh stores and run them, retrying once on
-        a stale-store answer (a graph mutation racing the round)."""
-        for attempt in (0, 1):
-            check_deadline()  # before committing a full round of socket IPC
-            self._refresh()
-            tasks = build_tasks()
-            try:
-                return self._transport().run(tasks, self._store_payload)
-            except StaleShardError:
-                self.stale_retries += 1
-                self._version = None
-                if attempt:
-                    raise
-            finally:
-                self._flush_deferred_drops()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _base_stats(self, algorithm: str, spec, elapsed: float) -> QueryStats:
-        stats = QueryStats(
-            algorithm=algorithm,
-            aggregate=spec.aggregate.value,
-            backend="cluster",
-            hops=spec.hops,
-            k=spec.k,
-            elapsed_sec=elapsed,
-        )
-        assert self._plan is not None
-        stats.extra["shards"] = float(self._plan.num_shards)
-        stats.extra["workers"] = float(self.workers)
-        return stats
-
-    def _folded_scores(self, np, scores, kind: AggregateKind):
-        values = scores.values() if hasattr(scores, "values") else list(scores)
-        arr = np.asarray(values, dtype=np.float64)
-        if kind is AggregateKind.COUNT:
-            arr = np.where(arr > 0.0, 1.0, 0.0)
-        return arr
-
-    def _theta_seed(self, np, folded, kind: AggregateKind, spec) -> float:
-        """A sound initial k-th bound from self scores, when one exists.
-
-        With ``include_self`` every h-hop ball contains its center, so
-        ``F(v) >= f(v)`` whenever self contribution cannot be diluted:
-        SUM over nonnegative scores, COUNT (the folded indicator is
-        nonnegative by construction), and MAX unconditionally.  The k-th
-        largest self score then lower-bounds the final k-th aggregate and
-        workers may prune below it from round one.
-        """
-        if self.ship_policy != "threshold" or not spec.include_self:
-            return _NEG_INF
-        k = int(spec.k)
-        n = int(folded.size)
-        if k < 1 or n < k:
-            return _NEG_INF
-        if kind is AggregateKind.SUM:
-            if float(folded.min()) < 0.0:
-                return _NEG_INF
-        elif kind not in (AggregateKind.COUNT, AggregateKind.MAX):
-            return _NEG_INF
-        return float(np.partition(folded, n - k)[n - k])
-
-    def _quotas(self, np, folded) -> List[float]:
-        """Each shard's share of the (clipped) total score mass, in [0, 1]."""
-        assert self._plan is not None
-        mass = [
-            float(np.clip(folded[owned], 0.0, None).sum())
-            for owned in self._plan.owned
-        ]
-        total = sum(mass)
-        if total <= 0.0:
-            return [1.0] * len(mass)
-        return [m / total for m in mass]
-
-    def _quota_for(self, share: float, k: int) -> Optional[int]:
-        """ADiT-style adaptive quota: shard share of k, clamped to [1, k]."""
-        if self.ship_policy != "threshold":
-            return None
-        return max(1, min(int(k), int(math.ceil(share * k))))
-
-    # ------------------------------------------------------------------
-    # The shared candidate-collection loop (scan + weighted routes)
-    # ------------------------------------------------------------------
-    def _collect_topk(
-        self,
-        np,
-        k: int,
-        make_task: Callable[[int], Tuple[dict, List[str], Optional[dict]]],
-        theta0: float,
-        shares: List[float],
-        comm: _CommScope,
-    ) -> Tuple[List[Tuple[int, float]], List[dict]]:
-        """Round-1 fan-out plus the resume loop; returns (entries, headers).
-
-        ``make_task(shard)`` builds the full worker task (with fresh store
-        names — it is re-invoked on a stale retry) plus the store names it
-        references and optional frame arrays.  Candidates are kept as
-        per-shard ``node -> value`` dicts so a re-issued or resumed task's
-        overlap de-duplicates, then merged exactly like every sharded
-        route.
-        """
-        assert self._plan is not None
-        num_shards = self._plan.num_shards
-        per_shard: List[Dict[int, float]] = [dict() for _ in range(num_shards)]
-        # shard -> (resume key, rest bound) while a remainder is parked.
-        parked: List[Optional[Tuple[str, float]]] = [None] * num_shards
-        headers: List[dict] = []
-        theta = theta0
-
-        def ingest(shard: int, header: dict, arrays: dict) -> None:
-            nodes = arrays.get("nodes")
-            if nodes is not None and len(nodes):
-                shard_candidates = per_shard[shard]
-                values = arrays["values"]
-                for node, value in zip(nodes.tolist(), values.tolist()):
-                    shard_candidates[int(node)] = float(value)
-            comm.ingest(header)
-            headers.append(header)
-            key = header.get("resume")
-            if key:
-                parked[shard] = (key, float(header.get("rest_bound", _NEG_INF)))
-            else:
-                parked[shard] = None
-
-        def build_first() -> List[dict]:
-            tasks = []
-            for shard in range(num_shards):
-                task, stores, arrays = make_task(shard)
-                tasks.append(
-                    {
-                        "peer": shard % self.workers,
-                        "task": task,
-                        "ship": {
-                            "theta": float(theta),
-                            "quota": self._quota_for(shares[shard], k),
-                            "mode": self.ship_policy,
-                        },
-                        "stores": stores,
-                        "arrays": arrays,
-                        "fallback": None,
-                    }
-                )
-            return tasks
-
-        results = self._run_round(build_first)
-        comm.rounds += 1
-        for shard, (header, arrays) in enumerate(results):
-            ingest(shard, header, arrays)
-
-        while True:
-            entries = merge_shard_entries(
-                [list(candidates.items()) for candidates in per_shard], k
-            )
-            full = len(entries) >= k
-            tau = entries[-1][1] if full else _NEG_INF
-            pending = [
-                shard
-                for shard in range(num_shards)
-                if parked[shard] is not None
-                and (not full or parked[shard][1] >= tau)
-            ]
-            if not pending:
-                return entries, headers
-            theta = max(theta, tau)
-
-            def build_resume() -> List[dict]:
-                tasks = []
-                for shard in pending:
-                    assert parked[shard] is not None
-                    key = parked[shard][0]
-                    task, stores, arrays = make_task(shard)
-                    tasks.append(
-                        {
-                            "peer": shard % self.workers,
-                            "task": {"kind": "resume", "resume": key},
-                            "ship": {
-                                "theta": float(theta),
-                                "quota": None,
-                                "mode": self.ship_policy,
-                            },
-                            # Stores/arrays ride along so a lost remainder
-                            # can fall back to re-running the full task on
-                            # any peer.
-                            "stores": stores,
-                            "arrays": arrays,
-                            "fallback": task,
-                        }
-                    )
-                return tasks
-
-            results = self._run_round(build_resume)
-            comm.rounds += 1
-            for position, shard in enumerate(pending):
-                header, arrays = results[position]
-                ingest(shard, header, arrays)
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    def execute_scan(
-        self,
-        scores,
-        spec,
-        algorithm: str,
-        *,
-        candidates: Optional[Sequence[int]] = None,
-        force: bool = False,
-    ) -> Optional[TopKResult]:
-        """Sharded Base (``algorithm="base"``) or bound-pruned Forward scan."""
-        import numpy as np
-
-        if algorithm == "forward" and not spec.aggregate.lona_supported:
-            # Same front-door mirror as the parallel engine: decline so
-            # forward_topk raises the canonical InvalidParameterError.
-            return None
-        with self._lock:
-            if self._declines(
-                force=force,
-                work_items=None if candidates is None else len(candidates),
-            ):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            self._refresh()
-            assert self._plan is not None
-            block = self._block_size()
-            candidate_arr = (
-                None
-                if candidates is None
-                else np.asarray(sorted(candidates), dtype=np.int64)
-            )
-            folded = self._folded_scores(np, scores, spec.aggregate)
-            theta0 = self._theta_seed(np, folded, spec.aggregate, spec)
-            shares = self._quotas(np, folded)
-            comm = _CommScope(self._transport())
-            parts = self._plan.partition.as_array()
-
-            def make_task(shard: int):
-                assert self._plan is not None
-                scores_name = self._score_store(scores)
-                stores = [
-                    self._csr_store,
-                    scores_name,
-                    self._owned_stores[shard],
-                ]
-                bounds_meta = None
-                if algorithm == "forward":
-                    bounds_name = self._bounds_store(
-                        scores, spec.aggregate, spec.include_self
-                    )
-                    bounds_meta = {"store": bounds_name}
-                    stores.append(bounds_name)
-                task = {
-                    "kind": "scan",
-                    "csr": {"store": self._csr_store, "version": self._version},
-                    "scores": {"store": scores_name},
-                    "owned": {"store": self._owned_stores[shard]},
-                    "centers": None,
-                    "aggregate": spec.aggregate.value,
-                    "hops": int(spec.hops),
-                    "include_self": bool(spec.include_self),
-                    "k": int(spec.k),
-                    "block": int(block),
-                    "bounds": bounds_meta,
+    def _dispatch(self, specs: List[dict], *, rows: Optional[int], steal: bool):
+        wire = []
+        for spec in specs:
+            # Stores and frame arrays are those of the *full* task, so a
+            # resume whose remainder is lost can fall back to re-running it
+            # on any peer.
+            full = spec["fallback"] or spec["task"]
+            arrays = None
+            if full.get("centers") is not None:
+                arrays = {"centers": full["centers"]}
+                full = dict(full, centers=None)
+            resume = spec["fallback"] is not None
+            wire.append(
+                {
+                    "peer": spec["shard"] % self.workers,
+                    "task": spec["task"] if resume else full,
+                    "ship": spec["ship"],
+                    "stores": _store_names(full),
+                    "arrays": arrays,
+                    "fallback": full if resume else None,
                 }
-                arrays = None
-                if candidate_arr is not None:
-                    assert parts is not None
-                    arrays = {
-                        "centers": candidate_arr[parts[candidate_arr] == shard]
-                    }
-                return task, stores, arrays
-
-            entries, headers = self._collect_topk(
-                np, int(spec.k), make_task, theta0, shares, comm
             )
-            stats = self._base_stats(
-                algorithm, spec, time.perf_counter() - start
-            )
-            merge_counters(
-                stats, (h["counters"] for h in headers if "counters" in h)
-            )
-            stats.pruned_nodes = sum(h.get("pruned", 0) for h in headers)
-            if candidate_arr is not None:
-                stats.extra["candidates"] = float(candidate_arr.size)
-            self.last_comm = comm.finish(stats)
-            self.queries_served += 1
-            return TopKResult(entries=entries, stats=stats)
+        replies = self._transport().run(wire, self._store_payload)
+        return [self._reply(header, arrays) for header, arrays in replies]
 
-    def execute_backward(
-        self,
-        scores,
-        spec,
-        *,
-        gamma="auto",
-        distribution_fraction: float = 0.1,
-        exact_sizes: bool = False,
-        force: bool = False,
-    ) -> Optional[TopKResult]:
-        """Sharded LONA-Backward over the wire: remote distribution, local
-        Eq. 3 bounds, TA verification rounds with θ-filtered replies."""
-        import numpy as np
-
-        from repro.core.vectorized import (
-            backward_distribution_split,
-            backward_eq3_bounds,
-        )
-
-        kind = spec.aggregate
-        if not kind.lona_supported:
-            raise InvalidParameterError(
-                f"LONA-Backward supports SUM/AVG/COUNT, not {kind.value}; "
-                "use algorithm='base' for MAX/MIN"
-            )
-        with self._lock:
-            if self._declines(force=force):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            self._refresh()
-            assert self._plan is not None
-            n = self.ctx.graph.num_nodes
-            scores_arr = self._folded_scores(np, scores, kind)
-            eff_kind = (
-                AggregateKind.SUM if kind is AggregateKind.COUNT else kind
-            )
-            is_avg = eff_kind is AggregateKind.AVG
-            include_self = spec.include_self
-            sizes = self.ctx.size_index(exact=exact_sizes)
-
-            _distributed, effective_gamma, rest_bound = (
-                backward_distribution_split(
-                    np, scores_arr, gamma, distribution_fraction
-                )
-            )
-            if rest_bound == 0.0 and (not is_avg or sizes.is_exact):
-                # The exact-shortcut regime: answers are sequential partial
-                # sums whose float additions must not be reassociated by a
-                # sharded merge (see the parallel engine).  Decline.
-                self.declined += 1
-                return None
-            block = self._block_size()
-            comm = _CommScope(self._transport())
-
-            # --- Phase 1: remote distribution (owned high scores out) ---
-            def build_distribute() -> List[dict]:
-                assert self._plan is not None
-                dist_store = (
-                    self._rev_store
-                    if self._rev_store is not None
-                    else self._csr_store
-                )
-                scores_name = self._score_store(scores)
-                tasks = []
-                for shard in range(self._plan.num_shards):
-                    task = {
-                        "kind": "distribute",
-                        "csr": {"store": dist_store, "version": self._version},
-                        "scores": {"store": scores_name},
-                        "owned": {"store": self._owned_stores[shard]},
-                        "aggregate": kind.value,
-                        "gamma": float(effective_gamma),
-                        "hops": int(spec.hops),
-                        "include_self": bool(include_self),
-                        "block": int(block),
-                    }
-                    tasks.append(
-                        {
-                            "peer": shard % self.workers,
-                            "task": task,
-                            "ship": {"mode": "all"},
-                            "stores": [
-                                dist_store,
-                                scores_name,
-                                self._owned_stores[shard],
-                            ],
-                            "arrays": None,
-                            "fallback": None,
-                        }
-                    )
-                return tasks
-
-            results = self._run_round(build_distribute)
-            comm.rounds += 1
-            partial = np.zeros(n, dtype=np.float64)
-            covered = np.zeros(n, dtype=np.int64)
-            pushes = 0
-            distributed_count = 0
-            # Shard-order summation, exactly like the parallel merge, so
-            # the reassociated float partials are bit-identical to it.
-            for header, arrays in results:
-                touched = arrays["touched"]
-                partial[touched] += arrays["partial"]
-                covered[touched] += arrays["covered"]
-                pushes += int(header["pushes"])
-                distributed_count += int(header["distributed"])
-
-            stats = self._base_stats("backward", spec, 0.0)
-            merge_counters(stats, (header["counters"] for header, _ in results))
-            stats.distribution_pushes = pushes
-
-            # --- Phase 2: Eq. 3 bounds locally over the merged state ---
-            self_distributed = np.zeros(n, dtype=bool)
-            if include_self:
-                self_distributed = (scores_arr > 0.0) & (
-                    scores_arr >= effective_gamma
-                )
-            bounds = backward_eq3_bounds(
-                np,
-                scores_arr,
-                partial,
-                covered,
-                self_distributed,
-                sizes,
-                rest_bound,
-                include_self=include_self,
-                is_avg=is_avg,
-            )
-            stats.bound_evaluations = n
-            order = np.lexsort((np.arange(n), -bounds))
-
-            # --- Phase 3: TA rounds against owning shards, θ-filtered ---
-            acc = TopKAccumulator(spec.k)
-            offered = 0
-            verify_rounds = 0
-            idx = 0
-            done = False
-            while idx < n and not done:
-                if acc.is_full and float(bounds[order[idx]]) <= acc.threshold:
-                    stats.early_terminated = True
-                    break
-                hi = min(idx + _VERIFY_ROUND, n)
-                frontier = order[idx:hi]
-                if acc.is_full:
-                    frontier = frontier[bounds[frontier] > acc.threshold]
-                if frontier.size == 0:
-                    stats.early_terminated = True
-                    break
-                theta = acc.threshold if acc.is_full else _NEG_INF
-                exact = self._verify_frontier(
-                    scores, spec, frontier, block, stats, theta, comm
-                )
-                verify_rounds += 1
-                stats.candidates_verified += int(frontier.size)
-                for v in order[idx:hi]:
-                    node = int(v)
-                    if acc.is_full and float(bounds[node]) <= acc.threshold:
-                        stats.early_terminated = True
-                        done = True
-                        break
-                    # θ-pruned candidates are absent from ``exact``: their
-                    # value was below the threshold at round start, so the
-                    # skipped offer could never have been accepted.
-                    if node in exact:
-                        acc.offer(node, exact[node])
-                        offered += 1
-                idx = hi
-            stats.pruned_nodes = n - offered
-            stats.extra["gamma"] = float(effective_gamma)
-            stats.extra["distributed_nodes"] = float(distributed_count)
-            stats.extra["rest_bound"] = float(rest_bound)
-            stats.extra["exact_shortcut"] = 0.0  # shortcut shapes declined
-            stats.extra["verify_rounds"] = float(verify_rounds)
-            self.last_comm = comm.finish(stats)
-            stats.elapsed_sec = time.perf_counter() - start
-            self.queries_served += 1
-            return TopKResult(entries=acc.entries(), stats=stats)
-
-    def _verify_frontier(
-        self,
-        scores,
-        spec,
-        frontier,
-        block: int,
-        stats: QueryStats,
-        theta: float,
-        comm: _CommScope,
-    ) -> Dict[int, float]:
-        """Exact values of ``frontier`` candidates, from their owning shards.
-
-        Workers ship only pairs with value >= θ (the accumulator's current
-        k-th value), which is the backward pipeline's round-level
-        threshold shipping.
-        """
-        assert self._plan is not None
-        parts = self._plan.partition.as_array()
-        assert parts is not None
-
-        def build() -> List[dict]:
-            assert self._plan is not None
-            scores_name = self._score_store(scores)
-            tasks = []
-            for shard in range(self._plan.num_shards):
-                mine = frontier[parts[frontier] == shard]
-                if mine.size == 0:
-                    continue
-                task = {
-                    "kind": "verify",
-                    "csr": {"store": self._csr_store, "version": self._version},
-                    "scores": {"store": scores_name},
-                    "aggregate": spec.aggregate.value,
-                    "hops": int(spec.hops),
-                    "include_self": bool(spec.include_self),
-                    "block": int(block),
-                }
-                tasks.append(
-                    {
-                        "peer": shard % self.workers,
-                        "task": task,
-                        "ship": {
-                            "theta": float(theta),
-                            "mode": self.ship_policy,
-                        },
-                        "stores": [self._csr_store, scores_name],
-                        "arrays": {"centers": mine},
-                        "fallback": None,
-                    }
-                )
-            return tasks
-
-        results = self._run_round(build)
-        comm.rounds += 1
-        exact: Dict[int, float] = {}
-        for header, arrays in results:
-            check_deadline()  # merge boundary: one poll per shard reply
-            comm.ingest(header)
-            merge_counters(stats, [header["counters"]])
-            nodes = arrays.get("nodes")
-            if nodes is not None and len(nodes):
-                values = arrays["values"]
-                for node, value in zip(nodes.tolist(), values.tolist()):
-                    exact[int(node)] = float(value)
-        return exact
-
-    def execute_weighted(
-        self, scores, spec, profile, *, force: bool = False
-    ) -> Optional[TopKResult]:
-        """Sharded distance-weighted SUM with θ/quota candidate shipping."""
-        import numpy as np
-
-        from repro.aggregates.weighted import inverse_distance, precompute_weights
-        from repro.core.vectorized import _check_weighted_spec
-
-        _check_weighted_spec(spec)
-        with self._lock:
-            if self._declines(force=force):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            self._refresh()
-            assert self._plan is not None
-            weights = precompute_weights(
-                profile if profile is not None else inverse_distance, spec.hops
-            )
-            block = self._block_size()
-            folded = self._folded_scores(np, scores, AggregateKind.SUM)
-            # No sound self-score seed for arbitrary decay profiles; θ
-            # still tightens to the merged k-th value on resume rounds.
-            shares = self._quotas(np, folded)
-            comm = _CommScope(self._transport())
-
-            def make_task(shard: int):
-                assert self._plan is not None
-                scores_name = self._score_store(scores)
-                task = {
-                    "kind": "weighted",
-                    "csr": {"store": self._csr_store, "version": self._version},
-                    "scores": {"store": scores_name},
-                    "owned": {"store": self._owned_stores[shard]},
-                    "weights": [float(w) for w in weights],
-                    "hops": int(spec.hops),
-                    "include_self": bool(spec.include_self),
-                    "k": int(spec.k),
-                    "block": int(block),
-                }
-                stores = [
-                    self._csr_store,
-                    scores_name,
-                    self._owned_stores[shard],
+    @staticmethod
+    def _reply(header: dict, arrays: dict) -> Tuple[dict, dict]:
+        """Candidate frames (``nodes``/``values`` arrays) as pair lists."""
+        if "num_queries" in header:
+            return header, {
+                "entries_list": [
+                    _pairs(arrays, f"_{i}") for i in range(header["num_queries"])
                 ]
-                return task, stores, None
+            }
+        if "candidates_shipped" in header:
+            return header, {"entries": _pairs(arrays)}
+        return header, arrays
 
-            entries, headers = self._collect_topk(
-                np, int(spec.k), make_task, _NEG_INF, shares, comm
-            )
-            stats = self._base_stats(
-                "weighted-base", spec, time.perf_counter() - start
-            )
-            merge_counters(
-                stats, (h["counters"] for h in headers if "counters" in h)
-            )
-            self.last_comm = comm.finish(stats)
-            self.queries_served += 1
-            return TopKResult(entries=entries, stats=stats)
+    # ------------------------------------------------------------------
+    # Traffic
+    # ------------------------------------------------------------------
+    def _traffic_snapshot(self) -> Dict[str, int]:
+        return self._transport().totals()
 
-    def run_batch(
-        self,
-        batch: Sequence,
-        *,
-        hops: int,
-        include_self: bool,
-        force: bool = False,
-    ) -> Optional[List[TopKResult]]:
-        """Fused multi-query shared scan, one remote sub-scan per shard.
-
-        Batch replies ship each query's full shard top-k (no θ: the
-        merged threshold of one query says nothing about another's), so
-        bytes scale with ``shards * sum(k_i)`` exactly as the simulator
-        predicts for the naive policy.
-        """
-        import numpy as np
-
-        with self._lock:
-            if not batch or self._declines(force=force):
-                self.declined += 1 if batch else 0
-                return None
-            start = time.perf_counter()
-            self._refresh()
-            assert self._plan is not None
-            block = self._block_size(queries=len(batch))
-            comm = _CommScope(self._transport())
-
-            def build() -> List[dict]:
-                assert self._plan is not None
-                scores_list = [
-                    [
-                        {"store": self._score_store(entry.scores)},
-                        entry.aggregate.value,
-                    ]
-                    for entry in batch
-                ]
-                ks = [int(entry.k) for entry in batch]
-                tasks = []
-                for shard in range(self._plan.num_shards):
-                    task = {
-                        "kind": "batch",
-                        "csr": {"store": self._csr_store, "version": self._version},
-                        "owned": {"store": self._owned_stores[shard]},
-                        "scores_list": scores_list,
-                        "ks": ks,
-                        "hops": int(hops),
-                        "include_self": bool(include_self),
-                        "block": int(block),
-                    }
-                    stores = [self._csr_store, self._owned_stores[shard]]
-                    stores.extend(meta["store"] for meta, _agg in scores_list)
-                    tasks.append(
-                        {
-                            "peer": shard % self.workers,
-                            "task": task,
-                            "ship": {"mode": "all"},
-                            "stores": stores,
-                            "arrays": None,
-                            "fallback": None,
-                        }
-                    )
-                return tasks
-
-            results = self._run_round(build)
-            comm.rounds += 1
-            elapsed = time.perf_counter() - start
-            outputs: List[TopKResult] = []
-            comm_stats: Optional[Dict[str, float]] = None
-            for i, entry in enumerate(batch):
-                check_deadline()  # merge boundary: one poll per batch entry
-                shard_entries = []
-                for _header, arrays in results:
-                    nodes = arrays.get(f"nodes_{i}")
-                    values = arrays.get(f"values_{i}")
-                    if nodes is None or not len(nodes):
-                        shard_entries.append([])
-                        continue
-                    shard_entries.append(
-                        [
-                            (int(node), float(value))
-                            for node, value in zip(
-                                nodes.tolist(), values.tolist()
-                            )
-                        ]
-                    )
-                entries = merge_shard_entries(shard_entries, entry.k)
-                stats = QueryStats(
-                    algorithm="batch-base",
-                    aggregate=entry.aggregate.value,
-                    backend="cluster",
-                    hops=hops,
-                    k=entry.k,
-                    elapsed_sec=elapsed,
-                    nodes_evaluated=self.ctx.graph.num_nodes,
-                )
-                merge_counters(stats, (header["counters"] for header, _ in results))
-                stats.nodes_evaluated = self.ctx.graph.num_nodes
-                stats.extra["batch_size"] = float(len(batch))
-                stats.extra["shards"] = float(self._plan.num_shards)
-                stats.extra["workers"] = float(self.workers)
-                if comm_stats is None:
-                    for header, _ in results:
-                        comm.ingest(header)
-                    comm_stats = comm.finish(stats)
-                else:
-                    stats.extra.update(comm_stats)
-                outputs.append(TopKResult(entries=entries, stats=stats))
-            self.last_comm = comm_stats
-            self.queries_served += 1
-            return outputs
+    def _stamp_traffic(self, stats, traffic) -> None:
+        after = self._traffic_snapshot()
+        self.last_comm = {
+            "comm_rounds": float(traffic.rounds),
+            "bytes_sent": float(after["bytes_sent"] - traffic.before["bytes_sent"]),
+            "bytes_received": float(
+                after["bytes_received"] - traffic.before["bytes_received"]
+            ),
+            "candidates_shipped": float(traffic.shipped),
+            "candidates_pruned": float(max(0, traffic.total - traffic.shipped)),
+            "shipped_candidate_bytes": float(traffic.shipped * ENTRY_BYTES),
+        }
+        stats.extra.update(self.last_comm)
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> List[dict]:
@@ -1134,30 +283,15 @@ class ClusterEngine:
         with self._lock:
             transport = self._resources["transport"]
             started = bool(transport is not None and transport.started)
-            return {
-                "workers": self.workers,
-                "shards": self.shards,
-                "min_nodes": self.min_nodes,
-                "ship_policy": self.ship_policy,
-                "closed": self._closed,
-                "started": started,
-                "alive_peers": transport.alive_peers if started else 0,
-                "respawns": transport.respawns if transport is not None else 0,
-                "hedges": transport.hedges if transport is not None else 0,
-                "hedge_wins": transport.hedge_wins
-                if transport is not None
-                else 0,
-                "transients": transport.transients
-                if transport is not None
-                else 0,
-                "revivals": transport.revivals if transport is not None else 0,
-                "health": transport.health_snapshot() if started else [],
-                "queries_served": self.queries_served,
-                "declined": self.declined,
-                "stale_retries": self.stale_retries,
-                "stores": len(self._payloads),
-                "store_version": self._version,
-                "comm": transport.totals()
+            out = super().stats()
+            out.update(
+                shards=self.shards,
+                ship_policy=self.ship_policy,
+                started=started,
+                alive_peers=transport.alive_peers if started else 0,
+                health=transport.health_snapshot() if started else [],
+                stores=len(self._payloads),
+                comm=transport.totals()
                 if started
                 else {
                     "bytes_sent": 0,
@@ -1165,5 +299,8 @@ class ClusterEngine:
                     "frames_sent": 0,
                     "frames_received": 0,
                 },
-                "last_comm": dict(self.last_comm) if self.last_comm else None,
-            }
+                last_comm=dict(self.last_comm) if self.last_comm else None,
+            )
+            for gauge in ("respawns", "hedges", "hedge_wins", "transients", "revivals"):
+                out[gauge] = getattr(transport, gauge) if transport is not None else 0
+            return out

@@ -159,11 +159,6 @@ class ParallelConfig(_FrozenConfig):
     ``None`` means "the engine's default": ``workers=None`` sizes the pool
     to ``os.cpu_count()``; ``min_nodes=None`` keeps the engine's decline
     threshold (:data:`~repro.parallel.engine.DEFAULT_MIN_NODES`).
-    ``work_stealing`` splits shard scans into chunks fed dynamically to
-    idle workers (skew tolerance); ``result_buffers`` ships scan results
-    through preallocated shared-memory buffers instead of pickled pipe
-    replies.  Both default on; they exist as switches so the bench can
-    measure each and a pathological workload can opt out.
     """
 
     workers: Optional[int] = None
@@ -171,8 +166,6 @@ class ParallelConfig(_FrozenConfig):
     partitioner: str = "bfs"
     seed: int = 2010
     timeout: float = 120.0
-    work_stealing: bool = True
-    result_buffers: bool = True
 
     def __post_init__(self) -> None:
         if self.workers is not None:
@@ -189,8 +182,6 @@ class ParallelConfig(_FrozenConfig):
                 )
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "timeout", float(self.timeout))
-        object.__setattr__(self, "work_stealing", bool(self.work_stealing))
-        object.__setattr__(self, "result_buffers", bool(self.result_buffers))
         if self.timeout <= 0:
             raise InvalidParameterError(
                 f"timeout must be > 0, got {self.timeout}"

@@ -12,8 +12,8 @@ algorithms:
   behind the same route table (see :mod:`repro.native`).  Requires numpy
   plus an importable :mod:`numba`; without numba the tier declines and
   ``"auto"`` falls back to ``"numpy"`` (the ``REPRO_NATIVE_INTERPRETED``
-  environment flag forces the tier on with interpreted kernels, which the
-  parity suite uses on numba-free machines).
+  environment flag makes the tier available with the kernels run as plain
+  Python, which the parity suite uses on numba-free machines).
 * ``"parallel"`` — the numpy kernels fanned out across worker *processes*
   over shared-memory CSR shards (see :mod:`repro.parallel`).  Requires
   numpy; the engine itself declines graphs too small to amortize the
@@ -95,8 +95,8 @@ def native_available() -> bool:
 
     Needs numpy (the adapters orchestrate with it) and numba (the compiled
     kernels).  ``REPRO_NATIVE_INTERPRETED`` — checked dynamically, so tests
-    can flip it per-case — substitutes the interpreted kernel fallback for
-    numba: same code paths, same answers, no compilation.
+    can flip it per-case — makes the tier available with the kernels run
+    as plain Python: same code paths, same answers, no compilation.
     """
     if not numpy_available():
         return False

@@ -114,7 +114,8 @@ BACKEND_FIXED_COSTS = {
     # per query, so the native tier carries no per-query fixed cost.
     "native": 0.0,
     # Recalibrated for the leaner round (shared-memory reply buffers
-    # replaced pickled pipe replies; benchmarks/bench_native.py): a warm
+    # replaced pickled pipe replies; bench/ reports the round's traffic as
+    # parallel.pipe_bytes_per_op): a warm
     # backward query now measures ~50-105 expansion-equivalents of round
     # overhead vs ~1 ms (thousands) before.  Kept conservative at 500 —
     # multi-round plans pay it repeatedly and cold exports cost more.

@@ -4,8 +4,9 @@ Import-or-decline, exactly like numpy's ``"auto"`` contract: nothing here
 requires numba at import time — :mod:`repro.native.kernels` falls back to
 interpreted Python when numba is absent, and the backend registry
 (:func:`repro.core.backends.native_available`) only offers the tier when
-numba is importable (or ``REPRO_NATIVE_INTERPRETED`` forces the
-interpreted kernels on, which the parity tests use).
+numba is importable (or ``REPRO_NATIVE_INTERPRETED`` is set: the kernels
+run interpreted and the tier counts as available, which the parity tests
+use).
 
 The cache-dir hook must run before any kernel module import so
 ``NUMBA_CACHE_DIR`` is set before numba first loads.

@@ -18,9 +18,12 @@ the interpreted fallback) and the on-disk cache makes the compile cost a
 once-per-machine event (see :mod:`repro.native.compile_cache`).  Without
 numba the decorator is the identity and the same functions run as plain
 Python over numpy arrays — semantically identical, just slow; the backend
-registry only offers the tier when numba is present (or the
-``REPRO_NATIVE_INTERPRETED`` escape hatch is set, which the parity tests
-use to exercise these exact code paths on a numba-free machine).
+registry only offers the tier when numba is present, or when
+``REPRO_NATIVE_INTERPRETED`` is set.  That one variable means "the kernels
+run as plain Python and the tier counts as available": set before this
+module is imported it also skips numba where numba is installed, which is
+how the parity tests exercise these exact code paths anywhere and how CI
+proves the two modes cannot drift apart.
 
 Kernels take caller-owned scratch (``stamp``/``member_buf``/... sized to
 the graph) so per-block calls allocate nothing; generations are handed in
@@ -33,7 +36,7 @@ import os
 
 NUMBA_IMPORTABLE = False
 _njit_error = None
-if not os.environ.get("REPRO_NATIVE_FORCE_INTERPRETED"):
+if not os.environ.get("REPRO_NATIVE_INTERPRETED"):
     try:  # pragma: no cover - exercised only where numba is installed
         from numba import njit as _numba_njit
 

@@ -1,75 +1,48 @@
-"""The parallel backend's session-side engine: exports, dispatch, merge.
+"""The parallel backend's engine: the sharded coordinator over the pipe link.
 
-One :class:`ParallelEngine` lives on a
-:class:`~repro.core.context.GraphContext` (shared by every query of a
-session) and owns three kinds of state:
+:class:`ParallelEngine` is a
+:class:`~repro.parallel.coordinator.ShardedCoordinator` — every route, the
+decline rule, the refresh and the stale retry are the coordinator's — whose
+workers are a persistent, spawn-started
+:class:`~repro.parallel.pool.ShardWorkerPool` on this machine.  This module
+holds only what the pipe link decides:
 
-* **Shared-memory exports** — the CSR view (and its reversal, for directed
-  graphs), every score vector recently queried, the per-shard owned-node
-  arrays, and per-(score, aggregate) static-bound arrays.  All exports are
-  version-stamped: a dynamic mutation moves ``graph.version``, the engine
-  marks the old export stale (attached workers refuse it), unlinks, and
-  re-exports lazily on the next query.
-* **The worker pool** — a persistent, spawn-started
-  :class:`~repro.parallel.pool.ShardWorkerPool` whose processes stay warm
-  (attachments cached) across queries.
-* **The shard plan** — a :func:`~repro.distributed.partition.bfs_partition`
-  ownership map (see :mod:`repro.parallel.shards`).
-
-Routes: sharded Base scan (every aggregate kind, optionally restricted to
-a candidate set), bound-pruned Forward scan, the sharded Backward pipeline
-(parallel distribution -> merged Eq. 3 bounds -> TA-style verification
-rounds dispatched to owning shards), the fused multi-query batch scan, and
-the distance-weighted scan.  Every ``execute*`` method returns ``None``
-when the engine *declines* — graph below ``min_nodes``, fewer than two
-workers, or an unsupported knob combination — and the caller falls back to
-the in-process numpy backend; that decline rule is the runtime face of the
-planner's parallel fixed-cost term.
+* **How data reaches a worker** — the CSR view (and its reversal), score
+  vectors, owned-node arrays and static bounds are exported into POSIX
+  shared memory (:class:`~repro.graph.csr.SharedCSR` /
+  :class:`~repro.graph.csr.SharedArray`); a task names them by descriptor
+  and workers map the same physical pages.  A retired CSR export is stamped
+  stale before it is unlinked, so a worker still attached refuses it.
+* **How a round is dispatched** — ``ShardWorkerPool.run``; shard scans
+  arrive split into work-stealing chunks (``steals_chunks``) and are fed
+  dynamically to idle workers.  Candidate replies come back through
+  preallocated shared-memory reply buffers — only a row count crosses the
+  pipe — except for tasks the pool re-issued after a worker death, which
+  answer over the pipe (two writers must never share a buffer).
+* **How traffic is accounted** — the pool's metered pipe bytes, stamped as
+  ``pipe_bytes_sent`` / ``pipe_bytes_received`` / ``tasks``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
-import weakref
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.aggregates.functions import AggregateKind
-from repro.core.deadline import check_deadline
-from repro.core.results import QueryStats, TopKResult
-from repro.core.topk import TopKAccumulator
-from repro.errors import InvalidParameterError, ParallelError, StaleShardError
+from repro.errors import InvalidParameterError, ParallelError
 from repro.graph.csr import SharedArray, SharedCSR
-from repro.parallel.merge import (
-    merge_counters,
-    merge_entry_buffers,
-    merge_shard_entries,
-)
+from repro.parallel.coordinator import DEFAULT_MIN_NODES, ShardedCoordinator
 from repro.parallel.pool import ShardWorkerPool
-from repro.parallel.shards import ShardPlan, build_shard_plan
 
 __all__ = ["DEFAULT_MIN_NODES", "ParallelEngine"]
 
-#: Below this many nodes the engine declines and the query runs in-process:
-#: a spawn-warm pool still pays ~1 ms of queue IPC per round, which at small
-#: n exceeds the whole vectorized scan.
-DEFAULT_MIN_NODES = 8192
 
-#: Resident score-vector exports kept per engine (LRU beyond this).
-_SCORE_EXPORT_LIMIT = 16
-
-#: Resident static-bound exports kept per engine (LRU beyond this).
-_BOUND_EXPORT_LIMIT = 8
-
-#: Candidates verified per TA round of the sharded backward pipeline.
-_VERIFY_ROUND = 256
-
-#: Max work-stealing chunks per shard scan.  A few pieces per shard is
-#: enough for idle workers to absorb a skewed partition's tail; many more
-#: would multiply per-task fixed cost for no extra overlap.
-_STEAL_CHUNKS = 4
+def _release(export) -> None:
+    """Free one export; a CSR is stamped stale first, so a worker still
+    attached to it refuses to serve from it."""
+    if isinstance(export, SharedCSR):
+        export.mark_stale()
+    export.unlink()
+    export.close()
 
 
 def _close_resources(resources: dict) -> None:
@@ -82,21 +55,26 @@ def _close_resources(resources: dict) -> None:
             pass
     for export in resources.get("exports", []):
         try:
-            export.mark_stale()
-        except AttributeError:
-            pass
-        except Exception:  # pragma: no cover
-            pass
-        try:
-            export.unlink()
+            _release(export)
         except Exception:  # pragma: no cover
             pass
     resources["pool"] = None
     resources["exports"] = []
 
 
-class ParallelEngine:
+class ParallelEngine(ShardedCoordinator):
     """Process-parallel execution over one graph context (see module doc)."""
+
+    backend = "parallel"
+    closed_error = ParallelError
+    steals_chunks = True
+
+    # The routes are the coordinator's.  They are bound on this class as
+    # well so per-link instrumentation (bench/trace.py wraps
+    # ``ParallelEngine.execute_scan``) finds them here and wraps this link only.
+    execute_scan = ShardedCoordinator.execute_scan
+    execute_backward = ShardedCoordinator.execute_backward
+    run_batch = ShardedCoordinator.run_batch
 
     def __init__(
         self,
@@ -107,37 +85,23 @@ class ParallelEngine:
         partitioner: str = "bfs",
         seed: int = 2010,
         timeout: float = 120.0,
-        work_stealing: bool = True,
-        result_buffers: bool = True,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        self.ctx = ctx
-        self.workers = int(workers)
-        self.min_nodes = int(min_nodes)
-        self.partitioner = partitioner
-        self.seed = seed
+        super().__init__(
+            ctx,
+            {"pool": None, "exports": []},
+            _close_resources,
+            workers=workers,
+            shards=workers,
+            min_nodes=min_nodes,
+            partitioner=partitioner,
+            seed=seed,
+        )
         self.timeout = timeout
-        self.work_stealing = bool(work_stealing)
-        self.result_buffers = bool(result_buffers)
-        self._lock = threading.RLock()
-        self._closed = False
-        # All process/shared-memory state lives in one dict so a weakref
-        # finalizer can release it even if the session forgets close().
-        self._resources: dict = {"pool": None, "exports": []}
-        self._finalizer = weakref.finalize(self, _close_resources, self._resources)
-        self._plan: Optional[ShardPlan] = None
-        self._csr_export: Optional[SharedCSR] = None
-        self._rev_export: Optional[SharedCSR] = None
-        self._owned_exports: List[SharedArray] = []
-        self._score_exports: "OrderedDict[Tuple[int, ...], Tuple[object, SharedArray]]" = OrderedDict()
-        self._bound_exports: "OrderedDict[Tuple, Tuple[object, SharedArray]]" = OrderedDict()
-        # Exports evicted from the LRUs *while a round's tasks are being
-        # built* may already be referenced by task metas of that round;
-        # they are parked here and unlinked only after the round returns.
-        self._deferred_drops: List[SharedArray] = []
+        self._native = None  # probed on first use
         # Per-task-slot shared reply buffers (float64 (capacity, 2) rows of
         # [node, value]); rotated — never reused — after any round that
         # respawned a worker or raised, because a straggler holding the old
@@ -145,18 +109,6 @@ class ParallelEngine:
         self._reply_buffers: List[SharedArray] = []
         self._reply_capacity = 0
         self._reply_dirty = False
-        self._native: Optional[bool] = None
-        self._export_version: Optional[int] = None
-        self.queries_served = 0
-        self.declined = 0
-        self.stale_retries = 0
-
-    # ------------------------------------------------------------------
-    # Lifecycle / exports
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def _pool(self) -> ShardWorkerPool:
         pool = self._resources["pool"]
@@ -165,205 +117,31 @@ class ParallelEngine:
             self._resources["pool"] = pool
         return pool
 
-    def _graph_version(self) -> int:
-        return int(getattr(self.ctx.graph, "version", 0) or 0)
-
-    def _track(self, export) -> None:
+    # ------------------------------------------------------------------
+    # Exports
+    # ------------------------------------------------------------------
+    def _export_csr(self, csr, version: int, label: str) -> SharedCSR:
+        export = SharedCSR.export(csr, version=version)
         self._resources["exports"].append(export)
+        return export
 
-    def _untrack(self, export) -> None:
-        try:
-            self._resources["exports"].remove(export)
-        except ValueError:  # pragma: no cover - double release
-            pass
+    def _export_array(self, array, label: str) -> SharedArray:
+        export = SharedArray.create(array)
+        self._resources["exports"].append(export)
+        return export
 
-    def _drop_export(self, export) -> None:
-        self._untrack(export)
-        export.unlink()
-        export.close()
-
-    def _defer_drop(self, export) -> None:
-        """Queue an evicted export for unlinking after the in-flight round.
-
-        An LRU eviction can fire in the middle of building a round's tasks
-        (``_score_meta`` is called once per batch member), at which point
-        earlier tasks of the *same* round already embed the evicted
-        segment's name — unlinking it now would make the workers'
-        ``attach`` fail mid-round.
-        """
-        self._deferred_drops.append(export)
-
-    def _flush_deferred_drops(self) -> None:
-        for export in self._deferred_drops:
-            self._drop_export(export)
-        self._deferred_drops = []
-
-    def _invalidate_exports(self) -> None:
-        """Tear down every shared segment (after a graph mutation)."""
-        if self._csr_export is not None:
-            self._csr_export.mark_stale()
-        for export in (self._csr_export, self._rev_export):
-            if export is not None:
-                self._drop_export(export)
-        self._csr_export = None
-        self._rev_export = None
-        for export in self._owned_exports:
-            self._drop_export(export)
-        self._owned_exports = []
-        for _vec, export in self._score_exports.values():
-            self._drop_export(export)
-        self._score_exports.clear()
-        for _vec, export in self._bound_exports.values():
-            self._drop_export(export)
-        self._bound_exports.clear()
-        for export in self._reply_buffers:
-            self._drop_export(export)
-        self._reply_buffers = []
-        self._reply_capacity = 0
-        self._flush_deferred_drops()
-        self._plan = None
-        self._export_version = None
-
-    def invalidate(self) -> None:
-        """Public form of export teardown (the context calls this on close)."""
-        with self._lock:
-            self._invalidate_exports()
-
-    def close(self) -> None:
-        """Shut the pool down and release every shared segment."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._invalidate_exports()
-            self._finalizer()
-
-    def _refresh(self) -> None:
-        """(Re)build exports and the shard plan for the current graph version."""
-        if self._closed:
-            raise ParallelError("parallel engine has been closed")
-        version = self._graph_version()
-        if self._csr_export is not None and self._export_version != version:
-            self._invalidate_exports()
-        if self._csr_export is not None:
-            return
-        graph = self.ctx.graph
-        self._csr_export = SharedCSR.export(self.ctx.csr(), version=version)
-        self._track(self._csr_export)
-        rev = self.ctx.rev_csr()
-        if rev is not None:
-            self._rev_export = SharedCSR.export(rev, version=version)
-            self._track(self._rev_export)
-        self._plan = build_shard_plan(
-            graph,
-            self.workers,
-            partitioner=self.partitioner,
-            seed=self.seed,
-        )
-        self._owned_exports = []
-        for owned in self._plan.owned:
-            export = SharedArray.create(owned)
-            self._track(export)
-            self._owned_exports.append(export)
-        self._export_version = version
-
-    def shard_plan(self) -> ShardPlan:
-        """The current shard ownership map (builds exports if needed)."""
-        with self._lock:
-            self._refresh()
-            assert self._plan is not None
-            return self._plan
-
-    def _score_meta(self, scores) -> dict:
-        """Export (or reuse) a score vector's values; key is object identity.
-
-        The session replaces a :class:`~repro.relevance.base.ScoreVector`
-        wholesale on any score mutation, so identity equality is exactly
-        value equality here; the strong reference kept with the export
-        pins the id.  Raw values are exported — per-aggregate folding
-        (COUNT's 0/1 indicator) happens worker-side.
-        """
-        import numpy as np
-
-        key = id(scores)
-        hit = self._score_exports.get(key)
-        if hit is not None:
-            self._score_exports.move_to_end(key)
-            return hit[1].meta()
-        values = scores.values() if hasattr(scores, "values") else list(scores)
-        export = SharedArray.create(np.asarray(values, dtype=np.float64))
-        self._track(export)
-        self._score_exports[key] = (scores, export)
-        while len(self._score_exports) > _SCORE_EXPORT_LIMIT:
-            _, (_vec, dropped) = self._score_exports.popitem(last=False)
-            self._defer_drop(dropped)
-        return export.meta()
-
-    def _bounds_meta(self, scores, kind: AggregateKind, include_self: bool) -> dict:
-        """Export per-node static upper bounds for the pruned forward scan.
-
-        The formulas live in one place —
-        :func:`repro.core.vectorized.static_upper_bounds_array` — shared
-        with every in-process consumer so the parallel scan can never
-        prune on a drifted bound.
-        """
-        import numpy as np
-
-        from repro.core.vectorized import static_upper_bounds_array
-
-        key = (id(scores), kind.value, include_self)
-        hit = self._bound_exports.get(key)
-        if hit is not None:
-            self._bound_exports.move_to_end(key)
-            return hit[1].meta()
-        values = scores.values() if hasattr(scores, "values") else list(scores)
-        bounds = static_upper_bounds_array(
-            np, values, self.ctx.size_index(), kind, include_self
-        )
-        export = SharedArray.create(bounds)
-        self._track(export)
-        # The scores object is pinned alongside the export (like
-        # _score_exports): the id() in the key is only unique while the
-        # object lives, and a reused id must never hit a stale bound array.
-        self._bound_exports[key] = (scores, export)
-        while len(self._bound_exports) > _BOUND_EXPORT_LIMIT:
-            _, (_vec, dropped) = self._bound_exports.popitem(last=False)
-            self._defer_drop(dropped)
-        return export.meta()
-
-    def _block_size(self, queries: int = 1) -> int:
-        from repro.core.vectorized import resolve_block_size
-
-        csr = self.ctx.csr()
-        block = resolve_block_size(None, self.ctx.graph.num_nodes, int(csr.num_arcs))
-        if queries > 1:
-            block = max(4, block // queries)
-        return block
-
-    def _workers_native(self) -> bool:
-        """Whether worker tasks should ask for the compiled kernel tier.
-
-        Workers gate on their own import, but probing here keeps the task
-        flag honest (and cheap: one import attempt per engine).  Only the
-        *compiled* tier is offered — interpreted kernels are a parity
-        device and lose to numpy — unless the wiring-test escape hatch
-        ``REPRO_PARALLEL_NATIVE_INTERPRETED`` is set.
-        """
-        if self._native is None:
+    def _drop(self, exports: list) -> None:
+        for export in exports:
             try:
-                from repro.native import kernels
-
-                self._native = kernels.KERNEL_MODE == "compiled" or bool(
-                    os.environ.get("REPRO_PARALLEL_NATIVE_INTERPRETED")
-                )
-            except Exception:  # pragma: no cover - partial numba installs
-                self._native = False
-        return self._native
+                self._resources["exports"].remove(export)
+            except ValueError:  # pragma: no cover - double release
+                pass
+            _release(export)
 
     # ------------------------------------------------------------------
-    # Shared reply buffers
+    # Dispatch
     # ------------------------------------------------------------------
-    def _reply_metas(self, count: int, rows: int) -> List[Optional[dict]]:
+    def _reply_metas(self, count: int, rows: int) -> List[dict]:
         """Reply-buffer descriptors for a round of ``count`` tasks.
 
         Buffers are preallocated once and reused round after round; they
@@ -374,8 +152,6 @@ class ParallelEngine:
         pages alive until the last map closes, and nobody reads retired
         buffers.
         """
-        if not self.result_buffers or count == 0:
-            return [None] * count
         import numpy as np
 
         rows = max(int(rows), 1)
@@ -386,639 +162,81 @@ class ParallelEngine:
         ):
             needed = max(count, len(self._reply_buffers))
             capacity = max(rows, self._reply_capacity)
-            for export in self._reply_buffers:
-                self._drop_export(export)
-            self._reply_buffers = []
-            for _ in range(needed):
-                export = SharedArray.create(
-                    np.zeros((capacity, 2), dtype=np.float64)
-                )
-                self._track(export)
-                self._reply_buffers.append(export)
+            self._drop(self._reply_buffers)
+            self._reply_buffers = [
+                self._export_array(np.zeros((capacity, 2), dtype=np.float64), "reply")
+                for _ in range(needed)
+            ]
             self._reply_capacity = capacity
             self._reply_dirty = False
         return [
-            {
-                "buffer": self._reply_buffers[i].meta(),
-                "capacity": self._reply_capacity,
-            }
-            for i in range(count)
+            {"buffer": buffer.meta(), "capacity": self._reply_capacity}
+            for buffer in self._reply_buffers[:count]
         ]
 
-    def _result_pairs(self, result: dict, index: int, key: str):
-        """One task's ``(node, value)`` rows: buffer view or pipe payload.
+    def _dispatch(self, specs: List[dict], *, rows: Optional[int], steal: bool):
+        """One pool round.  Any abnormal outcome — stale export, worker
+        respawn, error, timeout — marks the reply buffers dirty: a task of
+        the broken round may still be running somewhere with a writable
+        mapping, so the next round must not reuse those segments."""
+        tasks = [spec["task"] for spec in specs]
+        if rows is not None:
+            for task, reply in zip(tasks, self._reply_metas(len(tasks), rows)):
+                task["reply"] = reply
+        pool = self._pool()
+        try:
+            results = pool.run(tasks, dynamic=steal)
+        except BaseException:
+            self._reply_dirty = True
+            raise
+        if pool.last_run_respawned:
+            self._reply_dirty = True
+        return [self._reply(result, slot) for slot, result in enumerate(results)]
 
-        ``index`` is the task's position in its round (buffer slots are
-        assigned positionally).  Re-issued tasks after a worker death come
-        back over the pipe even when a buffer was offered, so both forms
-        can appear within one round.
+    def _reply(self, result: dict, slot: int) -> Tuple[dict, dict]:
+        """One task's result as ``(header, arrays)``.
+
+        Candidate pairs sit in the task slot's reply buffer (the result
+        carries their count) or, for a task re-issued after a worker death,
+        in the pipe payload itself; both forms can appear within one round.
+        Everything else the workers return is already keyed like a reply.
         """
-        if key in result:
-            return result[key]
-        n = int(result[key + "_n"])
-        return self._reply_buffers[index].array[:n]
+        for key in ("entries", "pairs"):
+            if key in result:
+                return result, {"entries": result[key]}
+            if key + "_n" in result:
+                rows = self._reply_buffers[slot].array[: int(result[key + "_n"])]
+                # Node ids are exact in float64 up to 2**53.
+                return result, {
+                    "entries": [(int(node), float(value)) for node, value in rows]
+                }
+        return result, result
 
-    def _pipe_snapshot(self) -> Tuple[int, int]:
+    # ------------------------------------------------------------------
+    # Traffic
+    # ------------------------------------------------------------------
+    def _traffic_snapshot(self) -> Tuple[int, int]:
         pool = self._pool()
         return pool.bytes_sent, pool.bytes_received
 
-    def _stamp_pipe_bytes(self, stats: QueryStats, snapshot: Tuple[int, int]) -> None:
-        """Record this query's pipe traffic (both directions) in its stats."""
-        pool = self._resources["pool"]
-        if pool is None:  # pragma: no cover - closed mid-query
-            return
-        stats.extra["pipe_bytes_sent"] = float(pool.bytes_sent - snapshot[0])
-        stats.extra["pipe_bytes_received"] = float(
-            pool.bytes_received - snapshot[1]
-        )
+    def _stamp_traffic(self, stats, traffic) -> None:
+        sent, received = self._traffic_snapshot()
+        stats.extra["tasks"] = float(traffic.tasks)
+        stats.extra["pipe_bytes_sent"] = float(sent - traffic.before[0])
+        stats.extra["pipe_bytes_received"] = float(received - traffic.before[1])
 
-    # ------------------------------------------------------------------
-    # Dispatch plumbing
-    # ------------------------------------------------------------------
-    def _declines(self, *, force: bool = False, work_items: Optional[int] = None) -> bool:
-        """Whether this query should run in-process instead.
-
-        ``work_items`` is the number of centers actually evaluated (the
-        candidate-set size for filtered scans); it defaults to the whole
-        graph.  The fixed process/IPC cost amortizes over evaluated
-        centers, not graph size, so a three-candidate ``.where()`` on a
-        million-node graph must decline.
-        """
-        if force:
-            return False
-        if self.workers < 2:
-            return True
-        size = self.ctx.graph.num_nodes if work_items is None else work_items
-        return size < self.min_nodes
-
-    def _run_round(self, build_tasks, *, dynamic: bool = False) -> List[dict]:
-        """Build tasks against fresh exports and run them, retrying once if
-        a worker reports the exports went stale under us.
-
-        Any abnormal outcome — stale retry, worker respawn, error, timeout
-        — marks the reply buffers dirty: a task of the broken round may
-        still be running somewhere with a writable mapping, so the next
-        round must not reuse those segments.
-        """
-        for attempt in (0, 1):
-            check_deadline()  # before committing a full round of worker IPC
-            self._refresh()
-            tasks = build_tasks()
-            pool = self._pool()
-            try:
-                results = pool.run(tasks, dynamic=dynamic)
-                if pool.last_run_respawned:
-                    self._reply_dirty = True
-                return results
-            except StaleShardError:
-                self.stale_retries += 1
-                self._reply_dirty = True
-                self._invalidate_exports()
-                if attempt:
-                    raise
-            except BaseException:
-                self._reply_dirty = True
-                raise
-            finally:
-                # LRU evictions deferred during task building are safe to
-                # unlink now — no task of this round is in flight anymore.
-                self._flush_deferred_drops()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _base_stats(self, algorithm: str, spec, elapsed: float) -> QueryStats:
-        stats = QueryStats(
-            algorithm=algorithm,
-            aggregate=spec.aggregate.value,
-            backend="parallel",
-            hops=spec.hops,
-            k=spec.k,
-            elapsed_sec=elapsed,
-        )
-        assert self._plan is not None
-        stats.extra["shards"] = float(self._plan.num_shards)
-        stats.extra["workers"] = float(self.workers)
-        return stats
-
-    # ------------------------------------------------------------------
-    # Routes
-    # ------------------------------------------------------------------
-    def execute_scan(
-        self,
-        scores,
-        spec,
-        algorithm: str,
-        *,
-        candidates: Optional[Sequence[int]] = None,
-        force: bool = False,
-    ) -> Optional[TopKResult]:
-        """Sharded Base (``algorithm="base"``) or bound-pruned Forward scan.
-
-        ``candidates`` restricts the competitors (the ``.where(...)``
-        filtered scan): each shard evaluates the intersection of the
-        candidate set with its owned nodes.
-        """
-        import numpy as np
-
-        if algorithm == "forward" and not spec.aggregate.lona_supported:
-            # Mirror the in-process front door: forward + MAX/MIN must
-            # raise the same InvalidParameterError on every backend, so
-            # decline and let forward_topk deliver the canonical error
-            # (the static bounds below are SUM-shaped and would otherwise
-            # silently "succeed" here).
-            return None
-        with self._lock:
-            if self._declines(
-                force=force,
-                work_items=None if candidates is None else len(candidates),
-            ):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            pipe0 = self._pipe_snapshot()
-            block = self._block_size()
-            candidate_arr = (
-                None
-                if candidates is None
-                else np.asarray(sorted(candidates), dtype=np.int64)
-            )
-            steal = self.work_stealing and candidate_arr is None
-            native = self._workers_native()
-
-            def build() -> List[dict]:
-                assert self._csr_export is not None and self._plan is not None
-                csr_meta = self._csr_export.meta()
-                scores_meta = self._score_meta(scores)
-                bounds_meta = (
-                    self._bounds_meta(scores, spec.aggregate, spec.include_self)
-                    if algorithm == "forward"
-                    else None
-                )
-                tasks = []
-                parts = self._plan.partition.as_array()
-                for shard in range(self._plan.num_shards):
-                    task = {
-                        "kind": "scan",
-                        "csr": csr_meta,
-                        "scores": scores_meta,
-                        "owned": self._owned_exports[shard].meta(),
-                        "centers": None,
-                        "aggregate": spec.aggregate.value,
-                        "hops": spec.hops,
-                        "include_self": spec.include_self,
-                        "k": spec.k,
-                        "block": block,
-                        "bounds": bounds_meta,
-                        "native": native,
-                    }
-                    if candidate_arr is not None:
-                        task["centers"] = candidate_arr[
-                            parts[candidate_arr] == shard
-                        ]
-                        tasks.append(task)
-                    elif steal:
-                        tasks.extend(
-                            self._chunked(task, self._plan.owned[shard].size, block)
-                        )
-                    else:
-                        tasks.append(task)
-                if steal:
-                    # Heavy chunks first: the dynamic dispatcher then hands
-                    # a skewed shard's tail to whichever worker idles first.
-                    tasks.sort(
-                        key=lambda t: t.get("hi", 0) - t.get("lo", 0),
-                        reverse=True,
-                    )
-                for task, reply in zip(
-                    tasks, self._reply_metas(len(tasks), spec.k)
-                ):
-                    task["reply"] = reply
-                return tasks
-
-            results = self._run_round(build, dynamic=steal)
-            entries = merge_entry_buffers(
-                (
-                    self._result_pairs(result, i, "entries")
-                    for i, result in enumerate(results)
-                ),
-                spec.k,
-            )
-            stats = self._base_stats(
-                algorithm, spec, time.perf_counter() - start
-            )
-            merge_counters(stats, (result["counters"] for result in results))
-            stats.pruned_nodes = sum(result["pruned"] for result in results)
-            if candidate_arr is not None:
-                stats.extra["candidates"] = float(candidate_arr.size)
-            stats.extra["tasks"] = float(len(results))
-            self._stamp_pipe_bytes(stats, pipe0)
-            self.queries_served += 1
-            return TopKResult(entries=entries, stats=stats)
-
-    def _chunked(self, task: dict, owned_size: int, block: int) -> List[dict]:
-        """Split one shard scan into owned-array slices for work-stealing.
-
-        Chunks are ``lo``/``hi`` ranges of the already-exported owned
-        array (nothing extra crosses the pipe).  A shard only splits when
-        each piece still covers at least one kernel block — chunking a
-        small shard would just multiply fixed task cost.
-        """
-        size = int(owned_size)
-        pieces = min(_STEAL_CHUNKS, max(1, size // max(int(block), 1)))
-        if pieces <= 1:
-            return [task]
-        bounds = [size * p // pieces for p in range(pieces + 1)]
-        return [
-            {**task, "lo": bounds[p], "hi": bounds[p + 1]}
-            for p in range(pieces)
-            if bounds[p + 1] > bounds[p]
-        ]
-
-    def execute_backward(
-        self,
-        scores,
-        spec,
-        *,
-        gamma="auto",
-        distribution_fraction: float = 0.1,
-        exact_sizes: bool = False,
-        force: bool = False,
-    ) -> Optional[TopKResult]:
-        """Sharded LONA-Backward: parallel distribution, merged Eq. 3
-        bounds, TA-style verification rounds against owning shards."""
-        import numpy as np
-
-        from repro.core.vectorized import (
-            backward_distribution_split,
-            backward_eq3_bounds,
-        )
-
-        kind = spec.aggregate
-        if not kind.lona_supported:
-            raise InvalidParameterError(
-                f"LONA-Backward supports SUM/AVG/COUNT, not {kind.value}; "
-                "use algorithm='base' for MAX/MIN"
-            )
-        with self._lock:
-            if self._declines(force=force):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            pipe0 = self._pipe_snapshot()
-            n = self.ctx.graph.num_nodes
-            values = scores.values() if hasattr(scores, "values") else list(scores)
-            scores_arr = np.asarray(values, dtype=np.float64)
-            if kind is AggregateKind.COUNT:
-                scores_arr = np.where(scores_arr > 0.0, 1.0, 0.0)
-            eff_kind = AggregateKind.SUM if kind is AggregateKind.COUNT else kind
-            is_avg = eff_kind is AggregateKind.AVG
-            include_self = spec.include_self
-            sizes = self.ctx.size_index(exact=exact_sizes)
-
-            # Same distribution policy as the in-process kernel (shared
-            # helper): workers then select their owned subset of the same
-            # f(u) >= gamma set.
-            _distributed, effective_gamma, rest_bound = (
-                backward_distribution_split(
-                    np, scores_arr, gamma, distribution_fraction
-                )
-            )
-            if rest_bound == 0.0 and (not is_avg or sizes.is_exact):
-                # Full distribution -> the exact-shortcut regime, where the
-                # in-process kernel's *answers* are the partial sums built
-                # in one sequential descending-score deposit order.
-                # Summing per-shard partials reassociates those float
-                # additions, so the sharded values could differ in the
-                # last ulp and flip rank-k ties — and the regime is
-                # distribution-only (no verification BFS at all), the one
-                # backward shape with nothing left to parallelize.  Run it
-                # in-process for bit-identical entries.
-                self.declined += 1
-                return None
-            block = self._block_size()
-
-            # --- Phase 1: parallel distribution (owned high scores out) ---
-            def build_distribute() -> List[dict]:
-                assert self._csr_export is not None and self._plan is not None
-                dist_meta = (
-                    self._rev_export.meta()
-                    if self._rev_export is not None
-                    else self._csr_export.meta()
-                )
-                scores_meta = self._score_meta(scores)
-                return [
-                    {
-                        "kind": "distribute",
-                        "csr": dist_meta,
-                        "scores": scores_meta,
-                        "owned": self._owned_exports[shard].meta(),
-                        "aggregate": kind.value,
-                        "gamma": effective_gamma,
-                        "hops": spec.hops,
-                        "include_self": include_self,
-                        "block": block,
-                    }
-                    for shard in range(self._plan.num_shards)
-                ]
-
-            results = self._run_round(build_distribute)
-            partial = np.zeros(n, dtype=np.float64)
-            covered = np.zeros(n, dtype=np.int64)
-            pushes = 0
-            distributed_count = 0
-            for result in results:
-                # Touched indices are unique per shard (np.nonzero output),
-                # so plain fancy-index addition is safe and cheaper.
-                touched = result["touched"]
-                partial[touched] += result["partial"]
-                covered[touched] += result["covered"]
-                pushes += result["pushes"]
-                distributed_count += result["distributed"]
-
-            stats = self._base_stats("backward", spec, 0.0)
-            merge_counters(stats, (result["counters"] for result in results))
-            stats.distribution_pushes = pushes
-
-            # --- Phase 2: Eq. 3 bounds over the merged state (the shared
-            # helper — literally the numpy backend's math) ------------------
-            self_distributed = np.zeros(n, dtype=bool)
-            if include_self:
-                self_distributed = (scores_arr > 0.0) & (
-                    scores_arr >= effective_gamma
-                )
-            bounds = backward_eq3_bounds(
-                np,
-                scores_arr,
-                partial,
-                covered,
-                self_distributed,
-                sizes,
-                rest_bound,
-                include_self=include_self,
-                is_avg=is_avg,
-            )
-            stats.bound_evaluations = n
-            order = np.lexsort((np.arange(n), -bounds))
-
-            # --- Phase 3: TA rounds against owning shards -----------------
-            # (The exact-shortcut regime declined above, so every offered
-            # value comes from exact verification — which accumulates ball
-            # members in the same ascending order as the in-process
-            # kernels, keeping values bit-identical.)
-            acc = TopKAccumulator(spec.k)
-            offered = 0
-            verify_rounds = 0
-            idx = 0
-            done = False
-            while idx < n and not done:
-                if acc.is_full and float(bounds[order[idx]]) <= acc.threshold:
-                    stats.early_terminated = True
-                    break
-                # Frontier: the next round of candidates still above the
-                # current threshold, verified in parallel by owning shard.
-                hi = min(idx + _VERIFY_ROUND, n)
-                frontier = order[idx:hi]
-                if acc.is_full:
-                    frontier = frontier[
-                        bounds[frontier] > acc.threshold
-                    ]
-                if frontier.size == 0:
-                    stats.early_terminated = True
-                    break
-                exact = self._verify_frontier(scores, spec, frontier, block, stats)
-                verify_rounds += 1
-                stats.candidates_verified += int(frontier.size)
-                for v in order[idx:hi]:
-                    node = int(v)
-                    if acc.is_full and float(bounds[node]) <= acc.threshold:
-                        stats.early_terminated = True
-                        done = True
-                        break
-                    if node in exact:
-                        acc.offer(node, exact[node])
-                        offered += 1
-                idx = hi
-            stats.pruned_nodes = n - offered
-            stats.extra["gamma"] = effective_gamma
-            stats.extra["distributed_nodes"] = float(distributed_count)
-            stats.extra["rest_bound"] = rest_bound
-            stats.extra["exact_shortcut"] = 0.0  # shortcut shapes declined
-            stats.extra["verify_rounds"] = float(verify_rounds)
-            self._stamp_pipe_bytes(stats, pipe0)
-            stats.elapsed_sec = time.perf_counter() - start
-            self.queries_served += 1
-            return TopKResult(entries=acc.entries(), stats=stats)
-
-    def _verify_frontier(
-        self, scores, spec, frontier, block: int, stats: QueryStats
-    ) -> Dict[int, float]:
-        """Exact values of ``frontier`` candidates, from their owning shards."""
-        native = self._workers_native()
-
-        def build() -> List[dict]:
-            assert self._csr_export is not None and self._plan is not None
-            csr_meta = self._csr_export.meta()
-            scores_meta = self._score_meta(scores)
-            parts = self._plan.partition.as_array()
-            tasks = []
-            rows = 1
-            for shard in range(self._plan.num_shards):
-                mine = frontier[parts[frontier] == shard]
-                if mine.size == 0:
-                    continue
-                rows = max(rows, int(mine.size))
-                tasks.append(
-                    {
-                        "kind": "verify",
-                        "csr": csr_meta,
-                        "scores": scores_meta,
-                        "centers": mine,
-                        "aggregate": spec.aggregate.value,
-                        "hops": spec.hops,
-                        "include_self": spec.include_self,
-                        "block": block,
-                        "native": native,
-                    }
-                )
-            for task, reply in zip(tasks, self._reply_metas(len(tasks), rows)):
-                task["reply"] = reply
-            return tasks
-
-        results = self._run_round(build)
-        merge_counters(stats, (result["counters"] for result in results))
-        exact: Dict[int, float] = {}
-        for i, result in enumerate(results):
-            check_deadline()  # merge boundary: one poll per shard reply
-            for node, value in self._result_pairs(result, i, "pairs"):
-                exact[int(node)] = float(value)
-        return exact
-
-    def execute_weighted(
-        self, scores, spec, profile, *, force: bool = False
-    ) -> Optional[TopKResult]:
-        """Sharded distance-weighted SUM (exact scan of owned centers)."""
-        from repro.aggregates.weighted import inverse_distance, precompute_weights
-        from repro.core.vectorized import _check_weighted_spec
-
-        _check_weighted_spec(spec)
-        with self._lock:
-            if self._declines(force=force):
-                self.declined += 1
-                return None
-            start = time.perf_counter()
-            pipe0 = self._pipe_snapshot()
-            weights = precompute_weights(
-                profile if profile is not None else inverse_distance, spec.hops
-            )
-            block = self._block_size()
-            steal = self.work_stealing
-            native = self._workers_native()
-
-            def build() -> List[dict]:
-                assert self._csr_export is not None and self._plan is not None
-                csr_meta = self._csr_export.meta()
-                scores_meta = self._score_meta(scores)
-                tasks: List[dict] = []
-                for shard in range(self._plan.num_shards):
-                    task = {
-                        "kind": "weighted",
-                        "csr": csr_meta,
-                        "scores": scores_meta,
-                        "owned": self._owned_exports[shard].meta(),
-                        "weights": tuple(weights),
-                        "hops": spec.hops,
-                        "include_self": spec.include_self,
-                        "k": spec.k,
-                        "block": block,
-                        "native": native,
-                    }
-                    if steal:
-                        tasks.extend(
-                            self._chunked(task, self._plan.owned[shard].size, block)
-                        )
-                    else:
-                        tasks.append(task)
-                if steal:
-                    tasks.sort(
-                        key=lambda t: t.get("hi", 0) - t.get("lo", 0),
-                        reverse=True,
-                    )
-                for task, reply in zip(
-                    tasks, self._reply_metas(len(tasks), spec.k)
-                ):
-                    task["reply"] = reply
-                return tasks
-
-            results = self._run_round(build, dynamic=steal)
-            entries = merge_entry_buffers(
-                (
-                    self._result_pairs(result, i, "entries")
-                    for i, result in enumerate(results)
-                ),
-                spec.k,
-            )
-            stats = self._base_stats(
-                "weighted-base", spec, time.perf_counter() - start
-            )
-            merge_counters(stats, (result["counters"] for result in results))
-            stats.extra["tasks"] = float(len(results))
-            self._stamp_pipe_bytes(stats, pipe0)
-            self.queries_served += 1
-            return TopKResult(entries=entries, stats=stats)
-
-    def run_batch(
-        self, batch: Sequence, *, hops: int, include_self: bool, force: bool = False
-    ) -> Optional[List[TopKResult]]:
-        """Fused multi-query shared scan, one sub-scan per shard.
-
-        ``batch`` is a sequence of :class:`~repro.core.batch.BatchQuery`
-        (sum-convertible aggregates).  Each shard expands its owned node
-        blocks once and scores every query against them; per-query shard
-        top-k lists are merged like any other sharded scan.
-        """
-        with self._lock:
-            if not batch or self._declines(force=force):
-                self.declined += 1 if batch else 0
-                return None
-            start = time.perf_counter()
-            pipe0 = self._pipe_snapshot()
-            block = self._block_size(queries=len(batch))
-
-            def build() -> List[dict]:
-                assert self._csr_export is not None and self._plan is not None
-                csr_meta = self._csr_export.meta()
-                scores_list = [
-                    (self._score_meta(entry.scores), entry.aggregate.value)
-                    for entry in batch
-                ]
-                ks = [entry.k for entry in batch]
-                return [
-                    {
-                        "kind": "batch",
-                        "csr": csr_meta,
-                        "owned": self._owned_exports[shard].meta(),
-                        "scores_list": scores_list,
-                        "ks": ks,
-                        "hops": hops,
-                        "include_self": include_self,
-                        "block": block,
-                    }
-                    for shard in range(self._plan.num_shards)
-                ]
-
-            results = self._run_round(build)
-            elapsed = time.perf_counter() - start
-            outputs: List[TopKResult] = []
-            for i, entry in enumerate(batch):
-                entries = merge_shard_entries(
-                    (result["entries_list"][i] for result in results),
-                    entry.k,
-                )
-                stats = QueryStats(
-                    algorithm="batch-base",
-                    aggregate=entry.aggregate.value,
-                    backend="parallel",
-                    hops=hops,
-                    k=entry.k,
-                    elapsed_sec=elapsed,
-                    nodes_evaluated=self.ctx.graph.num_nodes,
-                )
-                merge_counters(stats, (result["counters"] for result in results))
-                # Whole-batch traversal is attributed to every member, with
-                # the batch size recorded so reports divide fairly — the
-                # same convention as the in-process shared scan.
-                stats.nodes_evaluated = self.ctx.graph.num_nodes
-                stats.extra["batch_size"] = float(len(batch))
-                assert self._plan is not None
-                stats.extra["shards"] = float(self._plan.num_shards)
-                stats.extra["workers"] = float(self.workers)
-                self._stamp_pipe_bytes(stats, pipe0)
-                outputs.append(TopKResult(entries=entries, stats=stats))
-            self.queries_served += 1
-            return outputs
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Monitoring snapshot: pool, shard, and export gauges."""
         with self._lock:
             pool = self._resources["pool"]
-            return {
-                "workers": self.workers,
-                "min_nodes": self.min_nodes,
-                "closed": self._closed,
-                "pool_started": bool(pool is not None and pool.started),
-                "alive_workers": 0 if pool is None else pool.alive_workers,
-                "respawns": 0 if pool is None else pool.respawns,
-                "queries_served": self.queries_served,
-                "declined": self.declined,
-                "stale_retries": self.stale_retries,
-                "shards": None if self._plan is None else self._plan.sizes(),
-                "score_exports": len(self._score_exports),
-                "export_version": self._export_version,
-                "work_stealing": self.work_stealing,
-                "result_buffers": self.result_buffers,
-                "reply_buffers": len(self._reply_buffers),
-                "pipe_bytes_sent": 0 if pool is None else pool.bytes_sent,
-                "pipe_bytes_received": (
-                    0 if pool is None else pool.bytes_received
-                ),
-            }
+            out = super().stats()
+            out.update(
+                pool_started=bool(pool is not None and pool.started),
+                alive_workers=0 if pool is None else pool.alive_workers,
+                respawns=0 if pool is None else pool.respawns,
+                shards=None if self._plan is None else self._plan.sizes(),
+                reply_buffers=len(self._reply_buffers),
+                pipe_bytes_sent=0 if pool is None else pool.bytes_sent,
+                pipe_bytes_received=0 if pool is None else pool.bytes_received,
+            )
+            return out

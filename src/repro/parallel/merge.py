@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.core.results import QueryStats
 from repro.core.topk import TopKAccumulator
 
-__all__ = ["merge_shard_entries", "merge_entry_buffers", "merge_counters"]
+__all__ = ["merge_shard_entries", "merge_counters"]
 
 
 def merge_shard_entries(
@@ -43,33 +43,6 @@ def merge_shard_entries(
     candidates: List[Tuple[int, float]] = []
     for entries in shard_entries:
         candidates.extend(entries)
-    candidates.sort(key=lambda pair: pair[0])
-    acc = TopKAccumulator(k)
-    for node, value in candidates:
-        acc.offer(node, value)
-    return acc.entries()
-
-
-def merge_entry_buffers(shard_entries: Iterable, k: int) -> List[Tuple[int, float]]:
-    """:func:`merge_shard_entries` over mixed result carriers.
-
-    Each element is either a plain ``[(node, value), ...]`` list (a reply
-    that rode the pipe) or a float64 ``(n, 2)`` view into the shard's
-    shared reply buffer (rows are ``[node, value]``).  Buffer views are
-    read in place — the worker-to-parent transfer was the shared write
-    itself, nothing was pickled — and only the ≤ k winning rows per shard
-    are lifted back into Python tuples for the canonical ascending-node
-    offer pass.  Node ids are exact in float64 up to 2**53, far beyond
-    any in-memory graph here.
-    """
-    candidates: List[Tuple[int, float]] = []
-    for entries in shard_entries:
-        if hasattr(entries, "shape"):
-            candidates.extend(
-                (int(row[0]), float(row[1])) for row in entries
-            )
-        else:
-            candidates.extend(entries)
     candidates.sort(key=lambda pair: pair[0])
     acc = TopKAccumulator(k)
     for node, value in candidates:

@@ -18,15 +18,12 @@ Every kernel reuses the in-process numpy machinery —
 threshold-gated ``_offer_block`` — over the worker's *owned* centers only,
 which is what makes a shard's answer exact for its members and the merged
 answer exact globally (see :mod:`repro.parallel.merge`).  When a task
-carries ``"native": True`` and this worker's interpreter can load the
-compiled kernel tier (:mod:`repro.native.kernels` with numba present),
-the per-block ball evaluation runs on the jitted stamp-BFS kernels
-instead — bit-identical values (the kernels accumulate in bincount
-order), just faster.  The compiled gate is deliberately stricter than
-``native_available()``: interpreted kernels are a parity-testing device
-and would be slower than numpy here, so workers only switch when numba
-actually compiled (or under ``REPRO_PARALLEL_NATIVE_INTERPRETED``, the
-wiring-test escape hatch).
+carries ``"native": True`` and :mod:`repro.native.kernels` imports here,
+the per-block ball evaluation runs on the stamp-BFS kernels instead —
+bit-identical values (the kernels accumulate in bincount order), just
+faster when compiled.  Whether to ask is the engine's decision: it offers
+native only when the kernels actually compiled (interpreted kernels are a
+parity-testing device and lose to numpy); the worker just honours the flag.
 
 Results travel back one of two ways.  By default a task's entries ride
 the reply pipe as pickled tuples.  A task carrying a ``"reply"``
@@ -38,7 +35,6 @@ regardless of ``k``, which is the measured pipe-byte win.
 
 from __future__ import annotations
 
-import os
 import traceback
 from typing import Dict, List
 
@@ -129,27 +125,16 @@ _NATIVE_KERNELS = None  # None = unprobed, False = unavailable, module = ready
 
 
 def _native_kernels():
-    """The jitted kernel module, or ``None`` when this worker cannot win.
-
-    Only the *compiled* tier is worth switching to — the interpreted
-    fallback exists for parity testing and loses to numpy — so the probe
-    requires numba to have actually compiled, unless the
-    ``REPRO_PARALLEL_NATIVE_INTERPRETED`` escape hatch asks to exercise
-    the wiring anyway.
-    """
+    """The kernel module a ``"native": True`` task runs on, or ``None``
+    when it cannot be imported here (the task then runs on numpy)."""
     global _NATIVE_KERNELS
     if _NATIVE_KERNELS is None:
-        _NATIVE_KERNELS = False
         try:
             from repro.native import kernels
+            from repro.native.compile_cache import ensure_warm
 
-            if kernels.KERNEL_MODE == "compiled" or os.environ.get(
-                "REPRO_PARALLEL_NATIVE_INTERPRETED"
-            ):
-                from repro.native.compile_cache import ensure_warm
-
-                ensure_warm()
-                _NATIVE_KERNELS = kernels
+            ensure_warm()
+            _NATIVE_KERNELS = kernels
         except Exception:  # pragma: no cover - partial numba installs
             _NATIVE_KERNELS = False
     return _NATIVE_KERNELS or None

@@ -1,19 +1,16 @@
-"""Socket-cluster backend: parity, wire protocol, comm policies, resilience.
+"""Socket-cluster backend: wire protocol, comm policies, resilience.
 
-The contract mirrors the parallel backend's
-(``tests/test_parallel_backend.py``): ``backend="cluster"`` must return
-entry-for-entry the numpy answer on every route it covers — base (all
-aggregates), forward, backward, weighted, filtered, batch — while actually
-running the partition-aware kernels in socket-connected ``cluster-worker``
-processes.  Beyond parity, this module pins the communication policies
-(θ-shipping prunes, adaptive quotas bound round-1 volume, ``ship_policy=
-"all"`` is the exact naive baseline), the delta re-export after dynamic
-mutations, and worker-failure recovery (kill a remote worker mid-stream →
+Route parity against numpy — every route the sharded coordinator covers,
+on both links — lives in ``tests/test_sharded_routes.py``.  This module
+pins what only the socket link has: the frame codec, the communication
+policies (θ-shipping prunes — soundly, also under ``.where(...)`` —
+adaptive quotas bound round-1 volume, ``ship_policy="all"`` is the exact
+naive baseline), the delta re-export after dynamic mutations, socket
+timeouts, and worker-failure recovery (kill a remote worker mid-stream →
 the coordinator re-issues to a respawned or standby worker).
 
 The graphs here are far below the engine's production ``min_nodes`` floor,
-so every fixture forces the cluster path with ``min_nodes=0``; the decline
-rule itself is tested explicitly.
+so every fixture forces the cluster path with ``min_nodes=0``.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ np = pytest.importorskip("numpy")
 
 from repro.cluster.frames import decode_payload, encode_frame  # noqa: E402
 
-#: Spawned cluster-worker count for the test engines; the CI cluster-smoke
-#: job exercises externally-started workers via addresses instead.
+#: Spawned cluster-worker count for the test engines.
 WORKERS = 2
 
 
@@ -48,21 +44,11 @@ def _dense_scores(n, seed):
     return [rng.random() for _ in range(n)]
 
 
-def _sparse_scores(n, seed, nonzero=0.03):
-    rng = random.Random(seed)
-    values = [0.0] * n
-    for u in rng.sample(range(n), max(1, int(nonzero * n))):
-        values[u] = rng.random()
-    return values
-
-
 @pytest.fixture(scope="module")
 def cluster_net():
     g = random_graph(400, 0.015, seed=42)
     net = Network(g, hops=2)
     net.add_scores("dense", _dense_scores(400, 1))
-    net.add_scores("sparse", _sparse_scores(400, 2))
-    net.add_scores("binary", [1.0 if u % 9 == 0 else 0.0 for u in range(400)])
     net.cluster(workers=WORKERS, min_nodes=0)
     yield net
     net.close()
@@ -139,160 +125,28 @@ class TestFrameCodec:
         assert arrays["nodes"].size == 0
 
 
-class TestScanParity:
-    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count", "max", "min"])
-    def test_base_all_aggregates(self, cluster_net, aggregate):
-        run = lambda backend: (  # noqa: E731
-            cluster_net.query("dense")
-            .limit(10)
-            .aggregate(aggregate)
-            .algorithm("base")
-            .backend(backend)
-            .run()
-        )
-        got, ref = run("cluster"), run("numpy")
-        assert _entries(got) == _entries(ref)
-        assert got.stats.backend == "cluster"
-        assert got.stats.extra["shards"] == float(WORKERS)
-        assert got.stats.extra["comm_rounds"] >= 1.0
-
-    def test_forward(self, cluster_net):
-        got = (
-            cluster_net.query("dense").limit(8)
-            .algorithm("forward").backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query("dense").limit(8)
-            .algorithm("forward").backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-        assert got.stats.algorithm == "forward"
-
-    @pytest.mark.parametrize("score", ["sparse", "dense"])
-    def test_backward(self, cluster_net, score):
-        got = (
-            cluster_net.query(score).limit(7)
-            .algorithm("backward").backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query(score).limit(7)
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-        assert got.stats.backend == "cluster"
-        assert got.stats.extra["gamma"] == ref.stats.extra["gamma"]
-        assert got.stats.extra["rest_bound"] == ref.stats.extra["rest_bound"]
-
-    def test_backward_avg(self, cluster_net):
-        got = (
-            cluster_net.query("sparse").limit(5).aggregate("avg")
-            .algorithm("backward").backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query("sparse").limit(5).aggregate("avg")
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-
-    def test_backward_binary_shortcut_declines(self, cluster_net):
-        # Same decline rule as the parallel engine: the exact-shortcut
-        # regime's answers are order-sensitive partial sums, so the engine
-        # hands the query back to the in-process backend.
-        got = (
-            cluster_net.query("binary").limit(7)
-            .algorithm("backward").backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query("binary").limit(7)
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-        assert got.stats.backend == "numpy"
-        assert got.stats.extra["exact_shortcut"] == 1.0
-
-    def test_count_ties_at_rank_k(self, cluster_net):
-        # COUNT over a regular-ish graph produces heavy value ties around
-        # rank k; θ must ship every >=θ candidate (strictly-below prune)
-        # so node-id tie resolution matches the reference exactly.
-        got = (
-            cluster_net.query("binary").limit(9).aggregate("count")
-            .algorithm("base").backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query("binary").limit(9).aggregate("count")
-            .algorithm("base").backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-
-    def test_filtered_where(self, cluster_net):
-        candidates = tuple(range(0, 400, 3))
-        got = (
-            cluster_net.query("dense").limit(6)
-            .where(candidates).backend("cluster").run()
-        )
-        ref = (
-            cluster_net.query("dense").limit(6)
-            .where(candidates).backend("numpy").run()
-        )
-        assert _entries(got) == _entries(ref)
-        assert got.stats.extra["candidates"] == float(len(candidates))
-
-    def test_weighted(self, cluster_net):
-        from repro.core import executor
-
-        spec_got = QueryRequest(k=6, backend="cluster").spec()
-        spec_ref = QueryRequest(k=6, backend="numpy").spec()
-        got = executor.execute_weighted(
-            cluster_net._ctx, cluster_net.scores_of("dense"), spec_got
-        )
-        ref = executor.execute_weighted(
-            cluster_net._ctx, cluster_net.scores_of("dense"), spec_ref
-        )
-        assert _entries(got) == _entries(ref)
-        assert got.stats.backend == "cluster"
-
-    def test_batch_coalesced_parity(self, cluster_net):
-        from repro.core.batch import BatchQuery
-
-        queries = [
-            BatchQuery(scores=cluster_net.scores_of("dense"), k=6),
-            BatchQuery(
-                scores=cluster_net.scores_of("dense"), k=4, aggregate="avg"
-            ),
-        ]
-        got = cluster_net._run_batch(queries, backend="cluster")
-        ref = cluster_net._run_batch(queries, backend="numpy")
-        for g_, r in zip(got, ref):
-            assert _entries(g_) == _entries(r)
-        assert got[0].stats.backend == "cluster"
-        assert got[0].stats.extra["batch_size"] == 2.0
-
-    def test_directed_graph_backward(self, tmp_path):
-        rng = random.Random(5)
-        edges = {(rng.randrange(120), rng.randrange(120)) for _ in range(400)}
-        g = Graph.from_edges(
-            sorted((u, v) for u, v in edges if u != v),
-            num_nodes=120,
-            directed=True,
-        )
-        net = Network(g, hops=2)
-        net.add_scores("s", _sparse_scores(120, 9))
+class TestCommPolicies:
+    @pytest.mark.parametrize("aggregate", ["sum", "max", "count"])
+    def test_filtered_where(self, aggregate):
+        # Regression: the θ seed is the k-th largest self score *of the
+        # competitors*.  Seeded from all nodes, the 50 hot nodes outside
+        # the candidate set put θ at 1.0 and workers dropped every
+        # candidate whose aggregate was below it (2 entries came back).
+        net = Network(random_graph(400, 0.002, seed=7), hops=1)
+        net.add_scores("hot", [1.0 if u < 50 else 0.0 for u in range(400)])
         net.cluster(workers=WORKERS, min_nodes=0)
         try:
-            got = (
-                net.query("s").limit(5)
-                .algorithm("backward").backend("cluster").run()
+            run = lambda backend: (  # noqa: E731
+                net.query("hot").limit(5).aggregate(aggregate)
+                .where(range(300, 340)).backend(backend).run()
             )
-            ref = (
-                net.query("s").limit(5)
-                .algorithm("backward").backend("numpy").run()
-            )
-            assert _entries(got) == _entries(ref)
+            got, ref = run("cluster"), run("numpy")
+            assert got.stats.backend == "cluster"
+            assert got.entries == ref.entries
+            assert len(got.entries) == 5
         finally:
             net.close()
 
-
-class TestCommPolicies:
     def test_theta_shipping_prunes_candidates(self, cluster_net):
         result = (
             cluster_net.query("dense").limit(5)
@@ -407,14 +261,14 @@ class TestDynamicInvalidation:
         try:
             engine = net.cluster()
             first = net.query("s").limit(5).backend("cluster").run()
-            old_version = engine.stats()["store_version"]
+            old_version = engine.stats()["export_version"]
             net.add_edge(0, 199)
             got = net.query("s").limit(5).backend("cluster").run()
             ref = net.query("s").limit(5).backend("numpy").run()
             assert _entries(got) == _entries(ref)
             # Only graph-derived stores were re-exported (new version
             # stamp); score stores persisted across the mutation.
-            assert engine.stats()["store_version"] != old_version
+            assert engine.stats()["export_version"] != old_version
             assert first.entries  # sanity: pre-mutation answer existed
         finally:
             net.close()
@@ -689,33 +543,6 @@ class TestSocketTimeouts:
 
 
 class TestDeclineRule:
-    def test_small_graph_declines_without_spawning(self):
-        g = random_graph(100, 0.04, seed=40)
-        net = Network(g, hops=2)
-        net.add_scores("s", _dense_scores(100, 8))
-        engine = net.cluster(workers=WORKERS)  # default min_nodes floor
-        try:
-            result = net.query("s").limit(4).backend("cluster").run()
-            ref = net.query("s").limit(4).backend("numpy").run()
-            assert _entries(result) == _entries(ref)
-            # Declined: ran in-process; no worker process ever spawned.
-            assert result.stats.backend == "numpy"
-            assert engine.stats()["declined"] >= 1
-            assert engine.stats()["started"] is False
-        finally:
-            net.close()
-
-    def test_single_worker_declines(self):
-        g = random_graph(100, 0.04, seed=41)
-        net = Network(g, hops=2)
-        net.add_scores("s", _dense_scores(100, 9))
-        net.cluster(workers=1, min_nodes=0)
-        try:
-            result = net.query("s").limit(4).backend("cluster").run()
-            assert result.stats.backend == "numpy"
-        finally:
-            net.close()
-
     def test_planner_charges_cluster_fixed_cost(self):
         from repro.core.planner import BACKEND_FIXED_COSTS, QueryPlanner
         from repro.core.query import QuerySpec

@@ -12,9 +12,9 @@ without numba.  The kernels accumulate in the same order as
 bit-exact against numpy; batch shares numpy's 1e-9 pairwise-summation
 tolerance.
 
-The parallel half covers the PR's round lean-down: work-stealing chunk
-arithmetic, shared-memory reply buffers (pipe byte reduction + the
-strip-on-respawn fallback), and native-kernel opt-in inside workers.
+The parallel half covers the pipe link's round: work-stealing chunk
+arithmetic, shared-memory reply buffers (and the strip-on-respawn pipe
+fallback), and native-kernel opt-in inside workers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import repro.core.backends as backends
 from repro.core.backends import BACKENDS, resolve_backend
 from repro.errors import BackendUnavailableError
 from repro.graph.graph import Graph
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.coordinator import _chunked
 from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
@@ -211,7 +211,7 @@ class TestKernelProvenance:
 class TestWorkStealing:
     def test_chunked_partitions_exactly(self):
         task = {"type": "scan", "shard": 0}
-        pieces = ParallelEngine._chunked(None, task, 1000, 100)
+        pieces = _chunked(task, 1000, 100)
         assert len(pieces) > 1
         assert pieces[0]["lo"] == 0 and pieces[-1]["hi"] == 1000
         for left, right in zip(pieces, pieces[1:]):
@@ -220,11 +220,11 @@ class TestWorkStealing:
 
     def test_chunked_never_splits_below_a_block(self):
         task = {"type": "scan", "shard": 0}
-        assert ParallelEngine._chunked(None, task, 150, 100) == [task]
-        assert ParallelEngine._chunked(None, dict(task), 0, 100) == [task]
+        assert _chunked(task, 150, 100) == [task]
+        assert _chunked(dict(task), 0, 100) == [task]
 
     def test_chunk_count_is_bounded(self):
-        pieces = ParallelEngine._chunked(None, {"shard": 1}, 10**6, 10)
+        pieces = _chunked({"shard": 1}, 10**6, 10)
         assert len(pieces) <= 4
 
     def test_skewed_graph_answers_match_numpy(self):
@@ -248,53 +248,13 @@ class TestWorkStealing:
         try:
             res = net.topk("s", 12)
             assert res.entries == ref.entries
-            stats = engine.stats()
-            assert stats["work_stealing"] is True
             # Scans were split into more tasks than shards.
-            assert res.stats.extra["tasks"] > len(stats["shards"])
+            assert res.stats.extra["tasks"] > len(engine.stats()["shards"])
         finally:
             engine.close()
 
 
 class TestReplyBuffers:
-    def test_shared_buffers_cut_reply_bytes(self):
-        # Same graph, same k, same static task structure (stealing off on
-        # both sides so the task count matches); only the reply transport
-        # differs.  The gate is CPU-count independent: it compares bytes
-        # per completed round, not wall time.
-        import random as _random
-
-        rng = _random.Random(37)
-        n = 4000
-        edges = set()
-        while len(edges) < 3 * n:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        g = Graph.from_edges(sorted(edges), num_nodes=n)
-        scores = random_scores(n, seed=41)
-        k = 128
-
-        def run(result_buffers):
-            net = _net(g, scores, "parallel")
-            engine = net.parallel(
-                workers=WORKERS,
-                min_nodes=0,
-                work_stealing=False,
-                result_buffers=result_buffers,
-            )
-            try:
-                res = net.topk("s", k)
-                return res.entries, res.stats.extra["pipe_bytes_received"]
-            finally:
-                engine.close()
-
-        lean_entries, lean_bytes = run(True)
-        fat_entries, fat_bytes = run(False)
-        assert lean_entries == fat_entries
-        assert lean_bytes > 0
-        assert fat_bytes / lean_bytes >= 5.0
-
     def test_respawn_falls_back_to_pipe_replies(self):
         # Killing a worker mid-life forces the reissue path: reissued
         # tasks are stripped of their reply buffers (two writers must
@@ -325,8 +285,6 @@ class TestReplyBuffers:
             res = net.topk("s", 8)
             stats = engine.stats()
             for key in (
-                "work_stealing",
-                "result_buffers",
                 "reply_buffers",
                 "pipe_bytes_sent",
                 "pipe_bytes_received",
@@ -340,12 +298,10 @@ class TestReplyBuffers:
 
 class TestWorkerNativeOptIn:
     def test_workers_stay_on_numpy_for_interpreted_kernels(
-        self, interpreted_native, monkeypatch
+        self, interpreted_native
     ):
         # Interpreted native kernels lose to the numpy slab path, so the
-        # engine only flips workers to native when the kernels actually
-        # compiled — or when the test hatch says otherwise.
-        monkeypatch.delenv("REPRO_PARALLEL_NATIVE_INTERPRETED", raising=False)
+        # engine only offers native to workers when the kernels compiled.
         g = random_graph(200, 0.03, seed=61)
         net = _net(g, random_scores(200, seed=61), "parallel")
         engine = net.parallel(workers=WORKERS, min_nodes=0)
@@ -357,16 +313,16 @@ class TestWorkerNativeOptIn:
         finally:
             engine.close()
 
-    def test_hatch_flips_workers_to_native_kernels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_INTERPRETED", "1")
-        monkeypatch.setenv("REPRO_PARALLEL_NATIVE_INTERPRETED", "1")
+    def test_workers_honour_the_native_flag(self):
+        # Wiring test: set the engine's flag directly; the worker runs the
+        # kernels it can import (interpreted here unless numba compiled).
         g = random_graph(300, 0.02, seed=67)
         scores = random_scores(300, seed=71)
         ref = _net(g, scores, "numpy")
         net = _net(g, scores, "parallel")
         engine = net.parallel(workers=WORKERS, min_nodes=0)
+        engine._native = True
         try:
-            assert engine._workers_native() is True
             assert net.topk("s", 9).entries == ref.topk("s", 9).entries
             assert (
                 net.topk_weighted("s", 9).entries

@@ -1,17 +1,14 @@
-"""Process-parallel backend: parity, shared-memory lifecycle, resilience.
+"""Process-parallel backend: the pipe link's lifecycle and resilience.
 
-The contract mirrors the numpy backend's (``tests/test_backend_parity.py``):
-``backend="parallel"`` must return entry-for-entry the numpy answer on
-every route it covers — base (all aggregates), forward, backward, weighted,
-filtered, batch — while actually running the work in worker processes over
-shared-memory CSR shards.  Beyond parity, this module pins the
-shared-memory lifecycle: export/attach round-trips, version-stamp
-invalidation after dynamic mutations, unlink on ``Network.close``, and
-worker-crash recovery.
+Route parity against numpy — every route the sharded coordinator covers,
+on both links — lives in ``tests/test_sharded_routes.py``.  This module
+pins what only the pipe link has: shared-memory export/attach round-trips,
+version-stamp invalidation after dynamic mutations, deferred unlink of
+LRU-evicted exports, unlink on ``Network.close``, and worker-crash
+recovery.
 
 The graphs here are far below the engine's production ``min_nodes`` floor,
-so every fixture forces the process path with ``min_nodes=0``; the decline
-rule itself is tested explicitly.
+so every fixture forces the process path with ``min_nodes=0``.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.graph.csr import (
     SharedCSR,
     to_csr,
 )
-from repro.graph.graph import Graph
 from repro.parallel.merge import merge_shard_entries
 from repro.parallel.pool import ShardWorkerPool
 from repro.parallel.shards import build_shard_plan
@@ -40,7 +36,7 @@ from tests.conftest import random_graph
 
 np = pytest.importorskip("numpy")
 
-#: Worker-process count for the test pools; the CI parallel-smoke job
+#: Worker-process count for the test pools; the CI sharded-smoke job
 #: raises it to 4 on multi-core runners.
 WORKERS = int(os.environ.get("REPRO_PARALLEL_TEST_WORKERS", "2"))
 
@@ -53,21 +49,12 @@ def _dense_scores(n, seed):
     rng = random.Random(seed)
     return [rng.random() for _ in range(n)]
 
-def _sparse_scores(n, seed, nonzero=0.03):
-    rng = random.Random(seed)
-    values = [0.0] * n
-    for u in rng.sample(range(n), max(1, int(nonzero * n))):
-        values[u] = rng.random()
-    return values
-
 
 @pytest.fixture(scope="module")
 def parallel_net():
     g = random_graph(400, 0.015, seed=42)
     net = Network(g, hops=2)
     net.add_scores("dense", _dense_scores(400, 1))
-    net.add_scores("sparse", _sparse_scores(400, 2))
-    net.add_scores("binary", [1.0 if u % 9 == 0 else 0.0 for u in range(400)])
     net.parallel(workers=WORKERS, min_nodes=0)
     yield net
     net.close()
@@ -82,115 +69,7 @@ class TestBackendRegistration:
         assert request.spec().backend == "parallel"
 
 
-class TestScanParity:
-    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count", "max", "min"])
-    def test_base_all_aggregates(self, parallel_net, aggregate):
-        run = lambda backend: (  # noqa: E731
-            parallel_net.query("dense")
-            .limit(10)
-            .aggregate(aggregate)
-            .algorithm("base")
-            .backend(backend)
-            .run()
-        )
-        par, ref = run("parallel"), run("numpy")
-        assert _entries(par) == _entries(ref)
-        assert par.stats.backend == "parallel"
-        assert par.stats.extra["shards"] == float(WORKERS)
-
-    def test_forward(self, parallel_net):
-        par = (
-            parallel_net.query("dense").limit(8)
-            .algorithm("forward").backend("parallel").run()
-        )
-        ref = (
-            parallel_net.query("dense").limit(8)
-            .algorithm("forward").backend("numpy").run()
-        )
-        assert _entries(par) == _entries(ref)
-        # The sharded forward scan prunes on static bounds per shard.
-        assert par.stats.algorithm == "forward"
-
-    def test_forward_max_raises_like_every_backend(self, parallel_net):
-        # Validation must not depend on the backend (or on whether the
-        # engine declines): forward + MAX raises the canonical error.
-        for backend in ("numpy", "parallel"):
-            with pytest.raises(InvalidParameterError, match="LONA-Forward"):
-                (
-                    parallel_net.query("dense").limit(5).aggregate("max")
-                    .algorithm("forward").backend(backend).run()
-                )
-
-    @pytest.mark.parametrize("score", ["sparse", "dense"])
-    def test_backward(self, parallel_net, score):
-        par = (
-            parallel_net.query(score).limit(7)
-            .algorithm("backward").backend("parallel").run()
-        )
-        ref = (
-            parallel_net.query(score).limit(7)
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(par) == _entries(ref)
-        assert par.stats.backend == "parallel"
-        assert par.stats.extra["gamma"] == ref.stats.extra["gamma"]
-        assert par.stats.extra["rest_bound"] == ref.stats.extra["rest_bound"]
-
-    def test_backward_binary_shortcut_declines(self, parallel_net):
-        # Binary scores fully distribute (auto-gamma 1.0, rest_bound 0):
-        # the exact-shortcut regime's answers are order-sensitive partial
-        # sums, so the engine declines it to keep entries bit-identical —
-        # and there is no verification work to parallelize there anyway.
-        par = (
-            parallel_net.query("binary").limit(7)
-            .algorithm("backward").backend("parallel").run()
-        )
-        ref = (
-            parallel_net.query("binary").limit(7)
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(par) == _entries(ref)
-        assert par.stats.backend == "numpy"  # declined to in-process
-        assert par.stats.extra["exact_shortcut"] == 1.0
-
-    def test_backward_avg(self, parallel_net):
-        par = (
-            parallel_net.query("sparse").limit(5).aggregate("avg")
-            .algorithm("backward").backend("parallel").run()
-        )
-        ref = (
-            parallel_net.query("sparse").limit(5).aggregate("avg")
-            .algorithm("backward").backend("numpy").run()
-        )
-        assert _entries(par) == _entries(ref)
-
-    def test_filtered_where(self, parallel_net):
-        candidates = tuple(range(0, 400, 3))
-        par = (
-            parallel_net.query("dense").limit(6)
-            .where(candidates).backend("parallel").run()
-        )
-        ref = (
-            parallel_net.query("dense").limit(6)
-            .where(candidates).backend("numpy").run()
-        )
-        assert _entries(par) == _entries(ref)
-        assert par.stats.extra["candidates"] == float(len(candidates))
-
-    def test_weighted(self, parallel_net):
-        from repro.core import executor
-
-        spec_par = QueryRequest(k=6, backend="parallel").spec()
-        spec_ref = QueryRequest(k=6, backend="numpy").spec()
-        par = executor.execute_weighted(
-            parallel_net._ctx, parallel_net.scores_of("dense"), spec_par
-        )
-        ref = executor.execute_weighted(
-            parallel_net._ctx, parallel_net.scores_of("dense"), spec_ref
-        )
-        assert _entries(par) == _entries(ref)
-        assert par.stats.backend == "parallel"
-
+class TestRouteEdges:
     def test_weighted_with_tuned_gamma_stays_in_process(self, parallel_net):
         # The sharded weighted route is an exact scan; a tuned distribution
         # knob must reach the kernel that honors it.
@@ -207,22 +86,6 @@ class TestScanParity:
         )
         assert result.stats.backend == "numpy"
 
-    def test_batch_coalesced_parity(self, parallel_net):
-        from repro.core.batch import BatchQuery
-
-        queries = [
-            BatchQuery(scores=parallel_net.scores_of("dense"), k=6),
-            BatchQuery(
-                scores=parallel_net.scores_of("dense"), k=4, aggregate="avg"
-            ),
-        ]
-        par = parallel_net._run_batch(queries, backend="parallel")
-        ref = parallel_net._run_batch(queries, backend="numpy")
-        for p, r in zip(par, ref):
-            assert _entries(p) == _entries(r)
-        assert par[0].stats.backend == "parallel"
-        assert par[0].stats.extra["batch_size"] == 2.0
-
     def test_batch_wider_than_score_export_lru(self, parallel_net):
         # Regression, two layers: (1) a fused batch with more distinct
         # score vectors than the engine's score-export LRU evicted — and
@@ -233,7 +96,7 @@ class TestScanParity:
         # evictions defer their unlink until the round returns; worker
         # evictions defer their unmap until between tasks.
         from repro.core.batch import BatchQuery
-        from repro.parallel.engine import _SCORE_EXPORT_LIMIT
+        from repro.parallel.coordinator import _SCORE_EXPORT_LIMIT
         from repro.parallel.worker import _ATTACH_CACHE_LIMIT
         from repro.relevance.base import ScoreVector
 
@@ -247,30 +110,6 @@ class TestScanParity:
         assert len(par) == width
         for p, r in zip(par, ref):
             assert _entries(p) == _entries(r)
-
-    def test_directed_graph_backward(self):
-        rng = random.Random(5)
-        edges = {(rng.randrange(120), rng.randrange(120)) for _ in range(400)}
-        g = Graph.from_edges(
-            sorted((u, v) for u, v in edges if u != v),
-            num_nodes=120,
-            directed=True,
-        )
-        net = Network(g, hops=2)
-        net.add_scores("s", _sparse_scores(120, 9))
-        net.parallel(workers=WORKERS, min_nodes=0)
-        try:
-            par = (
-                net.query("s").limit(5)
-                .algorithm("backward").backend("parallel").run()
-            )
-            ref = (
-                net.query("s").limit(5)
-                .algorithm("backward").backend("numpy").run()
-            )
-            assert _entries(par) == _entries(ref)
-        finally:
-            net.close()
 
 
 class TestSharedMemoryLifecycle:
@@ -318,7 +157,7 @@ class TestSharedMemoryLifecycle:
         net.add_scores("s", _dense_scores(150, 4))
         engine = net.parallel(workers=WORKERS, min_nodes=0)
         net.query("s").limit(3).backend("parallel").run()
-        meta = engine._csr_export.meta()
+        meta = engine._csr.meta()
         net.close()
         assert engine.closed
         with pytest.raises(FileNotFoundError):
@@ -335,7 +174,7 @@ class TestSharedMemoryLifecycle:
             first = net.query("s").limit(5).backend("parallel").run()
             # Attach to the live export the way a worker does; the mapping
             # stays valid across the owner's unlink.
-            attached = AttachedCSR.attach(engine._csr_export.meta())
+            attached = AttachedCSR.attach(engine._csr.meta())
             assert attached.fresh()
             old_version = engine.stats()["export_version"]
             net.add_edge(0, 199)
@@ -443,33 +282,6 @@ class TestResilience:
 
 
 class TestDeclineRule:
-    def test_small_graph_declines_to_numpy(self):
-        g = random_graph(100, 0.04, seed=30)
-        net = Network(g, hops=2)
-        net.add_scores("s", _dense_scores(100, 8))
-        engine = net.parallel(workers=WORKERS)  # default min_nodes floor
-        try:
-            result = net.query("s").limit(4).backend("parallel").run()
-            ref = net.query("s").limit(4).backend("numpy").run()
-            assert _entries(result) == _entries(ref)
-            # Declined: ran in-process, no worker pool was ever spawned.
-            assert result.stats.backend == "numpy"
-            assert engine.stats()["declined"] >= 1
-            assert not engine.stats()["pool_started"]
-        finally:
-            net.close()
-
-    def test_single_worker_declines(self):
-        g = random_graph(100, 0.04, seed=31)
-        net = Network(g, hops=2)
-        net.add_scores("s", _dense_scores(100, 9))
-        net.parallel(workers=1, min_nodes=0)
-        try:
-            result = net.query("s").limit(4).backend("parallel").run()
-            assert result.stats.backend == "numpy"
-        finally:
-            net.close()
-
     def test_planner_charges_parallel_fixed_cost(self):
         from repro.core.planner import BACKEND_FIXED_COSTS, QueryPlanner
         from repro.core.query import QuerySpec

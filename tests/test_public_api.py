@@ -1,8 +1,9 @@
 """Public-API snapshot: surface changes must be deliberate.
 
-Pins (1) ``repro.__all__`` — the package's exported names — and (2) the
+Pins (1) ``repro.__all__`` — the package's exported names — (2) the
 fluent :class:`~repro.session.QueryBuilder` / :class:`~repro.session.Network`
-method surfaces, including parameter names.  A failing test here means the
+method surfaces, including parameter names, and (3) the option fields of
+the sharded backends' config classes.  A failing test here means the
 public contract moved: update the snapshot *in the same change, on
 purpose*, and call it out in the changelog.  CI runs this module in every
 matrix cell (and as a dedicated lint-adjacent step), so an accidental
@@ -11,9 +12,11 @@ rename or removal cannot slip through.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import repro
+import repro.config
 from repro.session import Network, QueryBuilder
 
 EXPECTED_ALL = [
@@ -104,6 +107,23 @@ NETWORK_SURFACE = {
     "remove_edge": ["u", "v"],
     "update_score": ["score", "node", "value"],
 }
+
+
+#: Every independently settable option of the two sharded backends.  Each
+#: field is one more configuration to test and benchmark: add one on purpose.
+CONFIG_FIELDS = {
+    "ParallelConfig": ["workers", "min_nodes", "partitioner", "seed", "timeout"],
+    "ClusterConfig": [
+        "workers", "shards", "min_nodes", "partitioner", "seed", "timeout",
+        "connect_timeout", "io_timeout", "hedge", "ship_policy",
+    ],
+}
+
+
+def test_sharded_config_fields_are_pinned():
+    for name, fields in CONFIG_FIELDS.items():
+        cls = getattr(repro.config, name)
+        assert [f.name for f in dataclasses.fields(cls)] == fields
 
 
 def test_package_all_is_pinned():
