@@ -248,25 +248,25 @@ def _shared_scan_numpy(
 
     Each node block is expanded with one multi-source BFS and *every*
     query's ball sums come out of a single segmented reduction
-    (``np.add.reduceat`` over the (queries x members) score matrix) — the
-    per-query work is one row of vectorized arithmetic, not a separate
-    bincount pass.  Offers are threshold-gated per query (see
+    (:func:`repro.core.vectorized.fused_ball_values` over the node-major
+    score matrix) — the per-query work is one row of vectorized arithmetic,
+    not a separate bincount pass.  Offers are threshold-gated per query (see
     :func:`repro.core.vectorized._offer_block`), so the Python-loop cost is
     proportional to plausible top-k entrants, not to ``q * n``.
     """
     import numpy as np
 
-    from repro.core.vectorized import _offer_block, resolve_block_size, segment_starts
+    from repro.core.vectorized import _offer_block, fused_ball_values, resolve_block_size
     from repro.graph.csr import batched_hop_balls, to_csr
 
     if csr is None:
         csr = to_csr(graph, use_numpy=True)
-    matrix = np.asarray(folded_scores, dtype=np.float64)
+    node_scores = np.ascontiguousarray(np.asarray(folded_scores, dtype=np.float64).T)
     n = graph.num_nodes
     if block_size is None:
-        # The fused reduction materializes a (queries x block members)
-        # score slice per block; shrink the block with the batch width so
-        # peak transient memory tracks the single-query budget.
+        # The fused reduction gathers a (block members x queries) score
+        # slab per block; shrink the block with the batch width so the slab
+        # stays as cache-resident as a single query's gather.
         block_size = max(
             4, resolve_block_size(None, n, int(csr.num_arcs)) // max(len(batch), 1)
         )
@@ -284,16 +284,7 @@ def _shared_scan_numpy(
         counter.edges_scanned += edges
         counter.nodes_visited += int(members.size) + (0 if include_self else count)
         counter.balls_expanded += count
-        values = np.zeros((len(batch), count), dtype=np.float64)
-        if members.size:
-            present, starts = segment_starts(np, owners)
-            values[:, present] = np.add.reduceat(
-                matrix[:, members], starts, axis=1
-            )
-        if avg_rows.any():
-            # Empty balls keep the 0.0 the zeros-init gave them.
-            sizes = np.maximum(np.bincount(owners, minlength=count), 1)
-            values[avg_rows] = values[avg_rows] / sizes
+        values = fused_ball_values(np, node_scores, avg_rows, owners, members, count)
         for i, acc in enumerate(accumulators):
             _offer_block(np, acc, centers, values[i])
 

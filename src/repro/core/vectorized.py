@@ -9,7 +9,8 @@ distance-weighted base/backward variants — runs over
 numpy arrays, so the Eq. 1 / Eq. 3 bound arithmetic — exactly the bulk
 bound-maintenance the threshold-algorithm literature identifies as
 array-shaped work — executes without per-edge Python calls.  Block sizes
-adapt to graph size and average degree (:func:`adaptive_block_size`).
+adapt to the average degree (:func:`adaptive_block_size`); the expansion
+dedups by sorting its keys, so no buffer scales with the node count.
 
 How each phase vectorizes
 -------------------------
@@ -91,21 +92,15 @@ __all__ = [
 _MIN_BLOCK = 4
 _MAX_BLOCK = 1024
 
-#: Cap on the ``block * num_nodes`` visited buffer of a multi-source BFS
-#: round (bools, so this is bytes).  32 MiB keeps blocks of 128 up to
-#: ~260k-node graphs and degrades gracefully to smaller blocks beyond.
-_CELL_BUDGET = 1 << 25
-
 #: Target width of one BFS level's neighbor-slab gather.  Together with the
 #: average degree this bounds the per-level working set so a block's
 #: expansion stays cache-resident instead of thrashing on dense graphs.
 _SLAB_BUDGET = 1 << 20
 
 #: Block ceiling for the native (compiled) kernel tier.  Its per-center
-#: stamp-BFS carries no ``block * num_nodes`` visited buffer and no
-#: neighbor-slab gathers, so neither budget above applies; bigger blocks
-#: just amortize the per-call dispatch further.  4096 keeps the per-block
-#: scratch (centers + two result vectors) inside L2.
+#: stamp-BFS gathers no neighbor slabs, so the budget above does not apply;
+#: bigger blocks just amortize the per-call dispatch further.  4096 keeps
+#: the per-block scratch (centers + two result vectors) inside L2.
 _NATIVE_MAX_BLOCK = 4096
 
 
@@ -118,13 +113,12 @@ def adaptive_block_size(
 ) -> int:
     """Candidates per multi-source BFS round, from graph size and degree.
 
-    Two budgets, take the tighter: the flat visited buffer is
-    ``block * num_nodes`` bools (capped at 32 MiB), and one BFS level
-    gathers roughly ``block * avg_degree`` neighbor-slab entries (capped at
-    ~1M so each gather stays cache-friendly on dense graphs).  Small graphs
-    hit the ``_MAX_BLOCK`` ceiling — numpy call amortization — and
-    million-node graphs degrade gracefully toward the floor instead of
-    allocating unbounded buffers.
+    One budget: a BFS level gathers roughly ``block * avg_degree``
+    neighbor-slab entries, capped at ~1M so each gather (and the key sort
+    that dedups it) stays cache-friendly on dense graphs.  The expansion
+    dedups by sorting its ``(owner, node)`` keys, so its memory follows the
+    balls and the node count alone never shrinks a block; sparse graphs of
+    any size run at the ``_MAX_BLOCK`` ceiling (numpy call amortization).
 
     ``pruning=True`` (the forward kernel) additionally caps the block at
     ~1/8 of the graph, at most 256: threshold-driven kernels only re-check
@@ -132,8 +126,8 @@ def adaptive_block_size(
     of the graph per round would erase the pruning the blocking exists for.
 
     ``backend="native"`` swaps in the compiled tier's profile: its
-    per-center stamp-BFS allocates no block-by-graph buffer and no neighbor
-    slabs, so neither memory budget applies — blocks run to
+    per-center stamp-BFS allocates no neighbor slabs, so the slab budget
+    does not apply — blocks run to
     ``_NATIVE_MAX_BLOCK`` (dispatch amortization only), and the pruning cap
     relaxes to 1024 because a compiled block is cheap enough that re-checking
     the threshold less often costs less than it saves.
@@ -147,8 +141,7 @@ def adaptive_block_size(
         return block
     avg_degree = num_arcs / num_nodes
     slab_cap = int(_SLAB_BUDGET / max(avg_degree, 1.0))
-    cell_cap = _CELL_BUDGET // num_nodes
-    block = min(_MAX_BLOCK, slab_cap, cell_cap)
+    block = min(_MAX_BLOCK, slab_cap)
     if pruning:
         block = min(block, max(_MIN_BLOCK, min(256, num_nodes // 8)))
     return max(_MIN_BLOCK, block)
@@ -162,17 +155,13 @@ def resolve_block_size(
     pruning: bool = False,
     backend: str = "numpy",
 ) -> int:
-    """``None`` -> :func:`adaptive_block_size`; explicit requests only get
-    clamped to the visited-buffer budget (tests pin tiny blocks on purpose).
-    The native tier has no such buffer, so its explicit requests pass
-    through unclamped."""
+    """``None`` -> :func:`adaptive_block_size`; an explicit request is
+    honoured as given on every backend (tests pin tiny blocks on purpose)."""
     if requested is None:
         return adaptive_block_size(
             num_nodes, num_arcs, pruning=pruning, backend=backend
         )
-    if backend == "native":
-        return max(1, int(requested))
-    return max(1, min(int(requested), _CELL_BUDGET // max(num_nodes, 1)))
+    return max(1, int(requested))
 
 
 def _as_scores_array(np, scores: Sequence[float], kind: AggregateKind):
@@ -707,6 +696,28 @@ def aggregate_ball_segments(np, kind: AggregateKind, owners, member_scores, coun
             sums, sizes, out=np.zeros(count, dtype=np.float64), where=sizes > 0
         )
     return sums
+
+
+def fused_ball_values(np, node_scores, avg_rows, owners, members, count: int):
+    """``(queries x count)`` ball values of one expanded block, every query at once.
+
+    ``node_scores`` is the node-major ``(num_nodes x queries)`` score
+    matrix, so gathering a block's members is one ``take`` of contiguous
+    rows and a single ``np.add.reduceat`` over the sorted owner segments
+    sums every query's balls.  ``avg_rows`` flags the AVG queries, which
+    divide by the ball size; empty balls get 0.0 whatever the aggregate, as
+    in :func:`aggregate_ball_segments`.
+    """
+    values = np.zeros((node_scores.shape[1], count), dtype=np.float64)
+    if members.size:
+        present, starts = segment_starts(np, owners)
+        values[:, present] = np.add.reduceat(
+            node_scores.take(members, axis=0), starts, axis=0
+        ).T
+    if avg_rows.any():
+        sizes = np.maximum(np.bincount(owners, minlength=count), 1)
+        values[avg_rows] /= sizes
+    return values
 
 
 def _offer_block(np, acc: TopKAccumulator, centers, values) -> None:

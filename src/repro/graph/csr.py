@@ -286,6 +286,50 @@ def csr_hop_ball(
     return ball
 
 
+def _expand_key_levels(np, csr: CSRGraph, centers: Any, hops: int) -> Tuple[List[Any], int]:
+    """BFS levels of many balls as ``owner * n + node`` keys, plus edges gathered.
+
+    ``levels[d]`` holds the keys first reached at distance ``d``: sorted,
+    duplicate-free and disjoint from every earlier level.  Dedup is by
+    sorting the keys and a ``searchsorted`` set-difference against each
+    earlier (sorted) level, so the working set is what the balls hold, never
+    ``len(centers) * num_nodes``.  The one exception is the last level of a
+    full ``hops``-deep expansion: nothing expands from it, so it is the raw
+    gather — repeats and already-seen keys included — and the caller's final
+    sort+dedup absorbs them.
+    """
+    n = csr.num_nodes
+    frontier = np.arange(centers.size, dtype=np.int64) * n + centers
+    levels = [frontier]
+    edges = 0
+    for level in range(hops):
+        nodes = frontier % n
+        neighbors, counts = neighbor_slab(csr, nodes)
+        if neighbors.size == 0:
+            break
+        edges += int(neighbors.size)
+        keys = np.repeat(frontier - nodes, counts) + neighbors
+        if level == hops - 1:
+            levels.append(keys)
+            break
+        fresh = _sorted_unique(np, keys)
+        for seen in levels:
+            slots = np.searchsorted(seen, fresh)
+            fresh = fresh[seen.take(slots, mode="clip") != fresh]
+        if fresh.size == 0:
+            break
+        levels.append(fresh)
+        frontier = fresh
+    return levels, edges
+
+
+def _merge_key_levels(np, levels: List[Any]) -> Any:
+    """All levels' keys, sorted ascending and duplicate-free."""
+    if len(levels) == 1:
+        return levels[0]
+    return _sorted_unique(np, np.concatenate(levels))
+
+
 def batched_hop_balls(
     csr: CSRGraph, centers: Any, hops: int, *, include_self: bool = True
 ) -> Tuple[Any, Any, int]:
@@ -297,60 +341,24 @@ def batched_hop_balls(
     of adjacency entries gathered.  Per-center aggregates then reduce with
     ``np.bincount(owners, ...)``.
 
-    Membership pairs are encoded as ``owner * n + node`` keys; a flat
-    boolean visited buffer filters already-reached keys per BFS level (one
-    gather + one scatter, no hashing), per-level fresh keys are collected
-    as they appear, and one final sort merges the levels into the canonical
-    ``(owner, member)`` order while squeezing out the last level's
-    duplicates.  The buffer is ``len(centers) * num_nodes`` bools; callers
-    bound their block size accordingly (see
-    :func:`repro.core.vectorized.adaptive_block_size`).
+    Membership pairs are encoded as ``owner * n + node`` keys and deduped by
+    sorting (:func:`_expand_key_levels`); one final sort merges the levels
+    into the canonical ``(owner, member)`` order while squeezing out the
+    last level's repeats.  Memory and time scale with the pairs produced,
+    not with ``len(centers) * num_nodes``.
     """
     np = _require_numpy_csr(csr)
     n = csr.num_nodes
-    count = int(centers.size)
-    if count == 0 or n == 0:
+    if centers.size == 0 or n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0
-    owners = np.arange(count, dtype=np.int64)
-    visited = np.zeros(count * n, dtype=bool)
-    frontier_keys = owners * n + centers.astype(np.int64, copy=False)
-    visited[frontier_keys] = True
-    parts = [frontier_keys]
-    edges = 0
-    for level in range(hops):
-        frontier_owners, frontier_nodes = np.divmod(frontier_keys, n)
-        neighbors, counts = neighbor_slab(csr, frontier_nodes)
-        if neighbors.size == 0:
-            break
-        edges += int(neighbors.size)
-        keys = np.repeat(frontier_owners, counts) * n + neighbors
-        fresh = keys[~visited[keys]]
-        if level == hops - 1:
-            # Last level: no further expansion, so skip the visited
-            # bookkeeping — intra-level duplicates fall out in the final
-            # sort+dedup below.
-            parts.append(fresh)
-            break
-        if level > 0:
-            # A key can be reached from two frontier members of the same
-            # ball; levels past the first need an explicit dedup to keep
-            # the next frontier duplicate-free.  (Level 1 is a single
-            # node's duplicate-free adjacency list per ball.)
-            fresh = _sorted_unique(np, fresh)
-        if fresh.size == 0:
-            break
-        visited[fresh] = True
-        parts.append(fresh)
-        frontier_keys = fresh
-    keys_out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    keys_out = _sorted_unique(np, keys_out)
-    owners_out, members = np.divmod(keys_out, n)
+    levels, edges = _expand_key_levels(np, csr, centers, hops)
+    owners, members = np.divmod(_merge_key_levels(np, levels), n)
     if not include_self:
-        keep = members != centers[owners_out]
-        owners_out = owners_out[keep]
+        keep = members != centers[owners]
+        owners = owners[keep]
         members = members[keep]
-    return owners_out, members, edges
+    return owners, members, edges
 
 
 def batched_hop_balls_with_distances(
@@ -364,78 +372,36 @@ def batched_hop_balls_with_distances(
     decay profile over ``dists`` before reducing with ``np.bincount`` —
     same canonical ``(owner, member)`` order as the unweighted kernel.
 
-    Distances are exact shortest hop counts: a member key enters the
-    visited buffer at the first BFS level that reaches it, and later levels
-    filter on that buffer, so every surviving (key, level) pair records the
-    minimum level.  Duplicates can only arise *within* the final level
-    (which skips the visited bookkeeping); they share one distance, so the
-    final sort may keep either copy.
+    Distances are exact shortest hop counts: every level but the last holds
+    exactly the keys first reached there, so those keys are labelled by a
+    ``searchsorted`` into the merged output, and whatever remains was first
+    reached at the last level.
     """
     np = _require_numpy_csr(csr)
     n = csr.num_nodes
-    count = int(centers.size)
-    if count == 0 or n == 0:
+    if centers.size == 0 or n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, 0
-    owners = np.arange(count, dtype=np.int64)
-    visited = np.zeros(count * n, dtype=bool)
-    frontier_keys = owners * n + centers.astype(np.int64, copy=False)
-    visited[frontier_keys] = True
-    parts = [frontier_keys]
-    levels = [0]
-    edges = 0
-    for level in range(hops):
-        frontier_owners, frontier_nodes = np.divmod(frontier_keys, n)
-        neighbors, counts = neighbor_slab(csr, frontier_nodes)
-        if neighbors.size == 0:
-            break
-        edges += int(neighbors.size)
-        keys = np.repeat(frontier_owners, counts) * n + neighbors
-        fresh = keys[~visited[keys]]
-        if level == hops - 1:
-            parts.append(fresh)
-            levels.append(level + 1)
-            break
-        if level > 0:
-            fresh = _sorted_unique(np, fresh)
-        if fresh.size == 0:
-            break
-        visited[fresh] = True
-        parts.append(fresh)
-        levels.append(level + 1)
-        frontier_keys = fresh
-    keys_out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    dists_out = np.repeat(
-        np.asarray(levels, dtype=np.int64),
-        np.asarray([p.size for p in parts], dtype=np.int64),
-    )
-    # Sort (key, dist) as one scaled integer — an in-place int sort beats a
-    # stable argsort plus two gathers.  Duplicate keys only arise within
-    # the final level (equal dist), so their scaled values are equal too
-    # and deduping on the scaled array is deduping on keys.
-    span = hops + 2
-    scaled = keys_out * span + dists_out
-    scaled.sort()
-    if scaled.size > 1:
-        keep = np.empty(scaled.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(scaled[1:], scaled[:-1], out=keep[1:])
-        scaled = scaled[keep]
-    keys_out, dists_out = np.divmod(scaled, span)
-    owners_out, members = np.divmod(keys_out, n)
+    levels, edges = _expand_key_levels(np, csr, centers, hops)
+    keys = _merge_key_levels(np, levels)
+    dists = np.full(keys.size, len(levels) - 1, dtype=np.int64)
+    for dist, level_keys in enumerate(levels[:-1]):
+        dists[np.searchsorted(keys, level_keys)] = dist
+    owners, members = np.divmod(keys, n)
     if not include_self:
-        keep = members != centers[owners_out]
-        owners_out = owners_out[keep]
+        keep = members != centers[owners]
+        owners = owners[keep]
         members = members[keep]
-        dists_out = dists_out[keep]
-    return owners_out, members, dists_out, edges
+        dists = dists[keep]
+    return owners, members, dists, edges
 
 
 def _sorted_unique(np, keys: Any) -> Any:
-    """Sort ``keys`` and drop duplicates (cheaper than np.unique's hashing)."""
+    """Sort ``keys`` in place and drop duplicates (cheaper than np.unique's
+    hashing); both callers own the array they pass."""
     if keys.size <= 1:
         return keys
-    keys = np.sort(keys)
+    keys.sort()
     keep = np.empty(keys.size, dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])

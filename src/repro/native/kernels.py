@@ -2,7 +2,7 @@
 
 Every kernel here is the fused, loop-level form of a numpy phase in
 :mod:`repro.core.vectorized`: per-center stamp-array BFS instead of the
-``block x num_nodes`` visited buffer, sequential accumulation over the
+batched sort-deduped key expansion, sequential accumulation over the
 sorted ball members instead of ``bincount``/``reduceat``, and an arc-level
 Eq. 1 prune loop instead of the slab gather + ``np.minimum.at``.  The
 accumulation *order* is the load-bearing part: members are sorted ascending

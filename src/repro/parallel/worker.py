@@ -333,23 +333,23 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
 def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     """Fused multi-query shared scan over the shard's owned centers.
 
-    One ball expansion per node block; every query's values come out of a
-    single ``np.add.reduceat`` over the (queries x members) score matrix —
-    the same fusion as :func:`repro.core.batch._shared_scan_numpy`, run on
-    one shard's slice of the node universe.
+    One ball expansion per node block; every query's values come out of
+    :func:`repro.core.vectorized.fused_ball_values` — the same fusion as
+    :func:`repro.core.batch._shared_scan_numpy`, run on one shard's slice of
+    the node universe.
     """
-    from repro.core.vectorized import _offer_block, segment_starts
+    from repro.core.vectorized import _offer_block, fused_ball_values
 
     attached = cache.csr(task["csr"])
     csr = attached.csr
     centers = cache.array(task["owned"])
-    rows = []
+    columns = []
     avg_flags = []
     for meta, aggregate in task["scores_list"]:
         folded, kind = _fold(np, cache.array(meta), aggregate)
-        rows.append(folded)
+        columns.append(folded)
         avg_flags.append(kind is AggregateKind.AVG)
-    matrix = np.vstack(rows)
+    node_scores = np.stack(columns, axis=1)
     avg_rows = np.asarray(avg_flags, dtype=bool)
     accumulators = [TopKAccumulator(k) for k in task["ks"]]
     hops = task["hops"]
@@ -360,14 +360,9 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
         check_deadline()  # block boundary (live under a cluster task scope)
         chunk = centers[lo : lo + block]
         owners, members = _expand_block(np, csr, chunk, hops, include_self, counters)
-        count = int(chunk.size)
-        values = np.zeros((matrix.shape[0], count), dtype=np.float64)
-        if members.size:
-            present, starts = segment_starts(np, owners)
-            values[:, present] = np.add.reduceat(matrix[:, members], starts, axis=1)
-        if avg_rows.any():
-            sizes = np.maximum(np.bincount(owners, minlength=count), 1)
-            values[avg_rows] = values[avg_rows] / sizes
+        values = fused_ball_values(
+            np, node_scores, avg_rows, owners, members, int(chunk.size)
+        )
         for i, acc in enumerate(accumulators):
             _offer_block(np, acc, chunk, values[i])
     counters["nodes_evaluated"] = int(centers.size)

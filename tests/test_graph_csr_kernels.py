@@ -10,7 +10,9 @@ Two families:
 * the numpy expansion kernels (``neighbor_slab`` / ``csr_hop_ball`` /
   ``batched_hop_balls`` / ``CSRBallCache``) checked against the pure-Python
   :func:`~repro.graph.traversal.hop_ball` oracle on the same randomized
-  shapes.
+  shapes, the batched kernels against the single-center ones on arbitrary
+  graphs and center lists (hypothesis), and an allocation bound: a batched
+  expansion's memory follows its balls, not ``len(centers) * num_nodes``.
 """
 
 from __future__ import annotations
@@ -186,3 +188,94 @@ class TestExpansionKernels:
         assert isinstance(csr, CSRGraph)
         with pytest.raises(TypeError):
             csr_module.csr_hop_ball(csr, 0, 2)
+
+
+# Guarded import, NOT a module-level importorskip: a missing hypothesis must
+# skip only the property test, never the suites above it.
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - exercised without hypothesis
+    given = settings = st = None
+
+
+def _batched_kernels_property(data):
+    """Both batched kernels == the single-center kernels, ball for ball."""
+    np = pytest.importorskip("numpy")
+    n = data.draw(st.integers(min_value=1, max_value=16), label="n")
+    directed = data.draw(st.booleans(), label="directed")
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1] if directed else e[0] < e[1]
+            ),
+            unique=True,
+            max_size=n * 3,
+        ),
+        label="edges",
+    )
+    # num_nodes keeps the nodes no edge touches: isolated, empty balls.
+    csr = to_csr(Graph.from_edges(edges, num_nodes=n, directed=directed), use_numpy=True)
+    centers = np.asarray(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="centers"),
+        dtype=np.int64,
+    )
+    hops = data.draw(st.integers(0, 4), label="hops")
+    include_self = data.draw(st.booleans(), label="include_self")
+
+    owners, members, edges_scanned = csr_module.batched_hop_balls(
+        csr, centers, hops, include_self=include_self
+    )
+    d_owners, d_members, dists, d_edges = csr_module.batched_hop_balls_with_distances(
+        csr, centers, hops, include_self=include_self
+    )
+    assert owners.tolist() == d_owners.tolist() == sorted(owners.tolist())
+    assert members.tolist() == d_members.tolist()
+    expected_edges = 0
+    for i, center in enumerate(centers.tolist()):
+        ball = csr_module.csr_hop_ball(csr, center, hops, include_self=include_self)
+        assert members[owners == i].tolist() == ball.tolist()
+        stamp = np.zeros(n, dtype=np.int64)
+        one_members, one_dists, one_edges = csr_module._expand_ball_with_distances(
+            np, csr, center, hops, include_self, stamp, 1
+        )
+        assert d_members[d_owners == i].tolist() == one_members.tolist()
+        assert dists[d_owners == i].tolist() == one_dists.tolist()
+        expected_edges += one_edges
+    assert edges_scanned == d_edges == expected_edges
+
+
+if st is not None:
+    test_batched_kernels_property = settings(max_examples=150, deadline=None)(
+        given(data=st.data())(_batched_kernels_property)
+    )
+else:  # pragma: no cover - exercised without hypothesis
+
+    @pytest.mark.skip(reason="hypothesis not installed")
+    def test_batched_kernels_property():
+        pass
+
+
+def test_batched_expansion_memory_follows_the_balls():
+    """512 two-hop balls on a 50,000-node ring are 2,560 pairs; a
+    ``len(centers) * num_nodes`` visited buffer would be 25.6 MB."""
+    np = pytest.importorskip("numpy")
+    import tracemalloc
+
+    n = 50_000
+    nodes = np.arange(n, dtype=np.int64)
+    ring = CSRGraph(
+        indptr=np.arange(n + 1, dtype=np.int64) * 2,
+        indices=np.stack(((nodes - 1) % n, (nodes + 1) % n), axis=1).ravel(),
+        weights=None,
+        directed=False,
+    )
+    centers = np.arange(0, n, n // 512, dtype=np.int64)[:512]
+    tracemalloc.start()
+    try:
+        _owners, members, edges = csr_module.batched_hop_balls(ring, centers, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert members.size == 512 * 5 and edges == 512 * (2 + 4)
+    assert peak < 4 * 1024 * 1024

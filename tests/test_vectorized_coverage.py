@@ -106,13 +106,16 @@ class TestAdaptiveBlockSize:
             adaptive_block_size,
         )
 
-        # Tiny graph: ceiling; million-node graph: small but bounded; the
-        # function is pure arithmetic, so probing 10M nodes is free.
+        # Node count alone never shrinks a block (the expansion dedups by
+        # sorting, no block x num_nodes buffer): sparse graphs of any size
+        # run at the ceiling.  Pure arithmetic, so probing 10M nodes is free.
         assert adaptive_block_size(100, 500) == _MAX_BLOCK
-        big = adaptive_block_size(1_000_000, 10_000_000)
-        assert _MIN_BLOCK <= big < _MAX_BLOCK
-        huge = adaptive_block_size(10_000_000, 100_000_000)
-        assert _MIN_BLOCK <= huge <= big
+        assert adaptive_block_size(1_000_000, 10_000_000) == _MAX_BLOCK
+        assert adaptive_block_size(10_000_000, 100_000_000) == _MAX_BLOCK
+        # Only the slab budget does, and never below the floor.
+        dense = adaptive_block_size(10_000_000, 20_000 * 10_000_000)
+        assert _MIN_BLOCK <= dense < _MAX_BLOCK
+        assert adaptive_block_size(100, 10**12) == _MIN_BLOCK
         assert adaptive_block_size(0, 0) == _MIN_BLOCK
 
     def test_degree_shrinks_blocks(self):
@@ -130,14 +133,16 @@ class TestAdaptiveBlockSize:
         assert adaptive_block_size(400, 2000, pruning=True) <= 400 // 8
         assert adaptive_block_size(100_000, 600_000, pruning=True) <= 256
 
-    def test_explicit_requests_honored_but_budgeted(self):
-        from repro.core.vectorized import _CELL_BUDGET, resolve_block_size
+    def test_explicit_requests_honored_as_given(self):
+        from repro.core.vectorized import resolve_block_size
 
         assert resolve_block_size(17, 1000, 5000) == 17
         assert resolve_block_size(1, 1000, 5000) == 1
-        # A request that would blow the visited-buffer budget is clamped.
+        # No budget clamps an explicit request, on any backend or graph size.
         n = 4_000_000
-        assert resolve_block_size(1024, n, 10 * n) == _CELL_BUDGET // n
+        assert resolve_block_size(1024, n, 10 * n) == 1024
+        assert resolve_block_size(5000, n, 10 * n, backend="native") == 5000
+        assert resolve_block_size(0, 1000, 5000) == 1
 
 
 class TestSessionBallCache:
