@@ -116,18 +116,19 @@ class AnalysisConfig:
 
 #: Names whose presence in a loop marks it as expansion-scale work.  The
 #: list spans the python reference (``hop_ball``/``.ball``), the numpy
-#: kernels (``batched_hop_balls*``), the worker-task helpers, and the
-#: jitted kernels — anything that walks neighborhoods.
+#: kernels (``batched_hop_balls*``), the kernel-provider block primitives
+#: the vectorized drivers and worker tasks call, and the jitted kernels —
+#: anything that walks neighborhoods.
 _EXPANSION_PRIMITIVES = frozenset(
     {
         "hop_ball",
         "ball",
         "batched_hop_balls",
         "batched_hop_balls_with_distances",
-        "_expand_block",
-        "_eval_block",
-        "_native_eval",
-        "_verify_weighted_chunk",
+        "ball_values",
+        "weighted_ball_sums",
+        "fused_ball_values",
+        "prune_step",
         "aggregate_blocks",
         "distance_aggregate_blocks",
         "batch_aggregate_blocks",
@@ -149,42 +150,52 @@ _HOT_PATHS = {
         ),
         delegates=frozenset({"_iter_exact_values"}),
     ),
+    # The route drivers of every vectorized backend, plus the numpy kernel
+    # provider: its block primitives are helpers (only ever called from a
+    # polled driver/task loop), its verification primitive owns a loop.
     "src/repro/core/vectorized.py": HotModule(
         functions=frozenset(
             {
                 "base_topk_numpy",
                 "forward_topk_numpy",
-                "backward_topk_numpy",
                 "weighted_base_topk_numpy",
-                "weighted_backward_topk_numpy",
+                "distribute_scores",
+                "verify_blocked",
+                "_backward_topk",
+                "NumpyKernels.verify_backward",
             }
         ),
-        helpers=frozenset({"_verify_weighted_chunk"}),
-    ),
-    "src/repro/native/engine.py": HotModule(
-        functions=frozenset(
+        helpers=frozenset(
             {
-                "base_topk_native",
-                "forward_topk_native",
-                "backward_topk_native",
-                "weighted_base_topk_native",
-                "weighted_backward_topk_native",
-                "shared_scan_native",
-                "iter_exact_values_native",
+                "NumpyKernels.ball_values",
+                "NumpyKernels.weighted_ball_sums",
+                "NumpyKernels.fused_ball_values",
             }
         ),
+    ),
+    # The native provider owns no loop: block primitives are helpers, and
+    # its verification primitive delegates to the polled ``verify_blocked``.
+    "src/repro/native/provider.py": HotModule(
+        functions=frozenset({"NativeKernels.verify_backward"}),
+        helpers=frozenset(
+            {
+                "NativeKernels.ball_values",
+                "NativeKernels.weighted_ball_sums",
+                "NativeKernels.fused_ball_values",
+                "NativeKernels.prune_step",
+            }
+        ),
+        delegates=frozenset({"verify_blocked"}),
     ),
     "src/repro/parallel/worker.py": HotModule(
         functions=frozenset(
             {
                 "_scan_task",
                 "_batch_task",
-                "_distribute_task",
                 "_verify_task",
                 "_weighted_task",
             }
         ),
-        helpers=frozenset({"_expand_block", "_eval_block", "_native_eval"}),
     ),
     # The one sharded coordinator: both engines (pipe link, socket link)
     # inherit these routes and own no round loop themselves.

@@ -9,7 +9,8 @@ algorithms:
 * ``"numpy"``  — vectorized execution over :class:`~repro.graph.csr.CSRGraph`
   flat arrays (see :mod:`repro.core.vectorized`).  Requires :mod:`numpy`.
 * ``"native"`` — the compiled kernel tier: Numba-jitted flat-CSR loops
-  behind the same route table (see :mod:`repro.native`).  Requires numpy
+  as a second kernel provider under the same route drivers (see
+  :mod:`repro.native.provider`).  Requires numpy
   plus an importable :mod:`numba`; without numba the tier declines and
   ``"auto"`` falls back to ``"numpy"`` (the ``REPRO_NATIVE_INTERPRETED``
   environment flag makes the tier available with the kernels run as plain
@@ -36,8 +37,14 @@ identical* top-k results; only the work counters (pruning/traversal
 accounting) may differ, because the vectorized backends process candidates
 in blocks and the sharded backends additionally split them across shards.
 
-This module is the seam later execution strategies (GPU, remote, ...) plug
-into: they add a name here and a dispatch arm in the algorithm front doors.
+This module is the seam later execution strategies plug into.  A new
+single-machine kernel tier (GPU, ...) adds a name here and a *kernel
+provider* to :func:`kernel_provider` — the block primitives listed on
+:class:`repro.core.vectorized.NumpyKernels` — and inherits every route
+driver in :mod:`repro.core.vectorized`; the front doors already dispatch
+"anything but python" through that one lookup.  A new *placement* of the
+kernels (remote, ...) is a link under the sharded coordinator instead
+(:mod:`repro.parallel.coordinator`).
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from repro.errors import BackendUnavailableError, InvalidParameterError
 
 __all__ = [
     "BACKENDS",
+    "kernel_provider",
     "native_available",
     "numba_available",
     "numpy_available",
@@ -93,7 +101,7 @@ def numba_available() -> bool:
 def native_available() -> bool:
     """Whether the compiled kernel tier can run in this interpreter.
 
-    Needs numpy (the adapters orchestrate with it) and numba (the compiled
+    Needs numpy (the route drivers orchestrate with it) and numba (the compiled
     kernels).  ``REPRO_NATIVE_INTERPRETED`` — checked dynamically, so tests
     can flip it per-case — makes the tier available with the kernels run
     as plain Python: same code paths, same answers, no compilation.
@@ -135,3 +143,22 @@ def resolve_backend(backend: str) -> str:
             "the 'native' extra or use backend='auto'"
         )
     return backend
+
+
+def kernel_provider(backend: str):
+    """The block-kernel provider the vectorized drivers run ``backend`` on.
+
+    ``backend`` is a resolved, non-python name; the provider is fresh (it
+    holds per-query scratch).  ``"native"`` gets a
+    :class:`~repro.native.provider.NativeKernels`, whose constructor warms
+    the jit — so call this before starting a query timer; every other
+    vectorized backend — ``"parallel"``/``"cluster"`` included, for the
+    queries their engines decline — runs the numpy provider.
+    """
+    if backend == "native":
+        from repro.native.provider import NativeKernels
+
+        return NativeKernels()
+    from repro.core.vectorized import NumpyKernels
+
+    return NumpyKernels()

@@ -36,7 +36,7 @@ import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.bounds import avg_bound, backward_sum_bound
 from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
@@ -130,20 +130,6 @@ def backward_topk(
         by the Python backend.
     """
     concrete = resolve_backend(spec.backend)
-    if concrete == "native":
-        from repro.native.engine import backward_topk_native
-
-        return backward_topk_native(
-            graph,
-            scores,
-            spec,
-            gamma=gamma,
-            distribution_fraction=distribution_fraction,
-            sizes=sizes,
-            csr=csr,  # type: ignore[arg-type]
-            rev_csr=rev_csr,  # type: ignore[arg-type]
-            ball_cache=ball_cache,
-        )
     if concrete != "python":
         from repro.core.vectorized import backward_topk_numpy
 
@@ -157,6 +143,7 @@ def backward_topk(
             csr=csr,  # type: ignore[arg-type]
             rev_csr=rev_csr,  # type: ignore[arg-type]
             ball_cache=ball_cache,  # type: ignore[arg-type]
+            kernels=kernel_provider(concrete),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

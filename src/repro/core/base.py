@@ -21,7 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.aggregates.functions import AggregateKind, evaluate_scores, finalize_sum
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
@@ -51,17 +51,16 @@ def base_topk(
     queries); ignored by the Python backend.
     """
     concrete = resolve_backend(spec.backend)
-    if concrete == "native":
-        from repro.native.engine import base_topk_native
-
-        return base_topk_native(
-            graph, scores, spec, node_order=node_order, csr=csr  # type: ignore[arg-type]
-        )
     if concrete != "python":
         from repro.core.vectorized import base_topk_numpy
 
         return base_topk_numpy(
-            graph, scores, spec, node_order=node_order, csr=csr  # type: ignore[arg-type]
+            graph,
+            scores,
+            spec,
+            node_order=node_order,
+            csr=csr,  # type: ignore[arg-type]
+            kernels=kernel_provider(concrete),
         )
     start = time.perf_counter()
     counter = TraversalCounter()

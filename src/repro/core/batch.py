@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate, fold_scores
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult, combine_query_stats
@@ -153,6 +153,15 @@ def batch_base_topk(
     batch = _normalize(graph, queries)
     if not batch:
         return []
+    concrete = resolve_backend(backend)
+    if concrete in ("parallel", "cluster"):
+        # Sharded execution needs a session context (worker pool / socket
+        # transport + shard exports live there); the standalone function
+        # runs the same fused kernel in-process.  BatchTopKEngine
+        # dispatches shards when it holds a context.
+        concrete = "numpy"
+    # Before the timer: building the native provider warms the jit.
+    kernels = kernel_provider(concrete) if concrete != "python" else None
     start = time.perf_counter()
     counter = TraversalCounter()
     accumulators = [TopKAccumulator(entry.k) for entry in batch]
@@ -161,24 +170,10 @@ def batch_base_topk(
         fold_scores(entry.aggregate, entry.scores) for entry in batch
     ]
 
-    concrete = resolve_backend(backend)
-    if concrete in ("parallel", "cluster"):
-        # Sharded execution needs a session context (worker pool / socket
-        # transport + shard exports live there); the standalone function
-        # runs the same fused kernel in-process.  BatchTopKEngine
-        # dispatches shards when it holds a context.
-        concrete = "numpy"
-    if concrete == "native":
-        from repro.native.engine import shared_scan_native
-
-        shared_scan_native(
-            graph, batch, folded_scores, accumulators, hops, include_self,
-            counter, csr=csr,
-        )
-    elif concrete == "numpy":
+    if kernels is not None:
         _shared_scan_numpy(
             graph, batch, folded_scores, accumulators, hops, include_self,
-            counter, csr=csr,
+            counter, csr=csr, kernels=kernels,
         )
     else:
         _shared_scan_python(
@@ -242,51 +237,48 @@ def _shared_scan_numpy(
     include_self: bool,
     counter: TraversalCounter,
     csr=None,
-    block_size=None,
+    kernels=None,
 ) -> None:
     """Fused vectorized shared scan: one expansion, all queries per block.
 
-    Each node block is expanded with one multi-source BFS and *every*
-    query's ball sums come out of a single segmented reduction
-    (:func:`repro.core.vectorized.fused_ball_values` over the node-major
-    score matrix) — the per-query work is one row of vectorized arithmetic,
-    not a separate bincount pass.  Offers are threshold-gated per query (see
-    :func:`repro.core.vectorized._offer_block`), so the Python-loop cost is
+    Each node block is one ``kernels.fused_ball_values`` call over the
+    node-major score matrix (numpy provider: one multi-source BFS, then
+    *every* query's ball sums out of a single segmented reduction,
+    :func:`repro.core.vectorized.fused_ball_values`) — the per-query work is
+    one row of vectorized arithmetic, not a separate bincount pass.  Offers
+    are threshold-gated per query (see
+    :func:`repro.core.vectorized.offer_block`), so the Python-loop cost is
     proportional to plausible top-k entrants, not to ``q * n``.
+
+    Not polled for deadlines, on any provider: a coalesced scan answers
+    callers with different deadlines (see :mod:`repro.core.deadline`).
     """
     import numpy as np
 
-    from repro.core.vectorized import _offer_block, fused_ball_values, resolve_block_size
-    from repro.graph.csr import batched_hop_balls, to_csr
+    from repro.core.vectorized import NumpyKernels, offer_block
+    from repro.graph.csr import to_csr
 
+    kernels = kernels or NumpyKernels()
     if csr is None:
         csr = to_csr(graph, use_numpy=True)
     node_scores = np.ascontiguousarray(np.asarray(folded_scores, dtype=np.float64).T)
     n = graph.num_nodes
-    if block_size is None:
-        # The fused reduction gathers a (block members x queries) score
-        # slab per block; shrink the block with the batch width so the slab
-        # stays as cache-resident as a single query's gather.
-        block_size = max(
-            4, resolve_block_size(None, n, int(csr.num_arcs)) // max(len(batch), 1)
-        )
-    else:
-        block_size = resolve_block_size(block_size, n, int(csr.num_arcs))
+    # The fused reduction gathers a (block members x queries) score slab per
+    # block; shrink the block with the batch width so the slab stays as
+    # cache-resident as a single query's gather.
+    block_size = max(
+        4, kernels.block_size(None, n, int(csr.num_arcs)) // max(len(batch), 1)
+    )
     avg_rows = np.asarray(
         [entry.aggregate is AggregateKind.AVG for entry in batch], dtype=bool
     )
     for lo in range(0, n, block_size):
         centers = np.arange(lo, min(lo + block_size, n), dtype=np.int64)
-        owners, members, edges = batched_hop_balls(
-            csr, centers, hops, include_self=include_self
+        values = kernels.fused_ball_values(
+            np, csr, centers, node_scores, avg_rows, hops, include_self, counter
         )
-        count = int(centers.size)
-        counter.edges_scanned += edges
-        counter.nodes_visited += int(members.size) + (0 if include_self else count)
-        counter.balls_expanded += count
-        values = fused_ball_values(np, node_scores, avg_rows, owners, members, count)
         for i, acc in enumerate(accumulators):
-            _offer_block(np, acc, centers, values[i])
+            offer_block(np, acc, centers, values[i])
 
 
 class BatchResult:

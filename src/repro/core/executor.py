@@ -34,7 +34,7 @@ from repro.aggregates.functions import (
     finalize_sum,
     fold_scores,
 )
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.bounds import avg_bound, static_sum_bound
@@ -84,7 +84,7 @@ def _kernel_tier(backend: str) -> str:
 
     ``parallel``/``cluster`` workers run the numpy kernels (unless a result
     already carries a more specific tag); ``native`` results tag themselves
-    with compile provenance in the native engine.
+    with compile provenance (the provider's ``stamp``).
     """
     if backend in ("python", "native"):
         return backend
@@ -431,56 +431,30 @@ def _iter_exact_values(
     """``(node, exact aggregate)`` pairs for ``order``, backend-dispatched.
 
     The single exact-evaluation loop behind both the candidate-filtered
-    scan and the streaming executor: the numpy backend expands node blocks
-    with the multi-source CSR kernel and reduces every aggregate kind with
-    one segmented reduction (MAX/MIN included), the python backend runs
-    one truncated BFS per node.  Traversal work lands in ``counter``
-    either way.
+    scan and the streaming executor: the vectorized backends evaluate node
+    blocks through their kernel provider (every aggregate kind, MAX/MIN
+    included), the python backend runs one truncated BFS per node.
+    Traversal work lands in ``counter`` either way.
     """
     kind = spec.aggregate
     concrete = resolve_backend(spec.backend)
-    if concrete == "native" and len(order) > 0:
-        import numpy as np
-
-        from repro.native.engine import iter_exact_values_native
-
-        csr = ctx.csr()
-        folded = np.asarray(fold_scores(kind, scores), dtype=np.float64)
-        eff_kind = AggregateKind.SUM if kind is AggregateKind.COUNT else kind
-        yield from iter_exact_values_native(
-            csr, order, folded, eff_kind, spec.hops, spec.include_self,
-            counter, ctx.graph.num_nodes,
-        )
-        return
     if concrete != "python" and len(order) > 0:
         import numpy as np
 
-        from repro.core.vectorized import aggregate_ball_segments, resolve_block_size
-        from repro.graph.csr import batched_hop_balls
-
+        kernels = kernel_provider(concrete)
         csr = ctx.csr()
         folded = np.asarray(fold_scores(kind, scores), dtype=np.float64)
         eff_kind = AggregateKind.SUM if kind is AggregateKind.COUNT else kind
         nodes = np.asarray(order, dtype=np.int64)
-        block = resolve_block_size(
-            None, ctx.graph.num_nodes, int(csr.num_arcs)
-        )
+        block = kernels.block_size(None, ctx.graph.num_nodes, int(csr.num_arcs))
         for lo in range(0, nodes.size, block):
             check_deadline()
             centers = nodes[lo : lo + block]
-            owners, members, edges = batched_hop_balls(
-                csr, centers, spec.hops, include_self=spec.include_self
+            values, _ = kernels.ball_values(
+                np, csr, centers, folded, eff_kind, spec.hops,
+                spec.include_self, counter,
             )
-            count = int(centers.size)
-            counter.edges_scanned += edges
-            counter.nodes_visited += int(members.size) + (
-                0 if spec.include_self else count
-            )
-            counter.balls_expanded += count
-            values = aggregate_ball_segments(
-                np, eff_kind, owners, folded[members], count
-            )
-            for j in range(count):
+            for j in range(int(centers.size)):
                 yield int(centers[j]), float(values[j])
         return
     folded_list = fold_scores(kind, scores)

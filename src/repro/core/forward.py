@@ -41,7 +41,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.aggregates.functions import AggregateKind
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.deadline import check_deadline
 from repro.core.ordering import make_order
 from repro.core.query import QuerySpec
@@ -88,18 +88,6 @@ def forward_topk(
         Python backend.
     """
     concrete = resolve_backend(spec.backend)
-    if concrete == "native":
-        from repro.native.engine import forward_topk_native
-
-        return forward_topk_native(
-            graph,
-            scores,
-            spec,
-            diff_index=diff_index,
-            ordering=ordering,
-            seed=seed,
-            csr=csr,  # type: ignore[arg-type]
-        )
     if concrete != "python":
         from repro.core.vectorized import forward_topk_numpy
 
@@ -111,6 +99,7 @@ def forward_topk(
             ordering=ordering,
             seed=seed,
             csr=csr,  # type: ignore[arg-type]
+            kernels=kernel_provider(concrete),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

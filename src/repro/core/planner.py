@@ -82,11 +82,12 @@ BACKEND_COST_FACTORS = {
     # 1 / measured route speedup, benchmarks/BENCH_backend_coverage.json
     # (fig1, scale 1.0): base 4.19x, forward 3.67x, backward 6.09x.
     "numpy": {"base": 0.24, "forward": 0.27, "backward": 0.16},
-    # Compiled CSR kernels (numba) on top of the numpy skeletons: base is
-    # fully in-kernel (biggest win), forward keeps numpy bookkeeping around
-    # the jitted ball/prune loops, backward only compiles its verification
-    # phase (distribution stays numpy for bit-parity), so it gains the
-    # least relative to numpy.  Targets from benchmarks/BENCH_native.json;
+    # The compiled kernel provider (numba) under the same route drivers:
+    # base is one kernel call per block (biggest win), forward keeps the
+    # driver's numpy bookkeeping around the jitted ball/prune primitives,
+    # backward only swaps its verification primitive (distribution is numpy
+    # code on every provider, for bit-parity), so it gains the least
+    # relative to numpy.  Targets from benchmarks/BENCH_native.json;
     # the ordering (native < numpy per route) is what the calibration
     # tests pin.
     "native": {"base": 0.11, "forward": 0.13, "backward": 0.08},

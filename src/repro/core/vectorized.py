@@ -1,4 +1,4 @@
-"""Vectorized NumPy execution backend — full route coverage.
+"""Vectorized execution — the route drivers and the numpy kernel provider.
 
 Same algorithms, same answers, different substrate: instead of walking
 adjacency lists node-by-node, every executor route — Base (all aggregate
@@ -8,12 +8,22 @@ distance-weighted base/backward variants — runs over
 (``static_ub`` / ``ubound_sum`` / ``pruned`` / ``evaluated``) resident in
 numpy arrays, so the Eq. 1 / Eq. 3 bound arithmetic — exactly the bulk
 bound-maintenance the threshold-algorithm literature identifies as
-array-shaped work — executes without per-edge Python calls.  Block sizes
-adapt to the average degree (:func:`adaptive_block_size`); the expansion
-dedups by sorting its keys, so no buffer scales with the node count.
+array-shaped work — executes without per-edge Python calls.
 
-How each phase vectorizes
--------------------------
+One route table, two kernel providers
+-------------------------------------
+The five ``*_topk_numpy`` functions are the route *drivers* of every
+vectorized backend: ordering, bound state, thresholds, offers, stats.  The
+one thing a backend contributes is how a *block of balls* is evaluated, and
+that arrives as the ``kernels`` argument — :class:`NumpyKernels` (this
+module, the default) or :class:`repro.native.provider.NativeKernels`;
+:func:`repro.core.backends.kernel_provider` maps a backend name to one.
+Providers return the same bits (fused multi-query sums: to the last ulp)
+and charge identical work counters per block, so a route, numeric-contract
+or stopping-rule change is one edit here.
+
+How each phase vectorizes (numpy provider)
+------------------------------------------
 * **Ball evaluation** (forward): candidates are taken from the processing
   order in *blocks*; one frontier-batched multi-source BFS
   (:func:`~repro.graph.csr.batched_hop_balls`) expands every block member's
@@ -28,6 +38,8 @@ How each phase vectorizes
   over the batched ``F(u) + delta(v-u)`` bounds.
 * **Distribution / bounding** (backward): per-ball score deposits are fancy-
   indexed adds; the Eq. 3 bound of *every* node is one array expression.
+  This phase is numpy code on every provider (its accumulation order is
+  part of the float contract, see :func:`distribute_scores`).
 * **Exhaustive scans** (base / weighted base): candidate blocks expand with
   one multi-source BFS; SUM/AVG/COUNT reduce with ``np.bincount``, MAX/MIN
   with ``ufunc.reduceat`` over the sorted owner segments, and offers into
@@ -39,11 +51,15 @@ How each phase vectorizes
   are one gather + one ``bincount``; backward verification is *blocked*
   (a batch of candidates per distance-BFS, cut at the rising threshold).
 
+Block sizes adapt to the average degree (:func:`adaptive_block_size`); the
+expansion dedups by sorting its keys, so no buffer scales with the node
+count.
+
 Float parity: balls are aggregated in sorted-member order, one canonical
 order per ball set, so nodes with identical neighborhoods get bit-identical
-aggregates in this backend (as they do in the Python backend) and tie
-handling agrees between the two.  The parity suite asserts entry-for-entry
-equality on every aggregate and both ball conventions.
+aggregates in every vectorized backend (as they do in the Python backend)
+and tie handling agrees between them.  The parity suite asserts
+entry-for-entry equality on every aggregate and both ball conventions.
 """
 
 from __future__ import annotations
@@ -72,6 +88,7 @@ from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter
 
 __all__ = [
+    "NumpyKernels",
     "adaptive_block_size",
     "resolve_block_size",
     "base_topk_numpy",
@@ -80,7 +97,10 @@ __all__ = [
     "backward_distribution_split",
     "backward_eq3_bounds",
     "backward_shortcut_values",
+    "distribute_scores",
+    "offer_block",
     "static_upper_bounds_array",
+    "verify_blocked",
     "weighted_base_topk_numpy",
     "weighted_backward_topk_numpy",
 ]
@@ -97,19 +117,9 @@ _MAX_BLOCK = 1024
 #: expansion stays cache-resident instead of thrashing on dense graphs.
 _SLAB_BUDGET = 1 << 20
 
-#: Block ceiling for the native (compiled) kernel tier.  Its per-center
-#: stamp-BFS gathers no neighbor slabs, so the budget above does not apply;
-#: bigger blocks just amortize the per-call dispatch further.  4096 keeps
-#: the per-block scratch (centers + two result vectors) inside L2.
-_NATIVE_MAX_BLOCK = 4096
-
 
 def adaptive_block_size(
-    num_nodes: int,
-    num_arcs: int,
-    *,
-    pruning: bool = False,
-    backend: str = "numpy",
+    num_nodes: int, num_arcs: int, *, pruning: bool = False
 ) -> int:
     """Candidates per multi-source BFS round, from graph size and degree.
 
@@ -125,20 +135,11 @@ def adaptive_block_size(
     the rising ``topklbound`` *between* blocks, so evaluating a large slice
     of the graph per round would erase the pruning the blocking exists for.
 
-    ``backend="native"`` swaps in the compiled tier's profile: its
-    per-center stamp-BFS allocates no neighbor slabs, so the slab budget
-    does not apply — blocks run to
-    ``_NATIVE_MAX_BLOCK`` (dispatch amortization only), and the pruning cap
-    relaxes to 1024 because a compiled block is cheap enough that re-checking
-    the threshold less often costs less than it saves.
+    This is the numpy provider's profile (:meth:`NumpyKernels.block_size`);
+    the compiled tier's lives with its provider.
     """
     if num_nodes <= 0:
         return _MIN_BLOCK
-    if backend == "native":
-        block = min(_NATIVE_MAX_BLOCK, max(_MIN_BLOCK, num_nodes))
-        if pruning:
-            block = min(block, max(_MIN_BLOCK, min(1024, num_nodes // 8)))
-        return block
     avg_degree = num_arcs / num_nodes
     slab_cap = int(_SLAB_BUDGET / max(avg_degree, 1.0))
     block = min(_MAX_BLOCK, slab_cap)
@@ -153,14 +154,11 @@ def resolve_block_size(
     num_arcs: int,
     *,
     pruning: bool = False,
-    backend: str = "numpy",
 ) -> int:
     """``None`` -> :func:`adaptive_block_size`; an explicit request is
-    honoured as given on every backend (tests pin tiny blocks on purpose)."""
+    honoured as given (tests pin tiny blocks on purpose)."""
     if requested is None:
-        return adaptive_block_size(
-            num_nodes, num_arcs, pruning=pruning, backend=backend
-        )
+        return adaptive_block_size(num_nodes, num_arcs, pruning=pruning)
     return max(1, int(requested))
 
 
@@ -197,16 +195,19 @@ def forward_topk_numpy(
     seed: Optional[int] = None,
     csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
+    kernels=None,
 ) -> TopKResult:
     """LONA-Forward over CSR flat arrays (see module docstring).
 
     Mirrors :func:`repro.core.forward.forward_topk` argument-for-argument;
     ``csr`` optionally supplies a prebuilt numpy CSR view (the engine caches
     one across queries), ``block_size`` overrides the adaptive evaluation
-    batching (``None`` -> :func:`adaptive_block_size`).
+    batching (``None`` -> the provider's pruning profile), ``kernels`` the
+    block-kernel provider (``None`` -> :class:`NumpyKernels`).
     """
     import numpy as np
 
+    kernels = kernels or NumpyKernels()
     kind = spec.aggregate
     if not kind.lona_supported:
         raise InvalidParameterError(
@@ -248,7 +249,7 @@ def forward_topk_numpy(
     stats = QueryStats(
         algorithm="forward",
         aggregate=spec.aggregate.value,
-        backend="numpy",
+        backend=kernels.name,
         hops=hops,
         k=spec.k,
         index_build_sec=build_sec,
@@ -268,13 +269,11 @@ def forward_topk_numpy(
         )
 
     acc = TopKAccumulator(spec.k)
+    counter = TraversalCounter()
     bound_evals = 0
     pruned_count = 0
-    evaluated_count = 0
-    edges_scanned = 0
-    nodes_visited = 0
     neg_inf = float("-inf")
-    block_size = resolve_block_size(block_size, n, int(csr.num_arcs), pruning=True)
+    block_size = kernels.block_size(block_size, n, int(csr.num_arcs), role="prune")
 
     position = 0
     while position < order.size:
@@ -296,18 +295,12 @@ def forward_topk_numpy(
             if live.size == 0:
                 continue
 
-        # Exact forward processing of the whole block: one multi-source BFS.
-        owners, members, edges = batched_hop_balls(
-            csr, live, hops, include_self=include_self
-        )
-        edges_scanned += edges
-        nodes_visited += int(members.size) + (0 if include_self else int(live.size))
-        ball_sizes = np.bincount(owners, minlength=live.size)
-        ball_sums = np.bincount(
-            owners, weights=scores_arr[members], minlength=live.size
+        # Exact forward processing of the whole block: one kernel call.
+        ball_sums, ball_sizes = kernels.ball_values(
+            np, csr, live, scores_arr, AggregateKind.SUM, hops, include_self,
+            counter, want_sizes=is_avg,
         )
         evaluated[live] = True
-        evaluated_count += int(live.size)
         if is_avg:
             values = np.divide(
                 ball_sums,
@@ -323,42 +316,28 @@ def forward_topk_numpy(
         threshold = acc.threshold
 
         # pruneNodes for the block: the differential arm can only prune
-        # while F_sum(u) <= topklbound (delta >= 0), so gate first, then
-        # batch every surviving node's neighbor slice in one gather.
+        # while F_sum(u) <= topklbound (delta >= 0), so gate first.
         gate = ball_sums <= threshold
         sources = live[gate]
         if sources.size == 0:
             continue
-        positions, counts = slab_positions(csr, sources)
-        if positions.size == 0:
-            continue
-        neighbors = csr.indices[positions]
-        bounds = np.repeat(ball_sums[gate], counts) + deltas[positions]
-        open_mask = ~(evaluated[neighbors] | pruned[neighbors])
-        targets = neighbors[open_mask]
-        bound_evals += int(targets.size)
-        if targets.size == 0:
-            continue
-        np.minimum.at(ubound_sum, targets, bounds[open_mask])
-        candidates = np.unique(targets)
-        effective = (
-            ubound_sum[candidates] * inv_size[candidates]
-            if is_avg
-            else ubound_sum[candidates]
+        touched, newly = kernels.prune_step(
+            np, csr, deltas, sources, ball_sums[gate], threshold, ubound_sum,
+            inv_size, evaluated, pruned,
         )
-        newly_pruned = candidates[effective <= threshold]
-        pruned[newly_pruned] = True
-        pruned_count += int(newly_pruned.size)
+        bound_evals += touched
+        pruned_count += newly
 
-    stats.nodes_evaluated = evaluated_count
+    stats.nodes_evaluated = counter.balls_expanded
     stats.pruned_nodes = pruned_count
     stats.bound_evaluations = bound_evals
     stats.elapsed_sec = time.perf_counter() - start
-    stats.edges_scanned = edges_scanned
-    stats.nodes_visited = nodes_visited
-    stats.balls_expanded = evaluated_count
+    stats.edges_scanned = counter.edges_scanned
+    stats.nodes_visited = counter.nodes_visited
+    stats.balls_expanded = counter.balls_expanded
     stats.extra["ordering"] = ordering
     stats.extra["block_size"] = float(block_size)
+    kernels.stamp(stats)
     return TopKResult(entries=acc.entries(), stats=stats)
 
 
@@ -399,7 +378,7 @@ def backward_distribution_split(np, scores_arr, gamma, distribution_fraction):
     distribute (descending score, ties by id — the paper's distribution
     order), the resolved gamma threshold, and the highest undistributed
     score (Eq. 3's bound on every unknown).  One implementation serves the
-    in-process numpy kernel and the sharded parallel engine, so the two
+    in-process drivers and the sharded parallel engine, so the two
     can never disagree on which nodes distribute.
     """
     from repro.core.backward import resolve_gamma
@@ -418,6 +397,48 @@ def backward_distribution_split(np, scores_arr, gamma, distribution_fraction):
     return distributed, effective_gamma, rest_bound
 
 
+def distribute_scores(
+    np, dist_csr, distributed, scores_arr, hops, include_self, block_size,
+    counter, weights=None,
+):
+    """The distribution loop of LONA-Backward: ``(partial, covered, pushes)``.
+
+    Every node of ``distributed`` pushes its score (times ``weights[dist]``
+    when ``weights`` is given — footnote 1) to each member of its ball over
+    ``dist_csr`` (the reversed graph when directed).  Deposits stay in the
+    order of ``distributed`` (block order preserves it and ``bincount``
+    accumulates in pair order), so every node's partial sum is built by the
+    same float addition sequence as the Python backend's.  That order is
+    part of the float contract — under the exact shortcut the partials *are*
+    the answers — which is why this loop is numpy code on every provider,
+    in-process and in the sharded workers.
+    """
+    n = int(dist_csr.num_nodes)
+    partial = np.zeros(n, dtype=np.float64)
+    covered = np.zeros(n, dtype=np.int64)
+    pushes = 0
+    for lo in range(0, int(distributed.size), block_size):
+        check_deadline()
+        block = distributed[lo : lo + block_size]
+        if weights is None:
+            owners, members, edges = batched_hop_balls(
+                dist_csr, block, hops, include_self=include_self
+            )
+        else:
+            owners, members, dists, edges = batched_hop_balls_with_distances(
+                dist_csr, block, hops, include_self=include_self
+            )
+        counter.charge_block(edges, members.size, int(block.size), include_self)
+        ball_sizes = np.bincount(owners, minlength=block.size)
+        deposits = np.repeat(scores_arr[block], ball_sizes)
+        if weights is not None:
+            deposits = deposits * weights[dists]
+        partial += np.bincount(members, weights=deposits, minlength=n)
+        covered += np.bincount(members, minlength=n)
+        pushes += int(members.size)
+    return partial, covered, pushes
+
+
 def backward_eq3_bounds(
     np,
     scores_arr,
@@ -433,8 +454,10 @@ def backward_eq3_bounds(
     """Eq. 3 upper bound for every node, one array expression.
 
     The vectorized twin of :func:`repro.core.bounds.backward_sum_bound`
-    (plus the AVG division), shared by the numpy kernel and the parallel
-    engine's merged-state bounding so their pruning can never diverge.
+    (plus the AVG division), shared by the backward driver and the parallel
+    engine's merged-state bounding so their pruning can never diverge.  The
+    weighted route passes ``w(0) * f`` as ``scores_arr`` and ``w_max *
+    rest_bound`` as ``rest_bound`` (its adapted Eq. 3).
     """
     upper = np.asarray(sizes.upper_values(), dtype=np.int64)
     self_known = self_distributed | (not include_self)
@@ -463,7 +486,7 @@ def backward_shortcut_values(
     score where applicable) *is* the exact SUM; AVG divides by the exact
     ball size (callers guarantee ``sizes.is_exact`` before taking the
     shortcut).  Shared for the same no-divergence reason as
-    :func:`backward_eq3_bounds`.
+    :func:`backward_eq3_bounds`, with the same weighted calling convention.
     """
     totals = partial + np.where(
         ~self_distributed & include_self, scores_arr, 0.0
@@ -472,6 +495,53 @@ def backward_shortcut_values(
         size_values = np.asarray(sizes.upper_values(), dtype=np.int64)
         return totals / np.maximum(size_values, 1)
     return totals
+
+
+def verify_blocked(
+    np, candidate_order, bounds, acc, stats, block_size, verify,
+    shortcut_values=None,
+) -> int:
+    """TA-style verification in descending bound order, a block at a time.
+
+    Candidates are expanded a block per kernel call instead of one BFS per
+    candidate (whose call overhead would exceed the python loop it
+    replaces).  The block is cut at the block-start threshold; a candidate
+    overtaken by the threshold mid-block is over-verified but its offer is
+    rejected (strictly-greater acceptance), so entries are identical — only
+    work counters differ, exactly like the forward kernel's block
+    over-evaluation.  ``verify(chunk)`` returns the chunk's exact values;
+    under the exact shortcut they are read off ``shortcut_values`` instead
+    and not counted as verifications.  Returns the offers made.
+    """
+    offered = 0
+    position = 0
+    total = int(candidate_order.size)
+    while position < total:
+        check_deadline()
+        chunk = candidate_order[position : position + block_size]
+        position += int(chunk.size)
+        if acc.is_full:
+            live = bounds[chunk] > acc.threshold
+            if not live.all():
+                # Bounds are non-increasing along candidate_order, so the
+                # survivors are a prefix; everything after is pruned.
+                chunk = chunk[: int(np.argmin(live))]
+                stats.early_terminated = True
+        if chunk.size == 0:
+            break
+        if shortcut_values is not None:
+            values = shortcut_values[chunk]
+        else:
+            values = verify(chunk)
+            stats.nodes_evaluated += int(chunk.size)
+            stats.candidates_verified += int(chunk.size)
+        offer = acc.offer
+        for node, value in zip(chunk.tolist(), values.tolist()):
+            offer(node, value)
+        offered += int(chunk.size)
+        if stats.early_terminated:
+            break
+    return offered
 
 
 def backward_topk_numpy(
@@ -485,6 +555,7 @@ def backward_topk_numpy(
     csr: Optional[CSRGraph] = None,
     rev_csr: Optional[CSRGraph] = None,
     ball_cache: Optional[CSRBallCache] = None,
+    kernels=None,
 ) -> TopKResult:
     """LONA-Backward over CSR flat arrays (see module docstring).
 
@@ -494,8 +565,8 @@ def backward_topk_numpy(
     graphs, where distribution walks the reversed arcs; without it the
     reversal is rebuilt per query).  ``ball_cache`` optionally supplies a
     session-scoped :class:`~repro.graph.csr.CSRBallCache` over the same
-    ``csr`` so repeated queries reuse verification-phase expansions; it is
-    consulted only when its ``(csr, hops, include_self)`` triple matches.
+    ``csr`` for the provider's verification phase (the numpy provider reads
+    through it when its ``(csr, hops, include_self)`` triple matches).
     """
     import numpy as np
 
@@ -505,152 +576,11 @@ def backward_topk_numpy(
             f"LONA-Backward supports SUM/AVG/COUNT, not {kind.value}; "
             "use algorithm='base' for MAX/MIN"
         )
-    scores_arr, kind = _as_scores_array(np, scores, kind)
-    is_avg = kind is AggregateKind.AVG
-
-    build_sec = 0.0
-    if sizes is None:
-        build_start = time.perf_counter()
-        sizes = NeighborhoodSizeIndex.estimated(
-            graph, spec.hops, include_self=spec.include_self
-        )
-        build_sec = time.perf_counter() - build_start
-
-    start = time.perf_counter()
-    counter = TraversalCounter()
-    n = graph.num_nodes
-    include_self = spec.include_self
-    stats = QueryStats(
-        algorithm="backward",
-        aggregate=spec.aggregate.value,
-        backend="numpy",
-        hops=spec.hops,
-        k=spec.k,
-        index_build_sec=build_sec,
+    scores_arr, _ = _as_scores_array(np, scores, kind)
+    return _backward_topk(
+        np, graph, scores_arr, spec, None, gamma, distribution_fraction, sizes,
+        csr, rev_csr, ball_cache, kernels or NumpyKernels(),
     )
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
-
-    # ------------------------------------------------------------------
-    # Phase 1: partial distribution in descending score order.
-    # ------------------------------------------------------------------
-    distributed, effective_gamma, rest_bound = backward_distribution_split(
-        np, scores_arr, gamma, distribution_fraction
-    )
-
-    if not graph.directed:
-        dist_csr = csr
-    elif rev_csr is not None:
-        dist_csr = rev_csr
-    else:
-        dist_csr = to_csr(graph.reversed(), use_numpy=True)
-    partial = np.zeros(n, dtype=np.float64)
-    covered = np.zeros(n, dtype=np.int64)
-    self_distributed = np.zeros(n, dtype=bool)
-    pushes = 0
-    # Deposits stay in descending score order (block order preserves it and
-    # bincount accumulates in pair order), so every node's partial sum is
-    # built by the same float addition sequence as the Python backend's.
-    block_size = resolve_block_size(None, n, int(dist_csr.num_arcs))
-    for lo in range(0, int(distributed.size), block_size):
-        check_deadline()
-        block = distributed[lo : lo + block_size]
-        owners, members, edges = batched_hop_balls(
-            dist_csr, block, spec.hops, include_self=include_self
-        )
-        counter.edges_scanned += edges
-        counter.nodes_visited += int(members.size) + (
-            0 if include_self else int(block.size)
-        )
-        counter.balls_expanded += int(block.size)
-        ball_sizes = np.bincount(owners, minlength=block.size)
-        partial += np.bincount(
-            members, weights=np.repeat(scores_arr[block], ball_sizes), minlength=n
-        )
-        covered += np.bincount(members, minlength=n)
-        pushes += int(members.size)
-    stats.distribution_pushes = pushes
-    if include_self:
-        self_distributed[distributed] = True
-
-    # ------------------------------------------------------------------
-    # Phase 2: Eq. 3 upper bound for every node, one array expression.
-    # ------------------------------------------------------------------
-    bounds = backward_eq3_bounds(
-        np,
-        scores_arr,
-        partial,
-        covered,
-        self_distributed,
-        sizes,
-        rest_bound,
-        include_self=include_self,
-        is_avg=is_avg,
-    )
-    stats.bound_evaluations = n
-    candidate_order = np.lexsort((np.arange(n), -bounds))
-
-    # ------------------------------------------------------------------
-    # Phase 3: verification in descending bound order, TA-style stop.
-    # ------------------------------------------------------------------
-    exact_shortcut = rest_bound == 0.0 and (not is_avg or sizes.is_exact)
-    shortcut_values = None
-    if exact_shortcut:
-        shortcut_values = backward_shortcut_values(
-            np,
-            scores_arr,
-            partial,
-            self_distributed,
-            sizes,
-            include_self=include_self,
-            is_avg=is_avg,
-        )
-    if (
-        ball_cache is not None
-        and ball_cache.csr is csr
-        and ball_cache.hops == spec.hops
-        and ball_cache.include_self == include_self
-    ):
-        # Session-shared cache: charge this query's counter per call rather
-        # than mutating the cache's own counter, so concurrent queries
-        # sharing the cache never charge each other's stats.
-        verify_cache = ball_cache
-    else:
-        verify_cache = CSRBallCache(
-            csr, spec.hops, include_self=include_self, counter=counter
-        )
-    acc = TopKAccumulator(spec.k)
-    offered = 0
-    for v in candidate_order:
-        check_deadline()
-        bound = float(bounds[v])
-        if acc.is_full and bound <= acc.threshold:
-            stats.early_terminated = True
-            break
-        node = int(v)
-        if exact_shortcut:
-            value = float(shortcut_values[v])
-        else:
-            ball = verify_cache.ball(node, counter)
-            # cumsum, not sum: sequential left-to-right accumulation over
-            # the sorted members, the same float result the Python loop
-            # gets (np.sum's pairwise order would differ in the last ulp).
-            total = float(scores_arr[ball].cumsum()[-1]) if ball.size else 0.0
-            value = (total / ball.size if ball.size else 0.0) if is_avg else total
-            stats.nodes_evaluated += 1
-            stats.candidates_verified += 1
-        acc.offer(node, value)
-        offered += 1
-    stats.pruned_nodes = n - offered
-    stats.elapsed_sec = time.perf_counter() - start
-    stats.edges_scanned = counter.edges_scanned
-    stats.nodes_visited = counter.nodes_visited
-    stats.balls_expanded = counter.balls_expanded
-    stats.extra["gamma"] = effective_gamma
-    stats.extra["distributed_nodes"] = float(distributed.size)
-    stats.extra["rest_bound"] = rest_bound
-    stats.extra["exact_shortcut"] = float(exact_shortcut)
-    return TopKResult(entries=acc.entries(), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +650,7 @@ def fused_ball_values(np, node_scores, avg_rows, owners, members, count: int):
     return values
 
 
-def _offer_block(np, acc: TopKAccumulator, centers, values) -> None:
+def offer_block(np, acc: TopKAccumulator, centers, values) -> None:
     """Offer a block's exact values in center order, threshold-gated.
 
     Once the accumulator is full only strictly-greater values can enter
@@ -739,6 +669,25 @@ def _offer_block(np, acc: TopKAccumulator, centers, values) -> None:
         offer(int(centers[j]), float(values[j]))
 
 
+def _scan_stats(algorithm, aggregate, spec, kernels, start, evaluated, counter, block_size):
+    """Stats of an exhaustive (pruning-free) scan over ``evaluated`` centers."""
+    stats = QueryStats(
+        algorithm=algorithm,
+        aggregate=aggregate,
+        backend=kernels.name,
+        hops=spec.hops,
+        k=spec.k,
+        elapsed_sec=time.perf_counter() - start,
+        nodes_evaluated=evaluated,
+        edges_scanned=counter.edges_scanned,
+        nodes_visited=counter.nodes_visited,
+        balls_expanded=counter.balls_expanded,
+    )
+    stats.extra["block_size"] = float(block_size)
+    kernels.stamp(stats)
+    return stats
+
+
 def base_topk_numpy(
     graph: Graph,
     scores: Sequence[float],
@@ -747,72 +696,55 @@ def base_topk_numpy(
     node_order: Optional[Sequence[int]] = None,
     csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
+    kernels=None,
 ) -> TopKResult:
     """Base (exhaustive forward processing) over CSR flat arrays.
 
     Mirrors :func:`repro.core.base.base_topk` argument-for-argument and
-    supports *every* aggregate kind: SUM/AVG/COUNT reduce ball blocks with
-    ``np.bincount``, MAX/MIN with ``ufunc.reduceat`` over the sorted
-    ``(owner, member)`` segments.  Candidate blocks are expanded with one
-    multi-source BFS each; the accumulator sees exactly the values the
-    Python loop would offer, in the same order.
+    supports *every* aggregate kind (numpy: SUM/AVG/COUNT reduce ball
+    blocks with ``np.bincount``, MAX/MIN with ``ufunc.reduceat`` over the
+    sorted ``(owner, member)`` segments).  Each candidate block is one
+    ``kernels.ball_values`` call; the accumulator sees exactly the values
+    the Python loop would offer, in the same order.
     """
     import numpy as np
 
-    kind = spec.aggregate
-    scores_arr = np.asarray(scores, dtype=np.float64)
-    eff_kind = kind
-    if kind is AggregateKind.COUNT:
-        scores_arr = np.where(scores_arr > 0.0, 1.0, 0.0)
-        eff_kind = AggregateKind.SUM
+    kernels = kernels or NumpyKernels()
+    scores_arr, eff_kind = _as_scores_array(np, scores, spec.aggregate)
 
     start = time.perf_counter()
     if csr is None:
         csr = to_csr(graph, use_numpy=True)
-    n = graph.num_nodes
     order = np.asarray(
         node_order if node_order is not None else graph.nodes(), dtype=np.int64
     )
-    block_size = resolve_block_size(block_size, n, int(csr.num_arcs))
-    include_self = spec.include_self
+    block_size = kernels.block_size(block_size, graph.num_nodes, int(csr.num_arcs))
     acc = TopKAccumulator(spec.k)
-    edges_scanned = 0
-    nodes_visited = 0
+    counter = TraversalCounter()
     for lo in range(0, int(order.size), block_size):
         check_deadline()
         centers = order[lo : lo + block_size]
-        owners, members, edges = batched_hop_balls(
-            csr, centers, spec.hops, include_self=include_self
+        values, _ = kernels.ball_values(
+            np, csr, centers, scores_arr, eff_kind, spec.hops, spec.include_self,
+            counter,
         )
-        count = int(centers.size)
-        edges_scanned += edges
-        nodes_visited += int(members.size) + (0 if include_self else count)
-        values = aggregate_ball_segments(
-            np, eff_kind, owners, scores_arr[members], count
-        )
-        _offer_block(np, acc, centers, values)
-    stats = QueryStats(
-        algorithm="base",
-        aggregate=kind.value,
-        backend="numpy",
-        hops=spec.hops,
-        k=spec.k,
-        elapsed_sec=time.perf_counter() - start,
-        nodes_evaluated=int(order.size),
-        edges_scanned=edges_scanned,
-        nodes_visited=nodes_visited,
-        balls_expanded=int(order.size),
+        offer_block(np, acc, centers, values)
+    stats = _scan_stats(
+        "base", spec.aggregate.value, spec, kernels, start, int(order.size),
+        counter, block_size,
     )
-    stats.extra["block_size"] = float(block_size)
     return TopKResult(entries=acc.entries(), stats=stats)
 
 
-def _check_weighted_spec(spec: QuerySpec) -> None:
-    if spec.aggregate is not AggregateKind.SUM:
-        raise InvalidParameterError(
-            "weighted aggregation is defined for SUM (footnote 1), not "
-            f"{spec.aggregate.value}"
-        )
+def _distance_weights(np, spec: QuerySpec, profile):
+    """Footnote 1's per-distance weights as an array (SUM specs only)."""
+    from repro.aggregates.weighted import inverse_distance, precompute_weights
+    from repro.core.weighted import check_weighted_spec
+
+    check_weighted_spec(spec)
+    if profile is None:
+        profile = inverse_distance
+    return np.asarray(precompute_weights(profile, spec.hops), dtype=np.float64)
 
 
 def weighted_base_topk_numpy(
@@ -823,129 +755,40 @@ def weighted_base_topk_numpy(
     *,
     csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
+    kernels=None,
 ) -> TopKResult:
     """Naive weighted scan over CSR flat arrays.
 
     Mirrors :func:`repro.core.weighted.weighted_base_topk`: each candidate
-    block expands with one distance-labeled multi-source BFS
-    (:func:`~repro.graph.csr.batched_hop_balls_with_distances`) and the
-    weighted sums reduce as ``bincount(owners, w[dist] * f[member])``.
+    block is one ``kernels.weighted_ball_sums`` call (numpy: a
+    distance-labeled multi-source BFS reduced as ``bincount(owners,
+    w[dist] * f[member])``).
     """
     import numpy as np
 
-    from repro.aggregates.weighted import inverse_distance, precompute_weights
-
-    _check_weighted_spec(spec)
-    if profile is None:
-        profile = inverse_distance
-    weights = np.asarray(
-        precompute_weights(profile, spec.hops), dtype=np.float64
-    )
+    kernels = kernels or NumpyKernels()
+    weights = _distance_weights(np, spec, profile)
     scores_arr = np.asarray(scores, dtype=np.float64)
 
     start = time.perf_counter()
     if csr is None:
         csr = to_csr(graph, use_numpy=True)
     n = graph.num_nodes
-    block_size = resolve_block_size(block_size, n, int(csr.num_arcs))
-    include_self = spec.include_self
+    block_size = kernels.block_size(block_size, n, int(csr.num_arcs))
     acc = TopKAccumulator(spec.k)
-    edges_scanned = 0
-    nodes_visited = 0
+    counter = TraversalCounter()
     for lo in range(0, n, block_size):
         check_deadline()
         centers = np.arange(lo, min(lo + block_size, n), dtype=np.int64)
-        owners, members, dists, edges = batched_hop_balls_with_distances(
-            csr, centers, spec.hops, include_self=include_self
+        values = kernels.weighted_ball_sums(
+            np, csr, centers, scores_arr, weights, spec.hops, spec.include_self,
+            counter,
         )
-        count = int(centers.size)
-        edges_scanned += edges
-        nodes_visited += int(members.size) + (0 if include_self else count)
-        values = np.bincount(
-            owners, weights=weights[dists] * scores_arr[members], minlength=count
-        )
-        _offer_block(np, acc, centers, values)
-    stats = QueryStats(
-        algorithm="weighted-base",
-        aggregate="sum",
-        backend="numpy",
-        hops=spec.hops,
-        k=spec.k,
-        elapsed_sec=time.perf_counter() - start,
-        nodes_evaluated=n,
-        edges_scanned=edges_scanned,
-        nodes_visited=nodes_visited,
-        balls_expanded=n,
+        offer_block(np, acc, centers, values)
+    stats = _scan_stats(
+        "weighted-base", "sum", spec, kernels, start, n, counter, block_size
     )
-    stats.extra["block_size"] = float(block_size)
     return TopKResult(entries=acc.entries(), stats=stats)
-
-
-def _verify_weighted_chunk(
-    np,
-    csr: CSRGraph,
-    chunk,
-    hops: int,
-    include_self: bool,
-    weights,
-    scores_arr,
-    shared_cache: Optional[CSRDistanceBallCache],
-    counter: TraversalCounter,
-):
-    """Exact weighted sums for one verification block.
-
-    Session-cached candidates are summed from their cached ``(members,
-    dists)`` slices; the rest are expanded with one batched distance BFS,
-    reduced with ``bincount``, and deposited back into the shared cache so
-    the next query's verification gets them for free.  Both paths add
-    contributions sequentially over the sorted members, so a warm hit
-    returns the bit-identical value of its cold miss.  Only actual
-    expansions are charged to ``counter`` (the cache-hits-are-free
-    convention of :class:`~repro.graph.csr.CSRBallCache`).
-    """
-    count = int(chunk.size)
-    values = np.zeros(count, dtype=np.float64)
-    if shared_cache is not None and len(shared_cache):
-        miss_mask = np.ones(count, dtype=bool)
-        for j, node in enumerate(chunk.tolist()):
-            entry = shared_cache.get(node)
-            if entry is None:
-                continue
-            miss_mask[j] = False
-            members, dists = entry
-            if members.size:
-                contrib = weights[dists] * scores_arr[members]
-                values[j] = contrib.cumsum()[-1]
-        miss_positions = np.nonzero(miss_mask)[0]
-        miss_nodes = chunk[miss_positions]
-    else:
-        miss_positions = None
-        miss_nodes = chunk
-    if miss_nodes.size:
-        owners, members, dists, edges = batched_hop_balls_with_distances(
-            csr, miss_nodes, hops, include_self=include_self
-        )
-        counter.edges_scanned += edges
-        counter.nodes_visited += int(members.size) + (
-            0 if include_self else int(miss_nodes.size)
-        )
-        counter.balls_expanded += int(miss_nodes.size)
-        sums = np.bincount(
-            owners,
-            weights=weights[dists] * scores_arr[members],
-            minlength=int(miss_nodes.size),
-        )
-        if miss_positions is None:
-            values = sums
-        else:
-            values[miss_positions] = sums
-        if shared_cache is not None:
-            ids = np.arange(int(miss_nodes.size))
-            lo = np.searchsorted(owners, ids, side="left")
-            hi = np.searchsorted(owners, ids, side="right")
-            for j, node in enumerate(miss_nodes.tolist()):
-                shared_cache.put(node, members[lo[j] : hi[j]], dists[lo[j] : hi[j]])
-    return values
 
 
 def weighted_backward_topk_numpy(
@@ -960,165 +803,129 @@ def weighted_backward_topk_numpy(
     csr: Optional[CSRGraph] = None,
     rev_csr: Optional[CSRGraph] = None,
     dist_ball_cache: Optional[CSRDistanceBallCache] = None,
+    kernels=None,
 ) -> TopKResult:
     """LONA-Backward with distance weights, over CSR flat arrays.
 
     Mirrors :func:`repro.core.weighted.weighted_backward_topk` (same
     adapted Eq. 3 soundness argument): the distribution phase deposits
     ``w(d) * f(u)`` with distance-labeled batched expansions, the bound of
-    every node is one array expression, and verification expands distance
-    balls through ``dist_ball_cache`` when a session supplies one (matched
-    on the ``(csr, hops, include_self)`` triple, like the unweighted
-    backward's ``ball_cache``).
+    every node is one array expression, and verification is blocked
+    (:func:`verify_blocked`), expanding distance balls through
+    ``dist_ball_cache`` when a session supplies one (matched on the
+    ``(csr, hops, include_self)`` triple, like the unweighted backward's
+    ``ball_cache``).
     """
     import numpy as np
 
-    from repro.aggregates.weighted import inverse_distance, precompute_weights
-    from repro.core.backward import resolve_gamma
-
-    _check_weighted_spec(spec)
-    if profile is None:
-        profile = inverse_distance
-    weights = np.asarray(
-        precompute_weights(profile, spec.hops), dtype=np.float64
+    weights = _distance_weights(np, spec, profile)
+    return _backward_topk(
+        np, graph, np.asarray(scores, dtype=np.float64), spec, weights, gamma,
+        distribution_fraction, sizes, csr, rev_csr, dist_ball_cache,
+        kernels or NumpyKernels(),
     )
-    w_max = float(weights[1:].max()) if weights.size > 1 else 0.0
-    scores_arr = np.asarray(scores, dtype=np.float64)
+
+
+def _backward_topk(
+    np, graph, scores_arr, spec, weights, gamma, distribution_fraction, sizes,
+    csr, rev_csr, cache, kernels,
+) -> TopKResult:
+    """Both LONA-Backward drivers: ``weights is None`` is the paper's form,
+    an array footnote 1's (whose Eq. 3 charges an unknown member ``w_max *
+    rest_bound`` and an undistributed center ``w(0) * f``)."""
+    weighted = weights is not None
+    is_avg = spec.aggregate is AggregateKind.AVG
+    hops = spec.hops
+    include_self = spec.include_self
 
     build_sec = 0.0
     if sizes is None:
         build_start = time.perf_counter()
         sizes = NeighborhoodSizeIndex.estimated(
-            graph, spec.hops, include_self=spec.include_self
+            graph, hops, include_self=include_self
         )
         build_sec = time.perf_counter() - build_start
 
     start = time.perf_counter()
     counter = TraversalCounter()
     n = graph.num_nodes
-    include_self = spec.include_self
     stats = QueryStats(
-        algorithm="weighted-backward",
-        aggregate="sum",
-        backend="numpy",
-        hops=spec.hops,
+        algorithm="weighted-backward" if weighted else "backward",
+        aggregate=spec.aggregate.value,
+        backend=kernels.name,
+        hops=hops,
         k=spec.k,
         index_build_sec=build_sec,
     )
     if csr is None:
         csr = to_csr(graph, use_numpy=True)
 
-    # Phase 1: weighted partial distribution, descending score order.
-    nonzero_ids = np.nonzero(scores_arr > 0.0)[0]
-    nonzero_scores = scores_arr[nonzero_ids]
-    desc = np.lexsort((nonzero_ids, -nonzero_scores))
-    ordered_ids = nonzero_ids[desc]
-    ordered_scores = nonzero_scores[desc]
-    effective_gamma = resolve_gamma(
-        gamma, ordered_scores.tolist(), distribution_fraction=distribution_fraction
+    # Phase 1: partial distribution in descending score order.
+    distributed, effective_gamma, rest_bound = backward_distribution_split(
+        np, scores_arr, gamma, distribution_fraction
     )
-    cut = int(np.searchsorted(-ordered_scores, -effective_gamma, side="right"))
-    distributed = ordered_ids[:cut]
-    rest_bound = float(ordered_scores[cut]) if cut < ordered_scores.size else 0.0
-
     if not graph.directed:
         dist_csr = csr
     elif rev_csr is not None:
         dist_csr = rev_csr
     else:
         dist_csr = to_csr(graph.reversed(), use_numpy=True)
-    partial = np.zeros(n, dtype=np.float64)
-    covered = np.zeros(n, dtype=np.int64)
+    partial, covered, stats.distribution_pushes = distribute_scores(
+        np, dist_csr, distributed, scores_arr, hops, include_self,
+        resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, weights,
+    )
     self_distributed = np.zeros(n, dtype=bool)
-    pushes = 0
-    block_size = resolve_block_size(None, n, int(dist_csr.num_arcs))
-    for lo in range(0, int(distributed.size), block_size):
-        check_deadline()
-        block = distributed[lo : lo + block_size]
-        owners, members, dists, edges = batched_hop_balls_with_distances(
-            dist_csr, block, spec.hops, include_self=include_self
-        )
-        counter.edges_scanned += edges
-        counter.nodes_visited += int(members.size) + (
-            0 if include_self else int(block.size)
-        )
-        counter.balls_expanded += int(block.size)
-        ball_sizes = np.bincount(owners, minlength=block.size)
-        partial += np.bincount(
-            members,
-            weights=np.repeat(scores_arr[block], ball_sizes) * weights[dists],
-            minlength=n,
-        )
-        covered += np.bincount(members, minlength=n)
-        pushes += int(members.size)
-    stats.distribution_pushes = pushes
     if include_self:
         self_distributed[distributed] = True
 
-    # Phase 2: adapted Eq. 3 bound for every node, one array expression.
-    upper = np.asarray(sizes.upper_values(), dtype=np.int64)
-    self_known = self_distributed | (not include_self)
-    unknown = np.where(self_known, upper - covered, upper - covered - 1)
-    extra = np.where(self_known, 0.0, weights[0] * scores_arr)
-    bounds = partial + (w_max * rest_bound) * np.maximum(unknown, 0) + extra
+    # Phase 2: Eq. 3 upper bound for every node, one array expression.
+    if weighted:
+        self_scores = weights[0] * scores_arr
+        w_max = float(weights[1:].max()) if weights.size > 1 else 0.0
+        unknown_bound = w_max * rest_bound
+    else:
+        self_scores = scores_arr
+        unknown_bound = rest_bound
+    bounds = backward_eq3_bounds(
+        np, self_scores, partial, covered, self_distributed, sizes,
+        unknown_bound, include_self=include_self, is_avg=is_avg,
+    )
     stats.bound_evaluations = n
     candidate_order = np.lexsort((np.arange(n), -bounds))
 
-    # Phase 3: TA-style verification in descending bound order, *blocked*:
-    # candidates are expanded a block at a time with the batched distance
-    # kernel instead of one numpy-flavored BFS per candidate (whose call
-    # overhead would exceed the python loop it replaces).  The block is cut
-    # at the block-start threshold; a candidate overtaken by the threshold
-    # mid-block is over-verified but its offer is rejected (strictly-greater
-    # acceptance), so entries are identical — only work counters differ,
-    # exactly like the forward kernel's block over-evaluation.
-    exact_shortcut = rest_bound == 0.0
-    shared_cache = (
-        dist_ball_cache
-        if (
-            dist_ball_cache is not None
-            and dist_ball_cache.csr is csr
-            and dist_ball_cache.hops == spec.hops
-            and dist_ball_cache.include_self == include_self
+    # Phase 3: verification in descending bound order, TA-style stop.
+    exact_shortcut = rest_bound == 0.0 and (not is_avg or sizes.is_exact)
+    shortcut_values = None
+    if exact_shortcut:
+        shortcut_values = backward_shortcut_values(
+            np, self_scores, partial, self_distributed, sizes,
+            include_self=include_self, is_avg=is_avg,
         )
-        else None
-    )
+    if cache is not None and not (
+        cache.csr is csr
+        and cache.hops == hops
+        and cache.include_self == include_self
+    ):
+        cache = None  # a session cache built for another view of the graph
     acc = TopKAccumulator(spec.k)
-    offered = 0
-    position = 0
-    block_size = resolve_block_size(None, n, int(csr.num_arcs))
-    while position < n:
-        check_deadline()
-        chunk = candidate_order[position : position + block_size]
-        position += int(chunk.size)
-        if acc.is_full:
-            live = bounds[chunk] > acc.threshold
-            if not live.all():
-                # Bounds are non-increasing along candidate_order, so the
-                # survivors are a prefix; everything after is pruned.
-                chunk = chunk[: int(np.argmin(live))]
-                stats.early_terminated = True
-        if chunk.size == 0:
-            break
-        if exact_shortcut:
-            values = partial[chunk] + np.where(
-                self_distributed[chunk] | (not include_self),
-                0.0,
-                weights[0] * scores_arr[chunk],
+    if not weighted:
+        offered = kernels.verify_backward(
+            np, csr, spec, scores_arr, candidate_order, bounds, shortcut_values,
+            acc, stats, counter, cache,
+        )
+    else:
+
+        def verify(chunk):
+            return kernels.weighted_ball_sums(
+                np, csr, chunk, scores_arr, weights, hops, include_self,
+                counter, cache,
             )
-        else:
-            values = _verify_weighted_chunk(
-                np, csr, chunk, spec.hops, include_self, weights, scores_arr,
-                shared_cache, counter,
-            )
-            stats.nodes_evaluated += int(chunk.size)
-            stats.candidates_verified += int(chunk.size)
-        offer = acc.offer
-        for node, value in zip(chunk.tolist(), values.tolist()):
-            offer(node, value)
-        offered += int(chunk.size)
-        if stats.early_terminated:
-            break
+
+        offered = verify_blocked(
+            np, candidate_order, bounds, acc, stats,
+            kernels.block_size(None, n, int(csr.num_arcs), role="verify"),
+            verify, shortcut_values,
+        )
 
     stats.pruned_nodes = n - offered
     stats.elapsed_sec = time.perf_counter() - start
@@ -1129,4 +936,210 @@ def weighted_backward_topk_numpy(
     stats.extra["distributed_nodes"] = float(distributed.size)
     stats.extra["rest_bound"] = rest_bound
     stats.extra["exact_shortcut"] = float(exact_shortcut)
+    kernels.stamp(stats)
     return TopKResult(entries=acc.entries(), stats=stats)
+
+
+# ---------------------------------------------------------------------------
+# The numpy kernel provider
+# ---------------------------------------------------------------------------
+class NumpyKernels:
+    """Block kernels of ``backend="numpy"``: sort-dedup expansion + segment reductions.
+
+    The provider seam (DESIGN.md §8): the drivers below own every route and
+    ask a provider only to *evaluate a block*.  Each primitive charges
+    ``counter`` with the same ``(edges_scanned, nodes_visited,
+    balls_expanded)`` and returns the same bits on every provider
+    (``tests/test_block_kernels.py``; the fused sums agree to the last ulp):
+
+    * :meth:`ball_values` — exact aggregates of a block of balls, any kind
+      (COUNT arrives folded to SUM), plus the ball sizes when asked;
+    * :meth:`weighted_ball_sums` — footnote 1's ``sum w(d) f(v)`` per ball;
+    * :meth:`fused_ball_values` — every query of a batch over one expansion;
+    * :meth:`prune_step` — Eq. 1's neighbor pass for one evaluated block;
+    * :meth:`verify_backward` — phase 3 of unweighted LONA-Backward, the one
+      primitive that owns a loop (here: one candidate at a time through the
+      session :class:`~repro.graph.csr.CSRBallCache`);
+    * :meth:`block_size` / :meth:`stamp` — the block profile and the
+      provenance written into ``stats.extra``.
+
+    A provider lives as long as its query (a pool worker: its task).
+    """
+
+    name = "numpy"
+
+    def __init__(self) -> None:
+        # The last block's expansion, released one block late on purpose:
+        # the pair arrays are a block's last big allocations, and freeing
+        # them before the next block allocates lets glibc trim the heap
+        # after every block and fault it back in (16,000-node base scan:
+        # 2.7k -> 16k minor faults per query, 70 -> 88 ms).
+        self._held = None
+
+    def block_size(self, requested, num_nodes: int, num_arcs: int, *, role="scan"):
+        """:func:`resolve_block_size`; ``role`` names the loop (``"scan"``,
+        ``"prune"`` for forward, ``"verify"`` for blocked TA verification).
+        Only ``"prune"`` takes the pruning cap here: a numpy verification
+        block costs a distance BFS whose call overhead the cap would
+        multiply."""
+        return resolve_block_size(
+            requested, num_nodes, num_arcs, pruning=role == "prune"
+        )
+
+    def stamp(self, stats: QueryStats) -> None:
+        """Nothing beyond ``stats.backend`` (the executor tags the tier)."""
+
+    def ball_values(
+        self, np, csr, centers, scores, kind, hops, include_self, counter,
+        *, want_sizes=False,
+    ):
+        """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is ``None``
+        unless asked for (a second ``bincount`` pass base never needs)."""
+        count = int(centers.size)
+        owners, members, edges = self._held = batched_hop_balls(
+            csr, centers, hops, include_self=include_self
+        )
+        counter.charge_block(edges, members.size, count, include_self)
+        values = aggregate_ball_segments(np, kind, owners, scores[members], count)
+        sizes = np.bincount(owners, minlength=count) if want_sizes else None
+        return values, sizes
+
+    def weighted_ball_sums(
+        self, np, csr, centers, scores, weights, hops, include_self, counter,
+        cache: Optional[CSRDistanceBallCache] = None,
+    ):
+        """Distance-weighted SUM of every center's ball.
+
+        With a session ``cache``, cached centers are summed from their
+        ``(members, dists)`` slices; the rest are expanded with one batched
+        distance BFS, reduced with ``bincount``, and deposited so the next
+        query's verification gets them for free.  Both paths add
+        contributions sequentially over the sorted members, so a warm hit
+        returns the bit-identical value of its cold miss.  Only actual
+        expansions are charged to ``counter`` (the cache-hits-are-free
+        convention of :class:`~repro.graph.csr.CSRBallCache`).
+        """
+        count = int(centers.size)
+        values = np.zeros(count, dtype=np.float64)
+        miss_positions = None
+        misses = centers
+        if cache is not None and len(cache):
+            miss_mask = np.ones(count, dtype=bool)
+            for j, node in enumerate(centers.tolist()):
+                entry = cache.get(node)
+                if entry is None:
+                    continue
+                miss_mask[j] = False
+                members, dists = entry
+                if members.size:
+                    values[j] = (weights[dists] * scores[members]).cumsum()[-1]
+            miss_positions = np.nonzero(miss_mask)[0]
+            misses = centers[miss_positions]
+        if misses.size:
+            owners, members, dists, edges = self._held = (
+                batched_hop_balls_with_distances(
+                    csr, misses, hops, include_self=include_self
+                )
+            )
+            counter.charge_block(edges, members.size, int(misses.size), include_self)
+            sums = np.bincount(
+                owners,
+                weights=weights[dists] * scores[members],
+                minlength=int(misses.size),
+            )
+            if miss_positions is None:
+                values = sums
+            else:
+                values[miss_positions] = sums
+            if cache is not None:
+                ids = np.arange(int(misses.size))
+                lo = np.searchsorted(owners, ids, side="left")
+                hi = np.searchsorted(owners, ids, side="right")
+                for j, node in enumerate(misses.tolist()):
+                    cache.put(node, members[lo[j] : hi[j]], dists[lo[j] : hi[j]])
+        return values
+
+    def fused_ball_values(
+        self, np, csr, centers, node_scores, avg_rows, hops, include_self, counter
+    ):
+        """``(queries x centers)`` values: one expansion, then the module's
+        :func:`fused_ball_values` over the node-major score matrix."""
+        count = int(centers.size)
+        owners, members, edges = self._held = batched_hop_balls(
+            csr, centers, hops, include_self=include_self
+        )
+        counter.charge_block(edges, members.size, count, include_self)
+        return fused_ball_values(np, node_scores, avg_rows, owners, members, count)
+
+    def prune_step(
+        self, np, csr, deltas, sources, source_sums, threshold, ubound_sum,
+        inv_size, evaluated, pruned,
+    ):
+        """Eq. 1's ``pruneNodes`` for the evaluated ``sources`` (exact sums
+        ``source_sums``): every open neighbor's running-minimum bound takes
+        ``F(u) + delta(v-u)``, then touched nodes whose (AVG-scaled, when
+        ``inv_size`` is given) bound cannot beat ``threshold`` are pruned.
+        Updates ``ubound_sum``/``pruned`` in place; returns ``(bounds
+        evaluated, nodes newly pruned)``.  Every surviving node's neighbor
+        slice is gathered in one shot."""
+        positions, counts = slab_positions(csr, sources)
+        if positions.size == 0:
+            return 0, 0
+        neighbors = csr.indices[positions]
+        bounds = np.repeat(source_sums, counts) + deltas[positions]
+        open_mask = ~(evaluated[neighbors] | pruned[neighbors])
+        targets = neighbors[open_mask]
+        if targets.size == 0:
+            return 0, 0
+        np.minimum.at(ubound_sum, targets, bounds[open_mask])
+        candidates = np.unique(targets)
+        effective = ubound_sum[candidates]
+        if inv_size is not None:
+            effective = effective * inv_size[candidates]
+        newly_pruned = candidates[effective <= threshold]
+        pruned[newly_pruned] = True
+        return int(targets.size), int(newly_pruned.size)
+
+    def verify_backward(
+        self, np, csr, spec, scores, candidate_order, bounds, shortcut_values,
+        acc, stats, counter, ball_cache: Optional[CSRBallCache] = None,
+    ) -> int:
+        """Phase 3 of unweighted LONA-Backward; returns the offers made.
+
+        Descending bound order with the TA-style stop re-checked before
+        every candidate, each ball read through ``ball_cache`` — the
+        session's, already matched on ``(csr, hops, include_self)`` by the
+        driver — so repeated queries reuse verification-phase expansions.
+        A blocked loop would trade those cache hits for call amortization
+        numpy does not need here; the compiled provider makes the opposite
+        trade.
+        """
+        is_avg = spec.aggregate is AggregateKind.AVG
+        if ball_cache is None:
+            ball_cache = CSRBallCache(
+                csr, spec.hops, include_self=spec.include_self, counter=counter
+            )
+        # A session-shared cache is charged per call (``.ball(node,
+        # counter)``) rather than through its own counter, so concurrent
+        # queries sharing it never charge each other's stats.
+        offered = 0
+        for v in candidate_order:
+            check_deadline()
+            if acc.is_full and float(bounds[v]) <= acc.threshold:
+                stats.early_terminated = True
+                break
+            node = int(v)
+            if shortcut_values is not None:
+                value = float(shortcut_values[v])
+            else:
+                ball = ball_cache.ball(node, counter)
+                # cumsum, not sum: sequential left-to-right accumulation over
+                # the sorted members, the same float result the Python loop
+                # gets (np.sum's pairwise order would differ in the last ulp).
+                total = float(scores[ball].cumsum()[-1]) if ball.size else 0.0
+                value = (total / ball.size if ball.size else 0.0) if is_avg else total
+                stats.nodes_evaluated += 1
+                stats.candidates_verified += 1
+            acc.offer(node, value)
+            offered += 1
+        return offered

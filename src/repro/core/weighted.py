@@ -36,7 +36,7 @@ from repro.aggregates.weighted import (
     inverse_distance,
     precompute_weights,
 )
-from repro.core.backends import resolve_backend
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.backward import resolve_gamma
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
@@ -49,7 +49,8 @@ from repro.graph.traversal import TraversalCounter, hop_ball_with_distances
 __all__ = ["weighted_base_topk", "weighted_backward_topk"]
 
 
-def _check_spec(spec: QuerySpec) -> None:
+def check_weighted_spec(spec: QuerySpec) -> None:
+    """Footnote 1 defines the weighted form for SUM only (every backend)."""
     if spec.aggregate is not AggregateKind.SUM:
         raise InvalidParameterError(
             "weighted aggregation is defined for SUM (footnote 1), not "
@@ -70,19 +71,18 @@ def weighted_base_topk(
     Dispatches on ``spec.backend``; ``csr`` optionally supplies a prebuilt
     numpy CSR view (ignored by the Python backend).
     """
-    _check_spec(spec)
+    check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
-    if concrete == "native":
-        from repro.native.engine import weighted_base_topk_native
-
-        return weighted_base_topk_native(
-            graph, scores, spec, profile, csr=csr  # type: ignore[arg-type]
-        )
     if concrete != "python":
         from repro.core.vectorized import weighted_base_topk_numpy
 
         return weighted_base_topk_numpy(
-            graph, scores, spec, profile, csr=csr  # type: ignore[arg-type]
+            graph,
+            scores,
+            spec,
+            profile,
+            csr=csr,  # type: ignore[arg-type]
+            kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
     start = time.perf_counter()
@@ -139,23 +139,8 @@ def weighted_backward_topk(
     :class:`~repro.graph.csr.CSRDistanceBallCache` reused across queries.
     All three are ignored by the Python backend.
     """
-    _check_spec(spec)
+    check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
-    if concrete == "native":
-        from repro.native.engine import weighted_backward_topk_native
-
-        return weighted_backward_topk_native(
-            graph,
-            scores,
-            spec,
-            profile,
-            gamma=gamma,
-            distribution_fraction=distribution_fraction,
-            sizes=sizes,
-            csr=csr,  # type: ignore[arg-type]
-            rev_csr=rev_csr,  # type: ignore[arg-type]
-            dist_ball_cache=dist_ball_cache,
-        )
     if concrete != "python":
         from repro.core.vectorized import weighted_backward_topk_numpy
 
@@ -170,6 +155,7 @@ def weighted_backward_topk(
             csr=csr,  # type: ignore[arg-type]
             rev_csr=rev_csr,  # type: ignore[arg-type]
             dist_ball_cache=dist_ball_cache,  # type: ignore[arg-type]
+            kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
     w_max = max(weights[1:], default=0.0)

@@ -45,6 +45,19 @@ class TraversalCounter:
         self.nodes_visited = 0
         self.balls_expanded = 0
 
+    def charge_block(
+        self, edges: int, pairs: int, balls: int, include_self: bool
+    ) -> None:
+        """Charge one block expansion of ``balls`` centers.
+
+        ``pairs`` counts ``(owner, member)`` pairs *after* the
+        ``include_self`` filter; an open ball still visited the center the
+        filter dropped, so it is added back per ball.
+        """
+        self.edges_scanned += int(edges)
+        self.nodes_visited += int(pairs) + (0 if include_self else balls)
+        self.balls_expanded += balls
+
     def merge(self, other: "TraversalCounter") -> None:
         """Accumulate another counter into this one."""
         self.edges_scanned += other.edges_scanned

@@ -100,7 +100,7 @@ def _warm_all() -> None:
         stamp, gen, member_buf, dist_buf, scaled_buf, values, sizes,
     )
     gen += n
-    matrix = np.vstack([scores, scores])
+    matrix = np.stack([scores, scores], axis=1)
     avg_flags = np.asarray([False, True], dtype=np.bool_)
     batch_values = np.empty((2, n), dtype=np.float64)
     kernels.batch_aggregate_blocks(
@@ -108,7 +108,7 @@ def _warm_all() -> None:
         stamp, gen, member_buf, batch_values,
     )
     gen += n
-    deltas = np.zeros(indices.size, dtype=np.float64)
+    deltas = np.zeros(indices.size, dtype=np.int64)
     evaluated = np.zeros(n, dtype=np.bool_)
     pruned = np.zeros(n, dtype=np.bool_)
     ubound = np.full(n, 10.0, dtype=np.float64)

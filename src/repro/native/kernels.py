@@ -244,15 +244,18 @@ def batch_aggregate_blocks(
 ):
     """Fused shared scan: one BFS per center, all query rows accumulated.
 
-    ``matrix`` is the (queries x nodes) folded score matrix; ``values_out``
-    is (queries x centers).  Per-cell accumulation runs over the sorted
-    ball members left-to-right — the order ``np.add.reduceat`` uses within
-    a segment — and AVG rows divide by ``max(ball_size, 1)``, matching
-    :func:`repro.core.batch._shared_scan_numpy` bit for bit.
+    ``matrix`` is the node-major (nodes x queries) folded score matrix —
+    the layout the numpy provider gathers rows from, so one matrix serves
+    both; ``values_out`` is (queries x centers).  Per-cell accumulation runs
+    over the sorted ball members left-to-right and AVG rows divide by
+    ``max(ball_size, 1)``, matching
+    :func:`repro.core.vectorized.fused_ball_values` to the last ulp (its
+    2-d ``np.add.reduceat`` may re-associate a segment's additions, so
+    this is the one kernel whose parity is a tolerance, not bit equality).
     """
     edges = 0
     pairs = 0
-    q = matrix.shape[0]
+    q = matrix.shape[1]
     for i in range(centers.shape[0]):
         gen = gen0 + i
         center = centers[i]
@@ -287,7 +290,7 @@ def batch_aggregate_blocks(
             if include_self or m != center:
                 count += 1
                 for qq in range(q):
-                    values_out[qq, i] += matrix[qq, m]
+                    values_out[qq, i] += matrix[m, qq]
         pairs += count
         denom = count if count > 0 else 1
         for qq in range(q):

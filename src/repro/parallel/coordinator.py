@@ -901,9 +901,9 @@ class ShardedCoordinator:
         import numpy as np
 
         from repro.aggregates.weighted import inverse_distance, precompute_weights
-        from repro.core.vectorized import _check_weighted_spec
+        from repro.core.weighted import check_weighted_spec
 
-        _check_weighted_spec(spec)
+        check_weighted_spec(spec)
         with self._lock:
             if self._declines(force=force):
                 return None

@@ -12,18 +12,18 @@ export's live version stamp against the version its task named, so a task
 raced by a mutation is answered with ``"stale"`` (the engine refreshes and
 retries) rather than with numbers from a dead graph.
 
-Every kernel reuses the in-process numpy machinery —
-:func:`repro.graph.csr.batched_hop_balls`,
-:func:`repro.core.vectorized.aggregate_ball_segments`, the
-threshold-gated ``_offer_block`` — over the worker's *owned* centers only,
-which is what makes a shard's answer exact for its members and the merged
-answer exact globally (see :mod:`repro.parallel.merge`).  When a task
-carries ``"native": True`` and :mod:`repro.native.kernels` imports here,
-the per-block ball evaluation runs on the stamp-BFS kernels instead —
-bit-identical values (the kernels accumulate in bincount order), just
-faster when compiled.  Whether to ask is the engine's decision: it offers
-native only when the kernels actually compiled (interpreted kernels are a
-parity-testing device and lose to numpy); the worker just honours the flag.
+Every handler keeps only its attach/slice/ship plumbing and evaluates each
+block through a kernel provider (:func:`_kernels`) — the same primitives
+the in-process drivers of :mod:`repro.core.vectorized` call, plus their
+threshold-gated ``offer_block`` and ``distribute_scores`` — over the
+worker's *owned* centers only, which is what makes a shard's answer exact
+for its members and the merged answer exact globally (see
+:mod:`repro.parallel.merge`).  A task carrying ``"native": True`` runs on
+the compiled provider when :mod:`repro.native.provider` imports here —
+bit-identical values and counters, just faster when compiled.  Whether to
+ask is the engine's decision: it offers native only when the kernels
+actually compiled (interpreted kernels are a parity-testing device and
+lose to numpy); the worker just honours the flag.
 
 Results travel back one of two ways.  By default a task's entries ride
 the reply pipe as pickled tuples.  A task carrying a ``"reply"``
@@ -41,9 +41,11 @@ from typing import Dict, List
 from repro.aggregates.functions import AggregateKind
 from repro.core.deadline import check_deadline
 from repro.core.topk import TopKAccumulator
+from repro.core.vectorized import NumpyKernels, distribute_scores, offer_block
 from repro.errors import FaultInjectedError, StaleShardError
 from repro.faults import fault_point
 from repro.graph.csr import AttachedArray, AttachedCSR
+from repro.graph.traversal import TraversalCounter
 
 __all__ = ["worker_main"]
 
@@ -119,111 +121,30 @@ def _fold(np, scores, aggregate: str):
 
 
 # ----------------------------------------------------------------------
-# Compiled kernel tier (optional, per-task opt-in)
+# Kernel provider (numpy, or the compiled tier per task opt-in)
 # ----------------------------------------------------------------------
-_NATIVE_KERNELS = None  # None = unprobed, False = unavailable, module = ready
+_NATIVE = None  # None = unprobed, False = unavailable, else this worker's provider
 
 
-def _native_kernels():
-    """The kernel module a ``"native": True`` task runs on, or ``None``
-    when it cannot be imported here (the task then runs on numpy)."""
-    global _NATIVE_KERNELS
-    if _NATIVE_KERNELS is None:
-        try:
-            from repro.native import kernels
-            from repro.native.compile_cache import ensure_warm
+def _kernels(task: dict):
+    """The block-kernel provider ``task`` runs on.
 
-            ensure_warm()
-            _NATIVE_KERNELS = kernels
-        except Exception:  # pragma: no cover - partial numba installs
-            _NATIVE_KERNELS = False
-    return _NATIVE_KERNELS or None
+    The numpy provider, unless the task says ``"native": True`` and the
+    compiled provider imports here.  One native provider per worker: its
+    scratch is reused across tasks (and re-sized if the graph changes).
+    """
+    global _NATIVE
+    if task.get("native"):
+        if _NATIVE is None:
+            try:
+                from repro.native.provider import NativeKernels
 
-
-_KIND_CODES = {
-    AggregateKind.SUM: 0,
-    AggregateKind.AVG: 1,
-    AggregateKind.MAX: 2,
-    AggregateKind.MIN: 3,
-}
-
-
-class _NativeScratch:
-    """Per-worker stamp/member scratch reused across tasks (one graph size)."""
-
-    __slots__ = ("n", "gen", "stamp", "member_buf", "dist_buf", "scaled_buf")
-
-    def __init__(self) -> None:
-        self.n = -1
-        self.gen = 0
-        self.stamp = None
-        self.member_buf = None
-        self.dist_buf = None
-        self.scaled_buf = None
-
-    def take(self, np, n: int, count: int) -> int:
-        """Reserve ``count`` fresh generations; returns the first one."""
-        if n != self.n:
-            self.stamp = np.full(n, -1, dtype=np.int64)
-            self.member_buf = np.empty(n, dtype=np.int64)
-            self.dist_buf = None
-            self.scaled_buf = None
-            self.n = n
-            self.gen = 0
-        gen0 = self.gen + 1
-        self.gen += count
-        return gen0
-
-    def distance_buffers(self, np, n: int):
-        if self.dist_buf is None:
-            self.dist_buf = np.empty(n, dtype=np.int64)
-            self.scaled_buf = np.empty(n, dtype=np.int64)
-        return self.dist_buf, self.scaled_buf
-
-
-_SCRATCH = _NativeScratch()
-
-
-def _native_eval(np, kernels, csr, chunk, folded, kind, hops, include_self, counters):
-    """One block's aggregates on the jitted kernel (numpy-order identical)."""
-    count = int(chunk.size)
-    gen0 = _SCRATCH.take(np, int(csr.num_nodes), count)
-    values = np.empty(count, dtype=np.float64)
-    sizes = np.empty(count, dtype=np.int64)
-    edges, pairs = kernels.aggregate_blocks(
-        csr.indptr,
-        csr.indices,
-        folded,
-        np.ascontiguousarray(chunk, dtype=np.int64),
-        hops,
-        include_self,
-        _KIND_CODES[kind],
-        _SCRATCH.stamp,
-        gen0,
-        _SCRATCH.member_buf,
-        values,
-        sizes,
-    )
-    counters["edges_scanned"] += int(edges)
-    counters["nodes_visited"] += int(pairs) + (0 if include_self else count)
-    counters["balls_expanded"] += count
-    return values
-
-
-def _eval_block(np, task, csr, chunk, folded, kind, counters, native):
-    """Exact aggregates of one center block: jitted when offered, else numpy."""
-    from repro.core.vectorized import aggregate_ball_segments
-
-    hops = task["hops"]
-    include_self = task["include_self"]
-    if native is not None:
-        return _native_eval(
-            np, native, csr, chunk, folded, kind, hops, include_self, counters
-        )
-    owners, members = _expand_block(np, csr, chunk, hops, include_self, counters)
-    return aggregate_ball_segments(
-        np, kind, owners, folded[members], int(chunk.size)
-    )
+                _NATIVE = NativeKernels()
+            except Exception:  # pragma: no cover - partial numba installs
+                _NATIVE = False
+        if _NATIVE:
+            return _NATIVE
+    return NumpyKernels()
 
 
 def _ship_pairs(np, cache, task, out: dict, pairs, key: str) -> dict:
@@ -247,26 +168,9 @@ def _ship_pairs(np, cache, task, out: dict, pairs, key: str) -> dict:
     return out
 
 
-def _counters() -> Dict[str, int]:
-    return {
-        "edges_scanned": 0,
-        "nodes_visited": 0,
-        "balls_expanded": 0,
-        "nodes_evaluated": 0,
-    }
-
-
-def _expand_block(np, csr, centers, hops: int, include_self: bool, counters):
-    from repro.graph.csr import batched_hop_balls
-
-    owners, members, edges = batched_hop_balls(
-        csr, centers, hops, include_self=include_self
-    )
-    count = int(centers.size)
-    counters["edges_scanned"] += edges
-    counters["nodes_visited"] += int(members.size) + (0 if include_self else count)
-    counters["balls_expanded"] += count
-    return owners, members
+def _counters(counter: TraversalCounter, evaluated: int) -> Dict[str, int]:
+    """The reply's work counters: the traversal's plus ``nodes_evaluated``."""
+    return {**counter.snapshot(), "nodes_evaluated": evaluated}
 
 
 def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
@@ -283,10 +187,7 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
     engine's work-stealing chunks name sub-ranges of the already-exported
     shard instead of shipping center lists per chunk.
     """
-    from repro.core.vectorized import _offer_block
-
-    attached = cache.csr(task["csr"])
-    csr = attached.csr
+    csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
     if task.get("centers") is not None:
         centers = np.asarray(task["centers"], dtype=np.int64)
@@ -296,8 +197,8 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
             centers = centers[task.get("lo", 0) : task["hi"]]
     folded, kind = _fold(np, scores, task["aggregate"])
     block = task["block"]
-    counters = _counters()
-    native = _native_kernels() if task.get("native") else None
+    kernels = _kernels(task)
+    counter = TraversalCounter()
     acc = TopKAccumulator(task["k"])
     bounds_meta = task.get("bounds")
     ordered_bounds = None
@@ -318,12 +219,13 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
             pruned = int(centers.size) - evaluated
             break
         chunk = centers[lo : lo + block]
-        values = _eval_block(np, task, csr, chunk, folded, kind, counters, native)
-        _offer_block(np, acc, chunk, values)
+        values, _ = kernels.ball_values(
+            np, csr, chunk, folded, kind, task["hops"], task["include_self"], counter
+        )
+        offer_block(np, acc, chunk, values)
         evaluated += int(chunk.size)
-    counters["nodes_evaluated"] = evaluated
     out = {
-        "counters": counters,
+        "counters": _counters(counter, evaluated),
         "evaluated": evaluated,
         "pruned": pruned,
     }
@@ -333,15 +235,13 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
 def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     """Fused multi-query shared scan over the shard's owned centers.
 
-    One ball expansion per node block; every query's values come out of
-    :func:`repro.core.vectorized.fused_ball_values` — the same fusion as
+    One ``fused_ball_values`` call per node block — the same fusion as
     :func:`repro.core.batch._shared_scan_numpy`, run on one shard's slice of
-    the node universe.
+    the node universe.  Unlike the in-process scan this loop polls at block
+    boundaries: under a cluster task scope the deadline is the task budget,
+    not one coalesced caller's.
     """
-    from repro.core.vectorized import _offer_block, fused_ball_values
-
-    attached = cache.csr(task["csr"])
-    csr = attached.csr
+    csr = cache.csr(task["csr"]).csr
     centers = cache.array(task["owned"])
     columns = []
     avg_flags = []
@@ -352,23 +252,21 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     node_scores = np.stack(columns, axis=1)
     avg_rows = np.asarray(avg_flags, dtype=bool)
     accumulators = [TopKAccumulator(k) for k in task["ks"]]
-    hops = task["hops"]
-    include_self = task["include_self"]
     block = task["block"]
-    counters = _counters()
+    kernels = _kernels(task)
+    counter = TraversalCounter()
     for lo in range(0, int(centers.size), block):
         check_deadline()  # block boundary (live under a cluster task scope)
         chunk = centers[lo : lo + block]
-        owners, members = _expand_block(np, csr, chunk, hops, include_self, counters)
-        values = fused_ball_values(
-            np, node_scores, avg_rows, owners, members, int(chunk.size)
+        values = kernels.fused_ball_values(
+            np, csr, chunk, node_scores, avg_rows, task["hops"],
+            task["include_self"], counter,
         )
         for i, acc in enumerate(accumulators):
-            _offer_block(np, acc, chunk, values[i])
-    counters["nodes_evaluated"] = int(centers.size)
+            offer_block(np, acc, chunk, values[i])
     return {
         "entries_list": [acc.entries() for acc in accumulators],
-        "counters": counters,
+        "counters": _counters(counter, int(centers.size)),
     }
 
 
@@ -377,35 +275,22 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
 
     The shard distributes exactly its owned nodes with ``f(u) >= gamma``
     over the (reversed, for directed graphs) shared CSR, accumulating the
-    partial-sum and coverage-count arrays for *all* n nodes.  The engine
-    sums these per-shard states — addition is order-independent on the
-    count side and reassociates only the float partials (values are
-    verified exactly afterwards, so bound soundness is all that matters).
+    partial-sum and coverage-count arrays for *all* n nodes
+    (:func:`repro.core.vectorized.distribute_scores`, which polls the
+    deadline at block boundaries).  The engine sums these per-shard states —
+    addition is order-independent on the count side and reassociates only
+    the float partials (values are verified exactly afterwards, so bound
+    soundness is all that matters).
     """
-    attached = cache.csr(task["csr"])
-    csr = attached.csr
+    csr = cache.csr(task["csr"]).csr
     scores, _kind = _fold(np, cache.array(task["scores"]), task["aggregate"])
     owned = cache.array(task["owned"])
-    gamma = task["gamma"]
-    hops = task["hops"]
-    include_self = task["include_self"]
-    block = task["block"]
-    n = csr.num_nodes
-    mine = owned[(scores[owned] > 0.0) & (scores[owned] >= gamma)]
-    partial = np.zeros(n, dtype=np.float64)
-    covered = np.zeros(n, dtype=np.int64)
-    counters = _counters()
-    pushes = 0
-    for lo in range(0, int(mine.size), block):
-        check_deadline()  # block boundary (live under a cluster task scope)
-        chunk = mine[lo : lo + block]
-        owners, members = _expand_block(np, csr, chunk, hops, include_self, counters)
-        ball_sizes = np.bincount(owners, minlength=chunk.size)
-        partial += np.bincount(
-            members, weights=np.repeat(scores[chunk], ball_sizes), minlength=n
-        )
-        covered += np.bincount(members, minlength=n)
-        pushes += int(members.size)
+    mine = owned[(scores[owned] > 0.0) & (scores[owned] >= task["gamma"])]
+    counter = TraversalCounter()
+    partial, covered, pushes = distribute_scores(
+        np, csr, mine, scores, task["hops"], task["include_self"], task["block"],
+        counter,
+    )
     # Ship only the touched slice: the pipe payload then scales with the
     # distribution's actual reach, not with n (a sparse gamma cut on a
     # million-node graph touches a fraction of it).
@@ -416,106 +301,60 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
         "covered": covered[touched],
         "pushes": pushes,
         "distributed": int(mine.size),
-        "counters": counters,
+        "counters": _counters(counter, 0),
     }
 
 
 def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
     """Exact aggregates of an explicit candidate set (TA verification)."""
-    attached = cache.csr(task["csr"])
-    csr = attached.csr
+    csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
     centers = np.asarray(task["centers"], dtype=np.int64)
     folded, kind = _fold(np, scores, task["aggregate"])
     block = task["block"]
-    counters = _counters()
-    native = _native_kernels() if task.get("native") else None
+    kernels = _kernels(task)
+    counter = TraversalCounter()
     nodes: List[int] = []
     values: List[float] = []
     for lo in range(0, int(centers.size), block):
         check_deadline()  # block boundary (live under a cluster task scope)
         chunk = centers[lo : lo + block]
-        chunk_values = _eval_block(np, task, csr, chunk, folded, kind, counters, native)
+        chunk_values, _ = kernels.ball_values(
+            np, csr, chunk, folded, kind, task["hops"], task["include_self"], counter
+        )
         nodes.extend(int(c) for c in chunk)
         values.extend(float(v) for v in chunk_values)
-    counters["nodes_evaluated"] = int(centers.size)
-    return _ship_pairs(
-        np, cache, task, {"counters": counters}, list(zip(nodes, values)), "pairs"
-    )
+    out = {"counters": _counters(counter, int(centers.size))}
+    return _ship_pairs(np, cache, task, out, list(zip(nodes, values)), "pairs")
 
 
 def _weighted_task(np, cache: _AttachmentCache, task: dict) -> dict:
     """Distance-weighted SUM over owned centers (the paper's footnote 1).
 
     The decay profile arrives pre-evaluated as one weight per hop distance
-    (callables do not cross process boundaries); each block expands with
-    the distance-labeled kernel and reduces ``w[d] * f(member)`` per owner.
+    (callables do not cross process boundaries); each block is one
+    ``weighted_ball_sums`` call.
     """
-    from repro.graph.csr import batched_hop_balls_with_distances
-
-    attached = cache.csr(task["csr"])
-    csr = attached.csr
+    csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
     centers = cache.array(task["owned"])
     if "hi" in task:
         centers = centers[task.get("lo", 0) : task["hi"]]
     weights = np.asarray(task["weights"], dtype=np.float64)
-    hops = task["hops"]
-    include_self = task["include_self"]
     block = task["block"]
-    counters = _counters()
-    native = _native_kernels() if task.get("native") else None
+    kernels = _kernels(task)
+    counter = TraversalCounter()
     acc = TopKAccumulator(task["k"])
-    from repro.core.vectorized import _offer_block
-
     for lo in range(0, int(centers.size), block):
         check_deadline()  # block boundary (live under a cluster task scope)
         chunk = centers[lo : lo + block]
-        count = int(chunk.size)
-        if native is not None:
-            gen0 = _SCRATCH.take(np, int(csr.num_nodes), count)
-            dist_buf, scaled_buf = _SCRATCH.distance_buffers(
-                np, int(csr.num_nodes)
-            )
-            values = np.empty(count, dtype=np.float64)
-            sizes = np.empty(count, dtype=np.int64)
-            edges, pairs = native.distance_aggregate_blocks(
-                csr.indptr,
-                csr.indices,
-                scores,
-                weights,
-                np.ascontiguousarray(chunk, dtype=np.int64),
-                hops,
-                include_self,
-                _SCRATCH.stamp,
-                gen0,
-                _SCRATCH.member_buf,
-                dist_buf,
-                scaled_buf,
-                values,
-                sizes,
-            )
-            counters["edges_scanned"] += int(edges)
-            counters["nodes_visited"] += int(pairs) + (
-                0 if include_self else count
-            )
-            counters["balls_expanded"] += count
-        else:
-            owners, members, dists, edges = batched_hop_balls_with_distances(
-                csr, chunk, hops, include_self=include_self
-            )
-            counters["edges_scanned"] += edges
-            counters["nodes_visited"] += int(members.size) + (
-                0 if include_self else count
-            )
-            counters["balls_expanded"] += count
-            values = np.bincount(
-                owners, weights=weights[dists] * scores[members], minlength=count
-            )
-        _offer_block(np, acc, chunk, values)
-    counters["nodes_evaluated"] = int(centers.size)
+        values = kernels.weighted_ball_sums(
+            np, csr, chunk, scores, weights, task["hops"], task["include_self"],
+            counter,
+        )
+        offer_block(np, acc, chunk, values)
     out = {
-        "counters": counters,
+        "counters": _counters(counter, int(centers.size)),
         "evaluated": int(centers.size),
         "pruned": 0,
     }

@@ -153,6 +153,32 @@ class TestRC001:
         assert len(report.active) == 1
         assert "'scan'" in report.active[0].message
 
+    def test_provider_primitive_in_an_unpolled_driver_loop_is_flagged(
+        self, tmp_path
+    ):
+        # The drivers no longer name an expansion kernel — they call a
+        # kernel provider's block primitives — so those method names are
+        # registered in the live primitive set.
+        from repro.analysis.project import DEFAULT_CONFIG
+
+        cfg = AnalysisConfig(
+            hot_paths={"mod.py": HotModule(functions=frozenset({"scan", "polled"}))},
+            expansion_primitives=DEFAULT_CONFIG.expansion_primitives,
+        )
+        _tree(tmp_path, {"mod.py": """
+            def scan(kernels, blocks, counter):
+                for centers in blocks:
+                    kernels.ball_values(centers, counter)
+
+            def polled(kernels, blocks, counter):
+                for centers in blocks:
+                    check_deadline()
+                    kernels.fused_ball_values(centers, counter)
+        """})
+        report = _run(tmp_path, DeadlineCoverage(cfg))
+        assert len(report.active) == 1
+        assert "expansion loop in scan" in report.active[0].message
+
 
 # ----------------------------------------------------------------------
 # RC002 lock discipline

@@ -138,11 +138,16 @@ class TestAdaptiveBlockSize:
 
         assert resolve_block_size(17, 1000, 5000) == 17
         assert resolve_block_size(1, 1000, 5000) == 1
-        # No budget clamps an explicit request, on any backend or graph size.
+        # No budget clamps an explicit request, on any provider or graph size.
         n = 4_000_000
         assert resolve_block_size(1024, n, 10 * n) == 1024
-        assert resolve_block_size(5000, n, 10 * n, backend="native") == 5000
         assert resolve_block_size(0, 1000, 5000) == 1
+        from repro.core.vectorized import NumpyKernels
+        from repro.native.provider import NativeKernels
+
+        for kernels in (NumpyKernels(), NativeKernels()):
+            for role in ("scan", "prune", "verify"):
+                assert kernels.block_size(5000, n, 10 * n, role=role) == 5000
 
 
 class TestSessionBallCache:
