@@ -70,13 +70,24 @@ from repro.relevance import (
     indicator_scores,
     uniform_scores,
 )
-from repro.client import RemoteNetwork, RetryPolicy
 from repro.errors import error_from_wire
 from repro.faults import FaultPlan
 from repro.service import QueryHandle, QueryService
 from repro.session import Network, QueryBuilder
 
 __version__ = "2.1.0"
+
+
+def __getattr__(name: str):
+    # The remote client brings http.client, ssl and the asyncio serving stack
+    # with it (about 8 MB resident); a process that only queries in-process
+    # should not carry them, so these two names resolve on first use.
+    if name in ("RemoteNetwork", "RetryPolicy"):
+        from repro import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

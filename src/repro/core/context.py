@@ -14,6 +14,11 @@ The context is *version-aware*: when the underlying graph is a
 :class:`~repro.dynamic.graph.DynamicGraph`, every accessor revalidates
 against ``graph.version`` and drops stale artifacts automatically, so a
 session over a mutating graph never serves answers from a dead index.
+Dropping is cheap to recover from where it can be: such a graph owns and
+patches its own CSR views, so :meth:`GraphContext.csr` just asks it again,
+and the degree-based size bounds are re-derived from those arrays in about
+a millisecond (DESIGN.md §2, "Dynamic integration").  The differential
+index and the ball caches are rebuilt from scratch.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -31,6 +36,7 @@ import threading
 import time
 from typing import Dict, Optional
 
+from repro.core.backends import numpy_available
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
@@ -48,12 +54,13 @@ class GraphContext:
     """Lazily built, shared caches for one ``(graph, hops, include_self)``.
 
     Owns: the differential index, the exact/estimated neighborhood-size
-    indexes, the (reversed) CSR views consumed by the numpy backend, and
-    the session-scoped ball caches (:meth:`ball_cache` /
-    :meth:`dist_ball_cache`).  All artifacts build on first use and are
-    reused until :meth:`invalidate` (called automatically when the graph's
-    version counter moves).  Accessors are safe to call from concurrent
-    query threads.
+    indexes, its references to the (reversed) CSR views consumed by the
+    numpy backend (the arrays themselves belong to a ``DynamicGraph``; an
+    immutable graph's are built here), and the session-scoped ball caches
+    (:meth:`ball_cache` / :meth:`dist_ball_cache`).  All artifacts build on
+    first use and are reused until :meth:`invalidate` (called automatically
+    when the graph's version counter moves).  Accessors are safe to call
+    from concurrent query threads.
     """
 
     __slots__ = (
@@ -170,10 +177,28 @@ class GraphContext:
                 self.build_indexes()
             if self._size_index is not None:
                 return self._size_index
+            return self.estimated_sizes()
+
+    def estimated_sizes(self) -> NeighborhoodSizeIndex:
+        """The degree-based ``N_ub`` / ``N_lb`` table, one per graph version.
+
+        Always the *estimate*, also once an exact index is built: the
+        planner's statistics are defined on it.  With numpy importable it
+        is computed from :meth:`csr` (building that view if nobody has yet)
+        and holds int64 arrays; otherwise the adjacency-list reference
+        runs.  Same integers either way.
+        """
+        with self._lock:
+            self.check_fresh()
             if self._estimated_sizes is None:
-                self._estimated_sizes = NeighborhoodSizeIndex.estimated(
-                    self.graph, self.hops, include_self=self.include_self
-                )
+                if numpy_available():
+                    self._estimated_sizes = NeighborhoodSizeIndex.estimated_from_csr(
+                        self.csr(), self.hops, include_self=self.include_self
+                    )
+                else:
+                    self._estimated_sizes = NeighborhoodSizeIndex.estimated(
+                        self.graph, self.hops, include_self=self.include_self
+                    )
             return self._estimated_sizes
 
     def save_index(self, path: object) -> None:
@@ -204,17 +229,28 @@ class GraphContext:
     # CSR views (numpy backend)
     # ------------------------------------------------------------------
     def csr(self):
-        """The (lazily built, cached) numpy CSR view of the graph."""
+        """The numpy CSR view of the graph at its current version.
+
+        A :class:`~repro.dynamic.graph.DynamicGraph` owns (and patches) its
+        own view, so the context asks it; an immutable graph is converted
+        once here.  Either way the reference is dropped by
+        :meth:`invalidate` and re-taken on the next call.
+        """
         with self._lock:
             self.check_fresh()
             if self._csr is None:
-                from repro.graph.csr import to_csr
+                owned = getattr(self.graph, "csr", None)
+                if owned is not None:
+                    self._csr = owned()
+                else:
+                    from repro.graph.csr import to_csr
 
-                self._csr = to_csr(self.graph, use_numpy=True)
+                    self._csr = to_csr(self.graph, use_numpy=True)
             return self._csr
 
     def rev_csr(self):
-        """Cached numpy CSR view of the reversed graph (directed only).
+        """Numpy CSR view of the reversed graph (directed only), obtained
+        like :meth:`csr`.
 
         Returns None for undirected graphs, whose reversal is themselves.
         """
@@ -223,9 +259,13 @@ class GraphContext:
             if not self.graph.directed:
                 return None
             if self._rev_csr is None:
-                from repro.graph.csr import to_csr
+                owned = getattr(self.graph, "rev_csr", None)
+                if owned is not None:
+                    self._rev_csr = owned()
+                else:
+                    from repro.graph.csr import to_csr
 
-                self._rev_csr = to_csr(self.graph.reversed(), use_numpy=True)
+                    self._rev_csr = to_csr(self.graph.reversed(), use_numpy=True)
             return self._rev_csr
 
     # ------------------------------------------------------------------

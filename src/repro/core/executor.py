@@ -156,6 +156,7 @@ def plan(
 ) -> ExecutionPlan:
     """The cost-based plan for ``request`` (see :mod:`repro.core.planner`)."""
     if planner is None:
+        _check_context_match(ctx, request)  # the size table is the context's
         planner = QueryPlanner(
             ctx.graph,
             scores.values(),
@@ -163,6 +164,7 @@ def plan(
             include_self=request.include_self,
             index_available=ctx.diff_index is not None,
             backend=request.backend,
+            size_estimates=ctx.estimated_sizes().upper_values(),
         )
     execution_plan = planner.plan(request.spec(), amortize_index=amortize_index)
     if execution_plan.backend == "cluster":

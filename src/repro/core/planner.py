@@ -287,7 +287,12 @@ class QueryPlanner:
         index_available: bool = False,
         distribution_fraction: float = 0.1,
         backend: str = "auto",
+        size_estimates: Optional[Sequence[int]] = None,
     ) -> None:
+        """``size_estimates`` is the per-node ``N_ub`` table for ``(graph,
+        hops, include_self)`` when the caller already holds it (a session's
+        :meth:`~repro.core.context.GraphContext.estimated_sizes`, shared by
+        every score's planner); omitted, it is computed here."""
         self.graph = graph
         self.scores = list(scores)
         self.hops = hops
@@ -296,12 +301,13 @@ class QueryPlanner:
         self.distribution_fraction = distribution_fraction
         self.backend = resolve_backend(backend)
         # One O(n log n) statistics pass, shared by all plan() calls.
-        self._size_ub = sorted(
-            upper_estimate(graph, hops, include_self=include_self), reverse=True
-        )
-        self._size_ub_by_node = upper_estimate(
-            graph, hops, include_self=include_self
-        )
+        if size_estimates is None:
+            size_estimates = upper_estimate(graph, hops, include_self=include_self)
+        elif hasattr(size_estimates, "tolist"):
+            # plain ints: plan() walks the table in interpreted loops
+            size_estimates = size_estimates.tolist()
+        self._size_ub_by_node = size_estimates
+        self._size_ub = sorted(size_estimates, reverse=True)
         n = graph.num_nodes
         self._mu = sum(self.scores) / n if n else 0.0
         self._nonzero_desc = sorted(

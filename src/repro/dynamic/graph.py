@@ -10,13 +10,25 @@ staleness and repair themselves incrementally.
 All traversal and algorithm code operates on the :class:`Graph` interface,
 so a :class:`DynamicGraph` can be queried directly at any point in its
 mutation history.
+
+The graph also *owns its flat arrays*.  :meth:`DynamicGraph.csr` (and, when
+directed, :meth:`DynamicGraph.rev_csr`) builds the numpy CSR once, on first
+request; from then on every mutation patches it — one ``indices`` insert or
+delete at the slot ``list.append`` / ``list.remove`` used, one ``indptr``
+suffix shift (:func:`repro.graph.csr.patch_csr`) — so the view after any
+mutation sequence is array-equal to a fresh ``to_csr(graph,
+use_numpy=True)``, arc order included, at the cost of an ``O(arcs)`` memcpy
+instead of an interpreted pass over every adjacency list.  A patch always
+lands in new arrays: a reader or ball cache holding the previous
+:class:`~repro.graph.csr.CSRGraph` keeps a consistent snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, GraphBuildError
+from repro.graph.csr import CSRGraph, append_csr_node, patch_csr, to_csr
 from repro.graph.graph import Graph
 
 __all__ = ["DynamicGraph"]
@@ -28,10 +40,12 @@ class DynamicGraph(Graph):
     Every successful mutation bumps :attr:`version`; consumers cache
     against it.  Duplicate edges and self-loops are rejected exactly as in
     :class:`GraphBuilder`, keeping the simple-graph invariant that all
-    algorithms assume.
+    algorithms assume.  Membership is :meth:`Graph.has_edge`'s scan of one
+    adjacency list — the list an edge write walks anyway — so the adjacency
+    and the patched CSR are the only edge stores to keep in step.
     """
 
-    __slots__ = ("version", "_edge_set")
+    __slots__ = ("version", "_csr", "_rev_csr")
 
     def __init__(
         self,
@@ -42,17 +56,13 @@ class DynamicGraph(Graph):
     ) -> None:
         super().__init__(adjacency or [], directed=directed, name=name)
         self.version = 0
-        self._edge_set: Set[Tuple[int, int]] = set()
-        for u, v in self.arcs():
-            key = (u, v) if directed else (min(u, v), max(u, v))
-            if u == v:
+        self._csr: Optional[CSRGraph] = None
+        self._rev_csr: Optional[CSRGraph] = None
+        for u, nbrs in enumerate(self._adj):
+            if u in nbrs:
                 raise GraphBuildError(f"self-loop on node {u}")
-            self._edge_set.add(key)
-        if not directed and any(
-            len({(min(u, v), max(u, v)) for v in self._adj[u]}) != len(self._adj[u])
-            for u in self.nodes()
-        ):
-            raise GraphBuildError("duplicate edges in initial adjacency")
+            if len(set(nbrs)) != len(nbrs):
+                raise GraphBuildError("duplicate edges in initial adjacency")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -78,14 +88,19 @@ class DynamicGraph(Graph):
         return cls.from_graph(base)
 
     # ------------------------------------------------------------------
-    def _key(self, u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if self._directed else (min(u, v), max(u, v))
-
     def add_node(self) -> int:
         """Append a new isolated node; returns its id."""
         self._adj.append([])
+        if self._csr is not None:
+            self._csr = append_csr_node(self._csr)
+        if self._rev_csr is not None:
+            self._rev_csr = append_csr_node(self._rev_csr)
         self.version += 1
         return len(self._adj) - 1
+
+    def _arcs(self, u: int, v: int) -> List[Tuple[int, int]]:
+        """The stored arcs of edge ``(u, v)``, in ascending row order."""
+        return [(u, v)] if self._directed else sorted(((u, v), (v, u)))
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert the edge ``u - v`` (arc ``u -> v`` if directed)."""
@@ -93,35 +108,79 @@ class DynamicGraph(Graph):
         self._check_node(v)
         if u == v:
             raise GraphBuildError(f"self-loop on node {u} is not allowed")
-        key = self._key(u, v)
-        if key in self._edge_set:
+        if self.has_edge(u, v):
             raise GraphBuildError(f"edge ({u}, {v}) already present")
-        self._edge_set.add(key)
-        self._adj[u].append(v)
-        if not self._directed:
-            self._adj[v].append(u)
+        rows, heads = zip(*self._arcs(u, v))
+        for row, head in zip(rows, heads):
+            self._adj[row].append(head)
+        if self._csr is not None:
+            # ``list.append``: each arc goes to the end of its row's slice.
+            ends = self._csr.indptr[1:]
+            self._csr = patch_csr(
+                self._csr, rows, [int(ends[row]) for row in rows], heads
+            )
+        if self._rev_csr is not None:
+            self._rev_csr = patch_csr(
+                self._rev_csr, [v], [self._rev_slot(v, u)], [u]
+            )
         self._num_edges += 1
         self.version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the edge ``u - v`` (arc ``u -> v`` if directed)."""
-        self._check_node(u)
-        self._check_node(v)
-        key = self._key(u, v)
-        if key not in self._edge_set:
+        if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        self._edge_set.discard(key)
-        self._adj[u].remove(v)
-        if not self._directed:
-            self._adj[v].remove(u)
+        rows, heads = zip(*self._arcs(u, v))
+        # ``index`` + ``del`` is ``list.remove`` with the position kept: it
+        # is the arc's offset inside its row's CSR slice.
+        offsets = [self._adj[row].index(head) for row, head in zip(rows, heads)]
+        for row, offset in zip(rows, offsets):
+            del self._adj[row][offset]
+        if self._csr is not None:
+            starts = self._csr.indptr
+            self._csr = patch_csr(
+                self._csr,
+                rows,
+                [int(starts[row]) + offset for row, offset in zip(rows, offsets)],
+            )
+        if self._rev_csr is not None:
+            self._rev_csr = patch_csr(self._rev_csr, [v], [self._rev_slot(v, u)])
         self._num_edges -= 1
         self.version += 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """O(1) membership via the edge set."""
-        self._check_node(u)
-        self._check_node(v)
-        return self._key(u, v) in self._edge_set
+    def _rev_slot(self, row: int, source: int) -> int:
+        """Where ``source`` sits (or belongs) in ``row``'s reverse slice.
+
+        ``Graph.reversed`` walks the sources in id order, so every reverse
+        slice is ascending and the slot is a binary search away.
+        """
+        assert self._rev_csr is not None
+        lo = int(self._rev_csr.indptr[row])
+        hi = int(self._rev_csr.indptr[row + 1])
+        return lo + int(self._rev_csr.indices[lo:hi].searchsorted(source))
+
+    # ------------------------------------------------------------------
+    # Graph-owned flat arrays
+    # ------------------------------------------------------------------
+    def csr(self) -> CSRGraph:
+        """The numpy CSR view at the current version (numpy required).
+
+        Built by :func:`~repro.graph.csr.to_csr` on first request, patched
+        by every later mutation; equal to a fresh ``to_csr(self,
+        use_numpy=True)`` at all times.  Treat the arrays as read-only.
+        """
+        if self._csr is None:
+            self._csr = to_csr(self, use_numpy=True)
+        return self._csr
+
+    def rev_csr(self) -> Optional[CSRGraph]:
+        """The numpy CSR view of the reversed graph (``None`` if undirected,
+        whose reversal is itself); same ownership rule as :meth:`csr`."""
+        if not self._directed:
+            return None
+        if self._rev_csr is None:
+            self._rev_csr = to_csr(self.reversed(), use_numpy=True)
+        return self._rev_csr
 
     def snapshot(self) -> Graph:
         """An immutable deep copy at the current version."""

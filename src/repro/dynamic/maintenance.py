@@ -21,22 +21,41 @@ Each repair's cost is proportional to the perturbed region, not the graph —
 the property that makes the monitoring scenario ("dynamic intrusion
 network", Sec. I) workable.  The view checks itself against a version
 counter and refuses to serve stale answers.
+
+Two representations, one behaviour.  On a vectorized backend the view keeps
+``F_sum`` and ``N`` in two numpy arrays: the affected set is re-evaluated
+with the backend's block primitive (``ball_values(..., want_sizes=True)``,
+the one Base scans with) over the graph-owned, already patched CSR
+(:meth:`DynamicGraph.csr`), reverse balls come from
+:func:`~repro.graph.csr.csr_hop_ball` over the graph-owned reverse CSR, and
+``topk`` is one ``lexsort((ids, -values))[:k]`` — the entries, and the
+lowest-id-wins ties, of offering every node in id order.  On the python
+backend (numpy absent, or asked for) it keeps two lists and walks one
+``hop_ball`` per affected node: the dependency-free reference the other is
+tested against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Set, Union
+from typing import Any, List, Sequence, Set, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate
+from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import InvalidParameterError, RelevanceError
+from repro.graph.csr import csr_hop_ball
+from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
 
 __all__ = ["MaintainedAggregateView"]
+
+#: A set of node ids: a ``set`` on the python backend, a sorted int64 array
+#: on a vectorized one.  Callers only pass it back and take its ``len``.
+NodeSet = Union[Set[int], Any]
 
 
 class MaintainedAggregateView:
@@ -46,6 +65,10 @@ class MaintainedAggregateView:
     ``remove_edge`` / ``update_score`` so the view repairs in lockstep;
     mutating the graph directly is detected via the version counter and
     raises on the next query.
+
+    ``backend`` picks the representation (module docstring) the way it does
+    everywhere else: ``"auto"`` is vectorized when numpy is importable;
+    values, sizes and ``topk`` entries are the same either way.
     """
 
     def __init__(
@@ -55,6 +78,7 @@ class MaintainedAggregateView:
         *,
         hops: int = 2,
         include_self: bool = True,
+        backend: str = "auto",
     ) -> None:
         if len(scores) != graph.num_nodes:
             raise RelevanceError(
@@ -71,59 +95,91 @@ class MaintainedAggregateView:
         self.counter = TraversalCounter()
         self.nodes_repaired = 0
         self.arithmetic_updates = 0
-        self._sums: List[float] = []
-        self._sizes: List[int] = []
-        self._rebuild()
+        self._backend = resolve_backend(backend)
+        self._np = None
+        if self._backend != "python":
+            import numpy
+
+            self._np = numpy
+            # The block primitive gathers ``scores[members]``.
+            self._score_arr = numpy.asarray(self.scores, dtype=numpy.float64)
+        # Python backend, directed graphs: the reversal, per graph version.
+        self._reversed: Tuple[int, Graph] = (-1, graph)
+        self._sums, self._sizes = self._evaluate(graph.nodes())
         self._version = graph.version
 
     # ------------------------------------------------------------------
     # Build / repair internals
     # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        self._sums = []
-        self._sizes = []
-        for u in self.graph.nodes():
-            ball = hop_ball(
-                self.graph,
-                u,
-                self.hops,
-                include_self=self.include_self,
-                counter=self.counter,
+    def _evaluate(self, nodes: Any) -> Tuple[Any, Any]:
+        """Exact ``(F_sum, N)`` of every node in ``nodes``, in their order."""
+        np = self._np
+        if np is None:
+            sums: List[float] = []
+            sizes: List[int] = []
+            for u in nodes:
+                ball = hop_ball(
+                    self.graph,
+                    u,
+                    self.hops,
+                    include_self=self.include_self,
+                    counter=self.counter,
+                )
+                sums.append(sum(self.scores[v] for v in ball))
+                sizes.append(len(ball))
+            return sums, sizes
+        centers = np.asarray(nodes, dtype=np.int64)
+        csr = self.graph.csr()
+        kernels = kernel_provider(self._backend)
+        # The provider's scan profile, not a constant: the initial build is
+        # a full scan and sets the process's peak memory.
+        block = kernels.block_size(None, csr.num_nodes, int(csr.num_arcs))
+        sums = np.empty(centers.size, dtype=np.float64)
+        sizes = np.empty(centers.size, dtype=np.int64)
+        for lo in range(0, int(centers.size), block):
+            sums[lo : lo + block], sizes[lo : lo + block] = kernels.ball_values(
+                np, csr, centers[lo : lo + block], self._score_arr,
+                AggregateKind.SUM, self.hops, self.include_self, self.counter,
+                want_sizes=True,
             )
-            self._sums.append(sum(self.scores[v] for v in ball))
-            self._sizes.append(len(ball))
+        return sums, sizes
 
-    def _reverse_ball(self, node: int) -> Set[int]:
+    def _reverse_ball(self, node: int) -> NodeSet:
         """Nodes whose h-hop ball contains ``node``."""
-        if self.graph.directed:
-            reverse = self.graph.reversed()
-            return hop_ball(
-                reverse,
-                node,
-                self.hops,
-                include_self=self.include_self,
-                counter=self.counter,
+        if self._np is not None:
+            # ``rev_csr()`` is None on an undirected graph: its own reversal.
+            csr = self.graph.rev_csr() or self.graph.csr()
+            return csr_hop_ball(
+                csr, node, self.hops, include_self=self.include_self
             )
+        reverse: Graph = self.graph
+        if self.graph.directed:
+            if self._reversed[0] != self.graph.version:
+                self._reversed = (self.graph.version, self.graph.reversed())
+            reverse = self._reversed[1]
         return hop_ball(
-            self.graph,
+            reverse,
             node,
             self.hops,
             include_self=self.include_self,
             counter=self.counter,
         )
 
-    def _repair(self, affected: Set[int]) -> None:
-        for u in affected:
-            ball = hop_ball(
-                self.graph,
-                u,
-                self.hops,
-                include_self=self.include_self,
-                counter=self.counter,
-            )
-            self._sums[u] = sum(self.scores[v] for v in ball)
-            self._sizes[u] = len(ball)
-            self.nodes_repaired += 1
+    def _affected_by_edge(self, u: int, v: int) -> NodeSet:
+        """Union of the endpoints' reverse balls in the current graph."""
+        a, b = self._reverse_ball(u), self._reverse_ball(v)
+        return a | b if self._np is None else self._np.union1d(a, b)
+
+    def _repair(self, affected: NodeSet) -> None:
+        sums, sizes = self._evaluate(affected)
+        if self._np is None:
+            for u, total, size in zip(affected, sums, sizes):
+                self._sums[u] = total
+                self._sizes[u] = size
+        else:
+            self._sums[affected] = sums
+            self._sizes[affected] = sizes
+        self.nodes_repaired += len(affected)
 
     def _check_version(self) -> None:
         if self.graph.version != self._version:
@@ -154,9 +210,13 @@ class MaintainedAggregateView:
             return 0
         self.scores[node] = new_score
         affected = self._reverse_ball(node)
-        for u in affected:
-            self._sums[u] += delta
-            self.arithmetic_updates += 1
+        if self._np is None:
+            for u in affected:
+                self._sums[u] += delta
+        else:
+            self._score_arr[node] = new_score
+            self._sums[affected] += delta
+        self.arithmetic_updates += len(affected)
         return len(affected)
 
     def add_edge(self, u: int, v: int) -> int:
@@ -175,20 +235,20 @@ class MaintainedAggregateView:
         members through the new edge.
         """
         self._version = self.graph.version
-        affected = self._reverse_ball(u) | self._reverse_ball(v)
+        affected = self._affected_by_edge(u, v)
         self._repair(affected)
         return len(affected)
 
-    def affected_for_delete(self, u: int, v: int) -> Set[int]:
+    def affected_for_delete(self, u: int, v: int) -> NodeSet:
         """Nodes whose view entry a pending ``(u, v)`` deletion may change.
 
         Must be called *before* the edge is removed — paths through the
         edge existed only in the old graph.
         """
         self._check_version()
-        return self._reverse_ball(u) | self._reverse_ball(v)
+        return self._affected_by_edge(u, v)
 
-    def repair_after_delete(self, affected: Set[int]) -> int:
+    def repair_after_delete(self, affected: NodeSet) -> int:
         """Repair ``affected`` (from :meth:`affected_for_delete`) after the
         deletion has been applied to the graph."""
         self._version = self.graph.version
@@ -207,8 +267,15 @@ class MaintainedAggregateView:
         node = self.graph.add_node()
         self._version = self.graph.version
         self.scores.append(0.0)
-        self._sums.append(0.0)
-        self._sizes.append(1 if self.include_self else 0)
+        size = 1 if self.include_self else 0
+        if self._np is None:
+            self._sums.append(0.0)
+            self._sizes.append(size)
+        else:
+            append = self._np.append
+            self._score_arr = append(self._score_arr, 0.0)
+            self._sums = append(self._sums, 0.0)
+            self._sizes = append(self._sizes, size)
         return node
 
     # ------------------------------------------------------------------
@@ -216,29 +283,40 @@ class MaintainedAggregateView:
     # ------------------------------------------------------------------
     def value(self, node: int, kind: Union[str, AggregateKind] = "sum") -> float:
         """Current aggregate value of one node."""
-        kind = coerce_aggregate(kind)
+        kind = _served(kind)
+        total = float(self._sums[node])
         if kind is AggregateKind.SUM:
-            return self._sums[node]
-        if kind is AggregateKind.AVG:
-            size = self._sizes[node]
-            return self._sums[node] / size if size else 0.0
-        raise InvalidParameterError(
-            f"the maintained view serves SUM/AVG, not {kind.value}"
-        )
+            return total
+        size = int(self._sizes[node])
+        return total / size if size else 0.0
 
     def topk(
         self, k: int, aggregate: Union[str, AggregateKind] = "sum"
     ) -> TopKResult:
         """Answer a top-k query from the live view."""
         self._check_version()
-        kind = coerce_aggregate(aggregate)
+        kind = _served(aggregate)
         spec = QuerySpec(
             k=k, aggregate=kind, hops=self.hops, include_self=self.include_self
         )
         start = time.perf_counter()
-        acc = TopKAccumulator(spec.k)
-        for node in range(len(self._sums)):
-            acc.offer(node, self.value(node, kind))
+        np = self._np
+        if np is None:
+            acc = TopKAccumulator(spec.k)
+            for node in range(len(self._sums)):
+                acc.offer(node, self.value(node, kind))
+            entries = acc.entries()
+        else:
+            values = self._sums
+            if kind is AggregateKind.AVG:
+                values = np.divide(
+                    values, self._sizes, out=np.zeros_like(values),
+                    where=self._sizes > 0,
+                )
+            # Best value first, lowest id among equals: what offering every
+            # node in id order leaves in the accumulator.
+            best = np.lexsort((np.arange(values.size), -values))[: spec.k]
+            entries = list(zip(best.tolist(), values[best].tolist()))
         stats = QueryStats(
             algorithm="maintained-view",
             aggregate=kind.value,
@@ -248,4 +326,14 @@ class MaintainedAggregateView:
         )
         stats.extra["nodes_repaired_total"] = float(self.nodes_repaired)
         stats.extra["arithmetic_updates_total"] = float(self.arithmetic_updates)
-        return TopKResult(entries=acc.entries(), stats=stats)
+        return TopKResult(entries=entries, stats=stats)
+
+
+def _served(kind: Union[str, AggregateKind]) -> AggregateKind:
+    """``kind`` coerced, if the view can serve it (SUM and AVG)."""
+    kind = coerce_aggregate(kind)
+    if kind not in (AggregateKind.SUM, AggregateKind.AVG):
+        raise InvalidParameterError(
+            f"the maintained view serves SUM/AVG, not {kind.value}"
+        )
+    return kind

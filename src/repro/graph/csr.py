@@ -31,6 +31,8 @@ from repro.graph.graph import Graph
 __all__ = [
     "CSRGraph",
     "to_csr",
+    "patch_csr",
+    "append_csr_node",
     "from_csr",
     "degree_array",
     "neighbor_slab",
@@ -112,6 +114,48 @@ def to_csr(graph: Graph, *, use_numpy: bool = False) -> CSRGraph:
         )
     return CSRGraph(
         indptr=indptr, indices=indices, weights=weights, directed=graph.directed
+    )
+
+
+def patch_csr(
+    csr: CSRGraph,
+    rows: Sequence[int],
+    slots: Sequence[int],
+    values: Optional[Sequence[int]] = None,
+) -> CSRGraph:
+    """``csr`` with arcs inserted (``values`` given) or deleted (``None``).
+
+    Arc ``i`` belongs to node ``rows[i]`` and sits at flat position
+    ``slots[i]`` of the *unpatched* ``indices``: an insert puts
+    ``values[i]`` before that position, a delete drops it.  Arcs are listed
+    in ascending ``rows`` order, so two inserts that land on one position
+    (the rows between them are empty) keep their rows' order.  Costs one
+    ``O(arcs)`` copy of ``indices`` and one ``indptr`` suffix shift per arc,
+    both into new arrays: whoever holds ``csr`` keeps a consistent snapshot.
+    Unweighted numpy views only (what :class:`~repro.dynamic.graph.
+    DynamicGraph` owns).
+    """
+    np = _require_numpy_csr(csr)
+    step = -1 if values is None else 1
+    indptr = csr.indptr.copy()
+    for row in rows:
+        indptr[row + 1 :] += step
+    if values is None:
+        indices = np.delete(csr.indices, slots)
+    else:
+        indices = np.insert(csr.indices, slots, values)
+    return CSRGraph(indptr=indptr, indices=indices, weights=None, directed=csr.directed)
+
+
+def append_csr_node(csr: CSRGraph) -> CSRGraph:
+    """``csr`` plus one isolated trailing node (``indices`` is shared: no
+    array of a view is ever written in place)."""
+    np = _require_numpy_csr(csr)
+    return CSRGraph(
+        indptr=np.append(csr.indptr, csr.indptr[-1]),
+        indices=csr.indices,
+        weights=None,
+        directed=csr.directed,
     )
 
 

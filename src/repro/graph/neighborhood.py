@@ -17,11 +17,20 @@ over the edges:
 
 The estimates are exact for h <= 1 and become upper/lower bounds for h >= 2
 via degree-sum arguments (see each function's docstring).
+
+:func:`upper_estimate` / :func:`lower_estimate` walk the adjacency lists and
+need nothing but the interpreter: they are the reference, and what runs when
+numpy is absent.  :func:`csr_estimates` computes the same two tables — the
+same integers, entry for entry — from a numpy CSR view with one
+``np.diff(indptr)`` and one ``np.add.reduceat`` over ``deg[indices]``
+(about 1 ms at 16,000 nodes against 38), which is what
+:class:`~repro.core.context.GraphContext` serves whenever numpy is
+importable, once per graph version.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
@@ -32,6 +41,7 @@ __all__ = [
     "exact_sizes",
     "upper_estimate",
     "lower_estimate",
+    "csr_estimates",
 ]
 
 
@@ -118,16 +128,60 @@ def lower_estimate(graph: Graph, hops: int, *, include_self: bool = True) -> Lis
     return [self_count + graph.degree(u) for u in graph.nodes()]
 
 
+def csr_estimates(csr: Any, hops: int, *, include_self: bool = True) -> Tuple[Any, Any]:
+    """``(upper, lower)`` int64 arrays equal to :func:`upper_estimate` /
+    :func:`lower_estimate` of the graph behind ``csr`` (a numpy CSR view).
+
+    Level 2 of the BFS-slot count is a segmented sum of the neighbors'
+    (back-edge-adjusted) degrees; levels 3..h multiply by the branching
+    factor.  The reference stops a node's loop once its total reaches the
+    cap; here every running value is clamped to the cap instead, which
+    yields the same minimum and keeps ``level * branch`` below ``n *
+    max_degree`` — fixed-width integers never wrap where Python's would grow.
+    """
+    import numpy as np
+
+    if hops < 0:
+        raise InvalidParameterError(f"hops must be >= 0, got {hops}")
+    n = csr.num_nodes
+    self_count = 1 if include_self else 0
+    if hops == 0:
+        flat = np.full(n, self_count, dtype=np.int64)
+        return flat, flat
+    degrees = np.diff(csr.indptr)
+    lower = degrees + self_count
+    if hops == 1 or n == 0:
+        # deg(v) distinct neighbors never exceed the cap: no clamp needed.
+        return lower, lower
+    cap = n if include_self else n - 1
+    back_edge = 0 if csr.directed else 1
+    branch = max(int(degrees.max()) - back_edge, 0)
+    level = np.zeros(n, dtype=np.int64)
+    rows = np.flatnonzero(degrees)
+    if rows.size:
+        slots = np.maximum(degrees - back_edge, 0)[csr.indices]
+        level[rows] = np.add.reduceat(slots, csr.indptr[rows])
+    total = np.minimum(lower + level, cap)
+    for _ in range(3, hops + 1):
+        level = np.minimum(level, cap) * branch
+        total = np.minimum(total + level, cap)
+    return total, lower
+
+
 class NeighborhoodSizeIndex:
     """Per-node ``N(v)`` table with sound upper/lower views.
 
-    Three construction modes:
+    Four construction modes:
 
     * :meth:`exact` — offline BFS index (used by LONA-Forward, whose offline
       pass already exists for the differential index).
     * :meth:`estimated` — index-free degree-based bounds (used by
-      LONA-Backward when run without any precomputation).
-    * the constructor — from explicit arrays, for tests.
+      LONA-Backward when run without any precomputation), from the
+      adjacency lists.
+    * :meth:`estimated_from_csr` — the same bounds from a numpy CSR view.
+    * the constructor — from explicit tables: sequences of ints, or numpy
+      int64 arrays, which are kept as given and handed back by
+      :meth:`upper_values` / :meth:`lower_values` without a copy.
 
     The query-time contract is:
 
@@ -136,7 +190,15 @@ class NeighborhoodSizeIndex:
     * when exact, both equal ``N(v)``.
     """
 
-    __slots__ = ("_upper", "_lower", "_exact", "hops", "include_self")
+    __slots__ = (
+        "_upper_values",
+        "_lower_values",
+        "_upper",
+        "_lower",
+        "_exact",
+        "hops",
+        "include_self",
+    )
 
     def __init__(
         self,
@@ -151,13 +213,23 @@ class NeighborhoodSizeIndex:
             raise InvalidParameterError(
                 f"upper/lower length mismatch: {len(upper)} vs {len(lower)}"
             )
-        for ub, lb in zip(upper, lower):
-            if lb > ub:
-                raise InvalidParameterError(
-                    f"lower estimate {lb} exceeds upper estimate {ub}"
-                )
-        self._upper = list(upper)
-        self._lower = list(lower)
+        from_arrays = hasattr(upper, "tolist") and hasattr(lower, "tolist")
+        if from_arrays:
+            bad = (lower > upper).nonzero()[0]  # type: ignore[operator]
+        else:
+            upper, lower = list(upper), list(lower)
+            bad = [i for i, (ub, lb) in enumerate(zip(upper, lower)) if lb > ub]
+        if len(bad):
+            at = int(bad[0])
+            raise InvalidParameterError(
+                f"lower estimate {lower[at]} exceeds upper estimate {upper[at]}"
+            )
+        self._upper_values = upper
+        self._lower_values = lower
+        # Per-node reads serve plain ints (the python backend's bounds
+        # arithmetic); array tables convert on the first such read.
+        self._upper: Optional[List[int]] = None if from_arrays else upper
+        self._lower: Optional[List[int]] = None if from_arrays else lower
         self._exact = exact
         self.hops = hops
         self.include_self = include_self
@@ -188,28 +260,43 @@ class NeighborhoodSizeIndex:
             exact=False,
         )
 
+    @classmethod
+    def estimated_from_csr(
+        cls, csr: Any, hops: int, *, include_self: bool = True
+    ) -> "NeighborhoodSizeIndex":
+        """:meth:`estimated`, entry for entry, from a numpy CSR view."""
+        upper, lower = csr_estimates(csr, hops, include_self=include_self)
+        for table in (upper, lower):  # shared by every query of a version
+            table.setflags(write=False)
+        return cls(upper, lower, hops=hops, include_self=include_self, exact=False)
+
     @property
     def is_exact(self) -> bool:
         """Whether upper and lower coincide with the true ``N``."""
         return self._exact
 
     def __len__(self) -> int:
-        return len(self._upper)
+        return len(self._upper_values)
 
     def upper(self, node: int) -> int:
         """Sound upper bound on ``N(node)``."""
+        if self._upper is None:
+            self._upper = self._upper_values.tolist()  # type: ignore[attr-defined]
         return self._upper[node]
 
     def upper_values(self) -> Sequence[int]:
-        """The whole upper-bound table (read-only; for bulk/vectorized use)."""
-        return self._upper
+        """The whole upper-bound table (read-only; for bulk/vectorized use):
+        the list or int64 array the index was built from."""
+        return self._upper_values
 
     def lower_values(self) -> Sequence[int]:
         """The whole lower-bound table (read-only; for bulk/vectorized use)."""
-        return self._lower
+        return self._lower_values
 
     def lower(self, node: int) -> int:
         """Sound lower bound on ``N(node)``."""
+        if self._lower is None:
+            self._lower = self._lower_values.tolist()  # type: ignore[attr-defined]
         return self._lower[node]
 
     def value(self, node: int) -> int:
@@ -218,4 +305,4 @@ class NeighborhoodSizeIndex:
             raise InvalidParameterError(
                 "exact N requested from an estimated NeighborhoodSizeIndex"
             )
-        return self._upper[node]
+        return self.upper(node)

@@ -831,6 +831,7 @@ class Network:
             include_self=self.include_self,
             index_available=index_available,
             backend=self.backend,
+            size_estimates=self._ctx.estimated_sizes().upper_values(),
         )
         with self._lock:
             self._planners[score] = (planner, index_available, version)
@@ -864,9 +865,10 @@ class Network:
 
         Requires the session graph to be a
         :class:`~repro.dynamic.graph.DynamicGraph`.  The view answers
-        ``algorithm("view")`` queries in O(n log k) and is repaired
-        incrementally by :meth:`add_edge` / :meth:`remove_edge` /
-        :meth:`update_score`.
+        ``algorithm("view")`` queries from its ``(F_sum, N)`` tables —
+        arrays and one sort on the session's vectorized backend, lists and
+        O(n log k) offers on ``"python"`` — and is repaired incrementally
+        by :meth:`add_edge` / :meth:`remove_edge` / :meth:`update_score`.
         """
         from repro.dynamic.graph import DynamicGraph
         from repro.dynamic.maintenance import MaintainedAggregateView
@@ -883,6 +885,7 @@ class Network:
                 vector.values(),
                 hops=self.hops,
                 include_self=self.include_self,
+                backend=self.backend,
             )
         return self._views[score]
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core.backends import numpy_available
 from repro.core.base import base_topk
 from repro.core.query import QuerySpec
 from repro.dynamic import DynamicGraph, MaintainedAggregateView
@@ -16,7 +17,9 @@ from repro.errors import (
     RelevanceError,
 )
 from repro.graph.generators import erdos_renyi
-from tests.conftest import random_scores, rounded
+from tests.conftest import random_scores, ref_ball, rounded
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 class TestDynamicGraph:
@@ -188,3 +191,105 @@ class TestMaintainedView:
         result = view.topk(3)
         assert result.stats.algorithm == "maintained-view"
         assert result.stats.extra["arithmetic_updates_total"] > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestDirectedView:
+    """Insert, delete and score update on a directed graph: the affected set
+    is the *reverse* ball, taken from the graph-owned reverse CSR (numpy) or
+    a reversal built once per graph version (python)."""
+
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (4, 0), (5, 4)]
+    SCORES = [0.5, 0.25, 1.0, 0.125, 0.75, 0.0]  # dyadic: sums are exact
+
+    def _fresh(self, backend):
+        dg = DynamicGraph.from_edges(self.EDGES, directed=True)
+        return dg, MaintainedAggregateView(dg, self.SCORES, hops=2, backend=backend)
+
+    def _assert_exact(self, dg, view):
+        for aggregate in ("sum", "avg"):
+            spec = QuerySpec(
+                k=dg.num_nodes, hops=2, aggregate=aggregate, backend="python"
+            )
+            expected = base_topk(dg, view.scores, spec)
+            assert view.topk(dg.num_nodes, aggregate).entries == expected.entries
+
+    @staticmethod
+    def _seeing(dg, *targets):
+        """How many nodes have one of ``targets`` in their 2-hop ball."""
+        return sum(
+            1 for x in dg.nodes() if set(targets) & ref_ball(dg, x, 2)
+        )
+
+    def test_insert(self, backend):
+        dg, view = self._fresh(backend)
+        affected = view.add_edge(2, 5)  # reverse balls in the NEW graph
+        assert affected == self._seeing(dg, 2, 5) == 4  # 3 and 4 see neither
+        self._assert_exact(dg, view)
+
+    def test_delete(self, backend):
+        dg, view = self._fresh(backend)
+        expected = self._seeing(dg, 4, 0)  # reverse balls in the OLD graph
+        assert view.remove_edge(4, 0) == expected == 6
+        self._assert_exact(dg, view)
+        assert view.remove_edge(1, 3) == 4  # 4 and 5 no longer reach 1 or 3
+        self._assert_exact(dg, view)
+
+    def test_score_update(self, backend):
+        dg, view = self._fresh(backend)
+        before = view.nodes_repaired
+        assert view.update_score(4, 1.0) == self._seeing(dg, 4) == 2
+        assert view.nodes_repaired == before  # arithmetic only
+        self._assert_exact(dg, view)
+
+    def test_reversal_is_not_rebuilt_per_call(self, backend, monkeypatch):
+        dg, view = self._fresh(backend)
+        view.update_score(0, 0.25)  # whatever is built lazily exists now
+        calls = []
+        real = DynamicGraph.reversed
+        monkeypatch.setattr(
+            DynamicGraph, "reversed", lambda self: calls.append(1) or real(self)
+        )
+        view.update_score(1, 0.5)
+        view.update_score(2, 0.5)
+        assert calls == []  # same graph version: nothing to rebuild
+        view.add_edge(0, 2)
+        view.remove_edge(0, 2)
+        # python: one reversal per new graph version (remove_edge looks before
+        # it deletes, at the version add_edge left); numpy patches the
+        # graph-owned reverse CSR and never copies the adjacency.
+        assert len(calls) == (0 if backend == "numpy" else 1)
+        self._assert_exact(dg, view)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_new_node_then_edge_keeps_csr_estimates_and_view_in_step(backend):
+    """``add_node`` grows every derived table by one row; an edge to the new
+    node must then find them all the same length."""
+    from repro.graph.neighborhood import upper_estimate
+    from repro.session import Network
+
+    graph = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+    net = Network(graph, hops=2, backend=backend)
+    net.add_scores("s", [0.5, 0.25, 1.0, 0.125])
+    view = net.maintain("s")
+    net.query("s").limit(2).algorithm("backward").run()  # CSR + estimates exist
+    node = view.add_node()
+    assert node == 4 and view.value(node) == 0.0
+    net.add_scores("s", view.scores)  # the named vector follows the graph
+    net.add_edge(node, 0)
+    net.update_score("s", node, 0.75)
+    sizes = net._ctx.size_index()
+    assert len(sizes) == 5
+    assert [sizes.upper(v) for v in range(5)] == upper_estimate(graph, 2)
+    if backend == "numpy":
+        from repro.graph.csr import to_csr
+
+        fresh = to_csr(graph, use_numpy=True)
+        assert net._ctx.csr() is graph.csr()
+        assert graph.csr().indptr.tolist() == fresh.indptr.tolist()
+        assert graph.csr().indices.tolist() == fresh.indices.tolist()
+    spec = QuerySpec(k=5, hops=2, backend="python")
+    expected = base_topk(graph, net.scores_of("s").values(), spec).entries
+    assert net.query("s").limit(5).algorithm("view").run().entries == expected
+    assert net.query("s").limit(5).algorithm("backward").run().entries == expected

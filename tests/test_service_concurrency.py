@@ -165,6 +165,75 @@ class TestMutationIsolation:
         finally:
             net.service().shutdown()
 
+    def test_racing_reads_see_the_old_or_the_new_arrays_never_a_mix(self):
+        """The graph patches its CSR into new arrays and the context swaps
+        whole tables, so a query that races an edge write answers for the
+        graph without the edge or with it — an ``indptr`` of one version read
+        against the ``indices`` (or size table, or view arrays) of the other
+        would answer for neither."""
+        import sys
+
+        pytest.importorskip("numpy")
+        net = build_net(graph_seed=59, dynamic=True)
+        net.maintain("s0")
+        reads = {
+            "base": net.query("s1").limit(8).algorithm("base"),
+            "backward": net.query("s3").limit(6).algorithm("backward"),
+            "view": net.query("s0").limit(6).algorithm("view"),
+        }
+
+        def answers():
+            return {tag: builder.run().entries for tag, builder in reads.items()}
+
+        without = answers()
+        for u, v in ((u, v) for u in range(90) for v in range(u + 1, 90)):
+            if net.graph.has_edge(u, v):
+                continue
+            net.add_edge(u, v)
+            with_edge = answers()
+            net.remove_edge(u, v)
+            if all(with_edge[tag] != without[tag] for tag in reads):
+                break
+        else:  # pragma: no cover - the seed graph has such an edge
+            pytest.fail("no edge changes all three answers")
+        assert answers() == without
+
+        net.service(workers=THREADS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        stop = threading.Event()
+        errors = []
+
+        def toggle():
+            try:
+                while not stop.is_set():
+                    net.add_edge(u, v)
+                    net.remove_edge(u, v)
+            except Exception as exc:  # pragma: no cover - must not happen
+                errors.append(exc)
+
+        writer = threading.Thread(target=toggle, daemon=True)
+        writer.start()
+        try:
+            for _ in range(ROUNDS * 8):
+                handles = [
+                    (tag, builder.submit(cached=False))
+                    for tag, builder in reads.items()
+                    for _ in range(THREADS)
+                ]
+                for tag, handle in handles:
+                    entries = handle.result(timeout=30).entries
+                    assert entries in (without[tag], with_edge[tag]), tag
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+            sys.setswitchinterval(interval)
+            net.service().shutdown()
+        assert not writer.is_alive() and not errors, errors
+        if net.graph.has_edge(u, v):
+            net.remove_edge(u, v)
+        assert answers() == without
+
     def test_mutation_waits_for_inflight_then_queries_see_new_version(self):
         from tests.test_service import hold_worker
 
