@@ -68,7 +68,6 @@ def test_backend_ablation(benchmark, fig_ctx, run_algorithm, bench_k, figure_id,
 def full_scale_fig1():
     """fig1 at the full seed scale with all offline artifacts prebuilt."""
     from repro.bench.workloads import figure
-    from repro.graph.csr import to_csr
     from repro.graph.diffindex import build_differential_index
     from repro.relevance.mixture import MixtureRelevance
 
@@ -79,9 +78,9 @@ def full_scale_fig1():
         MixtureRelevance(0.01, zero_fraction=0.0, seed=7).scores(graph).values()
     )
     diff_index = build_differential_index(graph, spec.hops, include_self=True)
-    csr = to_csr(graph, use_numpy=True)
+    graph.csr()  # offline, like the index: built once, outside the timings
     diff_index.flat_deltas()
-    return graph, scores, dense_scores, diff_index, csr
+    return graph, scores, dense_scores, diff_index
 
 
 def _best_of(fn, reps=3):
@@ -96,8 +95,8 @@ def _best_of(fn, reps=3):
     return best_time, result
 
 
-def route_runner(route, graph, scores, dense_scores, diff_index, csr):
-    """``(run(spec, csr_arg), exact)`` for one gated route.
+def route_runner(route, graph, scores, dense_scores, diff_index):
+    """``(run(spec), exact)`` for one gated route.
 
     ``exact`` flags workloads whose values are exact small rationals (so
     the backends must agree entry-for-entry, bit-for-bit); the dense
@@ -105,34 +104,30 @@ def route_runner(route, graph, scores, dense_scores, diff_index, csr):
     """
     if route == "forward":
         return (
-            lambda spec, csr_arg: forward_topk(
-                graph, scores, spec, diff_index=diff_index, csr=csr_arg
-            ),
+            lambda spec: forward_topk(graph, scores, spec, diff_index=diff_index),
             True,
         )
     if route == "backward":
         return (
-            lambda spec, csr_arg: backward_topk(
-                graph, scores, spec, sizes=diff_index.sizes, csr=csr_arg
+            lambda spec: backward_topk(
+                graph, scores, spec, sizes=diff_index.sizes
             ),
             True,
         )
     if route == "base":
         return (
-            lambda spec, csr_arg: base_topk(graph, scores, spec, csr=csr_arg),
+            lambda spec: base_topk(graph, scores, spec),
             True,
         )
     if route == "weighted-base":
         return (
-            lambda spec, csr_arg: weighted_base_topk(
-                graph, dense_scores, spec, csr=csr_arg
-            ),
+            lambda spec: weighted_base_topk(graph, dense_scores, spec),
             False,
         )
     if route == "weighted-backward":
         return (
-            lambda spec, csr_arg: weighted_backward_topk(
-                graph, dense_scores, spec, sizes=diff_index.sizes, csr=csr_arg
+            lambda spec: weighted_backward_topk(
+                graph, dense_scores, spec, sizes=diff_index.sizes
             ),
             False,
         )
@@ -142,13 +137,13 @@ def route_runner(route, graph, scores, dense_scores, diff_index, csr):
 @pytest.mark.parametrize("route", GATED_ROUTES)
 def test_numpy_backend_3x_speedup_at_full_scale(full_scale_fig1, route):
     """Acceptance gate: >= 3x on the fig1 collaboration workloads."""
-    graph, scores, dense_scores, diff_index, csr = full_scale_fig1
+    graph, scores, dense_scores, diff_index = full_scale_fig1
     spec_py = QuerySpec(k=100, aggregate="sum", hops=2, backend="python")
     spec_np = spec_py.with_backend("numpy")
-    run, exact = route_runner(route, graph, scores, dense_scores, diff_index, csr)
+    run, exact = route_runner(route, graph, scores, dense_scores, diff_index)
 
-    python_time, python_result = _best_of(lambda: run(spec_py, None))
-    numpy_time, numpy_result = _best_of(lambda: run(spec_np, csr))
+    python_time, python_result = _best_of(lambda: run(spec_py))
+    numpy_time, numpy_result = _best_of(lambda: run(spec_np))
 
     if exact:
         # Binary relevance makes every aggregate an exact small rational,

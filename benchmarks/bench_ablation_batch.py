@@ -47,11 +47,7 @@ def _context():
         _CACHE["dense"] = dense
         _CACHE["sparse"] = sparse
         if numpy_available():
-            from repro.graph.csr import to_csr
-
-            _CACHE["csr"] = to_csr(graph, use_numpy=True)
-        else:
-            _CACHE["csr"] = None
+            graph.csr()  # offline: built once, outside the timed rounds
     return _CACHE
 
 
@@ -65,7 +61,6 @@ def test_sequential_base_runs(benchmark, backend):
                 ctx["graph"],
                 vector.values(),
                 QuerySpec(k=20, hops=2, backend=backend),
-                csr=ctx["csr"] if backend == "numpy" else None,
             )
             for vector in ctx["dense"]
         ]
@@ -86,7 +81,6 @@ def test_shared_scan_batch(benchmark, backend):
             queries,
             hops=2,
             backend=backend,
-            csr=ctx["csr"] if backend == "numpy" else None,
         )
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)

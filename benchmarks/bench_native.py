@@ -65,7 +65,6 @@ def measure_speedups(scale: float) -> dict:
 
     from repro.bench.workloads import figure
     from repro.core.query import QuerySpec
-    from repro.graph.csr import to_csr
     from repro.graph.diffindex import build_differential_index
     from repro.relevance.mixture import MixtureRelevance
 
@@ -75,7 +74,7 @@ def measure_speedups(scale: float) -> dict:
     dense = MixtureRelevance(0.01, zero_fraction=0.0, seed=7).scores(graph)
     diff_index = build_differential_index(graph, spec.hops, include_self=True)
     diff_index.flat_deltas()
-    csr = to_csr(graph, use_numpy=True)
+    graph.csr()  # offline, like the index: built once, outside the timings
     np_spec = QuerySpec(k=K, aggregate="sum", hops=2, backend="numpy")
     native_spec = np_spec.with_backend("native")
 
@@ -83,11 +82,11 @@ def measure_speedups(scale: float) -> dict:
     speedups: dict = {}
     for route in GATED_ROUTES:
         run, exact = route_runner(
-            route, graph, scores, dense.values(), diff_index, csr
+            route, graph, scores, dense.values(), diff_index
         )
-        run(native_spec, csr)  # untimed warm-up: jit compile excluded
-        t_np, r_np = _best_of(lambda: run(np_spec, csr))
-        t_nat, r_nat = _best_of(lambda: run(native_spec, csr))
+        run(native_spec)  # untimed warm-up: jit compile excluded
+        t_np, r_np = _best_of(lambda: run(np_spec))
+        t_nat, r_nat = _best_of(lambda: run(native_spec))
         assert r_np.nodes == r_nat.nodes, f"{route}: backend answers diverged"
         if exact:
             assert r_np.entries == r_nat.entries, f"{route}: entries diverged"

@@ -250,6 +250,16 @@ def call_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def source_files(project: Project, source_root: str) -> Iterator[SourceFile]:
+    """Every parseable ``*.py`` under ``source_root``, in path order."""
+    root = project.root / source_root
+    if root.is_dir():
+        for path in sorted(root.rglob("*.py")):
+            source = project.source(path.relative_to(project.root).as_posix())
+            if source is not None:
+                yield source
+
+
 def function_table(tree: ast.Module) -> Dict[str, ast.AST]:
     """Qualname -> def node for module functions and single-level methods."""
     table: Dict[str, ast.AST] = {}

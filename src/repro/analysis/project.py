@@ -110,8 +110,19 @@ class AnalysisConfig:
     )
     #: The package owning plan state; the only code allowed to install one.
     faults_package: str = "src/repro/faults"
-    #: Source tree scanned for production installs of a fault plan.
+    #: Source tree scanned for production installs of a fault plan (and,
+    #: by RC008, for CSR builders outside their owners).
     source_root: str = "src/repro"
+
+    # ---- RC008 CSR ownership -----------------------------------------
+    #: The functions that make or alter a graph's flat arrays.
+    csr_builders: FrozenSet[str] = frozenset(
+        {"to_csr", "patch_csr", "append_csr_node"}
+    )
+    #: The only modules that may name one: where they are defined and the
+    #: graph classes that own the arrays.  A declared owner that stops
+    #: naming any builder is a finding (the rot guard).
+    csr_owner_modules: Tuple[str, ...] = ()
 
 
 #: Names whose presence in a loop marks it as expansion-scale work.  The
@@ -277,4 +288,10 @@ DEFAULT_CONFIG = AnalysisConfig(
         "src/repro/cluster/frames.py",
     ),
     fault_points=_FAULT_POINTS,
+    csr_owner_modules=(
+        "src/repro/graph/csr.py",  # defines them
+        "src/repro/graph/__init__.py",  # the package's public re-export
+        "src/repro/graph/graph.py",  # Graph.csr() / rev_csr(): built once
+        "src/repro/dynamic/graph.py",  # DynamicGraph: patched per mutation
+    ),
 )

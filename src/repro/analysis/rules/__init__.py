@@ -8,4 +8,5 @@ from repro.analysis.rules import (  # noqa: F401
     rc005_spawn,
     rc006_njit,
     rc007_faults,
+    rc008_csr_owner,
 )

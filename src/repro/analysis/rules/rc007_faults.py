@@ -24,7 +24,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.framework import Checker, Finding, Project, register
+from repro.analysis.framework import (
+    Checker,
+    Finding,
+    Project,
+    call_name,
+    register,
+    source_files,
+)
 from repro.analysis.project import DEFAULT_CONFIG, AnalysisConfig
 
 __all__ = ["FaultPointHygiene"]
@@ -131,32 +138,15 @@ class FaultPointHygiene(Checker):
 
     # ------------------------------------------------------------------
     def _production_installs(self, project: Project) -> Iterator[Finding]:
-        root = project.root / self.config.source_root
-        if not root.is_dir():
-            return
         package_prefix = self.config.faults_package.rstrip("/") + "/"
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(project.root).as_posix()
-            if rel.startswith(package_prefix):
-                continue
-            source = project.source(rel)
-            if source is None:  # pragma: no cover - racing deletion
+        for source in source_files(project, self.config.source_root):
+            if source.rel.startswith(package_prefix):
                 continue
             for node in ast.walk(source.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr
-                    if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if name == "install_plan":
+                if isinstance(node, ast.Call) and call_name(node) == "install_plan":
                     yield project.finding(
                         self.rule,
-                        rel,
+                        source.rel,
                         node.lineno,
                         "library code must never install a fault plan; "
                         "only repro.faults' env bootstrap (and tests/"

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.workloads import FigureSpec
+from repro.core.backends import resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.forward import forward_topk
@@ -127,22 +128,16 @@ def _run_algorithm(
     spec: QuerySpec,
     diff_index: Optional[DifferentialIndex],
     view: Optional[MaterializedView],
-    csr=None,
-    rev_csr=None,
 ) -> TopKResult:
     if algorithm == "base":
         return base_topk(graph, scores, spec)
     if algorithm == "forward":
-        return forward_topk(graph, scores, spec, diff_index=diff_index, csr=csr)
+        return forward_topk(graph, scores, spec, diff_index=diff_index)
     if algorithm == "backward":
         sizes = diff_index.sizes if diff_index is not None else None
-        return backward_topk(
-            graph, scores, spec, sizes=sizes, csr=csr, rev_csr=rev_csr
-        )
+        return backward_topk(graph, scores, spec, sizes=sizes)
     if algorithm == "backward-indexfree":
-        return backward_topk(
-            graph, scores, spec, sizes=None, csr=csr, rev_csr=rev_csr
-        )
+        return backward_topk(graph, scores, spec, sizes=None)
     if algorithm == "materialized":
         if view is None:
             raise InvalidParameterError("materialized view was not built")
@@ -182,21 +177,11 @@ def run_figure(
         tuple(algorithms) if algorithms is not None else figure_spec.algorithms
     )
     sweep_backends = tuple(backends) if backends else ("auto",)
-    csr = None
-    rev_csr = None
-    if any(b in ("auto", "numpy") for b in sweep_backends):
-        from repro.core.backends import numpy_available
-
-        if numpy_available():
-            from repro.graph.csr import to_csr
-
-            # Offline artifacts like the indexes below: built once,
-            # excluded from per-cell timings.
-            csr = to_csr(graph, use_numpy=True)
-            if graph.directed and any(
-                a.startswith("backward") for a in sweep_algorithms
-            ):
-                rev_csr = to_csr(graph.reversed(), use_numpy=True)
+    if any(resolve_backend(b) != "python" for b in sweep_backends):
+        # Offline artifacts like the indexes below: the graph builds its
+        # flat arrays once, here, outside every per-cell timing.
+        graph.csr()
+        graph.rev_csr()
 
     # Offline artifacts, shared by every cell.
     index_build_sec = 0.0
@@ -243,8 +228,7 @@ def run_figure(
                 best_time = float("inf")
                 for _ in range(repetitions):
                     result = _run_algorithm(
-                        algorithm, graph, scores, qspec, diff_index, view,
-                        csr, rev_csr,
+                        algorithm, graph, scores, qspec, diff_index, view
                     )
                     if result.stats.elapsed_sec < best_time:
                         best = result

@@ -94,8 +94,6 @@ def backward_topk(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    csr: Optional[object] = None,
-    rev_csr: Optional[object] = None,
     ball_cache: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` with LONA-Backward.
@@ -117,13 +115,6 @@ def backward_topk(
         estimates are used (upper bound for the SUM term, lower bound for
         the AVG denominator), keeping the algorithm precomputation-free as
         the paper advertises.
-    csr:
-        Optional prebuilt numpy :class:`~repro.graph.csr.CSRGraph` view of
-        ``graph``.  Ignored by the Python backend.
-    rev_csr:
-        Optional prebuilt numpy CSR view of ``graph.reversed()`` (directed
-        graphs only — distribution walks the reversed arcs).  Ignored by
-        the Python backend.
     ball_cache:
         Optional session-scoped :class:`~repro.graph.csr.CSRBallCache`
         reused across queries for verification-phase expansions.  Ignored
@@ -140,8 +131,6 @@ def backward_topk(
             gamma=gamma,
             distribution_fraction=distribution_fraction,
             sizes=sizes,
-            csr=csr,  # type: ignore[arg-type]
-            rev_csr=rev_csr,  # type: ignore[arg-type]
             ball_cache=ball_cache,  # type: ignore[arg-type]
             kernels=kernel_provider(concrete),
         )

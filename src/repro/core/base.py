@@ -38,7 +38,6 @@ def base_topk(
     spec: QuerySpec,
     *,
     node_order: Optional[Sequence[int]] = None,
-    csr: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` by exhaustive forward processing.
 
@@ -46,9 +45,7 @@ def base_topk(
     implementation, falling back to this module's pure-Python loop when
     numpy is absent).  ``node_order`` optionally fixes the evaluation order
     (used by tests to exercise tie behavior); the answer's value multiset is
-    order-independent.  ``csr`` optionally supplies a prebuilt numpy
-    :class:`~repro.graph.csr.CSRGraph` view (sessions cache one across
-    queries); ignored by the Python backend.
+    order-independent.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
@@ -59,7 +56,6 @@ def base_topk(
             scores,
             spec,
             node_order=node_order,
-            csr=csr,  # type: ignore[arg-type]
             kernels=kernel_provider(concrete),
         )
     start = time.perf_counter()

@@ -13,9 +13,13 @@ BFS is wasteful: the traversal is identical, only the scores differ.
 traversal work of one Base run plus ``q`` cheap accumulations, instead of
 ``q`` full runs.
 
-:class:`BatchTopKEngine` wraps the policy choice: queries over *sparse*
-vectors are peeled off to LONA-Backward (each runs faster alone than any
-shared scan), the dense remainder shares one scan.
+Which members of a group join that scan is not decided here:
+:func:`repro.core.executor.execute_batch` is the one place a route is chosen,
+for one request or a list.  Queries over *sparse* vectors run as ordinary
+LONA-Backward requests (each is cheaper alone than its share of any scan),
+the dense remainder comes to :func:`batch_base_topk`; a group costs what its
+members cost.  :class:`BatchTopKEngine` is the standalone front door onto
+that entry, as :class:`TopKEngine` is for single queries.
 """
 
 from __future__ import annotations
@@ -26,13 +30,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate, fold_scores
 from repro.core.backends import kernel_provider, resolve_backend
-from repro.core.backward import backward_topk
-from repro.core.query import QuerySpec
+from repro.core.context import GraphContext
 from repro.core.results import QueryStats, TopKResult, combine_query_stats
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter, hop_ball
 from repro.relevance.base import ScoreVector
 
@@ -88,23 +90,12 @@ class BatchQuery:
         if self.k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
 
-    def spec(
-        self, hops: int, include_self: bool, backend: str = "auto"
-    ) -> QuerySpec:
-        """The full QuerySpec for this batch entry."""
-        return QuerySpec(
-            k=self.k,
-            aggregate=self.aggregate,
-            hops=hops,
-            include_self=include_self,
-            backend=backend,
-        )
 
-
-def _normalize(
+def normalize_batch(
     graph: Graph,
     queries: Sequence[Union[BatchQuery, Tuple[object, int], Tuple[object, int, object]]],
 ) -> List[BatchQuery]:
+    """Coerce every entry to a validated :class:`BatchQuery` over ``graph``."""
     normalized: List[BatchQuery] = []
     for i, query in enumerate(queries):
         if isinstance(query, BatchQuery):
@@ -137,7 +128,6 @@ def batch_base_topk(
     hops: int = 2,
     include_self: bool = True,
     backend: str = "auto",
-    csr=None,
 ) -> List[TopKResult]:
     """Answer all ``queries`` with one shared scan.
 
@@ -145,20 +135,19 @@ def batch_base_topk(
     before the next ball is expanded.  Results are returned in input order
     and match running each query through Base alone.  ``backend`` selects
     the execution backend: the numpy path expands node blocks with one
-    multi-source BFS and folds each query with a vectorized gather instead
-    of a per-member Python loop.  ``csr`` optionally supplies a prebuilt
-    numpy CSR view of ``graph`` (``BatchTopKEngine`` caches one across
-    runs); ignored by the Python backend.
+    multi-source BFS over the graph's own flat arrays (``graph.csr()``) and
+    folds each query with a vectorized gather instead of a per-member
+    Python loop.
     """
-    batch = _normalize(graph, queries)
+    batch = normalize_batch(graph, queries)
     if not batch:
         return []
     concrete = resolve_backend(backend)
     if concrete in ("parallel", "cluster"):
         # Sharded execution needs a session context (worker pool / socket
         # transport + shard exports live there); the standalone function
-        # runs the same fused kernel in-process.  BatchTopKEngine
-        # dispatches shards when it holds a context.
+        # runs the same fused kernel in-process.  The executor dispatches
+        # shards before it falls back to this function.
         concrete = "numpy"
     # Before the timer: building the native provider warms the jit.
     kernels = kernel_provider(concrete) if concrete != "python" else None
@@ -173,7 +162,7 @@ def batch_base_topk(
     if kernels is not None:
         _shared_scan_numpy(
             graph, batch, folded_scores, accumulators, hops, include_self,
-            counter, csr=csr, kernels=kernels,
+            counter, kernels,
         )
     else:
         _shared_scan_python(
@@ -236,8 +225,7 @@ def _shared_scan_numpy(
     hops: int,
     include_self: bool,
     counter: TraversalCounter,
-    csr=None,
-    kernels=None,
+    kernels,
 ) -> None:
     """Fused vectorized shared scan: one expansion, all queries per block.
 
@@ -255,12 +243,9 @@ def _shared_scan_numpy(
     """
     import numpy as np
 
-    from repro.core.vectorized import NumpyKernels, offer_block
-    from repro.graph.csr import to_csr
+    from repro.core.vectorized import offer_block
 
-    kernels = kernels or NumpyKernels()
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
+    csr = graph.csr()
     node_scores = np.ascontiguousarray(np.asarray(folded_scores, dtype=np.float64).T)
     n = graph.num_nodes
     # The fused reduction gathers a (block members x queries) score slab per
@@ -323,13 +308,12 @@ class BatchResult:
 
 
 class BatchTopKEngine:
-    """Policy layer: share scans for dense queries, peel off sparse ones.
+    """Standalone group front door: a private context plus the executor.
 
-    A query whose score density is below ``sparse_threshold`` runs faster
-    through LONA-Backward alone than through any shared scan (its cost is
-    proportional to its non-zero count, not to n); everything else joins
-    the shared scan.  Answers are independent of the routing (and of the
-    execution ``backend``, which both routes honor).
+    Hands every run to :func:`repro.core.executor.execute_batch`, which
+    routes each member (sparse -> LONA-Backward alone, dense -> one shared
+    scan); answers are independent of the routing and of ``backend``.
+    Sessions use :meth:`repro.session.Network.batch` over their own caches.
     """
 
     def __init__(
@@ -338,91 +322,19 @@ class BatchTopKEngine:
         *,
         hops: int = 2,
         include_self: bool = True,
-        sparse_threshold: float = 0.05,
-        sizes: Optional[NeighborhoodSizeIndex] = None,
         backend: str = "auto",
-        csr=None,
-        context=None,
     ) -> None:
         self.graph = graph
         self.hops = hops
         self.include_self = include_self
-        self.sparse_threshold = sparse_threshold
-        self.sizes = sizes
         self.backend = backend
         resolve_backend(backend)  # fail fast on unknown/unavailable backends
-        # Shared-cache sources, consulted lazily — nothing is built until a
-        # routed query actually needs it: `csr` is an injected prebuilt
-        # numpy view; `context` is a session GraphContext whose (cached)
-        # CSR / size-index accessors are preferred over building our own.
-        self._csr = csr
-        self._ctx = context
-
-    def _shared_csr(self):
-        """The CSR view for the shared scan (built/fetched on first need)."""
-        if self._csr is not None:
-            return self._csr
-        if self._ctx is not None:
-            return self._ctx.csr()
-        from repro.graph.csr import to_csr
-
-        self._csr = to_csr(self.graph, use_numpy=True)
-        return self._csr
-
-    def _sparse_sizes(self) -> Optional[NeighborhoodSizeIndex]:
-        """The N(v) index handed to peeled-off backward queries."""
-        if self.sizes is not None:
-            return self.sizes
-        if self._ctx is not None:
-            return self._ctx.size_index()
-        return None
+        self._ctx = GraphContext(graph, hops=hops, include_self=include_self)
 
     def run(
         self, queries: Sequence[Union[BatchQuery, Tuple[object, int]]]
     ) -> List[TopKResult]:
         """Answer all queries; results in input order."""
-        batch = _normalize(self.graph, queries)
-        shared_indices: List[int] = []
-        results: List[Optional[TopKResult]] = [None] * len(batch)
-        for i, entry in enumerate(batch):
-            if entry.scores.density <= self.sparse_threshold:
-                results[i] = backward_topk(
-                    self.graph,
-                    entry.scores.values(),
-                    entry.spec(self.hops, self.include_self, self.backend),
-                    sizes=self._sparse_sizes(),
-                )
-            else:
-                shared_indices.append(i)
-        if shared_indices:
-            concrete = resolve_backend(self.backend)
-            shared_results = None
-            if concrete in ("parallel", "cluster") and self._ctx is not None:
-                # One fused scan per shard across the worker pool (or the
-                # socket cluster); the engine declines (None) below its
-                # size floor and the batch falls through to the in-process
-                # fused kernel.
-                engine = (
-                    self._ctx.parallel_engine()
-                    if concrete == "parallel"
-                    else self._ctx.cluster_engine()
-                )
-                shared_results = engine.run_batch(
-                    [batch[i] for i in shared_indices],
-                    hops=self.hops,
-                    include_self=self.include_self,
-                )
-            if shared_results is None:
-                csr = self._shared_csr() if concrete != "python" else None
-                shared_results = batch_base_topk(
-                    self.graph,
-                    [batch[i] for i in shared_indices],
-                    hops=self.hops,
-                    include_self=self.include_self,
-                    backend=self.backend,
-                    csr=csr,
-                )
-            for i, result in zip(shared_indices, shared_results):
-                results[i] = result
-        assert all(r is not None for r in results)
-        return [r for r in results if r is not None]
+        from repro.core.executor import execute_batch
+
+        return execute_batch(self._ctx, queries, backend=self.backend)

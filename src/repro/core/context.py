@@ -2,23 +2,24 @@
 
 Every execution path over one graph wants the same offline artifacts: the
 differential index (LONA-Forward), the neighborhood-size index
-(LONA-Backward), and — for the vectorized backend — the CSR views of the
-graph and its reversal plus the session-scoped ball caches (backward
-verification balls and their distance-labeled weighted counterparts).
-Historically each engine (`TopKEngine`, `BatchTopKEngine`, the relational
-and dynamic paths) rebuilt its own copies; :class:`GraphContext` owns them
-once so the :class:`~repro.session.Network` session and the legacy engines
-can share a single cache.
+(LONA-Backward), and — for the vectorized backends — the session-scoped
+ball caches (backward verification balls and their distance-labeled
+weighted counterparts).  :class:`GraphContext` owns them once, so the
+:class:`~repro.session.Network` session and the standalone engines share a
+single cache.  The flat CSR arrays are *not* a context artifact: every
+:class:`~repro.graph.graph.Graph` owns its own (built once when immutable,
+patched when dynamic), and :meth:`GraphContext.csr` only revalidates and
+asks it.
 
 The context is *version-aware*: when the underlying graph is a
 :class:`~repro.dynamic.graph.DynamicGraph`, every accessor revalidates
 against ``graph.version`` and drops stale artifacts automatically, so a
 session over a mutating graph never serves answers from a dead index.
-Dropping is cheap to recover from where it can be: such a graph owns and
-patches its own CSR views, so :meth:`GraphContext.csr` just asks it again,
-and the degree-based size bounds are re-derived from those arrays in about
-a millisecond (DESIGN.md §2, "Dynamic integration").  The differential
-index and the ball caches are rebuilt from scratch.
+Dropping is cheap to recover from where it can be: the graph's patched CSR
+views were never dropped, and the degree-based size bounds are re-derived
+from those arrays in about a millisecond (DESIGN.md §2, "Dynamic
+integration").  The differential index and the ball caches are rebuilt
+from scratch.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -54,13 +55,13 @@ class GraphContext:
     """Lazily built, shared caches for one ``(graph, hops, include_self)``.
 
     Owns: the differential index, the exact/estimated neighborhood-size
-    indexes, its references to the (reversed) CSR views consumed by the
-    numpy backend (the arrays themselves belong to a ``DynamicGraph``; an
-    immutable graph's are built here), and the session-scoped ball caches
-    (:meth:`ball_cache` / :meth:`dist_ball_cache`).  All artifacts build on
-    first use and are reused until :meth:`invalidate` (called automatically
-    when the graph's version counter moves).  Accessors are safe to call
-    from concurrent query threads.
+    indexes, the session-scoped ball caches (:meth:`ball_cache` /
+    :meth:`dist_ball_cache`) and the sharded engines.  It does not own the
+    (reversed) CSR views the vectorized backends consume — those belong to
+    the graph, and :meth:`csr` / :meth:`rev_csr` hand out the graph's.  All
+    artifacts build on first use and are reused until :meth:`invalidate`
+    (called automatically when the graph's version counter moves).
+    Accessors are safe to call from concurrent query threads.
     """
 
     __slots__ = (
@@ -72,14 +73,10 @@ class GraphContext:
         "_diff_index",
         "_size_index",
         "_estimated_sizes",
-        "_csr",
-        "_rev_csr",
         "_ball_cache",
         "_dist_ball_cache",
-        "_parallel",
-        "_parallel_options",
-        "_cluster",
-        "_cluster_options",
+        "_engines",
+        "_engine_options",
         "_graph_version",
         "_lock",
     )
@@ -100,14 +97,10 @@ class GraphContext:
         self._diff_index: Optional[DifferentialIndex] = None
         self._size_index: Optional[NeighborhoodSizeIndex] = None
         self._estimated_sizes: Optional[NeighborhoodSizeIndex] = None
-        self._csr = None
-        self._rev_csr = None
         self._ball_cache = None
         self._dist_ball_cache = None
-        self._parallel = None
-        self._parallel_options: dict = {}
-        self._cluster = None
-        self._cluster_options: dict = {}
+        self._engines: Dict[str, object] = {}
+        self._engine_options: Dict[str, dict] = {}
         self._graph_version = getattr(graph, "version", None)
         self._lock = threading.RLock()
 
@@ -128,8 +121,6 @@ class GraphContext:
             self._diff_index = None
             self._size_index = None
             self._estimated_sizes = None
-            self._csr = None
-            self._rev_csr = None
             self._ball_cache = None
             self._dist_ball_cache = None
             self._graph_version = getattr(self.graph, "version", None)
@@ -226,47 +217,19 @@ class GraphContext:
             self._size_index = index.sizes
 
     # ------------------------------------------------------------------
-    # CSR views (numpy backend)
+    # CSR views (vectorized backends; owned by the graph)
     # ------------------------------------------------------------------
     def csr(self):
-        """The numpy CSR view of the graph at its current version.
-
-        A :class:`~repro.dynamic.graph.DynamicGraph` owns (and patches) its
-        own view, so the context asks it; an immutable graph is converted
-        once here.  Either way the reference is dropped by
-        :meth:`invalidate` and re-taken on the next call.
-        """
-        with self._lock:
-            self.check_fresh()
-            if self._csr is None:
-                owned = getattr(self.graph, "csr", None)
-                if owned is not None:
-                    self._csr = owned()
-                else:
-                    from repro.graph.csr import to_csr
-
-                    self._csr = to_csr(self.graph, use_numpy=True)
-            return self._csr
+        """The graph's numpy CSR view, after the staleness check (so the
+        version-stamped artifacts built over it are dropped first)."""
+        self.check_fresh()
+        return self.graph.csr()
 
     def rev_csr(self):
-        """Numpy CSR view of the reversed graph (directed only), obtained
-        like :meth:`csr`.
-
-        Returns None for undirected graphs, whose reversal is themselves.
-        """
-        with self._lock:
-            self.check_fresh()
-            if not self.graph.directed:
-                return None
-            if self._rev_csr is None:
-                owned = getattr(self.graph, "rev_csr", None)
-                if owned is not None:
-                    self._rev_csr = owned()
-                else:
-                    from repro.graph.csr import to_csr
-
-                    self._rev_csr = to_csr(self.graph.reversed(), use_numpy=True)
-            return self._rev_csr
+        """The graph's reversed numpy CSR view (``None`` when undirected,
+        whose reversal is itself), obtained like :meth:`csr`."""
+        self.check_fresh()
+        return self.graph.rev_csr()
 
     # ------------------------------------------------------------------
     # Session-scoped ball caches (numpy backend)
@@ -316,87 +279,61 @@ class GraphContext:
             return self._dist_ball_cache
 
     # ------------------------------------------------------------------
-    # Process-parallel engine (the "parallel" backend)
+    # Sharded engines (the "parallel" and "cluster" backends)
     # ------------------------------------------------------------------
-    def parallel_engine(self, _remember: bool = True, **options):
-        """The session-scoped :class:`~repro.parallel.engine.ParallelEngine`.
+    def sharded_engine(self, concrete: str, _remember: bool = True, **options):
+        """The session-scoped engine behind a sharded backend name:
+        ``"parallel"`` -> :class:`~repro.parallel.engine.ParallelEngine`,
+        ``"cluster"`` -> :class:`~repro.cluster.engine.ClusterEngine`.
 
-        Created lazily on first use; passing options reconfigures — the
-        previous engine (pool + shared-memory exports) is closed and a new
-        one built, so ``workers=...`` changes take effect deterministically.
-        With no options, repeated calls return the same engine; if the
-        engine was released (:meth:`close`), it is rebuilt with the last
-        *remembered* options, so an explicit ``net.parallel(...)``
-        configuration survives a close/reopen cycle.  ``_remember=False``
-        (the serving layer's sizing) applies options without making them
-        the session's remembered configuration.
+        Created lazily on first use (creating one spawns or connects
+        nothing — workers start on the first query it accepts); passing
+        options reconfigures — the previous engine (pool, exports, peers)
+        is closed and a new one built, so ``workers=...`` changes take
+        effect deterministically.  With no options, repeated calls return
+        the same engine; if the engine was released (:meth:`close`), it is
+        rebuilt with the last *remembered* options, so an explicit
+        ``net.parallel(...)`` / ``net.cluster(...)`` configuration survives
+        a close/reopen cycle.  ``_remember=False`` (the serving layer's
+        sizing) applies options without making them the session's
+        remembered configuration.
 
         The previous engine is closed *outside* this context's lock: a
-        parallel query holds the engine lock while reading ctx artifacts
+        sharded query holds the engine lock while reading ctx artifacts
         (engine lock -> ctx lock), so closing under the ctx lock would
         invert the order and deadlock.
         """
-        from repro.parallel.engine import ParallelEngine
+        if concrete == "parallel":
+            from repro.parallel.engine import ParallelEngine as engine_class
+        else:
+            from repro.cluster.engine import ClusterEngine as engine_class
 
         while True:
             with self._lock:
-                previous = self._parallel if options else None
+                current = self._engines.get(concrete)
+                previous = current if options else None
                 if previous is None:
-                    if self._parallel is None or self._parallel.closed:
-                        create = options or self._parallel_options
-                        self._parallel = ParallelEngine(self, **create)
+                    if current is None or current.closed:
+                        create = options or self._engine_options.get(concrete, {})
+                        current = self._engines[concrete] = engine_class(
+                            self, **create
+                        )
                         if options and _remember:
-                            self._parallel_options = dict(options)
-                    return self._parallel
-                self._parallel = None
+                            self._engine_options[concrete] = dict(options)
+                    return current
+                self._engines[concrete] = None
             previous.close()
 
-    def parallel_configured(self) -> bool:
-        """Whether the session explicitly configured the parallel engine."""
+    def engine_configured(self, concrete: str) -> bool:
+        """Whether the session explicitly configured that sharded engine."""
         with self._lock:
-            return bool(self._parallel_options)
+            return bool(self._engine_options.get(concrete))
 
-    def has_parallel_engine(self) -> bool:
-        """Whether a parallel engine exists (without creating one)."""
+    def has_engine(self, concrete: str) -> bool:
+        """Whether that sharded engine exists (without creating one)."""
         with self._lock:
-            return self._parallel is not None and not self._parallel.closed
-
-    # ------------------------------------------------------------------
-    # Socket-cluster engine (the "cluster" backend)
-    # ------------------------------------------------------------------
-    def cluster_engine(self, _remember: bool = True, **options):
-        """The session-scoped :class:`~repro.cluster.engine.ClusterEngine`.
-
-        Same lifecycle contract as :meth:`parallel_engine`: lazy creation,
-        options reconfigure (previous engine closed outside the ctx lock),
-        remembered options survive a close/reopen cycle.  Creating the
-        engine never spawns or connects workers — the transport starts on
-        the first query it accepts.
-        """
-        from repro.cluster.engine import ClusterEngine
-
-        while True:
-            with self._lock:
-                previous = self._cluster if options else None
-                if previous is None:
-                    if self._cluster is None or self._cluster.closed:
-                        create = options or self._cluster_options
-                        self._cluster = ClusterEngine(self, **create)
-                        if options and _remember:
-                            self._cluster_options = dict(options)
-                    return self._cluster
-                self._cluster = None
-            previous.close()
-
-    def cluster_configured(self) -> bool:
-        """Whether the session explicitly configured the cluster engine."""
-        with self._lock:
-            return bool(self._cluster_options)
-
-    def has_cluster_engine(self) -> bool:
-        """Whether a cluster engine exists (without creating one)."""
-        with self._lock:
-            return self._cluster is not None and not self._cluster.closed
+            engine = self._engines.get(concrete)
+            return engine is not None and not engine.closed
 
     def close(self) -> None:
         """Release out-of-process resources (worker pool, shared memory,
@@ -406,12 +343,11 @@ class GraphContext:
         (and tests) can deterministically free the sharded engines instead
         of waiting for garbage collection.  Engines are closed outside the
         ctx lock for the same lock-ordering reason as
-        :meth:`parallel_engine`.
+        :meth:`sharded_engine`.
         """
         with self._lock:
-            engines = [self._parallel, self._cluster]
-            self._parallel = None
-            self._cluster = None
+            engines = list(self._engines.values())
+            self._engines.clear()
         for engine in engines:
             if engine is not None:
                 engine.close()

@@ -147,12 +147,8 @@ class TopKEngine:
         self._ctx.load_index(path)
 
     def csr_view(self):
-        """The (lazily built, cached) numpy CSR view of the graph."""
+        """The graph's numpy CSR view (built once, by the graph)."""
         return self._ctx.csr()
-
-    def rev_csr_view(self):
-        """Cached numpy CSR view of the reversed graph (directed only)."""
-        return self._ctx.rev_csr()
 
     def size_index(self, *, exact: bool = False) -> NeighborhoodSizeIndex:
         """An ``N(v)`` index: exact when requested/available, else estimated."""

@@ -10,6 +10,8 @@ candidate-filtered scan, and whichever execution backend runs it.
 Entry points:
 
 * :func:`execute` — answer the request exactly.
+* :func:`execute_batch` — answer a *group*: each member takes the route it
+  would take alone or joins the one fused scan; no caller chooses a route.
 * :func:`stream` — answer it *incrementally*: a generator of
   :class:`~repro.core.results.StreamUpdate` refinements whose snapshots
   monotonically converge to :func:`execute`'s answer (anytime consumption).
@@ -26,7 +28,7 @@ everything else lands here.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.functions import (
     AggregateKind,
@@ -37,6 +39,7 @@ from repro.aggregates.functions import (
 from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
+from repro.core.batch import batch_base_topk, normalize_batch
 from repro.core.bounds import avg_bound, static_sum_bound
 from repro.core.context import GraphContext
 from repro.core.deadline import check_deadline
@@ -50,10 +53,22 @@ from repro.errors import InvalidParameterError
 from repro.graph.traversal import TraversalCounter, hop_ball
 from repro.relevance.base import ScoreVector
 
-__all__ = ["execute", "execute_weighted", "stream", "plan", "choose_algorithm"]
+__all__ = [
+    "execute",
+    "execute_batch",
+    "execute_weighted",
+    "stream",
+    "plan",
+    "choose_algorithm",
+]
 
 #: Default score-density threshold under which ``"auto"`` picks backward.
 AUTO_DENSITY_THRESHOLD = 0.2
+
+#: Score density at or below which a group member leaves the shared scan
+#: for LONA-Backward: its cost tracks its non-zero count, which at this
+#: density is below its share of any scan over all n balls.
+BATCH_SPARSE_DENSITY = 0.05
 
 
 def choose_algorithm(
@@ -175,8 +190,8 @@ def plan(
         # two-worker cluster.  Forecasting must never spawn workers —
         # reading engine attributes does not touch its transport.
         shards = workers = 2
-        if ctx.cluster_configured():
-            engine = ctx.cluster_engine()
+        if ctx.engine_configured("cluster"):
+            engine = ctx.sharded_engine("cluster")
             shards, workers = engine.shards, engine.workers
         execution_plan.comm = comm_forecast(
             shards, request.spec().k, workers=workers
@@ -234,12 +249,7 @@ def execute(
             )
         _reject_inapplicable_knobs(request, "filtered")
         if concrete in ("parallel", "cluster"):
-            engine = (
-                ctx.parallel_engine()
-                if concrete == "parallel"
-                else ctx.cluster_engine()
-            )
-            result = engine.execute_scan(
+            result = ctx.sharded_engine(concrete).execute_scan(
                 scores, spec, "base", candidates=request.candidates
             )
             if result is not None:
@@ -264,10 +274,8 @@ def execute(
         result = _sharded_execute(ctx, scores, request, algorithm, concrete)
         if result is not None:
             return _with_kernel(result)
-    vectorized = concrete != "python"
-    csr = ctx.csr() if vectorized else None
     if algorithm == "base":
-        return _with_kernel(base_topk(ctx.graph, scores, spec, csr=csr))
+        return _with_kernel(base_topk(ctx.graph, scores, spec))
     if algorithm == "forward":
         ctx.build_indexes()
         return _with_kernel(
@@ -278,7 +286,6 @@ def execute(
                 diff_index=ctx.diff_index,
                 ordering=request.ordering,
                 seed=request.seed,
-                csr=csr,
             )
         )
     # backward
@@ -291,11 +298,48 @@ def execute(
             gamma=request.gamma,  # type: ignore[arg-type]
             distribution_fraction=request.distribution_fraction,
             sizes=sizes,
-            csr=csr,
-            rev_csr=ctx.rev_csr() if vectorized else None,
-            ball_cache=ctx.ball_cache() if vectorized else None,
+            ball_cache=ctx.ball_cache() if concrete != "python" else None,
         )
     )
+
+
+def execute_batch(
+    ctx: GraphContext, queries: Sequence, *, backend: str = "auto"
+) -> List[TopKResult]:
+    """Answer a group of queries over ``ctx.graph``; results in input order.
+
+    ``queries`` are :class:`~repro.core.batch.BatchQuery` items or
+    ``(scores, k[, aggregate])`` tuples.  A group is its members: a query at
+    or below :data:`BATCH_SPARSE_DENSITY` is an ordinary
+    ``algorithm="backward"`` request through :func:`execute` — same caches,
+    same sharded dispatch, same counters as when it is run alone — and the
+    dense remainder shares one fused scan (:func:`batch_base_topk`, or one
+    scan per shard on ``parallel`` / ``cluster`` unless the engine declines).
+    """
+    ctx.check_fresh()
+    batch = normalize_batch(ctx.graph, queries)
+    shape = {"hops": ctx.hops, "include_self": ctx.include_self}
+    alone = QueryRequest(k=1, backend=backend, algorithm="backward", **shape)
+    results: List[Optional[TopKResult]] = [None] * len(batch)
+    shared = []
+    for i, entry in enumerate(batch):
+        if entry.scores.density <= BATCH_SPARSE_DENSITY:
+            results[i] = execute(
+                ctx, entry.scores, alone.replace(k=entry.k, aggregate=entry.aggregate)
+            )
+        else:
+            shared.append(i)
+    if shared:
+        members = [batch[i] for i in shared]
+        concrete = resolve_backend(backend)
+        fused = None
+        if concrete in ("parallel", "cluster"):
+            fused = ctx.sharded_engine(concrete).run_batch(members, **shape)
+        if fused is None:
+            fused = batch_base_topk(ctx.graph, members, backend=backend, **shape)
+        for i, result in zip(shared, fused):
+            results[i] = result
+    return results  # type: ignore[return-value]
 
 
 def _sharded_execute(
@@ -311,9 +355,7 @@ def _sharded_execute(
     the engines do not cover (they cover base/forward/backward; relational
     and view never reach here) or when the engine declines the graph.
     """
-    engine = (
-        ctx.parallel_engine() if concrete == "parallel" else ctx.cluster_engine()
-    )
+    engine = ctx.sharded_engine(concrete)
     spec = request.spec()
     if algorithm in ("base", "forward"):
         return engine.execute_scan(scores, spec, algorithm)
@@ -352,24 +394,15 @@ def execute_weighted(
     if profile is None:
         profile = inverse_distance
     concrete = resolve_backend(spec.backend)
-    vectorized = concrete != "python"
     if algorithm == "base":
         _reject_unknown_options(options)
         if concrete in ("parallel", "cluster"):
-            engine = (
-                ctx.parallel_engine()
-                if concrete == "parallel"
-                else ctx.cluster_engine()
+            result = ctx.sharded_engine(concrete).execute_weighted(
+                scores, spec, profile
             )
-            result = engine.execute_weighted(scores, spec, profile)
             if result is not None:
                 return _with_kernel(result)
-        return _with_kernel(
-            weighted_base_topk(
-                ctx.graph, scores, spec, profile,
-                csr=ctx.csr() if vectorized else None,
-            )
-        )
+        return _with_kernel(weighted_base_topk(ctx.graph, scores, spec, profile))
     if algorithm != "backward":
         raise InvalidParameterError(
             f"weighted queries support algorithm 'base' or 'backward', "
@@ -389,12 +422,9 @@ def execute_weighted(
         # only stands in for backward when the distribution knobs are at
         # their defaults — a tuned gamma must reach the kernel that honors
         # it, so those queries run in-process.
-        engine = (
-            ctx.parallel_engine()
-            if concrete == "parallel"
-            else ctx.cluster_engine()
+        result = ctx.sharded_engine(concrete).execute_weighted(
+            scores, spec, profile
         )
-        result = engine.execute_weighted(scores, spec, profile)
         if result is not None:
             return _with_kernel(result)
     return _with_kernel(
@@ -406,9 +436,9 @@ def execute_weighted(
             gamma=gamma,  # type: ignore[arg-type]
             distribution_fraction=fraction,
             sizes=ctx.size_index(exact=exact_sizes),
-            csr=ctx.csr() if vectorized else None,
-            rev_csr=ctx.rev_csr() if vectorized else None,
-            dist_ball_cache=ctx.dist_ball_cache() if vectorized else None,
+            dist_ball_cache=(
+                ctx.dist_ball_cache() if concrete != "python" else None
+            ),
         )
     )
 

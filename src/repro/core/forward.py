@@ -63,7 +63,6 @@ def forward_topk(
     diff_index: Optional[DifferentialIndex] = None,
     ordering: str = "ubound",
     seed: Optional[int] = None,
-    csr: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` with LONA-Forward.
 
@@ -82,10 +81,6 @@ def forward_topk(
         Queue order strategy (see :mod:`repro.core.ordering`).
     seed:
         Only used by the ``"random"`` ordering.
-    csr:
-        Optional prebuilt numpy :class:`~repro.graph.csr.CSRGraph` view of
-        ``graph`` (the engine caches one across queries).  Ignored by the
-        Python backend.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
@@ -98,7 +93,6 @@ def forward_topk(
             diff_index=diff_index,
             ordering=ordering,
             seed=seed,
-            csr=csr,  # type: ignore[arg-type]
             kernels=kernel_provider(concrete),
         )
     kind = spec.aggregate

@@ -76,11 +76,9 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import (
     CSRBallCache,
     CSRDistanceBallCache,
-    CSRGraph,
     batched_hop_balls,
     batched_hop_balls_with_distances,
     slab_positions,
-    to_csr,
 )
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
 from repro.graph.graph import Graph
@@ -193,17 +191,16 @@ def forward_topk_numpy(
     diff_index: Optional[DifferentialIndex] = None,
     ordering: str = "ubound",
     seed: Optional[int] = None,
-    csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
     kernels=None,
 ) -> TopKResult:
     """LONA-Forward over CSR flat arrays (see module docstring).
 
     Mirrors :func:`repro.core.forward.forward_topk` argument-for-argument;
-    ``csr`` optionally supplies a prebuilt numpy CSR view (the engine caches
-    one across queries), ``block_size`` overrides the adaptive evaluation
-    batching (``None`` -> the provider's pruning profile), ``kernels`` the
-    block-kernel provider (``None`` -> :class:`NumpyKernels`).
+    the flat arrays are the graph's own (``graph.csr()``), ``block_size``
+    overrides the adaptive evaluation batching (``None`` -> the provider's
+    pruning profile), ``kernels`` the block-kernel provider (``None`` ->
+    :class:`NumpyKernels`).
     """
     import numpy as np
 
@@ -214,6 +211,7 @@ def forward_topk_numpy(
             f"LONA-Forward supports SUM/AVG/COUNT, not {kind.value}; "
             "use algorithm='base' for MAX/MIN"
         )
+    csr = graph.csr()
     scores_arr, kind = _as_scores_array(np, scores, kind)
     is_avg = kind is AggregateKind.AVG
 
@@ -227,8 +225,6 @@ def forward_topk_numpy(
     diff_index.check_compatible(graph, spec.hops, spec.include_self)
 
     start = time.perf_counter()
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
     deltas = diff_index.flat_deltas()
     n = graph.num_nodes
     hops = spec.hops
@@ -552,21 +548,18 @@ def backward_topk_numpy(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    csr: Optional[CSRGraph] = None,
-    rev_csr: Optional[CSRGraph] = None,
     ball_cache: Optional[CSRBallCache] = None,
     kernels=None,
 ) -> TopKResult:
     """LONA-Backward over CSR flat arrays (see module docstring).
 
     Mirrors :func:`repro.core.backward.backward_topk` argument-for-argument;
-    ``csr`` optionally supplies a prebuilt numpy CSR view of ``graph`` and
-    ``rev_csr`` one of ``graph.reversed()`` (only consulted on directed
-    graphs, where distribution walks the reversed arcs; without it the
-    reversal is rebuilt per query).  ``ball_cache`` optionally supplies a
-    session-scoped :class:`~repro.graph.csr.CSRBallCache` over the same
-    ``csr`` for the provider's verification phase (the numpy provider reads
-    through it when its ``(csr, hops, include_self)`` triple matches).
+    the flat arrays are the graph's own (``graph.csr()``, and on directed
+    graphs ``graph.rev_csr()``, whose reversed arcs distribution walks).
+    ``ball_cache`` optionally supplies a session-scoped
+    :class:`~repro.graph.csr.CSRBallCache` over the same CSR for the
+    provider's verification phase (the numpy provider reads through it when
+    its ``(csr, hops, include_self)`` triple matches).
     """
     import numpy as np
 
@@ -579,7 +572,7 @@ def backward_topk_numpy(
     scores_arr, _ = _as_scores_array(np, scores, kind)
     return _backward_topk(
         np, graph, scores_arr, spec, None, gamma, distribution_fraction, sizes,
-        csr, rev_csr, ball_cache, kernels or NumpyKernels(),
+        ball_cache, kernels or NumpyKernels(),
     )
 
 
@@ -694,7 +687,6 @@ def base_topk_numpy(
     spec: QuerySpec,
     *,
     node_order: Optional[Sequence[int]] = None,
-    csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
     kernels=None,
 ) -> TopKResult:
@@ -710,11 +702,10 @@ def base_topk_numpy(
     import numpy as np
 
     kernels = kernels or NumpyKernels()
+    csr = graph.csr()
     scores_arr, eff_kind = _as_scores_array(np, scores, spec.aggregate)
 
     start = time.perf_counter()
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
     order = np.asarray(
         node_order if node_order is not None else graph.nodes(), dtype=np.int64
     )
@@ -753,7 +744,6 @@ def weighted_base_topk_numpy(
     spec: QuerySpec,
     profile=None,
     *,
-    csr: Optional[CSRGraph] = None,
     block_size: Optional[int] = None,
     kernels=None,
 ) -> TopKResult:
@@ -768,11 +758,10 @@ def weighted_base_topk_numpy(
 
     kernels = kernels or NumpyKernels()
     weights = _distance_weights(np, spec, profile)
+    csr = graph.csr()
     scores_arr = np.asarray(scores, dtype=np.float64)
 
     start = time.perf_counter()
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
     n = graph.num_nodes
     block_size = kernels.block_size(block_size, n, int(csr.num_arcs))
     acc = TopKAccumulator(spec.k)
@@ -800,8 +789,6 @@ def weighted_backward_topk_numpy(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    csr: Optional[CSRGraph] = None,
-    rev_csr: Optional[CSRGraph] = None,
     dist_ball_cache: Optional[CSRDistanceBallCache] = None,
     kernels=None,
 ) -> TopKResult:
@@ -821,14 +808,14 @@ def weighted_backward_topk_numpy(
     weights = _distance_weights(np, spec, profile)
     return _backward_topk(
         np, graph, np.asarray(scores, dtype=np.float64), spec, weights, gamma,
-        distribution_fraction, sizes, csr, rev_csr, dist_ball_cache,
+        distribution_fraction, sizes, dist_ball_cache,
         kernels or NumpyKernels(),
     )
 
 
 def _backward_topk(
     np, graph, scores_arr, spec, weights, gamma, distribution_fraction, sizes,
-    csr, rev_csr, cache, kernels,
+    cache, kernels,
 ) -> TopKResult:
     """Both LONA-Backward drivers: ``weights is None`` is the paper's form,
     an array footnote 1's (whose Eq. 3 charges an unknown member ``w_max *
@@ -847,6 +834,10 @@ def _backward_topk(
         build_sec = time.perf_counter() - build_start
 
     start = time.perf_counter()
+    csr = graph.csr()
+    # Distribution walks the reversed arcs; an undirected graph is its own
+    # reversal (``rev_csr()`` is None).
+    dist_csr = graph.rev_csr() or csr
     counter = TraversalCounter()
     n = graph.num_nodes
     stats = QueryStats(
@@ -857,19 +848,11 @@ def _backward_topk(
         k=spec.k,
         index_build_sec=build_sec,
     )
-    if csr is None:
-        csr = to_csr(graph, use_numpy=True)
 
     # Phase 1: partial distribution in descending score order.
     distributed, effective_gamma, rest_bound = backward_distribution_split(
         np, scores_arr, gamma, distribution_fraction
     )
-    if not graph.directed:
-        dist_csr = csr
-    elif rev_csr is not None:
-        dist_csr = rev_csr
-    else:
-        dist_csr = to_csr(graph.reversed(), use_numpy=True)
     partial, covered, stats.distribution_pushes = distribute_scores(
         np, dist_csr, distributed, scores_arr, hops, include_self,
         resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, weights,

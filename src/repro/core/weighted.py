@@ -63,13 +63,10 @@ def weighted_base_topk(
     scores: Sequence[float],
     spec: QuerySpec,
     profile: DecayProfile = inverse_distance,
-    *,
-    csr: Optional[object] = None,
 ) -> TopKResult:
     """Naive weighted scan: one distance-labeled BFS per node.
 
-    Dispatches on ``spec.backend``; ``csr`` optionally supplies a prebuilt
-    numpy CSR view (ignored by the Python backend).
+    Dispatches on ``spec.backend``.
     """
     check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
@@ -81,7 +78,6 @@ def weighted_base_topk(
             scores,
             spec,
             profile,
-            csr=csr,  # type: ignore[arg-type]
             kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
@@ -121,8 +117,6 @@ def weighted_backward_topk(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    csr: Optional[object] = None,
-    rev_csr: Optional[object] = None,
     dist_ball_cache: Optional[object] = None,
 ) -> TopKResult:
     """LONA-Backward with distance weights.
@@ -133,11 +127,9 @@ def weighted_backward_topk(
     dominates the true weighted sum (the self term has weight
     ``w(0) <= 1``; using ``f(v)`` unweighted keeps the bound sound).
 
-    Dispatches on ``spec.backend``; ``csr`` / ``rev_csr`` optionally supply
-    prebuilt numpy CSR views of the graph and its reversal, and
-    ``dist_ball_cache`` a session-scoped
-    :class:`~repro.graph.csr.CSRDistanceBallCache` reused across queries.
-    All three are ignored by the Python backend.
+    Dispatches on ``spec.backend``; ``dist_ball_cache`` optionally supplies
+    a session-scoped :class:`~repro.graph.csr.CSRDistanceBallCache` reused
+    across queries (ignored by the Python backend).
     """
     check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
@@ -152,8 +144,6 @@ def weighted_backward_topk(
             gamma=gamma,
             distribution_fraction=distribution_fraction,
             sizes=sizes,
-            csr=csr,  # type: ignore[arg-type]
-            rev_csr=rev_csr,  # type: ignore[arg-type]
             dist_ball_cache=dist_ball_cache,  # type: ignore[arg-type]
             kernels=kernel_provider(concrete),
         )

@@ -152,9 +152,7 @@ class BSPEngine:
             if parts is not None:
                 import numpy as np
 
-                from repro.graph.csr import to_csr
-
-                csr = to_csr(self.graph, use_numpy=True)
+                csr = self.graph.csr()
                 n = csr.num_nodes
                 degrees = np.diff(csr.indptr)
                 src_parts = np.repeat(parts, degrees)

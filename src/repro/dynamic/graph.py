@@ -11,12 +11,12 @@ All traversal and algorithm code operates on the :class:`Graph` interface,
 so a :class:`DynamicGraph` can be queried directly at any point in its
 mutation history.
 
-The graph also *owns its flat arrays*.  :meth:`DynamicGraph.csr` (and, when
-directed, :meth:`DynamicGraph.rev_csr`) builds the numpy CSR once, on first
-request; from then on every mutation patches it — one ``indices`` insert or
-delete at the slot ``list.append`` / ``list.remove`` used, one ``indptr``
-suffix shift (:func:`repro.graph.csr.patch_csr`) — so the view after any
-mutation sequence is array-equal to a fresh ``to_csr(graph,
+Like every :class:`Graph` it *owns its flat arrays*: :meth:`Graph.csr` (and,
+when directed, :meth:`Graph.rev_csr`) builds the numpy CSR once, on first
+request; from then on every mutation here patches it — one ``indices``
+insert or delete at the slot ``list.append`` / ``list.remove`` used, one
+``indptr`` suffix shift (:func:`repro.graph.csr.patch_csr`) — so the view
+after any mutation sequence is array-equal to a fresh ``to_csr(graph,
 use_numpy=True)``, arc order included, at the cost of an ``O(arcs)`` memcpy
 instead of an interpreted pass over every adjacency list.  A patch always
 lands in new arrays: a reader or ball cache holding the previous
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, GraphBuildError
-from repro.graph.csr import CSRGraph, append_csr_node, patch_csr, to_csr
+from repro.graph.csr import append_csr_node, patch_csr
 from repro.graph.graph import Graph
 
 __all__ = ["DynamicGraph"]
@@ -45,7 +45,7 @@ class DynamicGraph(Graph):
     and the patched CSR are the only edge stores to keep in step.
     """
 
-    __slots__ = ("version", "_csr", "_rev_csr")
+    __slots__ = ("version",)
 
     def __init__(
         self,
@@ -56,8 +56,6 @@ class DynamicGraph(Graph):
     ) -> None:
         super().__init__(adjacency or [], directed=directed, name=name)
         self.version = 0
-        self._csr: Optional[CSRGraph] = None
-        self._rev_csr: Optional[CSRGraph] = None
         for u, nbrs in enumerate(self._adj):
             if u in nbrs:
                 raise GraphBuildError(f"self-loop on node {u}")
@@ -160,28 +158,6 @@ class DynamicGraph(Graph):
         return lo + int(self._rev_csr.indices[lo:hi].searchsorted(source))
 
     # ------------------------------------------------------------------
-    # Graph-owned flat arrays
-    # ------------------------------------------------------------------
-    def csr(self) -> CSRGraph:
-        """The numpy CSR view at the current version (numpy required).
-
-        Built by :func:`~repro.graph.csr.to_csr` on first request, patched
-        by every later mutation; equal to a fresh ``to_csr(self,
-        use_numpy=True)`` at all times.  Treat the arrays as read-only.
-        """
-        if self._csr is None:
-            self._csr = to_csr(self, use_numpy=True)
-        return self._csr
-
-    def rev_csr(self) -> Optional[CSRGraph]:
-        """The numpy CSR view of the reversed graph (``None`` if undirected,
-        whose reversal is itself); same ownership rule as :meth:`csr`."""
-        if not self._directed:
-            return None
-        if self._rev_csr is None:
-            self._rev_csr = to_csr(self.reversed(), use_numpy=True)
-        return self._rev_csr
-
     def snapshot(self) -> Graph:
         """An immutable deep copy at the current version."""
         return Graph(

@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EdgeNotFoundError, GraphBuildError, NodeNotFoundError
@@ -31,6 +32,11 @@ __all__ = ["Graph", "GraphBuilder"]
 
 Edge = Tuple[int, int]
 WeightedEdge = Tuple[int, int, float]
+
+#: Serialises the first :meth:`Graph.csr` / :meth:`Graph.rev_csr` build, so
+#: concurrent first readers convert a graph once.  One lock for the module
+#: (not a slot per graph) keeps graphs copyable and picklable.
+_CSR_BUILD_LOCK = threading.Lock()
 
 
 class Graph:
@@ -63,6 +69,8 @@ class Graph:
         "_labels",
         "_label_to_id",
         "_num_edges",
+        "_csr",
+        "_rev_csr",
         "name",
     )
 
@@ -95,6 +103,8 @@ class Graph:
             self._label_to_id = None
         arc_count = sum(len(nbrs) for nbrs in adjacency)
         self._num_edges = arc_count if directed else arc_count // 2
+        self._csr = None
+        self._rev_csr = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -288,6 +298,36 @@ class Graph:
             labels=self._labels,
             name=self.name,
         )
+
+    def csr(self):
+        """The numpy :class:`~repro.graph.csr.CSRGraph` view (numpy required).
+
+        The graph owns its flat arrays: built by
+        :func:`~repro.graph.csr.to_csr` on first request, at most once per
+        immutable graph (a :class:`~repro.dynamic.graph.DynamicGraph`
+        patches them on every mutation instead), and handed to every
+        vectorized consumer.  Treat the arrays as read-only.
+        """
+        if self._csr is None:
+            with _CSR_BUILD_LOCK:
+                if self._csr is None:
+                    from repro.graph.csr import to_csr
+
+                    self._csr = to_csr(self, use_numpy=True)
+        return self._csr
+
+    def rev_csr(self):
+        """The numpy CSR view of the reversed graph (``None`` if undirected,
+        whose reversal is itself); same ownership rule as :meth:`csr`."""
+        if not self._directed:
+            return None
+        if self._rev_csr is None:
+            with _CSR_BUILD_LOCK:
+                if self._rev_csr is None:
+                    from repro.graph.csr import to_csr
+
+                    self._rev_csr = to_csr(self.reversed(), use_numpy=True)
+        return self._rev_csr
 
     def as_undirected(self) -> "Graph":
         """An undirected copy (direction dropped, parallel edges merged)."""

@@ -2,11 +2,11 @@
 
 * :class:`Table` — column-store storage.
 * operators — hash join, distinct, group-by aggregation, order-by-limit.
-* :func:`relational_topk` / :class:`RelationalTopKEngine` — the h-hop
-  aggregation query evaluated the way a relational engine would.
+* :func:`relational_topk` — the h-hop aggregation query evaluated the way
+  a relational engine would.
 """
 
-from repro.relational.engine import RelationalTopKEngine, relational_topk
+from repro.relational.engine import relational_topk
 from repro.relational.operators import (
     OperatorStats,
     append_constant,
@@ -41,6 +41,5 @@ __all__ = [
     "scores_table",
     "neighborhood_pairs",
     "topk_plan",
-    "RelationalTopKEngine",
     "relational_topk",
 ]

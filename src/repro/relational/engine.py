@@ -1,4 +1,4 @@
-"""RelationalTopKEngine: the RDBMS-style baseline, measured.
+"""The RDBMS-style baseline, measured.
 
 Answers the same :class:`~repro.core.query.QuerySpec` as the graph
 algorithms but through the relational plan of
@@ -6,59 +6,25 @@ algorithms but through the relational plan of
 work so the "gigantic self-join" cost is visible in benchmark output
 (ablation ``abl-rdbms`` in DESIGN.md).
 
-.. deprecated::
-    The class shim remains, but the session facade reaches the same plan
-    declaratively: ``Network.query(name).limit(k).algorithm("relational")``
-    (optionally with ``.where(...)``, which the plan executes as a
-    selection on ``src``).  :func:`relational_topk` stays the functional
-    entry point for benchmarks and the executor.
+The session facade reaches the same plan declaratively:
+``Network.query(name).limit(k).algorithm("relational")`` (optionally with
+``.where(...)``, which the plan executes as a selection on ``src``).
+:func:`relational_topk` is the functional entry point for benchmarks and
+the executor.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.aggregates.functions import AggregateKind
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.graph.graph import Graph
 from repro.relational.operators import OperatorStats
 from repro.relational.planner import topk_plan
 
-__all__ = ["RelationalTopKEngine", "relational_topk"]
-
-
-class RelationalTopKEngine:
-    """Run top-k neighborhood aggregation through the relational plan.
-
-    Deprecated: prefer ``Network.query(...).algorithm("relational")``.
-    """
-
-    def __init__(self, graph: Graph, scores: Sequence[float]) -> None:
-        warnings.warn(
-            "RelationalTopKEngine is deprecated; use repro.Network — "
-            "net.query(name).limit(k).algorithm('relational').run()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.graph = graph
-        self.scores = scores
-
-    def topk(
-        self,
-        k: int,
-        aggregate: Union[str, AggregateKind] = "sum",
-        *,
-        hops: int = 2,
-        include_self: bool = True,
-    ) -> TopKResult:
-        """Answer the query; stats carry row-level work in ``extra``."""
-        spec = QuerySpec(
-            k=k, aggregate=aggregate, hops=hops, include_self=include_self
-        )
-        return relational_topk(self.graph, self.scores, spec)
+__all__ = ["relational_topk"]
 
 
 def relational_topk(

@@ -41,32 +41,3 @@ __all__ = [
     "ServiceStats",
     "ReadWriteLock",
 ]
-
-#: Exceptions that used to be importable from this package.  The unified
-#: taxonomy lives in :mod:`repro.errors` (one stable-code registry, one
-#: wire round-trip); these names keep resolving here as deprecation shims.
-_DEPRECATED_ERRORS = (
-    "ServiceError",
-    "ServiceOverloadedError",
-    "QueryCancelledError",
-    "DeadlineExceededError",
-    "ServiceShutdownError",
-    "QuotaExceededError",
-    "RateLimitedError",
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ERRORS:
-        import warnings
-
-        from repro import errors
-
-        warnings.warn(
-            f"importing {name} from repro.service is deprecated; "
-            f"import it from repro.errors",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(errors, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

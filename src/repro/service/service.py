@@ -79,18 +79,19 @@ class QueryService:
         # explicitly pinned a backend keep it; everything else is rewritten
         # to the "parallel" backend at execution time (the cache key stays
         # the original request — same answer either way).
-        self._processes = cfg.processes
         # Cluster mode is the same lane policy over the socket-cluster
         # engine: unpinned requests are rewritten to "cluster" and execute
         # on remote cluster-worker processes.  ServiceConfig rejects
         # processes+cluster together, so at most one rewrite applies.
-        self._cluster = cfg.cluster
-        if self._cluster:
+        self._sharded = (
+            "parallel" if cfg.processes else "cluster" if cfg.cluster else None
+        )
+        if cfg.cluster:
             # net.cluster(...) wins when the session configured the engine
             # explicitly; otherwise the default (2 local spawned workers)
             # is created lazily on the first cluster execution.
-            network._ctx.cluster_engine()
-        if self._processes:
+            network._ctx.sharded_engine("cluster")
+        if cfg.processes:
             # Size the worker-process pool to the service — unless the
             # session explicitly configured the engine (net.parallel(...)
             # wins).  ``workers`` counts scheduler threads; below 2 it is
@@ -100,17 +101,19 @@ class QueryService:
             import os as _os
 
             ctx = network._ctx
-            if not ctx.parallel_configured():
+            if not ctx.engine_configured("parallel"):
                 desired = (
                     cfg.workers if cfg.workers >= 2 else (_os.cpu_count() or 1)
                 )
                 if (
-                    not ctx.has_parallel_engine()
-                    or ctx.parallel_engine().workers != desired
+                    not ctx.has_engine("parallel")
+                    or ctx.sharded_engine("parallel").workers != desired
                 ):
-                    ctx.parallel_engine(_remember=False, workers=desired)
+                    ctx.sharded_engine(
+                        "parallel", _remember=False, workers=desired
+                    )
             else:
-                ctx.parallel_engine()
+                ctx.sharded_engine("parallel")
         self._scheduler = Scheduler(
             self._execute_one,
             self._execute_group,
@@ -215,18 +218,17 @@ class QueryService:
         """One monitoring payload: serving counters, queue gauges, caches."""
         payload = dict(self._stats.snapshot())
         payload["workers"] = self.workers
-        payload["processes"] = self._processes
-        payload["cluster_mode"] = self._cluster
+        payload["processes"] = self.config.processes
+        payload["cluster_mode"] = self.config.cluster
         payload["pending"] = self._scheduler.pending
         payload["inflight"] = self._scheduler.inflight
         payload["result_cache"] = self.cache.stats()
         payload["session_caches"] = self._net._ctx.cache_stats()
-        if self._net._ctx.has_parallel_engine():
-            payload["parallel"] = self._net._ctx.parallel_engine().stats()
-        if self._net._ctx.has_cluster_engine():
-            # Includes the measured communication totals and the last
-            # query's per-round MessageStats twin (``last_comm``).
-            payload["cluster"] = self._net._ctx.cluster_engine().stats()
+        # The cluster payload includes the measured communication totals and
+        # the last query's per-round MessageStats twin (``last_comm``).
+        for name in ("parallel", "cluster"):
+            if self._net._ctx.has_engine(name):
+                payload[name] = self._net._ctx.sharded_engine(name).stats()
         return payload
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -276,17 +278,11 @@ class QueryService:
     def _effective_request(self, request: QueryRequest) -> QueryRequest:
         """Process/cluster mode rewrites unpinned requests to its backend."""
         if (
-            self._processes
-            and request.backend != "parallel"
+            self._sharded
+            and request.backend != self._sharded
             and not request.is_pinned("backend")
         ):
-            return request.replace(backend="parallel")
-        if (
-            self._cluster
-            and request.backend != "cluster"
-            and not request.is_pinned("backend")
-        ):
-            return request.replace(backend="cluster")
+            return request.replace(backend=self._sharded)
         return request
 
     def _version_token(self, score: str) -> tuple:
@@ -387,13 +383,8 @@ class QueryService:
                 unpinned = all(
                     not h.request.is_pinned("backend") for h in missing
                 )
-                group_backend = None
-                if unpinned and self._processes:
-                    group_backend = "parallel"
-                elif unpinned and self._cluster:
-                    group_backend = "cluster"
                 results = self._net._run_batch(
-                    queries, backend=group_backend
+                    queries, backend=self._sharded if unpinned else None
                 )
                 if len(missing) > 1:
                     self._stats.incr("coalesced_batches")

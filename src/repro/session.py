@@ -63,7 +63,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.aggregates.functions import AggregateKind, coerce_aggregate
 from repro.core import executor
 from repro.core.backends import resolve_backend
-from repro.core.batch import BatchQuery, BatchResult, BatchTopKEngine
+from repro.core.batch import BatchQuery, BatchResult, coalescible_request
 from repro.core.context import GraphContext
 from repro.core.planner import ExecutionPlan, QueryPlanner
 from repro.core.query import QuerySpec
@@ -580,9 +580,9 @@ class Network:
         from repro.config import ParallelConfig
 
         if config is None and not options:
-            return self._ctx.parallel_engine()
+            return self._ctx.sharded_engine("parallel")
         cfg = ParallelConfig.coerce(config, options)
-        return self._ctx.parallel_engine(**cfg.to_engine_kwargs())
+        return self._ctx.sharded_engine("parallel", **cfg.to_engine_kwargs())
 
     # ------------------------------------------------------------------
     # Multi-machine execution (the "cluster" backend)
@@ -612,9 +612,9 @@ class Network:
         from repro.config import ClusterConfig
 
         if config is None and not options:
-            return self._ctx.cluster_engine()
+            return self._ctx.sharded_engine("cluster")
         cfg = ClusterConfig.coerce(config, options)
-        return self._ctx.cluster_engine(**cfg.to_engine_kwargs())
+        return self._ctx.sharded_engine("cluster", **cfg.to_engine_kwargs())
 
     def close(self) -> None:
         """Release out-of-process resources: serving threads, worker
@@ -706,9 +706,9 @@ class Network:
         score/k/aggregate are extracted), raw
         :class:`~repro.core.batch.BatchQuery` items, or ``(scores, k[,
         aggregate])`` tuples.  Dense queries share one scan; sparse ones
-        are peeled off to LONA-Backward — exactly the
-        :class:`~repro.core.batch.BatchTopKEngine` policy, fed from this
-        session's caches.  The returned :class:`BatchResult` carries
+        run as LONA-Backward, each exactly as if issued alone
+        (:func:`repro.core.executor.execute_batch`, over this session's
+        caches).  The returned :class:`BatchResult` carries
         workload-level :class:`~repro.core.results.QueryStats` whose
         counters sum the per-query work (shared scans counted once).
         """
@@ -716,24 +716,22 @@ class Network:
         for i, item in enumerate(queries):
             if isinstance(item, QueryBuilder):
                 request = item.request()
-                # The batch engine routes by score density and runs on the
-                # session backend; a builder pin it cannot honor must be
-                # rejected, not silently dropped.
-                plain = request.replace(
-                    score=DEFAULT_SCORE, k=1, aggregate="sum"
-                )
-                baseline = QueryRequest(
-                    k=1,
+                # A group routes by score density and runs on the session
+                # backend; a builder pin it cannot honor must be rejected,
+                # not silently dropped — the scheduler's predicate, so the
+                # two "may this join a shared scan?" checks cannot drift.
+                if not coalescible_request(
+                    request,
                     hops=self.hops,
                     include_self=self.include_self,
                     backend=self.backend,
-                )
-                if plain != baseline:
+                ):
                     raise InvalidParameterError(
                         f"batch entry {i}: shared-scan batching routes by "
                         "score density on the session backend; builder pins "
-                        "(algorithm/backend/where/gamma/...) are not "
-                        "supported — run this query individually"
+                        "(algorithm/backend/where/gamma/ordering/...) and "
+                        "MAX/MIN aggregates are not supported — run this "
+                        "query individually"
                     )
                 normalized.append(
                     BatchQuery(
@@ -751,24 +749,17 @@ class Network:
         queries: Sequence[Union[BatchQuery, Tuple[object, int]]],
         backend: Optional[str] = None,
     ) -> BatchResult:
-        """The BatchTopKEngine policy, fed from the session caches.
+        """One group through the executor, over the session caches.
 
         ``backend`` overrides the session default — the serving layer
         passes ``"parallel"`` for coalesced groups when the service runs
         in process mode, so one fused batch fans out across shards.
         """
-        self._ctx.check_fresh()
-        engine = BatchTopKEngine(
-            self.graph,
-            hops=self.hops,
-            include_self=self.include_self,
-            backend=backend if backend is not None else self.backend,
-            # Lazy cache sharing: the engine pulls the CSR view / size
-            # index from the session context only if a routed query
-            # actually needs them.
-            context=self._ctx,
+        return BatchResult(
+            executor.execute_batch(
+                self._ctx, queries, backend=backend or self.backend
+            )
         )
-        return BatchResult(engine.run(queries))
 
     # ------------------------------------------------------------------
     # Execution plumbing (builders land here)

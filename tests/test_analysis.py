@@ -33,6 +33,7 @@ from repro.analysis.rules.rc004_wire import WireCodeExhaustiveness
 from repro.analysis.rules.rc005_spawn import SpawnFrameSafety
 from repro.analysis.rules.rc006_njit import NjitPurity
 from repro.analysis.rules.rc007_faults import FaultPointHygiene
+from repro.analysis.rules.rc008_csr_owner import CsrOwnership
 
 REPO_ROOT = __file__.rsplit("/tests/", 1)[0]
 
@@ -601,6 +602,71 @@ class TestRC007:
 
 
 # ----------------------------------------------------------------------
+# RC008 CSR ownership
+# ----------------------------------------------------------------------
+class TestRC008:
+    CFG = AnalysisConfig(
+        csr_owner_modules=("graph/csr.py", "graph/graph.py", "graph/dynamic.py"),
+        source_root=".",
+    )
+    OWNERS = {
+        "graph/csr.py": """
+            def to_csr(graph, use_numpy=False): ...
+            def patch_csr(csr, rows, positions, heads=None): ...
+        """,
+        "graph/graph.py": """
+            class Graph:
+                def csr(self):
+                    from graph.csr import to_csr
+                    return to_csr(self, use_numpy=True)
+        """,
+        "graph/dynamic.py": """
+            from graph.csr import patch_csr
+
+            class DynamicGraph:
+                def add_edge(self, u, v):
+                    self._csr = patch_csr(self._csr, [u], [0], [v])
+        """,
+    }
+
+    def test_drivers_that_ask_the_graph_pass(self, tmp_path):
+        _tree(tmp_path, {**self.OWNERS, "core/driver.py": """
+            def base_topk_numpy(graph, scores):
+                csr = graph.csr()  # mentions of to_csr in comments are fine
+                return csr.num_arcs
+        """})
+        report = _run(tmp_path, CsrOwnership(self.CFG))
+        assert report.active == []
+
+    def test_build_outside_the_owners_is_flagged(self, tmp_path):
+        _tree(tmp_path, {**self.OWNERS, "core/driver.py": """
+            from graph.csr import to_csr
+
+            def base_topk_numpy(graph, scores, csr=None):
+                if csr is None:
+                    csr = to_csr(graph, use_numpy=True)
+                return csr.num_arcs
+        """})
+        report = _run(tmp_path, CsrOwnership(self.CFG))
+        assert [f.path for f in report.active] == ["core/driver.py"] * 2
+        assert "imports to_csr" in report.active[0].message
+        assert "calls to_csr" in report.active[1].message
+
+    def test_owner_that_stopped_building_is_map_rot(self, tmp_path):
+        files = dict(self.OWNERS)
+        files["graph/dynamic.py"] = """
+            class DynamicGraph:
+                def add_edge(self, u, v):
+                    self._adj[u].append(v)
+        """
+        _tree(tmp_path, files)
+        report = _run(tmp_path, CsrOwnership(self.CFG))
+        assert len(report.active) == 1
+        assert report.active[0].path == "graph/dynamic.py"
+        assert "no longer" in report.active[0].message
+
+
+# ----------------------------------------------------------------------
 # Framework: suppressions, baseline, reporters, registry
 # ----------------------------------------------------------------------
 class TestFramework:
@@ -699,6 +765,7 @@ class TestFramework:
         rules = [cls.rule for cls in all_checkers()]
         assert rules == [
             "RC001", "RC002", "RC003", "RC004", "RC005", "RC006", "RC007",
+            "RC008",
         ]
 
 

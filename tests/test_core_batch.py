@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import random
+import threading
+import time
+
 import pytest
 
+from repro.core.backends import numpy_available
 from repro.core.base import base_topk
 from repro.core.batch import BatchQuery, BatchResult, BatchTopKEngine, batch_base_topk
 from repro.core.query import QuerySpec
 from repro.core.results import combine_query_stats
 from repro.errors import InvalidParameterError, RelevanceError
+from repro.dynamic.graph import DynamicGraph
 from repro.relevance import BinaryRelevance, ScoreVector
+from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
 
@@ -20,6 +27,25 @@ def batch_graph():
 
 def _vectors(n, count, seed):
     return [ScoreVector(random_scores(n, seed=seed + i)) for i in range(count)]
+
+
+@pytest.fixture
+def count_to_csr(monkeypatch):
+    """Counts calls to ``repro.graph.csr.to_csr`` (the graph classes look it
+    up there at call time); the fixture value returns the count so far."""
+    pytest.importorskip("numpy")
+    import repro.graph.csr as csr_module
+
+    calls = []
+    real = csr_module.to_csr
+
+    def counting(graph, **kwargs):
+        calls.append(graph)
+        time.sleep(0.02)  # widen the window two racing first readers share
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(csr_module, "to_csr", counting)
+    return lambda: len(calls)
 
 
 class TestBatchBase:
@@ -109,7 +135,7 @@ class TestBatchEngine:
     def test_routing_and_correctness(self, batch_graph):
         sparse = BinaryRelevance(0.02, seed=260).scores(batch_graph)
         dense = ScoreVector(random_scores(50, seed=261, density=0.9))
-        engine = BatchTopKEngine(batch_graph, hops=2, sparse_threshold=0.05)
+        engine = BatchTopKEngine(batch_graph, hops=2)
         results = engine.run(
             [BatchQuery(sparse, k=4), BatchQuery(dense, k=6)]
         )
@@ -130,21 +156,16 @@ class TestBatchEngine:
         results = engine.run([BatchQuery(v, k=3) for v in vectors])
         assert all(r.stats.algorithm == "backward" for r in results)
 
-    def test_shared_csr_injection(self, batch_graph):
-        """A prebuilt CSR view must not change the answers."""
-        pytest.importorskip("numpy")
-        from repro.graph.csr import to_csr
-
+    def test_engines_share_the_graphs_csr(self, count_to_csr):
+        """Was ``test_shared_csr_injection``: there is no CSR to inject any
+        more — every engine over one graph runs on the graph's own view."""
+        graph = random_graph(50, 0.1, seed=191)
         dense = ScoreVector(random_scores(50, seed=285, density=0.9))
-        plain = BatchTopKEngine(batch_graph, hops=2, backend="numpy")
-        shared = BatchTopKEngine(
-            batch_graph,
-            hops=2,
-            backend="numpy",
-            csr=to_csr(batch_graph, use_numpy=True),
-        )
         queries = [BatchQuery(dense, k=5)]
-        assert plain.run(queries)[0].entries == shared.run(queries)[0].entries
+        first = BatchTopKEngine(graph, hops=2, backend="numpy").run(queries)
+        second = BatchTopKEngine(graph, hops=2, backend="numpy").run(queries)
+        assert first[0].entries == second[0].entries
+        assert count_to_csr() == 1
 
     def test_results_in_input_order(self, batch_graph):
         sparse = BinaryRelevance(0.02, seed=280).scores(batch_graph)
@@ -255,3 +276,165 @@ class TestBatchStatsAggregation:
         assert combined.elapsed_sec == pytest.approx(
             results[0].stats.elapsed_sec, rel=1e-6
         )
+
+
+# ----------------------------------------------------------------------
+# A group is its members
+# ----------------------------------------------------------------------
+WORK_COUNTERS = (
+    "edges_scanned",
+    "nodes_visited",
+    "balls_expanded",
+    "candidates_verified",
+    "distribution_pushes",
+)
+N = 240
+#: (score name, k, aggregate): dense and sparse members interleaved.
+MEMBERS = (
+    ("dense0", 5, "sum"),
+    ("sparse0", 4, "sum"),
+    ("sparse1", 6, "avg"),
+    ("dense1", 3, "avg"),
+    ("sparse2", 3, "count"),
+)
+SESSION_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def _dyadic_scores(n, seed):
+    """Multiples of 1/64: every summation order gives the same float, so the
+    fused scan (last-ulp equal to Base on arbitrary floats) compares exactly."""
+    rng = random.Random(seed)
+    return [rng.randrange(1, 64) / 64 for _ in range(n)]
+
+
+def _member_session(directed, backend="auto", graph=None):
+    """A fresh session over a fresh graph: no cache is inherited."""
+    if graph is None:
+        graph = random_graph(N, 0.02, seed=401, directed=directed)
+    net = Network(graph, hops=2, backend=backend)
+    for i in range(2):
+        net.add_scores(f"dense{i}", _dyadic_scores(N, seed=410 + i))
+    for i in range(3):
+        net.add_scores(f"sparse{i}", BinaryRelevance(0.03, seed=420 + i).scores(graph))
+    return net
+
+
+def _as_group(net, members=MEMBERS):
+    return net.batch([net.query(s).limit(k).aggregate(a) for s, k, a in members])
+
+
+def _singly(net, member):
+    """The request the executor issues for ``member``, run alone."""
+    score, k, aggregate = member
+    route = "backward" if score.startswith("sparse") else "base"
+    return net.query(score).limit(k).aggregate(aggregate).algorithm(route).run()
+
+
+class TestGroupIsItsMembers:
+    @pytest.mark.parametrize("backend", SESSION_BACKENDS)
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_entries_and_work_equal_the_single_path(self, directed, backend):
+        # Two fresh sessions, same order (the group runs its sparse members
+        # first, in input order), so neither side inherits a ball cache.
+        grouped = _as_group(_member_session(directed, backend))
+        alone = _member_session(directed, backend)
+        order = sorted(MEMBERS, key=lambda m: not m[0].startswith("sparse"))
+        singles = {member: _singly(alone, member) for member in order}
+        for member, got in zip(MEMBERS, grouped):
+            want = singles[member]
+            assert got.entries == want.entries, member
+            for name in WORK_COUNTERS:
+                assert getattr(got.stats, name) == getattr(want.stats, name), (
+                    member, name,
+                )
+        routes = [r.stats.algorithm for r in grouped]
+        assert routes == ["batch-base", "backward", "backward", "batch-base", "backward"]
+
+    def test_second_identical_sparse_group_hits_the_ball_cache(self):
+        pytest.importorskip("numpy")
+        net = _member_session(False)
+        sparse = [m for m in MEMBERS if m[0].startswith("sparse")]
+        first = _as_group(net, sparse)
+        cold = net._ctx.cache_stats()["ball_cache"]
+        second = _as_group(net, sparse)
+        warm = net._ctx.cache_stats()["ball_cache"]
+        assert [r.entries for r in second] == [r.entries for r in first]
+        assert cold["misses"] > 0
+        assert warm["misses"] == cold["misses"]
+        assert warm["hits"] - cold["hits"] == sum(
+            r.stats.candidates_verified for r in second
+        )
+
+    def test_group_after_add_edge_sees_the_patched_arrays(self, count_to_csr):
+        base = random_graph(N, 0.02, seed=401)
+        net = _member_session(False, graph=DynamicGraph.from_graph(base))
+        _as_group(net)
+        u, v = next(
+            (u, v) for u in range(N) for v in range(u + 1, N)
+            if not net.graph.has_edge(u, v)
+        )
+        net.add_edge(u, v)
+        after = _as_group(net)
+        assert count_to_csr() == 1  # patched, never rebuilt
+        fresh = _as_group(_member_session(False, graph=net.graph.snapshot()))
+        assert [r.entries for r in after] == [r.entries for r in fresh]
+
+
+class TestOneCsrPerGraph:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_every_door_asks_the_graph(self, count_to_csr, directed):
+        from repro.core.backward import backward_topk
+        from repro.core.forward import forward_topk
+        from repro.core.weighted import weighted_backward_topk, weighted_base_topk
+        from tests.test_service import hold_worker
+
+        net = _member_session(directed, "numpy")
+        graph = net.graph
+        try:
+            _as_group(net)
+            _as_group(net)
+            # A coalesced QueryService group (one worker held, then released).
+            service = net.service(workers=1)
+            release, blocker = hold_worker(net)
+            handles = [
+                net.query(score).limit(k).aggregate(a).submit(cached=False)
+                for score, k, a in MEMBERS
+            ]
+            release.set()
+            blocker.result(timeout=10)
+            for handle in handles:
+                handle.result(timeout=10)
+            assert service.stats()["coalesced_batches"] == 1
+        finally:
+            net.close()
+        # The standalone front doors, sessionless.
+        spec = QuerySpec(k=3, hops=2, backend="numpy")
+        dense = _dyadic_scores(N, seed=410)
+        sparse = BinaryRelevance(0.03, seed=420).scores(graph).values()
+        base_topk(graph, dense, spec)
+        forward_topk(graph, dense, spec)
+        backward_topk(graph, sparse, spec)
+        weighted_base_topk(graph, dense, spec)
+        weighted_backward_topk(graph, sparse, spec)
+        batch_base_topk(graph, [(dense, 3)], hops=2, backend="numpy")
+        BatchTopKEngine(graph, hops=2, backend="numpy").run([(sparse, 3), (dense, 3)])
+        assert count_to_csr() == (2 if directed else 1)
+
+    def test_racing_first_readers_build_once(self, count_to_csr):
+        graph = random_graph(N, 0.02, seed=402, directed=True)
+        barrier = threading.Barrier(4)
+        views = []
+
+        def reader():
+            barrier.wait(timeout=10)
+            views.append((graph.csr(), graph.rev_csr()))
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert count_to_csr() == 2  # one forward, one reversed
+        assert len(views) == 4
+        assert all(pair[0] is views[0][0] and pair[1] is views[0][1] for pair in views)

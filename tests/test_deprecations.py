@@ -1,10 +1,10 @@
 """Deprecation shims: old entry points warn but stay entry-for-entry exact.
 
-The API redesign keeps every pre-session path working — ``TopKEngine``,
-``RelationalTopKEngine``, ``topk_sum``/``topk_avg`` — while the engine
-classes emit :class:`DeprecationWarning` pointing at the ``Network``
-facade.  These tests pin both halves of that contract: the warning fires
-on construction, and the answers are identical to the facade's.
+The API redesign keeps the pre-session paths working — ``TopKEngine``,
+``topk_sum``/``topk_avg`` — while the engine class emits
+:class:`DeprecationWarning` pointing at the ``Network`` facade.  These
+tests pin both halves of that contract: the warning fires on construction,
+and the answers are identical to the facade's.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 import pytest
 
 from repro.core.engine import TopKEngine, topk_avg, topk_sum
-from repro.relational.engine import RelationalTopKEngine
 from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
@@ -77,19 +76,6 @@ class TestTopKEngineShim:
         assert old_plan.chosen == new_plan.chosen
 
 
-class TestRelationalShim:
-    def test_construction_warns(self, graph, scores):
-        with pytest.warns(DeprecationWarning, match="Network"):
-            RelationalTopKEngine(graph, scores)
-
-    def test_identical_entries(self, graph, scores, net):
-        with pytest.warns(DeprecationWarning):
-            engine = RelationalTopKEngine(graph, scores)
-        old = engine.topk(5, "sum", hops=2)
-        new = net.query("s").limit(5).algorithm("relational").run()
-        assert old.entries == new.entries
-
-
 class TestConvenienceFunctions:
     """topk_sum/topk_avg route through the facade and must not warn."""
 
@@ -106,38 +92,3 @@ class TestConvenienceFunctions:
         new_avg = net.query("s").limit(4).aggregate("avg").run()
         assert rounded(old_sum.values) == rounded(new_sum.values)
         assert rounded(old_avg.values) == rounded(new_avg.values)
-
-
-class TestErrorImportShims:
-    """The error taxonomy moved to repro.errors; old paths warn but work."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "ServiceError",
-            "ServiceOverloadedError",
-            "QueryCancelledError",
-            "DeadlineExceededError",
-            "ServiceShutdownError",
-            "QuotaExceededError",
-            "RateLimitedError",
-        ],
-    )
-    def test_old_import_warns_and_is_same_class(self, name):
-        import repro.errors
-        import repro.service
-
-        with pytest.warns(DeprecationWarning, match="repro.errors"):
-            shimmed = getattr(repro.service, name)
-        assert shimmed is getattr(repro.errors, name)
-
-    def test_unknown_name_still_raises(self):
-        import repro.service
-
-        with pytest.raises(AttributeError):
-            repro.service.NotAnError
-
-    def test_canonical_import_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.errors import ServiceOverloadedError  # noqa: F401

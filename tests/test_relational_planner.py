@@ -7,7 +7,7 @@ import pytest
 from repro.core.base import base_topk
 from repro.core.query import QuerySpec
 from repro.errors import PlanError
-from repro.relational.engine import RelationalTopKEngine, relational_topk
+from repro.relational.engine import relational_topk
 from repro.relational.operators import OperatorStats
 from repro.relational.planner import (
     edges_table,
@@ -107,11 +107,10 @@ class TestRelationalTopK:
         with pytest.raises(PlanError):
             relational_topk(path_graph, [0.1] * 5, QuerySpec(k=2, aggregate="max"))
 
-    def test_engine_wrapper(self):
+    def test_stats_name_the_algorithm(self):
         g = random_graph(20, 0.2, seed=109)
         scores = random_scores(20, seed=110)
-        engine = RelationalTopKEngine(g, scores)
-        result = engine.topk(4, "sum", hops=2)
+        result = relational_topk(g, scores, QuerySpec(k=4, hops=2))
         expected = base_topk(g, scores, QuerySpec(k=4))
         assert rounded(result.values) == rounded(expected.values)
         assert result.stats.algorithm == "relational"

@@ -248,12 +248,10 @@ class TestRelationalParity:
         assert new.entries == old.entries
         assert new.stats.algorithm == "relational"
 
-    def test_matches_deprecated_engine_class(self, net, net_graph, net_scores):
-        from repro.relational.engine import RelationalTopKEngine
-
-        with pytest.warns(DeprecationWarning):
-            engine = RelationalTopKEngine(net_graph, net_scores)
-        old = engine.topk(4, "avg", hops=2)
+    def test_matches_functional_relational_avg(self, net, net_graph, net_scores):
+        old = relational_topk(
+            net_graph, net_scores, QuerySpec(k=4, aggregate="avg", hops=2)
+        )
         new = (
             net.query("dense")
             .limit(4)
@@ -323,6 +321,38 @@ class TestBatch:
     def test_filtered_builder_rejected(self, net):
         with pytest.raises(InvalidParameterError, match="batch entry"):
             net.batch([net.query("dense").limit(5).where([1, 2, 3])])
+
+    @pytest.mark.parametrize(
+        "pin",
+        [
+            lambda q: q.ordering("ubound"),
+            lambda q: q.seed(7),  # the builder cannot set seed to None
+            lambda q: q.gamma("auto"),
+            lambda q: q.distribution_fraction(0.1),
+            lambda q: q.exact_sizes(False),
+        ],
+        ids=["ordering", "seed", "gamma", "distribution_fraction", "exact_sizes"],
+    )
+    def test_default_valued_pin_rejected(self, net, pin):
+        """``Network.batch`` asks the scheduler's predicate, set-fields mask
+        included: a knob pinned to its default is still a pin (it used to
+        compare values only and let these through silently)."""
+        from repro.core.batch import coalescible_request
+
+        builder = pin(net.query("sparse").limit(3))
+        assert not coalescible_request(
+            builder.request(), hops=2, include_self=True, backend=net.backend
+        )
+        with pytest.raises(InvalidParameterError, match="batch entry 0"):
+            net.batch([builder])
+
+    def test_pinned_ordering_fails_like_run(self, net):
+        # The issue's reproduction: .run() rejects it, so .batch() must too.
+        builder = net.query("sparse").limit(3).ordering("ubound")
+        with pytest.raises(InvalidParameterError, match="ordering"):
+            builder.run()
+        with pytest.raises(InvalidParameterError, match="ordering"):
+            net.batch([builder])
 
     def test_combined_stats_sum_per_query(self, net):
         batch = net.batch(
@@ -675,20 +705,32 @@ class TestContractEdges:
         ).run()
         assert run.stats.backend == pinned.backend
 
-    def test_batch_does_not_eagerly_build_caches(self, net):
-        # An all-sparse batch runs backward only, and backward needs one
-        # artifact: the size estimate.  With numpy importable that table is
-        # derived from the CSR view (1 ms instead of 38 at 16,000 nodes), so
-        # the view now exists after the batch — once, shared with every later
-        # query; without numpy the list estimator runs and there is no view.
-        # Everything else stays unbuilt.
+    def test_batch_does_not_eagerly_build_caches(self, net, net_graph):
+        # A batch builds exactly what its members run singly would build,
+        # and nothing else.  An all-sparse batch is backward requests, and
+        # backward needs the size estimate and — on a vectorized backend —
+        # the session ball cache its verification reads through (the pin
+        # used to say "no ball cache": the group path bypassed the session
+        # and expanded every ball afresh per member).  Still no differential
+        # index, no exact size index, no distance-ball cache.  The CSR is
+        # the graph's, not a context artifact, so there is nothing to pin
+        # on the context for it.
+        artifacts = ("_diff_index", "_size_index", "_estimated_sizes",
+                     "_ball_cache", "_dist_ball_cache")
+
+        def built(session):
+            return {a for a in artifacts if getattr(session._ctx, a) is not None}
+
+        single = Network(net_graph, hops=2).add_scores(
+            "sparse", net.scores_of("sparse")
+        )
         net.batch([net.query("sparse").limit(3)])
-        ctx = net._ctx
-        assert ctx._estimated_sizes is not None
-        assert (ctx._csr is not None) == numpy_available()
-        for unbuilt in ("_diff_index", "_size_index", "_rev_csr",
-                        "_ball_cache", "_dist_ball_cache"):
-            assert getattr(ctx, unbuilt) is None, unbuilt
+        single.query("sparse").limit(3).run()
+        assert built(net) == built(single)
+        expected = {"_estimated_sizes"}
+        if numpy_available():
+            expected.add("_ball_cache")
+        assert built(net) == expected
 
     def test_filtered_max_runs_vectorized(self, net):
         """MAX/MIN reduce with segmented reduceat: numpy covers them too."""

@@ -88,7 +88,9 @@ def _canonical(entries, route):
     backend, so they compare whole.  The pruning algorithms resolve a tie
     *at the k-th value* by their own visiting order (see
     :mod:`repro.parallel.merge`), so there the value sequence must agree
-    and the nodes strictly above the boundary value.
+    and the nodes strictly above the boundary value.  (A batch's peeled
+    sparse member is a backward request too; its cells still compare whole,
+    which this fixture's "sparse" vector allows.)
     """
     if route not in ("forward", "backward"):
         return entries
@@ -123,8 +125,10 @@ class TestRouteParity:
         assert got == want
         for result, ref in zip(results, refs):
             stats = result.stats
-            if route == "batch" and stats.algorithm != "batch-base":
-                continue  # a sparse member the batch policy peeled off
+            if route == "batch" and score == "sparse" and result is results[0]:
+                # The executor peels a sparse member off as an ordinary
+                # backward request: it takes the sharded backward route.
+                assert stats.algorithm == "backward"
             if ref.stats.extra.get("exact_shortcut") == 1.0:
                 assert stats.backend == "numpy"  # handed back, see below
                 continue
@@ -170,6 +174,34 @@ class TestRouteParity:
             assert got.stats.backend == link
         finally:
             net.close()
+
+
+class TestGroupMembers:
+    """``execute_batch`` on a sharded backend: a group is its members."""
+
+    MEMBERS = (("sparse", K, "sum"), ("dense", 4, "avg"), ("sparse", 3, "avg"))
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_peeled_members_take_the_sharded_backward_route(self, net, link):
+        queries = [
+            BatchQuery(scores=net.scores_of(s), k=k, aggregate=a)
+            for s, k, a in self.MEMBERS
+        ]
+        got = list(net._run_batch(queries, backend=link))
+        ref = list(net._run_batch(queries, backend="numpy"))
+        assert [r.entries for r in got] == [r.entries for r in ref]
+        shards = float(getattr(net, link)().shards)
+        for (score, k, aggregate), result in zip(self.MEMBERS, got):
+            alone = (
+                net.query(score).limit(k).aggregate(aggregate).backend(link)
+                .algorithm("backward" if score == "sparse" else "base").run()
+            )
+            assert result.entries == alone.entries
+            assert result.stats.backend == link
+            assert result.stats.extra["shards"] == shards
+            assert result.stats.algorithm == (
+                "backward" if score == "sparse" else "batch-base"
+            )
 
 
 class TestDeclineRule:
