@@ -163,7 +163,8 @@ _HOT_PATHS = {
     ),
     # The route drivers of every vectorized backend, plus the numpy kernel
     # provider: its block primitives are helpers (only ever called from a
-    # polled driver/task loop), its verification primitive owns a loop.
+    # polled driver/task loop, like the generators of the lazy candidate
+    # order), its verification primitive owns a loop.
     "src/repro/core/vectorized.py": HotModule(
         functions=frozenset(
             {
@@ -181,6 +182,8 @@ _HOT_PATHS = {
                 "NumpyKernels.ball_values",
                 "NumpyKernels.weighted_ball_sums",
                 "NumpyKernels.fused_ball_values",
+                "descending_prefixes",
+                "in_blocks",
             }
         ),
     ),

@@ -36,7 +36,7 @@ from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
-from repro.relevance.base import ScoreVector
+from repro.relevance.base import ScoreVector, folded_scores
 
 __all__ = [
     "BatchQuery",
@@ -154,19 +154,13 @@ def batch_base_topk(
     start = time.perf_counter()
     counter = TraversalCounter()
     accumulators = [TopKAccumulator(entry.k) for entry in batch]
-    # COUNT queries fold over the indicator transform of their vector.
-    folded_scores: List[Sequence[float]] = [
-        fold_scores(entry.aggregate, entry.scores) for entry in batch
-    ]
-
     if kernels is not None:
         _shared_scan_numpy(
-            graph, batch, folded_scores, accumulators, hops, include_self,
-            counter, kernels,
+            graph, batch, accumulators, hops, include_self, counter, kernels
         )
     else:
         _shared_scan_python(
-            graph, batch, folded_scores, accumulators, hops, include_self, counter
+            graph, batch, accumulators, hops, include_self, counter
         )
 
     elapsed = time.perf_counter() - start
@@ -195,18 +189,19 @@ def batch_base_topk(
 def _shared_scan_python(
     graph: Graph,
     batch: List[BatchQuery],
-    folded_scores: List[Sequence[float]],
     accumulators: List[TopKAccumulator],
     hops: int,
     include_self: bool,
     counter: TraversalCounter,
 ) -> None:
     """Reference shared scan: one Python BFS per node, q accumulations."""
+    # COUNT queries fold over the indicator transform of their vector.
+    folded = [fold_scores(entry.aggregate, entry.scores) for entry in batch]
     for u in graph.nodes():
         ball = hop_ball(graph, u, hops, include_self=include_self, counter=counter)
         size = len(ball)
         for i, entry in enumerate(batch):
-            scores = folded_scores[i]
+            scores = folded[i]
             total = 0.0
             for v in ball:
                 total += scores[v]
@@ -220,7 +215,6 @@ def _shared_scan_python(
 def _shared_scan_numpy(
     graph: Graph,
     batch: List[BatchQuery],
-    folded_scores: List[Sequence[float]],
     accumulators: List[TopKAccumulator],
     hops: int,
     include_self: bool,
@@ -246,7 +240,10 @@ def _shared_scan_numpy(
     from repro.core.vectorized import offer_block
 
     csr = graph.csr()
-    node_scores = np.ascontiguousarray(np.asarray(folded_scores, dtype=np.float64).T)
+    # Node-major: each vector's own array (COUNT folded) is one column.
+    node_scores = np.stack(
+        [folded_scores(np, e.scores, e.aggregate)[0] for e in batch], axis=1
+    )
     n = graph.num_nodes
     # The fused reduction gathers a (block members x queries) score slab per
     # block; shrink the block with the batch width so the slab stays as

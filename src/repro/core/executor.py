@@ -51,7 +51,7 @@ from repro.core.results import QueryStats, StreamUpdate, TopKResult
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.traversal import TraversalCounter, hop_ball
-from repro.relevance.base import ScoreVector
+from repro.relevance.base import ScoreVector, folded_scores
 
 __all__ = [
     "execute",
@@ -475,8 +475,7 @@ def _iter_exact_values(
 
         kernels = kernel_provider(concrete)
         csr = ctx.csr()
-        folded = np.asarray(fold_scores(kind, scores), dtype=np.float64)
-        eff_kind = AggregateKind.SUM if kind is AggregateKind.COUNT else kind
+        folded, eff_kind = folded_scores(np, scores, kind)
         nodes = np.asarray(order, dtype=np.int64)
         block = kernels.block_size(None, ctx.graph.num_nodes, int(csr.num_arcs))
         for lo in range(0, nodes.size, block):
@@ -486,8 +485,7 @@ def _iter_exact_values(
                 np, csr, centers, folded, eff_kind, spec.hops,
                 spec.include_self, counter,
             )
-            for j in range(int(centers.size)):
-                yield int(centers[j]), float(values[j])
+            yield from zip(centers.tolist(), values.tolist())
         return
     folded_list = fold_scores(kind, scores)
     for u in order:

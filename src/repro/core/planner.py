@@ -42,6 +42,7 @@ prune-light LONA-Forward run that wins under python.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -307,7 +308,7 @@ class QueryPlanner:
             # plain ints: plan() walks the table in interpreted loops
             size_estimates = size_estimates.tolist()
         self._size_ub_by_node = size_estimates
-        self._size_ub = sorted(size_estimates, reverse=True)
+        self._size_ub = sorted(size_estimates)  # ascending: plan() bisects it
         n = graph.num_nodes
         self._mu = sum(self.scores) / n if n else 0.0
         self._nonzero_desc = sorted(
@@ -327,7 +328,7 @@ class QueryPlanner:
         """Plausible k-th best SUM: mu times the k-th largest ball estimate."""
         if not self._size_ub:
             return 0.0
-        kth_ball = self._size_ub[min(k, len(self._size_ub)) - 1]
+        kth_ball = self._size_ub[-min(k, len(self._size_ub))]
         return self._mu * kth_ball
 
     def plan(
@@ -363,7 +364,7 @@ class QueryPlanner:
 
         if spec.aggregate.lona_supported:
             # --- forward: static pruning estimate -----------------------
-            prunable = sum(1 for s in self._size_ub if s <= threshold)
+            prunable = bisect_right(self._size_ub, threshold)
             forward_online = float(max(n - prunable, min(spec.k, n)))
             estimates.append(
                 CostEstimate(

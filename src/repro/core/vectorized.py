@@ -40,6 +40,8 @@ How each phase vectorizes (numpy provider)
   indexed adds; the Eq. 3 bound of *every* node is one array expression.
   This phase is numpy code on every provider (its accumulation order is
   part of the float contract, see :func:`distribute_scores`).
+  Verification orders only the candidates it reaches
+  (:func:`descending_prefixes`), never all ``n`` bounds.
 * **Exhaustive scans** (base / weighted base): candidate blocks expand with
   one multi-source BFS; SUM/AVG/COUNT reduce with ``np.bincount``, MAX/MIN
   with ``ufunc.reduceat`` over the sorted owner segments, and offers into
@@ -53,7 +55,8 @@ How each phase vectorizes (numpy provider)
 
 Block sizes adapt to the average degree (:func:`adaptive_block_size`); the
 expansion dedups by sorting its keys, so no buffer scales with the node
-count.
+count.  No driver converts a :class:`~repro.relevance.base.ScoreVector`: it
+hands out the one read-only float64 array it owns (``folded_scores``).
 
 Float parity: balls are aggregated in sorted-member order, one canonical
 order per ball set, so nodes with identical neighborhoods get bit-identical
@@ -84,6 +87,7 @@ from repro.graph.diffindex import DifferentialIndex, build_differential_index
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter
+from repro.relevance.base import ScoreVector, descending_nonzero, folded_scores
 
 __all__ = [
     "NumpyKernels",
@@ -160,13 +164,41 @@ def resolve_block_size(
     return max(1, int(requested))
 
 
-def _as_scores_array(np, scores: Sequence[float], kind: AggregateKind):
-    """Materialize scores as float64, folding COUNT to its 0/1 indicator."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if kind is AggregateKind.COUNT:
-        arr = np.where(arr > 0.0, 1.0, 0.0)
-        kind = AggregateKind.SUM
-    return arr, kind
+def descending_prefixes(np, keys, first: int):
+    """Node ids in the order of ``np.lexsort((ids, -keys))``, a prefix at a time.
+
+    Best key first, lowest id among equals.  Each chunk is cut from what is
+    left by one ``np.partition`` — every tie at the cut included, so it is
+    exactly the next stretch of the full order — and only the chunk is
+    sorted.  The first holds at least ``first`` ids, each later cut is 4x
+    the one before: a consumer that stops inside the first chunk never orders
+    (or even splits off) the rest; one that digs to the end pays the full
+    sort plus a few O(n) partitions.
+    """
+    neg = -keys
+    ids = np.arange(neg.size, dtype=np.int64)
+    want = max(int(first), 1)
+    while want < neg.size:
+        rest = neg > np.partition(neg, want - 1)[want - 1]
+        head = ~rest
+        # ids ascend within a chunk, so a stable sort leaves ties by id.
+        yield ids[head][np.argsort(neg[head], kind="stable")]
+        neg, ids = neg[rest], ids[rest]
+        want *= 4
+    yield ids[np.argsort(neg, kind="stable")]
+
+
+def in_blocks(np, chunks, size: int):
+    """Regroup an iterator of id chunks into blocks of exactly ``size`` ids
+    (the last may be shorter), pulling the next chunk when one runs short."""
+    held = np.empty(0, dtype=np.int64)
+    for chunk in chunks:
+        held = np.concatenate((held, chunk)) if held.size else chunk
+        while held.size >= size:
+            yield held[:size]
+            held = held[size:]
+    if held.size:
+        yield held
 
 
 def _ubound_order(np, kind, scores_arr, sizes: NeighborhoodSizeIndex):
@@ -212,7 +244,7 @@ def forward_topk_numpy(
             "use algorithm='base' for MAX/MIN"
         )
     csr = graph.csr()
-    scores_arr, kind = _as_scores_array(np, scores, kind)
+    scores_arr, kind = folded_scores(np, scores, kind)
     is_avg = kind is AggregateKind.AVG
 
     build_sec = 0.0
@@ -354,9 +386,7 @@ def static_upper_bounds_array(
             f"static upper bounds cover SUM/AVG/COUNT, not {kind.value}"
         )
     upper = np.asarray(sizes.upper_values(), dtype=np.float64)
-    f = np.asarray(scores_arr, dtype=np.float64)
-    if kind is AggregateKind.COUNT:
-        f = np.where(f > 0.0, 1.0, 0.0)
+    f, _ = folded_scores(np, scores_arr, kind)
     if include_self:
         bounds = np.maximum(upper - 1.0, 0.0) + f
     else:
@@ -367,7 +397,7 @@ def static_upper_bounds_array(
     return bounds
 
 
-def backward_distribution_split(np, scores_arr, gamma, distribution_fraction):
+def backward_distribution_split(np, scores, scores_arr, gamma, distribution_fraction):
     """Phase-1 policy of LONA-Backward, shared by every vectorized caller.
 
     Returns ``(distributed, effective_gamma, rest_bound)``: the node ids to
@@ -375,15 +405,15 @@ def backward_distribution_split(np, scores_arr, gamma, distribution_fraction):
     order), the resolved gamma threshold, and the highest undistributed
     score (Eq. 3's bound on every unknown).  One implementation serves the
     in-process drivers and the sharded parallel engine, so the two
-    can never disagree on which nodes distribute.
+    can never disagree on which nodes distribute.  The order is the score
+    vector's own list when ``scores_arr`` is its array, else derived here.
     """
     from repro.core.backward import resolve_gamma
 
-    nonzero_ids = np.nonzero(scores_arr > 0.0)[0]
-    nonzero_scores = scores_arr[nonzero_ids]
-    desc = np.lexsort((nonzero_ids, -nonzero_scores))
-    ordered_ids = nonzero_ids[desc]
-    ordered_scores = nonzero_scores[desc]
+    if isinstance(scores, ScoreVector) and scores_arr is scores.array():
+        ordered_ids, ordered_scores = scores.sorted_access()
+    else:
+        ordered_ids, ordered_scores = descending_nonzero(np, scores_arr)
     effective_gamma = resolve_gamma(
         gamma, ordered_scores.tolist(), distribution_fraction=distribution_fraction
     )
@@ -507,15 +537,14 @@ def verify_blocked(
     work counters differ, exactly like the forward kernel's block
     over-evaluation.  ``verify(chunk)`` returns the chunk's exact values;
     under the exact shortcut they are read off ``shortcut_values`` instead
-    and not counted as verifications.  Returns the offers made.
+    and not counted as verifications.  ``candidate_order`` is the lazy
+    :func:`descending_prefixes` iterator, regrouped into the ``block_size``
+    blocks of the full order and advanced no further than the stop.
+    Returns the offers made.
     """
     offered = 0
-    position = 0
-    total = int(candidate_order.size)
-    while position < total:
+    for chunk in in_blocks(np, candidate_order, block_size):
         check_deadline()
-        chunk = candidate_order[position : position + block_size]
-        position += int(chunk.size)
         if acc.is_full:
             live = bounds[chunk] > acc.threshold
             if not live.all():
@@ -569,9 +598,8 @@ def backward_topk_numpy(
             f"LONA-Backward supports SUM/AVG/COUNT, not {kind.value}; "
             "use algorithm='base' for MAX/MIN"
         )
-    scores_arr, _ = _as_scores_array(np, scores, kind)
     return _backward_topk(
-        np, graph, scores_arr, spec, None, gamma, distribution_fraction, sizes,
+        np, graph, scores, spec, None, gamma, distribution_fraction, sizes,
         ball_cache, kernels or NumpyKernels(),
     )
 
@@ -703,7 +731,7 @@ def base_topk_numpy(
 
     kernels = kernels or NumpyKernels()
     csr = graph.csr()
-    scores_arr, eff_kind = _as_scores_array(np, scores, spec.aggregate)
+    scores_arr, eff_kind = folded_scores(np, scores, spec.aggregate)
 
     start = time.perf_counter()
     order = np.asarray(
@@ -759,7 +787,7 @@ def weighted_base_topk_numpy(
     kernels = kernels or NumpyKernels()
     weights = _distance_weights(np, spec, profile)
     csr = graph.csr()
-    scores_arr = np.asarray(scores, dtype=np.float64)
+    scores_arr, _ = folded_scores(np, scores)
 
     start = time.perf_counter()
     n = graph.num_nodes
@@ -807,20 +835,20 @@ def weighted_backward_topk_numpy(
 
     weights = _distance_weights(np, spec, profile)
     return _backward_topk(
-        np, graph, np.asarray(scores, dtype=np.float64), spec, weights, gamma,
-        distribution_fraction, sizes, dist_ball_cache,
-        kernels or NumpyKernels(),
+        np, graph, scores, spec, weights, gamma, distribution_fraction, sizes,
+        dist_ball_cache, kernels or NumpyKernels(),
     )
 
 
 def _backward_topk(
-    np, graph, scores_arr, spec, weights, gamma, distribution_fraction, sizes,
+    np, graph, scores, spec, weights, gamma, distribution_fraction, sizes,
     cache, kernels,
 ) -> TopKResult:
     """Both LONA-Backward drivers: ``weights is None`` is the paper's form,
     an array footnote 1's (whose Eq. 3 charges an unknown member ``w_max *
     rest_bound`` and an undistributed center ``w(0) * f``)."""
     weighted = weights is not None
+    scores_arr, _ = folded_scores(np, scores, spec.aggregate)
     is_avg = spec.aggregate is AggregateKind.AVG
     hops = spec.hops
     include_self = spec.include_self
@@ -851,7 +879,7 @@ def _backward_topk(
 
     # Phase 1: partial distribution in descending score order.
     distributed, effective_gamma, rest_bound = backward_distribution_split(
-        np, scores_arr, gamma, distribution_fraction
+        np, scores, scores_arr, gamma, distribution_fraction
     )
     partial, covered, stats.distribution_pushes = distribute_scores(
         np, dist_csr, distributed, scores_arr, hops, include_self,
@@ -874,7 +902,8 @@ def _backward_topk(
         unknown_bound, include_self=include_self, is_avg=is_avg,
     )
     stats.bound_evaluations = n
-    candidate_order = np.lexsort((np.arange(n), -bounds))
+    # Descending bound order, sorted only as far as verification reaches.
+    candidate_order = descending_prefixes(np, bounds, max(2 * spec.k, 64))
 
     # Phase 3: verification in descending bound order, TA-style stop.
     exact_shortcut = rest_bound == 0.0 and (not is_avg or sizes.is_exact)
@@ -1089,13 +1118,14 @@ class NumpyKernels:
     ) -> int:
         """Phase 3 of unweighted LONA-Backward; returns the offers made.
 
-        Descending bound order with the TA-style stop re-checked before
-        every candidate, each ball read through ``ball_cache`` — the
-        session's, already matched on ``(csr, hops, include_self)`` by the
-        driver — so repeated queries reuse verification-phase expansions.
-        A blocked loop would trade those cache hits for call amortization
-        numpy does not need here; the compiled provider makes the opposite
-        trade.
+        ``candidate_order`` yields the descending bound order a sorted chunk
+        at a time (:func:`descending_prefixes`), advanced only until the
+        TA-style stop — re-checked before every candidate — fires.  Each
+        ball is read through ``ball_cache`` — the session's, already matched
+        on ``(csr, hops, include_self)`` by the driver — so repeated queries
+        reuse verification-phase expansions.  A blocked loop would trade
+        those cache hits for call amortization numpy does not need here; the
+        compiled provider makes the opposite trade.
         """
         is_avg = spec.aggregate is AggregateKind.AVG
         if ball_cache is None:
@@ -1106,23 +1136,24 @@ class NumpyKernels:
         # counter)``) rather than through its own counter, so concurrent
         # queries sharing it never charge each other's stats.
         offered = 0
-        for v in candidate_order:
-            check_deadline()
-            if acc.is_full and float(bounds[v]) <= acc.threshold:
-                stats.early_terminated = True
-                break
-            node = int(v)
-            if shortcut_values is not None:
-                value = float(shortcut_values[v])
-            else:
-                ball = ball_cache.ball(node, counter)
-                # cumsum, not sum: sequential left-to-right accumulation over
-                # the sorted members, the same float result the Python loop
-                # gets (np.sum's pairwise order would differ in the last ulp).
-                total = float(scores[ball].cumsum()[-1]) if ball.size else 0.0
-                value = (total / ball.size if ball.size else 0.0) if is_avg else total
-                stats.nodes_evaluated += 1
-                stats.candidates_verified += 1
-            acc.offer(node, value)
-            offered += 1
+        for chunk in candidate_order:
+            exact = None if shortcut_values is None else shortcut_values[chunk].tolist()
+            for j, (node, bound) in enumerate(zip(chunk.tolist(), bounds[chunk].tolist())):
+                check_deadline()
+                if acc.is_full and bound <= acc.threshold:
+                    stats.early_terminated = True
+                    return offered
+                if exact is not None:
+                    value = exact[j]
+                else:
+                    ball = ball_cache.ball(node, counter)
+                    # cumsum, not sum: sequential accumulation over the
+                    # sorted members, the same float result the Python loop
+                    # gets (np.sum's pairwise order differs in the last ulp).
+                    total = float(scores[ball].cumsum()[-1]) if ball.size else 0.0
+                    value = (total / ball.size if ball.size else 0.0) if is_avg else total
+                    stats.nodes_evaluated += 1
+                    stats.candidates_verified += 1
+                acc.offer(node, value)
+                offered += 1
         return offered

@@ -28,11 +28,12 @@ with the backend's block primitive (``ball_values(..., want_sizes=True)``,
 the one Base scans with) over the graph-owned, already patched CSR
 (:meth:`DynamicGraph.csr`), reverse balls come from
 :func:`~repro.graph.csr.csr_hop_ball` over the graph-owned reverse CSR, and
-``topk`` is one ``lexsort((ids, -values))[:k]`` — the entries, and the
-lowest-id-wins ties, of offering every node in id order.  On the python
-backend (numpy absent, or asked for) it keeps two lists and walks one
-``hop_ball`` per affected node: the dependency-free reference the other is
-tested against.
+``topk`` reads the first ``k`` ids of the descending value order, sorted no
+further than that (:func:`~repro.core.vectorized.descending_prefixes`) — the
+entries, and the lowest-id-wins ties, of offering every node in id order.
+On the python backend (numpy absent, or asked for) it keeps two lists and
+walks one ``hop_ball`` per affected node: the dependency-free reference the
+other is tested against.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
+from repro.core.vectorized import descending_prefixes
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import InvalidParameterError, RelevanceError
 from repro.graph.csr import csr_hop_ball
 from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
+from repro.relevance.base import ScoreVector
 
 __all__ = ["MaintainedAggregateView"]
 
@@ -80,18 +83,13 @@ class MaintainedAggregateView:
         include_self: bool = True,
         backend: str = "auto",
     ) -> None:
-        if len(scores) != graph.num_nodes:
-            raise RelevanceError(
-                f"score vector has {len(scores)} entries, graph has "
-                f"{graph.num_nodes} nodes"
-            )
-        for i, s in enumerate(scores):
-            if not 0.0 <= float(s) <= 1.0:
-                raise RelevanceError(f"score out of range at node {i}: {s}")
+        # Validates length and the [0, 1] range (a session hands its vector).
+        vector = scores if isinstance(scores, ScoreVector) else ScoreVector(scores)
+        vector.check_graph(graph)
         self.graph = graph
         self.hops = hops
         self.include_self = include_self
-        self.scores: List[float] = [float(s) for s in scores]
+        self.scores: List[float] = vector.values()
         self.counter = TraversalCounter()
         self.nodes_repaired = 0
         self.arithmetic_updates = 0
@@ -101,8 +99,9 @@ class MaintainedAggregateView:
             import numpy
 
             self._np = numpy
-            # The block primitive gathers ``scores[members]``.
-            self._score_arr = numpy.asarray(self.scores, dtype=numpy.float64)
+            # The block primitive gathers ``scores[members]``.  A copy: the
+            # view writes score updates, a vector's own array is read-only.
+            self._score_arr = vector.array().copy()
         # Python backend, directed graphs: the reversal, per graph version.
         self._reversed: Tuple[int, Graph] = (-1, graph)
         self._sums, self._sizes = self._evaluate(graph.nodes())
@@ -315,7 +314,7 @@ class MaintainedAggregateView:
                 )
             # Best value first, lowest id among equals: what offering every
             # node in id order leaves in the accumulator.
-            best = np.lexsort((np.arange(values.size), -values))[: spec.k]
+            best = next(descending_prefixes(np, values, spec.k))[: spec.k]
             entries = list(zip(best.tolist(), values[best].tolist()))
         stats = QueryStats(
             algorithm="maintained-view",

@@ -88,18 +88,23 @@ def _warm_all() -> None:
     values = np.empty(n, dtype=np.float64)
     sizes = np.empty(n, dtype=np.int64)
     gen = 1
-    for kind_code in (kernels.KIND_SUM, kernels.KIND_AVG, kernels.KIND_MAX,
-                      kernels.KIND_MIN):
-        kernels.aggregate_blocks(
-            indptr, indices, scores, centers, 2, True, kind_code,
-            stamp, gen, member_buf, values, sizes,
+    # A ScoreVector's own array is read-only — to numba a second array type,
+    # so the two kernels that take scores compile for both.
+    frozen = scores.copy()
+    frozen.flags.writeable = False
+    for vector in (scores, frozen):
+        for kind_code in (kernels.KIND_SUM, kernels.KIND_AVG, kernels.KIND_MAX,
+                          kernels.KIND_MIN):
+            kernels.aggregate_blocks(
+                indptr, indices, vector, centers, 2, True, kind_code,
+                stamp, gen, member_buf, values, sizes,
+            )
+            gen += n
+        kernels.distance_aggregate_blocks(
+            indptr, indices, vector, weights, centers, 2, True,
+            stamp, gen, member_buf, dist_buf, scaled_buf, values, sizes,
         )
         gen += n
-    kernels.distance_aggregate_blocks(
-        indptr, indices, scores, weights, centers, 2, True,
-        stamp, gen, member_buf, dist_buf, scaled_buf, values, sizes,
-    )
-    gen += n
     matrix = np.stack([scores, scores], axis=1)
     avg_flags = np.asarray([False, True], dtype=np.bool_)
     batch_values = np.empty((2, n), dtype=np.float64)

@@ -61,8 +61,8 @@ else:
 #: How the kernels in this process execute.
 KERNEL_MODE = "compiled" if NUMBA_IMPORTABLE else "interpreted"
 
-#: Aggregate kind codes (COUNT is folded to SUM by callers, exactly like
-#: the numpy backend's ``_as_scores_array``).
+#: Aggregate kind codes (COUNT is folded to SUM by callers, through
+#: :func:`repro.relevance.base.folded_scores`).
 KIND_SUM = 0
 KIND_AVG = 1
 KIND_MAX = 2

@@ -62,6 +62,7 @@ from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError, ReproError, StaleShardError
 from repro.parallel.merge import merge_counters, merge_shard_entries
 from repro.parallel.shards import ShardPlan, build_shard_plan
+from repro.relevance.base import folded_scores
 
 __all__ = ["DEFAULT_MIN_NODES", "ShardedCoordinator"]
 
@@ -114,19 +115,6 @@ def _chunked(task: dict, owned_size: int, block: int) -> List[dict]:
         for p in range(pieces)
         if bounds[p + 1] > bounds[p]
     ]
-
-
-def _score_array(np, scores):
-    values = scores.values() if hasattr(scores, "values") else list(scores)
-    return np.asarray(values, dtype=np.float64)
-
-
-def _folded_scores(np, scores, kind: AggregateKind):
-    """Score values as the kernels fold them (COUNT -> 0/1 indicator)."""
-    arr = _score_array(np, scores)
-    if kind is AggregateKind.COUNT:
-        arr = np.where(arr > 0.0, 1.0, 0.0)
-    return arr
 
 
 def _theta_seed(np, folded, centers, kind: AggregateKind, spec) -> float:
@@ -338,7 +326,7 @@ class ShardedCoordinator:
             scores,
             _SCORE_EXPORT_LIMIT,
             "scores",
-            lambda: _score_array(np, scores),
+            lambda: folded_scores(np, scores)[0],
         )
 
     def _bounds_meta(self, scores, kind: AggregateKind, include_self: bool) -> dict:
@@ -360,7 +348,7 @@ class ShardedCoordinator:
             _BOUND_EXPORT_LIMIT,
             "bounds",
             lambda: static_upper_bounds_array(
-                np, _score_array(np, scores), self.ctx.size_index(), kind, include_self
+                np, scores, self.ctx.size_index(), kind, include_self
             ),
         )
 
@@ -475,7 +463,7 @@ class ShardedCoordinator:
         if self.ship_policy != "threshold":
             return _NEG_INF, None
         assert self._plan is not None
-        folded = _folded_scores(np, scores, kind)
+        folded, _ = folded_scores(np, scores, kind)
         mass = [
             float(np.clip(folded[owned], 0.0, None).sum())
             for owned in self._plan.owned
@@ -696,6 +684,8 @@ class ShardedCoordinator:
         from repro.core.vectorized import (
             backward_distribution_split,
             backward_eq3_bounds,
+            descending_prefixes,
+            in_blocks,
         )
 
         kind = spec.aggregate
@@ -709,7 +699,7 @@ class ShardedCoordinator:
                 return None
             start = time.perf_counter()
             n = self.ctx.graph.num_nodes
-            scores_arr = _folded_scores(np, scores, kind)
+            scores_arr, _ = folded_scores(np, scores, kind)
             is_avg = kind is AggregateKind.AVG
             include_self = bool(spec.include_self)
             sizes = self.ctx.size_index(exact=exact_sizes)
@@ -718,7 +708,7 @@ class ShardedCoordinator:
             # helper): workers then select their owned subset of the same
             # f(u) >= gamma set.
             _distributed, effective_gamma, rest_bound = backward_distribution_split(
-                np, scores_arr, gamma, distribution_fraction
+                np, scores, scores_arr, gamma, distribution_fraction
             )
             if rest_bound == 0.0 and (not is_avg or sizes.is_exact):
                 # Full distribution -> the exact-shortcut regime, where the
@@ -793,26 +783,22 @@ class ShardedCoordinator:
                 is_avg=is_avg,
             )
             stats.bound_evaluations = n
-            order = np.lexsort((np.arange(n), -bounds))
 
             # --- Phase 3: TA rounds against owning shards -----------------
             # (The exact-shortcut regime declined above, so every offered
             # value comes from exact verification — which accumulates ball
             # members in the same ascending order as the in-process
-            # kernels, keeping values bit-identical.)
+            # kernels, keeping values bit-identical.)  A round is the next
+            # _VERIFY_ROUND candidates of the descending bound order, which
+            # is sorted only as far as the rounds reach.
             acc = TopKAccumulator(spec.k)
             offered = 0
             verify_rounds = 0
-            idx = 0
-            done = False
-            while idx < n and not done:
-                if acc.is_full and float(bounds[order[idx]]) <= acc.threshold:
-                    stats.early_terminated = True
-                    break
-                # Frontier: the next round of candidates still above the
-                # current threshold, verified by their owning shards.
-                hi = min(idx + _VERIFY_ROUND, n)
-                frontier = order[idx:hi]
+            order = descending_prefixes(np, bounds, max(2 * spec.k, 64))
+            for candidates in in_blocks(np, order, _VERIFY_ROUND):
+                # Frontier: the round's candidates still above the current
+                # threshold, verified by their owning shards.
+                frontier = candidates
                 if acc.is_full:
                     frontier = frontier[bounds[frontier] > acc.threshold]
                 if frontier.size == 0:
@@ -824,11 +810,9 @@ class ShardedCoordinator:
                 )
                 verify_rounds += 1
                 stats.candidates_verified += int(frontier.size)
-                for v in order[idx:hi]:
-                    node = int(v)
-                    if acc.is_full and float(bounds[node]) <= acc.threshold:
+                for node, bound in zip(candidates.tolist(), bounds[candidates].tolist()):
+                    if acc.is_full and bound <= acc.threshold:
                         stats.early_terminated = True
-                        done = True
                         break
                     # A θ-pruned candidate is absent from ``exact``: its
                     # value was below the threshold at round start, so the
@@ -836,7 +820,8 @@ class ShardedCoordinator:
                     if node in exact:
                         acc.offer(node, exact[node])
                         offered += 1
-                idx = hi
+                if stats.early_terminated:
+                    break
             stats.pruned_nodes = n - offered
             stats.extra["gamma"] = float(effective_gamma)
             stats.extra["distributed_nodes"] = float(distributed_count)

@@ -46,6 +46,7 @@ from repro.errors import FaultInjectedError, StaleShardError
 from repro.faults import fault_point
 from repro.graph.csr import AttachedArray, AttachedCSR
 from repro.graph.traversal import TraversalCounter
+from repro.relevance.base import folded_scores
 
 __all__ = ["worker_main"]
 
@@ -110,14 +111,6 @@ class _AttachmentCache:
             attachment.close()
         self._arrays.clear()
         self._csrs.clear()
-
-
-def _fold(np, scores, aggregate: str):
-    """(folded scores, effective kind): COUNT folds to its 0/1 indicator."""
-    kind = AggregateKind(aggregate)
-    if kind is AggregateKind.COUNT:
-        return np.where(scores > 0.0, 1.0, 0.0), AggregateKind.SUM
-    return scores, kind
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +188,7 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
         centers = cache.array(task["owned"])
         if "hi" in task:
             centers = centers[task.get("lo", 0) : task["hi"]]
-    folded, kind = _fold(np, scores, task["aggregate"])
+    folded, kind = folded_scores(np, scores, AggregateKind(task["aggregate"]))
     block = task["block"]
     kernels = _kernels(task)
     counter = TraversalCounter()
@@ -246,7 +239,7 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     columns = []
     avg_flags = []
     for meta, aggregate in task["scores_list"]:
-        folded, kind = _fold(np, cache.array(meta), aggregate)
+        folded, kind = folded_scores(np, cache.array(meta), AggregateKind(aggregate))
         columns.append(folded)
         avg_flags.append(kind is AggregateKind.AVG)
     node_scores = np.stack(columns, axis=1)
@@ -283,7 +276,9 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
     soundness is all that matters).
     """
     csr = cache.csr(task["csr"]).csr
-    scores, _kind = _fold(np, cache.array(task["scores"]), task["aggregate"])
+    scores, _kind = folded_scores(
+        np, cache.array(task["scores"]), AggregateKind(task["aggregate"])
+    )
     owned = cache.array(task["owned"])
     mine = owned[(scores[owned] > 0.0) & (scores[owned] >= task["gamma"])]
     counter = TraversalCounter()
@@ -310,7 +305,7 @@ def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
     csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
     centers = np.asarray(task["centers"], dtype=np.int64)
-    folded, kind = _fold(np, scores, task["aggregate"])
+    folded, kind = folded_scores(np, scores, AggregateKind(task["aggregate"]))
     block = task["block"]
     kernels = _kernels(task)
     counter = TraversalCounter()

@@ -9,17 +9,25 @@ values every aggregation algorithm consumes).
 :class:`ScoreVector` is the materialized form.  It validates the [0, 1]
 range once at construction, after which algorithms can trust it, and it
 precomputes the two things LONA-Backward needs: the set of non-zero nodes and
-their descending-score order.
+their descending-score order.  It also owns the one float64 array the
+vectorized backends gather from (:meth:`ScoreVector.array`: built on first
+use, never per query — the rule ``Graph.csr()`` follows for the flat arrays).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Protocol, Sequence, Tuple
+import threading
+from typing import Any, Iterable, Iterator, List, Protocol, Sequence, Tuple
 
+from repro.aggregates.functions import AggregateKind
 from repro.errors import RelevanceError
 from repro.graph.graph import Graph
 
 __all__ = ["ScoreVector", "RelevanceFunction", "uniform_scores", "indicator_scores"]
+
+#: Serialises the first :meth:`ScoreVector.array` build: racing first readers
+#: (serving lanes) convert a vector once.  Module-wide, as for ``Graph.csr``.
+_ARRAY_BUILD_LOCK = threading.Lock()
 
 
 class ScoreVector:
@@ -32,7 +40,7 @@ class ScoreVector:
     Eq. 3).
     """
 
-    __slots__ = ("_values", "_nonzero", "_is_binary")
+    __slots__ = ("_values", "_nonzero", "_is_binary", "_array", "_sorted")
 
     def __init__(self, values: Iterable[float]) -> None:
         vals = [float(v) for v in values]
@@ -46,6 +54,7 @@ class ScoreVector:
             i for i, v in enumerate(vals) if v > 0.0
         )
         self._is_binary = all(v in (0.0, 1.0) for v in vals)
+        self._array = self._sorted = None  # built on first use (numpy)
 
     def __getitem__(self, node: int) -> float:
         return self._values[node]
@@ -96,6 +105,31 @@ class ScoreVector:
         """A fresh list copy of the raw values."""
         return list(self._values)
 
+    def array(self) -> Any:
+        """The values as one float64 array (numpy required): converted on
+        first request, at most once, and shared by every vectorized consumer
+        across queries, lanes and threads — hence read-only; a consumer that
+        writes copies.  The python backend never calls this."""
+        if self._array is None:
+            with _ARRAY_BUILD_LOCK:
+                if self._array is None:
+                    import numpy as np
+
+                    arr = np.array(self._values, dtype=np.float64)
+                    arr.flags.writeable = False
+                    self._array = arr
+        return self._array
+
+    def sorted_access(self) -> Tuple[Any, Any]:
+        """``(ids, scores)`` of the non-zero nodes, best score first, ties by
+        id — the sorted-access list LONA-Backward distributes from — as two
+        read-only arrays built once (a racing duplicate build is identical)."""
+        if self._sorted is None:
+            import numpy as np
+
+            self._sorted = descending_nonzero(np, self.array())
+        return self._sorted
+
     def check_graph(self, graph: Graph) -> None:
         """Raise unless this vector covers exactly ``graph``'s nodes."""
         if len(self._values) != graph.num_nodes:
@@ -103,6 +137,33 @@ class ScoreVector:
                 f"score vector has {len(self._values)} entries, "
                 f"graph has {graph.num_nodes} nodes"
             )
+
+
+def descending_nonzero(np: Any, scores_arr: Any) -> Tuple[Any, Any]:
+    """``(ids, scores)`` of the positive entries of a float array, in the
+    paper's distribution order (descending score, ties by id); read-only."""
+    ids = np.flatnonzero(scores_arr > 0.0)
+    # ids ascend, so a stable sort by score leaves ties by id.
+    ids = ids[np.argsort(-scores_arr[ids], kind="stable")]
+    scores = scores_arr[ids]
+    ids.flags.writeable = scores.flags.writeable = False
+    return ids, scores
+
+
+def folded_scores(np: Any, scores: Sequence[float], kind=None) -> Tuple[Any, Any]:
+    """``(float64 array, effective kind)`` as the block kernels take them.
+
+    A :class:`ScoreVector` hands out its own array (never converted per
+    query), any other sequence is converted here; COUNT becomes SUM over
+    the 0/1 indicator, which a binary vector's array already is.
+    """
+    owner = isinstance(scores, ScoreVector)
+    arr = scores.array() if owner else np.asarray(scores, dtype=np.float64)
+    if kind is AggregateKind.COUNT:
+        if not (owner and scores.is_binary):
+            arr = np.where(arr > 0.0, 1.0, 0.0)
+        kind = AggregateKind.SUM
+    return arr, kind
 
 
 class RelevanceFunction(Protocol):

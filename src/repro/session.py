@@ -873,7 +873,7 @@ class Network:
             vector = self.scores_of(score)
             self._views[score] = MaintainedAggregateView(
                 self.graph,
-                vector.values(),
+                vector,
                 hops=self.hops,
                 include_self=self.include_self,
                 backend=self.backend,

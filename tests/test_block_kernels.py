@@ -33,7 +33,11 @@ from repro.graph.traversal import TraversalCounter
 np = pytest.importorskip("numpy")
 
 from repro.core import vectorized  # noqa: E402
-from repro.core.vectorized import NumpyKernels  # noqa: E402
+from repro.core.vectorized import (  # noqa: E402
+    NumpyKernels,
+    descending_prefixes,
+    in_blocks,
+)
 from repro.graph.csr import CSRBallCache, to_csr  # noqa: E402
 from repro.graph.diffindex import build_differential_index  # noqa: E402
 from repro.native.provider import NativeKernels  # noqa: E402
@@ -191,11 +195,11 @@ def test_verify_backward_same_entries_different_loop_shape(
         TraversalCounter(),
     )
     bounds = exact + 0.25  # any sound bound
-    order = np.lexsort((np.arange(N), -bounds))
     runs = []
     for kernels in (NumpyKernels(), NativeKernels()):
         acc = TopKAccumulator(spec.k)
         stats = QueryStats(algorithm="backward", aggregate="sum")
+        order = descending_prefixes(np, bounds, 2 * spec.k)
         offered = kernels.verify_backward(
             np, csr, spec, scores, order, bounds, None, acc, stats,
             TraversalCounter(), CSRBallCache(csr, hops, include_self=include_self),
@@ -293,3 +297,219 @@ def test_drivers_agree_on_entries_and_work_at_equal_blocks(directed, aggregate):
         ref, nat = run(NumpyKernels()), run(NativeKernels())
         assert ref.entries == nat.entries
         assert ref.stats.distribution_pushes == nat.stats.distribution_pushes
+
+
+# ---------------------------------------------------------------------------
+# The lazy candidate order: descending_prefixes / in_blocks
+# ---------------------------------------------------------------------------
+def _full_order(keys):
+    return np.lexsort((np.arange(keys.size), -keys))
+
+
+def _check_prefixes(keys, first):
+    """Chunks concatenate to the full ``lexsort`` order, the first holds at
+    least ``first`` ids (or everything), and regrouping keeps the order."""
+    keys = np.asarray(keys, dtype=np.float64)
+    want = _full_order(keys).tolist()
+    chunks = list(descending_prefixes(np, keys, first))
+    assert np.concatenate(chunks).tolist() == want
+    assert chunks[0].size >= min(first, keys.size)
+    assert all(chunk.dtype == np.int64 for chunk in chunks)
+    for size in (1, 3, 64):
+        blocks = list(in_blocks(np, descending_prefixes(np, keys, first), size))
+        assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert all(0 < b.size <= size for b in blocks[-1:])
+        assert [i for b in blocks for i in b.tolist()] == want
+
+
+@pytest.mark.parametrize(
+    "keys,first",
+    [
+        ([], 1),  # n = 0
+        ([0.5], 1),  # n = 1
+        ([0.5] * 300, 64),  # all equal: the first cut takes everything
+        ([0.0] * 300, 1),  # all zero
+        ([0.0, -0.0, 0.0, -0.0, 1.0, -0.0], 2),  # -0.0 ties with 0.0, by id
+        ([3.0, 1.0, 2.0, 0.0] * 90, 1),  # first = 1: a cut per distinct value
+        ([3.0, 1.0, 2.0, 0.0] * 90, 360),  # first = n
+        ([3.0, 1.0, 2.0, 0.0] * 90, 10_000),  # first > n
+        (list(range(700)), 64),  # no ties: cuts of 64, 256, the rest
+    ],
+)
+def test_prefixes_pinned(keys, first):
+    _check_prefixes(keys, first)
+
+
+def test_prefixes_sort_no_further_than_they_are_read():
+    class CountingNumpy:
+        """``np`` with ``partition`` / ``argsort`` input sizes recorded."""
+
+        def __init__(self):
+            self.calls = []
+
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("partition", "argsort"):
+                return fn
+
+            def counted(array, *args, **kwargs):
+                self.calls.append((name, int(array.size)))
+                return fn(array, *args, **kwargs)
+
+            return counted
+
+    counting = CountingNumpy()
+    keys = np.random.default_rng(3).permutation(10_000).astype(np.float64)
+    order = descending_prefixes(counting, keys, 64)
+    assert counting.calls == []  # nothing until the first chunk is asked for
+    assert next(order).tolist() == list(np.argsort(-keys)[:64])
+    assert counting.calls == [("partition", 10_000), ("argsort", 64)]
+    assert next(order).size == 256
+    assert counting.calls[2:] == [("partition", 10_000 - 64), ("argsort", 256)]
+
+
+# Guarded import, NOT a module-level importorskip: a missing hypothesis must
+# skip only the property test, never the suites above it.
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - exercised without hypothesis
+    given = settings = st = None
+
+if st is not None:
+    #: Tie-heavy keys: a handful of distinct values (``-0.0`` beside ``0.0``),
+    #: constant vectors, and dyadic values with few repeats.
+    _KEYS = st.one_of(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]), max_size=400),
+        st.builds(lambda x, n: [x] * n, st.sampled_from([0.0, 0.75]), st.integers(0, 400)),
+        st.lists(st.integers(0, 1 << 12).map(lambda i: i / 1024.0), max_size=400),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=_KEYS, first=st.integers(min_value=1, max_value=500))
+    def test_prefixes_property(keys, first):
+        _check_prefixes(keys, first)
+
+else:  # pragma: no cover - exercised without hypothesis
+
+    @pytest.mark.skip(reason="hypothesis not installed")
+    def test_prefixes_property():
+        pass
+
+
+# ---------------------------------------------------------------------------
+# LONA-Backward over the lazy order: the parent's full-order run, chunk by chunk
+# ---------------------------------------------------------------------------
+CROSS_N = 900
+#: (non-zero share of the 0/1 scores, k, aggregate, chunks numpy's loop pulls).
+#: AVG over 0/1 scores verifies through hundreds of bounds tied at 1.0.
+CROSSINGS = [
+    (0.08, 4, "avg", 1),  # stops inside the first chunk
+    (0.2, 4, "avg", 2),  # crosses one chunk boundary
+    (0.3, 4, "avg", 3),  # crosses two
+    (0.02, 30, "sum", 1),  # k > non-zero count (exact shortcut, zeros tie)
+    (0.02, 30, "count", 1),
+    (0.3, CROSS_N + 100, "avg", 1),  # k > n: nothing is pruned
+]
+#: Timings, provenance and byte counts: what two equal runs may differ in.
+_NOT_WORK = ("_sec", "bytes", "backend", "kernel")
+
+
+def _facts(result):
+    """Entries plus every ``QueryStats`` counter and ``extra`` value."""
+    stats = {
+        key: value
+        for key, value in result.stats.as_dict().items()
+        if not any(mark in key for mark in _NOT_WORK)
+    }
+    return result.entries, stats
+
+
+def _binary_scores(share):
+    rng = random.Random(5)
+    return [1.0 if rng.random() < share else 0.0 for _ in range(CROSS_N)]
+
+
+def _eager_order(np_, keys, first):
+    """The parent's candidate order: one full sort, handed out whole."""
+    yield np_.lexsort((np_.arange(keys.size), -keys))
+
+
+@pytest.fixture(scope="module")
+def cross_graph():
+    from tests.conftest import random_graph
+
+    return random_graph(CROSS_N, 0.004, seed=77)
+
+
+@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
+def test_backward_chunked_equals_full_order_in_process(
+    monkeypatch, cross_graph, share, k, aggregate, chunks
+):
+    from repro.core.backward import backward_topk
+
+    scores = _binary_scores(share)
+    spec = QuerySpec(k=k, hops=2, aggregate=aggregate)
+    runs = {
+        "numpy": lambda: vectorized.backward_topk_numpy(cross_graph, scores, spec),
+        "native": lambda: vectorized.backward_topk_numpy(
+            cross_graph, scores, spec, kernels=NativeKernels()
+        ),
+    }
+    pulled = []
+    real = vectorized.descending_prefixes
+
+    def counting(np_, keys, first):
+        for chunk in real(np_, keys, first):
+            pulled.append(int(chunk.size))
+            yield chunk
+
+    monkeypatch.setattr(vectorized, "descending_prefixes", counting)
+    lazy = {}
+    for name, run in runs.items():
+        del pulled[:]
+        lazy[name] = _facts(run())
+        if name == "numpy":
+            assert len(pulled) == chunks, pulled
+    monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
+    for name, run in runs.items():
+        assert lazy[name] == _facts(run()), name
+    # numpy's loop is the python backend's, candidate for candidate.
+    reference = backward_topk(
+        cross_graph, scores, QuerySpec(k=k, hops=2, aggregate=aggregate, backend="python")
+    )
+    assert lazy["numpy"] == _facts(reference)
+    assert lazy["native"][0] == reference.entries
+
+
+@pytest.fixture(scope="module")
+def cross_net(cross_graph):
+    from repro.session import Network
+
+    net = Network(cross_graph, hops=2)
+    for share in sorted({case[0] for case in CROSSINGS}):
+        net.add_scores(f"s{share}", _binary_scores(share))
+    net.parallel(workers=2, min_nodes=0)
+    net.cluster(workers=2, min_nodes=0)
+    yield net
+    net.close()
+
+
+@pytest.mark.parametrize("link", ["parallel", "cluster"])
+@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
+def test_backward_chunked_equals_full_order_sharded(
+    monkeypatch, cross_net, link, share, k, aggregate, chunks
+):
+    def run(backend):
+        query = cross_net.query(f"s{share}").limit(k).aggregate(aggregate)
+        return query.algorithm("backward").backend(backend).run()
+
+    run(link)  # exports and session ball caches warm: later runs are equal
+    lazy = run(link)
+    monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
+    eager = run(link)
+    assert _facts(lazy) == _facts(eager)
+    assert lazy.entries == run("python").entries
+    # Full distribution is handed back in-process (order-sensitive sums).
+    shortcut = lazy.stats.extra["exact_shortcut"] == 1.0
+    assert lazy.stats.backend == ("numpy" if shortcut else link)

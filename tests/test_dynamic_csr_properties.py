@@ -190,3 +190,27 @@ def test_numpy_view_equals_python_view_and_scratch(
                 assert got == scratch.entries
             for node in range(n):
                 assert fast.value(node, aggregate) == reference.value(node, aggregate)
+
+
+def test_view_topk_cuts_through_a_long_tie():
+    # Three scored pairs above 200 isolated nodes tied at 0.0: the prefix
+    # the numpy view sorts ends inside the tie for most k, and the lowest
+    # ids must still win it.
+    scores = [DYADIC[1 + u % 3] if u < 6 else 0.0 for u in range(206)]
+    views = []
+    for backend in ("numpy", "python"):
+        graph = DynamicGraph([[] for _ in range(206)])
+        for u in (0, 2, 4):
+            graph.add_edge(u, u + 1)
+        views.append(MaintainedAggregateView(graph, scores, hops=1, backend=backend))
+    fast, reference = views
+    for aggregate in ("sum", "avg"):
+        for k in (1, 2, 6, 7, 64, 205, 206, 300):
+            got = fast.topk(k, aggregate).entries
+            assert got == reference.topk(k, aggregate).entries
+            scratch = base_topk(
+                reference.graph, scores,
+                QuerySpec(k=k, aggregate=aggregate, hops=1, backend="python"),
+            )
+            assert got == scratch.entries
+            assert len(got) == min(k, 206)

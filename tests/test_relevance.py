@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
 import pytest
 
 from repro.errors import RelevanceError
@@ -64,6 +71,107 @@ class TestScoreVector:
         sv = ScoreVector([])
         assert sv.density == 0.0
         assert sv.is_binary
+
+
+class TestScoreVectorArray:
+    """The vector owns its float64 array: built once, shared, read-only."""
+
+    def test_built_once_read_only_equal_to_values(self):
+        np = pytest.importorskip("numpy")
+        sv = ScoreVector([0.2, 0.9, 0.0, 0.9, 0.5])
+        arr = sv.array()
+        assert sv.array() is arr
+        assert arr.dtype == np.float64 and arr.tolist() == sv.values()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        assert sv[0] == 0.2
+
+    def test_racing_first_readers_convert_once(self, monkeypatch):
+        np = pytest.importorskip("numpy")
+        conversions = []
+        real = np.array
+
+        def counting(obj, *args, **kwargs):
+            conversions.append(obj)
+            time.sleep(0.02)  # widen the window the racing readers share
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", counting)
+        sv = ScoreVector([i / 64 for i in range(64)])
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def reader():
+            barrier.wait(timeout=10)
+            seen.append(sv.array())
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(conversions) == 1
+        assert len(seen) == 4 and all(arr is seen[0] for arr in seen)
+
+    def test_sorted_access_is_the_distribution_order(self):
+        pytest.importorskip("numpy")
+        sv = ScoreVector([0.2, 0.9, 0.0, 0.9, 0.5])
+        ids, scores = sv.sorted_access()
+        assert ids.tolist() == sv.descending_nonzero() == [1, 3, 4, 0]
+        assert scores.tolist() == [0.9, 0.9, 0.5, 0.2]
+        assert not ids.flags.writeable and not scores.flags.writeable
+        assert sv.sorted_access()[0] is ids
+        empty = ScoreVector([0.0, 0.0]).sorted_access()
+        assert empty[0].size == empty[1].size == 0
+
+    def test_folded_scores_reads_the_owner(self):
+        np = pytest.importorskip("numpy")
+        from repro.aggregates.functions import AggregateKind
+        from repro.relevance.base import folded_scores
+
+        binary, graded = ScoreVector([0.0, 1.0, 1.0]), ScoreVector([0.0, 0.5, 1.0])
+        for kind in (None, AggregateKind.SUM, AggregateKind.AVG, AggregateKind.MAX):
+            arr, effective = folded_scores(np, graded, kind)
+            assert arr is graded.array() and effective is kind
+        # COUNT is SUM over the indicator; a binary vector's array is one.
+        arr, kind = folded_scores(np, binary, AggregateKind.COUNT)
+        assert arr is binary.array() and kind is AggregateKind.SUM
+        arr, kind = folded_scores(np, graded, AggregateKind.COUNT)
+        assert arr.tolist() == [0.0, 1.0, 1.0] and kind is AggregateKind.SUM
+        assert graded.array().tolist() == [0.0, 0.5, 1.0]
+        # Anything else is converted (an array: taken as it is).
+        arr, _ = folded_scores(np, [0.0, 0.5], AggregateKind.COUNT)
+        assert arr.dtype == np.float64 and arr.tolist() == [0.0, 1.0]
+        given = np.asarray([0.25, 0.0])
+        assert folded_scores(np, given)[0] is given
+
+    def test_python_backend_never_reaches_for_numpy(self):
+        """A fresh interpreter builds a vector and runs every python-backend
+        front door over it; ``numpy`` (installed or not) is never imported."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro import Graph, QuerySpec, ScoreVector
+            from repro.core.backward import backward_topk
+            from repro.core.base import base_topk
+            from repro.core.forward import forward_topk
+            graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+            vector = ScoreVector([0.0, 1.0, 0.0, 0.5])
+            spec = QuerySpec(k=1, hops=1, backend="python")
+            for run in (base_topk, forward_topk, backward_topk):
+                assert run(graph, vector, spec).entries == [(2, 1.5)]
+            assert "numpy" not in sys.modules
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestHelpers:

@@ -806,3 +806,126 @@ class TestContractEdges:
         """Misuse raises at .stream() call time, not at first next()."""
         with pytest.raises(InvalidParameterError):
             net.query("dense").limit(3).algorithm("forward").stream()
+
+
+# ----------------------------------------------------------------------
+# One float array per score vector (the vector owns it)
+# ----------------------------------------------------------------------
+ARRAY_N = 240
+
+
+@pytest.fixture
+def count_conversions(monkeypatch):
+    """Counts list -> array conversions of score vectors.
+
+    Wraps ``numpy.array`` / ``numpy.asarray`` (the drivers resolve them at
+    call time) and records every call handed a ``ScoreVector`` or a list of
+    one value per node; the fixture value maps a vector to how often its
+    values were converted.
+    """
+    np = pytest.importorskip("numpy")
+    from repro.relevance import ScoreVector
+
+    converted = []
+
+    def wrap(name):
+        real = getattr(np, name)
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, ScoreVector) or (
+                isinstance(obj, list) and len(obj) == ARRAY_N
+            ):
+                converted.append(tuple(obj))
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+
+    wrap("array")
+    wrap("asarray")
+    return lambda vector: converted.count(tuple(vector))
+
+
+class TestOneArrayPerVector:
+    def _session(self, graph=None):
+        graph = graph or random_graph(ARRAY_N, 0.02, seed=501)
+        rng = random.Random(502)
+        net = Network(graph, hops=2, backend="numpy")
+        net.add_scores("dense", [rng.randrange(1, 64) / 64 for _ in range(ARRAY_N)])
+        net.add_scores("sparse", BinaryRelevance(0.03, seed=503).scores(graph))
+        net.add_scores(
+            "graded",
+            [rng.randrange(1, 64) / 64 if rng.random() < 0.04 else 0.0 for _ in range(ARRAY_N)],
+        )
+        return net
+
+    def test_every_read_path_shares_one_conversion(self, count_conversions):
+        from tests.test_service import hold_worker
+
+        net = self._session()
+        names = ("dense", "sparse", "graded")
+        vectors = [net.scores_of(name) for name in names]
+        assert [count_conversions(v) for v in vectors] == [0, 0, 0]
+        try:
+            # Ten reads per vector: different k, aggregate and route.
+            for name in names:
+                for k, aggregate in [(1, "sum"), (7, "avg"), (30, "count"), (3, "max"), (500, "sum")]:
+                    net.query(name).limit(k).aggregate(aggregate).run()
+                    net.query(name).limit(k).aggregate(aggregate).where(range(0, ARRAY_N, 2)).run()
+                net.topk_weighted(name, 5)
+            members = [net.query(n).limit(4).aggregate(a) for n in names for a in ("sum", "count")]
+            net.batch(members)
+            # A coalesced QueryService group (one worker held, then released).
+            service = net.service(workers=1)
+            release, blocker = hold_worker(net)
+            handles = [
+                net.query(n).limit(3).aggregate(a).submit(cached=False)
+                for n in names for a in ("sum", "avg")
+            ]
+            release.set()
+            blocker.result(timeout=10)
+            for handle in handles:
+                handle.result(timeout=10)
+            assert service.stats()["coalesced_batches"] == 1
+            # Sharded scans, backward rounds and a fused group export it too.
+            net.parallel(workers=2, min_nodes=0)
+            for name in names:
+                net.query(name).limit(5).algorithm("base").backend("parallel").run()
+                net.query(name).limit(5).aggregate("avg").algorithm("backward").backend("parallel").run()
+            net._run_batch(
+                [BatchQuery(scores=v, k=3, aggregate="count") for v in vectors],
+                backend="parallel",
+            )
+            assert [count_conversions(v) for v in vectors] == [1, 1, 1]
+            assert [net.scores_of(name) for name in names] == vectors
+        finally:
+            net.close()
+
+    def test_writes_yield_a_vector_with_a_fresh_array(self, count_conversions):
+        base = random_graph(ARRAY_N, 0.02, seed=501)
+        net = self._session(DynamicGraph.from_graph(base))
+        try:
+            net.maintain("sparse")  # the view copies the array it will write
+            for name in ("sparse", "graded"):
+                before = net.scores_of(name)
+                held = before.array()
+                node = before.nonzero_nodes[0]
+                net.update_score(name, node, 0.0)
+                after = net.scores_of(name)
+                assert after is not before and after.array() is not held
+                assert after.array()[node] == 0.0 and held[node] == before[node] > 0.0
+                assert not after.array().flags.writeable
+                reference = base_topk(
+                    net.graph, after.values(), QuerySpec(k=5, hops=2, backend="python")
+                )
+                for route in ("backward", "base") + (("view",) if name == "sparse" else ()):
+                    got = net.query(name).limit(5).algorithm(route).run()
+                    assert got.values == reference.values, (name, route)
+                assert count_conversions(before) == count_conversions(after) == 1
+            replaced = net.scores_of("dense")
+            held = replaced.array()
+            net.add_scores("dense", [0.5] * ARRAY_N)
+            assert net.scores_of("dense").array() is not held
+            assert net.scores_of("dense").array().tolist() == [0.5] * ARRAY_N
+            assert held.tolist() == replaced.values()
+        finally:
+            net.close()

@@ -176,6 +176,56 @@ class TestRouteParity:
             net.close()
 
 
+class TestBackwardRoundsOverTheLazyOrder:
+    """The TA rounds read the descending bound order a sorted prefix at a
+    time; a round is still the next ``_VERIFY_ROUND`` candidates of it."""
+
+    #: Traffic and work facts of a sharded backward run that the order feeds.
+    FACTS = (
+        "verify_rounds", "comm_rounds", "candidates_shipped", "candidates_pruned",
+        "shipped_candidate_bytes", "tasks",
+    )
+
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("score,aggregate", [("dense", "sum"), ("dense", "avg"), ("sparse", "avg")])
+    def test_same_rounds_as_the_full_order(self, net, monkeypatch, link, score, aggregate):
+        from repro.core import vectorized
+        from repro.parallel.coordinator import _VERIFY_ROUND
+        from tests.test_block_kernels import _eager_order
+
+        def run():
+            query = net.query(score).limit(K).aggregate(aggregate)
+            return query.algorithm("backward").backend(link).run()
+
+        run()  # exports warm
+        rounds = []
+        real = vectorized.in_blocks
+
+        def recording(np_, chunks, size):
+            for block in real(np_, chunks, size):
+                rounds.append(int(block.size))
+                yield block
+
+        monkeypatch.setattr(vectorized, "in_blocks", recording)
+        lazy = run()
+        monkeypatch.setattr(vectorized, "in_blocks", real)
+        monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
+        full = run()
+        assert lazy.entries == full.entries
+        assert lazy.stats.backend == full.stats.backend == link
+        assert lazy.stats.candidates_verified == full.stats.candidates_verified
+        assert lazy.stats.pruned_nodes == full.stats.pruned_nodes
+        for fact in self.FACTS:
+            assert lazy.stats.extra.get(fact) == full.stats.extra.get(fact), fact
+        # The first prefix is max(2k, 64) = 64 ids: a round pulls the next
+        # chunk when one runs short, and still takes _VERIFY_ROUND candidates.
+        assert len(rounds) >= lazy.stats.extra["verify_rounds"] >= 1
+        assert all(size == _VERIFY_ROUND for size in rounds[:-1])
+        if aggregate == "avg":  # digs past one round: 256 + the 144 left
+            assert rounds == [_VERIFY_ROUND, 400 - _VERIFY_ROUND]
+            assert lazy.stats.extra["verify_rounds"] == 2.0
+
+
 class TestGroupMembers:
     """``execute_batch`` on a sharded backend: a group is its members."""
 
