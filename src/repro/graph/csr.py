@@ -57,7 +57,7 @@ class CSRGraph:
     or parallel to ``indices``.  Arrays are ``array('q')``/``array('d')`` by
     default (``'q'`` is a fixed 8-byte int on every platform, unlike ``'l'``
     which is 4 bytes on Windows/ILP32) or numpy arrays when ``use_numpy=True``
-    was requested.
+    was requested: int64 ``indptr``, int32 ``indices``, float64 ``weights``.
     """
 
     indptr: Sequence[int]
@@ -87,8 +87,10 @@ class CSRGraph:
 def to_csr(graph: Graph, *, use_numpy: bool = False) -> CSRGraph:
     """Convert ``graph`` to CSR.
 
-    ``use_numpy=True`` returns ``numpy.int64`` / ``numpy.float64`` arrays
-    (numpy must be importable); the default uses the stdlib ``array`` module.
+    ``use_numpy=True`` returns numpy arrays (numpy must be importable):
+    ``indptr`` int64, ``weights`` float64 and ``indices`` int32 — node ids,
+    so every kernel that gathers arcs moves four bytes per arc, not eight.
+    The default uses the stdlib ``array`` module.
     The neighbor order of every slice matches ``graph.neighbors(u)`` exactly,
     so per-arc tables built against the adjacency lists (e.g. the
     differential index rows) stay position-aligned with ``indices``.
@@ -108,7 +110,7 @@ def to_csr(graph: Graph, *, use_numpy: bool = False) -> CSRGraph:
 
         return CSRGraph(
             indptr=np.asarray(indptr, dtype=np.int64),
-            indices=np.asarray(indices, dtype=np.int64),
+            indices=np.asarray(indices, dtype=np.int32),
             weights=None if weights is None else np.asarray(weights, dtype=np.float64),
             directed=graph.directed,
         )
@@ -131,9 +133,9 @@ def patch_csr(
     in ascending ``rows`` order, so two inserts that land on one position
     (the rows between them are empty) keep their rows' order.  Costs one
     ``O(arcs)`` copy of ``indices`` and one ``indptr`` suffix shift per arc,
-    both into new arrays: whoever holds ``csr`` keeps a consistent snapshot.
-    Unweighted numpy views only (what :class:`~repro.dynamic.graph.
-    DynamicGraph` owns).
+    both into new arrays of the old dtypes: whoever holds ``csr`` keeps a
+    consistent snapshot.  Unweighted numpy views only (what
+    :class:`~repro.dynamic.graph.DynamicGraph` owns).
     """
     np = _require_numpy_csr(csr)
     step = -1 if values is None else 1
@@ -174,7 +176,8 @@ def from_csr(csr: CSRGraph, *, name: str = "") -> Graph:
 
 
 def degree_array(graph: Graph) -> Any:
-    """All node degrees as a numpy int64 array (numpy required)."""
+    """All node degrees as a numpy int64 array — the width of ``indptr``;
+    only ``indices`` is stored narrow (numpy required)."""
     import numpy as np
 
     return np.fromiter(
@@ -245,7 +248,7 @@ def _expand_ball(
         if neighbors.size == 0:
             break
         edges += int(neighbors.size)
-        candidates = np.unique(neighbors)
+        candidates = np.unique(neighbors).astype(np.intp, copy=False)
         fresh = candidates[stamp[candidates] != generation]
         if fresh.size == 0:
             break
@@ -280,7 +283,7 @@ def _expand_ball_with_distances(
         if neighbors.size == 0:
             break
         edges += int(neighbors.size)
-        candidates = np.unique(neighbors)
+        candidates = np.unique(neighbors).astype(np.intp, copy=False)
         fresh = candidates[stamp[candidates] != generation]
         if fresh.size == 0:
             break
@@ -330,8 +333,18 @@ def csr_hop_ball(
     return ball
 
 
-def _expand_key_levels(np, csr: CSRGraph, centers: Any, hops: int) -> Tuple[List[Any], int]:
-    """BFS levels of many balls as ``owner * n + node`` keys, plus edges gathered.
+def _key_layout(np, num_nodes: int, count: int) -> Tuple[int, Any]:
+    """``(shift, dtype)`` of the ``owner << shift | node`` keys of ``count``
+    balls: ``shift`` is the bit width of a node id, the dtype int32 whenever
+    every key fits 31 bits (sort, unique and concatenate then move half the
+    bytes) and int64 otherwise."""
+    shift = (num_nodes - 1).bit_length()
+    return shift, np.int32 if (count << shift) < 2**31 else np.int64
+
+
+def _expand_key_levels(np, csr: CSRGraph, centers: Any, hops: int) -> Tuple[List[Any], int, int]:
+    """BFS levels of many balls as ``owner << shift | node`` keys
+    (:func:`_key_layout`); returns ``(levels, shift, edges gathered)``.
 
     ``levels[d]`` holds the keys first reached at distance ``d``: sorted,
     duplicate-free and disjoint from every earlier level.  Dedup is by
@@ -340,19 +353,24 @@ def _expand_key_levels(np, csr: CSRGraph, centers: Any, hops: int) -> Tuple[List
     ``len(centers) * num_nodes``.  The one exception is the last level of a
     full ``hops``-deep expansion: nothing expands from it, so it is the raw
     gather — repeats and already-seen keys included — and the caller's final
-    sort+dedup absorbs them.
+    sort+dedup absorbs them.  Only what indexes is widened: an int32 index
+    array costs numpy a hidden cast on every gather, so the frontier's node
+    ids go to intp before ``indptr`` sees them and the slab positions stay
+    intp; the keys themselves never leave their own width.
     """
-    n = csr.num_nodes
-    frontier = np.arange(centers.size, dtype=np.int64) * n + centers
+    shift, dtype = _key_layout(np, csr.num_nodes, centers.size)
+    mask = (1 << shift) - 1
+    frontier = (np.arange(centers.size, dtype=dtype) << shift) | centers.astype(dtype)
     levels = [frontier]
     edges = 0
     for level in range(hops):
-        nodes = frontier % n
-        neighbors, counts = neighbor_slab(csr, nodes)
+        nodes = frontier & mask
+        neighbors, counts = neighbor_slab(csr, nodes.astype(np.intp, copy=False))
         if neighbors.size == 0:
             break
         edges += int(neighbors.size)
-        keys = np.repeat(frontier - nodes, counts) + neighbors
+        keys = np.repeat(frontier - nodes, counts)
+        keys |= neighbors
         if level == hops - 1:
             levels.append(keys)
             break
@@ -364,7 +382,7 @@ def _expand_key_levels(np, csr: CSRGraph, centers: Any, hops: int) -> Tuple[List
             break
         levels.append(fresh)
         frontier = fresh
-    return levels, edges
+    return levels, shift, edges
 
 
 def _merge_key_levels(np, levels: List[Any]) -> Any:
@@ -374,30 +392,38 @@ def _merge_key_levels(np, levels: List[Any]) -> Any:
     return _sorted_unique(np, np.concatenate(levels))
 
 
+def _split_keys(np, keys: Any, shift: int) -> Tuple[Any, Any]:
+    """``(owners, members)`` of ``keys`` as intp index arrays.  Shift and
+    mask run in the keys' own width (a third of their int64 cost on 32-bit
+    keys); only the two results are widened."""
+    owners, members = keys >> shift, keys & ((1 << shift) - 1)
+    return owners.astype(np.intp, copy=False), members.astype(np.intp, copy=False)
+
+
 def batched_hop_balls(
     csr: CSRGraph, centers: Any, hops: int, *, include_self: bool = True
 ) -> Tuple[Any, Any, int]:
     """Expand the h-hop balls of many centers in one frontier-batched sweep.
 
-    Returns ``(owners, members, edges_scanned)``: parallel arrays listing
-    every (ball, member) pair — ``members[i]`` belongs to the ball of
-    ``centers[owners[i]]`` — sorted by ``(owner, member)``, plus the number
-    of adjacency entries gathered.  Per-center aggregates then reduce with
-    ``np.bincount(owners, ...)``.
+    Returns ``(owners, members, edges_scanned)``: parallel intp arrays
+    listing every (ball, member) pair — ``members[i]`` belongs to the ball
+    of ``centers[owners[i]]`` — sorted by ``(owner, member)``, plus the
+    number of adjacency entries gathered.  Per-center aggregates then reduce
+    with ``np.bincount(owners, ...)``.
 
-    Membership pairs are encoded as ``owner * n + node`` keys and deduped by
-    sorting (:func:`_expand_key_levels`); one final sort merges the levels
-    into the canonical ``(owner, member)`` order while squeezing out the
-    last level's repeats.  Memory and time scale with the pairs produced,
-    not with ``len(centers) * num_nodes``.
+    Membership pairs are encoded as ``owner << shift | node`` keys, 32-bit
+    whenever the block allows (:func:`_key_layout`), and deduped by sorting
+    (:func:`_expand_key_levels`); one final sort merges the levels into the
+    canonical ``(owner, member)`` order while squeezing out the last level's
+    repeats.  Memory and time scale with the pairs produced, not with
+    ``len(centers) * num_nodes``.
     """
     np = _require_numpy_csr(csr)
-    n = csr.num_nodes
-    if centers.size == 0 or n == 0:
+    if centers.size == 0 or csr.num_nodes == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0
-    levels, edges = _expand_key_levels(np, csr, centers, hops)
-    owners, members = np.divmod(_merge_key_levels(np, levels), n)
+    levels, shift, edges = _expand_key_levels(np, csr, centers, hops)
+    owners, members = _split_keys(np, _merge_key_levels(np, levels), shift)
     if not include_self:
         keep = members != centers[owners]
         owners = owners[keep]
@@ -422,16 +448,15 @@ def batched_hop_balls_with_distances(
     reached at the last level.
     """
     np = _require_numpy_csr(csr)
-    n = csr.num_nodes
-    if centers.size == 0 or n == 0:
+    if centers.size == 0 or csr.num_nodes == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, 0
-    levels, edges = _expand_key_levels(np, csr, centers, hops)
+    levels, shift, edges = _expand_key_levels(np, csr, centers, hops)
     keys = _merge_key_levels(np, levels)
     dists = np.full(keys.size, len(levels) - 1, dtype=np.int64)
     for dist, level_keys in enumerate(levels[:-1]):
         dists[np.searchsorted(keys, level_keys)] = dist
-    owners, members = np.divmod(keys, n)
+    owners, members = _split_keys(np, keys, shift)
     if not include_self:
         keep = members != centers[owners]
         owners = owners[keep]

@@ -159,7 +159,9 @@ def csr_estimates(csr: Any, hops: int, *, include_self: bool = True) -> Tuple[An
     level = np.zeros(n, dtype=np.int64)
     rows = np.flatnonzero(degrees)
     if rows.size:
-        slots = np.maximum(degrees - back_edge, 0)[csr.indices]
+        # Widened first: indexing with the int32 ids directly costs numpy a
+        # slower hidden cast, and this runs on every edge write.
+        slots = np.maximum(degrees - back_edge, 0)[csr.indices.astype(np.intp)]
         level[rows] = np.add.reduceat(slots, csr.indptr[rows])
     total = np.minimum(lower + level, cap)
     for _ in range(3, hops + 1):

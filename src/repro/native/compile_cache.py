@@ -73,10 +73,13 @@ def _warm_all() -> None:
     """Run every kernel once on a 3-node path graph, production dtypes."""
     import numpy as np
 
+    from repro.graph.graph import Graph
     from repro.native import kernels
 
-    indptr = np.asarray([0, 1, 3, 4], dtype=np.int64)
-    indices = np.asarray([1, 0, 2, 1], dtype=np.int64)
+    # The graph's own conversion: its index dtype is part of the signature
+    # numba compiles for, so the toy CSR must be typed as a real query's is.
+    toy = Graph([[1], [0, 2], [1]]).csr()
+    indptr, indices = toy.indptr, toy.indices
     scores = np.asarray([0.5, 1.0, 0.25], dtype=np.float64)
     weights = np.asarray([1.0, 1.0, 0.5], dtype=np.float64)
     centers = np.asarray([0, 1, 2], dtype=np.int64)

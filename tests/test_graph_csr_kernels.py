@@ -11,13 +11,16 @@ Two families:
   ``batched_hop_balls`` / ``CSRBallCache``) checked against the pure-Python
   :func:`~repro.graph.traversal.hop_ball` oracle on the same randomized
   shapes, the batched kernels against the single-center ones on arbitrary
-  graphs and center lists (hypothesis), and an allocation bound: a batched
-  expansion's memory follows its balls, not ``len(centers) * num_nodes``.
+  graphs and center lists (hypothesis) under both key widths, the width
+  boundary itself, the 4-byte ``indices`` through every copy of the arrays,
+  and an allocation bound: a batched expansion's memory follows its balls,
+  not ``len(centers) * num_nodes``.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -244,6 +247,27 @@ def _batched_kernels_property(data):
         expected_edges += one_edges
     assert edges_scanned == d_edges == expected_edges
 
+    # Both key widths are one kernel: these blocks fit 32-bit keys, so force
+    # the wide layout and require the same arrays back.
+    narrow = csr_module._key_layout
+    levels, _shift, _edges = csr_module._expand_key_levels(np, csr, centers, hops)
+    assert {level.dtype for level in levels} == {np.dtype(np.int32)}
+
+    def wide_layout(np_, num_nodes, count):
+        return narrow(np_, num_nodes, count)[0], np_.int64
+
+    with mock.patch.object(csr_module, "_key_layout", wide_layout):
+        levels, _shift, _edges = csr_module._expand_key_levels(np, csr, centers, hops)
+        assert {level.dtype for level in levels} == {np.dtype(np.int64)}
+        wide = csr_module.batched_hop_balls(csr, centers, hops, include_self=include_self)
+        d_wide = csr_module.batched_hop_balls_with_distances(
+            csr, centers, hops, include_self=include_self
+        )
+    narrow_run = (owners, members, edges_scanned, d_owners, d_members, dists, d_edges)
+    for got, want in zip(wide + d_wide, narrow_run):
+        assert np.array_equal(got, want)
+        assert getattr(got, "dtype", np.intp) == np.intp
+
 
 if st is not None:
     test_batched_kernels_property = settings(max_examples=150, deadline=None)(
@@ -256,9 +280,72 @@ else:  # pragma: no cover - exercised without hypothesis
         pass
 
 
+@pytest.mark.parametrize("count, dtype", [(1023, "int32"), (1024, "int64")])
+def test_key_width_boundary(count, dtype):
+    """2**20 + 1 nodes need 21 bits: 1,023 owners still fit 31-bit keys,
+    1,024 do not, and the largest key of either block comes back intact."""
+    np = pytest.importorskip("numpy")
+    n = 2**20 + 1
+    arc_free = CSRGraph(
+        indptr=np.zeros(n + 1, dtype=np.int64),
+        indices=np.empty(0, dtype=np.int32),
+        weights=None,
+        directed=False,
+    )
+    assert csr_module._key_layout(np, n, count) == (21, np.dtype(dtype))
+    centers = np.full(count, n - 1, dtype=np.int64)  # the last owner holds the top node
+    centers[0] = 0
+    levels, shift, edges = csr_module._expand_key_levels(np, arc_free, centers, 2)
+    assert [level.dtype for level in levels] == [np.dtype(dtype)] and (shift, edges) == (21, 0)
+    assert int(levels[0].max()) == ((count - 1) << 21) | int(centers[-1])
+    owners, members, dists, _ = csr_module.batched_hop_balls_with_distances(
+        arc_free, centers, 2
+    )
+    assert owners.dtype == members.dtype == dists.dtype == np.intp
+    assert np.array_equal(owners, np.arange(count))
+    assert np.array_equal(members, centers) and not dists.any()
+
+
+def test_every_copy_of_the_csr_keeps_four_byte_indices():
+    np = pytest.importorskip("numpy")
+    csr = to_csr(random_graph(40, 0.1, seed=11), use_numpy=True)
+    assert csr.indptr.dtype == np.int64 and csr.indices.dtype == np.int32
+    inserted = csr_module.patch_csr(
+        csr, [2, 5], [int(csr.indptr[3]), int(csr.indptr[6])], [5, 2]
+    )
+    deleted = csr_module.patch_csr(inserted, [2], [int(inserted.indptr[3]) - 1])
+    grown = csr_module.append_csr_node(deleted)
+    for view in (inserted, deleted, grown):
+        assert view.indptr.dtype == np.int64 and view.indices.dtype == np.int32
+    assert inserted.neighbors(2)[-1] == 5 and inserted.neighbors(5)[-1] == 2
+    export = csr_module.SharedCSR.export(grown, version=1)
+    try:
+        meta = export.meta()
+        assert np.dtype(meta["indices"]["dtype"]) == np.int32
+        attached = csr_module.AttachedCSR.attach(meta)
+        try:
+            assert attached.csr.indices.dtype == np.int32
+            assert attached.csr.indices.nbytes == 4 * grown.num_arcs
+            assert np.array_equal(attached.csr.indices, grown.indices)
+            assert np.array_equal(attached.csr.indptr, grown.indptr)
+            centers = np.arange(grown.num_nodes, dtype=np.int64)
+            for got, want in zip(
+                csr_module.batched_hop_balls(attached.csr, centers, 2),
+                csr_module.batched_hop_balls(grown, centers, 2),
+            ):
+                assert np.array_equal(got, want)
+        finally:
+            attached.close()
+    finally:
+        export.unlink()
+        export.close()
+
+
 def test_batched_expansion_memory_follows_the_balls():
     """512 two-hop balls on a 50,000-node ring are 2,560 pairs; a
-    ``len(centers) * num_nodes`` visited buffer would be 25.6 MB."""
+    ``len(centers) * num_nodes`` visited buffer would be 25.6 MB.  The peak
+    measures 116 KB with 32-bit keys and indices (126 KB with 64-bit ones);
+    the bound is that plus a quarter."""
     np = pytest.importorskip("numpy")
     import tracemalloc
 
@@ -266,7 +353,7 @@ def test_batched_expansion_memory_follows_the_balls():
     nodes = np.arange(n, dtype=np.int64)
     ring = CSRGraph(
         indptr=np.arange(n + 1, dtype=np.int64) * 2,
-        indices=np.stack(((nodes - 1) % n, (nodes + 1) % n), axis=1).ravel(),
+        indices=np.stack(((nodes - 1) % n, (nodes + 1) % n), axis=1).ravel().astype(np.int32),
         weights=None,
         directed=False,
     )
@@ -278,4 +365,4 @@ def test_batched_expansion_memory_follows_the_balls():
     finally:
         tracemalloc.stop()
     assert members.size == 512 * 5 and edges == 512 * (2 + 4)
-    assert peak < 4 * 1024 * 1024
+    assert peak < 145_000
