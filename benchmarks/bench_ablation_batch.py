@@ -10,7 +10,7 @@ measures the multi-query optimization along two axes:
   because each node block is expanded once and every query scores against
   it in a single segmented reduction.
 
-``BatchTopKEngine`` routing (dense shared, sparse peeled to backward) is
+``Network.batch`` routing (dense shared, sparse peeled to backward) is
 timed on the mixed workload.
 """
 
@@ -21,9 +21,10 @@ import pytest
 from repro.bench.workloads import figure
 from repro.core.backends import numpy_available
 from repro.core.base import base_topk
-from repro.core.batch import BatchQuery, BatchTopKEngine, batch_base_topk
+from repro.core.batch import BatchQuery, batch_base_topk
 from repro.core.query import QuerySpec
 from repro.relevance.mixture import MixtureRelevance
+from repro.session import Network
 
 _CACHE = {}
 NUM_QUERIES = 6
@@ -93,10 +94,10 @@ def test_mixed_workload_engine(benchmark):
     queries = [BatchQuery(vector, k=20) for vector in ctx["dense"]] + [
         BatchQuery(vector, k=20) for vector in ctx["sparse"]
     ]
-    engine = BatchTopKEngine(ctx["graph"], hops=2)
+    net = Network(ctx["graph"], hops=2)
 
     def run():
-        return engine.run(queries)
+        return net.batch(queries)
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(results) == len(queries)

@@ -1,4 +1,4 @@
-"""Cluster-backend comm bench: θ-shipping volume vs naive and vs BSP.
+"""Cluster-backend comm bench: θ-shipping volume vs naive and vs the forecast.
 
 The socket cluster's claim is not wall-clock on one box (two localhost
 workers cannot beat one process on one core) — it is **bytes on the
@@ -14,18 +14,18 @@ of the mass), one base scan at ``k=10`` over 4 bfs shards is run twice:
 * ``ship_policy="threshold"`` — per-round θ-shipping plus adaptive
   per-peer quotas (the default);
 * ``ship_policy="all"`` — the naive baseline: every shard ships its full
-  local top-k, exactly the merge the BSP simulator models.
+  local top-k (the every-peer-returns-its-k merge of Akbarinia et al.).
 
 Gates:
 
 1. **θ-reduction >= 2x** — the threshold run must ship at most half the
    candidate bytes of the naive run on this skewed workload.
-2. **BSP oracle within 1.5x** — the naive run's measured candidate bytes
-   must land within 1.5x (either side) of the BSP simulator's
-   ``distributed_topk`` prediction (``candidates_shipped * 16`` over the
-   identical 4-part bfs partition).  The simulator is the validation
-   oracle for the real transport: if the socket path ships a materially
-   different volume than the model, one of the two is wrong.
+2. **Forecast within 1.5x** — the naive run's measured candidate bytes
+   must land within 1.5x (either side) of
+   ``comm_forecast(SHARDS, K)["predicted_candidate_bytes"]``, the number
+   ``.explain()`` prints for a cluster plan (``shards * k * 16``).  If the
+   socket path ships a materially different volume than the planner tells
+   users, one of the two is wrong.
 
 Two modes::
 
@@ -55,7 +55,7 @@ WORKERS = 2
 SHARDS = 4
 SEED = 2010
 THETA_GATE = 2.0
-BSP_GATE = 1.5
+FORECAST_GATE = 1.5
 
 
 def _zipf_scores(n: int, *, exponent: float = 1.1, seed: int = 7) -> list:
@@ -107,29 +107,9 @@ def _run_cluster_scan(graph, scores, hops: int, ship_policy: str) -> dict:
         net.close()
 
 
-def _bsp_prediction(graph, scores, hops: int) -> dict:
-    from repro.cluster.engine import ENTRY_BYTES
-    from repro.core.query import QuerySpec
-    from repro.distributed.coordinator import distributed_topk
-    from repro.parallel.shards import build_shard_plan
-
-    plan = build_shard_plan(graph, SHARDS, partitioner="bfs", seed=SEED)
-    result = distributed_topk(
-        graph,
-        scores,
-        QuerySpec(k=K, hops=hops),
-        partition=plan.partition,
-    )
-    shipped = result.stats.extra["candidates_shipped"]
-    return {
-        "candidates_shipped": shipped,
-        "predicted_candidate_bytes": shipped * ENTRY_BYTES,
-        "supersteps": result.stats.extra.get("supersteps"),
-    }
-
-
 def measure(scale: float = SCALE) -> dict:
     from repro.bench.workloads import figure
+    from repro.cluster.comm import comm_forecast
 
     spec = figure("fig1")
     graph = spec.build_graph(scale)
@@ -137,17 +117,15 @@ def measure(scale: float = SCALE) -> dict:
 
     threshold = _run_cluster_scan(graph, scores, spec.hops, "threshold")
     naive = _run_cluster_scan(graph, scores, spec.hops, "all")
-    bsp = _bsp_prediction(graph, scores, spec.hops)
+    forecast = comm_forecast(SHARDS, K, workers=WORKERS)
 
     theta_reduction = (
         naive["shipped_candidate_bytes"] / threshold["shipped_candidate_bytes"]
         if threshold["shipped_candidate_bytes"]
         else float("inf")
     )
-    bsp_ratio = (
-        naive["shipped_candidate_bytes"] / bsp["predicted_candidate_bytes"]
-        if bsp["predicted_candidate_bytes"]
-        else float("inf")
+    forecast_ratio = (
+        naive["shipped_candidate_bytes"] / forecast["predicted_candidate_bytes"]
     )
     return {
         "scale": scale,
@@ -157,14 +135,14 @@ def measure(scale: float = SCALE) -> dict:
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
         "theta_gate": THETA_GATE,
-        "bsp_gate": BSP_GATE,
+        "forecast_gate": FORECAST_GATE,
         # Byte counters need no spare cores — always judged, even on 1 CPU.
         "gate_evaluated": True,
         "threshold": threshold,
         "naive": naive,
-        "bsp": bsp,
+        "forecast": forecast,
         "theta_reduction": round(theta_reduction, 3),
-        "bsp_ratio": round(bsp_ratio, 3),
+        "forecast_ratio": round(forecast_ratio, 3),
     }
 
 
@@ -179,13 +157,13 @@ def check(report: dict, baseline: dict, tolerance: float) -> list:
             f"{report['threshold']['shipped_candidate_bytes']:.0f} vs "
             f"{report['naive']['shipped_candidate_bytes']:.0f}"
         )
-    ratio = report["bsp_ratio"]
-    if not (1.0 / BSP_GATE <= ratio <= BSP_GATE):
+    ratio = report["forecast_ratio"]
+    if not (1.0 / FORECAST_GATE <= ratio <= FORECAST_GATE):
         warnings.append(
-            f"measured naive candidate bytes are {ratio:.2f}x the BSP "
-            f"simulator's prediction (gate: within {BSP_GATE:.1f}x): "
+            f"measured naive candidate bytes are {ratio:.2f}x the planner's "
+            f"forecast (gate: within {FORECAST_GATE:.1f}x): "
             f"{report['naive']['shipped_candidate_bytes']:.0f} measured vs "
-            f"{report['bsp']['predicted_candidate_bytes']:.0f} predicted"
+            f"{report['forecast']['predicted_candidate_bytes']:.0f} predicted"
         )
     recorded = baseline.get("theta_reduction")
     if recorded and reduction < recorded * (1 - tolerance):

@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """Real multi-machine top-k: socket-transport cluster workers.
 
-``examples/distributed_topk.py`` runs the paper's Sec. V plan on a
-*simulated* cluster (the BSP engine counts messages it never sends).
-This example runs it for real: the session spawns ``cluster-worker``
-processes — the same command you would start on other machines — ships
-each one its bfs shard over length-prefixed JSON+binary frames, and
-answers queries in candidate-shipping rounds with θ-pruning and adaptive
-per-peer k quotas.  The byte counters printed at the end are measured on
-actual sockets, not simulated.
+The paper's Sec. V plan — "partition large networks into subnetworks and
+distribute them into multiple machines" — run for real: the session spawns
+``cluster-worker`` processes — the same command you would start on other
+machines — ships each one its bfs shard over length-prefixed JSON+binary
+frames, and answers queries in candidate-shipping rounds with θ-pruning and
+adaptive per-peer k quotas.  The byte counters printed at the end are
+measured on actual sockets.
 
 Run:  python examples/cluster_topk.py [num_workers]
 """

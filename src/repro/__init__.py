@@ -29,10 +29,9 @@ Quickstart (the :class:`Network` session is the front door)::
     handle = net.query("relevance").limit(2).submit(priority=5)
     top2 = handle.result(timeout=1.0)
 
-The pre-session entry points (:class:`TopKEngine`, ``topk_sum`` /
-``topk_avg``, :class:`BatchTopKEngine`, direct algorithm functions) keep
-working; the engine classes emit :class:`DeprecationWarning` and return
-entry-for-entry identical results through the same executor.
+The algorithm functions (:func:`base_topk`, :func:`forward_topk`,
+:func:`backward_topk`) stay importable as the reference implementations the
+session's answers are checked against.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
@@ -43,19 +42,15 @@ from repro.config import ParallelConfig, ServiceConfig
 from repro.core import (
     BatchQuery,
     BatchResult,
-    BatchTopKEngine,
     QueryRequest,
     QuerySpec,
     QueryStats,
     StreamUpdate,
-    TopKEngine,
     TopKResult,
     backward_topk,
     base_topk,
     combine_query_stats,
     forward_topk,
-    topk_avg,
-    topk_sum,
 )
 from repro.dynamic import DynamicGraph, MaintainedAggregateView
 from repro.errors import ReproError
@@ -75,7 +70,7 @@ from repro.faults import FaultPlan
 from repro.service import QueryHandle, QueryService
 from repro.session import Network, QueryBuilder
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 
 def __getattr__(name: str):
@@ -111,9 +106,7 @@ __all__ = [
     "StreamUpdate",
     "BatchQuery",
     "BatchResult",
-    "BatchTopKEngine",
     "combine_query_stats",
-    "TopKEngine",
     "QuerySpec",
     "TopKResult",
     "QueryStats",
@@ -121,8 +114,6 @@ __all__ = [
     "base_topk",
     "forward_topk",
     "backward_topk",
-    "topk_sum",
-    "topk_avg",
     "ScoreVector",
     "MixtureRelevance",
     "BinaryRelevance",

@@ -324,9 +324,7 @@ def _serve_listen(args: argparse.Namespace, net: Network) -> int:
                 "cluster": bool(args.cluster),
             },
         )
-    cfg = cfg.replace(
-        host=host or cfg.host, port=int(port) if port else cfg.port
-    )
+    cfg = cfg.replace(host=host or cfg.host, port=port or cfg.port)
     server = QueryServer(net, cfg)
     try:
         server.start()

@@ -2,9 +2,8 @@
 
 The paper closes with the plan to "partition large networks into
 subnetworks and distribute them into multiple machines"; where
-:mod:`repro.parallel` realized that on one machine's cores and
-:mod:`repro.distributed` simulated the message passing, this package runs
-it for real.  A :class:`~repro.cluster.engine.ClusterEngine` (the
+:mod:`repro.parallel` realized that on one machine's cores, this package
+runs it over sockets.  A :class:`~repro.cluster.engine.ClusterEngine` (the
 coordinator) ships the bfs-partition shard plan to ``cluster-worker``
 processes over length-prefixed JSON+binary frames
 (:mod:`repro.cluster.frames`), the workers run the *same* partition-aware

@@ -4,14 +4,12 @@ The cluster engine *measures* its communication (byte counters around
 every round); this module *predicts* it from plan-time facts only, so
 ``.explain()`` can state the naive candidate volume a query would ship
 without running anything, and the bench can compare measured bytes against
-the BSP simulator's message counts in one currency.
+that forecast in one currency.
 
 The naive volume is the classic distributed top-k bound: every shard ships
 its full local top-k, ``num_shards * k`` entries of
 :data:`~repro.cluster.engine.ENTRY_BYTES` bytes each.  θ-shipping and
-adaptive quotas exist to land below it; the simulator's
-``candidates_shipped`` statistic is the same quantity counted per
-simulated round, which is what makes the two comparable.
+adaptive quotas exist to land below it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ what the socket link decides:
   query plus the rounds and candidate counts the coordinator logged,
   published as ``comm_rounds`` / ``bytes_*`` / ``candidates_*`` in
   ``stats.extra`` and kept as ``last_comm`` — the numbers the cluster bench
-  compares against the BSP simulator's predicted message volume.
+  compares against :func:`repro.cluster.comm.comm_forecast`.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class ClusterEngine(ShardedCoordinator):
         workers=2,
         shards: Optional[int] = None,
         min_nodes: int = DEFAULT_MIN_NODES,
-        partitioner: str = "bfs",
         seed: int = 2010,
         timeout: float = 120.0,
         connect_timeout: float = 10.0,
@@ -133,7 +132,6 @@ class ClusterEngine(ShardedCoordinator):
             workers=transport.num_peers,
             shards=shards,
             min_nodes=min_nodes,
-            partitioner=partitioner,
             seed=seed,
         )
         self.ship_policy = ship_policy

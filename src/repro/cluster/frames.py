@@ -12,8 +12,8 @@ C-contiguous blobs after it, described in order by
 ``header["arrays"] = [{"key", "dtype", "shape"}, ...]``.  That keeps the
 transport dependency-free (no msgpack/pickle) while candidate entries ship
 as flat ``int64`` node + ``float64`` value arrays — 16 bytes per entry,
-which is what makes bytes-on-wire directly comparable to the BSP
-simulator's per-candidate message counts.
+which is what makes bytes-on-wire directly comparable to the planner's
+per-candidate forecast (:mod:`repro.cluster.comm`).
 
 Both blocking-socket helpers (coordinator side) and asyncio-stream helpers
 (worker side) live here so the two ends can never disagree on the format.

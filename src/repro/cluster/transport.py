@@ -41,7 +41,7 @@ Beyond crash recovery, the transport defends against *degraded* peers:
 
 Every frame in and out is counted per peer; the engine turns snapshots of
 those counters into the per-query ``bytes_sent``/``bytes_received`` the
-bench gates compare against the BSP simulator's message volume.
+bench gates compare against the planner's forecast candidate volume.
 """
 
 from __future__ import annotations

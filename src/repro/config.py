@@ -11,7 +11,7 @@ schema for them all:
 * :class:`ServiceConfig` — the in-process serving tier (scheduler threads,
   admission bound, coalescing, result cache, process offload).
 * :class:`ParallelConfig` — the multi-core engine (worker-process pool,
-  decline threshold, partitioner, IPC timeout).
+  decline threshold, shard seed, IPC timeout).
 * :class:`ClusterConfig` — the socket-cluster engine (spawned or addressed
   workers, shard count, ship policy, round timeout).
 
@@ -19,7 +19,9 @@ Every entry point normalizes through :meth:`~ServiceConfig.coerce`, which
 accepts an instance, a plain mapping (e.g. a parsed JSON section), or bare
 keyword options — and **rejects unknown keys** with a
 :class:`~repro.errors.InvalidParameterError` naming the valid ones, instead
-of the old silently-forwarded ``TypeError`` from an inner constructor.
+of the old silently-forwarded ``TypeError`` from an inner constructor.  A
+value that does not convert to its field's type is the same error, naming
+class and field — these objects are built from files.
 Instances are frozen and comparable, which is what makes
 ``net.service(cfg)`` idempotent: reconfiguring with an equal config is a
 no-op rather than a drain-and-restart.
@@ -42,25 +44,29 @@ class _FrozenConfig:
     def _field_names(cls) -> tuple:
         return tuple(f.name for f in fields(cls))
 
-    @classmethod
-    def from_options(cls, options: Mapping[str, object]) -> "_FrozenConfig":
-        """Build from a mapping, rejecting unknown keys by name.
+    def __new__(cls, *args: object, **options: object) -> "_FrozenConfig":
+        """Reject unknown option names before the dataclass ``__init__`` runs.
 
-        This is the one place option names are checked, so the fluent API,
-        the CLI, and the server config file all produce the same error for
-        the same typo.
+        This is the one place option names are checked, so the constructor,
+        the fluent API, the CLI, and the server config file all produce the
+        same error for the same typo.
         """
-        if not isinstance(options, Mapping):
-            raise InvalidParameterError(
-                f"{cls.__name__} options must be a mapping, "
-                f"got {type(options).__name__}"
-            )
         known = cls._field_names()
         unknown = sorted(set(options) - set(known))
         if unknown:
             raise InvalidParameterError(
                 f"unknown {cls.__name__} option(s) {unknown}; "
                 f"expected a subset of {list(known)}"
+            )
+        return super().__new__(cls)
+
+    @classmethod
+    def from_options(cls, options: Mapping[str, object]) -> "_FrozenConfig":
+        """Build from a mapping (e.g. a parsed JSON section)."""
+        if not isinstance(options, Mapping):
+            raise InvalidParameterError(
+                f"{cls.__name__} options must be a mapping, "
+                f"got {type(options).__name__}"
             )
         return cls(**dict(options))  # type: ignore[arg-type]
 
@@ -91,9 +97,37 @@ class _FrozenConfig:
             f"got {type(config).__name__}"
         )
 
+    def _coerce(self, name: str, kind: type, minimum: object = None) -> None:
+        """Convert field ``name`` to ``kind`` in place, then range-check it.
+
+        A value that does not convert — or a fractional number handed to an
+        int field, which ``int()`` would truncate — raises
+        :class:`InvalidParameterError` naming the class and the field.
+        """
+        given = getattr(self, name)
+        try:
+            if kind is int and isinstance(given, float) and not given.is_integer():
+                raise ValueError(given)
+            value = kind(given)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"{type(self).__name__}.{name} must be {kind.__name__}, "
+                f"got {given!r}"
+            ) from None
+        if minimum is not None and value < minimum:
+            raise InvalidParameterError(
+                f"{name} must be >= {minimum}, got {value}"
+            )
+        object.__setattr__(self, name, value)
+
     def as_dict(self) -> dict:
         """Plain JSON-safe dict of every field (round-trips from_options)."""
         return asdict(self)
+
+    def to_engine_kwargs(self) -> dict:
+        """Engine-constructor kwargs (``None`` fields fall to the engine)."""
+        out = {name: getattr(self, name) for name in self._field_names()}
+        return {k: v for k, v in out.items() if v is not None}
 
     def replace(self, **changes: object) -> "_FrozenConfig":
         """A copy with the given fields replaced (validated anew)."""
@@ -122,33 +156,16 @@ class ServiceConfig(_FrozenConfig):
     cluster: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", int(self.workers))
-        object.__setattr__(self, "max_pending", int(self.max_pending))
-        object.__setattr__(self, "coalesce", bool(self.coalesce))
-        object.__setattr__(self, "coalesce_limit", int(self.coalesce_limit))
-        object.__setattr__(self, "cache_entries", int(self.cache_entries))
-        object.__setattr__(self, "processes", bool(self.processes))
-        object.__setattr__(self, "cluster", bool(self.cluster))
+        self._coerce("workers", int, 0)
+        self._coerce("max_pending", int, 1)
+        self._coerce("coalesce_limit", int, 2)
+        self._coerce("cache_entries", int, 0)
+        for name in ("coalesce", "processes", "cluster"):
+            self._coerce(name, bool)
         if self.processes and self.cluster:
             raise InvalidParameterError(
                 "processes=True and cluster=True are mutually exclusive; "
                 "unpinned queries can offload to one sharded backend only"
-            )
-        if self.workers < 0:
-            raise InvalidParameterError(
-                f"workers must be >= 0, got {self.workers}"
-            )
-        if self.max_pending < 1:
-            raise InvalidParameterError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.coalesce_limit < 2:
-            raise InvalidParameterError(
-                f"coalesce_limit must be >= 2, got {self.coalesce_limit}"
-            )
-        if self.cache_entries < 0:
-            raise InvalidParameterError(
-                f"cache_entries must be >= 0, got {self.cache_entries}"
             )
 
 
@@ -163,34 +180,20 @@ class ParallelConfig(_FrozenConfig):
 
     workers: Optional[int] = None
     min_nodes: Optional[int] = None
-    partitioner: str = "bfs"
     seed: int = 2010
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
         if self.workers is not None:
-            object.__setattr__(self, "workers", int(self.workers))
-            if self.workers < 1:
-                raise InvalidParameterError(
-                    f"workers must be >= 1, got {self.workers}"
-                )
+            self._coerce("workers", int, 1)
         if self.min_nodes is not None:
-            object.__setattr__(self, "min_nodes", int(self.min_nodes))
-            if self.min_nodes < 0:
-                raise InvalidParameterError(
-                    f"min_nodes must be >= 0, got {self.min_nodes}"
-                )
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "timeout", float(self.timeout))
+            self._coerce("min_nodes", int, 0)
+        self._coerce("seed", int)
+        self._coerce("timeout", float)
         if self.timeout <= 0:
             raise InvalidParameterError(
                 f"timeout must be > 0, got {self.timeout}"
             )
-
-    def to_engine_kwargs(self) -> dict:
-        """Engine-constructor kwargs (``None`` fields fall to the engine)."""
-        out = {name: getattr(self, name) for name in self._field_names()}
-        return {k: v for k, v in out.items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,6 @@ class ClusterConfig(_FrozenConfig):
     workers: object = 2
     shards: Optional[int] = None
     min_nodes: Optional[int] = None
-    partitioner: str = "bfs"
     seed: int = 2010
     timeout: float = 120.0
     connect_timeout: float = 10.0
@@ -238,30 +240,17 @@ class ClusterConfig(_FrozenConfig):
                 f"host:port addresses, got {type(workers).__name__}"
             )
         if self.shards is not None:
-            object.__setattr__(self, "shards", int(self.shards))
-            if self.shards < 1:
-                raise InvalidParameterError(
-                    f"shards must be >= 1, got {self.shards}"
-                )
+            self._coerce("shards", int, 1)
         if self.min_nodes is not None:
-            object.__setattr__(self, "min_nodes", int(self.min_nodes))
-            if self.min_nodes < 0:
-                raise InvalidParameterError(
-                    f"min_nodes must be >= 0, got {self.min_nodes}"
-                )
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "timeout", float(self.timeout))
-        if self.timeout <= 0:
-            raise InvalidParameterError(
-                f"timeout must be > 0, got {self.timeout}"
-            )
-        for name in ("connect_timeout", "io_timeout"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            self._coerce("min_nodes", int, 0)
+        self._coerce("seed", int)
+        for name in ("timeout", "connect_timeout", "io_timeout"):
+            self._coerce(name, float)
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(
                     f"{name} must be > 0, got {getattr(self, name)}"
                 )
-        object.__setattr__(self, "hedge", bool(self.hedge))
+        self._coerce("hedge", bool)
         if self.ship_policy not in ("threshold", "all"):
             raise InvalidParameterError(
                 "ship_policy must be 'threshold' or 'all', "
@@ -274,8 +263,3 @@ class ClusterConfig(_FrozenConfig):
         if isinstance(out.get("workers"), tuple):
             out["workers"] = list(out["workers"])
         return out
-
-    def to_engine_kwargs(self) -> dict:
-        """Engine-constructor kwargs (``None`` fields fall to the engine)."""
-        out = {name: getattr(self, name) for name in self._field_names()}
-        return {k: v for k, v in out.items() if v is not None}

@@ -7,8 +7,6 @@
   session builder produces and the executor consumes.
 * :mod:`repro.core.executor` — the single dispatch point for base /
   forward / backward / relational / filtered / streamed execution.
-* :class:`TopKEngine` — legacy per-score facade (deprecated shim over the
-  executor; prefer :class:`repro.session.Network`).
 * :func:`base_topk` — naive forward baseline ("Base").
 * :func:`forward_topk` — LONA-Forward (differential-index pruning).
 * :func:`backward_topk` — LONA-Backward (partial distribution).
@@ -21,7 +19,7 @@
 from repro.core.backends import BACKENDS, numpy_available, resolve_backend
 from repro.core.backward import backward_topk, resolve_gamma
 from repro.core.base import base_topk
-from repro.core.batch import BatchQuery, BatchResult, BatchTopKEngine, batch_base_topk
+from repro.core.batch import BatchQuery, BatchResult, batch_base_topk
 from repro.core.bounds import (
     avg_bound,
     backward_sum_bound,
@@ -29,7 +27,6 @@ from repro.core.bounds import (
     static_sum_bound,
 )
 from repro.core.context import GraphContext
-from repro.core.engine import TopKEngine, topk_avg, topk_sum
 from repro.core.evaluate import evaluate_node, exact_sum_and_size
 from repro.core.forward import forward_topk
 from repro.core.materialized import MaterializedView
@@ -48,9 +45,6 @@ from repro.core.topk import TopKAccumulator
 from repro.core.weighted import weighted_backward_topk, weighted_base_topk
 
 __all__ = [
-    "TopKEngine",
-    "topk_sum",
-    "topk_avg",
     "BACKENDS",
     "numpy_available",
     "resolve_backend",
@@ -74,7 +68,6 @@ __all__ = [
     "weighted_backward_topk",
     "BatchQuery",
     "BatchResult",
-    "BatchTopKEngine",
     "batch_base_topk",
     "explain_node",
     "NodeExplanation",

@@ -18,8 +18,8 @@ Which members of a group join that scan is not decided here:
 for one request or a list.  Queries over *sparse* vectors run as ordinary
 LONA-Backward requests (each is cheaper alone than its share of any scan),
 the dense remainder comes to :func:`batch_base_topk`; a group costs what its
-members cost.  :class:`BatchTopKEngine` is the standalone front door onto
-that entry, as :class:`TopKEngine` is for single queries.
+members cost.  :meth:`repro.session.Network.batch` is the front door onto
+that entry.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate, fold_scores
 from repro.core.backends import kernel_provider, resolve_backend
-from repro.core.context import GraphContext
 from repro.core.results import QueryStats, TopKResult, combine_query_stats
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
@@ -42,7 +41,6 @@ __all__ = [
     "BatchQuery",
     "BatchResult",
     "batch_base_topk",
-    "BatchTopKEngine",
     "coalescible_request",
 ]
 
@@ -302,36 +300,3 @@ class BatchResult:
         if self._stats is None:
             self._stats = combine_query_stats(r.stats for r in self._results)
         return self._stats
-
-
-class BatchTopKEngine:
-    """Standalone group front door: a private context plus the executor.
-
-    Hands every run to :func:`repro.core.executor.execute_batch`, which
-    routes each member (sparse -> LONA-Backward alone, dense -> one shared
-    scan); answers are independent of the routing and of ``backend``.
-    Sessions use :meth:`repro.session.Network.batch` over their own caches.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        hops: int = 2,
-        include_self: bool = True,
-        backend: str = "auto",
-    ) -> None:
-        self.graph = graph
-        self.hops = hops
-        self.include_self = include_self
-        self.backend = backend
-        resolve_backend(backend)  # fail fast on unknown/unavailable backends
-        self._ctx = GraphContext(graph, hops=hops, include_self=include_self)
-
-    def run(
-        self, queries: Sequence[Union[BatchQuery, Tuple[object, int]]]
-    ) -> List[TopKResult]:
-        """Answer all queries; results in input order."""
-        from repro.core.executor import execute_batch
-
-        return execute_batch(self._ctx, queries, backend=self.backend)

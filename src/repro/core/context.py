@@ -68,7 +68,6 @@ class GraphContext:
         "graph",
         "hops",
         "include_self",
-        "last_index_build_sec",
         "ball_cache_bytes",
         "_diff_index",
         "_size_index",
@@ -92,7 +91,6 @@ class GraphContext:
         self.graph = graph
         self.hops = hops
         self.include_self = include_self
-        self.last_index_build_sec = 0.0
         self.ball_cache_bytes = ball_cache_bytes
         self._diff_index: Optional[DifferentialIndex] = None
         self._size_index: Optional[NeighborhoodSizeIndex] = None
@@ -157,8 +155,7 @@ class GraphContext:
                 self.graph, self.hops, include_self=self.include_self
             )
             self._size_index = self._diff_index.sizes
-            self.last_index_build_sec = time.perf_counter() - start
-            return self.last_index_build_sec
+            return time.perf_counter() - start
 
     def size_index(self, *, exact: bool = False) -> NeighborhoodSizeIndex:
         """An ``N(v)`` index: exact when requested/available, else estimated."""

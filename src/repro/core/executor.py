@@ -17,8 +17,7 @@ Entry points:
   monotonically converge to :func:`execute`'s answer (anytime consumption).
 * :func:`plan` — the cost-based :class:`~repro.core.planner.ExecutionPlan`
   for the request, without executing.
-* :func:`choose_algorithm` — the ``algorithm="auto"`` policy, shared by the
-  session facade and the legacy engine so both pick identically.
+* :func:`choose_algorithm` — the ``algorithm="auto"`` policy.
 
 The ``"view"`` algorithm is session state (a maintained aggregate view
 lives on the :class:`~repro.session.Network`), so it is dispatched there;
@@ -62,7 +61,7 @@ __all__ = [
     "choose_algorithm",
 ]
 
-#: Default score-density threshold under which ``"auto"`` picks backward.
+#: Score density at or below which ``"auto"`` picks backward.
 AUTO_DENSITY_THRESHOLD = 0.2
 
 #: Score density at or below which a group member leaves the shared scan
@@ -76,9 +75,8 @@ def choose_algorithm(
     spec: QuerySpec,
     *,
     index_available: bool,
-    auto_density_threshold: float = AUTO_DENSITY_THRESHOLD,
 ) -> str:
-    """The ``algorithm="auto"`` policy (identical to the legacy engine's).
+    """The ``algorithm="auto"`` policy.
 
     Sparse scores -> backward (its cost tracks the non-zero count and it
     needs no index); dense with a built differential index -> forward (the
@@ -87,7 +85,7 @@ def choose_algorithm(
     """
     if not spec.aggregate.lona_supported:
         return "base"
-    if scores.density <= auto_density_threshold:
+    if scores.density <= AUTO_DENSITY_THRESHOLD:
         return "backward"
     if index_available:
         return "forward"
@@ -126,7 +124,7 @@ def _check_context_match(ctx: GraphContext, request: QueryRequest) -> None:
 def _reject_inapplicable_knobs(request: QueryRequest, algorithm: str) -> None:
     """A knob the resolved algorithm cannot use must raise, not no-op.
 
-    Mirrors the legacy engine's resolve-first-then-reject contract:
+    The contract is resolve first, then reject:
     ``ordering``/``seed`` only steer LONA-Forward, the gamma family only
     steers LONA-Backward.  ``algorithm`` here is the *resolved* concrete
     algorithm (or the execution mode, e.g. ``"filtered"``/``"stream"``).
@@ -205,7 +203,6 @@ def execute(
     request: QueryRequest,
     *,
     planner: Optional[QueryPlanner] = None,
-    auto_density_threshold: float = AUTO_DENSITY_THRESHOLD,
 ) -> TopKResult:
     """Answer ``request`` over ``ctx.graph`` with ``scores``.
 
@@ -257,10 +254,7 @@ def execute(
         return _with_kernel(_filtered_topk(ctx, scores, request))
     if algorithm == "auto":
         algorithm = choose_algorithm(
-            scores,
-            spec,
-            index_available=ctx.diff_index is not None,
-            auto_density_threshold=auto_density_threshold,
+            scores, spec, index_available=ctx.diff_index is not None
         )
     elif algorithm == "planned":
         algorithm = plan(ctx, scores, request, planner=planner).chosen
@@ -380,9 +374,8 @@ def execute_weighted(
 ) -> TopKResult:
     """Distance-weighted top-k SUM (the paper's footnote 1), one dispatch.
 
-    Shared by ``TopKEngine.topk_weighted`` and ``Network.topk_weighted``:
-    ``profile`` maps hop distance to a weight in [0, 1] (default: inverse
-    distance); ``algorithm`` is ``"base"`` or ``"backward"``; ``options``
+    Behind ``Network.topk_weighted``: ``profile`` maps hop distance to a
+    weight in [0, 1] (default: inverse distance); ``algorithm`` is ``"base"`` or ``"backward"``; ``options``
     carries the backward knobs (gamma / distribution_fraction /
     exact_sizes), rejected on base.
     """

@@ -304,7 +304,7 @@ class PlanError(RelationalError, ValueError):
 
 
 class DistributedError(ReproError):
-    """Base class for the simulated distributed engine."""
+    """Base class for partitioned-execution faults (see :class:`PartitionError`)."""
 
     code = "distributed_error"
 

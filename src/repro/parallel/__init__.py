@@ -5,7 +5,7 @@ partition large networks into subnetworks and distribute them into multiple
 machines"; this package is the single-machine, multi-core realization of
 that plan.  The graph's flat CSR arrays (and every score vector touched)
 are exported once into POSIX shared memory (:class:`~repro.graph.csr.SharedCSR`),
-a :func:`~repro.distributed.partition.bfs_partition` assigns every node an
+a :func:`~repro.parallel.shards.bfs_partition` assigns every node an
 owning *shard* so h-hop balls mostly stay shard-local, and a persistent
 pool of worker processes — each warm-attached to the same physical pages —
 evaluates its shard's candidates with the numpy kernels.  Per-shard top-k

@@ -182,14 +182,12 @@ class ShardedCoordinator:
         workers: int,
         shards: int,
         min_nodes: int,
-        partitioner: str,
         seed: int,
     ) -> None:
         self.ctx = ctx
         self.workers = int(workers)
         self.shards = int(shards)
         self.min_nodes = int(min_nodes)
-        self.partitioner = partitioner
         self.seed = seed
         self._lock = threading.RLock()
         self._closed = False
@@ -284,12 +282,7 @@ class ShardedCoordinator:
         rev = self.ctx.rev_csr()
         if rev is not None:
             self._rev = self._export_csr(rev, version, "rev")
-        self._plan = build_shard_plan(
-            self.ctx.graph,
-            self.shards,
-            partitioner=self.partitioner,
-            seed=self.seed,
-        )
+        self._plan = build_shard_plan(self.ctx.graph, self.shards, seed=self.seed)
         self._owned = [
             self._export_array(owned, f"owned{shard}")
             for shard, owned in enumerate(self._plan.owned)

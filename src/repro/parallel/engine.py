@@ -82,7 +82,6 @@ class ParallelEngine(ShardedCoordinator):
         *,
         workers: Optional[int] = None,
         min_nodes: int = DEFAULT_MIN_NODES,
-        partitioner: str = "bfs",
         seed: int = 2010,
         timeout: float = 120.0,
     ) -> None:
@@ -97,7 +96,6 @@ class ParallelEngine(ShardedCoordinator):
             workers=workers,
             shards=workers,
             min_nodes=min_nodes,
-            partitioner=partitioner,
             seed=seed,
         )
         self.timeout = timeout

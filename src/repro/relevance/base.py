@@ -23,7 +23,13 @@ from repro.aggregates.functions import AggregateKind
 from repro.errors import RelevanceError
 from repro.graph.graph import Graph
 
-__all__ = ["ScoreVector", "RelevanceFunction", "uniform_scores", "indicator_scores"]
+__all__ = [
+    "ScoreVector",
+    "RelevanceFunction",
+    "materialize_scores",
+    "uniform_scores",
+    "indicator_scores",
+]
 
 #: Serialises the first :meth:`ScoreVector.array` build: racing first readers
 #: (serving lanes) convert a vector once.  Module-wide, as for ``Graph.csr``.
@@ -177,6 +183,20 @@ class RelevanceFunction(Protocol):
     def scores(self, graph: Graph) -> ScoreVector:
         """Produce the per-node scores for ``graph``."""
         ...  # pragma: no cover - protocol
+
+
+def materialize_scores(graph: Graph, relevance: object) -> ScoreVector:
+    """Coerce a relevance function / sequence / vector into a ScoreVector."""
+    if isinstance(relevance, ScoreVector):
+        vector = relevance
+    elif hasattr(relevance, "scores"):
+        vector = relevance.scores(graph)  # type: ignore[attr-defined]
+        if not isinstance(vector, ScoreVector):
+            vector = ScoreVector(vector)
+    else:
+        vector = ScoreVector(relevance)  # type: ignore[arg-type]
+    vector.check_graph(graph)
+    return vector
 
 
 def uniform_scores(graph: Graph, value: float) -> ScoreVector:

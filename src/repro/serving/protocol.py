@@ -155,8 +155,8 @@ _STATUS_BY_CLASS = (
     # Caller handed the library something malformed: client errors.
     (RelevanceError, 400),
     (RelationalError, 400),
-    # The simulated distributed engine failing is a server-side fault; a
-    # 500 here is deliberate, not the fallback (repro-check RC004).
+    # A shard plan that cannot be built is a server-side fault; a 500
+    # here is deliberate, not the fallback (repro-check RC004).
     (DistributedError, 500),
     # An injected fault surfacing all the way out is a retryable 503 —
     # chaos runs exercise exactly the path real transient outages take.

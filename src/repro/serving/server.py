@@ -134,13 +134,19 @@ class ServerConfig(_FrozenConfig):
         if cluster is not None and not isinstance(cluster, ClusterConfig):
             cluster = ClusterConfig.coerce(cluster)
         object.__setattr__(self, "cluster", cluster)
-        if self.replicas < 1:
+        self._coerce("port", int, 0)
+        if self.port > 65535:
             raise InvalidParameterError(
-                f"replicas must be >= 1, got {self.replicas}"
+                f"port must be <= 65535, got {self.port}"
             )
-        if self.max_handles < 1:
+        for name in ("replicas", "max_handles", "max_body"):
+            self._coerce(name, int, 1)
+        if self.quota is not None:
+            self._coerce("quota", int, 0)  # 0 admits nobody
+        self._coerce("shed_watermark", float, 0.0)
+        if self.shed_watermark >= 1.0:
             raise InvalidParameterError(
-                f"max_handles must be >= 1, got {self.max_handles}"
+                f"shed_watermark must be < 1, got {self.shed_watermark}"
             )
 
     @classmethod

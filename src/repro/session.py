@@ -73,7 +73,7 @@ from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.diffindex import DifferentialIndex
 from repro.graph.graph import Graph
-from repro.relevance.base import ScoreVector
+from repro.relevance.base import ScoreVector, materialize_scores
 
 __all__ = ["Network", "QueryBuilder"]
 
@@ -342,8 +342,6 @@ class Network:
         The session's neighborhood definition; all indexes are built for it.
     backend:
         Default execution backend for queries (builders may override).
-    auto_density_threshold:
-        Score density below which ``algorithm="auto"`` picks backward.
     """
 
     def __init__(
@@ -353,14 +351,12 @@ class Network:
         hops: int = 2,
         include_self: bool = True,
         backend: str = "auto",
-        auto_density_threshold: float = 0.2,
     ) -> None:
         resolve_backend(backend)  # fail fast on unknown/unavailable backends
         self.graph = graph
         self.hops = hops
         self.include_self = include_self
         self.backend = backend
-        self.auto_density_threshold = auto_density_threshold
         self._ctx = GraphContext(graph, hops=hops, include_self=include_self)
         self._scores: Dict[str, ScoreVector] = {}
         self._planners: Dict[str, Tuple[QueryPlanner, bool, object]] = {}
@@ -412,8 +408,6 @@ class Network:
         Replacing a score that has a maintained view rebuilds the view on
         the new vector, so ``algorithm("view")`` never serves stale sums.
         """
-        from repro.core.engine import materialize_scores
-
         if not name:
             raise InvalidParameterError("score name must be non-empty")
         vector = materialize_scores(self.graph, relevance)
@@ -775,7 +769,6 @@ class Network:
             planner=self._planner_for(request)
             if request.algorithm == "planned"
             else None,
-            auto_density_threshold=self.auto_density_threshold,
         )
 
     def _stream(self, request: QueryRequest) -> Iterator[StreamUpdate]:

@@ -28,7 +28,6 @@ from repro.core.backends import BACKENDS, resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.batch import BatchQuery, batch_base_topk
-from repro.core.engine import TopKEngine
 from repro.core.forward import forward_topk
 from repro.core.query import QuerySpec
 from repro.core.weighted import weighted_backward_topk, weighted_base_topk
@@ -36,6 +35,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.diffindex import build_differential_index
 from repro.graph.graph import Graph
 from repro.relevance.base import ScoreVector
+from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
 np = pytest.importorskip("numpy")
@@ -254,10 +254,10 @@ class TestBackendSelection:
     def test_engine_backend_override_per_query(self):
         g = random_graph(40, 0.1, seed=7)
         scores = binary_scores(40, 77)
-        engine = TopKEngine(g, scores, hops=2, backend="python")
-        engine.build_indexes()
-        a = engine.topk(5, "sum", "forward")
-        b = engine.topk(5, "sum", "forward", backend="numpy")
+        net = Network(g, hops=2, backend="python").add_scores("s", scores)
+        net.build_indexes()
+        a = net.topk("s", 5, algorithm="forward")
+        b = net.topk("s", 5, algorithm="forward", backend="numpy")
         assert a.stats.backend == "python"
         assert b.stats.backend == "numpy"
         assert a.entries == b.entries
@@ -265,22 +265,22 @@ class TestBackendSelection:
     def test_engine_rejects_unknown_backend(self):
         g = random_graph(10, 0.2, seed=8)
         with pytest.raises(InvalidParameterError):
-            TopKEngine(g, binary_scores(10, 1), backend="gpu")
+            Network(g, backend="gpu")
 
     def test_planner_surfaces_backend(self):
         g = random_graph(30, 0.1, seed=9)
-        engine = TopKEngine(g, binary_scores(30, 5), hops=2, backend="numpy")
-        plan = engine.explain(5)
+        net = Network(g, hops=2, backend="numpy").add_scores("s", binary_scores(30, 5))
+        plan = net.query("s").limit(5).explain()
         assert plan.backend == "numpy"
         assert "execution backend: numpy" in plan.explain()
 
     def test_engine_csr_cached_across_queries(self):
         g = random_graph(30, 0.1, seed=10)
-        engine = TopKEngine(g, binary_scores(30, 6), hops=2, backend="numpy")
-        engine.topk(3, "sum", "backward")
-        first = engine.csr_view()
-        engine.topk(3, "sum", "backward")
-        assert engine.csr_view() is first
+        net = Network(g, hops=2, backend="numpy").add_scores("s", binary_scores(30, 6))
+        net.topk("s", 3, algorithm="backward")
+        first = g.csr()
+        net.topk("s", 3, algorithm="backward")
+        assert g.csr() is first
 
 
 class TestBaseParity:

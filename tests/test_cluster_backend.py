@@ -170,6 +170,12 @@ class TestCommPolicies:
             ref = net.query("s").limit(6).backend("numpy").run()
             assert _entries(got) == _entries(ref)
             assert got.stats.extra["candidates_pruned"] == 0.0
+            # Every shard ships its k: the volume .explain() forecasts.
+            plan = net.query("s").limit(6).backend("cluster").explain()
+            assert (
+                got.stats.extra["shipped_candidate_bytes"]
+                == plan.comm["predicted_candidate_bytes"]
+            )
         finally:
             net.close()
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.backends import numpy_available
 from repro.core.base import base_topk
-from repro.core.batch import BatchQuery, BatchResult, BatchTopKEngine, batch_base_topk
+from repro.core.batch import BatchQuery, BatchResult, batch_base_topk
 from repro.core.query import QuerySpec
 from repro.core.results import combine_query_stats
 from repro.errors import InvalidParameterError, RelevanceError
@@ -135,8 +135,8 @@ class TestBatchEngine:
     def test_routing_and_correctness(self, batch_graph):
         sparse = BinaryRelevance(0.02, seed=260).scores(batch_graph)
         dense = ScoreVector(random_scores(50, seed=261, density=0.9))
-        engine = BatchTopKEngine(batch_graph, hops=2)
-        results = engine.run(
+        net = Network(batch_graph, hops=2)
+        results = net.batch(
             [BatchQuery(sparse, k=4), BatchQuery(dense, k=6)]
         )
         assert results[0].stats.algorithm == "backward"
@@ -152,26 +152,26 @@ class TestBatchEngine:
             BinaryRelevance(0.02, seed=270 + i).scores(batch_graph)
             for i in range(3)
         ]
-        engine = BatchTopKEngine(batch_graph, hops=2)
-        results = engine.run([BatchQuery(v, k=3) for v in vectors])
+        net = Network(batch_graph, hops=2)
+        results = net.batch([BatchQuery(v, k=3) for v in vectors])
         assert all(r.stats.algorithm == "backward" for r in results)
 
     def test_engines_share_the_graphs_csr(self, count_to_csr):
-        """Was ``test_shared_csr_injection``: there is no CSR to inject any
-        more — every engine over one graph runs on the graph's own view."""
+        """There is no CSR to inject: every session over one graph runs on
+        the graph's own view."""
         graph = random_graph(50, 0.1, seed=191)
         dense = ScoreVector(random_scores(50, seed=285, density=0.9))
         queries = [BatchQuery(dense, k=5)]
-        first = BatchTopKEngine(graph, hops=2, backend="numpy").run(queries)
-        second = BatchTopKEngine(graph, hops=2, backend="numpy").run(queries)
+        first = Network(graph, hops=2, backend="numpy").batch(queries)
+        second = Network(graph, hops=2, backend="numpy").batch(queries)
         assert first[0].entries == second[0].entries
         assert count_to_csr() == 1
 
     def test_results_in_input_order(self, batch_graph):
         sparse = BinaryRelevance(0.02, seed=280).scores(batch_graph)
         dense = ScoreVector(random_scores(50, seed=281, density=0.9))
-        engine = BatchTopKEngine(batch_graph, hops=2)
-        results = engine.run(
+        net = Network(batch_graph, hops=2)
+        results = net.batch(
             [
                 BatchQuery(dense, k=2),
                 BatchQuery(sparse, k=3),
@@ -210,8 +210,8 @@ class TestBatchStatsAggregation:
     def test_mixed_routing_sums_per_query(self, batch_graph):
         sparse = BinaryRelevance(0.02, seed=310).scores(batch_graph)
         dense = ScoreVector(random_scores(50, seed=311, density=0.9))
-        engine = BatchTopKEngine(batch_graph, hops=2)
-        results = engine.run(
+        net = Network(batch_graph, hops=2)
+        results = net.batch(
             [BatchQuery(dense, k=5), BatchQuery(sparse, k=3)]
         )
         combined = BatchResult(results).stats
@@ -229,8 +229,8 @@ class TestBatchStatsAggregation:
         member's counters."""
         sparse = BinaryRelevance(0.02, seed=320).scores(batch_graph)
         dense = ScoreVector(random_scores(50, seed=321, density=0.9))
-        engine = BatchTopKEngine(batch_graph, hops=2)
-        results = engine.run(
+        net = Network(batch_graph, hops=2)
+        results = net.batch(
             [BatchQuery(dense, k=5), BatchQuery(sparse, k=3)]
         )
         combined = BatchResult(results).stats
@@ -417,7 +417,6 @@ class TestOneCsrPerGraph:
         weighted_base_topk(graph, dense, spec)
         weighted_backward_topk(graph, sparse, spec)
         batch_base_topk(graph, [(dense, 3)], hops=2, backend="numpy")
-        BatchTopKEngine(graph, hops=2, backend="numpy").run([(sparse, 3), (dense, 3)])
         assert count_to_csr() == (2 if directed else 1)
 
     def test_racing_first_readers_build_once(self, count_to_csr):

@@ -1,16 +1,16 @@
-"""Tests for the cost-based planner and engine explain()."""
+"""Tests for the cost-based planner and the session's explain()."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.base import base_topk
-from repro.core.engine import TopKEngine
 from repro.core.planner import QueryPlanner
 from repro.core.query import QuerySpec
 from repro.errors import InvalidParameterError
 from repro.graph.generators import powerlaw_cluster
 from repro.relevance import BinaryRelevance, MixtureRelevance
+from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
 
@@ -78,25 +78,25 @@ class TestPlanChoice:
 
 class TestEngineIntegration:
     def test_engine_explain(self, planner_graph):
-        engine = TopKEngine(planner_graph, BinaryRelevance(0.01, seed=13), hops=2)
-        plan = engine.explain(10, "sum")
+        net = Network(planner_graph, hops=2).add_scores("s", BinaryRelevance(0.01, seed=13))
+        plan = net.query("s").limit(10).explain()
         assert plan.chosen in ("base", "forward", "backward")
 
     def test_planned_execution_is_correct(self):
         g = random_graph(50, 0.1, seed=14)
         scores = random_scores(50, seed=15)
-        engine = TopKEngine(g, scores, hops=2)
-        result = engine.topk(6, "sum", "planned")
+        result = Network(g, hops=2).add_scores("s", scores).topk("s", 6, algorithm="planned")
         expected = base_topk(g, scores, QuerySpec(k=6))
         assert rounded(result.values) == rounded(expected.values)
 
     def test_planner_rebuilt_after_index_build(self, planner_graph):
-        engine = TopKEngine(
-            planner_graph, MixtureRelevance(0.01, zero_fraction=0.0, seed=16), hops=2
+        net = Network(planner_graph, hops=2).add_scores(
+            "s", MixtureRelevance(0.01, zero_fraction=0.0, seed=16)
         )
-        cold_plan = engine.explain(10, "sum", amortize_index=False)
-        engine.build_indexes()
-        warm_plan = engine.explain(10, "sum", amortize_index=False)
+        query = net.query("s").limit(10)
+        cold_plan = query.explain(amortize_index=False)
+        net.build_indexes()
+        warm_plan = query.explain(amortize_index=False)
         cold_forward = cold_plan.estimate_for("forward").offline_ball_expansions
         warm_forward = warm_plan.estimate_for("forward").offline_ball_expansions
         assert cold_forward > 0.0

@@ -11,13 +11,13 @@ from repro.aggregates.weighted import (
     weighted_ball_sum,
 )
 from repro.core.base import base_topk
-from repro.core.engine import TopKEngine
 from repro.core.query import QuerySpec
 from repro.core.weighted import weighted_backward_topk, weighted_base_topk
 from repro.errors import InvalidParameterError
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.relevance import BinaryRelevance
+from repro.session import Network
 from tests.conftest import random_graph, random_scores, rounded
 
 
@@ -137,9 +137,9 @@ class TestEngineWeighted:
     def test_engine_paths_agree(self):
         g = random_graph(40, 0.1, seed=157)
         scores = random_scores(40, seed=158)
-        engine = TopKEngine(g, scores, hops=2)
-        via_base = engine.topk_weighted(6, algorithm="base")
-        via_backward = engine.topk_weighted(6, algorithm="backward")
+        net = Network(g, hops=2).add_scores("s", scores)
+        via_base = net.topk_weighted("s", 6, algorithm="base")
+        via_backward = net.topk_weighted("s", 6, algorithm="backward")
         assert rounded(via_base.values) == rounded(via_backward.values)
         assert via_base.stats.algorithm == "weighted-base"
         assert via_backward.stats.algorithm == "weighted-backward"
@@ -147,14 +147,14 @@ class TestEngineWeighted:
     def test_custom_profile(self):
         g = random_graph(30, 0.12, seed=159)
         scores = random_scores(30, seed=160)
-        engine = TopKEngine(g, scores, hops=2)
+        net = Network(g, hops=2).add_scores("s", scores)
         decay = exponential_decay(0.3)
-        result = engine.topk_weighted(5, profile=decay, algorithm="backward")
+        result = net.topk_weighted("s", 5, profile=decay, algorithm="backward")
         expected = weighted_base_topk(g, scores, QuerySpec(k=5, hops=2), decay)
         assert rounded(result.values) == rounded(expected.values)
 
     def test_unknown_algorithm(self):
         g = random_graph(20, 0.2, seed=161)
-        engine = TopKEngine(g, [0.5] * 20, hops=2)
+        net = Network(g, hops=2).add_scores("s", [0.5] * 20)
         with pytest.raises(InvalidParameterError):
-            engine.topk_weighted(3, algorithm="forward")
+            net.topk_weighted("s", 3, algorithm="forward")

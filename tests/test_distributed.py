@@ -1,184 +1,49 @@
-"""Tests for partitioning, the BSP engine, and distributed top-k."""
+"""Tests for the shard partitioner (``Partition`` / ``bfs_partition``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.base import base_topk
-from repro.core.query import QuerySpec
-from repro.distributed.aggregation import ScoreFloodProgram, SizeFloodProgram
-from repro.distributed.bsp import BSPEngine
-from repro.distributed.coordinator import DistributedTopKEngine
-from repro.distributed.partition import Partition, bfs_partition, hash_partition
-from repro.errors import DistributedError, InvalidParameterError, PartitionError
-from tests.conftest import random_graph, random_scores, ref_ball, rounded
+from repro.errors import PartitionError
+from repro.parallel.shards import Partition, bfs_partition
+from tests.conftest import random_graph
 
 
 class TestPartition:
-    def test_hash_partition_balanced(self):
-        g = random_graph(40, 0.1, seed=121)
-        p = hash_partition(g, 4)
-        assert p.sizes() == [10, 10, 10, 10]
-        assert p.balance() == 1.0
-
-    def test_hash_partition_members(self, path_graph):
-        p = hash_partition(path_graph, 2)
-        assert p.members(0) == [0, 2, 4]
-        assert p.part_of(3) == 1
-
     def test_bfs_partition_covers_all(self):
         g = random_graph(50, 0.08, seed=122)
         p = bfs_partition(g, 4, seed=1)
-        assert sorted(sum(([u] * 0 for u in []), [])) == []  # noop sanity
         assert all(0 <= part < 4 for part in p.assignment)
         assert len(p.assignment) == 50
+        assert sorted(u for part in range(4) for u in p.members(part)) == list(range(50))
+        assert all(p.part_of(u) == part for part in range(4) for u in p.members(part))
 
     def test_bfs_partition_reasonable_balance(self):
         g = random_graph(80, 0.08, seed=123)
         p = bfs_partition(g, 4, seed=2)
-        assert p.balance() < 2.5
+        assert max(len(p.members(part)) for part in range(4)) < 2.5 * 80 / 4
 
     def test_bfs_lower_edge_cut_than_hash(self):
         # On a ring lattice locality matters; BFS growing should beat modulo.
         from repro.graph.generators import ring_lattice
 
         g = ring_lattice(120, 2)
-        hash_cut = hash_partition(g, 4).edge_cut(g)
-        bfs_cut = bfs_partition(g, 4, seed=3).edge_cut(g)
-        assert bfs_cut < hash_cut
+
+        def edge_cut(p):
+            return sum(p.part_of(u) != p.part_of(v) for u, v in g.edges())
+
+        modulo = Partition([u % 4 for u in g.nodes()], num_parts=4)
+        assert edge_cut(bfs_partition(g, 4, seed=3)) < edge_cut(modulo)
 
     def test_partition_validation(self):
         with pytest.raises(PartitionError):
             Partition([0, 5], num_parts=2)
         with pytest.raises(PartitionError):
             Partition([0], num_parts=0)
-
-    def test_edge_cut_needs_matching_graph(self, path_graph, star_graph):
-        p = hash_partition(path_graph, 2)
         with pytest.raises(PartitionError):
-            p.edge_cut(star_graph)
+            Partition([0, 1], num_parts=2).members(2)
 
     def test_directed_graph_partitioned_via_undirected_view(self):
         g = random_graph(30, 0.1, seed=124, directed=True)
         p = bfs_partition(g, 3, seed=4)
         assert len(p.assignment) == 30
-
-
-class TestBSPEngine:
-    def test_score_flood_matches_reference(self):
-        g = random_graph(30, 0.12, seed=125)
-        scores = random_scores(30, seed=126)
-        engine = BSPEngine(g, hash_partition(g, 3))
-        engine.run(ScoreFloodProgram(scores, 2), max_supersteps=5)
-        for v in range(30):
-            expected = sum(
-                scores[u] for u in ref_ball(g, v, 2) if scores[u] > 0.0
-            )
-            assert engine.vertex_state[v]["ps"] == pytest.approx(expected)
-
-    def test_size_flood_matches_reference(self):
-        g = random_graph(25, 0.15, seed=127)
-        engine = BSPEngine(g, hash_partition(g, 2))
-        engine.run(SizeFloodProgram(2), max_supersteps=5)
-        for v in range(25):
-            assert engine.vertex_state[v]["size"] == len(ref_ball(g, v, 2))
-
-    def test_message_classification(self, path_graph):
-        # Partition {0,1,2} vs {3,4}: flooding from node 2 crosses once.
-        p = Partition([0, 0, 0, 1, 1], num_parts=2)
-        engine = BSPEngine(path_graph, p)
-        scores = [0.0, 0.0, 1.0, 0.0, 0.0]
-        stats = engine.run(ScoreFloodProgram(scores, 1), max_supersteps=3)
-        assert stats.messages_remote == 1  # 2 -> 3
-        assert stats.messages_local == 1  # 2 -> 1
-
-    def test_quiescence_guard(self, path_graph):
-        engine = BSPEngine(path_graph, hash_partition(path_graph, 2))
-        with pytest.raises(DistributedError):
-            engine.run(ScoreFloodProgram([1.0] * 5, 4), max_supersteps=2)
-
-    def test_partition_size_mismatch(self, path_graph, star_graph):
-        p = hash_partition(star_graph, 2)
-        with pytest.raises(DistributedError):
-            BSPEngine(path_graph, p)
-
-    def test_stats_as_dict(self, path_graph):
-        engine = BSPEngine(path_graph, hash_partition(path_graph, 2))
-        stats = engine.run(ScoreFloodProgram([1.0] * 5, 1), max_supersteps=4)
-        flat = stats.as_dict()
-        assert flat["messages_total"] == flat["messages_local"] + flat["messages_remote"]
-        assert flat["supersteps"] >= 2
-
-    def test_vectorized_routing_accounting_identical(self, monkeypatch):
-        # The numpy broadcast fast path (partition classified as an int
-        # array over the CSR slab) must produce byte-identical
-        # MessageStats to the scalar per-message path — same totals, same
-        # per-superstep breakdown, same vertex state.
-        from repro.distributed.partition import Partition as PartitionClass
-
-        g = random_graph(40, 0.1, seed=222)
-        scores = random_scores(40, seed=223)
-
-        def run_once():
-            engine = BSPEngine(g, bfs_partition(g, 3, seed=9))
-            stats = engine.run(ScoreFloodProgram(scores, 2), max_supersteps=5)
-            return stats, [s.get("ps", 0.0) for s in engine.vertex_state]
-
-        fast_stats, fast_state = run_once()
-        # Force the scalar path by making the partition array unavailable.
-        monkeypatch.setattr(PartitionClass, "as_array", lambda self: None)
-        slow_stats, slow_state = run_once()
-        assert fast_stats.as_dict() == slow_stats.as_dict()
-        assert fast_stats.per_superstep == slow_stats.per_superstep
-        assert fast_state == slow_state
-
-
-class TestDistributedTopK:
-    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
-    @pytest.mark.parametrize("partitioner", ["hash", "bfs"])
-    def test_matches_base(self, aggregate, partitioner):
-        g = random_graph(40, 0.1, seed=128)
-        scores = random_scores(40, seed=129)
-        expected = base_topk(g, scores, QuerySpec(k=8, aggregate=aggregate))
-        engine = DistributedTopKEngine(
-            g, scores, hops=2, num_parts=4, partitioner=partitioner, seed=5
-        )
-        actual = engine.topk(8, aggregate)
-        assert rounded(actual.values) == rounded(expected.values)
-
-    def test_directed_matches_base(self):
-        g = random_graph(30, 0.08, seed=130, directed=True)
-        scores = random_scores(30, seed=131)
-        expected = base_topk(g, scores, QuerySpec(k=6))
-        engine = DistributedTopKEngine(g, scores, num_parts=3)
-        actual = engine.topk(6, "sum")
-        assert rounded(actual.values) == rounded(expected.values)
-
-    def test_single_partition_degenerate(self):
-        g = random_graph(20, 0.2, seed=132)
-        scores = random_scores(20, seed=133)
-        engine = DistributedTopKEngine(g, scores, num_parts=1)
-        result = engine.topk(4, "sum")
-        expected = base_topk(g, scores, QuerySpec(k=4))
-        assert rounded(result.values) == rounded(expected.values)
-        assert result.stats.extra["messages_remote"] == 0.0
-
-    def test_stats_exposed(self):
-        g = random_graph(30, 0.12, seed=134)
-        scores = random_scores(30, seed=135)
-        engine = DistributedTopKEngine(g, scores, num_parts=3, partitioner="hash")
-        result = engine.topk(5, "sum")
-        extra = result.stats.extra
-        assert extra["num_parts"] == 3.0
-        assert extra["supersteps"] >= 1.0
-        assert extra["candidates_shipped"] <= 3 * 5
-        assert "edge_cut" in extra
-
-    def test_unknown_partitioner(self, path_graph):
-        with pytest.raises(InvalidParameterError):
-            DistributedTopKEngine(path_graph, [0.0] * 5, partitioner="metis")
-
-    def test_max_rejected(self, path_graph):
-        engine = DistributedTopKEngine(path_graph, [0.5] * 5)
-        with pytest.raises(InvalidParameterError):
-            engine.topk(2, "max")

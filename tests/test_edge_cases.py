@@ -6,9 +6,6 @@ from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.forward import forward_topk
 from repro.core.query import QuerySpec
-from repro.distributed.aggregation import ScoreFloodProgram
-from repro.distributed.bsp import BSPEngine
-from repro.distributed.partition import hash_partition
 from repro.graph.graph import Graph
 from repro.relational.operators import (
     OperatorStats,
@@ -49,20 +46,6 @@ class TestRelationalEmptyInputs:
         t = Table({"v": [1.0, 2.0]})
         out = order_by_limit(t, column="v", k=10, stats=stats)
         assert out.num_rows == 2
-
-
-class TestBSPQuiescence:
-    def test_no_nonzero_scores_quiesces_immediately(self, path_graph):
-        engine = BSPEngine(path_graph, hash_partition(path_graph, 2))
-        stats = engine.run(ScoreFloodProgram([0.0] * 5, 2), max_supersteps=3)
-        assert stats.supersteps == 1
-        assert stats.messages_total == 0
-
-    def test_hops_zero_sends_nothing(self, path_graph):
-        engine = BSPEngine(path_graph, hash_partition(path_graph, 2))
-        stats = engine.run(ScoreFloodProgram([1.0] * 5, 0), max_supersteps=3)
-        assert stats.messages_total == 0
-        assert engine.vertex_state[2]["ps"] == 1.0
 
 
 class TestAlgorithmsOnPathologies:

@@ -21,7 +21,6 @@ CASES = [
     ("social_recommendation.py", ["0.15"]),
     ("gene_coexpression.py", []),
     ("intrusion_detection.py", ["0.15"]),
-    ("distributed_topk.py", ["3"]),
     ("cluster_topk.py", ["2"]),
     ("relational_comparison.py", []),
     ("weighted_influence.py", []),

@@ -301,29 +301,31 @@ class TestCLI:
         assert set(payload["top_nodes"]) == {"q0", "q1", "q2"}
 
     def test_engine_save_load_roundtrip(self, tmp_path):
-        from repro.core.engine import TopKEngine
+        from repro.session import Network
         from tests.conftest import random_scores, rounded
 
         g = random_graph(25, 0.15, seed=182)
         scores = random_scores(25, seed=183)
-        writer = TopKEngine(g, scores, hops=2)
+        writer = Network(g, hops=2).add_scores("s", scores)
         path = tmp_path / "engine.lonaidx"
         writer.save_index(path)
-        reader = TopKEngine(g, scores, hops=2)
+        reader = Network(g, hops=2).add_scores("s", scores)
         reader.load_index(path)
         assert reader.diff_index is not None
-        fast = reader.topk(5, "sum", "forward")
+        fast = reader.topk("s", 5, algorithm="forward")
         assert fast.stats.index_build_sec == 0.0
-        assert rounded(fast.values) == rounded(writer.topk(5, "sum", "base").values)
+        assert rounded(fast.values) == rounded(
+            writer.topk("s", 5, algorithm="base").values
+        )
 
     def test_engine_load_wrong_hops(self, tmp_path):
-        from repro.core.engine import TopKEngine
+        from repro.session import Network
 
         g = random_graph(20, 0.2, seed=184)
-        writer = TopKEngine(g, [0.0] * 20, hops=1)
+        writer = Network(g, hops=1)
         path = tmp_path / "h1.lonaidx"
         writer.save_index(path)
-        reader = TopKEngine(g, [0.0] * 20, hops=2)
+        reader = Network(g, hops=2)
         with pytest.raises(IndexNotBuiltError):
             reader.load_index(path)
 

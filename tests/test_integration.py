@@ -3,10 +3,10 @@
 For each dataset stand-in (tiny scale) and both paper aggregates, the same
 query is answered through every path the repository offers — Base,
 LONA-Forward, LONA-Backward (indexed and index-free), the relational plan,
-the distributed BSP engine, the shared-scan batch, the materialized view,
-and the maintained dynamic view — and all must return the same top-k value
-multiset.  This is the repository's strongest single guarantee: a
-regression anywhere in any substrate breaks this file.
+the shared-scan batch, the materialized view, and the maintained dynamic
+view — and all must return the same top-k value multiset.  This is the
+repository's strongest single guarantee: a regression anywhere in any
+substrate breaks this file.
 
 Also includes deterministic work-counter regression guards: the pruning
 algorithms must actually prune on the paper's workloads (wall-clock-free,
@@ -21,15 +21,14 @@ from repro.bench.workloads import figure
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.batch import BatchQuery, batch_base_topk
-from repro.core.engine import TopKEngine
 from repro.core.forward import forward_topk
 from repro.core.materialized import MaterializedView
 from repro.core.query import QuerySpec
-from repro.distributed.coordinator import DistributedTopKEngine
 from repro.dynamic import DynamicGraph, MaintainedAggregateView
 from repro.graph.diffindex import build_differential_index
 from repro.relational.engine import relational_topk
 from repro.relevance.base import ScoreVector
+from repro.session import Network
 from tests.conftest import rounded
 
 DATASETS = ["fig1", "fig3", "fig5"]  # collaboration, intrusion, citation
@@ -60,9 +59,6 @@ def test_all_paths_agree(scenario, aggregate):
         ),
         "backward-indexfree": backward_topk(graph, scores, spec),
         "relational": relational_topk(graph, scores, spec),
-        "distributed": DistributedTopKEngine(
-            graph, scores, hops=2, num_parts=3, partitioner="bfs", seed=1
-        ).topk(K, aggregate),
         "batch": batch_base_topk(
             graph, [BatchQuery(ScoreVector(scores), K, aggregate)]
         )[0],
@@ -77,10 +73,10 @@ def test_all_paths_agree(scenario, aggregate):
 
 def test_engine_facade_matches_direct_calls(scenario):
     figure_id, graph, scores, _diff_index = scenario
-    engine = TopKEngine(graph, scores, hops=2)
+    net = Network(graph, hops=2).add_scores("s", scores)
     expected = rounded(base_topk(graph, scores, QuerySpec(k=K, hops=2)).values)
     for algorithm in ("auto", "planned", "base", "forward", "backward"):
-        result = engine.topk(K, "sum", algorithm)
+        result = net.topk("s", K, algorithm=algorithm)
         assert rounded(result.values) == expected, (figure_id, algorithm)
 
 
@@ -141,11 +137,3 @@ class TestWorkCounterRegressions:
         single = base_topk(graph, vectors[0].values(), QuerySpec(k=5, hops=2))
         # Whole batch == one Base traversal, not four.
         assert results[0].stats.edges_scanned == single.stats.edges_scanned
-
-    def test_distributed_ships_only_candidates(self):
-        spec = figure("fig1")
-        graph = spec.build_graph(scale=0.05)
-        scores = spec.build_scores(graph).values()
-        engine = DistributedTopKEngine(graph, scores, hops=2, num_parts=4, seed=2)
-        result = engine.topk(10, "sum")
-        assert result.stats.extra["candidates_shipped"] <= 4 * 10

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import random
+import zlib
 
 import pytest
 
@@ -363,8 +364,31 @@ class TestShardPlanAndMerge:
         g = random_graph(20, 0.1, seed=51)
         with pytest.raises(InvalidParameterError):
             build_shard_plan(g, 0)
-        with pytest.raises(InvalidParameterError):
-            build_shard_plan(g, 2, partitioner="metis")
+        with pytest.raises(TypeError):  # the choice is gone, not defaulted
+            build_shard_plan(g, 2, partitioner="bfs")
+
+    @pytest.mark.parametrize(
+        "directed, shards, crc",
+        [
+            (False, 2, 2175075153),
+            (False, 4, 3557374592),
+            (True, 2, 2131128009),
+            (True, 4, 228890517),
+        ],
+    )
+    def test_shard_plan_is_the_parents(self, directed, shards, crc):
+        """crc32 of the assignment (one byte per node), recorded at the
+        commit before ``bfs_partition`` moved here: moved code must build
+        identical shards."""
+        from repro.graph.generators import citation_dag, powerlaw_cluster
+
+        if directed:
+            g = citation_dag(600, 4, seed=19)
+        else:
+            g = powerlaw_cluster(600, 3, 0.4, seed=19)
+        assert g.directed is directed
+        plan = build_shard_plan(g, shards)
+        assert zlib.crc32(bytes(plan.partition.assignment)) == crc
 
     def test_merge_resolves_ties_by_node_id(self):
         merged = merge_shard_entries(
@@ -373,7 +397,7 @@ class TestShardPlanAndMerge:
         assert merged == [(2, 1.0), (5, 1.0), (7, 0.5)]
 
     def test_partition_members_index_cached(self):
-        from repro.distributed.partition import Partition
+        from repro.parallel.shards import Partition
 
         partition = Partition([0, 1, 0, 1, 0], 2)
         first = partition.members(0)

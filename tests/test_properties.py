@@ -25,7 +25,6 @@ from repro.core.bounds import avg_bound, backward_sum_bound, static_sum_bound
 from repro.core.forward import forward_topk
 from repro.core.query import QuerySpec
 from repro.core.topk import TopKAccumulator
-from repro.distributed.coordinator import DistributedTopKEngine
 from repro.graph.diffindex import build_differential_index
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex, lower_estimate, upper_estimate
@@ -245,22 +244,6 @@ class TestAlgorithmAgreement:
         base = base_topk(g, scores, spec)
         rel = relational_topk(g, scores, spec)
         assert rounded(rel.values) == rounded(base.values)
-
-    @given(
-        data=graph_and_scores(),
-        k=st.integers(min_value=1, max_value=5),
-        num_parts=st.integers(min_value=1, max_value=4),
-    )
-    def test_distributed_agrees(self, data, k, num_parts):
-        g, scores = data
-        spec = QuerySpec(k=k, hops=2)
-        base = base_topk(g, scores, spec)
-        engine = DistributedTopKEngine(
-            g, scores, hops=2, num_parts=num_parts, partitioner="hash"
-        )
-        dist = engine.topk(k, "sum")
-        assert rounded(dist.values) == rounded(base.values)
-
 
     @given(
         data=graph_and_scores(),

@@ -14,6 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 import repro.config
@@ -41,9 +46,7 @@ EXPECTED_ALL = [
     "StreamUpdate",
     "BatchQuery",
     "BatchResult",
-    "BatchTopKEngine",
     "combine_query_stats",
-    "TopKEngine",
     "QuerySpec",
     "TopKResult",
     "QueryStats",
@@ -51,8 +54,6 @@ EXPECTED_ALL = [
     "base_topk",
     "forward_topk",
     "backward_topk",
-    "topk_sum",
-    "topk_avg",
     "ScoreVector",
     "MixtureRelevance",
     "BinaryRelevance",
@@ -88,6 +89,7 @@ BUILDER_SURFACE = {
 }
 
 NETWORK_SURFACE = {
+    "__init__": ["graph", "hops", "include_self", "backend"],
     "add_scores": ["name", "relevance"],
     "score_names": [],
     "scores_of": ["name"],
@@ -112,9 +114,9 @@ NETWORK_SURFACE = {
 #: Every independently settable option of the two sharded backends.  Each
 #: field is one more configuration to test and benchmark: add one on purpose.
 CONFIG_FIELDS = {
-    "ParallelConfig": ["workers", "min_nodes", "partitioner", "seed", "timeout"],
+    "ParallelConfig": ["workers", "min_nodes", "seed", "timeout"],
     "ClusterConfig": [
-        "workers", "shards", "min_nodes", "partitioner", "seed", "timeout",
+        "workers", "shards", "min_nodes", "seed", "timeout",
         "connect_timeout", "io_timeout", "hedge", "ship_policy",
     ],
 }
@@ -200,3 +202,14 @@ def test_builder_methods_return_new_builders():
 
 def test_version_is_stringy():
     assert isinstance(repro.__version__, str) and repro.__version__
+
+
+def test_setup_py_reports_the_package_version():
+    """One version number: ``setup.py`` reads ``repro.__version__``'s line."""
+    pytest.importorskip("setuptools")
+    root = Path(__file__).resolve().parent.parent
+    reported = subprocess.run(
+        [sys.executable, "setup.py", "--version"],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout.split()[-1]
+    assert reported == repro.__version__

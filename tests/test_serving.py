@@ -25,6 +25,7 @@ import time
 import pytest
 
 import repro
+import repro.config
 from repro.core.deadline import active_deadline, check_deadline, deadline_scope
 from repro.core.request import QueryRequest
 from repro.core.results import QueryStats, StreamUpdate, TopKResult
@@ -377,14 +378,14 @@ class TestServerConfig:
             {
                 "replicas": 4,
                 "service": {"workers": 2, "coalesce_limit": 8},
-                "parallel": {"workers": 2, "partitioner": "hash"},
+                "parallel": {"workers": 2, "timeout": "30"},
             }
         )
         assert cfg.replicas == 4
         assert isinstance(cfg.service, repro.ServiceConfig)
         assert cfg.service.workers == 2
         assert isinstance(cfg.parallel, repro.ParallelConfig)
-        assert cfg.parallel.partitioner == "hash"
+        assert cfg.parallel.timeout == 30.0
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(InvalidParameterError, match="replica_count"):
@@ -413,6 +414,59 @@ class TestServerConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ProtocolError):
             ServerConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "options, names",
+        [
+            # Values that do not convert: the error names class and field.
+            ({"replicas": "two"}, "ServerConfig.replicas"),
+            ({"max_handles": [3]}, "ServerConfig.max_handles"),
+            ({"port": "x"}, "ServerConfig.port"),
+            ({"replicas": 2.5}, "ServerConfig.replicas"),
+            ({"service": {"workers": "a"}}, "ServiceConfig.workers"),
+            ({"service": {"workers": 1.5}}, "ServiceConfig.workers"),
+            ({"parallel": {"timeout": "x"}}, "ParallelConfig.timeout"),
+            ({"cluster": {"shards": "many"}}, "ClusterConfig.shards"),
+            # Values that convert but are out of range.
+            ({"port": 70000}, "port"),
+            ({"max_body": -1}, "max_body"),
+            ({"shed_watermark": 5}, "shed_watermark"),
+            ({"quota": -1}, "quota"),
+            ({"replicas": 0}, "replicas"),
+            # The option this release removed is an unknown option.
+            ({"parallel": {"partitioner": "bfs"}}, "unknown ParallelConfig option"),
+            ({"cluster": {"partitioner": "bfs"}}, "unknown ClusterConfig option"),
+        ],
+    )
+    def test_bad_values_are_invalid_parameter_errors(self, options, names):
+        with pytest.raises(InvalidParameterError, match=names):
+            ServerConfig.from_options(options)
+
+    def test_constructors_reject_like_mappings(self):
+        """The same errors without a mapping in between, and numeric strings
+        (a hand-written file) convert."""
+        assert ServerConfig(replicas="2", max_handles="3").replicas == 2
+        with pytest.raises(InvalidParameterError, match="unknown .* option"):
+            repro.ParallelConfig(partitioner="bfs")
+        with pytest.raises(InvalidParameterError, match="unknown .* option"):
+            repro.config.ClusterConfig(partitioner="bfs")
+        with pytest.raises(InvalidParameterError, match="ServerConfig.quota"):
+            ServerConfig(quota="lots")
+
+    def test_cli_reports_a_bad_config_file_and_exits_2(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replicas": "two", "service": {"workers": 1}}))
+        code = cli_main(
+            [
+                "serve", "--dataset", "collaboration_like", "--scale", "0.05",
+                "--k", "3", "--queries", "1",
+                "--listen", "127.0.0.1:0", "--config", str(path),
+            ]
+        )
+        assert code == 2
+        assert "error: ServerConfig.replicas must be int" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Tests for the Network session facade and its fluent query builder.
 
-The acceptance bar for the facade: ``Network.query(...)`` must cover every
-scenario the four pre-session entry points did — single queries
-(``TopKEngine.topk``), batch shared scans (``BatchTopKEngine.run``), the
-relational baseline (``relational.engine``), and dynamic maintained views
-(``DynamicGraph``/``MaintainedAggregateView``) — with entry-for-entry
-parity, and ``.stream()`` must yield monotonically refining top-k states
-that converge to ``.run()``'s answer on both backends.
+The acceptance bar for the facade: ``Network.query(...)`` must cover single
+queries, batch shared scans, the relational baseline
+(``relational.engine``), and dynamic maintained views
+(``DynamicGraph``/``MaintainedAggregateView``) — entry for entry equal to
+the reference functions (``base_topk`` on ``backend="python"``) — and
+``.stream()`` must yield monotonically refining top-k states that converge
+to ``.run()``'s answer on both backends.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.backends import numpy_available
 from repro.core.base import base_topk
-from repro.core.batch import BatchQuery, BatchResult, BatchTopKEngine
+from repro.core.batch import BatchQuery, BatchResult
 from repro.core.query import QuerySpec
 from repro.core.request import QueryRequest
 from repro.core.results import StreamUpdate
@@ -118,18 +118,18 @@ class TestSessionBasics:
 
 
 class TestSingleQueryParity:
-    """Entry-for-entry parity with the old TopKEngine paths."""
+    """Entry-for-entry parity with the python ``base_topk`` reference."""
 
     @pytest.mark.parametrize("algorithm", ["base", "forward", "backward"])
     @pytest.mark.parametrize("aggregate", ["sum", "avg"])
     def test_algorithms_match_old_engine(
         self, net, net_graph, net_scores, algorithm, aggregate
     ):
-        from repro.core.engine import TopKEngine
-
-        with pytest.warns(DeprecationWarning):
-            engine = TopKEngine(net_graph, net_scores, hops=2)
-        old = engine.topk(6, aggregate, algorithm)
+        reference = base_topk(
+            net_graph,
+            net_scores,
+            QuerySpec(k=6, aggregate=aggregate, hops=2, backend="python"),
+        )
         new = (
             net.query("dense")
             .limit(6)
@@ -137,19 +137,17 @@ class TestSingleQueryParity:
             .algorithm(algorithm)
             .run()
         )
-        assert new.entries == old.entries
-        assert new.stats.algorithm == old.stats.algorithm
+        assert [n for n, _ in new.entries] == [n for n, _ in reference.entries]
+        assert rounded(new.values) == rounded(reference.values)
+        assert new.stats.algorithm == algorithm
 
     def test_auto_matches_old_auto(self, net, net_graph):
-        from repro.core.engine import TopKEngine
-
-        with pytest.warns(DeprecationWarning):
-            engine = TopKEngine(
-                net_graph, net.scores_of("sparse"), hops=2
-            )
-        old = engine.topk(5, "sum", "auto")
+        sparse = net.scores_of("sparse")
+        reference = base_topk(
+            net_graph, sparse, QuerySpec(k=5, hops=2, backend="python")
+        )
         new = net.query("sparse").limit(5).run()
-        assert new.entries == old.entries
+        assert rounded(new.values) == rounded(reference.values)
         assert new.stats.algorithm == "backward"  # sparse -> backward
 
     def test_planned_algorithm(self, net):
@@ -279,18 +277,24 @@ class TestRelationalParity:
 
 class TestBatch:
     def test_matches_old_batch_engine(self, net, net_graph):
+        """A group answers what ``base_topk`` answers for each member."""
         queries = [
             BatchQuery(net.scores_of("dense"), k=5),
             BatchQuery(net.scores_of("sparse"), k=4),
             BatchQuery(net.scores_of("dense"), k=3, aggregate="avg"),
         ]
-        engine = BatchTopKEngine(net_graph, hops=2)
-        old = engine.run(queries)
         new = net.batch(queries)
         assert isinstance(new, BatchResult)
-        assert len(new) == len(old)
-        for old_result, new_result in zip(old, new):
-            assert new_result.entries == old_result.entries
+        assert len(new) == len(queries)
+        for query, result in zip(queries, new):
+            reference = base_topk(
+                net_graph,
+                query.scores,
+                QuerySpec(
+                    k=query.k, aggregate=query.aggregate, hops=2, backend="python"
+                ),
+            )
+            assert rounded(result.values) == rounded(reference.values)
 
     def test_accepts_builders(self, net):
         batch = net.batch(
@@ -664,14 +668,11 @@ class TestContractEdges:
         assert after == before
 
     def test_engine_auto_rejects_inapplicable_options(self, net_graph, net_scores):
-        """Old-engine contract: resolve auto first, then reject bad knobs."""
-        from repro.core.engine import TopKEngine
-
-        with pytest.warns(DeprecationWarning):
-            engine = TopKEngine(net_graph, net_scores, hops=2)
+        """Resolve auto first, then reject bad knobs."""
+        session = Network(net_graph, hops=2).add_scores("s", net_scores)
         # Dense, no index -> auto resolves to base, which takes no options.
-        with pytest.raises(InvalidParameterError, match="unknown query options"):
-            engine.topk(3, "sum", "auto", gamma=0.5)
+        with pytest.raises(InvalidParameterError, match="no effect"):
+            session.topk("s", 3, algorithm="auto", gamma=0.5)
 
     def test_add_edge_refuses_after_outside_mutation(self):
         """Round 3 review: mutating past a stale view must raise, not bake
@@ -766,13 +767,12 @@ class TestContractEdges:
 
     def test_network_topk_weighted_matches_engine(self, net_graph, net_scores):
         from repro.aggregates import inverse_distance
-        from repro.core.engine import TopKEngine
+        from repro.core.weighted import weighted_base_topk
 
         session = Network(net_graph, hops=2).add_scores("w", net_scores)
         new = session.topk_weighted("w", 4, inverse_distance)
-        with pytest.warns(DeprecationWarning):
-            engine = TopKEngine(net_graph, net_scores, hops=2)
-        old = engine.topk_weighted(4, inverse_distance)
+        spec = QuerySpec(k=4, hops=2, backend="python")
+        old = weighted_base_topk(net_graph, net_scores, spec, inverse_distance)
         assert rounded(new.values) == rounded(old.values)
         with pytest.raises(InvalidParameterError, match="unknown query options"):
             session.topk_weighted("w", 4, inverse_distance, nonsense=1)
