@@ -179,7 +179,7 @@ _HOT_PATHS = {
         ),
         helpers=frozenset(
             {
-                "NumpyKernels.ball_values",
+                "NumpyKernels._block_pairs",
                 "NumpyKernels.weighted_ball_sums",
                 "NumpyKernels.fused_ball_values",
                 "descending_prefixes",

@@ -145,11 +145,13 @@ def resolve_backend(backend: str) -> str:
     return backend
 
 
-def kernel_provider(backend: str):
+def kernel_provider(backend: str, ball_index=None):
     """The block-kernel provider the vectorized drivers run ``backend`` on.
 
     ``backend`` is a resolved, non-python name; the provider is fresh (it
-    holds per-query scratch).  ``"native"`` gets a
+    holds per-query scratch).  ``ball_index`` is the session's
+    :class:`~repro.graph.csr.CSRBallIndex`, which only the numpy provider
+    reads (a compiled ball never leaves its scratch).  ``"native"`` gets a
     :class:`~repro.native.provider.NativeKernels`, whose constructor warms
     the jit — so call this before starting a query timer; every other
     vectorized backend — ``"parallel"``/``"cluster"`` included, for the
@@ -161,4 +163,4 @@ def kernel_provider(backend: str):
         return NativeKernels()
     from repro.core.vectorized import NumpyKernels
 
-    return NumpyKernels()
+    return NumpyKernels(ball_index)

@@ -38,6 +38,7 @@ def base_topk(
     spec: QuerySpec,
     *,
     node_order: Optional[Sequence[int]] = None,
+    ball_index: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` by exhaustive forward processing.
 
@@ -45,7 +46,10 @@ def base_topk(
     implementation, falling back to this module's pure-Python loop when
     numpy is absent).  ``node_order`` optionally fixes the evaluation order
     (used by tests to exercise tie behavior); the answer's value multiset is
-    order-independent.
+    order-independent.  ``ball_index`` optionally supplies the session's
+    :class:`~repro.graph.csr.CSRBallIndex`, which the numpy scan fills and
+    reads instead of re-expanding (matched on its ``(csr, hops,
+    include_self)`` triple, like backward's ``ball_cache``).
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
@@ -56,7 +60,7 @@ def base_topk(
             scores,
             spec,
             node_order=node_order,
-            kernels=kernel_provider(concrete),
+            kernels=kernel_provider(concrete, ball_index),
         )
     start = time.perf_counter()
     counter = TraversalCounter()

@@ -126,6 +126,7 @@ def batch_base_topk(
     hops: int = 2,
     include_self: bool = True,
     backend: str = "auto",
+    ball_index: Optional[object] = None,
 ) -> List[TopKResult]:
     """Answer all ``queries`` with one shared scan.
 
@@ -135,7 +136,8 @@ def batch_base_topk(
     the execution backend: the numpy path expands node blocks with one
     multi-source BFS over the graph's own flat arrays (``graph.csr()``) and
     folds each query with a vectorized gather instead of a per-member
-    Python loop.
+    Python loop; ``ball_index`` hands it the session's
+    :class:`~repro.graph.csr.CSRBallIndex`, the copy single scans share.
     """
     batch = normalize_batch(graph, queries)
     if not batch:
@@ -148,7 +150,9 @@ def batch_base_topk(
         # shards before it falls back to this function.
         concrete = "numpy"
     # Before the timer: building the native provider warms the jit.
-    kernels = kernel_provider(concrete) if concrete != "python" else None
+    kernels = (
+        kernel_provider(concrete, ball_index) if concrete != "python" else None
+    )
     start = time.perf_counter()
     counter = TraversalCounter()
     accumulators = [TopKAccumulator(entry.k) for entry in batch]

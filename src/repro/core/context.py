@@ -4,7 +4,8 @@ Every execution path over one graph wants the same offline artifacts: the
 differential index (LONA-Forward), the neighborhood-size index
 (LONA-Backward), and — for the vectorized backends — the session-scoped
 ball caches (backward verification balls and their distance-labeled
-weighted counterparts).  :class:`GraphContext` owns them once, so the
+weighted counterparts) and the ball index repeated exhaustive scans read
+back.  :class:`GraphContext` owns them once, so the
 :class:`~repro.session.Network` session and the standalone engines share a
 single cache.  The flat CSR arrays are *not* a context artifact: every
 :class:`~repro.graph.graph.Graph` owns its own (built once when immutable,
@@ -18,8 +19,8 @@ session over a mutating graph never serves answers from a dead index.
 Dropping is cheap to recover from where it can be: the graph's patched CSR
 views were never dropped, and the degree-based size bounds are re-derived
 from those arrays in about a millisecond (DESIGN.md §2, "Dynamic
-integration").  The differential index and the ball caches are rebuilt
-from scratch.
+integration").  The differential index, the ball caches and the ball
+index are rebuilt from scratch.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -27,8 +28,9 @@ artifact under one re-entrant lock, so the concurrent serving layer
 double-building or observing half-built caches.  The ball caches carry
 their own internal locks and an LRU byte budget
 (:data:`DEFAULT_BALL_CACHE_BYTES` per cache unless overridden), so a
-long-lived session over a ~1M-node graph cannot grow without limit;
-:meth:`cache_stats` reports their hit/eviction counters.
+long-lived session over a ~1M-node graph cannot grow without limit; the
+ball index takes half of one such budget and never evicts.
+:meth:`cache_stats` reports all three.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class GraphContext:
 
     Owns: the differential index, the exact/estimated neighborhood-size
     indexes, the session-scoped ball caches (:meth:`ball_cache` /
-    :meth:`dist_ball_cache`) and the sharded engines.  It does not own the
+    :meth:`dist_ball_cache`), the ball index (:meth:`ball_index`) and the
+    sharded engines.  It does not own the
     (reversed) CSR views the vectorized backends consume — those belong to
     the graph, and :meth:`csr` / :meth:`rev_csr` hand out the graph's.  All
     artifacts build on first use and are reused until :meth:`invalidate`
@@ -74,6 +77,7 @@ class GraphContext:
         "_estimated_sizes",
         "_ball_cache",
         "_dist_ball_cache",
+        "_ball_index",
         "_engines",
         "_engine_options",
         "_graph_version",
@@ -97,6 +101,7 @@ class GraphContext:
         self._estimated_sizes: Optional[NeighborhoodSizeIndex] = None
         self._ball_cache = None
         self._dist_ball_cache = None
+        self._ball_index = None
         self._engines: Dict[str, object] = {}
         self._engine_options: Dict[str, dict] = {}
         self._graph_version = getattr(graph, "version", None)
@@ -121,6 +126,7 @@ class GraphContext:
             self._estimated_sizes = None
             self._ball_cache = None
             self._dist_ball_cache = None
+            self._ball_index = None
             self._graph_version = getattr(self.graph, "version", None)
 
     def check_fresh(self) -> None:
@@ -275,6 +281,31 @@ class GraphContext:
                 )
             return self._dist_ball_cache
 
+    def ball_index(self):
+        """Session-scoped :class:`~repro.graph.csr.CSRBallIndex` over :meth:`csr`.
+
+        The balls an exhaustive scan expands depend on the graph and
+        ``(hops, include_self)``, never on the scores, so the in-process
+        scans (base, the fused batch, forward's contiguous blocks) keep the
+        ones they expand and every later scan reads them back instead of
+        re-deriving them.  Capped at half the context's ball-cache budget,
+        filled and read only in this process (pool and cluster workers
+        expand as ever), version-invalidated like the ball caches.
+        """
+        with self._lock:
+            self.check_fresh()
+            if self._ball_index is None:
+                from repro.graph.csr import CSRBallIndex
+
+                budget = self.ball_cache_bytes
+                self._ball_index = CSRBallIndex(
+                    self.csr(),
+                    self.hops,
+                    include_self=self.include_self,
+                    max_bytes=None if budget is None else budget // 2,
+                )
+            return self._ball_index
+
     # ------------------------------------------------------------------
     # Sharded engines (the "parallel" and "cluster" backends)
     # ------------------------------------------------------------------
@@ -334,31 +365,33 @@ class GraphContext:
 
     def close(self) -> None:
         """Release out-of-process resources (worker pool, shared memory,
-        cluster peers).
+        cluster peers) and the session's ball arrays.
 
-        In-process caches need no teardown; this exists so ``Network.close``
-        (and tests) can deterministically free the sharded engines instead
-        of waiting for garbage collection.  Engines are closed outside the
-        ctx lock for the same lock-ordering reason as
-        :meth:`sharded_engine`.
+        Exists so ``Network.close`` (and tests) can deterministically free
+        the sharded engines instead of waiting for garbage collection, and
+        so a caller that closes one session and opens another never holds
+        two sessions' ball index and ball caches at once.  The context stays
+        usable: they rebuild lazily.  Engines are closed outside the ctx
+        lock for the same lock-ordering reason as :meth:`sharded_engine`.
         """
         with self._lock:
             engines = list(self._engines.values())
             self._engines.clear()
+            self._ball_cache = None
+            self._dist_ball_cache = None
+            self._ball_index = None
         for engine in engines:
             if engine is not None:
                 engine.close()
 
     def cache_stats(self) -> Dict[str, Optional[dict]]:
-        """Hit/eviction counters of the session ball caches (None = unbuilt)."""
+        """Counters of the session ball caches and the ball index (None = unbuilt)."""
         with self._lock:
             return {
-                "ball_cache": (
-                    self._ball_cache.stats() if self._ball_cache is not None else None
-                ),
-                "dist_ball_cache": (
-                    self._dist_ball_cache.stats()
-                    if self._dist_ball_cache is not None
-                    else None
-                ),
+                name: None if artifact is None else artifact.stats()
+                for name, artifact in (
+                    ("ball_cache", self._ball_cache),
+                    ("dist_ball_cache", self._dist_ball_cache),
+                    ("ball_index", self._ball_index),
+                )
             }

@@ -269,7 +269,8 @@ def execute(
         if result is not None:
             return _with_kernel(result)
     if algorithm == "base":
-        return _with_kernel(base_topk(ctx.graph, scores, spec))
+        index = ctx.ball_index() if concrete != "python" else None
+        return _with_kernel(base_topk(ctx.graph, scores, spec, ball_index=index))
     if algorithm == "forward":
         ctx.build_indexes()
         return _with_kernel(
@@ -280,6 +281,7 @@ def execute(
                 diff_index=ctx.diff_index,
                 ordering=request.ordering,
                 seed=request.seed,
+                ball_index=ctx.ball_index() if concrete != "python" else None,
             )
         )
     # backward
@@ -330,7 +332,10 @@ def execute_batch(
         if concrete in ("parallel", "cluster"):
             fused = ctx.sharded_engine(concrete).run_batch(members, **shape)
         if fused is None:
-            fused = batch_base_topk(ctx.graph, members, backend=backend, **shape)
+            index = ctx.ball_index() if concrete != "python" else None
+            fused = batch_base_topk(
+                ctx.graph, members, backend=backend, ball_index=index, **shape
+            )
         for i, result in zip(shared, fused):
             results[i] = result
     return results  # type: ignore[return-value]

@@ -63,6 +63,7 @@ def forward_topk(
     diff_index: Optional[DifferentialIndex] = None,
     ordering: str = "ubound",
     seed: Optional[int] = None,
+    ball_index: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` with LONA-Forward.
 
@@ -81,6 +82,10 @@ def forward_topk(
         Queue order strategy (see :mod:`repro.core.ordering`).
     seed:
         Only used by the ``"random"`` ordering.
+    ball_index:
+        Optional session-scoped :class:`~repro.graph.csr.CSRBallIndex` (see
+        :func:`repro.core.base.base_topk`); it serves the blocks pruning
+        leaves contiguous.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
@@ -93,7 +98,7 @@ def forward_topk(
             diff_index=diff_index,
             ordering=ordering,
             seed=seed,
-            kernels=kernel_provider(concrete),
+            kernels=kernel_provider(concrete, ball_index),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

@@ -78,6 +78,7 @@ from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.csr import (
     CSRBallCache,
+    CSRBallIndex,
     CSRDistanceBallCache,
     batched_hop_balls,
     batched_hop_balls_with_distances,
@@ -300,6 +301,7 @@ def forward_topk_numpy(
     counter = TraversalCounter()
     bound_evals = 0
     pruned_count = 0
+    evaluated_count = 0  # not counter.balls_expanded: an index hit expands nothing
     neg_inf = float("-inf")
     block_size = kernels.block_size(block_size, n, int(csr.num_arcs), role="prune")
 
@@ -329,6 +331,7 @@ def forward_topk_numpy(
             counter, want_sizes=is_avg,
         )
         evaluated[live] = True
+        evaluated_count += int(live.size)
         if is_avg:
             values = np.divide(
                 ball_sums,
@@ -356,7 +359,7 @@ def forward_topk_numpy(
         bound_evals += touched
         pruned_count += newly
 
-    stats.nodes_evaluated = counter.balls_expanded
+    stats.nodes_evaluated = evaluated_count
     stats.pruned_nodes = pruned_count
     stats.bound_evaluations = bound_evals
     stats.elapsed_sec = time.perf_counter() - start
@@ -734,9 +737,10 @@ def base_topk_numpy(
     scores_arr, eff_kind = folded_scores(np, scores, spec.aggregate)
 
     start = time.perf_counter()
-    order = np.asarray(
-        node_order if node_order is not None else graph.nodes(), dtype=np.int64
-    )
+    if node_order is None:
+        order = np.arange(graph.num_nodes, dtype=np.int64)
+    else:
+        order = np.asarray(node_order, dtype=np.int64)
     block_size = kernels.block_size(block_size, graph.num_nodes, int(csr.num_arcs))
     acc = TopKAccumulator(spec.k)
     counter = TraversalCounter()
@@ -976,11 +980,17 @@ class NumpyKernels:
       provenance written into ``stats.extra``.
 
     A provider lives as long as its query (a pool worker: its task).
+    ``ball_index`` is the session's :class:`~repro.graph.csr.CSRBallIndex`
+    when the query runs in the session's process: :meth:`ball_values` and
+    :meth:`fused_ball_values` fill it from the blocks they expand and read
+    covered blocks back instead of expanding them (same pairs, so same
+    values; a hit charges nothing, like a ball-cache hit).
     """
 
     name = "numpy"
 
-    def __init__(self) -> None:
+    def __init__(self, ball_index: Optional[CSRBallIndex] = None) -> None:
+        self._ball_index = ball_index
         # The last block's expansion, released one block late on purpose:
         # the pair arrays are a block's last big allocations, and freeing
         # them before the next block allocates lets glibc trim the heap
@@ -1001,6 +1011,25 @@ class NumpyKernels:
     def stamp(self, stats: QueryStats) -> None:
         """Nothing beyond ``stats.backend`` (the executor tags the tier)."""
 
+    def _block_pairs(self, csr, centers, hops, include_self, counter):
+        """``(owners, members)`` of one block: off the ball index when it was
+        built for this ``(csr, hops, include_self)`` and covers the block,
+        else expanded, charged to ``counter`` and offered to the index."""
+        index = self._ball_index
+        if index is not None and not index.serves(csr, hops, include_self):
+            index = None
+        pairs = None if index is None else index.pairs(centers)
+        if pairs is None:
+            owners, members, edges = batched_hop_balls(
+                csr, centers, hops, include_self=include_self
+            )
+            counter.charge_block(edges, members.size, int(centers.size), include_self)
+            if index is not None:
+                index.extend(centers, owners, members)
+            pairs = owners, members
+        self._held = pairs
+        return pairs
+
     def ball_values(
         self, np, csr, centers, scores, kind, hops, include_self, counter,
         *, want_sizes=False,
@@ -1008,10 +1037,7 @@ class NumpyKernels:
         """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is ``None``
         unless asked for (a second ``bincount`` pass base never needs)."""
         count = int(centers.size)
-        owners, members, edges = self._held = batched_hop_balls(
-            csr, centers, hops, include_self=include_self
-        )
-        counter.charge_block(edges, members.size, count, include_self)
+        owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
         values = aggregate_ball_segments(np, kind, owners, scores[members], count)
         sizes = np.bincount(owners, minlength=count) if want_sizes else None
         return values, sizes
@@ -1076,12 +1102,10 @@ class NumpyKernels:
     ):
         """``(queries x centers)`` values: one expansion, then the module's
         :func:`fused_ball_values` over the node-major score matrix."""
-        count = int(centers.size)
-        owners, members, edges = self._held = batched_hop_balls(
-            csr, centers, hops, include_self=include_self
+        owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
+        return fused_ball_values(
+            np, node_scores, avg_rows, owners, members, int(centers.size)
         )
-        counter.charge_block(edges, members.size, count, include_self)
-        return fused_ball_values(np, node_scores, avg_rows, owners, members, count)
 
     def prune_step(
         self, np, csr, deltas, sources, source_sums, threshold, ubound_sum,

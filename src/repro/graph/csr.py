@@ -42,6 +42,7 @@ __all__ = [
     "batched_hop_balls_with_distances",
     "CSRBallCache",
     "CSRDistanceBallCache",
+    "CSRBallIndex",
     "SharedArray",
     "SharedCSR",
     "AttachedArray",
@@ -738,6 +739,143 @@ class CSRDistanceBallCache:
             )
             counter.balls_expanded += 1
         return entry
+
+
+class CSRBallIndex:
+    """The h-hop closure of one ``(csr, h, ball)`` triple as a second CSR.
+
+    ``members[indptr[v]:indptr[v + 1]]`` is ``S_h(v)`` in the canonical
+    ascending order — the pairs :func:`batched_hop_balls` returns, 4 bytes
+    each — for every ``v`` of the covered prefix ``[0, covered)``.  Nothing
+    is expanded for the index's sake: a scan hands every block it expanded
+    to :meth:`extend`, which keeps the block whose centers are the
+    contiguous range starting at ``covered`` while the pairs fit
+    ``max_bytes`` (``None`` = unbounded).  Nothing is evicted, so a scan
+    that cycles over more balls than fit re-reads the prefix every time
+    instead of thrashing.  :meth:`pairs` answers a block that is a
+    contiguous range inside the prefix with the ``(owners, members)`` arrays
+    its expansion returned — a slice, a ``repeat`` and a widening copy
+    instead of the sort-dedup BFS — so whatever reduces them gets the same
+    bits; the caller charges no traversal work for a hit (the
+    :class:`CSRBallCache` convention).
+
+    Thread-safe: appends and slices take one lock, covered entries never
+    change, and a grown buffer leaves earlier slices on the old one.
+    """
+
+    __slots__ = (
+        "csr",
+        "hops",
+        "include_self",
+        "max_bytes",
+        "covered",
+        "served",
+        "appended",
+        "_indptr",
+        "_members",
+        "_np",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        csr: CSRGraph,
+        hops: int,
+        *,
+        include_self: bool = True,
+        max_bytes: Optional[int] = None,
+    ) -> None:
+        np = _require_numpy_csr(csr)
+        self.csr = csr
+        self.hops = hops
+        self.include_self = include_self
+        self.max_bytes = max_bytes
+        self.covered = 0
+        self.served = 0
+        self.appended = 0
+        self._indptr = np.zeros(csr.num_nodes + 1, dtype=np.int64)
+        self._members = np.empty(0, dtype=np.int32)
+        self._np = np
+        self._lock = threading.Lock()
+
+    def serves(self, csr: CSRGraph, hops: int, include_self: bool) -> bool:
+        """Whether this index was built for exactly that view of the graph."""
+        return (
+            self.csr is csr
+            and self.hops == hops
+            and self.include_self == include_self
+        )
+
+    def stats(self) -> dict:
+        """Coverage, resident pair bytes, the cap, and blocks served/appended."""
+        with self._lock:
+            return {
+                "covered": self.covered,
+                "bytes": 4 * int(self._indptr[self.covered]),
+                "max_bytes": self.max_bytes,
+                "served": self.served,
+                "appended": self.appended,
+            }
+
+    @staticmethod
+    def _range_start(centers: Any) -> int:
+        """``lo`` when ``centers`` is exactly ``lo, lo + 1, ...``; else -1."""
+        if centers.size == 0:
+            return -1
+        lo = int(centers[0])
+        if int(centers[-1]) - lo != centers.size - 1:
+            return -1
+        return lo if (centers[1:] - centers[:-1] == 1).all() else -1
+
+    def pairs(self, centers: Any) -> Optional[Tuple[Any, Any]]:
+        """``(owners, members)`` of the ``centers`` balls as
+        :func:`batched_hop_balls` returns them, or ``None`` unless
+        ``centers`` is a contiguous range inside the covered prefix."""
+        lo = self._range_start(centers)
+        count = int(centers.size)
+        if lo < 0 or lo + count > self.covered:
+            return None
+        np = self._np
+        with self._lock:
+            bounds = self._indptr[lo : lo + count + 1]
+            members = self._members[bounds[0] : bounds[-1]]
+            self.served += 1
+        owners = np.repeat(np.arange(count), np.diff(bounds))
+        return owners, members.astype(np.intp)
+
+    def extend(self, centers: Any, owners: Any, members: Any) -> None:
+        """Keep a freshly expanded block when it continues the prefix and
+        fits the cap; anything else is ignored."""
+        if self._range_start(centers) != self.covered:
+            return
+        np = self._np
+        count = int(centers.size)
+        sizes = np.bincount(owners, minlength=count)
+        with self._lock:
+            lo = self.covered
+            if int(centers[0]) != lo:
+                return  # another scan appended this block first
+            start = int(self._indptr[lo])
+            stop = start + int(members.size)
+            if self.max_bytes is not None and 4 * stop > self.max_bytes:
+                return
+            if stop > self._members.size:
+                # A capped index reserves its cap once (untouched pages cost
+                # nothing, and no big buffer is ever freed mid-session); an
+                # unbounded one doubles.
+                if self.max_bytes is not None:
+                    room = self.max_bytes // 4
+                else:
+                    room = max(stop, 2 * int(self._members.size))
+                grown = np.empty(room, dtype=np.int32)
+                grown[:start] = self._members[:start]
+                self._members = grown
+            self._members[start:stop] = members
+            ends = self._indptr[lo + 1 : lo + count + 1]
+            np.cumsum(sizes, out=ends)
+            ends += start
+            self.covered = lo + count
+            self.appended += 1
 
 
 # ---------------------------------------------------------------------------

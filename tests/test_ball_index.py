@@ -1,0 +1,510 @@
+"""The session ball index: a repeated scan reads balls back, bit for bit.
+
+:class:`~repro.graph.csr.CSRBallIndex` keeps the ``(owner, member)`` pairs
+an exhaustive scan expands and hands later scans the same arrays, so a warm
+answer must equal a cold one *exactly* — the reduction sees identical input
+— and not only on the dyadic scores the parity suites use.  Scores here are
+arbitrary floats and every comparison is ``==`` on entries or on the raw
+bytes of a value array.  Covered: every base aggregate, the fused batch and
+forward over hops 1-3, both ball conventions, directed and undirected; a cap
+that stops coverage mid-graph; blocks that straddle the boundary, re-block
+or are not a contiguous range; invalidation by every ``DynamicGraph`` write;
+``close()``; the work counters; ``cache_stats()``; two threads on a cold
+session.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import threading
+
+import pytest
+
+from repro import Network
+from repro.aggregates.functions import AggregateKind
+from repro.core.base import base_topk
+from repro.core.batch import batch_base_topk
+from repro.core.context import GraphContext
+from repro.core.executor import execute
+from repro.core.forward import forward_topk
+from repro.core.query import QuerySpec
+from repro.core.request import QueryRequest
+from repro.dynamic.graph import DynamicGraph
+from repro.graph.graph import Graph
+from repro.graph.traversal import TraversalCounter
+from repro.relevance.base import ScoreVector
+
+np = pytest.importorskip("numpy")
+
+from repro.core.vectorized import NumpyKernels  # noqa: E402
+from repro.graph.csr import CSRBallIndex, batched_hop_balls  # noqa: E402
+
+THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
+AGGREGATES = ("sum", "avg", "count", "max", "min")
+VIEWS = [
+    (directed, hops, include_self)
+    for directed in (False, True)
+    for hops in (1, 2, 3)
+    for include_self in (True, False)
+]
+#: Three 1,024-center scan blocks; a fused batch of six runs 170-center blocks.
+N = 2600
+SMALL = 600
+
+
+def _edges(n: int, directed: bool, seed: int):
+    """About three edges a node; the last 20 nodes touch none (empty open balls)."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < 3 * n:
+        u, v = rng.randrange(n - 20), rng.randrange(n - 20)
+        if u != v:
+            edges.add((u, v) if directed else (min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def _graph(n: int, directed: bool, seed: int = 3) -> Graph:
+    return Graph.from_edges(_edges(n, directed, seed), num_nodes=n, directed=directed)
+
+
+def _scores(n: int, seed: int):
+    """Arbitrary (non-dyadic) floats, four in ten zero."""
+    rng = random.Random(seed)
+    return [rng.random() if rng.random() < 0.6 else 0.0 for _ in range(n)]
+
+
+def _session(graph, hops=2, include_self=True, vectors=1):
+    net = Network(graph, hops=hops, include_self=include_self, backend="numpy")
+    for i in range(vectors):
+        net.add_scores(f"s{i}", _scores(graph.num_nodes, seed=40 + i))
+    return net
+
+
+def _index_stats(net):
+    return net._ctx.cache_stats()["ball_index"]
+
+
+# ---------------------------------------------------------------------------
+# Index on == index off, through the session
+# ---------------------------------------------------------------------------
+class TestWarmEqualsCold:
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_base_every_aggregate(self, directed, hops, include_self):
+        graph = _graph(N, directed)
+        net = _session(graph, hops, include_self)
+        scores = net.scores_of("s0")
+        for aggregate in AGGREGATES:
+            query = net.query("s0").algorithm("base").aggregate(aggregate).limit(25)
+            cold, warm = query.run(), query.run()
+            off = base_topk(
+                graph, scores, QuerySpec(25, aggregate, hops, include_self, "numpy")
+            )
+            assert cold.entries == off.entries, aggregate
+            assert warm.entries == off.entries, aggregate
+        stats = _index_stats(net)
+        assert stats["covered"] == N
+        assert stats["appended"] == 3  # filled once, by the first scan alone
+        assert stats["served"] == 3 * (2 * len(AGGREGATES) - 1)
+
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_fused_batch_shares_the_scan_filled_copy(self, directed, hops, include_self):
+        graph = _graph(N, directed)
+        net = _session(graph, hops, include_self, vectors=6)
+        members = [
+            (f"s{i}", 10 + i, ("sum", "avg", "count")[i % 3]) for i in range(6)
+        ]
+        group = [net.query(s).limit(k).aggregate(a) for s, k, a in members]
+        off = batch_base_topk(
+            graph,
+            [(net.scores_of(s), k, a) for s, k, a in members],
+            hops=hops, include_self=include_self, backend="numpy",
+        )
+        cold = net.batch(group)  # fills in 170-center blocks
+        assert _index_stats(net)["appended"] > 3
+        warm = net.batch(group)
+        net.query("s0").algorithm("base").limit(5).run()  # reads in 1,024s
+        for got in (cold, warm):
+            assert [r.entries for r in got] == [r.entries for r in off]
+        assert warm[0].stats.edges_scanned == 0
+        assert _index_stats(net)["covered"] == N
+
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_forward_through_ball_values(self, directed, hops, include_self):
+        graph = _graph(SMALL, directed)
+        net = _session(graph, hops, include_self)
+        net.query("s0").algorithm("base").limit(5).run()  # covers the graph
+        for aggregate in ("sum", "avg", "count"):
+            # Id order: the blocks forward evaluates before pruning bites
+            # are contiguous ranges, the rest are not and expand.
+            got = (
+                net.query("s0").algorithm("forward").ordering("arbitrary")
+                .aggregate(aggregate).limit(15).run()
+            )
+            off = forward_topk(
+                graph, net.scores_of("s0"),
+                QuerySpec(15, aggregate, hops, include_self, "numpy"),
+                diff_index=net._ctx.diff_index, ordering="arbitrary",
+            )
+            assert got.entries == off.entries, aggregate
+            # A hit expands nothing, and still counts as an evaluation.
+            assert got.stats.nodes_evaluated == off.stats.nodes_evaluated
+            assert got.stats.pruned_nodes == off.stats.pruned_nodes
+            assert got.stats.edges_scanned < off.stats.edges_scanned
+        assert _index_stats(net)["served"] >= 3
+
+
+# ---------------------------------------------------------------------------
+# The kernel seam: whole value arrays, cap, block shapes
+# ---------------------------------------------------------------------------
+def _values(csr, centers, scores, kind, hops, include_self, index):
+    counter = TraversalCounter()
+    values, sizes = NumpyKernels(index).ball_values(
+        np, csr, centers, scores, kind, hops, include_self, counter,
+        want_sizes=True,
+    )
+    return values.tobytes(), sizes.tobytes(), counter
+
+
+def _sweep(csr, index, block, hops=2, include_self=True, scores=None):
+    """One pass over the graph in ``block``-sized ranges; returns the blocks
+    that charged traversal work."""
+    n = csr.num_nodes
+    scores = np.asarray(_scores(n, 7)) if scores is None else scores
+    expanded = []
+    for lo in range(0, n, block):
+        centers = np.arange(lo, min(lo + block, n), dtype=np.int64)
+        on = _values(csr, centers, scores, AggregateKind.SUM, hops, include_self, index)
+        off = _values(csr, centers, scores, AggregateKind.SUM, hops, include_self, None)
+        assert on[:2] == off[:2], lo
+        if on[2].balls_expanded:
+            assert on[2].edges_scanned == off[2].edges_scanned
+            expanded.append(lo)
+        else:
+            assert (on[2].edges_scanned, on[2].nodes_visited) == (0, 0)
+    return expanded
+
+
+class TestKernelSeam:
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_every_kind_bit_for_bit(self, directed, hops, include_self):
+        csr = _graph(SMALL, directed).csr()
+        scores = np.asarray(_scores(SMALL, 11))
+        index = CSRBallIndex(csr, hops, include_self=include_self)
+        _sweep(csr, index, 64, hops, include_self, scores)
+        assert index.covered == SMALL
+        for kind in (AggregateKind.SUM, AggregateKind.AVG, AggregateKind.MAX, AggregateKind.MIN):
+            for lo in range(0, SMALL, 100):
+                centers = np.arange(lo, lo + 100, dtype=np.int64)
+                on = _values(csr, centers, scores, kind, hops, include_self, index)
+                off = _values(csr, centers, scores, kind, hops, include_self, None)
+                assert on[:2] == off[:2], (kind, lo)
+                assert on[2].balls_expanded == 0
+        # The index is the closure itself, in batched_hop_balls' layout.
+        owners, members, _ = batched_hop_balls(
+            csr, np.arange(SMALL, dtype=np.int64), hops, include_self=include_self
+        )
+        got_owners, got_members = index.pairs(np.arange(SMALL, dtype=np.int64))
+        assert got_owners.dtype == owners.dtype and got_members.dtype == members.dtype
+        assert got_owners.tobytes() == owners.tobytes()
+        assert got_members.tobytes() == members.tobytes()
+
+    def test_fused_values_bit_for_bit(self):
+        csr = _graph(SMALL, False).csr()
+        node_scores = np.stack([np.asarray(_scores(SMALL, s)) for s in (1, 2, 3)], axis=1)
+        avg_rows = np.asarray([False, True, False])
+        index = CSRBallIndex(csr, 2)
+        _sweep(csr, index, 128)
+        for lo in range(0, SMALL, 50):
+            centers = np.arange(lo, lo + 50, dtype=np.int64)
+            counter = TraversalCounter()
+            on = NumpyKernels(index).fused_ball_values(
+                np, csr, centers, node_scores, avg_rows, 2, True, counter
+            )
+            off = NumpyKernels().fused_ball_values(
+                np, csr, centers, node_scores, avg_rows, 2, True, TraversalCounter()
+            )
+            assert on.tobytes() == off.tobytes()
+            assert counter.edges_scanned == 0
+
+    def test_tiny_cap_stops_coverage_mid_graph_and_never_thrashes(self):
+        csr = _graph(SMALL, False).csr()
+        index = CSRBallIndex(csr, 2, max_bytes=40_000)
+        first = _sweep(csr, index, 64)
+        assert first == list(range(0, SMALL, 64))  # cold: everything expands
+        stats = index.stats()
+        assert 0 < stats["covered"] < SMALL and stats["covered"] % 64 == 0
+        assert 0 < stats["bytes"] <= 40_000
+        # A cyclic scan keeps the prefix: same coverage, the tail expands.
+        again = _sweep(csr, index, 64)
+        assert again == [lo for lo in first if lo >= stats["covered"]]
+        after = index.stats()
+        assert (after["covered"], after["appended"]) == (stats["covered"], stats["appended"])
+        assert after["served"] == stats["covered"] // 64
+
+    def test_block_straddling_the_covered_boundary_expands(self):
+        csr = _graph(SMALL, False).csr()
+        index = CSRBallIndex(csr, 2, max_bytes=40_000)
+        _sweep(csr, index, 64)
+        covered, served = index.covered, index.served
+        scores = np.asarray(_scores(SMALL, 7))
+        centers = np.arange(covered - 10, covered + 10, dtype=np.int64)
+        on = _values(csr, centers, scores, AggregateKind.SUM, 2, True, index)
+        off = _values(csr, centers, scores, AggregateKind.SUM, 2, True, None)
+        assert on[:2] == off[:2]
+        assert on[2].balls_expanded == 20 and index.served == served
+        assert index.covered == covered  # it does not start at the prefix
+
+    @pytest.mark.parametrize("fill,read", [(17, 100), (100, 17), (64, 600)])
+    def test_fill_in_one_block_size_read_in_another(self, fill, read):
+        csr = _graph(SMALL, True).csr()
+        index = CSRBallIndex(csr, 2)
+        _sweep(csr, index, fill)
+        assert index.covered == SMALL
+        assert _sweep(csr, index, read) == []
+
+    def test_only_contiguous_ranges_are_served(self):
+        csr = _graph(SMALL, False).csr()
+        index = CSRBallIndex(csr, 2)
+        _sweep(csr, index, 100)
+        scores = np.asarray(_scores(SMALL, 7))
+        shapes = [
+            np.asarray([0, 2, 1, 3], dtype=np.int64),  # right ends, wrong middle
+            np.arange(50, 10, -1, dtype=np.int64),
+            np.arange(0, 200, 2, dtype=np.int64),
+            np.asarray([5, 5, 6], dtype=np.int64),
+            np.random.default_rng(0).permutation(SMALL).astype(np.int64),
+        ]
+        for centers in shapes:
+            served = index.served
+            on = _values(csr, centers, scores, AggregateKind.MAX, 2, True, index)
+            off = _values(csr, centers, scores, AggregateKind.MAX, 2, True, None)
+            assert on[:2] == off[:2]
+            assert index.served == served
+            assert on[2].balls_expanded == centers.size
+        empty = np.empty(0, dtype=np.int64)
+        assert index.pairs(empty) is None
+        assert _values(csr, empty, scores, AggregateKind.SUM, 2, True, index)[0] == b""
+
+    def test_an_index_for_another_view_is_ignored(self):
+        graph = _graph(SMALL, False)
+        csr = graph.csr()
+        scores = np.asarray(_scores(SMALL, 7))
+        centers = np.arange(0, 100, dtype=np.int64)
+        for other in (
+            CSRBallIndex(csr, 1),
+            CSRBallIndex(csr, 2, include_self=False),
+            CSRBallIndex(_graph(SMALL, False, seed=4).csr(), 2),
+        ):
+            for _ in range(2):
+                on = _values(csr, centers, scores, AggregateKind.SUM, 2, True, other)
+                assert on[2].balls_expanded == 100
+            assert other.stats()["covered"] == 0
+            assert on[:2] == _values(csr, centers, scores, AggregateKind.SUM, 2, True, None)[:2]
+
+    def test_unbounded_index_grows_without_losing_the_prefix(self):
+        csr = _graph(N, False).csr()
+        index = CSRBallIndex(csr, 2)
+        _sweep(csr, index, 40)  # 65 appends, several reallocations
+        assert index.stats()["covered"] == N and index.stats()["max_bytes"] is None
+        assert _sweep(csr, index, 1024) == []
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: cap from the session budget, writes, close
+# ---------------------------------------------------------------------------
+def _scan(ctx, scores, aggregate="sum", k=20):
+    request = QueryRequest(
+        k=k, aggregate=aggregate, algorithm="base", backend="numpy",
+        hops=ctx.hops, include_self=ctx.include_self,
+    )
+    return execute(ctx, ScoreVector(scores), request)
+
+
+class TestLifetime:
+    def test_cap_is_half_the_session_budget(self):
+        graph = _graph(SMALL, False)
+        assert GraphContext(graph).ball_index().max_bytes == 32 * 1024 * 1024
+        assert GraphContext(graph, ball_cache_bytes=None).ball_index().max_bytes is None
+        ctx = GraphContext(graph, ball_cache_bytes=60_000)
+        scores = _scores(SMALL, 5)
+        cold, warm = _scan(ctx, scores), _scan(ctx, scores)
+        stats = ctx.cache_stats()["ball_index"]
+        assert stats["max_bytes"] == 30_000 and stats["bytes"] <= 30_000
+        assert stats["covered"] == 0  # one 600-center block does not fit
+        assert warm.entries == cold.entries
+        assert warm.stats.edges_scanned == cold.stats.edges_scanned
+
+    @pytest.mark.parametrize("write", ["add_edge", "remove_edge", "add_node"])
+    def test_a_dynamic_write_drops_it(self, write):
+        edges = _edges(SMALL, False, seed=3)
+        dyn = DynamicGraph.from_edges(edges, num_nodes=SMALL)
+        ctx = GraphContext(dyn, hops=2)
+        scores = _scores(SMALL, 5)
+        _scan(ctx, scores)
+        filled = ctx.ball_index()
+        assert filled.covered == SMALL
+        if write == "add_edge":
+            dyn.add_edge(SMALL - 1, 0)  # an isolated node joins a ball
+        elif write == "remove_edge":
+            dyn.remove_edge(*edges[0])
+        else:
+            dyn.add_node()
+            scores = scores + [0.75]
+        got = _scan(ctx, scores)
+        assert ctx.ball_index() is not filled
+        assert got.stats.edges_scanned > 0  # nothing was read off the dead index
+        fresh = GraphContext(
+            Graph.from_edges(list(dyn.edges()), num_nodes=dyn.num_nodes), hops=2
+        )
+        assert got.entries == _scan(fresh, scores).entries
+        assert _scan(ctx, scores).entries == got.entries  # and warm again
+
+    def test_session_writes_drop_it_too(self):
+        net = _session(DynamicGraph.from_edges(_edges(SMALL, False, 3), num_nodes=SMALL))
+        query = net.query("s0").algorithm("base").limit(10)
+        before = query.run()
+        assert _index_stats(net)["covered"] == SMALL
+        net.add_edge(SMALL - 1, 0)
+        assert _index_stats(net) is None
+        after = query.run()
+        assert after.stats.edges_scanned > 0
+        fresh = _session(Graph.from_edges(list(net.graph.edges()), num_nodes=SMALL))
+        assert after.entries == fresh.query("s0").algorithm("base").limit(10).run().entries
+        net.remove_edge(SMALL - 1, 0)
+        assert query.run().entries == before.entries
+
+    def test_close_releases_every_ball_array(self):
+        net = _session(_graph(SMALL, False))
+        scan = net.query("s0").algorithm("base").limit(10)
+        first = scan.run()
+        net.query("s0").algorithm("backward").limit(10).run()
+        net.topk_weighted("s0", 5)
+        ctx = net._ctx
+        assert all(part is not None for part in ctx.cache_stats().values())
+        net.close()
+        assert ctx._ball_index is None
+        assert ctx._ball_cache is None and ctx._dist_ball_cache is None
+        assert ctx.cache_stats() == {
+            "ball_cache": None, "dist_ball_cache": None, "ball_index": None,
+        }
+        # Still usable: the artefacts rebuild lazily.
+        again = scan.run()
+        assert again.entries == first.entries
+        assert again.stats.edges_scanned == first.stats.edges_scanned
+        assert _index_stats(net)["covered"] == SMALL
+
+
+# ---------------------------------------------------------------------------
+# Counters and stats
+# ---------------------------------------------------------------------------
+class TestAccounting:
+    def test_second_scan_charges_less_traversal_same_evaluations(self):
+        net = _session(_graph(N, False))
+        query = net.query("s0").algorithm("base").limit(10)
+        first, second = query.run(), query.run()
+        assert 0 == second.stats.edges_scanned < first.stats.edges_scanned
+        assert second.stats.nodes_visited < first.stats.nodes_visited
+        assert second.stats.nodes_evaluated == first.stats.nodes_evaluated == N
+        assert second.entries == first.entries
+
+    def test_cache_stats_entry_and_service_payload(self):
+        net = _session(_graph(SMALL, False))
+        assert _index_stats(net) is None
+        query = net.query("s0").algorithm("base").limit(10)
+        query.run()
+        query.run()
+        stats = net.service().stats()["session_caches"]["ball_index"]
+        assert stats == {
+            "covered": SMALL,
+            "bytes": stats["bytes"],
+            "max_bytes": net._ctx.ball_cache_bytes // 2,
+            "served": 1,
+            "appended": 1,
+        }
+        assert stats["bytes"] == 4 * int(
+            batched_hop_balls(net.graph.csr(), np.arange(SMALL, dtype=np.int64), 2)[1].size
+        )
+
+    def test_python_backend_builds_no_index(self):
+        net = _session(_graph(SMALL, False))
+        net.query("s0").algorithm("base").backend("python").limit(5).run()
+        assert _index_stats(net) is None
+
+
+# ---------------------------------------------------------------------------
+# Concurrency
+# ---------------------------------------------------------------------------
+def _run_threads(targets):
+    """Run ``targets`` to completion on racing threads; re-raise what failed."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+
+
+class TestConcurrentColdScans:
+    def test_racing_fills_and_reads_in_different_block_sizes(self):
+        csr = _graph(SMALL, False).csr()
+        index = CSRBallIndex(csr, 2)
+        blocks = (17, 20, 64, 100)
+        # _sweep compares every block with its index-free value.
+        _run_threads(
+            [lambda b=blocks[i % len(blocks)]: _sweep(csr, index, b) for i in range(THREADS)]
+        )
+        assert index.covered == SMALL
+        everything = np.arange(SMALL, dtype=np.int64)
+        owners, members, _ = batched_hop_balls(csr, everything, 2)
+        kept = index.pairs(everything)
+        assert kept[0].tobytes() == owners.tobytes()
+        assert kept[1].tobytes() == members.tobytes()
+
+    def test_threads_on_a_cold_session_return_the_single_threaded_entries(self):
+        graph = _graph(N, False)
+        want = {
+            aggregate: base_topk(
+                graph, ScoreVector(_scores(N, 40)), QuerySpec(30, aggregate, 2, True, "numpy")
+            ).entries
+            for aggregate in AGGREGATES
+        }
+        net = _session(graph)
+        got = {}
+
+        def worker(slot: int) -> None:
+            for round_ in range(3):
+                aggregate = AGGREGATES[(slot + round_) % len(AGGREGATES)]
+                entries = (
+                    net.query("s0").algorithm("base").aggregate(aggregate)
+                    .limit(30).run().entries
+                )
+                got[(slot, round_)] = (aggregate, entries)
+
+        _run_threads([lambda i=i: worker(i) for i in range(THREADS)])
+        assert len(got) == 3 * THREADS
+        for aggregate, entries in got.values():
+            assert entries == want[aggregate], aggregate
+        # What the race left behind is exactly the closure, appended once.
+        index = net._ctx.ball_index()
+        assert index.stats()["covered"] == N and index.stats()["appended"] == 3
+        owners, members, _ = batched_hop_balls(graph.csr(), np.arange(N, dtype=np.int64), 2)
+        kept = index.pairs(np.arange(N, dtype=np.int64))
+        assert kept[0].tobytes() == owners.tobytes()
+        assert kept[1].tobytes() == members.tobytes()
