@@ -156,15 +156,14 @@ _HOT_PATHS = {
     "src/repro/core/forward.py": HotModule(functions=frozenset({"forward_topk"})),
     "src/repro/core/backward.py": HotModule(functions=frozenset({"backward_topk"})),
     "src/repro/core/executor.py": HotModule(
-        functions=frozenset(
-            {"_iter_exact_values", "_filtered_topk", "_stream_updates"}
-        ),
+        functions=frozenset({"_iter_exact_values", "_stream_updates"}),
         delegates=frozenset({"_iter_exact_values"}),
     ),
     # The route drivers of every vectorized backend, plus the numpy kernel
-    # provider: its block primitives are helpers (only ever called from a
-    # polled driver/task loop, like the generators of the lazy candidate
-    # order), its verification primitive owns a loop.
+    # provider, which owns no loop: its block primitives are helpers (only
+    # ever called from a polled driver/task loop, like the generators of
+    # the lazy candidate order and the ball-store read-through that
+    # ``verify_blocked`` reaches them by).
     "src/repro/core/vectorized.py": HotModule(
         functions=frozenset(
             {
@@ -174,7 +173,6 @@ _HOT_PATHS = {
                 "distribute_scores",
                 "verify_blocked",
                 "_backward_topk",
-                "NumpyKernels.verify_backward",
             }
         ),
         helpers=frozenset(
@@ -182,15 +180,14 @@ _HOT_PATHS = {
                 "NumpyKernels._block_pairs",
                 "NumpyKernels.weighted_ball_sums",
                 "NumpyKernels.fused_ball_values",
+                "_read_through",
                 "descending_prefixes",
                 "in_blocks",
             }
         ),
     ),
-    # The native provider owns no loop: block primitives are helpers, and
-    # its verification primitive delegates to the polled ``verify_blocked``.
+    # The native provider owns no loop either: block primitives are helpers.
     "src/repro/native/provider.py": HotModule(
-        functions=frozenset({"NativeKernels.verify_backward"}),
         helpers=frozenset(
             {
                 "NativeKernels.ball_values",
@@ -199,7 +196,6 @@ _HOT_PATHS = {
                 "NativeKernels.prune_step",
             }
         ),
-        delegates=frozenset({"verify_blocked"}),
     ),
     "src/repro/parallel/worker.py": HotModule(
         functions=frozenset(

@@ -117,8 +117,8 @@ def backward_topk(
         the paper advertises.
     ball_cache:
         Optional session-scoped :class:`~repro.graph.csr.CSRBallCache`
-        reused across queries for verification-phase expansions.  Ignored
-        by the Python backend.
+        that verification blocks are read through, so repeated queries
+        re-expand nothing.  Ignored by the Python backend.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":

@@ -242,44 +242,37 @@ class GraphContext:
 
         LONA-Backward's verification phase expands the high-bound balls;
         repeated queries over one session mostly re-verify the same nodes,
-        so sharing the cache pays each expansion once per session instead
-        of once per query.  Bounded by the context's LRU byte budget, and
-        version-invalidated with every other artifact (see
-        :meth:`invalidate`), so dynamic graphs never serve stale balls.
+        so the numpy provider reads verification blocks through this store
+        and pays each expansion once per session.  Bounded by the context's
+        LRU byte budget, and version-invalidated with every other artifact
+        (:meth:`invalidate`), so dynamic graphs never serve stale balls.
         """
         with self._lock:
             self.check_fresh()
             if self._ball_cache is None:
-                from repro.graph.csr import CSRBallCache
-
-                self._ball_cache = CSRBallCache(
-                    self.csr(),
-                    self.hops,
-                    include_self=self.include_self,
-                    max_bytes=self.ball_cache_bytes,
-                )
+                self._ball_cache = self._new_ball_store()
             return self._ball_cache
 
     def dist_ball_cache(self):
-        """Session-scoped :class:`~repro.graph.csr.CSRDistanceBallCache`.
-
-        The weighted analogue of :meth:`ball_cache`: distance-labeled balls
-        depend only on the graph and ``(hops, include_self)``, never on the
-        decay profile, so one cache serves every weighted query of the
-        session.  Same budget and version-invalidation rules.
-        """
+        """The session's second :class:`~repro.graph.csr.CSRBallCache`, of
+        ``(members, dists)`` balls: the weighted analogue of
+        :meth:`ball_cache` (distances never depend on the decay profile).
+        Same budget and version-invalidation rules."""
         with self._lock:
             self.check_fresh()
             if self._dist_ball_cache is None:
-                from repro.graph.csr import CSRDistanceBallCache
-
-                self._dist_ball_cache = CSRDistanceBallCache(
-                    self.csr(),
-                    self.hops,
-                    include_self=self.include_self,
-                    max_bytes=self.ball_cache_bytes,
-                )
+                self._dist_ball_cache = self._new_ball_store()
             return self._dist_ball_cache
+
+    def _new_ball_store(self):
+        from repro.graph.csr import CSRBallCache
+
+        return CSRBallCache(
+            self.csr(),
+            self.hops,
+            include_self=self.include_self,
+            max_bytes=self.ball_cache_bytes,
+        )
 
     def ball_index(self):
         """Session-scoped :class:`~repro.graph.csr.CSRBallIndex` over :meth:`csr`.

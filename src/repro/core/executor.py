@@ -26,7 +26,6 @@ everything else lands here.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.functions import (
@@ -46,7 +45,7 @@ from repro.core.forward import forward_topk
 from repro.core.planner import ExecutionPlan, QueryPlanner
 from repro.core.query import QuerySpec
 from repro.core.request import QueryRequest
-from repro.core.results import QueryStats, StreamUpdate, TopKResult
+from repro.core.results import StreamUpdate, TopKResult
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.traversal import TraversalCounter, hop_ball
@@ -449,7 +448,7 @@ def _reject_unknown_options(options: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Candidate-filtered scan
+# Candidate-filtered scan and the streaming executor's evaluation loop
 # ----------------------------------------------------------------------
 def _iter_exact_values(
     ctx: GraphContext,
@@ -460,10 +459,10 @@ def _iter_exact_values(
 ) -> Iterator[Tuple[int, float]]:
     """``(node, exact aggregate)`` pairs for ``order``, backend-dispatched.
 
-    The single exact-evaluation loop behind both the candidate-filtered
-    scan and the streaming executor: the vectorized backends evaluate node
-    blocks through their kernel provider (every aggregate kind, MAX/MIN
-    included), the python backend runs one truncated BFS per node.
+    The streaming executor's exact-evaluation loop: the vectorized
+    backends evaluate node blocks through their kernel provider (every
+    aggregate kind, MAX/MIN included), the python backend runs one
+    truncated BFS per node.
     Traversal work lands in ``counter`` either way.
     """
     kind = spec.aggregate
@@ -508,34 +507,16 @@ def _iter_exact_values(
 def _filtered_topk(
     ctx: GraphContext, scores: ScoreVector, request: QueryRequest
 ) -> TopKResult:
-    """Exact scan restricted to the request's candidate set.
-
-    Semantically Base over the candidate subset: every candidate's ball is
-    evaluated exactly, nothing else competes.
-    """
+    """Exact scan restricted to the request's candidate set: Base with the
+    candidates as its node order — every candidate's ball is evaluated
+    exactly, nothing else competes."""
     spec = request.spec()
     candidates = request.candidates or ()
-    start = time.perf_counter()
-    counter = TraversalCounter()
-    acc = TopKAccumulator(spec.k)
-    for node, value in _iter_exact_values(
-        ctx, scores, spec, candidates, counter
-    ):
-        acc.offer(node, value)
-    stats = QueryStats(
-        algorithm="base",
-        aggregate=spec.aggregate.value,
-        backend=resolve_backend(spec.backend),
-        hops=spec.hops,
-        k=spec.k,
-        elapsed_sec=time.perf_counter() - start,
-        nodes_evaluated=len(candidates),
-        edges_scanned=counter.edges_scanned,
-        nodes_visited=counter.nodes_visited,
-        balls_expanded=counter.balls_expanded,
-    )
-    stats.extra["candidates"] = float(len(candidates))
-    return TopKResult(entries=acc.entries(), stats=stats)
+    result = base_topk(ctx.graph, scores, spec, node_order=candidates)
+    # The backend asked for, also when its sharded engine declined.
+    result.stats.backend = resolve_backend(spec.backend)
+    result.stats.extra["candidates"] = float(len(candidates))
+    return result
 
 
 # ----------------------------------------------------------------------

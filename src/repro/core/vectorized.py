@@ -50,8 +50,9 @@ How each phase vectorizes (numpy provider)
 * **Weighted variants**: distance-labeled batched expansion
   (:func:`~repro.graph.csr.batched_hop_balls_with_distances`) carries each
   member's hop distance, so footnote 1's ``w(d) * f(v)`` deposits and sums
-  are one gather + one ``bincount``; backward verification is *blocked*
-  (a batch of candidates per distance-BFS, cut at the rising threshold).
+  are one gather + one ``bincount``.
+* **Verification** (backward, weighted or not): :func:`verify_blocked`, a
+  block of candidates per kernel call, read through the session ball store.
 
 Block sizes adapt to the average degree (:func:`adaptive_block_size`); the
 expansion dedups by sorting its keys, so no buffer scales with the node
@@ -79,7 +80,6 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import (
     CSRBallCache,
     CSRBallIndex,
-    CSRDistanceBallCache,
     batched_hop_balls,
     batched_hop_balls_with_distances,
     slab_positions,
@@ -114,6 +114,12 @@ __all__ = [
 #: kernel) for no extra amortization.
 _MIN_BLOCK = 4
 _MAX_BLOCK = 1024
+
+#: Candidates per numpy verification block of LONA-Backward: the TA stop is
+#: tested between blocks, so a block verifies up to that many past it.  A
+#: measured constant (DESIGN.md §8): 32 holds the 16k serving mixes level
+#: with stopping per candidate; 1,024 verified 1,024 where ~30 suffice.
+_VERIFY_BLOCK = 32
 
 #: Target width of one BFS level's neighbor-slab gather.  Together with the
 #: average degree this bounds the per-level working set so a block's
@@ -530,22 +536,36 @@ def verify_blocked(
     np, candidate_order, bounds, acc, stats, block_size, verify,
     shortcut_values=None,
 ) -> int:
-    """TA-style verification in descending bound order, a block at a time.
+    """Phase 3 of LONA-Backward on every in-process route and provider:
+    offers in descending bound order until the TA-style stop fires.
 
-    Candidates are expanded a block per kernel call instead of one BFS per
-    candidate (whose call overhead would exceed the python loop it
-    replaces).  The block is cut at the block-start threshold; a candidate
-    overtaken by the threshold mid-block is over-verified but its offer is
-    rejected (strictly-greater acceptance), so entries are identical — only
-    work counters differ, exactly like the forward kernel's block
-    over-evaluation.  ``verify(chunk)`` returns the chunk's exact values;
-    under the exact shortcut they are read off ``shortcut_values`` instead
-    and not counted as verifications.  ``candidate_order`` is the lazy
-    :func:`descending_prefixes` iterator, regrouped into the ``block_size``
-    blocks of the full order and advanced no further than the stop.
-    Returns the offers made.
+    ``candidate_order`` is the lazy :func:`descending_prefixes` iterator,
+    advanced no further than the stop.  Under the exact shortcut a
+    candidate's value is a read off ``shortcut_values`` (not a
+    verification), so the chunks are walked as they come and the stop is
+    tested before every candidate.  Otherwise its ball must be expanded,
+    and ``verify(chunk)`` returns the exact values of a ``block_size``
+    block of the order per kernel call (one BFS per candidate costs more in
+    call overhead than the loop it replaces).  The block is cut at the
+    block-start threshold; a candidate overtaken by the threshold mid-block
+    is over-verified but its offer is rejected (strictly-greater
+    acceptance), so entries are identical — only work counters differ, by
+    less than a block.  Returns the offers made.
     """
     offered = 0
+    if shortcut_values is not None:
+        offer = acc.offer
+        for chunk in candidate_order:
+            check_deadline()
+            for node, bound, value in zip(
+                chunk.tolist(), bounds[chunk].tolist(), shortcut_values[chunk].tolist()
+            ):
+                if acc.is_full and bound <= acc.threshold:
+                    stats.early_terminated = True
+                    return offered
+                offer(node, value)
+                offered += 1
+        return offered
     for chunk in in_blocks(np, candidate_order, block_size):
         check_deadline()
         if acc.is_full:
@@ -557,12 +577,9 @@ def verify_blocked(
                 stats.early_terminated = True
         if chunk.size == 0:
             break
-        if shortcut_values is not None:
-            values = shortcut_values[chunk]
-        else:
-            values = verify(chunk)
-            stats.nodes_evaluated += int(chunk.size)
-            stats.candidates_verified += int(chunk.size)
+        values = verify(chunk)
+        stats.nodes_evaluated += int(chunk.size)
+        stats.candidates_verified += int(chunk.size)
         offer = acc.offer
         for node, value in zip(chunk.tolist(), values.tolist()):
             offer(node, value)
@@ -589,9 +606,9 @@ def backward_topk_numpy(
     the flat arrays are the graph's own (``graph.csr()``, and on directed
     graphs ``graph.rev_csr()``, whose reversed arcs distribution walks).
     ``ball_cache`` optionally supplies a session-scoped
-    :class:`~repro.graph.csr.CSRBallCache` over the same CSR for the
-    provider's verification phase (the numpy provider reads through it when
-    its ``(csr, hops, include_self)`` triple matches).
+    :class:`~repro.graph.csr.CSRBallCache` over the same CSR, which the
+    numpy provider reads verification blocks through when its ``(csr, hops,
+    include_self)`` triple matches.
     """
     import numpy as np
 
@@ -821,7 +838,7 @@ def weighted_backward_topk_numpy(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    dist_ball_cache: Optional[CSRDistanceBallCache] = None,
+    dist_ball_cache: Optional[CSRBallCache] = None,
     kernels=None,
 ) -> TopKResult:
     """LONA-Backward with distance weights, over CSR flat arrays.
@@ -829,11 +846,10 @@ def weighted_backward_topk_numpy(
     Mirrors :func:`repro.core.weighted.weighted_backward_topk` (same
     adapted Eq. 3 soundness argument): the distribution phase deposits
     ``w(d) * f(u)`` with distance-labeled batched expansions, the bound of
-    every node is one array expression, and verification is blocked
-    (:func:`verify_blocked`), expanding distance balls through
-    ``dist_ball_cache`` when a session supplies one (matched on the
-    ``(csr, hops, include_self)`` triple, like the unweighted backward's
-    ``ball_cache``).
+    every node is one array expression, and verification reads
+    distance-labeled balls through ``dist_ball_cache`` when a session
+    supplies one (matched on the ``(csr, hops, include_self)`` triple, like
+    the unweighted backward's ``ball_cache``).
     """
     import numpy as np
 
@@ -924,12 +940,7 @@ def _backward_topk(
     ):
         cache = None  # a session cache built for another view of the graph
     acc = TopKAccumulator(spec.k)
-    if not weighted:
-        offered = kernels.verify_backward(
-            np, csr, spec, scores_arr, candidate_order, bounds, shortcut_values,
-            acc, stats, counter, cache,
-        )
-    else:
+    if weighted:
 
         def verify(chunk):
             return kernels.weighted_ball_sums(
@@ -937,11 +948,20 @@ def _backward_topk(
                 counter, cache,
             )
 
-        offered = verify_blocked(
-            np, candidate_order, bounds, acc, stats,
-            kernels.block_size(None, n, int(csr.num_arcs), role="verify"),
-            verify, shortcut_values,
-        )
+    else:
+        verify_kind = AggregateKind.AVG if is_avg else AggregateKind.SUM
+
+        def verify(chunk):
+            return kernels.ball_values(
+                np, csr, chunk, scores_arr, verify_kind, hops, include_self,
+                counter, cache=cache,
+            )[0]
+
+    offered = verify_blocked(
+        np, candidate_order, bounds, acc, stats,
+        kernels.block_size(None, n, int(csr.num_arcs), role="verify"),
+        verify, shortcut_values,
+    )
 
     stats.pruned_nodes = n - offered
     stats.elapsed_sec = time.perf_counter() - start
@@ -954,6 +974,53 @@ def _backward_topk(
     stats.extra["exact_shortcut"] = float(exact_shortcut)
     kernels.stamp(stats)
     return TopKResult(entries=acc.entries(), stats=stats)
+
+
+def _ball_value(kind: AggregateKind, member_scores) -> float:
+    """One stored ball's aggregate, bit for bit what
+    :func:`aggregate_ball_segments` gives it in a block: ``cumsum`` adds
+    sequentially like ``bincount`` in pair order (``np.sum`` is pairwise:
+    a last-ulp difference); an empty ball is 0.0 whatever the kind."""
+    if not member_scores.size:
+        return 0.0
+    if kind is AggregateKind.MAX:
+        return member_scores.max()
+    if kind is AggregateKind.MIN:
+        return member_scores.min()
+    total = member_scores.cumsum()[-1]
+    return total / member_scores.size if kind is AggregateKind.AVG else total
+
+
+def _read_through(np, cache: CSRBallCache, centers, hit, expand):
+    """``(values, sizes)`` of a block of balls read through a session store.
+
+    ``hit(*arrays)`` is the value of a ball the store holds.  The rest are
+    expanded in one ``expand(misses)`` call — ``(values, owners, columns)``,
+    ``columns`` the pair arrays sorted by ``(owner, member)`` — and each
+    ball's slice of them is deposited, so its next read is a hit with the
+    same bits.  Only ``expand`` charges traversal work: a hit is free.
+    """
+    values, sizes, positions = [0.0] * centers.size, [0] * centers.size, []
+    for j, node in enumerate(centers.tolist()):
+        arrays = cache.get(node)
+        if arrays is None:
+            positions.append(j)
+        else:
+            values[j], sizes[j] = hit(*arrays), arrays[0].size
+    values = np.asarray(values, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if positions:
+        misses = centers[positions]
+        values[positions], owners, columns = expand(misses)
+        sizes[positions] = np.bincount(owners, minlength=misses.size)
+        stops = np.cumsum(sizes[positions]).tolist()
+        start = 0
+        for node, stop in zip(misses.tolist(), stops):
+            # Copies: a stored slice would keep its whole block alive, past
+            # the byte budget the store evicts by.
+            cache.put(node, *(column[start:stop].copy() for column in columns))
+            start = stop
+    return values, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -973,11 +1040,14 @@ class NumpyKernels:
     * :meth:`weighted_ball_sums` — footnote 1's ``sum w(d) f(v)`` per ball;
     * :meth:`fused_ball_values` — every query of a batch over one expansion;
     * :meth:`prune_step` — Eq. 1's neighbor pass for one evaluated block;
-    * :meth:`verify_backward` — phase 3 of unweighted LONA-Backward, the one
-      primitive that owns a loop (here: one candidate at a time through the
-      session :class:`~repro.graph.csr.CSRBallCache`);
     * :meth:`block_size` / :meth:`stamp` — the block profile and the
       provenance written into ``stats.extra``.
+
+    No primitive owns a loop: LONA-Backward's verification is
+    :func:`verify_blocked` on every provider, a ``ball_values`` /
+    ``weighted_ball_sums`` call per block, handed the session's
+    :class:`~repro.graph.csr.CSRBallCache` (read through here, ignored by a
+    compiled provider, whose balls never leave its scratch).
 
     A provider lives as long as its query (a pool worker: its task).
     ``ball_index`` is the session's :class:`~repro.graph.csr.CSRBallIndex`
@@ -999,14 +1069,13 @@ class NumpyKernels:
         self._held = None
 
     def block_size(self, requested, num_nodes: int, num_arcs: int, *, role="scan"):
-        """:func:`resolve_block_size`; ``role`` names the loop (``"scan"``,
-        ``"prune"`` for forward, ``"verify"`` for blocked TA verification).
-        Only ``"prune"`` takes the pruning cap here: a numpy verification
-        block costs a distance BFS whose call overhead the cap would
-        multiply."""
-        return resolve_block_size(
-            requested, num_nodes, num_arcs, pruning=role == "prune"
-        )
+        """:func:`resolve_block_size`; ``role`` names the loop: ``"scan"``,
+        ``"prune"`` (forward, the pruning cap) or ``"verify"`` (blocked TA
+        verification, :data:`_VERIFY_BLOCK` at most)."""
+        block = resolve_block_size(requested, num_nodes, num_arcs, pruning=role == "prune")
+        if role == "verify" and requested is None:
+            block = min(block, _VERIFY_BLOCK)
+        return block
 
     def stamp(self, stats: QueryStats) -> None:
         """Nothing beyond ``stats.backend`` (the executor tags the tier)."""
@@ -1032,70 +1101,60 @@ class NumpyKernels:
 
     def ball_values(
         self, np, csr, centers, scores, kind, hops, include_self, counter,
-        *, want_sizes=False,
+        *, want_sizes=False, cache: Optional[CSRBallCache] = None,
     ):
-        """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is ``None``
-        unless asked for (a second ``bincount`` pass base never needs)."""
+        """``(values, sizes)`` of the ``centers`` balls, read through the
+        session ``cache`` when given (:func:`_read_through`); ``sizes`` is
+        ``None`` unless asked for (a ``bincount`` pass base never needs)."""
+
+        def expand(block):
+            owners, members = self._block_pairs(csr, block, hops, include_self, counter)
+            values = aggregate_ball_segments(
+                np, kind, owners, scores[members], int(block.size)
+            )
+            return values, owners, (members,)
+
+        if cache is not None:
+            values, sizes = _read_through(
+                np, cache, centers,
+                lambda members: _ball_value(kind, scores[members]), expand,
+            )
+            return values, sizes if want_sizes else None
+        values, owners, _ = expand(centers)
         count = int(centers.size)
-        owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
-        values = aggregate_ball_segments(np, kind, owners, scores[members], count)
-        sizes = np.bincount(owners, minlength=count) if want_sizes else None
-        return values, sizes
+        return values, np.bincount(owners, minlength=count) if want_sizes else None
 
     def weighted_ball_sums(
         self, np, csr, centers, scores, weights, hops, include_self, counter,
-        cache: Optional[CSRDistanceBallCache] = None,
+        cache: Optional[CSRBallCache] = None,
     ):
-        """Distance-weighted SUM of every center's ball.
+        """Distance-weighted SUM of every center's ball: one batched
+        distance BFS reduced with ``bincount``, read through the session's
+        ``(members, dists)`` ``cache`` when given (:func:`_read_through`)."""
 
-        With a session ``cache``, cached centers are summed from their
-        ``(members, dists)`` slices; the rest are expanded with one batched
-        distance BFS, reduced with ``bincount``, and deposited so the next
-        query's verification gets them for free.  Both paths add
-        contributions sequentially over the sorted members, so a warm hit
-        returns the bit-identical value of its cold miss.  Only actual
-        expansions are charged to ``counter`` (the cache-hits-are-free
-        convention of :class:`~repro.graph.csr.CSRBallCache`).
-        """
-        count = int(centers.size)
-        values = np.zeros(count, dtype=np.float64)
-        miss_positions = None
-        misses = centers
-        if cache is not None and len(cache):
-            miss_mask = np.ones(count, dtype=bool)
-            for j, node in enumerate(centers.tolist()):
-                entry = cache.get(node)
-                if entry is None:
-                    continue
-                miss_mask[j] = False
-                members, dists = entry
-                if members.size:
-                    values[j] = (weights[dists] * scores[members]).cumsum()[-1]
-            miss_positions = np.nonzero(miss_mask)[0]
-            misses = centers[miss_positions]
-        if misses.size:
+        def expand(block):
             owners, members, dists, edges = self._held = (
                 batched_hop_balls_with_distances(
-                    csr, misses, hops, include_self=include_self
+                    csr, block, hops, include_self=include_self
                 )
             )
-            counter.charge_block(edges, members.size, int(misses.size), include_self)
+            counter.charge_block(edges, members.size, int(block.size), include_self)
             sums = np.bincount(
                 owners,
                 weights=weights[dists] * scores[members],
-                minlength=int(misses.size),
+                minlength=int(block.size),
             )
-            if miss_positions is None:
-                values = sums
-            else:
-                values[miss_positions] = sums
-            if cache is not None:
-                ids = np.arange(int(misses.size))
-                lo = np.searchsorted(owners, ids, side="left")
-                hi = np.searchsorted(owners, ids, side="right")
-                for j, node in enumerate(misses.tolist()):
-                    cache.put(node, members[lo[j] : hi[j]], dists[lo[j] : hi[j]])
-        return values
+            return sums, owners, (members, dists)
+
+        if cache is None:
+            return expand(centers)[0]
+        return _read_through(
+            np, cache, centers,
+            lambda members, dists: _ball_value(
+                AggregateKind.SUM, weights[dists] * scores[members]
+            ),
+            expand,
+        )[0]
 
     def fused_ball_values(
         self, np, csr, centers, node_scores, avg_rows, hops, include_self, counter
@@ -1135,49 +1194,3 @@ class NumpyKernels:
         newly_pruned = candidates[effective <= threshold]
         pruned[newly_pruned] = True
         return int(targets.size), int(newly_pruned.size)
-
-    def verify_backward(
-        self, np, csr, spec, scores, candidate_order, bounds, shortcut_values,
-        acc, stats, counter, ball_cache: Optional[CSRBallCache] = None,
-    ) -> int:
-        """Phase 3 of unweighted LONA-Backward; returns the offers made.
-
-        ``candidate_order`` yields the descending bound order a sorted chunk
-        at a time (:func:`descending_prefixes`), advanced only until the
-        TA-style stop — re-checked before every candidate — fires.  Each
-        ball is read through ``ball_cache`` — the session's, already matched
-        on ``(csr, hops, include_self)`` by the driver — so repeated queries
-        reuse verification-phase expansions.  A blocked loop would trade
-        those cache hits for call amortization numpy does not need here; the
-        compiled provider makes the opposite trade.
-        """
-        is_avg = spec.aggregate is AggregateKind.AVG
-        if ball_cache is None:
-            ball_cache = CSRBallCache(
-                csr, spec.hops, include_self=spec.include_self, counter=counter
-            )
-        # A session-shared cache is charged per call (``.ball(node,
-        # counter)``) rather than through its own counter, so concurrent
-        # queries sharing it never charge each other's stats.
-        offered = 0
-        for chunk in candidate_order:
-            exact = None if shortcut_values is None else shortcut_values[chunk].tolist()
-            for j, (node, bound) in enumerate(zip(chunk.tolist(), bounds[chunk].tolist())):
-                check_deadline()
-                if acc.is_full and bound <= acc.threshold:
-                    stats.early_terminated = True
-                    return offered
-                if exact is not None:
-                    value = exact[j]
-                else:
-                    ball = ball_cache.ball(node, counter)
-                    # cumsum, not sum: sequential accumulation over the
-                    # sorted members, the same float result the Python loop
-                    # gets (np.sum's pairwise order differs in the last ulp).
-                    total = float(scores[ball].cumsum()[-1]) if ball.size else 0.0
-                    value = (total / ball.size if ball.size else 0.0) if is_avg else total
-                    stats.nodes_evaluated += 1
-                    stats.candidates_verified += 1
-                acc.offer(node, value)
-                offered += 1
-        return offered

@@ -128,8 +128,9 @@ def weighted_backward_topk(
     ``w(0) <= 1``; using ``f(v)`` unweighted keeps the bound sound).
 
     Dispatches on ``spec.backend``; ``dist_ball_cache`` optionally supplies
-    a session-scoped :class:`~repro.graph.csr.CSRDistanceBallCache` reused
-    across queries (ignored by the Python backend).
+    a session-scoped :class:`~repro.graph.csr.CSRBallCache` of
+    ``(members, dists)`` balls reused across queries (ignored by the Python
+    backend).
     """
     check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)

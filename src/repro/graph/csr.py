@@ -9,10 +9,11 @@ built from:
 
 * :func:`neighbor_slab` — gather the concatenated neighbor lists of a whole
   frontier in one vectorized indexing expression (no per-node Python calls);
-* :func:`csr_hop_ball` / :class:`CSRBallCache` — single-center hop-ball
-  expansion over the flat arrays, optionally cached across queries;
 * :func:`batched_hop_balls` — multi-center frontier-batched expansion, the
-  kernel the vectorized LONA-Forward evaluates candidate blocks with.
+  one h-hop expansion every vectorized route evaluates blocks with
+  (:func:`csr_hop_ball` is its one-center call);
+* :class:`CSRBallCache` / :class:`CSRBallIndex` — what a session keeps of
+  the balls it expanded: an LRU store of single balls and a CSR of a scan's.
 
 Everything numpy-flavored imports numpy lazily so the module itself stays
 importable on a bare interpreter.
@@ -41,7 +42,6 @@ __all__ = [
     "batched_hop_balls",
     "batched_hop_balls_with_distances",
     "CSRBallCache",
-    "CSRDistanceBallCache",
     "CSRBallIndex",
     "SharedArray",
     "SharedCSR",
@@ -236,104 +236,6 @@ def slab_positions(csr: CSRGraph, frontier: Any) -> Tuple[Any, Any]:
     return positions, counts
 
 
-def _expand_ball(
-    np, csr: CSRGraph, center: int, hops: int, include_self: bool, stamp: Any, generation: int
-) -> Tuple[Any, int]:
-    """Shared single-center expansion; returns (sorted ball, edges gathered)."""
-    stamp[center] = generation
-    frontier = np.array([center], dtype=np.int64)
-    levels = [frontier]
-    edges = 0
-    for _ in range(hops):
-        neighbors, _counts = neighbor_slab(csr, frontier)
-        if neighbors.size == 0:
-            break
-        edges += int(neighbors.size)
-        candidates = np.unique(neighbors).astype(np.intp, copy=False)
-        fresh = candidates[stamp[candidates] != generation]
-        if fresh.size == 0:
-            break
-        stamp[fresh] = generation
-        levels.append(fresh)
-        frontier = fresh
-    if not include_self:
-        levels = levels[1:]
-    if not levels:
-        return np.empty(0, dtype=np.int64), edges
-    ball = np.concatenate(levels) if len(levels) > 1 else levels[0]
-    ball.sort()
-    return ball, edges
-
-
-def _expand_ball_with_distances(
-    np, csr: CSRGraph, center: int, hops: int, include_self: bool, stamp: Any, generation: int
-) -> Tuple[Any, Any, int]:
-    """:func:`_expand_ball` variant returning ``(members, dists, edges)``.
-
-    ``members`` is sorted ascending; ``dists`` is aligned with it and holds
-    each member's exact hop distance (0 for the center).  BFS levels are
-    duplicate-free (the stamp filters), so each node's first — minimum —
-    level is the one recorded.
-    """
-    stamp[center] = generation
-    frontier = np.array([center], dtype=np.int64)
-    levels = [frontier]
-    edges = 0
-    for _ in range(hops):
-        neighbors, _counts = neighbor_slab(csr, frontier)
-        if neighbors.size == 0:
-            break
-        edges += int(neighbors.size)
-        candidates = np.unique(neighbors).astype(np.intp, copy=False)
-        fresh = candidates[stamp[candidates] != generation]
-        if fresh.size == 0:
-            break
-        stamp[fresh] = generation
-        levels.append(fresh)
-        frontier = fresh
-    start = 0 if include_self else 1
-    levels = levels[start:]
-    if not levels:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, edges
-    members = np.concatenate(levels) if len(levels) > 1 else levels[0]
-    dists = np.repeat(
-        np.arange(start, start + len(levels), dtype=np.int64),
-        np.asarray([lvl.size for lvl in levels], dtype=np.int64),
-    )
-    # Members are unique across levels (the stamp filters), so the scaled
-    # int sort needs no dedup pass.
-    span = hops + 2
-    scaled = members * span + dists
-    scaled.sort()
-    return np.divmod(scaled, span) + (edges,)
-
-
-def csr_hop_ball(
-    csr: CSRGraph,
-    center: int,
-    hops: int,
-    *,
-    include_self: bool = True,
-) -> Any:
-    """``S_h(center)`` over the flat arrays, as a sorted int64 array.
-
-    Frontier-batched BFS: each level gathers the whole frontier's neighbor
-    slabs at once and dedups with ``np.unique``.  Callers expanding many
-    balls should use :class:`CSRBallCache` instead, which reuses the
-    visited-marking array across expansions.
-
-    The result is sorted ascending so that every caller aggregates ball
-    members in one canonical order — two nodes with identical balls then get
-    bit-identical float aggregates, preserving the tie behavior of the pure
-    Python backend.
-    """
-    np = _require_numpy_csr(csr)
-    stamp = np.zeros(csr.num_nodes, dtype=np.int64)
-    ball, _edges = _expand_ball(np, csr, center, hops, include_self, stamp, 1)
-    return ball
-
-
 def _key_layout(np, num_nodes: int, count: int) -> Tuple[int, Any]:
     """``(shift, dtype)`` of the ``owner << shift | node`` keys of ``count``
     balls: ``shift`` is the bit width of a node id, the dtype int32 whenever
@@ -432,6 +334,22 @@ def batched_hop_balls(
     return owners, members, edges
 
 
+def csr_hop_ball(
+    csr: CSRGraph,
+    center: int,
+    hops: int,
+    *,
+    include_self: bool = True,
+) -> Any:
+    """``S_h(center)`` as a sorted intp array: the one-center
+    :func:`batched_hop_balls` call (no ``num_nodes``-sized buffer)."""
+    np = _require_numpy_csr(csr)
+    _owners, members, _edges = batched_hop_balls(
+        csr, np.array([center], dtype=np.int64), hops, include_self=include_self
+    )
+    return members
+
+
 def batched_hop_balls_with_distances(
     csr: CSRGraph, centers: Any, hops: int, *, include_self: bool = True
 ) -> Tuple[Any, Any, Any, int]:
@@ -478,267 +396,90 @@ def _sorted_unique(np, keys: Any) -> Any:
     return keys[keep]
 
 
-class _LRUBallStore:
-    """Byte-budgeted LRU storage shared by the two ball caches.
+class CSRBallCache:
+    """Byte-budgeted LRU store of the balls of one ``(csr, h, ball)`` triple.
 
-    Long-lived serving sessions over ~1M-node graphs cannot let the ball
-    caches grow without limit, so entries are kept in recency order and the
-    least-recently-used ones are dropped once the resident payload exceeds
-    ``max_bytes`` (``None`` = unbounded, the pre-serving behavior).  A hit
-    returns the *same* array object the miss stored (identity matters to
-    callers that compare) and counts toward ``hits``; evictions are counted
-    so a session can report cache effectiveness.  All operations take the
-    owner's lock, so concurrent queries can share one cache safely.
+    A plain ``get`` / ``put`` / ``stats`` store — nothing is expanded here;
+    the numpy provider reads LONA-Backward's verification blocks through it
+    (``repro.core.vectorized._read_through``).  A payload is the tuple of
+    one ball's aligned arrays in the canonical ascending member order:
+    ``(members,)``, or ``(members, dists)`` for the distance-labeled store
+    (distances never depend on the decay profile, so one store serves every
+    weighted query of a session).  Callers match a store on its ``(csr,
+    hops, include_self)`` before reading through it.
+
+    Entries are kept in recency order and the least recently used are
+    dropped once the resident arrays exceed ``max_bytes`` (``None`` =
+    unbounded), so a long-lived serving session holds a fixed footprint.
+    Every operation takes the one lock: concurrent queries share a store
+    safely (two threads racing the same cold ball both expand; the second
+    deposit replaces the first — identical arrays, benign).
     """
 
-    __slots__ = ("max_bytes", "current_bytes", "hits", "misses", "evictions", "_entries")
+    __slots__ = (
+        "csr", "hops", "include_self", "max_bytes",
+        "_bytes", "_hits", "_misses", "_evictions", "_entries", "_lock",
+    )
 
-    def __init__(self, max_bytes: Optional[int]) -> None:
+    def __init__(
+        self,
+        csr: CSRGraph,
+        hops: int,
+        *,
+        include_self: bool = True,
+        max_bytes: Optional[int] = None,
+    ) -> None:
+        _require_numpy_csr(csr)
+        self.csr = csr
+        self.hops = hops
+        self.include_self = include_self
         self.max_bytes = max_bytes
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[int, Tuple[Any, int]]" = OrderedDict()
+        self._bytes = self._hits = self._misses = self._evictions = 0
+        self._entries: "OrderedDict[int, Tuple[Tuple[Any, ...], int]]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, center: int) -> Optional[Any]:
-        entry = self._entries.get(center)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(center)
-        self.hits += 1
-        return entry[0]
-
-    def store(self, center: int, payload: Any, nbytes: int) -> None:
-        old = self._entries.pop(center, None)
-        if old is not None:
-            self.current_bytes -= old[1]
-        self._entries[center] = (payload, nbytes)
-        self.current_bytes += nbytes
-        if self.max_bytes is not None:
-            while self.current_bytes > self.max_bytes and len(self._entries) > 1:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.current_bytes -= dropped
-                self.evictions += 1
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "bytes": self.current_bytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-class CSRBallCache:
-    """Cached frontier-batched ball expansion for one ``(csr, h, ball)`` triple.
-
-    LONA-Backward expands the same node's ball in the distribution and
-    verification phases (and repeated queries over one engine expand the same
-    balls again); this cache pays each expansion once.  Set ``cached=False``
-    for a pure expander that reuses the visited-stamp array but stores
-    nothing — the right mode when every center is expanded at most once.
-
-    The stamp array makes each expansion O(ball size): instead of a fresh
-    n-sized visited mask per ball, nodes are marked with a per-ball
-    generation counter.  When a ``counter`` is supplied, only *actual*
-    expansions are charged to it — cache hits are free, which is the honest
-    accounting for the "raw BFS work" counters.  Kernels that share a
-    session cache pass their own counter per call (``ball(v, counter=c)``)
-    so concurrent queries never charge each other's stats.
-
-    ``max_bytes`` bounds the resident member arrays with an LRU byte budget
-    (``None`` = unbounded); :meth:`stats` reports hit/eviction counters.
-    The cache is thread-safe: the LRU structure is guarded by a lock while
-    expansions themselves run *outside* it on per-thread visited-stamp
-    arrays, so parallel queries expand different balls genuinely in
-    parallel (two threads racing the same cold ball both expand; the
-    second store wins — identical arrays, benign).
-    """
-
-    __slots__ = (
-        "csr",
-        "hops",
-        "include_self",
-        "counter",
-        "_store",
-        "_cached",
-        "_local",
-        "_np",
-        "_lock",
-    )
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        hops: int,
-        *,
-        include_self: bool = True,
-        cached: bool = True,
-        counter: Optional[Any] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        np = _require_numpy_csr(csr)
-        self.csr = csr
-        self.hops = hops
-        self.include_self = include_self
-        self.counter = counter
-        self._cached = cached
-        self._store = _LRUBallStore(max_bytes)
-        self._local = threading.local()
-        self._np = np
-        self._lock = threading.Lock()
-
-    def _thread_stamp(self) -> Tuple[Any, int]:
-        """This thread's (stamp array, next generation) expansion state."""
-        local = self._local
-        stamp = getattr(local, "stamp", None)
-        if stamp is None:
-            stamp = self._np.zeros(self.csr.num_nodes, dtype=self._np.int64)
-            local.stamp = stamp
-            local.gen = 0
-        local.gen += 1
-        return stamp, local.gen
-
-    def __len__(self) -> int:
-        return len(self._store)
-
     def stats(self) -> dict:
         """Hit/miss/eviction counters and the resident byte footprint."""
         with self._lock:
-            return self._store.stats()
+            return {
+                "entries": len(self._entries),
+                "bytes": self._bytes,
+                "max_bytes": self.max_bytes,
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+            }
 
-    def ball(self, center: int, counter: Optional[Any] = None) -> Any:
-        """The sorted member array of ``S_h(center)`` (treat as read-only).
-
-        ``counter`` (default: the constructor's) receives the traversal
-        charges for an actual expansion; hits are free.
-        """
-        counter = counter if counter is not None else self.counter
-        if self._cached:
-            with self._lock:
-                hit = self._store.lookup(center)
-            if hit is not None:
-                return hit
-        stamp, gen = self._thread_stamp()
-        ball, edges = _expand_ball(
-            self._np, self.csr, center, self.hops, self.include_self, stamp, gen
-        )
-        if self._cached:
-            with self._lock:
-                self._store.store(center, ball, int(ball.nbytes))
-        if counter is not None:
-            # Same convention as hop_ball: nodes_visited counts the
-            # closed ball (the center is visited even when excluded).
-            counter.edges_scanned += edges
-            counter.nodes_visited += int(ball.size) + (
-                0 if self.include_self else 1
-            )
-            counter.balls_expanded += 1
-        return ball
-
-
-class CSRDistanceBallCache:
-    """:class:`CSRBallCache` for distance-labeled balls.
-
-    Caches ``(members, dists)`` pairs — the sorted member array of
-    ``S_h(center)`` plus each member's hop distance.  Distances depend only
-    on the graph and ``(hops, include_self)``, never on the decay profile,
-    so one cache serves every weighted query of a session.  Work accounting,
-    the LRU byte budget, and thread-safety follow :class:`CSRBallCache`.
-    """
-
-    __slots__ = (
-        "csr",
-        "hops",
-        "include_self",
-        "counter",
-        "_store",
-        "_cached",
-        "_local",
-        "_np",
-        "_lock",
-    )
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        hops: int,
-        *,
-        include_self: bool = True,
-        cached: bool = True,
-        counter: Optional[Any] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        np = _require_numpy_csr(csr)
-        self.csr = csr
-        self.hops = hops
-        self.include_self = include_self
-        self.counter = counter
-        self._cached = cached
-        self._store = _LRUBallStore(max_bytes)
-        self._local = threading.local()
-        self._np = np
-        self._lock = threading.Lock()
-
-    _thread_stamp = CSRBallCache._thread_stamp
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def stats(self) -> dict:
-        """Hit/miss/eviction counters and the resident byte footprint."""
+    def get(self, center: int) -> Optional[Tuple[Any, ...]]:
+        """The stored arrays of ``center``'s ball (the objects :meth:`put`
+        was handed; treat as read-only), or ``None``."""
         with self._lock:
-            return self._store.stats()
+            entry = self._entries.get(center)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(center)
+            self._hits += 1
+            return entry[0]
 
-    def get(self, center: int) -> Optional[Tuple[Any, Any]]:
-        """The cached ``(members, dists)`` of a ball, or None (no expansion)."""
+    def put(self, center: int, *arrays: Any) -> None:
+        """Deposit one expanded ball: ``members`` sorted ascending, any
+        further array aligned with it, all read-only from here on."""
+        nbytes = sum(int(a.nbytes) for a in arrays)
         with self._lock:
-            return self._store.lookup(center)
-
-    def put(self, center: int, members: Any, dists: Any) -> None:
-        """Deposit an externally expanded ball (e.g. from a batched kernel).
-
-        The arrays must follow :meth:`ball`'s contract: members sorted
-        ascending, dists aligned, both treated as read-only from here on.
-        """
-        if self._cached:
-            with self._lock:
-                self._store.store(
-                    center, (members, dists), int(members.nbytes) + int(dists.nbytes)
-                )
-
-    def ball(self, center: int, counter: Optional[Any] = None) -> Tuple[Any, Any]:
-        """``(members, dists)`` of ``S_h(center)`` (treat both as read-only)."""
-        counter = counter if counter is not None else self.counter
-        if self._cached:
-            with self._lock:
-                hit = self._store.lookup(center)
-            if hit is not None:
-                return hit
-        stamp, gen = self._thread_stamp()
-        members, dists, edges = _expand_ball_with_distances(
-            self._np, self.csr, center, self.hops, self.include_self, stamp, gen
-        )
-        entry = (members, dists)
-        if self._cached:
-            with self._lock:
-                self._store.store(
-                    center, entry, int(members.nbytes) + int(dists.nbytes)
-                )
-        if counter is not None:
-            counter.edges_scanned += edges
-            counter.nodes_visited += int(members.size) + (
-                0 if self.include_self else 1
-            )
-            counter.balls_expanded += 1
-        return entry
+            old = self._entries.pop(center, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[center] = (arrays, nbytes)
+            self._bytes += nbytes
+            if self.max_bytes is not None:
+                while self._bytes > self.max_bytes and len(self._entries) > 1:
+                    _, (_, dropped) = self._entries.popitem(last=False)
+                    self._bytes -= dropped
+                    self._evictions += 1
 
 
 class CSRBallIndex:
@@ -756,8 +497,8 @@ class CSRBallIndex:
     contiguous range inside the prefix with the ``(owners, members)`` arrays
     its expansion returned — a slice, a ``repeat`` and a widening copy
     instead of the sort-dedup BFS — so whatever reduces them gets the same
-    bits; the caller charges no traversal work for a hit (the
-    :class:`CSRBallCache` convention).
+    bits; the caller charges no traversal work for a hit (as for a ball read
+    off a :class:`CSRBallCache`).
 
     Thread-safe: appends and slices take one lock, covered entries never
     change, and a grown buffer leaves earlier slices on the old one.

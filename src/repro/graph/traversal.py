@@ -143,20 +143,21 @@ def hop_ball_csr(
 ):
     """:func:`hop_ball` over a numpy-backed CSR view (numpy required).
 
-    Returns a *sorted* ``numpy.int64`` array instead of a set — the
-    canonical member order the vectorized backend aggregates in.  Work is
-    charged to ``counter`` with the same conventions as :func:`hop_ball`.
-    Callers expanding many balls should hold a
-    :class:`~repro.graph.csr.CSRBallCache` instead, which reuses its
-    visited-marking array (and optionally the balls) across expansions.
+    Returns a *sorted* numpy index array instead of a set (the one-center
+    :func:`~repro.graph.csr.batched_hop_balls` call) and charges
+    ``counter`` what :func:`hop_ball` charges.
     """
-    from repro.graph.csr import CSRBallCache
+    import numpy as np
+
+    from repro.graph.csr import batched_hop_balls
 
     _check_hops(hops)
-    expander = CSRBallCache(
-        csr, hops, include_self=include_self, cached=False, counter=counter
+    _owners, members, edges = batched_hop_balls(
+        csr, np.array([center], dtype=np.int64), hops, include_self=include_self
     )
-    return expander.ball(center)
+    if counter is not None:
+        counter.charge_block(edges, members.size, 1, include_self)
+    return members
 
 
 def hop_ball_with_distances(

@@ -14,11 +14,10 @@ Constructing a provider warms the jit (:func:`ensure_warm`), so compile
 cost is paid before any driver starts its query timer and :meth:`stamp`
 can report it as ``stats.extra["jit_compile_sec"]``.
 
-Session ball caches are a numpy-provider feature: the kernels never
-materialize a ball outside their scratch, so there is nothing to read from
-or deposit into one, and re-expanding in-kernel is faster than the python
-cache walk it would replace.  The ``cache``/``ball_cache`` arguments exist
-because the drivers hand every provider what the session holds.
+Session ball stores are a numpy-provider feature: a ball never leaves the
+kernels' scratch, so there is nothing to read from or deposit into one, and
+re-expanding in-kernel beats the python store walk.  The ``cache`` arguments
+exist because the backward driver hands every provider what the session holds.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class NativeKernels:
     # ------------------------------------------------------------------
     def ball_values(
         self, np, csr, centers, scores, kind, hops, include_self, counter,
-        *, want_sizes=False,
+        *, want_sizes=False, cache=None,
     ):
         centers, count, gen0 = self._begin(np, csr, centers)
         values = np.empty(count, dtype=np.float64)
@@ -165,33 +164,3 @@ class NativeKernels:
             float(threshold), is_avg, inv_size, self._stamp, gen, self._members,
         )
         return int(bound_evals), int(pruned_count)
-
-    def verify_backward(
-        self, np, csr, spec, scores, candidate_order, bounds, shortcut_values,
-        acc, stats, counter, ball_cache=None,
-    ):
-        """Blocked TA verification — the cut-at-threshold loop the weighted
-        routes run on every provider.  A candidate overtaken by the
-        threshold mid-block is over-verified, but strictly-greater
-        acceptance rejects its offer, so entries match numpy's
-        one-at-a-time loop."""
-        from repro.core.vectorized import verify_blocked
-
-        kind = (
-            AggregateKind.AVG
-            if spec.aggregate is AggregateKind.AVG
-            else AggregateKind.SUM
-        )
-
-        def verify(chunk):
-            return self.ball_values(
-                np, csr, chunk, scores, kind, spec.hops, spec.include_self, counter
-            )[0]
-
-        return verify_blocked(
-            np, candidate_order, bounds, acc, stats,
-            self.block_size(
-                None, int(csr.num_nodes), int(csr.num_arcs), role="verify"
-            ),
-            verify, shortcut_values,
-        )

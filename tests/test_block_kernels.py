@@ -184,8 +184,10 @@ class TestBlockPrimitives:
 def test_verify_backward_same_entries_different_loop_shape(
     directed, hops, include_self
 ):
-    """The one primitive whose loop differs: numpy stops per candidate,
-    native per block — same entries, native never verifies fewer."""
+    """Both providers, one loop (``verify_blocked``): same entries as
+    stopping before every candidate, every offer a verification, and never
+    a full block verified past that stop — at each provider's own verify
+    block and at a pinned one."""
     graph = _graph(directed)
     csr = to_csr(graph, use_numpy=True)
     scores = _scores(8)
@@ -195,19 +197,33 @@ def test_verify_backward_same_entries_different_loop_shape(
         TraversalCounter(),
     )
     bounds = exact + 0.25  # any sound bound
-    runs = []
+    # The per-candidate stop of the python backend, over the full order.
+    reference = TopKAccumulator(spec.k)
+    stop = 0
+    for node in _full_order(bounds).tolist():
+        if reference.is_full and bounds[node] <= reference.threshold:
+            break
+        reference.offer(node, float(exact[node]))
+        stop += 1
     for kernels in (NumpyKernels(), NativeKernels()):
-        acc = TopKAccumulator(spec.k)
-        stats = QueryStats(algorithm="backward", aggregate="sum")
-        order = descending_prefixes(np, bounds, 2 * spec.k)
-        offered = kernels.verify_backward(
-            np, csr, spec, scores, order, bounds, None, acc, stats,
-            TraversalCounter(), CSRBallCache(csr, hops, include_self=include_self),
-        )
-        assert stats.candidates_verified == offered
-        runs.append((acc.entries(), offered))
-    assert runs[0][0] == runs[1][0]
-    assert runs[0][1] <= runs[1][1]
+        own = kernels.block_size(None, N, int(csr.num_arcs), role="verify")
+        for block in (own, 5):
+            acc = TopKAccumulator(spec.k)
+            stats = QueryStats(algorithm="backward", aggregate="sum")
+            counter = TraversalCounter()
+            cache = CSRBallCache(csr, hops, include_self=include_self)
+            offered = vectorized.verify_blocked(
+                np, descending_prefixes(np, bounds, 2 * spec.k), bounds, acc,
+                stats, block,
+                lambda chunk: kernels.ball_values(
+                    np, csr, chunk, scores, AggregateKind.SUM, hops,
+                    include_self, counter, cache=cache,
+                )[0],
+            )
+            assert stats.candidates_verified == offered == counter.balls_expanded
+            assert acc.entries() == reference.entries()
+            assert stop <= offered < stop + block
+            assert stats.early_terminated == (offered < N)
 
 
 class TestProfilesAndProvenance:
@@ -215,8 +231,11 @@ class TestProfilesAndProvenance:
         n, arcs = 100_000, 600_000
         assert NumpyKernels().block_size(None, n, arcs) == 1024
         assert NumpyKernels().block_size(None, n, arcs, role="prune") == 256
-        # A numpy verification block costs a distance BFS: not capped.
-        assert NumpyKernels().block_size(None, n, arcs, role="verify") == 1024
+        # A numpy verification block is a measured constant (the stop is
+        # tested between blocks), never above the scan block.
+        assert NumpyKernels().block_size(None, n, arcs, role="verify") == 32
+        assert NumpyKernels().block_size(None, n, 100 * 1024 * n, role="verify") == 10
+        assert NumpyKernels().block_size(7, n, arcs, role="verify") == 7
         native = NativeKernels()
         assert native.block_size(None, n, arcs) == 4096
         assert native.block_size(None, n, arcs, role="prune") == 1024
@@ -401,7 +420,7 @@ else:  # pragma: no cover - exercised without hypothesis
 # LONA-Backward over the lazy order: the parent's full-order run, chunk by chunk
 # ---------------------------------------------------------------------------
 CROSS_N = 900
-#: (non-zero share of the 0/1 scores, k, aggregate, chunks numpy's loop pulls).
+#: (non-zero share of the 0/1 scores, k, aggregate, chunks the loop pulls).
 #: AVG over 0/1 scores verifies through hundreds of bounds tied at 1.0.
 CROSSINGS = [
     (0.08, 4, "avg", 1),  # stops inside the first chunk
@@ -442,20 +461,8 @@ def cross_graph():
     return random_graph(CROSS_N, 0.004, seed=77)
 
 
-@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
-def test_backward_chunked_equals_full_order_in_process(
-    monkeypatch, cross_graph, share, k, aggregate, chunks
-):
-    from repro.core.backward import backward_topk
-
-    scores = _binary_scores(share)
-    spec = QuerySpec(k=k, hops=2, aggregate=aggregate)
-    runs = {
-        "numpy": lambda: vectorized.backward_topk_numpy(cross_graph, scores, spec),
-        "native": lambda: vectorized.backward_topk_numpy(
-            cross_graph, scores, spec, kernels=NativeKernels()
-        ),
-    }
+def _counting_prefixes(monkeypatch):
+    """Patch ``descending_prefixes`` to record the size of each chunk pulled."""
     pulled = []
     real = vectorized.descending_prefixes
 
@@ -465,21 +472,111 @@ def test_backward_chunked_equals_full_order_in_process(
             yield chunk
 
     monkeypatch.setattr(vectorized, "descending_prefixes", counting)
+    return pulled
+
+
+def _check_depth(kernels, stats, pulled, chunks, arcs):
+    """How far one in-process run dug into the lazy order.  ``chunks`` is
+    what stopping before every candidate needs: the shortcut walk pulls
+    exactly that on every provider and route, a blocked verification pulls
+    a further chunk only to fill a block that starts at or before its stop."""
+    assert sum(pulled) >= CROSS_N - stats["pruned_nodes"]
+    if stats["exact_shortcut"] == 1.0:
+        assert len(pulled) == chunks, (kernels.name, pulled)
+        return
+    block = kernels.block_size(None, CROSS_N, arcs, role="verify")
+    assert len(pulled) >= chunks, (kernels.name, pulled)
+    assert sum(pulled[:-1]) < stats["candidates_verified"] + block, (kernels.name, pulled)
+
+
+@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
+def test_backward_chunked_equals_full_order_in_process(
+    monkeypatch, cross_graph, share, k, aggregate, chunks
+):
+    from repro.core.backward import backward_topk
+
+    scores = _binary_scores(share)
+    spec = QuerySpec(k=k, hops=2, aggregate=aggregate)
+    providers = {"numpy": NumpyKernels, "native": NativeKernels}
+    runs = {
+        name: lambda make=make: vectorized.backward_topk_numpy(
+            cross_graph, scores, spec, kernels=make()
+        )
+        for name, make in providers.items()
+    }
+    pulled = _counting_prefixes(monkeypatch)
+    arcs = int(cross_graph.csr().num_arcs)
     lazy = {}
     for name, run in runs.items():
         del pulled[:]
         lazy[name] = _facts(run())
-        if name == "numpy":
-            assert len(pulled) == chunks, pulled
+        _check_depth(providers[name](), lazy[name][1], pulled, chunks, arcs)
     monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
     for name, run in runs.items():
         assert lazy[name] == _facts(run()), name
-    # numpy's loop is the python backend's, candidate for candidate.
-    reference = backward_topk(
+    reference = _facts(backward_topk(
         cross_graph, scores, QuerySpec(k=k, hops=2, aggregate=aggregate, backend="python")
-    )
-    assert lazy["numpy"] == _facts(reference)
-    assert lazy["native"][0] == reference.entries
+    ))
+    for name, (entries, stats) in lazy.items():
+        assert entries == reference[0], name
+        if stats["exact_shortcut"] == 1.0:
+            # The shortcut walk is the python backend's, candidate for candidate.
+            assert stats == reference[1], name
+            continue
+        # Verification stops per block: at least the python backend's
+        # candidates, less than one block more.
+        block = providers[name]().block_size(None, CROSS_N, arcs, role="verify")
+        want = reference[1]["candidates_verified"]
+        assert want <= stats["candidates_verified"] < want + block, name
+        assert stats["pruned_nodes"] == CROSS_N - stats["candidates_verified"]
+        assert stats["distribution_pushes"] == reference[1]["distribution_pushes"]
+        assert stats["early_terminated"] == reference[1]["early_terminated"]
+
+
+#: Weighted rounds: (0/1 scores?, non-zero share, k, chunks stopping per
+#: candidate needs).  Footnote 1's sums over 0/1 scores take the exact
+#: shortcut, whose walk reads the lazy chunks as they come; regrouped into
+#: 1,024-id blocks it pulled every chunk (an O(n) partition each) before its
+#: first stop test.
+WEIGHTED_CROSSINGS = [
+    (True, 0.02, 4, 1),
+    (True, 0.3, 60, 1),
+    (False, 0.3, 4, 3),  # graded scores: no shortcut, weak bounds, 797 verified
+]
+
+
+@pytest.mark.parametrize("binary,share,k,chunks", WEIGHTED_CROSSINGS)
+def test_weighted_backward_digs_no_deeper_than_its_stop(
+    monkeypatch, cross_graph, binary, share, k, chunks
+):
+    from repro.core.weighted import weighted_backward_topk
+
+    scores = _binary_scores(share)
+    if not binary:
+        rng = random.Random(6)
+        scores = [value * rng.random() for value in scores]
+    spec = QuerySpec(k=k, hops=2)
+    arcs = int(cross_graph.csr().num_arcs)
+    pulled = _counting_prefixes(monkeypatch)
+    reference = _facts(weighted_backward_topk(
+        cross_graph, scores, QuerySpec(k=k, hops=2, backend="python")
+    ))
+    for make in (NumpyKernels, NativeKernels):
+        del pulled[:]
+        entries, stats = _facts(vectorized.weighted_backward_topk_numpy(
+            cross_graph, scores, spec, kernels=make()
+        ))
+        _check_depth(make(), stats, pulled, chunks, arcs)
+        # The python backend adds a ball's members in dict order: the same
+        # nodes, and on graded scores the values to the last ulps.
+        assert [node for node, _ in entries] == [node for node, _ in reference[0]]
+        assert [value for _, value in entries] == pytest.approx(
+            [value for _, value in reference[0]], rel=1e-13, abs=0.0
+        )
+        assert stats["exact_shortcut"] == float(binary)
+        if binary:  # the python backend's walk, candidate for candidate
+            assert stats["pruned_nodes"] == reference[1]["pruned_nodes"]
+            assert stats["candidates_verified"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,9 @@ Two families:
 * the numpy expansion kernels (``neighbor_slab`` / ``csr_hop_ball`` /
   ``batched_hop_balls`` / ``CSRBallCache``) checked against the pure-Python
   :func:`~repro.graph.traversal.hop_ball` oracle on the same randomized
-  shapes, the batched kernels against the single-center ones on arbitrary
-  graphs and center lists (hypothesis) under both key widths, the width
+  shapes, the batched kernels against the python reference's single-center
+  BFS on arbitrary graphs and center lists (hypothesis) under both key
+  widths, the width
   boundary itself, the 4-byte ``indices`` through every copy of the arrays,
   and an allocation bound: a batched expansion's memory follows its balls,
   not ``len(centers) * num_nodes``.
@@ -27,7 +28,12 @@ import pytest
 import repro.graph.csr as csr_module
 from repro.graph.csr import CSRGraph, from_csr, to_csr
 from repro.graph.graph import Graph
-from repro.graph.traversal import TraversalCounter, hop_ball
+from repro.graph.traversal import (
+    TraversalCounter,
+    hop_ball,
+    hop_ball_csr,
+    hop_ball_with_distances,
+)
 from tests.conftest import random_graph
 
 
@@ -132,6 +138,32 @@ class TestExpansionKernels:
                     csr, center, hops, include_self=include_self
                 )
                 assert actual.tolist() == expected
+                # The counted form: same members, hop_ball's charges.
+                oracle, counter = TraversalCounter(), TraversalCounter()
+                hop_ball(g, center, hops, include_self=include_self, counter=oracle)
+                counted = hop_ball_csr(
+                    csr, center, hops, include_self=include_self, counter=counter
+                )
+                assert counted.tolist() == expected
+                assert counter.snapshot() == oracle.snapshot()
+
+    def test_csr_hop_ball_allocates_nothing_node_sized(self):
+        # One center's ball costs what it reaches, not an n-sized stamp.
+        import tracemalloc
+
+        n = 200_000
+        path = CSRGraph(
+            indptr=self.np.arange(n + 1, dtype=self.np.int64).clip(max=n - 1),
+            indices=self.np.arange(1, n, dtype=self.np.int32),
+            weights=None,
+            directed=True,
+        )
+        tracemalloc.start()
+        ball = csr_module.csr_hop_ball(path, 5, 3)
+        _now, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert ball.tolist() == [5, 6, 7, 8]
+        assert peak < n  # bytes; the old stamp array alone was 8 * n
 
     def test_neighbor_slab_concatenates_adjacency(self):
         g = random_graph(25, 0.15, seed=2)
@@ -164,27 +196,37 @@ class TestExpansionKernels:
         assert owners.size == 0 and members.size == 0 and edges == 0
 
     def test_ball_cache_caches_and_counts(self):
+        from repro.aggregates.functions import AggregateKind
+        from repro.core.vectorized import NumpyKernels
+
+        np = self.np
         g = random_graph(30, 0.12, seed=6)
         csr = to_csr(g, use_numpy=True)
+        cache = csr_module.CSRBallCache(csr, 2)
+        assert cache.get(4) is None  # a store expands nothing: a miss
+        scores = np.linspace(0.1, 0.7, 30)
+        center = np.asarray([4], dtype=np.int64)
         counter = TraversalCounter()
-        cache = csr_module.CSRBallCache(csr, 2, counter=counter)
-        first = cache.ball(4)
-        assert counter.balls_expanded == 1
-        again = cache.ball(4)
-        assert again is first  # cache hit
+        kernels = NumpyKernels()
+        first, _ = kernels.ball_values(
+            np, csr, center, scores, AggregateKind.SUM, 2, True, counter, cache=cache
+        )
+        assert counter.balls_expanded == 1 and len(cache) == 1
+        (members,) = cache.get(4)
+        assert cache.get(4)[0] is members  # the stored array itself
+        again, _ = kernels.ball_values(
+            np, csr, center, scores, AggregateKind.SUM, 2, True, counter, cache=cache
+        )
+        assert again.tobytes() == first.tobytes()
         assert counter.balls_expanded == 1  # hits are free
         oracle = TraversalCounter()
         expected = hop_ball(g, 4, 2, counter=oracle)
-        assert first.tolist() == sorted(expected)
+        assert members.tolist() == sorted(expected)
         assert counter.edges_scanned == oracle.edges_scanned
         assert counter.nodes_visited == oracle.nodes_visited
-
-    def test_uncached_expander_stores_nothing(self):
-        csr = to_csr(random_graph(20, 0.15, seed=7), use_numpy=True)
-        expander = csr_module.CSRBallCache(csr, 2, cached=False)
-        expander.ball(1)
-        expander.ball(2)
-        assert len(expander) == 0
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (3, 2)
+        assert stats["bytes"] == members.nbytes and stats["entries"] == 1
 
     def test_plain_csr_rejected_by_kernels(self):
         csr = to_csr(random_graph(10, 0.2, seed=8))  # stdlib arrays
@@ -203,7 +245,8 @@ except ImportError:  # pragma: no cover - exercised without hypothesis
 
 
 def _batched_kernels_property(data):
-    """Both batched kernels == the single-center kernels, ball for ball."""
+    """Both batched kernels == the single-center BFS of the python
+    reference, ball for ball: members, hop distances and edges scanned."""
     np = pytest.importorskip("numpy")
     n = data.draw(st.integers(min_value=1, max_value=16), label="n")
     directed = data.draw(st.booleans(), label="directed")
@@ -218,7 +261,8 @@ def _batched_kernels_property(data):
         label="edges",
     )
     # num_nodes keeps the nodes no edge touches: isolated, empty balls.
-    csr = to_csr(Graph.from_edges(edges, num_nodes=n, directed=directed), use_numpy=True)
+    graph = Graph.from_edges(edges, num_nodes=n, directed=directed)
+    csr = to_csr(graph, use_numpy=True)
     centers = np.asarray(
         data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="centers"),
         dtype=np.int64,
@@ -238,13 +282,13 @@ def _batched_kernels_property(data):
     for i, center in enumerate(centers.tolist()):
         ball = csr_module.csr_hop_ball(csr, center, hops, include_self=include_self)
         assert members[owners == i].tolist() == ball.tolist()
-        stamp = np.zeros(n, dtype=np.int64)
-        one_members, one_dists, one_edges = csr_module._expand_ball_with_distances(
-            np, csr, center, hops, include_self, stamp, 1
+        counter = TraversalCounter()
+        one = hop_ball_with_distances(
+            graph, center, hops, include_self=include_self, counter=counter
         )
-        assert d_members[d_owners == i].tolist() == one_members.tolist()
-        assert dists[d_owners == i].tolist() == one_dists.tolist()
-        expected_edges += one_edges
+        assert d_members[d_owners == i].tolist() == sorted(one)
+        assert dists[d_owners == i].tolist() == [one[v] for v in sorted(one)]
+        expected_edges += counter.edges_scanned
     assert edges_scanned == d_edges == expected_edges
 
     # Both key widths are one kernel: these blocks fit 32-bit keys, so force

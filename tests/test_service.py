@@ -504,23 +504,27 @@ class TestSetFieldsMask:
 # ---------------------------------------------------------------------------
 class TestBoundedBallCaches:
     def test_lru_byte_budget_evicts(self):
-        pytest.importorskip("numpy")
-        from repro.graph.csr import CSRBallCache, to_csr
+        np = pytest.importorskip("numpy")
+        from repro.graph.csr import CSRBallCache, csr_hop_ball, to_csr
 
         graph = random_graph(40, 0.15, seed=9)
         csr = to_csr(graph, use_numpy=True)
-        unbounded = CSRBallCache(csr, 2)
-        sizes = [int(unbounded.ball(v).nbytes) for v in range(40)]
-        budget = sum(sizes[:10])
+        balls = [csr_hop_ball(csr, v, 2) for v in range(40)]
+        budget = sum(int(ball.nbytes) for ball in balls[:10])
         cache = CSRBallCache(csr, 2, max_bytes=budget)
-        for v in range(40):
-            cache.ball(v)
+        for v, ball in enumerate(balls):
+            cache.put(v, ball)
         stats = cache.stats()
         assert stats["evictions"] > 0
         assert stats["bytes"] <= budget
         assert len(cache) < 40
-        # Evicted balls are recomputed correctly on demand.
-        assert cache.ball(0).tolist() == unbounded.ball(0).tolist()
+        # Least recently used first: the oldest deposit is gone, the newest
+        # is the array it was handed, and a re-deposit is readable again.
+        assert cache.get(0) is None
+        assert cache.get(39)[0] is balls[39]
+        cache.put(0, balls[0])
+        assert np.array_equal(cache.get(0)[0], balls[0])
+        assert cache.stats()["bytes"] <= budget
 
     def test_hit_counters_exposed_via_session_stats(self, net):
         pytest.importorskip("numpy")
@@ -532,18 +536,26 @@ class TestBoundedBallCaches:
         assert ball["max_bytes"] == net._ctx.ball_cache_bytes
 
     def test_dist_cache_budget(self):
-        pytest.importorskip("numpy")
-        from repro.graph.csr import CSRDistanceBallCache, to_csr
+        np = pytest.importorskip("numpy")
+        from repro.graph.csr import (
+            CSRBallCache,
+            batched_hop_balls_with_distances,
+            to_csr,
+        )
 
         graph = random_graph(30, 0.15, seed=11)
         csr = to_csr(graph, use_numpy=True)
-        cache = CSRDistanceBallCache(csr, 2, max_bytes=2048)
+        cache = CSRBallCache(csr, 2, max_bytes=2048)
         for v in range(30):
-            cache.ball(v)
+            _owners, members, dists, _edges = batched_hop_balls_with_distances(
+                csr, np.asarray([v]), 2
+            )
+            cache.put(v, members, dists)
         stats = cache.stats()
         assert stats["bytes"] <= 2048 or stats["entries"] == 1
-        members, dists = cache.ball(3)
+        members, dists = cache.get(29)
         assert members.size == dists.size
+        assert stats["bytes"] >= members.nbytes + dists.nbytes  # both arrays count
 
 
 class TestHandleRepr:

@@ -151,9 +151,9 @@ class TestAdaptiveBlockSize:
 
 
 class TestSessionBallCache:
-    """The segment ball caches are a numpy-backend feature — the native
-    tier's per-center stamp-BFS recomputes balls in-kernel instead of
-    caching them — so these sessions pin ``backend="numpy"``."""
+    """The ball stores are a numpy-backend feature — the native tier's
+    per-center stamp-BFS recomputes balls in-kernel instead of reading them
+    through a store — so these sessions pin ``backend="numpy"``."""
 
     @pytest.fixture()
     def np_net(self, cov_graph):
@@ -189,10 +189,15 @@ class TestSessionBallCache:
         assert second.stats.balls_expanded < first.stats.balls_expanded
 
     def test_cache_not_charged_to_later_counters(self, np_net):
-        # After a query returns, the session cache must stop charging that
-        # query's counter (it would corrupt later stats).
-        np_net.query("dense").limit(5).algorithm("backward").run()
-        assert np_net._ctx.ball_cache().counter is None
+        # The session store holds no counter: a later query's expansions
+        # (a larger k verifies more) never reach an earlier query's stats.
+        query = np_net.query("dense").algorithm("backward")
+        first = query.limit(5).run()
+        before = first.stats.as_dict()
+        later = query.limit(25).run()
+        assert later.stats.balls_expanded > 0
+        assert first.stats.as_dict() == before
+        assert not hasattr(np_net._ctx.ball_cache(), "counter")
 
     def test_dynamic_mutation_invalidates(self, cov_graph):
         from repro.dynamic.graph import DynamicGraph

@@ -1,0 +1,423 @@
+"""LONA-Backward's verification read through the session ball store.
+
+``verify_blocked`` is the one phase-3 loop; the numpy provider reads each
+block through a :class:`~repro.graph.csr.CSRBallCache`: a stored ball is
+summed from its slice with ``cumsum``, the rest are expanded in one batched
+call, reduced with ``bincount`` and deposited.  A hit must therefore return
+the *bits* of its miss — and not only on the dyadic scores the parity suites
+use, where summation order cannot show.  Scores here are arbitrary floats
+drawn from a small pool, so many balls hold the same values in different
+member orders and the k-th value is crowded with near- and exact ties.
+Every numpy comparison is ``==`` on entries or on the raw bytes of a value
+array.  The python backend adds a ball's members in ``set`` order, so on
+these scores it agrees on the nodes and to the last few ulps on the values
+(ROADMAP item 4 owns that contract); on the 0/1 copy it is compared with
+``==`` too.
+
+Covered: SUM / AVG / COUNT and footnote 1's weighted sums over hops 1-3,
+both ball conventions, directed and undirected, isolated nodes; cold, warm
+(all hits), mixed hit/miss blocks and no store at all; a stop that falls
+exactly on a block boundary, one candidate before and one past it; racing
+threads through one store; ``add_edge``.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import threading
+
+import pytest
+
+from repro import Network
+from repro.aggregates.functions import AggregateKind
+from repro.aggregates.weighted import inverse_distance, precompute_weights
+from repro.core.backward import backward_topk
+from repro.core.query import QuerySpec
+from repro.core.results import QueryStats
+from repro.core.topk import TopKAccumulator
+from repro.core.weighted import weighted_backward_topk
+from repro.dynamic.graph import DynamicGraph
+from repro.graph.graph import Graph
+from repro.graph.traversal import TraversalCounter
+
+np = pytest.importorskip("numpy")
+
+from repro.core import vectorized  # noqa: E402
+from repro.core.vectorized import NumpyKernels, verify_blocked  # noqa: E402
+from repro.graph.csr import CSRBallCache  # noqa: E402
+
+THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
+N = 400
+K = 12
+VIEWS = [
+    (directed, hops, include_self)
+    for directed in (False, True)
+    for hops in (1, 2, 3)
+    for include_self in (True, False)
+]
+KINDS = (AggregateKind.SUM, AggregateKind.AVG, AggregateKind.MAX, AggregateKind.MIN)
+
+
+def _graph(directed: bool, seed: int = 3, n: int = N) -> Graph:
+    """About two edges a node; the last 20 nodes touch none."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < 2 * n:
+        u, v = rng.randrange(n - 20), rng.randrange(n - 20)
+        if u != v:
+            edges.add((u, v) if directed else (min(u, v), max(u, v)))
+    return Graph.from_edges(sorted(edges), num_nodes=n, directed=directed)
+
+
+def _scores(seed: int, n: int = N):
+    """Non-dyadic floats from a pool of nine values, a third zero: equal
+    values meet in many balls, in different member orders."""
+    rng = random.Random(seed)
+    pool = [rng.random() for _ in range(9)]
+    return [rng.choice(pool) if rng.random() < 0.67 else 0.0 for _ in range(n)]
+
+
+def _session(graph, hops, include_self, budget="default"):
+    net = Network(graph, hops=hops, include_self=include_self, backend="numpy")
+    if budget != "default":
+        net._ctx.ball_cache_bytes = budget  # read when the stores are made
+    net.add_scores("s", _scores(41, graph.num_nodes))
+    net.add_scores("bits", [float(v > 0.5) for v in _scores(41, graph.num_nodes)])
+    return net
+
+
+def _ball_stats(net, name="ball_cache"):
+    return net._ctx.cache_stats()[name]
+
+
+def _close(entries, reference):
+    """Same nodes, values to a few ulps (the python backend's set order)."""
+    assert [node for node, _ in entries] == [node for node, _ in reference]
+    assert [value for _, value in entries] == pytest.approx(
+        [value for _, value in reference], rel=1e-13, abs=0.0
+    )
+
+
+# ---------------------------------------------------------------------------
+# Through the session: cold == warm == mixed == no store == python
+# ---------------------------------------------------------------------------
+class TestColdWarmMixed:
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
+    def test_backward(self, directed, hops, include_self, aggregate):
+        graph = _graph(directed)
+        net = _session(graph, hops, include_self)
+        scores = net.scores_of("s")
+        query = net.query("s").algorithm("backward").aggregate(aggregate)
+        cold = query.limit(K).run()
+        after_cold = _ball_stats(net)
+        warm = query.limit(K).run()
+        after_warm = _ball_stats(net)
+        spec = QuerySpec(K, aggregate, hops, include_self, "numpy")
+        off = backward_topk(graph, scores, spec)  # no store at all
+        assert cold.entries == warm.entries == off.entries
+        # Same candidates, every one a hit: nothing expanded for verification.
+        assert after_warm["misses"] == after_cold["misses"]
+        assert after_warm["hits"] - after_cold["hits"] == warm.stats.candidates_verified
+        assert warm.stats.candidates_verified == cold.stats.candidates_verified
+        if cold.stats.candidates_verified:
+            assert warm.stats.balls_expanded < cold.stats.balls_expanded
+        # Mixed blocks: a session that has verified a smaller k holds some
+        # of the larger k's candidates and expands the rest.
+        mixed_net = _session(graph, hops, include_self)
+        mixed_query = mixed_net.query("s").algorithm("backward").aggregate(aggregate)
+        mixed_query.limit(2).run()
+        primed = _ball_stats(mixed_net)
+        mixed = mixed_query.limit(K).run()
+        assert mixed.entries == off.entries
+        if cold.stats.extra["exact_shortcut"] == 0.0 and primed["entries"]:
+            after = _ball_stats(mixed_net)
+            assert after["hits"] > primed["hits"]
+        python = backward_topk(
+            graph, scores.values(), QuerySpec(K, aggregate, hops, include_self, "python")
+        )
+        _close(cold.entries, python.entries)
+
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_backward_on_binary_scores_is_the_python_backend_exactly(
+        self, directed, hops, include_self
+    ):
+        graph = _graph(directed)
+        net = _session(graph, hops, include_self)
+        for aggregate in ("sum", "avg", "count"):
+            query = net.query("bits").algorithm("backward").aggregate(aggregate).limit(K)
+            python = backward_topk(
+                graph,
+                net.scores_of("bits").values(),
+                QuerySpec(K, aggregate, hops, include_self, "python"),
+            )
+            assert query.run().entries == query.run().entries == python.entries
+
+    @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+    def test_weighted_backward(self, directed, hops, include_self):
+        graph = _graph(directed)
+        net = _session(graph, hops, include_self)
+        scores = net.scores_of("s").values()
+        cold = net.topk_weighted("s", K, algorithm="backward")
+        after_cold = _ball_stats(net, "dist_ball_cache")
+        warm = net.topk_weighted("s", K, algorithm="backward")
+        after_warm = _ball_stats(net, "dist_ball_cache")
+        spec = QuerySpec(K, "sum", hops, include_self, "numpy")
+        off = weighted_backward_topk(graph, scores, spec)
+        assert cold.entries == warm.entries == off.entries
+        assert after_warm["misses"] == after_cold["misses"]
+        assert after_warm["hits"] - after_cold["hits"] == warm.stats.candidates_verified
+        mixed_net = _session(graph, hops, include_self)
+        mixed_net.topk_weighted("s", 2, algorithm="backward")
+        assert mixed_net.topk_weighted("s", K, algorithm="backward").entries == off.entries
+        python = weighted_backward_topk(
+            graph, scores, QuerySpec(K, "sum", hops, include_self, "python")
+        )
+        _close(cold.entries, python.entries)
+
+
+# ---------------------------------------------------------------------------
+# At the seam: the hit path and the miss path return the same bytes
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("directed,hops,include_self", VIEWS)
+class TestHitBytesEqualMissBytes:
+    def _centers(self):
+        rng = random.Random(9)  # unsorted, repeated, isolated nodes included
+        return np.asarray(
+            [rng.randrange(N) for _ in range(90)] + [N - 1, N - 1, 0], dtype=np.int64
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ball_values(self, directed, hops, include_self, kind):
+        csr = _graph(directed).csr()
+        scores = np.asarray(_scores(42))
+        centers = self._centers()
+        kernels = NumpyKernels()
+
+        def read(cache, counter):
+            return kernels.ball_values(
+                np, csr, centers, scores, kind, hops, include_self, counter,
+                want_sizes=True, cache=cache,
+            )
+
+        plain = TraversalCounter()
+        values, sizes = read(None, plain)  # bincount / reduceat over the pairs
+        cache = CSRBallCache(csr, hops, include_self=include_self)
+        cold_work, warm_work, mixed_work = (TraversalCounter() for _ in range(3))
+        cold = read(cache, cold_work)  # every center a miss, deposited
+        # Repeated centers miss together: the first read expands them twice.
+        assert cold_work.snapshot() == plain.snapshot()
+        assert len(cache) == len(set(centers.tolist()))
+        warm = read(cache, warm_work)  # every center a hit: cumsum over its slice
+        assert warm_work.snapshot() == TraversalCounter().snapshot()  # hits are free
+        half = CSRBallCache(csr, hops, include_self=include_self)
+        primed = np.unique(centers)[::2]
+        kernels.ball_values(
+            np, csr, primed, scores, kind, hops, include_self, TraversalCounter(),
+            cache=half,
+        )
+        mixed = read(half, mixed_work)
+        missing = int((~np.isin(centers, primed)).sum())
+        assert mixed_work.balls_expanded == missing
+        for got_values, got_sizes in (cold, warm, mixed):
+            assert got_values.dtype == np.float64
+            assert got_values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+            assert got_sizes.tolist() == sizes.tolist()
+        for node in set(centers.tolist()):
+            (members,) = cache.get(node)
+            assert members.base is None  # the store owns what it counts
+            assert members.tolist() == sorted(members.tolist())
+        assert cache.stats()["bytes"] == sum(
+            cache.get(node)[0].nbytes for node in set(centers.tolist())
+        )
+
+    def test_weighted_ball_sums(self, directed, hops, include_self):
+        csr = _graph(directed).csr()
+        scores = np.asarray(_scores(43))
+        weights = np.asarray(precompute_weights(inverse_distance, hops))
+        centers = self._centers()
+        kernels = NumpyKernels()
+
+        def read(cache, counter=None):
+            return kernels.weighted_ball_sums(
+                np, csr, centers, scores, weights, hops, include_self,
+                counter or TraversalCounter(), cache,
+            )
+
+        values = np.asarray(read(None), dtype=np.float64)
+        cache = CSRBallCache(csr, hops, include_self=include_self)
+        cold = read(cache)
+        warm_work = TraversalCounter()
+        warm = read(cache, warm_work)
+        assert warm_work.balls_expanded == 0
+        half = CSRBallCache(csr, hops, include_self=include_self)
+        kernels.weighted_ball_sums(
+            np, csr, np.unique(centers)[1::2], scores, weights, hops, include_self,
+            TraversalCounter(), half,
+        )
+        mixed = read(half)
+        for got in (cold, warm, mixed):
+            assert got.tobytes() == values.tobytes()
+        members, dists = cache.get(int(centers[0]))
+        assert members.size == dists.size and int(dists.max(initial=0)) <= hops
+
+
+# ---------------------------------------------------------------------------
+# The stop against the block boundary
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("stop", [1, 31, 32, 33, 63, 64, 65, 200])
+def test_stop_on_and_around_a_block_boundary(stop):
+    """``k = 1``: candidate 0 holds the answer and exactly ``stop``
+    candidates carry a bound above it.  Stopping before every candidate
+    verifies ``stop``; a 32-block verifies the first block whole, then cuts
+    every later block at the threshold: no candidate past the stop unless it
+    shares the first block."""
+    block = 32
+    bounds = np.linspace(9.0, 1.0, N)
+    exact = np.full(N, 0.25)
+    exact[0] = float(bounds[stop - 1] + bounds[stop]) / 2 if stop < N else 0.5
+    order = vectorized.descending_prefixes(np, bounds, 64)
+    acc = TopKAccumulator(1)
+    stats = QueryStats(algorithm="backward", aggregate="sum")
+    calls = []
+
+    def verify(chunk):
+        calls.append(chunk.tolist())
+        return exact[chunk]
+
+    offered = verify_blocked(np, order, bounds, acc, stats, block, verify)
+    assert acc.entries() == [(0, float(exact[0]))]
+    assert offered == stats.candidates_verified == max(stop, block)
+    assert [i for call in calls for i in call] == list(range(max(stop, block)))
+    assert all(len(call) <= block for call in calls)
+    assert stats.early_terminated
+    # The same order under the exact shortcut: read, not verified, and the
+    # stop is tested before every candidate.
+    acc = TopKAccumulator(1)
+    stats = QueryStats(algorithm="backward", aggregate="sum")
+    order = vectorized.descending_prefixes(np, bounds, 64)
+    offered = verify_blocked(np, order, bounds, acc, stats, block, None, exact)
+    assert acc.entries() == [(0, float(exact[0]))]
+    assert (offered, stats.candidates_verified) == (stop, 0)
+
+
+# ---------------------------------------------------------------------------
+# Threads, budgets, writes
+# ---------------------------------------------------------------------------
+def _race(target, count=THREADS):
+    errors = []
+
+    def guarded(i):
+        try:
+            target(i)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch mid-get/put, not once a block
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "a verifying thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+
+
+def _stored_once(cache) -> bool:
+    """Every resident ball is one entry and the byte count is theirs."""
+    stats = cache.stats()
+    resident = sum(
+        sum(int(a.nbytes) for a in arrays) for arrays, _ in cache._entries.values()
+    )
+    return stats["entries"] == len(cache._entries) and stats["bytes"] == resident
+
+
+class TestSharedStore:
+    @pytest.mark.parametrize("budget", [None, 6_000])
+    def test_racing_threads_verify_through_one_store(self, budget):
+        graph = _graph(False)
+        shapes = [(aggregate, k) for aggregate in ("sum", "avg") for k in (3, K, 40)]
+        alone = _session(graph, 2, True, budget)
+        expected = {
+            shape: alone.query("s").algorithm("backward").aggregate(shape[0])
+            .limit(shape[1]).run().entries
+            for shape in shapes
+        }
+        single = _ball_stats(alone)
+        net = _session(graph, 2, True, budget)
+        start = threading.Barrier(THREADS)
+
+        def worker(i):
+            start.wait(timeout=30)
+            for step in range(len(shapes) * 3):
+                shape = shapes[(i + step) % len(shapes)]
+                got = net.query("s").algorithm("backward").aggregate(shape[0])
+                assert got.limit(shape[1]).run().entries == expected[shape], shape
+
+        _race(worker)
+        cache = net._ctx.ball_cache()
+        stats = cache.stats()
+        assert _stored_once(cache)
+        if budget is None:
+            # One epoch: exactly the balls the single-threaded run stored.
+            assert (stats["entries"], stats["bytes"]) == (single["entries"], single["bytes"])
+            assert stats["evictions"] == 0 and stats["hits"] > 0
+        else:
+            assert stats["evictions"] > 0 and stats["bytes"] <= budget
+
+    def test_racing_threads_on_the_bare_store(self):
+        csr = _graph(True).csr()
+        scores = np.asarray(_scores(44))
+        cache = CSRBallCache(csr, 2, max_bytes=4_000)
+        centers = np.arange(N, dtype=np.int64)
+        want, _ = NumpyKernels().ball_values(
+            np, csr, centers, scores, AggregateKind.SUM, 2, True, TraversalCounter()
+        )
+
+        def worker(i):
+            kernels = NumpyKernels()
+            rng = random.Random(i)
+            for _ in range(30):
+                block = np.asarray(rng.sample(range(N), 32), dtype=np.int64)
+                got, _ = kernels.ball_values(
+                    np, csr, block, scores, AggregateKind.SUM, 2, True,
+                    TraversalCounter(), cache=cache,
+                )
+                assert got.tobytes() == want[block].tobytes()
+
+        _race(worker)
+        stats = cache.stats()
+        assert _stored_once(cache)
+        assert stats["bytes"] <= 4_000 and stats["evictions"] > 0
+        assert stats["hits"] + stats["misses"] == THREADS * 30 * 32
+
+    def test_add_edge_drops_the_store_and_the_next_read_is_a_fresh_sessions(self):
+        base = _graph(False)
+        net = _session(DynamicGraph.from_graph(base), 2, True)
+        query = net.query("s").algorithm("backward").aggregate("avg").limit(K)
+        query.run()
+        net.topk_weighted("s", K, algorithm="backward")
+        stale = net._ctx.ball_cache(), net._ctx.dist_ball_cache()
+        assert all(len(store) > 0 for store in stale)
+        u, v = next(
+            (u, v) for u in range(N) for v in range(u + 1, N) if not base.has_edge(u, v)
+        )
+        net.add_edge(u, v)
+        assert _ball_stats(net) is None and _ball_stats(net, "dist_ball_cache") is None
+        after = query.run()
+        after_weighted = net.topk_weighted("s", K, algorithm="backward")
+        assert net._ctx.ball_cache() is not stale[0]
+        assert net._ctx.dist_ball_cache() is not stale[1]
+        fresh = _session(net.graph.snapshot(), 2, True)
+        fresh_query = fresh.query("s").algorithm("backward").aggregate("avg").limit(K)
+        assert after.entries == fresh_query.run().entries
+        assert after_weighted.entries == fresh.topk_weighted(
+            "s", K, algorithm="backward"
+        ).entries
+        assert _ball_stats(net)["misses"] == _ball_stats(fresh)["misses"]
