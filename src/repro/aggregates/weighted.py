@@ -70,6 +70,11 @@ def precompute_weights(profile: DecayProfile, hops: int) -> List[float]:
     return weights
 
 
+def table_profile(weights: Sequence[float]) -> DecayProfile:
+    """The profile a tabulated request carries: ``weights[d]``, 0 beyond it."""
+    return lambda distance: weights[distance] if distance < len(weights) else 0.0
+
+
 def weighted_ball_sum(
     graph: Graph,
     scores: Sequence[float],

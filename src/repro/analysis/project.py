@@ -155,6 +155,9 @@ _HOT_PATHS = {
     "src/repro/core/base.py": HotModule(functions=frozenset({"base_topk"})),
     "src/repro/core/forward.py": HotModule(functions=frozenset({"forward_topk"})),
     "src/repro/core/backward.py": HotModule(functions=frozenset({"backward_topk"})),
+    "src/repro/core/weighted.py": HotModule(
+        functions=frozenset({"weighted_base_topk", "weighted_backward_topk"})
+    ),
     "src/repro/core/executor.py": HotModule(
         functions=frozenset({"_iter_exact_values", "_stream_updates"}),
         delegates=frozenset({"_iter_exact_values"}),
@@ -169,7 +172,6 @@ _HOT_PATHS = {
             {
                 "base_topk_numpy",
                 "forward_topk_numpy",
-                "weighted_base_topk_numpy",
                 "distribute_scores",
                 "verify_blocked",
                 "_backward_topk",
@@ -203,7 +205,6 @@ _HOT_PATHS = {
                 "_scan_task",
                 "_batch_task",
                 "_verify_task",
-                "_weighted_task",
             }
         ),
     ),
@@ -215,7 +216,6 @@ _HOT_PATHS = {
                 "ShardedCoordinator._collect_topk",
                 "ShardedCoordinator.execute_scan",
                 "ShardedCoordinator.execute_backward",
-                "ShardedCoordinator.execute_weighted",
                 "ShardedCoordinator.run_batch",
                 "ShardedCoordinator._verify_frontier",
             }

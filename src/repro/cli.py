@@ -225,7 +225,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     graph = _build_graph(args)
-    net = Network(graph, hops=args.hops, backend=args.backend)
+    # --processes / --cluster name the session's default backend: every
+    # unpinned query is lowered onto it.
+    backend = (
+        "cluster" if args.cluster else "parallel" if args.processes else args.backend
+    )
+    net = Network(graph, hops=args.hops, backend=backend)
     for i in range(args.queries):
         relevance = MixtureRelevance(
             args.blacking_ratio, binary=args.binary, seed=args.seed + 1 + i
@@ -233,14 +238,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         net.add_scores(f"q{i}", relevance.scores(graph))
     if args.cluster:
         net.cluster(workers=_parse_cluster_workers(args.cluster))
+    elif args.processes:
+        # One worker process per scheduler thread; below two the engine's
+        # cpu-count default (a 1-process pool could only decline).
+        net.parallel(workers=args.workers if args.workers >= 2 else None)
     if args.listen is not None:
         return _serve_listen(args, net)
     service = net.service(
         workers=args.workers,
         coalesce=not args.no_coalesce,
         max_pending=max(args.queries * max(args.repeat, 1), 16),
-        processes=args.processes,
-        cluster=bool(args.cluster),
     )
     try:
         start = time.perf_counter()
@@ -320,8 +327,6 @@ def _serve_listen(args: argparse.Namespace, net: Network) -> int:
             service={
                 "workers": args.workers,
                 "coalesce": not args.no_coalesce,
-                "processes": args.processes,
-                "cluster": bool(args.cluster),
             },
         )
     cfg = cfg.replace(host=host or cfg.host, port=port or cfg.port)
@@ -504,13 +509,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("auto", "python", "numpy", "native", "parallel", "cluster"),
         help="execution backend",
     )
-    serve.add_argument(
+    sharded = serve.add_mutually_exclusive_group()
+    sharded.add_argument(
         "--processes",
         action="store_true",
         help="serve on the process-parallel backend: --workers worker "
         "processes over shared-memory CSR shards",
     )
-    serve.add_argument(
+    sharded.add_argument(
         "--cluster",
         metavar="N|HOST:PORT,...",
         help="serve on the socket-cluster backend: an integer spawns that "

@@ -58,7 +58,7 @@ _POLL_CHUNK = 2.0
 
 #: Builder refinements that are plain request-field setters.  Mirrors the
 #: local ``QueryBuilder`` surface (``limit`` is the paper's name for ``k``;
-#: ``where`` and the terminals are defined explicitly below).
+#: ``where``, ``weighted`` and the terminals are defined explicitly below).
 _FIELD_REFINEMENTS = (
     "k",
     "hops",
@@ -175,12 +175,24 @@ class RemoteQueryBuilder:
             )
         return self._with("candidates", tuple(int(u) for u in candidates))
 
+    def weighted(self, profile=None) -> "RemoteQueryBuilder":
+        """Weight each score by hop distance (the paper's footnote 1).
+
+        A profile callable cannot cross the wire, so it is tabulated here
+        to the server session's hop radius — bitwise the weights a local
+        ``.weighted(profile)`` lowers to.
+        """
+        hops = self._fields.get("hops", self._net._session_defaults()["hops"])
+        return self._with(
+            "weights", tuple(precompute_weights(profile or inverse_distance, int(hops)))
+        )
+
     def __getattr__(self, name: str):
         if name in _FIELD_REFINEMENTS:
             return lambda value: self._with(name, value)
         raise AttributeError(
             f"unknown query refinement {name!r}; expected one of "
-            f"{sorted(_FIELD_REFINEMENTS + ('limit', 'where'))}"
+            f"{sorted(_FIELD_REFINEMENTS + ('limit', 'where', 'weighted'))}"
         )
 
     # -- terminals -----------------------------------------------------
@@ -620,24 +632,9 @@ class RemoteNetwork:
         algorithm: str = "backward",
         **options: object,
     ) -> TopKResult:
-        """Distance-weighted top-k (the paper's footnote 1), remotely.
-
-        The profile callable cannot cross the wire, so the client
-        tabulates it to the server session's hop radius with
-        :func:`~repro.aggregates.weighted.precompute_weights` and sends
-        the table — bitwise the same weights a local run would use.
-        """
-        hops = int(self._session_defaults()["hops"])
-        weights = precompute_weights(profile or inverse_distance, hops)
-        out = self._call(
-            "POST",
-            "/v1/weighted",
-            {
-                "score": score,
-                "k": int(k),
-                "weights": [float(w) for w in weights],
-                "algorithm": algorithm,
-                "options": dict(options),
-            },
+        """Distance-weighted top-k (the paper's footnote 1), remotely:
+        ``query(score).limit(k).weighted(profile).algorithm(algorithm)``
+        plus ``options`` as :meth:`topk` takes them."""
+        return self.topk(
+            score, k, weighted=profile, algorithm=algorithm, **options
         )
-        return decode_result(out.get("result"))

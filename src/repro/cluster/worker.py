@@ -358,7 +358,7 @@ class ClusterWorker:
     ) -> Tuple[dict, Dict[str, object]]:
         """Shape one handler result into a reply (ship policy applied)."""
         kind = task["kind"]
-        if kind in ("scan", "weighted"):
+        if kind == "scan":
             payload, arrays = self._ship(result["entries"], ship, task_id)
             payload["counters"] = result["counters"]
             payload["evaluated"] = result["evaluated"]

@@ -9,7 +9,7 @@ JSON config file), each tier has one frozen dataclass that is the single
 schema for them all:
 
 * :class:`ServiceConfig` — the in-process serving tier (scheduler threads,
-  admission bound, coalescing, result cache, process offload).
+  admission bound, coalescing, result cache).
 * :class:`ParallelConfig` — the multi-core engine (worker-process pool,
   decline threshold, shard seed, IPC timeout).
 * :class:`ClusterConfig` — the socket-cluster engine (spawned or addressed
@@ -141,10 +141,10 @@ class ServiceConfig(_FrozenConfig):
     ``workers`` scheduler threads (0 = inline execution on the submitting
     thread); ``max_pending`` is the admission-control queue bound;
     ``coalesce``/``coalesce_limit`` govern fused shared scans;
-    ``cache_entries`` sizes the result cache (0 disables);
-    ``processes=True`` offloads unpinned queries to the process-parallel
-    backend; ``cluster=True`` offloads them to the socket-cluster backend
-    instead (mutually exclusive with ``processes``).
+    ``cache_entries`` sizes the result cache (0 disables).  Where queries
+    execute is not a service setting: a request runs on its own backend,
+    which the builder lowers from the session default
+    (``Network(backend="parallel")``) unless the query pins one.
     """
 
     workers: int = 0
@@ -152,21 +152,13 @@ class ServiceConfig(_FrozenConfig):
     coalesce: bool = True
     coalesce_limit: int = 64
     cache_entries: int = 512
-    processes: bool = False
-    cluster: bool = False
 
     def __post_init__(self) -> None:
         self._coerce("workers", int, 0)
         self._coerce("max_pending", int, 1)
         self._coerce("coalesce_limit", int, 2)
         self._coerce("cache_entries", int, 0)
-        for name in ("coalesce", "processes", "cluster"):
-            self._coerce(name, bool)
-        if self.processes and self.cluster:
-            raise InvalidParameterError(
-                "processes=True and cluster=True are mutually exclusive; "
-                "unpinned queries can offload to one sharded backend only"
-            )
+        self._coerce("coalesce", bool)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ else ``"python"``, so the library keeps working — with identical answers —
 on a bare interpreter.  ``"parallel"``
 and ``"cluster"`` are never chosen implicitly: multi-process/multi-machine
 execution is an explicit opt-in (builder ``.backend("parallel")``, CLI
-``--backend cluster``, ``Network.service(processes=True)``, or
-``Network.cluster(...)``).  All backends return *entry-for-entry
+``--backend cluster``, or the session default ``Network(graph,
+backend="parallel")``).  All backends return *entry-for-entry
 identical* top-k results; only the work counters (pruning/traversal
 accounting) may differ, because the vectorized backends process candidates
 in blocks and the sharded backends additionally split them across shards.

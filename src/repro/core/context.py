@@ -302,7 +302,7 @@ class GraphContext:
     # ------------------------------------------------------------------
     # Sharded engines (the "parallel" and "cluster" backends)
     # ------------------------------------------------------------------
-    def sharded_engine(self, concrete: str, _remember: bool = True, **options):
+    def sharded_engine(self, concrete: str, **options):
         """The session-scoped engine behind a sharded backend name:
         ``"parallel"`` -> :class:`~repro.parallel.engine.ParallelEngine`,
         ``"cluster"`` -> :class:`~repro.cluster.engine.ClusterEngine`.
@@ -315,9 +315,7 @@ class GraphContext:
         the same engine; if the engine was released (:meth:`close`), it is
         rebuilt with the last *remembered* options, so an explicit
         ``net.parallel(...)`` / ``net.cluster(...)`` configuration survives
-        a close/reopen cycle.  ``_remember=False`` (the serving layer's
-        sizing) applies options without making them the session's
-        remembered configuration.
+        a close/reopen cycle.
 
         The previous engine is closed *outside* this context's lock: a
         sharded query holds the engine lock while reading ctx artifacts
@@ -339,7 +337,7 @@ class GraphContext:
                         current = self._engines[concrete] = engine_class(
                             self, **create
                         )
-                        if options and _remember:
+                        if options:
                             self._engine_options[concrete] = dict(options)
                     return current
                 self._engines[concrete] = None

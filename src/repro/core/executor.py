@@ -54,7 +54,6 @@ from repro.relevance.base import ScoreVector, folded_scores
 __all__ = [
     "execute",
     "execute_batch",
-    "execute_weighted",
     "stream",
     "plan",
     "choose_algorithm",
@@ -167,6 +166,11 @@ def plan(
     planner: Optional[QueryPlanner] = None,
 ) -> ExecutionPlan:
     """The cost-based plan for ``request`` (see :mod:`repro.core.planner`)."""
+    if request.weights is not None:
+        raise InvalidParameterError(
+            "the planner does not cost weighted queries; they run "
+            "algorithm 'base' or 'backward' as pinned (default: backward)"
+        )
     if planner is None:
         _check_context_match(ctx, request)  # the size table is the context's
         planner = QueryPlanner(
@@ -207,6 +211,7 @@ def execute(
 
     Dispatch rules:
 
+    * ``weights`` set -> footnote 1's weighted SUM (:func:`_weighted_topk`).
     * ``candidates`` set -> the filtered scan (only those nodes compete;
       the relational algorithm instead pushes the filter into its plan).
     * ``algorithm="auto"`` -> :func:`choose_algorithm`;
@@ -233,6 +238,8 @@ def execute(
             )
         )
     concrete = resolve_backend(spec.backend)
+    if request.weights is not None:
+        return _with_kernel(_weighted_topk(ctx, scores, request, concrete))
     if request.candidates is not None:
         # The filtered scan evaluates candidates exactly (base semantics);
         # a pruning-algorithm pin cannot be honored there, so reject it
@@ -368,83 +375,49 @@ def _sharded_execute(
     return None
 
 
-def execute_weighted(
-    ctx: GraphContext,
-    scores: ScoreVector,
-    spec: QuerySpec,
-    profile=None,
-    algorithm: str = "backward",
-    options: Optional[dict] = None,
+def _weighted_topk(
+    ctx: GraphContext, scores: ScoreVector, request: QueryRequest, concrete: str
 ) -> TopKResult:
-    """Distance-weighted top-k SUM (the paper's footnote 1), one dispatch.
-
-    Behind ``Network.topk_weighted``: ``profile`` maps hop distance to a
-    weight in [0, 1] (default: inverse distance); ``algorithm`` is ``"base"`` or ``"backward"``; ``options``
-    carries the backward knobs (gamma / distribution_fraction /
-    exact_sizes), rejected on base.
-    """
-    from repro.aggregates.weighted import inverse_distance
+    """Footnote 1's distance-weighted SUM: ``request.weights`` on the base
+    or backward route (``auto`` is backward; the request admits nothing
+    else).  In process the python reference is the oracle and the
+    vectorized drivers take the weights as a parameter; a sharded engine
+    scans owned centers exactly."""
+    from repro.aggregates.weighted import table_profile
     from repro.core.weighted import weighted_backward_topk, weighted_base_topk
 
-    ctx.check_fresh()
-    options = dict(options or {})
-    if profile is None:
-        profile = inverse_distance
-    concrete = resolve_backend(spec.backend)
-    if algorithm == "base":
-        _reject_unknown_options(options)
-        if concrete in ("parallel", "cluster"):
-            result = ctx.sharded_engine(concrete).execute_weighted(
-                scores, spec, profile
-            )
-            if result is not None:
-                return _with_kernel(result)
-        return _with_kernel(weighted_base_topk(ctx.graph, scores, spec, profile))
-    if algorithm != "backward":
-        raise InvalidParameterError(
-            f"weighted queries support algorithm 'base' or 'backward', "
-            f"got {algorithm!r}"
+    algorithm = "base" if request.algorithm == "base" else "backward"
+    _reject_inapplicable_knobs(request, algorithm)
+    spec = request.spec()
+    # The sharded scan is exact; it stands in for backward only when the
+    # distribution knobs are at their defaults — a tuned gamma must reach
+    # the kernel that honors it, so those queries run in-process.
+    if concrete in ("parallel", "cluster") and (
+        algorithm == "base"
+        or (
+            request.gamma == "auto"
+            and request.distribution_fraction == 0.1
+            and not request.exact_sizes
         )
-    gamma = options.pop("gamma", "auto")
-    fraction = float(options.pop("distribution_fraction", 0.1))  # type: ignore[arg-type]
-    exact_sizes = bool(options.pop("exact_sizes", False))
-    _reject_unknown_options(options)
-    if (
-        concrete in ("parallel", "cluster")
-        and gamma == "auto"
-        and fraction == 0.1
-        and not exact_sizes
     ):
-        # The sharded weighted route is an exact scan of owned centers; it
-        # only stands in for backward when the distribution knobs are at
-        # their defaults — a tuned gamma must reach the kernel that honors
-        # it, so those queries run in-process.
-        result = ctx.sharded_engine(concrete).execute_weighted(
-            scores, spec, profile
+        result = ctx.sharded_engine(concrete).execute_scan(
+            scores, spec, "base", weights=request.weights
         )
         if result is not None:
-            return _with_kernel(result)
-    return _with_kernel(
-        weighted_backward_topk(
-            ctx.graph,
-            scores,
-            spec,
-            profile,
-            gamma=gamma,  # type: ignore[arg-type]
-            distribution_fraction=fraction,
-            sizes=ctx.size_index(exact=exact_sizes),
-            dist_ball_cache=(
-                ctx.dist_ball_cache() if concrete != "python" else None
-            ),
-        )
+            return result
+    profile = table_profile(request.weights)
+    if algorithm == "base":
+        return weighted_base_topk(ctx.graph, scores, spec, profile)
+    return weighted_backward_topk(
+        ctx.graph,
+        scores,
+        spec,
+        profile,
+        gamma=request.gamma,  # type: ignore[arg-type]
+        distribution_fraction=request.distribution_fraction,
+        sizes=ctx.size_index(exact=request.exact_sizes),
+        dist_ball_cache=ctx.dist_ball_cache() if concrete != "python" else None,
     )
-
-
-def _reject_unknown_options(options: dict) -> None:
-    if options:
-        raise InvalidParameterError(
-            f"unknown query options: {sorted(options)}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -586,6 +559,11 @@ def stream(
     ctx.check_fresh()
     _check_context_match(ctx, request)
     spec = request.spec()
+    if request.weights is not None:
+        raise InvalidParameterError(
+            "streaming evaluates unweighted aggregates; weighted queries "
+            "cannot be combined with .stream()"
+        )
     if request.algorithm not in ("auto", "base"):
         raise InvalidParameterError(
             "streaming runs its own bound-ordered exact scan; algorithm "

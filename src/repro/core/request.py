@@ -15,6 +15,10 @@ old loose-kwarg engine surfaces accepted:
 * ``gamma`` / ``distribution_fraction`` / ``exact_sizes`` — the
   LONA-Backward policy knobs.
 * ``ordering`` / ``seed`` — the LONA-Forward queue-order knobs.
+* ``weights`` — footnote 1's distance weights, tabulated: ``weights[d]`` in
+  [0, 1] multiplies a score ``d`` hops from the center (``hops + 1``
+  entries; the builder's ``.weighted(profile)``).  Defined for SUM on the
+  ``base`` / ``backward`` routes (``auto`` resolves to ``backward``).
 * ``priority`` / ``deadline`` — serving metadata consumed by the async
   scheduler (:mod:`repro.service`): higher priority is dequeued first, and
   a request still queued ``deadline`` seconds after submission expires
@@ -51,10 +55,11 @@ __all__ = [
 ]
 
 #: Version stamp of the canonical :meth:`QueryRequest.to_dict` schema.  Bump
-#: only when a field changes meaning — *adding* fields is compatible (the
-#: decoder tolerates unknown keys, so an old client can talk to a new
-#: server and vice versa).
-REQUEST_SCHEMA_VERSION = 1
+#: when a peer that ignores a field would answer a different question —
+#: adding a field it may ignore is compatible (the decoder tolerates unknown
+#: keys).  2: ``weights`` (a v1 peer would answer the unweighted query);
+#: v1 payloads still decode.
+REQUEST_SCHEMA_VERSION = 2
 
 #: The request fields carried by the canonical serialization, in canonical
 #: order.  ``priority`` / ``deadline`` / ``pinned`` are serving *metadata*:
@@ -74,6 +79,7 @@ _CANONICAL_FIELDS = (
     "exact_sizes",
     "ordering",
     "seed",
+    "weights",
 )
 _METADATA_FIELDS = ("priority", "deadline", "pinned")
 
@@ -111,6 +117,7 @@ class QueryRequest:
     exact_sizes: bool = False
     ordering: str = "ubound"
     seed: Optional[int] = field(default=None)
+    weights: Optional[Tuple[float, ...]] = None
     priority: int = field(default=0, compare=False)
     deadline: Optional[float] = field(default=None, compare=False)
     pinned: FrozenSet[str] = field(default=frozenset(), compare=False)
@@ -155,6 +162,8 @@ class QueryRequest:
             object.__setattr__(
                 self, "candidates", normalize_candidates(self.candidates)
             )
+        if self.weights is not None:
+            object.__setattr__(self, "weights", self._checked_weights())
         object.__setattr__(self, "priority", int(self.priority))
         if self.deadline is not None:
             deadline = float(self.deadline)
@@ -171,6 +180,40 @@ class QueryRequest:
                 f"pinned names {sorted(unknown)} are not request fields"
             )
         object.__setattr__(self, "pinned", pinned)
+
+    def _checked_weights(self) -> Tuple[float, ...]:
+        """The weight table as floats, or why this request cannot carry one."""
+        try:
+            weights = tuple(float(w) for w in self.weights)  # type: ignore[union-attr]
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                "weights must be a sequence of numbers, one per hop distance"
+            ) from None
+        if len(weights) != self.hops + 1:
+            raise InvalidParameterError(
+                f"weights must tabulate distances 0..{self.hops} "
+                f"({self.hops + 1} entries), got {len(weights)}"
+            )
+        if not all(0.0 <= w <= 1.0 for w in weights):
+            raise InvalidParameterError(
+                f"weights must be in [0, 1] for the pruning bounds to stay "
+                f"sound, got {list(weights)}"
+            )
+        if self.aggregate is not AggregateKind.SUM:
+            raise InvalidParameterError(
+                "weighted aggregation is defined for SUM (footnote 1), not "
+                f"{self.aggregate.value}"
+            )
+        if self.algorithm not in ("auto", "base", "backward"):
+            raise InvalidParameterError(
+                "weighted queries support algorithm 'base' or 'backward', "
+                f"got {self.algorithm!r}"
+            )
+        if self.candidates is not None:
+            raise InvalidParameterError(
+                "weighted queries cannot be combined with .where(...)"
+            )
+        return weights
 
     # ------------------------------------------------------------------
     def spec(self) -> QuerySpec:
@@ -208,7 +251,7 @@ class QueryRequest:
             value = getattr(self, name)
             if name == "aggregate":
                 value = value.value
-            elif name == "candidates" and value is not None:
+            elif name in ("candidates", "weights") and value is not None:
                 value = list(value)
             payload[name] = value
         if metadata:
@@ -244,7 +287,7 @@ class QueryRequest:
             if name not in payload or payload[name] is None:
                 continue
             value = payload[name]
-            if name == "candidates":
+            if name in ("candidates", "weights"):
                 value = tuple(value)
             elif name == "pinned":
                 known = {f.name for f in fields(cls)}
@@ -299,6 +342,8 @@ class QueryRequest:
         parts = [f"score={self.score!r}", f"algorithm={self.algorithm}"]
         if self.candidates is not None:
             parts.append(f"candidates={len(self.candidates)}")
+        if self.weights is not None:
+            parts.append(f"weights={list(self.weights)}")
         return f"{out} ({', '.join(parts)})"
 
 

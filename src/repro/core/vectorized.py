@@ -12,7 +12,7 @@ array-shaped work — executes without per-edge Python calls.
 
 One route table, two kernel providers
 -------------------------------------
-The five ``*_topk_numpy`` functions are the route *drivers* of every
+The four ``*_topk_numpy`` functions are the route *drivers* of every
 vectorized backend: ordering, bound state, thresholds, offers, stats.  The
 one thing a backend contributes is how a *block of balls* is evaluated, and
 that arrives as the ``kernels`` argument — :class:`NumpyKernels` (this
@@ -104,7 +104,6 @@ __all__ = [
     "offer_block",
     "static_upper_bounds_array",
     "verify_blocked",
-    "weighted_base_topk_numpy",
     "weighted_backward_topk_numpy",
 ]
 
@@ -736,6 +735,7 @@ def base_topk_numpy(
     *,
     node_order: Optional[Sequence[int]] = None,
     block_size: Optional[int] = None,
+    weights=None,
     kernels=None,
 ) -> TopKResult:
     """Base (exhaustive forward processing) over CSR flat arrays.
@@ -746,12 +746,20 @@ def base_topk_numpy(
     sorted ``(owner, member)`` segments).  Each candidate block is one
     ``kernels.ball_values`` call; the accumulator sees exactly the values
     the Python loop would offer, in the same order.
+
+    ``weights`` (one weight per hop distance; SUM specs) makes it footnote
+    1's scan, :func:`repro.core.weighted.weighted_base_topk`'s
+    mirror: each block is then one ``kernels.weighted_ball_sums`` call
+    (numpy: a distance-labeled multi-source BFS reduced as
+    ``bincount(owners, w[dist] * f[member])``).
     """
     import numpy as np
 
     kernels = kernels or NumpyKernels()
     csr = graph.csr()
     scores_arr, eff_kind = folded_scores(np, scores, spec.aggregate)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
 
     start = time.perf_counter()
     if node_order is None:
@@ -764,14 +772,20 @@ def base_topk_numpy(
     for lo in range(0, int(order.size), block_size):
         check_deadline()
         centers = order[lo : lo + block_size]
-        values, _ = kernels.ball_values(
-            np, csr, centers, scores_arr, eff_kind, spec.hops, spec.include_self,
-            counter,
-        )
+        if weights is None:
+            values, _ = kernels.ball_values(
+                np, csr, centers, scores_arr, eff_kind, spec.hops,
+                spec.include_self, counter,
+            )
+        else:
+            values = kernels.weighted_ball_sums(
+                np, csr, centers, scores_arr, weights, spec.hops,
+                spec.include_self, counter,
+            )
         offer_block(np, acc, centers, values)
     stats = _scan_stats(
-        "base", spec.aggregate.value, spec, kernels, start, int(order.size),
-        counter, block_size,
+        "base" if weights is None else "weighted-base", spec.aggregate.value,
+        spec, kernels, start, int(order.size), counter, block_size,
     )
     return TopKResult(entries=acc.entries(), stats=stats)
 
@@ -785,48 +799,6 @@ def _distance_weights(np, spec: QuerySpec, profile):
     if profile is None:
         profile = inverse_distance
     return np.asarray(precompute_weights(profile, spec.hops), dtype=np.float64)
-
-
-def weighted_base_topk_numpy(
-    graph: Graph,
-    scores: Sequence[float],
-    spec: QuerySpec,
-    profile=None,
-    *,
-    block_size: Optional[int] = None,
-    kernels=None,
-) -> TopKResult:
-    """Naive weighted scan over CSR flat arrays.
-
-    Mirrors :func:`repro.core.weighted.weighted_base_topk`: each candidate
-    block is one ``kernels.weighted_ball_sums`` call (numpy: a
-    distance-labeled multi-source BFS reduced as ``bincount(owners,
-    w[dist] * f[member])``).
-    """
-    import numpy as np
-
-    kernels = kernels or NumpyKernels()
-    weights = _distance_weights(np, spec, profile)
-    csr = graph.csr()
-    scores_arr, _ = folded_scores(np, scores)
-
-    start = time.perf_counter()
-    n = graph.num_nodes
-    block_size = kernels.block_size(block_size, n, int(csr.num_arcs))
-    acc = TopKAccumulator(spec.k)
-    counter = TraversalCounter()
-    for lo in range(0, n, block_size):
-        check_deadline()
-        centers = np.arange(lo, min(lo + block_size, n), dtype=np.int64)
-        values = kernels.weighted_ball_sums(
-            np, csr, centers, scores_arr, weights, spec.hops, spec.include_self,
-            counter,
-        )
-        offer_block(np, acc, centers, values)
-    stats = _scan_stats(
-        "weighted-base", "sum", spec, kernels, start, n, counter, block_size
-    )
-    return TopKResult(entries=acc.entries(), stats=stats)
 
 
 def weighted_backward_topk_numpy(

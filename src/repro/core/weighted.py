@@ -38,6 +38,7 @@ from repro.aggregates.weighted import (
 )
 from repro.core.backends import kernel_provider, resolve_backend
 from repro.core.backward import resolve_gamma
+from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
@@ -71,13 +72,13 @@ def weighted_base_topk(
     check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
-        from repro.core.vectorized import weighted_base_topk_numpy
+        from repro.core.vectorized import base_topk_numpy
 
-        return weighted_base_topk_numpy(
+        return base_topk_numpy(
             graph,
             scores,
             spec,
-            profile,
+            weights=precompute_weights(profile, spec.hops),
             kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
@@ -86,6 +87,7 @@ def weighted_base_topk(
     acc = TopKAccumulator(spec.k)
     evaluated = 0
     for u in graph.nodes():
+        check_deadline()
         distances = hop_ball_with_distances(
             graph, u, spec.hops, include_self=spec.include_self, counter=counter
         )
@@ -190,6 +192,7 @@ def weighted_backward_topk(
     covered = [0] * n
     self_distributed = bytearray(n)
     for u in distributed:
+        check_deadline()
         fu = scores[u]
         distances = hop_ball_with_distances(
             dist_graph, u, spec.hops, include_self=spec.include_self, counter=counter
@@ -222,6 +225,7 @@ def weighted_backward_topk(
     acc = TopKAccumulator(spec.k)
     offered = 0
     for bound, v in candidates:
+        check_deadline()
         if acc.is_full and bound <= acc.threshold:
             stats.early_terminated = True
             break

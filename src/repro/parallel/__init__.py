@@ -14,7 +14,8 @@ additionally runs a sharded distribution phase and TA-style verification
 rounds that dispatch frontier candidates back to their owning shards.
 
 Selected with ``backend="parallel"`` anywhere a backend is accepted
-(builder, CLI, ``QueryRequest``) or with ``Network.service(processes=True)``;
+(builder, CLI, ``QueryRequest``, or the session default ``Network(graph,
+backend="parallel")``);
 plugged in behind :func:`repro.core.executor.execute`, so the query surface
 is untouched.  The engine declines graphs too small to amortize the
 process/IPC fixed cost and runs them on the in-process numpy backend

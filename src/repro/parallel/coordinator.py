@@ -23,10 +23,10 @@ property of the *protocol* is decided here:
   regime, whose answers are order-sensitive partial sums.
 * **The stale-retry round** — a worker that finds its export invalidated
   answers ``stale``; the round re-exports and runs once more.
-* **The five routes** — sharded Base / bound-pruned Forward scan, the
-  Backward pipeline (distribution -> merged Eq. 3 bounds -> TA verification
-  rounds against owning shards), frontier verification, the
-  distance-weighted scan and the fused batch scan — including the
+* **The three routes** — the sharded scan (Base, bound-pruned Forward,
+  distance-weighted Base), the Backward pipeline (distribution -> merged
+  Eq. 3 bounds -> TA verification rounds against owning shards, frontier
+  verification included) and the fused batch scan — including the
   θ/quota/resume candidate-collection loop.
 
 What is a property of the *link* is a hook the two engines override
@@ -584,13 +584,16 @@ class ShardedCoordinator:
         algorithm: str,
         *,
         candidates: Optional[Sequence[int]] = None,
+        weights: Optional[Sequence[float]] = None,
         force: bool = False,
     ) -> Optional[TopKResult]:
         """Sharded Base (``algorithm="base"``) or bound-pruned Forward scan.
 
         ``candidates`` restricts the competitors (the ``.where(...)``
         filtered scan): each shard evaluates the intersection of the
-        candidate set with its owned nodes.
+        candidate set with its owned nodes.  ``weights`` (one per hop
+        distance, SUM specs, ``"base"``) makes it footnote 1's
+        distance-weighted scan, reported as ``"weighted-base"``.
         """
         import numpy as np
 
@@ -615,10 +618,15 @@ class ShardedCoordinator:
                 if candidates is None
                 else np.asarray(sorted(candidates), dtype=np.int64)
             )
+            # No sound self-score seed exists under arbitrary weights.
             theta, shares = self._ship_seed(
-                np, scores, spec.aggregate, spec, centers
+                np, scores, spec.aggregate, spec if weights is None else None,
+                centers,
             )
             native = self._workers_native()
+            if weights is not None:
+                algorithm = "weighted-base"
+                weights = [float(w) for w in weights]
 
             def make_task(shard: int) -> dict:
                 assert self._plan is not None
@@ -633,6 +641,7 @@ class ShardedCoordinator:
                     "owned": self._owned[shard].meta(),
                     "centers": mine,
                     "aggregate": spec.aggregate.value,
+                    "weights": weights,
                     "hops": int(spec.hops),
                     "include_self": bool(spec.include_self),
                     "k": int(spec.k),
@@ -871,60 +880,6 @@ class ShardedCoordinator:
             merge_counters(stats, [header["counters"]])
             exact.update(arrays["entries"])
         return exact
-
-    def execute_weighted(
-        self, scores, spec, profile, *, force: bool = False
-    ) -> Optional[TopKResult]:
-        """Sharded distance-weighted SUM (exact scan of owned centers)."""
-        import numpy as np
-
-        from repro.aggregates.weighted import inverse_distance, precompute_weights
-        from repro.core.weighted import check_weighted_spec
-
-        check_weighted_spec(spec)
-        with self._lock:
-            if self._declines(force=force):
-                return None
-            start = time.perf_counter()
-            traffic = self._open_query()
-            # The decay profile crosses the link pre-evaluated, one weight
-            # per hop distance (callables do not cross process boundaries).
-            weights = [
-                float(w)
-                for w in precompute_weights(
-                    profile if profile is not None else inverse_distance,
-                    spec.hops,
-                )
-            ]
-            block = self._block_size()
-            theta, shares = self._ship_seed(np, scores, AggregateKind.SUM)
-            native = self._workers_native()
-
-            def make_task(shard: int) -> dict:
-                return {
-                    "kind": "weighted",
-                    "csr": self._csr.meta(),
-                    "scores": self._score_meta(scores),
-                    "owned": self._owned[shard].meta(),
-                    "weights": weights,
-                    "hops": int(spec.hops),
-                    "include_self": bool(spec.include_self),
-                    "k": int(spec.k),
-                    "block": block,
-                    "native": native,
-                }
-
-            entries, headers = self._collect_topk(
-                int(spec.k),
-                make_task,
-                theta,
-                shares,
-                traffic,
-                steal=self.steals_chunks,
-            )
-            return self._finish_scan(
-                "weighted-base", spec, start, entries, headers, traffic
-            )
 
     def run_batch(
         self, batch: Sequence, *, hops: int, include_self: bool, force: bool = False

@@ -179,6 +179,10 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
     ``lo``/``hi`` (optional) select a slice of the owned array — the
     engine's work-stealing chunks name sub-ranges of the already-exported
     shard instead of shipping center lists per chunk.
+
+    ``weights`` (optional) makes it footnote 1's distance-weighted SUM: the
+    decay profile arrives pre-evaluated, one weight per hop distance
+    (callables do not cross process boundaries).
     """
     csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
@@ -193,6 +197,9 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
     kernels = _kernels(task)
     counter = TraversalCounter()
     acc = TopKAccumulator(task["k"])
+    weights = task.get("weights")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
     bounds_meta = task.get("bounds")
     ordered_bounds = None
     if bounds_meta is not None:
@@ -212,9 +219,16 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
             pruned = int(centers.size) - evaluated
             break
         chunk = centers[lo : lo + block]
-        values, _ = kernels.ball_values(
-            np, csr, chunk, folded, kind, task["hops"], task["include_self"], counter
-        )
+        if weights is None:
+            values, _ = kernels.ball_values(
+                np, csr, chunk, folded, kind, task["hops"], task["include_self"],
+                counter,
+            )
+        else:
+            values = kernels.weighted_ball_sums(
+                np, csr, chunk, folded, weights, task["hops"],
+                task["include_self"], counter,
+            )
         offer_block(np, acc, chunk, values)
         evaluated += int(chunk.size)
     out = {
@@ -323,45 +337,11 @@ def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
     return _ship_pairs(np, cache, task, out, list(zip(nodes, values)), "pairs")
 
 
-def _weighted_task(np, cache: _AttachmentCache, task: dict) -> dict:
-    """Distance-weighted SUM over owned centers (the paper's footnote 1).
-
-    The decay profile arrives pre-evaluated as one weight per hop distance
-    (callables do not cross process boundaries); each block is one
-    ``weighted_ball_sums`` call.
-    """
-    csr = cache.csr(task["csr"]).csr
-    scores = cache.array(task["scores"])
-    centers = cache.array(task["owned"])
-    if "hi" in task:
-        centers = centers[task.get("lo", 0) : task["hi"]]
-    weights = np.asarray(task["weights"], dtype=np.float64)
-    block = task["block"]
-    kernels = _kernels(task)
-    counter = TraversalCounter()
-    acc = TopKAccumulator(task["k"])
-    for lo in range(0, int(centers.size), block):
-        check_deadline()  # block boundary (live under a cluster task scope)
-        chunk = centers[lo : lo + block]
-        values = kernels.weighted_ball_sums(
-            np, csr, chunk, scores, weights, task["hops"], task["include_self"],
-            counter,
-        )
-        offer_block(np, acc, chunk, values)
-    out = {
-        "counters": _counters(counter, int(centers.size)),
-        "evaluated": int(centers.size),
-        "pruned": 0,
-    }
-    return _ship_pairs(np, cache, task, out, acc.entries(), "entries")
-
-
 _HANDLERS = {
     "scan": _scan_task,
     "batch": _batch_task,
     "distribute": _distribute_task,
     "verify": _verify_task,
-    "weighted": _weighted_task,
 }
 
 

@@ -73,47 +73,6 @@ class QueryService:
         self.cache = ResultCache(cfg.cache_entries)
         self._rw = ReadWriteLock()
         self._coalesce = cfg.coalesce and cfg.workers > 0
-        # Process mode: compute runs on the session's parallel engine —
-        # ``workers`` worker *processes* over shared-memory CSR shards —
-        # while the scheduler threads only dispatch/merge.  Requests that
-        # explicitly pinned a backend keep it; everything else is rewritten
-        # to the "parallel" backend at execution time (the cache key stays
-        # the original request — same answer either way).
-        # Cluster mode is the same lane policy over the socket-cluster
-        # engine: unpinned requests are rewritten to "cluster" and execute
-        # on remote cluster-worker processes.  ServiceConfig rejects
-        # processes+cluster together, so at most one rewrite applies.
-        self._sharded = (
-            "parallel" if cfg.processes else "cluster" if cfg.cluster else None
-        )
-        if cfg.cluster:
-            # net.cluster(...) wins when the session configured the engine
-            # explicitly; otherwise the default (2 local spawned workers)
-            # is created lazily on the first cluster execution.
-            network._ctx.sharded_engine("cluster")
-        if cfg.processes:
-            # Size the worker-process pool to the service — unless the
-            # session explicitly configured the engine (net.parallel(...)
-            # wins).  ``workers`` counts scheduler threads; below 2 it is
-            # no statement about process parallelism, so the engine falls
-            # back to its cpu-count default rather than a 1-process pool
-            # that could only decline.
-            import os as _os
-
-            ctx = network._ctx
-            if not ctx.engine_configured("parallel"):
-                desired = (
-                    cfg.workers if cfg.workers >= 2 else (_os.cpu_count() or 1)
-                )
-                if (
-                    not ctx.has_engine("parallel")
-                    or ctx.sharded_engine("parallel").workers != desired
-                ):
-                    ctx.sharded_engine(
-                        "parallel", _remember=False, workers=desired
-                    )
-            else:
-                ctx.sharded_engine("parallel")
         self._scheduler = Scheduler(
             self._execute_one,
             self._execute_group,
@@ -218,8 +177,6 @@ class QueryService:
         """One monitoring payload: serving counters, queue gauges, caches."""
         payload = dict(self._stats.snapshot())
         payload["workers"] = self.workers
-        payload["processes"] = self.config.processes
-        payload["cluster_mode"] = self.config.cluster
         payload["pending"] = self._scheduler.pending
         payload["inflight"] = self._scheduler.inflight
         payload["result_cache"] = self.cache.stats()
@@ -274,16 +231,6 @@ class QueryService:
             include_self=net.include_self,
             backend=net.backend,
         )
-
-    def _effective_request(self, request: QueryRequest) -> QueryRequest:
-        """Process/cluster mode rewrites unpinned requests to its backend."""
-        if (
-            self._sharded
-            and request.backend != self._sharded
-            and not request.is_pinned("backend")
-        ):
-            return request.replace(backend=self._sharded)
-        return request
 
     def _version_token(self, score: str) -> tuple:
         net = self._net
@@ -347,9 +294,7 @@ class QueryService:
                         if result is None:  # cancelled mid-stream
                             return
                     else:
-                        result = self._net._run(
-                            self._effective_request(handle.request)
-                        )
+                        result = self._net._run(handle.request)
                 if not handle.stream and handle.cached:
                     self.cache.put(key, result)
                 handle._finish(result)
@@ -375,17 +320,10 @@ class QueryService:
                     )
                     for h in missing
                 ]
-                # Process mode only reroutes the group when no member
-                # explicitly pinned a backend — the same "pins win"
-                # contract the single-query path honors.  (Pins to a
-                # backend other than the session's are never coalescible,
-                # so a pinned member here pinned the session backend.)
-                unpinned = all(
-                    not h.request.is_pinned("backend") for h in missing
-                )
-                results = self._net._run_batch(
-                    queries, backend=self._sharded if unpinned else None
-                )
+                # Coalescible members all carry the session backend (a pin
+                # to another one never coalesces), so that is where the
+                # group runs.
+                results = self._net._run_batch(queries)
                 if len(missing) > 1:
                     self._stats.incr("coalesced_batches")
                     self._stats.incr("coalesced_queries", len(missing))

@@ -6,7 +6,9 @@ the connection use *this module* to produce and consume it — parity between
 round-trip property of these functions, not a convention.
 
 * Requests ride :meth:`repro.core.request.QueryRequest.to_dict` /
-  ``from_dict`` (they carry their own ``schema_version``).
+  ``from_dict`` (they carry their own ``schema_version``).  Everything a
+  query can ask is a field of it — distance weights included — so the
+  query routes take one payload shape and no route is per query kind.
 * Results and stream updates are encoded here (entries as ``[node,
   value]`` pairs, stats as a flat field dict with extras kept separate so
   the decode is lossless).

@@ -18,9 +18,9 @@ groups by — so every request of one shape lands on one lane: repeated hot
 queries hit that lane's cache, and concurrent compatible ones meet in its
 queue and fuse into shared scans.
 
-With ``processes=True`` in the lane config, execution is offloaded to the
-session's :class:`~repro.parallel.engine.ParallelEngine`: the lane's
-scheduler threads only dispatch and merge while ``workers`` worker
+Over a ``Network(backend="parallel")`` session execution is offloaded to
+the session's :class:`~repro.parallel.engine.ParallelEngine`: the lane's
+scheduler threads only dispatch and merge while the engine's worker
 *processes*, each attached to the shared-memory ``SharedCSR`` replica,
 do the scans — the serving tier's multi-process execution mode.
 
@@ -89,8 +89,8 @@ class ReplicaSet:
         return index, self._lanes[index]
 
     def least_loaded(self) -> Tuple[int, QueryService]:
-        """The lane with the fewest queued+inflight queries (batch/weighted
-        routes have no per-shape affinity to protect)."""
+        """The lane with the fewest queued+inflight queries (a batch has no
+        one shape whose affinity to protect)."""
         index = min(
             range(len(self._lanes)),
             key=lambda i: self._lanes[i]._scheduler.pending

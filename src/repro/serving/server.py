@@ -20,8 +20,12 @@ Routes (all under ``/v1/``, the :data:`~repro.serving.protocol.PROTOCOL_VERSION`
 ``POST /v1/cancel/<id>``              cancel a submitted query
 ``GET  /v1/updates/<id>``             long-poll a streaming query's refinements
 ``POST /v1/batch``                    many (score, k, aggregate) queries at once
-``POST /v1/weighted``                 distance-weighted query (tabulated weights)
 ====================================  ==========================================
+
+A distance-weighted query is a ``query`` / ``submit`` / ``batch`` whose
+request carries ``weights``: it is admitted on that request, routed to its
+shape's lane and counted in the occupancy the shed rule reads, like any
+other.
 
 Error responses are ``{"error": {"code": ..., "message": ..., ...}}`` with
 the status from :func:`~repro.serving.protocol.status_for`; the client
@@ -336,7 +340,9 @@ class QueryServer:
                 self._cost_cache.move_to_end(key)
                 return hit[1]
         try:
-            plan = self._net._plan(request)
+            # Distance weights change what a ball sums to, not which balls
+            # a route expands: a weighted request costs its unweighted twin.
+            plan = self._net._plan(request.replace(weights=None))
             cost = plan.estimate_for(plan.chosen).total_amortized()
         except ReproError:
             cost = 0.0
@@ -347,25 +353,13 @@ class QueryServer:
         return cost
 
     def _fixed_cost_of(self, request: QueryRequest) -> float:
-        """The backend fixed overhead the request would actually pay.
-
-        The lanes rewrite unpinned requests to the sharded backend the
-        service is configured for, so admission prices pinned requests by
-        their pin and unpinned ones by the lane policy — a cluster-routed
-        query is charged its socket/store-shipping tax
-        (:data:`~repro.core.planner.BACKEND_FIXED_COSTS`) even when its
-        scan cost alone would pass the shed budget.
-        """
+        """The fixed overhead of the request's own backend — the one it
+        executes on: a cluster-routed query is charged its socket /
+        store-shipping tax (:data:`~repro.core.planner.BACKEND_FIXED_COSTS`)
+        even when its scan cost alone would pass the shed budget."""
         from repro.core.planner import BACKEND_FIXED_COSTS
 
-        backend = request.backend
-        if backend == "auto":
-            service = self.config.service
-            if service.cluster:
-                backend = "cluster"
-            elif service.processes:
-                backend = "parallel"
-        return float(BACKEND_FIXED_COSTS.get(backend, 0.0))
+        return float(BACKEND_FIXED_COSTS.get(request.backend, 0.0))
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -490,9 +484,6 @@ class QueryServer:
             if route == ("POST", "/v1/batch"):
                 self._bump("batch")
                 return await self._route_batch(payload, tenant)
-            if route == ("POST", "/v1/weighted"):
-                self._bump("weighted")
-                return await self._route_weighted(payload, tenant)
             err = ProtocolError(f"no route {method} {path or '/'}")
             return 404, encode_error(err)
         except Exception as exc:  # typed wire errors for everything
@@ -721,42 +712,6 @@ class QueryServer:
             release()
         results = [encode_result(h.result(timeout=0)) for h in handles]
         return 200, {"results": results, "replica": index}
-
-    async def _route_weighted(
-        self, payload: dict, tenant: str
-    ) -> Tuple[int, dict]:
-        score = payload.get("score")
-        k = payload.get("k")
-        weights = payload.get("weights")
-        if not isinstance(score, str) or not isinstance(k, int):
-            raise ProtocolError("'score' (string) and 'k' (int) are required")
-        if not isinstance(weights, list) or not weights:
-            raise ProtocolError(
-                "'weights' must be a non-empty list of per-hop weights "
-                "(client tabulates its profile with precompute_weights)"
-            )
-        table = [float(w) for w in weights]
-        algorithm = str(payload.get("algorithm", "backward"))
-        options = payload.get("options") or {}
-        if not isinstance(options, dict):
-            raise ProtocolError("'options' must be an object")
-        representative = QueryRequest(k=int(k), score=score, hops=self._net.hops)
-        release = self.admission.admit(representative, tenant)
-        try:
-
-            def profile(distance: int) -> float:
-                return table[distance] if distance < len(table) else 0.0
-
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(
-                None,
-                lambda: self._net.topk_weighted(
-                    score, int(k), profile, algorithm, **options
-                ),
-            )
-        finally:
-            release()
-        return 200, {"result": encode_result(result)}
 
     # ------------------------------------------------------------------
     async def _await_handle(self, handle, timeout: Optional[float] = None) -> None:

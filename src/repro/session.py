@@ -30,6 +30,9 @@ exposes every execution mode through one immutable builder::
     # cost-based plan without executing
     print(net.query("pagerank").limit(10).explain().explain())
 
+    # the paper's footnote 1: scores weighted by hop distance
+    near = net.query("pagerank").limit(10).weighted(exponential_decay(0.5)).run()
+
     # heavy workloads: one shared scan for many queries
     batch = net.batch([
         net.query("pagerank").limit(10),
@@ -61,6 +64,7 @@ from contextlib import ExitStack, nullcontext
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate
+from repro.aggregates.weighted import inverse_distance, precompute_weights
 from repro.core import executor
 from repro.core.backends import resolve_backend
 from repro.core.batch import BatchQuery, BatchResult, coalescible_request
@@ -89,6 +93,7 @@ _BUILDER_FIELDS = (
     "exact_sizes",
     "ordering",
     "seed",
+    "weights",
     "priority",
     "deadline",
 )
@@ -207,6 +212,17 @@ class QueryBuilder:
     def seed(self, seed: int) -> "QueryBuilder":
         """Seed for the ``"random"`` ordering."""
         return self._with(seed=int(seed))
+
+    def weighted(self, profile=None) -> "QueryBuilder":
+        """Weight each score by hop distance (the paper's footnote 1).
+
+        ``profile`` maps a distance to a weight in [0, 1] (default: inverse
+        distance); it is tabulated here, once, for the session's radius.
+        SUM only, on ``base`` or ``backward`` (the default).
+        """
+        return self._with(
+            weights=tuple(precompute_weights(profile or inverse_distance, self._net.hops))
+        )
 
     def priority(self, priority: int) -> "QueryBuilder":
         """Scheduler priority (higher is dequeued first; default 0)."""
@@ -461,11 +477,10 @@ class Network:
         names are rejected up front with the valid names.  Reconfiguring
         with a *different* config shuts the previous service down (draining
         in-flight queries) and replaces it; an equal config is idempotent.
-        ``processes=True`` serves unpinned queries on the process-parallel
-        backend — ``workers`` worker *processes* over shared-memory CSR
-        shards (see :meth:`parallel`) fronted by the same scheduler
-        threads — so throughput scales with cores instead of one
-        interpreter.
+        Where queries execute is the session's (or a builder's) backend,
+        not a service setting: over ``Network(graph, backend="parallel")``
+        the same scheduler threads front the worker processes (see
+        :meth:`parallel`).
         """
         from repro.config import ServiceConfig
         from repro.service import QueryService
@@ -554,8 +569,8 @@ class Network:
         """The session's process-parallel engine (configure or inspect).
 
         Queries opt in per request (``.backend("parallel")``, CLI
-        ``--backend parallel``) or service-wide
-        (``net.service(processes=True)``); the engine — worker pool,
+        ``--backend parallel``) or session-wide
+        (``Network(graph, backend="parallel")``); the engine — worker pool,
         shared-memory CSR/score exports, shard plan — is created lazily on
         first parallel execution with ``os.cpu_count()`` workers.  Call
         this with configuration to set it up front::
@@ -585,8 +600,8 @@ class Network:
         """The session's socket-cluster engine (configure or inspect).
 
         Queries opt in per request (``.backend("cluster")``, CLI
-        ``--backend cluster``) or service-wide
-        (``net.service(cluster=True)``).  ``workers`` is a count of
+        ``--backend cluster``) or session-wide
+        (``Network(graph, backend="cluster")``).  ``workers`` is a count of
         locally spawned ``cluster-worker`` processes or a list of
         ``host:port`` addresses of workers already running elsewhere::
 
@@ -673,21 +688,15 @@ class Network:
         algorithm: str = "backward",
         **options: object,
     ) -> TopKResult:
-        """Distance-weighted top-k SUM (the paper's footnote 1).
+        """Distance-weighted top-k SUM (the paper's footnote 1), one shot:
+        ``query(score).limit(k).weighted(profile).algorithm(algorithm)``
+        plus ``options`` as :meth:`topk` takes them.
 
         ``profile`` maps hop distance to a weight in [0, 1] (default:
         inverse distance); ``algorithm`` is ``"base"`` or ``"backward"``.
-        Runs from this session's shared size index.
         """
-        spec = QuerySpec(
-            k=k,
-            aggregate="sum",
-            hops=self.hops,
-            include_self=self.include_self,
-            backend=self.backend,
-        )
-        return executor.execute_weighted(
-            self._ctx, self.scores_of(score), spec, profile, algorithm, options
+        return self.topk(
+            score, k, weighted=profile, algorithm=algorithm, **options
         )
 
     def batch(
@@ -743,12 +752,8 @@ class Network:
         queries: Sequence[Union[BatchQuery, Tuple[object, int]]],
         backend: Optional[str] = None,
     ) -> BatchResult:
-        """One group through the executor, over the session caches.
-
-        ``backend`` overrides the session default — the serving layer
-        passes ``"parallel"`` for coalesced groups when the service runs
-        in process mode, so one fused batch fans out across shards.
-        """
+        """One group through the executor, over the session caches
+        (``backend`` overrides the session default)."""
         return BatchResult(
             executor.execute_batch(
                 self._ctx, queries, backend=backend or self.backend

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.config import ClusterConfig, ServiceConfig
+from repro.config import ClusterConfig
 from repro.core.backends import BACKENDS
 from repro.core.request import QueryRequest
 from repro.errors import ClusterError, InvalidParameterError
@@ -77,10 +77,6 @@ class TestRegistrationAndConfig:
             ClusterConfig(ship_policy="sometimes")
         with pytest.raises(InvalidParameterError):
             ClusterConfig(timeout=0)
-
-    def test_service_rejects_processes_and_cluster_together(self):
-        with pytest.raises(InvalidParameterError, match="mutually exclusive"):
-            ServiceConfig(processes=True, cluster=True)
 
     def test_configuring_engine_spawns_nothing(self):
         g = random_graph(100, 0.03, seed=77)
@@ -357,21 +353,25 @@ class TestResilience:
         net.cluster(workers=WORKERS, min_nodes=0)
         try:
             engine = net.cluster()
-            spec_got = QueryRequest(k=6, backend="cluster").spec()
-            spec_ref = QueryRequest(k=6, backend="numpy").spec()
-            executor.execute_weighted(
-                net._ctx, net.scores_of("s"), spec_got
-            )
+            weights = (1.0, 1.0, 0.5)  # inverse distance at hops=2
+            request_got = QueryRequest(k=6, backend="cluster", weights=weights)
+            request_ref = QueryRequest(k=6, backend="numpy", weights=weights)
+            executor.execute(net._ctx, net.scores_of("s"), request_got)
             transport = engine._resources["transport"]
             victim = transport.peers[0]
             victim.proc.terminate()
             victim.proc.wait(timeout=10)
-            got = executor.execute_weighted(
-                net._ctx, net.scores_of("s"), spec_got
-            )
-            ref = executor.execute_weighted(
-                net._ctx, net.scores_of("s"), spec_ref
-            )
+            kinds, dispatch = [], engine._dispatch
+
+            def recording(specs, **options):
+                kinds.extend(spec["task"]["kind"] for spec in specs)
+                return dispatch(specs, **options)
+
+            engine._dispatch = recording
+            got = executor.execute(net._ctx, net.scores_of("s"), request_got)
+            ref = executor.execute(net._ctx, net.scores_of("s"), request_ref)
+            # A weighted read is a scan task with weights: no kind of its own.
+            assert "scan" in kinds and set(kinds) <= {"scan", "resume"}
             assert _entries(got) == _entries(ref)
             assert got.stats.backend == "cluster"
             assert transport.respawns == 1
@@ -577,12 +577,12 @@ class TestDeclineRule:
 class TestServiceClusterMode:
     def test_service_runs_queries_on_cluster_backend(self):
         g = random_graph(300, 0.02, seed=50)
-        net = Network(g, hops=2)
+        net = Network(g, hops=2, backend="cluster")
         net.add_scores("a", _dense_scores(300, 11))
         net.add_scores("b", _dense_scores(300, 12))
         net.cluster(workers=WORKERS, min_nodes=0)
         try:
-            net.service(workers=2, cluster=True)
+            net.service(workers=2)
             handles = [
                 net.query(s).limit(5).submit(cached=False)
                 for s in ("a", "b", "a", "b")
@@ -597,7 +597,7 @@ class TestServiceClusterMode:
             for got, ref in zip(results, refs):
                 assert _entries(got) == _entries(ref)
             stats = net.service().stats()
-            assert stats["cluster_mode"] is True
+            assert net.backend == "cluster"
             assert stats["cluster"]["last_comm"] is not None
             assert stats["cluster"]["comm"]["bytes_sent"] > 0
         finally:
@@ -605,11 +605,11 @@ class TestServiceClusterMode:
 
     def test_pinned_backend_survives_cluster_mode(self):
         g = random_graph(300, 0.02, seed=51)
-        net = Network(g, hops=2)
+        net = Network(g, hops=2, backend="cluster")
         net.add_scores("a", _dense_scores(300, 13))
         net.cluster(workers=WORKERS, min_nodes=0)
         try:
-            net.service(workers=2, cluster=True)
+            net.service(workers=2)
             result = (
                 net.query("a").limit(5).backend("numpy")
                 .submit(cached=False).result(timeout=120)

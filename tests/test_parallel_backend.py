@@ -76,14 +76,12 @@ class TestRouteEdges:
         # knob must reach the kernel that honors it.
         from repro.core import executor
 
-        spec = QueryRequest(k=6, backend="parallel").spec()
-        result = executor.execute_weighted(
-            parallel_net._ctx,
-            parallel_net.scores_of("dense"),
-            spec,
-            None,
-            "backward",
-            {"gamma": 0.5},
+        request = QueryRequest(
+            k=6, backend="parallel", algorithm="backward", gamma=0.5,
+            weights=(1.0, 1.0, 0.5),  # inverse distance at hops=2
+        )
+        result = executor.execute(
+            parallel_net._ctx, parallel_net.scores_of("dense"), request
         )
         assert result.stats.backend == "numpy"
 
@@ -313,12 +311,12 @@ class TestDeclineRule:
 class TestServiceProcessMode:
     def test_service_runs_queries_on_parallel_backend(self):
         g = random_graph(300, 0.02, seed=40)
-        net = Network(g, hops=2)
+        net = Network(g, hops=2, backend="parallel")
         net.add_scores("a", _dense_scores(300, 11))
         net.add_scores("b", _dense_scores(300, 12))
         net.parallel(workers=WORKERS, min_nodes=0)
         try:
-            net.service(workers=2, processes=True)
+            net.service(workers=2)
             handles = [
                 net.query(s).limit(5).submit(cached=False)
                 for s in ("a", "b", "a", "b")
@@ -335,13 +333,47 @@ class TestServiceProcessMode:
         finally:
             net.close()
 
+    def test_coalesced_group_is_one_sharded_batch(self):
+        """A group runs where its members were lowered to — the session
+        backend — with no rewrite in the service: one ``run_batch`` round."""
+        from repro.parallel.engine import ParallelEngine
+        from tests.test_service import hold_worker
+
+        g = random_graph(300, 0.02, seed=42)
+        net = Network(g, hops=2, backend="parallel")
+        net.add_scores("a", _dense_scores(300, 14))
+        net.add_scores("b", _dense_scores(300, 15))
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        groups, run_batch = [], ParallelEngine.run_batch
+        engine.run_batch = lambda batch, **kw: (
+            groups.append(len(batch)), run_batch(engine, batch, **kw)
+        )[1]
+        try:
+            service = net.service(workers=1)
+            release, blocker = hold_worker(net)
+            handles = [
+                net.query(s).limit(5).submit(cached=False)
+                for s in ("a", "b", "a", "b")
+            ]
+            release.set()
+            blocker.result(timeout=120)
+            results = [h.result(timeout=120) for h in handles]
+            assert groups == [4] and service.stats()["coalesced_batches"] == 1
+            assert {r.stats.backend for r in results} == {"parallel"}
+            assert {r.stats.algorithm for r in results} == {"batch-base"}
+            for got, score in zip(results, "abab"):
+                ref = net.query(score).limit(5).backend("numpy").run()
+                assert _entries(got) == _entries(ref)
+        finally:
+            net.close()
+
     def test_pinned_backend_survives_process_mode(self):
         g = random_graph(300, 0.02, seed=41)
-        net = Network(g, hops=2)
+        net = Network(g, hops=2, backend="parallel")
         net.add_scores("a", _dense_scores(300, 13))
         net.parallel(workers=WORKERS, min_nodes=0)
         try:
-            net.service(workers=2, processes=True)
+            net.service(workers=2)
             result = (
                 net.query("a").limit(5).backend("numpy")
                 .submit(cached=False).result(timeout=120)

@@ -2,8 +2,10 @@
 
 Pins (1) ``repro.__all__`` — the package's exported names — (2) the
 fluent :class:`~repro.session.QueryBuilder` / :class:`~repro.session.Network`
-method surfaces, including parameter names, and (3) the option fields of
-the sharded backends' config classes.  A failing test here means the
+method surfaces, including parameter names, (3) the option fields of the
+service's and the sharded backends' config classes, and (4) the lowered
+:class:`~repro.core.request.QueryRequest`'s fields and the executor's entry
+points.  A failing test here means the
 public contract moved: update the snapshot *in the same change, on
 purpose*, and call it out in the changelog.  CI runs this module in every
 matrix cell (and as a dedicated lint-adjacent step), so an accidental
@@ -78,6 +80,7 @@ BUILDER_SURFACE = {
     "exact_sizes": ["exact"],
     "ordering": ["ordering"],
     "seed": ["seed"],
+    "weighted": ["profile"],
     "priority": ["priority"],
     "deadline": ["seconds"],
     "request": [],
@@ -111,9 +114,13 @@ NETWORK_SURFACE = {
 }
 
 
-#: Every independently settable option of the two sharded backends.  Each
-#: field is one more configuration to test and benchmark: add one on purpose.
+#: Every independently settable option of the service and the two sharded
+#: backends.  Each field is one more configuration to test and benchmark:
+#: add one on purpose.
 CONFIG_FIELDS = {
+    "ServiceConfig": [
+        "workers", "max_pending", "coalesce", "coalesce_limit", "cache_entries",
+    ],
     "ParallelConfig": ["workers", "min_nodes", "seed", "timeout"],
     "ClusterConfig": [
         "workers", "shards", "min_nodes", "seed", "timeout",
@@ -126,6 +133,21 @@ def test_sharded_config_fields_are_pinned():
     for name, fields in CONFIG_FIELDS.items():
         cls = getattr(repro.config, name)
         assert [f.name for f in dataclasses.fields(cls)] == fields
+
+
+def test_request_fields_and_executor_entry_points_are_pinned():
+    from repro.core import executor
+    from repro.core.request import QueryRequest
+
+    assert [f.name for f in dataclasses.fields(QueryRequest)] == [
+        "k", "aggregate", "hops", "include_self", "backend", "score",
+        "algorithm", "candidates", "gamma", "distribution_fraction",
+        "exact_sizes", "ordering", "seed", "weights",
+        "priority", "deadline", "pinned",
+    ]
+    assert executor.__all__ == [
+        "execute", "execute_batch", "stream", "plan", "choose_algorithm",
+    ]
 
 
 def test_package_all_is_pinned():

@@ -626,6 +626,7 @@ class TestConcurrentClients:
             ("s", 5): net.query("s").limit(5).run().entries,
             ("t", 3): net.query("t").limit(3).run().entries,
             ("s", 2): net.query("s").limit(2).aggregate("avg").run().entries,
+            "weighted": net.topk_weighted("t", 4).entries,
         }
         failures = []
 
@@ -642,6 +643,9 @@ class TestConcurrentClients:
                             .run().entries
                         )
                         assert got == expected[("s", 2)], got
+                    if index == 0:  # one weighted read rides the same lanes
+                        got = remote.topk_weighted("t", 4).entries
+                        assert got == expected["weighted"], got
             except Exception as exc:  # surfaced below with the thread index
                 failures.append((index, repr(exc)))
 

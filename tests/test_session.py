@@ -774,8 +774,10 @@ class TestContractEdges:
         spec = QuerySpec(k=4, hops=2, backend="python")
         old = weighted_base_topk(net_graph, net_scores, spec, inverse_distance)
         assert rounded(new.values) == rounded(old.values)
-        with pytest.raises(InvalidParameterError, match="unknown query options"):
+        with pytest.raises(InvalidParameterError, match="unknown query option"):
             session.topk_weighted("w", 4, inverse_distance, nonsense=1)
+        with pytest.raises(InvalidParameterError, match="have no effect on"):
+            session.topk_weighted("w", 4, inverse_distance, "base", gamma=0.5)
 
     def test_builder_rejects_inapplicable_knobs(self, net):
         """Round 5 review: a knob the resolved algorithm ignores must raise."""

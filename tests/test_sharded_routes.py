@@ -38,6 +38,8 @@ np = pytest.importorskip("numpy")
 WORKERS = int(os.environ.get("REPRO_PARALLEL_TEST_WORKERS", "2"))
 LINKS = ("parallel", "cluster")
 K = 7
+#: Inverse distance at the fixture's radius (hops=2): dyadic, like the scores.
+WEIGHTS = (1.0, 1.0, 0.5)
 CANDIDATES = tuple(range(0, 400, 3))
 
 
@@ -65,9 +67,12 @@ def net():
 
 def _run(net, backend, route, aggregate, score, where):
     """The results of one cell on ``backend`` (a list; batch has two)."""
-    if route == "weighted":
-        spec = QueryRequest(k=K, aggregate=aggregate, backend=backend).spec()
-        return [executor.execute_weighted(net._ctx, net.scores_of(score), spec)]
+    if route.startswith("weighted-"):
+        request = QueryRequest(
+            k=K, aggregate=aggregate, backend=backend, score=score,
+            algorithm=route[len("weighted-"):], weights=WEIGHTS,
+        )
+        return [executor.execute(net._ctx, net.scores_of(score), request)]
     if route == "batch":
         queries = [
             BatchQuery(scores=net.scores_of(score), k=K, aggregate=aggregate),
@@ -108,10 +113,12 @@ def _outcome(net, backend, route, *cell):
 
 CELLS = [
     (route, aggregate, score, where)
-    for route in ("base", "forward", "backward", "weighted", "batch")
+    for route in (
+        "base", "forward", "backward", "weighted-base", "weighted-backward", "batch",
+    )
     for aggregate in ("sum", "avg", "count", "max")
     for score in ("dense", "sparse")
-    # .where() is a builder verb: weighted and batch queries have none.
+    # Weighted requests reject .where(); batch queries have no such verb.
     for where in ((False, True) if route in ("base", "forward", "backward") else (False,))
 ]
 
@@ -141,6 +148,19 @@ class TestRouteParity:
                 assert stats.extra["candidates"] == float(len(CANDIDATES))
             if stats.algorithm == "batch-base":
                 assert stats.extra["batch_size"] == ref.stats.extra["batch_size"]
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    @pytest.mark.parametrize("route", ["weighted-base", "weighted-backward"])
+    @pytest.mark.parametrize("score", ["dense", "sparse"])
+    def test_weighted_in_process_tiers(self, net, monkeypatch, backend, route, score):
+        """The other two in-process tiers answer the weighted cells as numpy
+        does (native with its kernels interpreted, as everywhere in tier-1)."""
+        monkeypatch.setenv("REPRO_NATIVE_INTERPRETED", "1")
+        got, results = _outcome(net, backend, route, "sum", score, False)
+        want, refs = _outcome(net, "numpy", route, "sum", score, False)
+        assert got == want
+        assert results[0].stats.backend == backend
+        assert results[0].stats.algorithm == refs[0].stats.algorithm == route
 
     @pytest.mark.parametrize("link", LINKS)
     def test_base_min(self, net, link):

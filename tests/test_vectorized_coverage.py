@@ -306,6 +306,7 @@ class TestTopkWhitelistDerivation:
             "exact_sizes",
             "ordering",
             "seed",
+            "weighted",
             "priority",
             "deadline",
         }
