@@ -84,6 +84,8 @@ class _StoreCache:
     def __init__(self) -> None:
         self._arrays: Dict[str, object] = {}
         self._csrs: Dict[str, _CSRHolder] = {}
+        #: This worker's one ball index (``parallel.worker._ball_index``).
+        self.index = None
 
     def put_array(self, name: str, arr) -> None:
         self._arrays[name] = arr
@@ -94,7 +96,9 @@ class _StoreCache:
     def delete(self, names) -> None:
         for name in names:
             self._arrays.pop(name, None)
-            self._csrs.pop(name, None)
+            dropped = self._csrs.pop(name, None)
+            if dropped and self.index and self.index.csr is dropped.csr:
+                self.index = None
 
     def names(self) -> List[str]:
         return sorted(list(self._arrays) + list(self._csrs))
@@ -363,6 +367,7 @@ class ClusterWorker:
             payload["counters"] = result["counters"]
             payload["evaluated"] = result["evaluated"]
             payload["pruned"] = result["pruned"]
+            payload["ball_index"] = result["ball_index"]
             return payload, arrays
         if kind == "verify":
             entries = [
@@ -404,6 +409,7 @@ class ClusterWorker:
             payload = {
                 "counters": result["counters"],
                 "num_queries": len(result["entries_list"]),
+                "ball_index": result["ball_index"],
             }
             return payload, arrays
         raise ValueError(f"unhandled task kind {kind!r}")  # pragma: no cover

@@ -279,11 +279,11 @@ class GraphContext:
 
         The balls an exhaustive scan expands depend on the graph and
         ``(hops, include_self)``, never on the scores, so the in-process
-        scans (base, the fused batch, forward's contiguous blocks) keep the
-        ones they expand and every later scan reads them back instead of
-        re-deriving them.  Capped at half the context's ball-cache budget,
-        filled and read only in this process (pool and cluster workers
-        expand as ever), version-invalidated like the ball caches.
+        scans (base, the fused batch, forward, ``.where`` filters, streams)
+        keep the ones they expand and every later scan reads them back
+        instead of re-deriving them.  Capped at half the context's
+        ball-cache budget — the half a sharded engine splits over its
+        workers' own indexes — and version-invalidated like the ball caches.
         """
         with self._lock:
             self.check_fresh()

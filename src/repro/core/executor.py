@@ -443,7 +443,7 @@ def _iter_exact_values(
     if concrete != "python" and len(order) > 0:
         import numpy as np
 
-        kernels = kernel_provider(concrete)
+        kernels = kernel_provider(concrete, ctx.ball_index())
         csr = ctx.csr()
         folded, eff_kind = folded_scores(np, scores, kind)
         nodes = np.asarray(order, dtype=np.int64)
@@ -485,9 +485,13 @@ def _filtered_topk(
     exactly, nothing else competes."""
     spec = request.spec()
     candidates = request.candidates or ()
-    result = base_topk(ctx.graph, scores, spec, node_order=candidates)
+    concrete = resolve_backend(spec.backend)
+    index = ctx.ball_index() if concrete != "python" else None
+    result = base_topk(
+        ctx.graph, scores, spec, node_order=candidates, ball_index=index
+    )
     # The backend asked for, also when its sharded engine declined.
-    result.stats.backend = resolve_backend(spec.backend)
+    result.stats.backend = concrete
     result.stats.extra["candidates"] = float(len(candidates))
     return result
 

@@ -1022,11 +1022,12 @@ class NumpyKernels:
     compiled provider, whose balls never leave its scratch).
 
     A provider lives as long as its query (a pool worker: its task).
-    ``ball_index`` is the session's :class:`~repro.graph.csr.CSRBallIndex`
-    when the query runs in the session's process: :meth:`ball_values` and
+    ``ball_index`` is a :class:`~repro.graph.csr.CSRBallIndex` — the
+    session's when the query runs in the session's process, the worker's own
+    in a pool / cluster scan or batch task: :meth:`ball_values` and
     :meth:`fused_ball_values` fill it from the blocks they expand and read
-    covered blocks back instead of expanding them (same pairs, so same
-    values; a hit charges nothing, like a ball-cache hit).
+    blocks whose balls are all present back instead of expanding them (same
+    pairs, so same values; a hit charges nothing, like a ball-cache hit).
     """
 
     name = "numpy"
@@ -1054,7 +1055,7 @@ class NumpyKernels:
 
     def _block_pairs(self, csr, centers, hops, include_self, counter):
         """``(owners, members)`` of one block: off the ball index when it was
-        built for this ``(csr, hops, include_self)`` and covers the block,
+        built for this ``(csr, hops, include_self)`` and holds every ball,
         else expanded, charged to ``counter`` and offered to the index."""
         index = self._ball_index
         if index is not None and not index.serves(csr, hops, include_self):

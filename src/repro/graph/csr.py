@@ -483,25 +483,26 @@ class CSRBallCache:
 
 
 class CSRBallIndex:
-    """The h-hop closure of one ``(csr, h, ball)`` triple as a second CSR.
+    """Balls of one ``(csr, h, ball)`` triple kept as pairs, keyed by node.
 
-    ``members[indptr[v]:indptr[v + 1]]`` is ``S_h(v)`` in the canonical
+    ``members[start[v] : start[v] + size[v]]`` is ``S_h(v)`` in the canonical
     ascending order — the pairs :func:`batched_hop_balls` returns, 4 bytes
-    each — for every ``v`` of the covered prefix ``[0, covered)``.  Nothing
-    is expanded for the index's sake: a scan hands every block it expanded
-    to :meth:`extend`, which keeps the block whose centers are the
-    contiguous range starting at ``covered`` while the pairs fit
-    ``max_bytes`` (``None`` = unbounded).  Nothing is evicted, so a scan
-    that cycles over more balls than fit re-reads the prefix every time
-    instead of thrashing.  :meth:`pairs` answers a block that is a
-    contiguous range inside the prefix with the ``(owners, members)`` arrays
-    its expansion returned — a slice, a ``repeat`` and a widening copy
-    instead of the sort-dedup BFS — so whatever reduces them gets the same
-    bits; the caller charges no traversal work for a hit (as for a ball read
-    off a :class:`CSRBallCache`).
+    each — for every ``v`` whose ball is present (``start[v] >= 0``).
+    Nothing is expanded for the index's sake: a scan hands every block it
+    expanded to :meth:`extend`, which appends the balls not yet present while
+    they fit ``max_bytes`` (``None`` = unbounded).  Nothing is evicted or
+    rewritten and the first ball that does not fit closes the index, so a
+    scan that cycles over more balls than fit re-reads the same ones every
+    time instead of thrashing.  :meth:`pairs` answers *any* center set whose
+    balls are all present with the ``(owners, members)`` arrays its expansion
+    returned — a slice when the runs are adjacent in the buffer (a re-scan in
+    the order that filled it), one gather of positions otherwise, then a
+    ``repeat`` and a widening copy instead of the sort-dedup BFS — so
+    whatever reduces them gets the same bits; the caller charges no
+    traversal work for a hit (as for a ball off a :class:`CSRBallCache`).
 
-    Thread-safe: appends and slices take one lock, covered entries never
-    change, and a grown buffer leaves earlier slices on the old one.
+    Thread-safe: appends and lookups take one lock, a present ball never
+    changes, and a grown buffer leaves earlier readers on the old one.
     """
 
     __slots__ = (
@@ -512,7 +513,10 @@ class CSRBallIndex:
         "covered",
         "served",
         "appended",
-        "_indptr",
+        "_start",
+        "_size",
+        "_used",
+        "_full",
         "_members",
         "_np",
         "_lock",
@@ -531,10 +535,13 @@ class CSRBallIndex:
         self.hops = hops
         self.include_self = include_self
         self.max_bytes = max_bytes
-        self.covered = 0
+        self.covered = 0  # balls present
         self.served = 0
         self.appended = 0
-        self._indptr = np.zeros(csr.num_nodes + 1, dtype=np.int64)
+        self._start = np.full(csr.num_nodes, -1, dtype=np.int64)
+        self._size = np.zeros(csr.num_nodes, dtype=np.int64)
+        self._used = 0  # pairs stored
+        self._full = False  # a ball did not fit: nothing more is taken
         self._members = np.empty(0, dtype=np.int32)
         self._np = np
         self._lock = threading.Lock()
@@ -548,74 +555,76 @@ class CSRBallIndex:
         )
 
     def stats(self) -> dict:
-        """Coverage, resident pair bytes, the cap, and blocks served/appended."""
+        """Balls present, resident pair bytes, the cap, and blocks served/appended."""
         with self._lock:
             return {
                 "covered": self.covered,
-                "bytes": 4 * int(self._indptr[self.covered]),
+                "bytes": 4 * self._used,
                 "max_bytes": self.max_bytes,
                 "served": self.served,
                 "appended": self.appended,
             }
 
-    @staticmethod
-    def _range_start(centers: Any) -> int:
-        """``lo`` when ``centers`` is exactly ``lo, lo + 1, ...``; else -1."""
-        if centers.size == 0:
-            return -1
-        lo = int(centers[0])
-        if int(centers[-1]) - lo != centers.size - 1:
-            return -1
-        return lo if (centers[1:] - centers[:-1] == 1).all() else -1
+    def _gather(self, source: Any, starts: Any, sizes: Any) -> Any:
+        """``source``'s runs ``starts[i] : starts[i] + sizes[i]``, concatenated."""
+        np = self._np
+        ends = np.cumsum(sizes)
+        return source[np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])]
 
     def pairs(self, centers: Any) -> Optional[Tuple[Any, Any]]:
         """``(owners, members)`` of the ``centers`` balls as
-        :func:`batched_hop_balls` returns them, or ``None`` unless
-        ``centers`` is a contiguous range inside the covered prefix."""
-        lo = self._range_start(centers)
-        count = int(centers.size)
-        if lo < 0 or lo + count > self.covered:
-            return None
+        :func:`batched_hop_balls` returns them, or ``None`` unless every one
+        of them is present."""
         np = self._np
         with self._lock:
-            bounds = self._indptr[lo : lo + count + 1]
-            members = self._members[bounds[0] : bounds[-1]]
+            starts, sizes, buffer = self._start[centers], self._size[centers], self._members
+            if starts.size == 0 or starts.min() < 0:
+                return None
             self.served += 1
-        owners = np.repeat(np.arange(count), np.diff(bounds))
+        ends = starts + sizes
+        if (starts[1:] == ends[:-1]).all():
+            members = buffer[starts[0] : ends[-1]]
+        else:
+            members = self._gather(buffer, starts, sizes)
+        owners = np.repeat(np.arange(centers.size), sizes)
         return owners, members.astype(np.intp)
 
     def extend(self, centers: Any, owners: Any, members: Any) -> None:
-        """Keep a freshly expanded block when it continues the prefix and
-        fits the cap; anything else is ignored."""
-        if self._range_start(centers) != self.covered:
-            return
+        """Keep the balls of a freshly expanded block that are not present
+        yet, in ascending center order, for as long as they fit the cap."""
         np = self._np
-        count = int(centers.size)
-        sizes = np.bincount(owners, minlength=count)
+        if self._full or centers.size == 0:
+            return
+        sizes = np.bincount(owners, minlength=centers.size)
+        # First occurrence of every center: a repeated one is stored once.
+        first = np.unique(centers, return_index=True)[1]
         with self._lock:
-            lo = self.covered
-            if int(centers[0]) != lo:
-                return  # another scan appended this block first
-            start = int(self._indptr[lo])
-            stop = start + int(members.size)
-            if self.max_bytes is not None and 4 * stop > self.max_bytes:
+            fresh = first[self._start[centers[first]] < 0]
+            if self.max_bytes is not None:
+                fits = np.cumsum(sizes[fresh]) <= self.max_bytes // 4 - self._used
+                self._full = not fits.all()
+                fresh = fresh[fits]
+            if fresh.size == 0:
                 return
+            kept = sizes[fresh]
+            if fresh.size < centers.size or (fresh[1:] < fresh[:-1]).any():
+                members = self._gather(members, np.cumsum(sizes)[fresh] - kept, kept)
+            start = self._used
+            stop = start + int(members.size)
             if stop > self._members.size:
                 # A capped index reserves its cap once (untouched pages cost
                 # nothing, and no big buffer is ever freed mid-session); an
                 # unbounded one doubles.
-                if self.max_bytes is not None:
-                    room = self.max_bytes // 4
-                else:
-                    room = max(stop, 2 * int(self._members.size))
+                doubled = max(stop, 2 * int(self._members.size))
+                room = doubled if self.max_bytes is None else self.max_bytes // 4
                 grown = np.empty(room, dtype=np.int32)
                 grown[:start] = self._members[:start]
                 self._members = grown
             self._members[start:stop] = members
-            ends = self._indptr[lo + 1 : lo + count + 1]
-            np.cumsum(sizes, out=ends)
-            ends += start
-            self.covered = lo + count
+            self._size[centers[fresh]] = kept
+            self._start[centers[fresh]] = start + np.cumsum(kept) - kept
+            self._used = stop
+            self.covered += int(fresh.size)
             self.appended += 1
 
 

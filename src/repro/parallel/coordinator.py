@@ -205,6 +205,9 @@ class ShardedCoordinator:
         self._score_exports: "OrderedDict[int, Tuple[object, object]]" = OrderedDict()
         self._bound_exports: "OrderedDict[Tuple, Tuple[object, object]]" = OrderedDict()
         self._deferred_drops: list = []
+        # shard -> the ``CSRBallIndex.stats()`` its latest scan or batch
+        # reply carried (the replying worker's index).
+        self._worker_indexes: Dict[int, dict] = {}
         self.queries_served = 0
         self.declined = 0
         self.stale_retries = 0
@@ -354,6 +357,12 @@ class ShardedCoordinator:
             block = max(4, block // queries)
         return int(block)
 
+    def _index_bytes(self) -> Optional[int]:
+        """Each worker's ball-index cap: together the workers may hold what
+        the session's own index may (``GraphContext.ball_index``)."""
+        budget = self.ctx.ball_cache_bytes
+        return None if budget is None else budget // 2 // self.workers
+
     def _workers_native(self) -> bool:
         if self._native is None:
             try:
@@ -414,9 +423,11 @@ class ShardedCoordinator:
                 self._drop(deferred)
             traffic.rounds += 1
             traffic.tasks += len(replies)
-            for header, _arrays in replies:
+            for spec, (header, _arrays) in zip(specs, replies):
                 traffic.shipped += int(header.get("candidates_shipped", 0))
                 traffic.total += int(header.get("candidates_total", 0))
+                if header.get("ball_index") is not None:
+                    self._worker_indexes[spec["shard"]] = header["ball_index"]
             return replies
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -646,6 +657,7 @@ class ShardedCoordinator:
                     "include_self": bool(spec.include_self),
                     "k": int(spec.k),
                     "block": block,
+                    "index_bytes": self._index_bytes(),
                     "bounds": (
                         self._bounds_meta(scores, spec.aggregate, spec.include_self)
                         if algorithm == "forward"
@@ -913,6 +925,7 @@ class ShardedCoordinator:
                     "hops": int(hops),
                     "include_self": bool(include_self),
                     "block": block,
+                    "index_bytes": self._index_bytes(),
                 }
                 return [
                     _spec(shard, dict(task, owned=self._owned[shard].meta()))
@@ -954,4 +967,5 @@ class ShardedCoordinator:
             "stale_retries": self.stale_retries,
             "score_exports": len(self._score_exports),
             "export_version": self._export_version,
+            "ball_index": dict(self._worker_indexes),
         }

@@ -183,7 +183,9 @@ class ParallelEngine(ShardedCoordinator):
                 task["reply"] = reply
         pool = self._pool()
         try:
-            results = pool.run(tasks, dynamic=steal)
+            results = pool.run(
+                tasks, dynamic=steal, homes=[spec["shard"] for spec in specs]
+            )
         except BaseException:
             self._reply_dirty = True
             raise

@@ -20,27 +20,28 @@ A :class:`ShardWorkerPool` owns ``workers`` spawned processes running
   :func:`multiprocessing.connection.wait`.
 * **Crash recovery.**  Tasks are pure functions of shared state, so they
   are safe to re-issue.  If a worker dies mid-round (killed, OOM, bug),
-  the collector sees its pipe close, replaces the dead process, and
-  re-issues every task still outstanding under a fresh id; duplicate late
-  results are ignored.  A re-issued task additionally has its shared
-  reply-buffer descriptor stripped (``"reply": None``): the original
-  issue may still be running on a straggler that writes the buffer, and
-  answering the re-issue over the pipe is what guarantees the two
-  writers can never interleave in shared memory.  A round that cannot
-  finish within ``timeout`` raises :class:`~repro.errors.ParallelError`
-  instead of hanging.
+  the collector sees its pipe close, replaces the dead process in its slot
+  (survivors keep theirs, and their shards), and re-issues every task still
+  outstanding under a fresh id; duplicate late results are ignored.  A
+  re-issued task additionally has its shared reply-buffer descriptor
+  stripped (``"reply": None``): the original issue may still be running on
+  a straggler that writes the buffer, and answering the re-issue over the
+  pipe is what guarantees the two writers can never interleave in shared
+  memory.  A round that cannot finish within ``timeout`` raises
+  :class:`~repro.errors.ParallelError` instead of hanging.
 * **Metered, explicitly framed IPC.**  The parent pickles task messages
   itself and moves raw frames with ``send_bytes``/``recv_bytes`` (the
   worker's plain ``Connection.send``/``recv`` speaks the same wire
   format), so every byte crossing a pipe is counted in ``bytes_sent`` /
   ``bytes_received``.  The counters are what the shared-reply-buffer
   optimization is benchmarked against.
-* **Two dispatch modes.**  The default deals the round's tasks
-  round-robin up front.  ``run(tasks, dynamic=True)`` enables
-  work-stealing: one task is primed per worker and each completion pulls
-  the next off the backlog, so when the engine splits a skewed shard
-  into chunks, the heavy shard's tail drains onto idle siblings instead
-  of serializing on its owner.
+* **Two dispatch modes, both home-first.**  Every task has a home slot —
+  its shard's worker, which holds that shard's balls (the worker's ball
+  index, :mod:`repro.parallel.worker`).  The default deals each task to its
+  home up front.  ``run(tasks, dynamic=True)`` keeps one task in flight per
+  worker: an idle worker takes the first backlog task homed on it and
+  steals another worker's only when it has none, so a chunk lands where its
+  balls are and a slow worker's tail still drains onto idle siblings.
 * **One round at a time.**  ``run()`` is serialized by a lock: concurrent
   queries queue here rather than interleaving result streams.  (The
   serving scheduler already provides cross-query concurrency; the pool's
@@ -53,8 +54,7 @@ import itertools
 import pickle
 import threading
 import time
-from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import FaultInjectedError, ParallelError, StaleShardError
 from repro.faults import fault_point
@@ -138,27 +138,36 @@ class ShardWorkerPool:
     def _ensure_started_locked(self) -> None:
         if self._closed:
             raise ParallelError("worker pool has been closed")
-        live = [m for m in self._members if m.process.is_alive()]
-        if self._members and len(live) < len(self._members):
-            self.respawns += len(self._members) - len(live)
-            for member in self._members:
-                if not member.process.is_alive():
-                    member.conn.close()
-        while len(live) < self.workers:
-            live.append(self._spawn_one())
-        self._members = live
+        # A replacement takes the dead worker's slot: survivors keep theirs,
+        # so every shard keeps its home worker (and that worker's ball index).
+        for slot, member in enumerate(self._members):
+            if not member.process.is_alive():
+                member.conn.close()
+                self._members[slot] = self._spawn_one()
+                self.respawns += 1
+        while len(self._members) < self.workers:
+            self._members.append(self._spawn_one())
 
     # ------------------------------------------------------------------
-    def run(self, tasks: List[dict], *, dynamic: bool = False) -> List[dict]:
+    def run(
+        self,
+        tasks: List[dict],
+        *,
+        dynamic: bool = False,
+        homes: Optional[Sequence[int]] = None,
+    ) -> List[dict]:
         """Execute ``tasks`` across the pool; results in input order.
 
-        The default deals tasks round-robin onto the per-worker pipes;
-        ``dynamic=True`` primes one task per worker and feeds the rest to
-        whichever worker finishes first (work-stealing).  Raises
-        :class:`~repro.errors.StaleShardError` if any worker refused a task
-        over an invalidated shared-memory export (the engine refreshes its
-        exports and retries), and :class:`~repro.errors.ParallelError` on
-        worker failure that re-spawning cannot cure or on timeout.
+        ``homes[i]`` is the worker slot (modulo the pool size) task ``i``
+        belongs on — its shard's; by default its position.  The default
+        deals every task to its home up front; ``dynamic=True`` keeps one
+        task in flight per worker and feeds an idle worker the next task of
+        its own, or, when it has none, another worker's (work-stealing).
+        Raises :class:`~repro.errors.StaleShardError` if any worker refused
+        a task over an invalidated shared-memory export (the engine
+        refreshes its exports and retries), and
+        :class:`~repro.errors.ParallelError` on worker failure that
+        re-spawning cannot cure or on timeout.
         """
         if not tasks:
             return []
@@ -168,7 +177,9 @@ class ShardWorkerPool:
             sent_before = self.bytes_sent
             received_before = self.bytes_received
             try:
-                return self._run_locked(tasks, dynamic)
+                return self._run_locked(
+                    tasks, dynamic, range(len(tasks)) if homes is None else homes
+                )
             finally:
                 self.last_run_bytes_sent = self.bytes_sent - sent_before
                 self.last_run_bytes_received = (
@@ -217,24 +228,35 @@ class ShardWorkerPool:
         except (BrokenPipeError, OSError):
             pass  # collector notices the death and re-dispatches
 
-    def _run_locked(self, tasks: List[dict], dynamic: bool) -> List[dict]:
+    def _run_locked(
+        self, tasks: List[dict], dynamic: bool, homes: Sequence[int]
+    ) -> List[dict]:
         from multiprocessing.connection import wait
 
         results: List[Optional[dict]] = [None] * len(tasks)
         pending: Dict[int, int] = {}
         stripped: Set[int] = set()
-        backlog: "deque[int]" = deque()
+        backlog: List[int] = []
+
+        def feed(slot: int) -> None:
+            """Hand idle worker ``slot`` the first backlog task homed on it;
+            with none of its own, the first of anyone's (a steal)."""
+            mine = (p for p in backlog if homes[p] % len(self._members) == slot)
+            position = next(mine, backlog[0])
+            backlog.remove(position)
+            self._issue(slot, tasks, position, pending, stripped)
+
         if dynamic and len(tasks) > len(self._members):
-            # Work-stealing: one task in flight per worker, the rest fed
-            # on completion, so a heavy chunk's siblings drain the backlog.
+            # One task in flight per worker, the rest fed on completion: a
+            # chunk runs where its shard's balls are, and a heavy shard's
+            # tail still drains onto whichever worker runs out of its own.
             backlog.extend(range(len(tasks)))
             for slot in range(len(self._members)):
-                if not backlog:
-                    break
-                self._issue(slot, tasks, backlog.popleft(), pending, stripped)
+                if backlog:
+                    feed(slot)
         else:
             for position in range(len(tasks)):
-                self._issue(position, tasks, position, pending, stripped)
+                self._issue(homes[position], tasks, position, pending, stripped)
         deadline = time.monotonic() + self.timeout
         respawn_budget = 2 * self.workers
         # Bounded tolerance for typed transient task failures (today only
@@ -291,13 +313,7 @@ class ShardWorkerPool:
                 # Any reply (even a duplicate from a re-issued round) means
                 # this worker is idle — feed it the next backlog task.
                 if backlog:
-                    self._issue(
-                        slot_of[id(conn)],
-                        tasks,
-                        backlog.popleft(),
-                        pending,
-                        stripped,
-                    )
+                    feed(slot_of[id(conn)])
             if not pending and not backlog:
                 break
             if dead or self.alive_workers < len(self._members):
@@ -325,15 +341,10 @@ class ShardWorkerPool:
                 pending.clear()
                 # Re-prime: the swallowed tasks first (they block the
                 # round), then the untouched backlog, fed on completion.
-                requeue: "deque[int]" = deque(outstanding)
-                requeue.extend(backlog)
-                backlog = requeue
+                backlog[:0] = outstanding
                 for slot in range(len(self._members)):
-                    if not backlog:
-                        break
-                    self._issue(
-                        slot, tasks, backlog.popleft(), pending, stripped
-                    )
+                    if backlog:
+                        feed(slot)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 

@@ -36,7 +36,7 @@ regardless of ``k``, which is the measured pipe-byte win.
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.aggregates.functions import AggregateKind
 from repro.core.deadline import check_deadline
@@ -44,7 +44,7 @@ from repro.core.topk import TopKAccumulator
 from repro.core.vectorized import NumpyKernels, distribute_scores, offer_block
 from repro.errors import FaultInjectedError, StaleShardError
 from repro.faults import fault_point
-from repro.graph.csr import AttachedArray, AttachedCSR
+from repro.graph.csr import AttachedArray, AttachedCSR, CSRBallIndex
 from repro.graph.traversal import TraversalCounter
 from repro.relevance.base import folded_scores
 
@@ -69,6 +69,7 @@ class _AttachmentCache:
         self._arrays: Dict[str, AttachedArray] = {}
         self._csrs: Dict[str, AttachedCSR] = {}
         self._retired: List = []
+        self.index: Optional[CSRBallIndex] = None  # see :func:`_ball_index`
 
     def array(self, meta: dict):
         name = meta["name"]
@@ -99,11 +100,15 @@ class _AttachmentCache:
 
     def flush_retired(self) -> None:
         """Unmap evicted attachments (call only between tasks)."""
+        if self._retired and self.index is not None:
+            if not any(a.csr is self.index.csr for a in self._csrs.values()):
+                self.index = None  # its CSR is among the retired
         for attachment in self._retired:
             attachment.close()
         self._retired = []
 
     def close(self) -> None:
+        self.index = None
         self.flush_retired()
         for attachment in list(self._arrays.values()):
             attachment.close()
@@ -119,12 +124,25 @@ class _AttachmentCache:
 _NATIVE = None  # None = unprobed, False = unavailable, else this worker's provider
 
 
-def _kernels(task: dict):
+def _ball_index(cache, csr, task: dict) -> CSRBallIndex:
+    """The worker's one ball index, rebuilt when ``task`` scans another view
+    than it holds; ``csr`` comes from ``cache.csr()`` (stamp checked)."""
+    index = cache.index
+    if index is None or not index.serves(csr, task["hops"], task["include_self"]):
+        index = cache.index = CSRBallIndex(
+            csr, task["hops"], include_self=task["include_self"],
+            max_bytes=task.get("index_bytes"),
+        )
+    return index
+
+
+def _kernels(task: dict, index: Optional[CSRBallIndex] = None):
     """The block-kernel provider ``task`` runs on.
 
-    The numpy provider, unless the task says ``"native": True`` and the
-    compiled provider imports here.  One native provider per worker: its
-    scratch is reused across tasks (and re-sized if the graph changes).
+    The numpy provider (reading and filling ``index``, when given), unless
+    the task says ``"native": True`` and the compiled provider imports
+    here.  One native provider per worker: its scratch is reused across
+    tasks (and re-sized if the graph changes).
     """
     global _NATIVE
     if task.get("native"):
@@ -137,7 +155,7 @@ def _kernels(task: dict):
                 _NATIVE = False
         if _NATIVE:
             return _NATIVE
-    return NumpyKernels()
+    return NumpyKernels(index)
 
 
 def _ship_pairs(np, cache, task, out: dict, pairs, key: str) -> dict:
@@ -194,7 +212,8 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
             centers = centers[task.get("lo", 0) : task["hi"]]
     folded, kind = folded_scores(np, scores, AggregateKind(task["aggregate"]))
     block = task["block"]
-    kernels = _kernels(task)
+    index = _ball_index(cache, csr, task)
+    kernels = _kernels(task, index)
     counter = TraversalCounter()
     acc = TopKAccumulator(task["k"])
     weights = task.get("weights")
@@ -235,6 +254,7 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
         "counters": _counters(counter, evaluated),
         "evaluated": evaluated,
         "pruned": pruned,
+        "ball_index": index.stats(),
     }
     return _ship_pairs(np, cache, task, out, acc.entries(), "entries")
 
@@ -260,7 +280,8 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     avg_rows = np.asarray(avg_flags, dtype=bool)
     accumulators = [TopKAccumulator(k) for k in task["ks"]]
     block = task["block"]
-    kernels = _kernels(task)
+    index = _ball_index(cache, csr, task)
+    kernels = _kernels(task, index)
     counter = TraversalCounter()
     for lo in range(0, int(centers.size), block):
         check_deadline()  # block boundary (live under a cluster task scope)
@@ -274,6 +295,7 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     return {
         "entries_list": [acc.entries() for acc in accumulators],
         "counters": _counters(counter, int(centers.size)),
+        "ball_index": index.stats(),
     }
 
 

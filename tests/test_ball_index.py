@@ -1,16 +1,18 @@
 """The session ball index: a repeated scan reads balls back, bit for bit.
 
 :class:`~repro.graph.csr.CSRBallIndex` keeps the ``(owner, member)`` pairs
-an exhaustive scan expands and hands later scans the same arrays, so a warm
-answer must equal a cold one *exactly* — the reduction sees identical input
-— and not only on the dyadic scores the parity suites use.  Scores here are
-arbitrary floats and every comparison is ``==`` on entries or on the raw
-bytes of a value array.  Covered: every base aggregate, the fused batch and
-forward over hops 1-3, both ball conventions, directed and undirected; a cap
-that stops coverage mid-graph; blocks that straddle the boundary, re-block
-or are not a contiguous range; invalidation by every ``DynamicGraph`` write;
-``close()``; the work counters; ``cache_stats()``; two threads on a cold
-session.
+an exhaustive scan expands, keyed by node, and hands later scans the same
+arrays, so a warm answer must equal a cold one *exactly* — the reduction
+sees identical input — and not only on the dyadic scores the parity suites
+use.  Scores here are arbitrary floats and every comparison is ``==`` on
+entries or on the raw bytes of a value array.  Covered: every base
+aggregate, the fused batch and forward over hops 1-3, both ball
+conventions, directed and undirected; a cap that stops coverage mid-graph
+and is never exceeded or rewritten; blocks with absent balls; permuted,
+strided, reversed and repeated center sets; ``.where(...)`` and streamed
+re-scans; invalidation by every ``DynamicGraph`` write; ``close()``; the
+work counters; ``cache_stats()``; racing threads on a cold index and a cold
+session.  The workers' indexes are in ``tests/test_worker_ball_index.py``.
 """
 
 from __future__ import annotations
@@ -136,8 +138,7 @@ class TestWarmEqualsCold:
         net = _session(graph, hops, include_self)
         net.query("s0").algorithm("base").limit(5).run()  # covers the graph
         for aggregate in ("sum", "avg", "count"):
-            # Id order: the blocks forward evaluates before pruning bites
-            # are contiguous ranges, the rest are not and expand.
+            # Id order here, but any order would do: every ball is present.
             got = (
                 net.query("s0").algorithm("forward").ordering("arbitrary")
                 .aggregate(aggregate).limit(15).run()
@@ -228,33 +229,62 @@ class TestKernelSeam:
             assert on.tobytes() == off.tobytes()
             assert counter.edges_scanned == 0
 
-    def test_tiny_cap_stops_coverage_mid_graph_and_never_thrashes(self):
+    def test_capped_index_never_grows_past_its_cap_or_rewrites_a_ball(self):
         csr = _graph(SMALL, False).csr()
         index = CSRBallIndex(csr, 2, max_bytes=40_000)
         first = _sweep(csr, index, 64)
         assert first == list(range(0, SMALL, 64))  # cold: everything expands
         stats = index.stats()
-        assert 0 < stats["covered"] < SMALL and stats["covered"] % 64 == 0
+        assert 0 < stats["covered"] < SMALL
         assert 0 < stats["bytes"] <= 40_000
-        # A cyclic scan keeps the prefix: same coverage, the tail expands.
+        present = np.flatnonzero(index._start >= 0)
+        assert present.size == stats["covered"]
+        kept = index.pairs(present)
+        layout = (index._start.tobytes(), index._size.tobytes(), index._members.tobytes())
+        # Cyclic scans in other block sizes and a shuffled one: the balls
+        # that fit stay where they are, whatever else is offered.
         again = _sweep(csr, index, 64)
-        assert again == [lo for lo in first if lo >= stats["covered"]]
-        after = index.stats()
-        assert (after["covered"], after["appended"]) == (stats["covered"], stats["appended"])
-        assert after["served"] == stats["covered"] // 64
-
-    def test_block_straddling_the_covered_boundary_expands(self):
-        csr = _graph(SMALL, False).csr()
-        index = CSRBallIndex(csr, 2, max_bytes=40_000)
-        _sweep(csr, index, 64)
-        covered, served = index.covered, index.served
+        assert again == [
+            lo for lo in first if (index._start[lo : lo + 64] < 0).any()
+        ]
+        _sweep(csr, index, 17)
+        shuffled = np.random.default_rng(1).permutation(SMALL).astype(np.int64)
         scores = np.asarray(_scores(SMALL, 7))
-        centers = np.arange(covered - 10, covered + 10, dtype=np.int64)
-        on = _values(csr, centers, scores, AggregateKind.SUM, 2, True, index)
-        off = _values(csr, centers, scores, AggregateKind.SUM, 2, True, None)
+        for lo in range(0, SMALL, 50):
+            _values(csr, shuffled[lo : lo + 50], scores, AggregateKind.SUM, 2, True, index)
+        after = index.stats()
+        assert (after["covered"], after["bytes"], after["appended"]) == (
+            stats["covered"], stats["bytes"], stats["appended"]
+        )
+        assert layout == (
+            index._start.tobytes(), index._size.tobytes(), index._members.tobytes()
+        )
+        again_kept = index.pairs(present)
+        assert again_kept[0].tobytes() == kept[0].tobytes()
+        assert again_kept[1].tobytes() == kept[1].tobytes()
+
+    def test_a_block_with_absent_balls_expands_and_adds_exactly_those(self):
+        csr = _graph(SMALL, False).csr()
+        index = CSRBallIndex(csr, 2)
+        scores = np.asarray(_scores(SMALL, 7))
+        head = np.arange(0, 100, dtype=np.int64)
+        _values(csr, head, scores, AggregateKind.SUM, 2, True, index)
+        before = index.stats()
+        assert before["covered"] == 100
+        layout = index._start[:100].tobytes()
+        straddling = np.arange(50, 150, dtype=np.int64)
+        on = _values(csr, straddling, scores, AggregateKind.SUM, 2, True, index)
+        off = _values(csr, straddling, scores, AggregateKind.SUM, 2, True, None)
         assert on[:2] == off[:2]
-        assert on[2].balls_expanded == 20 and index.served == served
-        assert index.covered == covered  # it does not start at the prefix
+        assert on[2].balls_expanded == 100 and index.served == before["served"]
+        after = index.stats()
+        assert after["covered"] == 150 and after["appended"] == before["appended"] + 1
+        assert index._start[:100].tobytes() == layout  # present balls stay put
+        sizes = batched_hop_balls(csr, np.arange(150, dtype=np.int64), 2)[1].size
+        assert after["bytes"] == 4 * sizes  # each ball stored once
+        # Now the straddling block is a hit, and so is any mix of the 150.
+        on = _values(csr, straddling, scores, AggregateKind.SUM, 2, True, index)
+        assert on[:2] == off[:2] and on[2].balls_expanded == 0
 
     @pytest.mark.parametrize("fill,read", [(17, 100), (100, 17), (64, 600)])
     def test_fill_in_one_block_size_read_in_another(self, fill, read):
@@ -264,28 +294,58 @@ class TestKernelSeam:
         assert index.covered == SMALL
         assert _sweep(csr, index, read) == []
 
-    def test_only_contiguous_ranges_are_served(self):
+    @pytest.mark.parametrize("fill", [100, 17])
+    def test_any_present_center_set_is_served(self, fill):
         csr = _graph(SMALL, False).csr()
         index = CSRBallIndex(csr, 2)
-        _sweep(csr, index, 100)
+        _sweep(csr, index, fill)
         scores = np.asarray(_scores(SMALL, 7))
         shapes = [
-            np.asarray([0, 2, 1, 3], dtype=np.int64),  # right ends, wrong middle
-            np.arange(50, 10, -1, dtype=np.int64),
-            np.arange(0, 200, 2, dtype=np.int64),
-            np.asarray([5, 5, 6], dtype=np.int64),
+            np.asarray([0, 2, 1, 3], dtype=np.int64),
+            np.arange(50, 10, -1, dtype=np.int64),  # reversed
+            np.arange(0, 200, 2, dtype=np.int64),  # strided
+            np.asarray([5, 5, 6, 5], dtype=np.int64),  # repeated
+            np.asarray([SMALL - 1, SMALL - 2, 0], dtype=np.int64),  # empty open balls
             np.random.default_rng(0).permutation(SMALL).astype(np.int64),
         ]
-        for centers in shapes:
-            served = index.served
-            on = _values(csr, centers, scores, AggregateKind.MAX, 2, True, index)
-            off = _values(csr, centers, scores, AggregateKind.MAX, 2, True, None)
-            assert on[:2] == off[:2]
-            assert index.served == served
-            assert on[2].balls_expanded == centers.size
+        for kind in (AggregateKind.MAX, AggregateKind.SUM, AggregateKind.AVG):
+            for include_self in (True, False):
+                view = index if include_self else CSRBallIndex(csr, 2, include_self=False)
+                if view is not index:
+                    _sweep(csr, view, fill, include_self=False)
+                for centers in shapes:
+                    served = view.served
+                    on = _values(csr, centers, scores, kind, 2, include_self, view)
+                    off = _values(csr, centers, scores, kind, 2, include_self, None)
+                    assert on[:2] == off[:2]
+                    assert view.served == served + 1
+                    assert on[2].balls_expanded == 0
+                    want = batched_hop_balls(csr, centers, 2, include_self=include_self)
+                    got = view.pairs(centers)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
         empty = np.empty(0, dtype=np.int64)
         assert index.pairs(empty) is None
         assert _values(csr, empty, scores, AggregateKind.SUM, 2, True, index)[0] == b""
+
+    def test_a_shuffled_fill_stores_each_ball_once(self):
+        csr = _graph(SMALL, True).csr()
+        index = CSRBallIndex(csr, 2)
+        scores = np.asarray(_scores(SMALL, 7))
+        order = np.random.default_rng(2).permutation(SMALL).astype(np.int64)
+        order = np.concatenate([order, order[:90]])  # 90 centers offered twice
+        for lo in range(0, order.size, 40):
+            centers = np.concatenate([order[lo : lo + 40], order[lo : lo + 3]])
+            on = _values(csr, centers, scores, AggregateKind.SUM, 2, True, index)
+            off = _values(csr, centers, scores, AggregateKind.SUM, 2, True, None)
+            assert on[:2] == off[:2]
+        everything = np.arange(SMALL, dtype=np.int64)
+        owners, members, _ = batched_hop_balls(csr, everything, 2)
+        assert index.stats()["covered"] == SMALL
+        assert index.stats()["bytes"] == 4 * members.size
+        kept = index.pairs(everything)
+        assert kept[0].tobytes() == owners.tobytes()
+        assert kept[1].tobytes() == members.tobytes()
 
     def test_an_index_for_another_view_is_ignored(self):
         graph = _graph(SMALL, False)
@@ -303,7 +363,7 @@ class TestKernelSeam:
             assert other.stats()["covered"] == 0
             assert on[:2] == _values(csr, centers, scores, AggregateKind.SUM, 2, True, None)[:2]
 
-    def test_unbounded_index_grows_without_losing_the_prefix(self):
+    def test_unbounded_index_grows_without_losing_a_ball(self):
         csr = _graph(N, False).csr()
         index = CSRBallIndex(csr, 2)
         _sweep(csr, index, 40)  # 65 appends, several reallocations
@@ -331,8 +391,8 @@ class TestLifetime:
         scores = _scores(SMALL, 5)
         cold, warm = _scan(ctx, scores), _scan(ctx, scores)
         stats = ctx.cache_stats()["ball_index"]
-        assert stats["max_bytes"] == 30_000 and stats["bytes"] <= 30_000
-        assert stats["covered"] == 0  # one 600-center block does not fit
+        assert stats["max_bytes"] == 30_000 and 0 < stats["bytes"] <= 30_000
+        assert 0 < stats["covered"] < SMALL  # the one 600-center block fits in part
         assert warm.entries == cold.entries
         assert warm.stats.edges_scanned == cold.stats.edges_scanned
 
@@ -409,6 +469,27 @@ class TestAccounting:
         assert second.stats.nodes_evaluated == first.stats.nodes_evaluated == N
         assert second.entries == first.entries
 
+    def test_a_filtered_rescan_and_a_repeated_stream_expand_nothing(self):
+        net = _session(_graph(N, False))
+        some = [v for v in range(N) if v % 7 == 3]  # no contiguous range
+        filtered = net.query("s0").algorithm("base").where(some).limit(10)
+        first, second = filtered.run(), filtered.run()
+        assert first.stats.edges_scanned > 0 == second.stats.edges_scanned
+        assert second.stats.nodes_evaluated == first.stats.nodes_evaluated == len(some)
+        want = base_topk(
+            net.graph, net.scores_of("s0"), QuerySpec(10, "sum", 2, True, "numpy"),
+            node_order=some,
+        )
+        assert first.entries == second.entries == want.entries
+        streamed = net.query("s0").aggregate("max").limit(10)
+        cold = list(streamed.stream())
+        appended = _index_stats(net)["appended"]
+        served = _index_stats(net)["served"]
+        warm = list(streamed.stream())
+        after = _index_stats(net)
+        assert after["appended"] == appended and after["served"] > served
+        assert warm == cold and warm[-1].entries == tuple(streamed.run().entries)
+
     def test_cache_stats_entry_and_service_payload(self):
         net = _session(_graph(SMALL, False))
         assert _index_stats(net) is None
@@ -462,7 +543,7 @@ def _run_threads(targets):
 
 
 class TestConcurrentColdScans:
-    def test_racing_fills_and_reads_in_different_block_sizes(self):
+    def test_racing_fills_in_four_block_sizes_leave_each_ball_stored_once(self):
         csr = _graph(SMALL, False).csr()
         index = CSRBallIndex(csr, 2)
         blocks = (17, 20, 64, 100)
@@ -470,9 +551,13 @@ class TestConcurrentColdScans:
         _run_threads(
             [lambda b=blocks[i % len(blocks)]: _sweep(csr, index, b) for i in range(THREADS)]
         )
-        assert index.covered == SMALL
         everything = np.arange(SMALL, dtype=np.int64)
         owners, members, _ = batched_hop_balls(csr, everything, 2)
+        stats = index.stats()
+        assert stats["covered"] == SMALL
+        assert stats["bytes"] == 4 * members.size  # exactly the closure
+        runs = np.sort(index._start)
+        assert (np.diff(runs) == index._size[np.argsort(index._start)][:-1]).all()
         kept = index.pairs(everything)
         assert kept[0].tobytes() == owners.tobytes()
         assert kept[1].tobytes() == members.tobytes()
