@@ -30,9 +30,7 @@ setup(
     packages=find_packages(where="src"),
     extras_require={
         # Everything runs dependency-free on the python backend; numpy
-        # unlocks the vectorized/parallel/cluster tiers and numba the
-        # compiled kernel tier (backend="native").
+        # unlocks the vectorized/parallel/cluster tiers.
         "numpy": ["numpy"],
-        "native": ["numpy", "numba"],
     },
 )

@@ -27,7 +27,8 @@ def build_parser(
         description=(
             "Project-invariant static analysis: deadline coverage, lock "
             "discipline, backend-registry parity, wire-code "
-            "exhaustiveness, spawn/frame safety, njit purity."
+            "exhaustiveness, spawn/frame safety, fault-point hygiene, "
+            "CSR ownership."
         ),
     )
     parser.add_argument(

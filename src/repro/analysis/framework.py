@@ -5,7 +5,8 @@ A *checker* is a class with a stable ``rule`` id (``RC001``, ...) and a
 because this codebase's correctness rests on cross-module conventions no
 generic linter can see (deadline polling in kernels, writer-lock
 discipline, a backend registry mirrored across five modules, stable wire
-codes, frame-encodable task payloads, numba-safe kernel bodies); each
+codes, frame-encodable task payloads, declared fault points, one CSR
+owner); each
 checker mechanically enforces one of them against the live tree.
 
 Everything here is dependency-free on purpose: the suite must run on the

@@ -91,14 +91,6 @@ class AnalysisConfig:
     sink_names: FrozenSet[str] = frozenset({"encode_frame", "write_frame"})
     sink_attrs: FrozenSet[str] = frozenset({"send", "request", "dumps"})
 
-    # ---- RC006 njit purity -------------------------------------------
-    kernels_module: str = "src/repro/native/kernels.py"
-    njit_decorators: FrozenSet[str] = frozenset({"njit"})
-    njit_allowed_calls: FrozenSet[str] = frozenset(
-        {"range", "len", "min", "max", "abs", "int", "float", "bool"}
-    )
-    njit_allowed_method_calls: FrozenSet[str] = frozenset({"sort"})
-
     # ---- RC007 fault-point hygiene -----------------------------------
     #: Registered fault-point name -> the one module allowed to declare it.
     #: Doubles as the rot guard: a registered name that stops existing in
@@ -185,17 +177,6 @@ _HOT_PATHS = {
                 "_read_through",
                 "descending_prefixes",
                 "in_blocks",
-            }
-        ),
-    ),
-    # The native provider owns no loop either: block primitives are helpers.
-    "src/repro/native/provider.py": HotModule(
-        helpers=frozenset(
-            {
-                "NativeKernels.ball_values",
-                "NativeKernels.weighted_ball_sums",
-                "NativeKernels.fused_ball_values",
-                "NativeKernels.prune_step",
             }
         ),
     ),

@@ -6,7 +6,6 @@ from repro.analysis.rules import (  # noqa: F401
     rc003_backends,
     rc004_wire,
     rc005_spawn,
-    rc006_njit,
     rc007_faults,
     rc008_csr_owner,
 )

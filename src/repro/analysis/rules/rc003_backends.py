@@ -14,7 +14,8 @@ Checks (``concrete`` = registry minus the virtual ``"auto"`` policy):
 * Every ``--backend`` argparse flag's ``choices`` == the full registry.
 * Every concrete backend appears as a string constant in the executor
   (its dispatch/route tables must know the name).
-* Every concrete backend has a row in the README's backend table.
+* Every concrete backend has a row in the README's backend table, and
+  every row names a registered backend (a deleted tier's row is stale).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class BackendRegistryParity(Checker):
         yield from self._check_planner(project, concrete)
         yield from self._check_cli(project, full)
         yield from self._check_executor(project, concrete)
-        yield from self._check_readme(project, concrete)
+        yield from self._check_readme(project, concrete, full)
 
     # ------------------------------------------------------------------
     def _check_planner(self, project, concrete):
@@ -224,7 +225,7 @@ class BackendRegistryParity(Checker):
                 f"named in the executor's dispatch/route tables",
             )
 
-    def _check_readme(self, project, concrete):
+    def _check_readme(self, project, concrete, full):
         cfg = self.config
         text = project.text(cfg.readme)
         if text is None:
@@ -254,5 +255,15 @@ class BackendRegistryParity(Checker):
                 message=(
                     f"backend {backend!r} is registered in BACKENDS but "
                     f"has no row in the README backend table"
+                ),
+            )
+        for backend in sorted(set(rows) - full):
+            yield Finding(
+                rule=self.rule,
+                path=cfg.readme,
+                line=rows[backend],
+                message=(
+                    f"README backend table has a row for {backend!r}, "
+                    f"which is not in BACKENDS"
                 ),
             )

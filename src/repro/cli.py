@@ -413,11 +413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     query.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "python", "numpy", "native", "parallel", "cluster"),
-        help="execution backend (auto = compiled kernels when numba is "
-        "installed, else vectorized numpy; native = jitted CSR kernels; "
-        "parallel = multi-process shared-memory shards; cluster = "
-        "socket-connected cluster workers)",
+        choices=("auto", "python", "numpy", "parallel", "cluster"),
+        help="execution backend (auto = vectorized numpy when numpy is "
+        "installed, else pure python; parallel = multi-process "
+        "shared-memory shards; cluster = socket-connected cluster workers)",
     )
     query.add_argument(
         "--index", help="path to a persisted differential index (see build-index)"
@@ -449,7 +448,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     explain.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "python", "numpy", "native", "parallel", "cluster"),
+        choices=("auto", "python", "numpy", "parallel", "cluster"),
         help="execution backend the plan will run on",
     )
     explain.add_argument(
@@ -506,7 +505,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "python", "numpy", "native", "parallel", "cluster"),
+        choices=("auto", "python", "numpy", "parallel", "cluster"),
         help="execution backend",
     )
     sharded = serve.add_mutually_exclusive_group()

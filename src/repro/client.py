@@ -36,10 +36,10 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
+from types import MethodType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
-from repro.aggregates.weighted import inverse_distance, precompute_weights
 from repro.core.request import DEFAULT_SCORE, QueryRequest
 from repro.core.results import StreamUpdate, TopKResult
 from repro.errors import (
@@ -50,29 +50,12 @@ from repro.errors import (
     error_from_wire,
 )
 from repro.serving.protocol import decode_result, decode_update
+from repro.session import _refinement_methods
 
 __all__ = ["RemoteNetwork", "RemoteQueryBuilder", "RemoteHandle", "RetryPolicy"]
 
 #: Seconds of server-side wait requested per long-poll round trip.
 _POLL_CHUNK = 2.0
-
-#: Builder refinements that are plain request-field setters.  Mirrors the
-#: local ``QueryBuilder`` surface (``limit`` is the paper's name for ``k``;
-#: ``where``, ``weighted`` and the terminals are defined explicitly below).
-_FIELD_REFINEMENTS = (
-    "k",
-    "hops",
-    "aggregate",
-    "algorithm",
-    "backend",
-    "gamma",
-    "distribution_fraction",
-    "exact_sizes",
-    "ordering",
-    "seed",
-    "priority",
-    "deadline",
-)
 
 
 @dataclass(frozen=True)
@@ -132,7 +115,10 @@ class RemoteQueryBuilder:
     Every refinement returns a *new* builder; terminals (:meth:`run`,
     :meth:`submit`, :meth:`stream`, :meth:`request`) lower to a validated
     :class:`~repro.core.request.QueryRequest` with the field-pin mask set,
-    exactly as the local builder does.
+    exactly as the local builder does.  The refinements *are* the local
+    builder's methods, run on this builder (same call shapes, same
+    coercions); only :meth:`where` has a body of its own, since a
+    predicate cannot cross the wire.
     """
 
     __slots__ = ("_net", "_score", "_fields", "_set")
@@ -149,19 +135,13 @@ class RemoteQueryBuilder:
         self._fields = dict(fields or {})
         self._set = set_names
 
-    def _with(self, name: str, value: object) -> "RemoteQueryBuilder":
+    def _with(self, **changes: object) -> "RemoteQueryBuilder":
         fields = dict(self._fields)
-        fields[name] = value
-        set_names = (
-            self._set if name in self._set else self._set + (name,)
-        )
+        fields.update(changes)
+        set_names = self._set + tuple(n for n in changes if n not in self._set)
         return RemoteQueryBuilder(self._net, self._score, fields, set_names)
 
     # -- refinements ---------------------------------------------------
-    def limit(self, k: int) -> "RemoteQueryBuilder":
-        """Paper-flavored alias of :meth:`k`."""
-        return self._with("k", int(k))
-
     def where(self, candidates) -> "RemoteQueryBuilder":
         """Restrict the competition to these node ids.
 
@@ -173,26 +153,19 @@ class RemoteQueryBuilder:
                 "remote where(...) needs an iterable of node ids; "
                 "predicates cannot be serialized"
             )
-        return self._with("candidates", tuple(int(u) for u in candidates))
-
-    def weighted(self, profile=None) -> "RemoteQueryBuilder":
-        """Weight each score by hop distance (the paper's footnote 1).
-
-        A profile callable cannot cross the wire, so it is tabulated here
-        to the server session's hop radius — bitwise the weights a local
-        ``.weighted(profile)`` lowers to.
-        """
-        hops = self._fields.get("hops", self._net._session_defaults()["hops"])
-        return self._with(
-            "weights", tuple(precompute_weights(profile or inverse_distance, int(hops)))
-        )
+        selected = tuple(int(u) for u in candidates)
+        previous = self._fields.get("candidates")
+        if previous is not None:
+            selected = tuple(sorted(set(previous) & set(selected)))
+        return self._with(candidates=selected)
 
     def __getattr__(self, name: str):
-        if name in _FIELD_REFINEMENTS:
-            return lambda value: self._with(name, value)
+        refinements = _refinement_methods()
+        if name in refinements:
+            return MethodType(refinements[name], self)
         raise AttributeError(
             f"unknown query refinement {name!r}; expected one of "
-            f"{sorted(_FIELD_REFINEMENTS + ('limit', 'where', 'weighted'))}"
+            f"{sorted(refinements)}"
         )
 
     # -- terminals -----------------------------------------------------
@@ -516,6 +489,11 @@ class RemoteNetwork:
     def score_names(self) -> Tuple[str, ...]:
         """Registered score names on the server's session."""
         return tuple(self._call("GET", "/v1/scores")["scores"])
+
+    @property
+    def hops(self) -> int:
+        """The server session's radius (``Network.hops``'s twin)."""
+        return int(self._session_defaults()["hops"])
 
     def _session_defaults(self) -> Dict[str, object]:
         """Server-session defaults (hops/ball/backend), fetched once, so an

@@ -100,14 +100,18 @@ class _FrozenConfig:
     def _coerce(self, name: str, kind: type, minimum: object = None) -> None:
         """Convert field ``name`` to ``kind`` in place, then range-check it.
 
-        A value that does not convert — or a fractional number handed to an
-        int field, which ``int()`` would truncate — raises
-        :class:`InvalidParameterError` naming the class and the field.
+        A value that does not convert — a fractional number handed to an
+        int field, which ``int()`` would truncate, or anything but
+        ``True``/``False`` handed to a bool field, where ``bool("false")``
+        is true — raises :class:`InvalidParameterError` naming the class and
+        the field.
         """
         given = getattr(self, name)
         try:
             if kind is int and isinstance(given, float) and not given.is_integer():
                 raise ValueError(given)
+            if kind is bool and not isinstance(given, bool):
+                raise TypeError(given)
             value = kind(given)
         except (TypeError, ValueError):
             raise InvalidParameterError(

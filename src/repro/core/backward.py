@@ -36,7 +36,7 @@ import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.bounds import avg_bound, backward_sum_bound
 from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
@@ -132,7 +132,6 @@ def backward_topk(
             distribution_fraction=distribution_fraction,
             sizes=sizes,
             ball_cache=ball_cache,  # type: ignore[arg-type]
-            kernels=kernel_provider(concrete),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

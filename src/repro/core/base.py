@@ -21,7 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.aggregates.functions import AggregateKind, evaluate_scores, finalize_sum
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
@@ -53,14 +53,14 @@ def base_topk(
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
-        from repro.core.vectorized import base_topk_numpy
+        from repro.core.vectorized import NumpyKernels, base_topk_numpy
 
         return base_topk_numpy(
             graph,
             scores,
             spec,
             node_order=node_order,
-            kernels=kernel_provider(concrete, ball_index),
+            kernels=NumpyKernels(ball_index),
         )
     start = time.perf_counter()
     counter = TraversalCounter()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate, fold_scores
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.results import QueryStats, TopKResult, combine_query_stats
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
@@ -149,16 +149,12 @@ def batch_base_topk(
         # runs the same fused kernel in-process.  The executor dispatches
         # shards before it falls back to this function.
         concrete = "numpy"
-    # Before the timer: building the native provider warms the jit.
-    kernels = (
-        kernel_provider(concrete, ball_index) if concrete != "python" else None
-    )
     start = time.perf_counter()
     counter = TraversalCounter()
     accumulators = [TopKAccumulator(entry.k) for entry in batch]
-    if kernels is not None:
+    if concrete != "python":
         _shared_scan_numpy(
-            graph, batch, accumulators, hops, include_self, counter, kernels
+            graph, batch, accumulators, hops, include_self, counter, ball_index
         )
     else:
         _shared_scan_python(
@@ -221,12 +217,12 @@ def _shared_scan_numpy(
     hops: int,
     include_self: bool,
     counter: TraversalCounter,
-    kernels,
+    ball_index,
 ) -> None:
     """Fused vectorized shared scan: one expansion, all queries per block.
 
     Each node block is one ``kernels.fused_ball_values`` call over the
-    node-major score matrix (numpy provider: one multi-source BFS, then
+    node-major score matrix (one multi-source BFS, then
     *every* query's ball sums out of a single segmented reduction,
     :func:`repro.core.vectorized.fused_ball_values`) — the per-query work is
     one row of vectorized arithmetic, not a separate bincount pass.  Offers
@@ -234,12 +230,14 @@ def _shared_scan_numpy(
     :func:`repro.core.vectorized.offer_block`), so the Python-loop cost is
     proportional to plausible top-k entrants, not to ``q * n``.
 
-    Not polled for deadlines, on any provider: a coalesced scan answers
-    callers with different deadlines (see :mod:`repro.core.deadline`).
+    Not polled for deadlines: a coalesced scan answers callers with
+    different deadlines (see :mod:`repro.core.deadline`).
     """
     import numpy as np
 
-    from repro.core.vectorized import offer_block
+    from repro.core.vectorized import NumpyKernels, offer_block
+
+    kernels = NumpyKernels(ball_index)
 
     csr = graph.csr()
     # Node-major: each vector's own array (COUNT folded) is one column.

@@ -5,9 +5,9 @@ differential index (LONA-Forward), the neighborhood-size index
 (LONA-Backward), and — for the vectorized backends — the session-scoped
 ball caches (backward verification balls and their distance-labeled
 weighted counterparts) and the ball index repeated exhaustive scans read
-back.  :class:`GraphContext` owns them once, so the
-:class:`~repro.session.Network` session and the standalone engines share a
-single cache.  The flat CSR arrays are *not* a context artifact: every
+back.  :class:`GraphContext` owns them once, so a
+:class:`~repro.session.Network` session, its query service and its sharded
+engines share a single cache.  The flat CSR arrays are *not* a context artifact: every
 :class:`~repro.graph.graph.Graph` owns its own (built once when immutable,
 patched when dynamic), and :meth:`GraphContext.csr` only revalidates and
 asks it.

@@ -34,7 +34,7 @@ from repro.aggregates.functions import (
     finalize_sum,
     fold_scores,
 )
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.batch import batch_base_topk, normalize_batch
@@ -90,21 +90,12 @@ def choose_algorithm(
     return "base"
 
 
-def _kernel_tier(backend: str) -> str:
-    """Which kernel tier a concrete backend's hot loops run on.
-
-    ``parallel``/``cluster`` workers run the numpy kernels (unless a result
-    already carries a more specific tag); ``native`` results tag themselves
-    with compile provenance (the provider's ``stamp``).
-    """
-    if backend in ("python", "native"):
-        return backend
-    return "numpy"
-
-
 def _with_kernel(result: TopKResult) -> TopKResult:
-    """Stamp kernel-tier provenance into ``stats.extra`` (idempotent)."""
-    result.stats.extra.setdefault("kernel", _kernel_tier(result.stats.backend))
+    """Stamp which kernels ran into ``stats.extra`` (idempotent): the python
+    loops, or the numpy kernels — in process or on ``parallel``/``cluster``
+    workers."""
+    kernel = "python" if result.stats.backend == "python" else "numpy"
+    result.stats.extra.setdefault("kernel", kernel)
     return result
 
 
@@ -443,7 +434,9 @@ def _iter_exact_values(
     if concrete != "python" and len(order) > 0:
         import numpy as np
 
-        kernels = kernel_provider(concrete, ctx.ball_index())
+        from repro.core.vectorized import NumpyKernels
+
+        kernels = NumpyKernels(ctx.ball_index())
         csr = ctx.csr()
         folded, eff_kind = folded_scores(np, scores, kind)
         nodes = np.asarray(order, dtype=np.int64)

@@ -41,7 +41,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.aggregates.functions import AggregateKind
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.deadline import check_deadline
 from repro.core.ordering import make_order
 from repro.core.query import QuerySpec
@@ -89,7 +89,7 @@ def forward_topk(
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
-        from repro.core.vectorized import forward_topk_numpy
+        from repro.core.vectorized import NumpyKernels, forward_topk_numpy
 
         return forward_topk_numpy(
             graph,
@@ -98,7 +98,7 @@ def forward_topk(
             diff_index=diff_index,
             ordering=ordering,
             seed=seed,
-            kernels=kernel_provider(concrete, ball_index),
+            kernels=NumpyKernels(ball_index),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

@@ -83,15 +83,6 @@ BACKEND_COST_FACTORS = {
     # 1 / measured route speedup, benchmarks/BENCH_backend_coverage.json
     # (fig1, scale 1.0): base 4.19x, forward 3.67x, backward 6.09x.
     "numpy": {"base": 0.24, "forward": 0.27, "backward": 0.16},
-    # The compiled kernel provider (numba) under the same route drivers:
-    # base is one kernel call per block (biggest win), forward keeps the
-    # driver's numpy bookkeeping around the jitted ball/prune primitives,
-    # backward only swaps its verification primitive (distribution is numpy
-    # code on every provider, for bit-parity), so it gains the least
-    # relative to numpy.  Targets from benchmarks/BENCH_native.json;
-    # the ordering (native < numpy per route) is what the calibration
-    # tests pin.
-    "native": {"base": 0.11, "forward": 0.13, "backward": 0.08},
     # numpy factor / nominal 4-worker scaling (scans split ~perfectly,
     # backward keeps a serial merge + TA-round component).
     "parallel": {"base": 0.06, "forward": 0.07, "backward": 0.08},
@@ -112,9 +103,6 @@ BACKEND_COST_FACTORS = {
 BACKEND_FIXED_COSTS = {
     "python": 0.0,
     "numpy": 0.0,
-    # Warm-up happens once per process (repro.native.compile_cache), not
-    # per query, so the native tier carries no per-query fixed cost.
-    "native": 0.0,
     # Recalibrated for the leaner round (shared-memory reply buffers
     # replaced pickled pipe replies; bench/ reports the round's traffic as
     # parallel.pipe_bytes_per_op): a warm
@@ -227,8 +215,6 @@ class ExecutionPlan:
             + (
                 " (vectorized CSR)"
                 if self.backend == "numpy"
-                else " (compiled CSR kernels)"
-                if self.backend == "native"
                 else " (sharded multi-process)"
                 if self.backend == "parallel"
                 else " (socket cluster)"

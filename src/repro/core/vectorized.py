@@ -10,20 +10,19 @@ numpy arrays, so the Eq. 1 / Eq. 3 bound arithmetic — exactly the bulk
 bound-maintenance the threshold-algorithm literature identifies as
 array-shaped work — executes without per-edge Python calls.
 
-One route table, two kernel providers
--------------------------------------
+One route table, one kernel provider
+------------------------------------
 The four ``*_topk_numpy`` functions are the route *drivers* of every
-vectorized backend: ordering, bound state, thresholds, offers, stats.  The
-one thing a backend contributes is how a *block of balls* is evaluated, and
-that arrives as the ``kernels`` argument — :class:`NumpyKernels` (this
-module, the default) or :class:`repro.native.provider.NativeKernels`;
-:func:`repro.core.backends.kernel_provider` maps a backend name to one.
-Providers return the same bits (fused multi-query sums: to the last ulp)
-and charge identical work counters per block, so a route, numeric-contract
-or stopping-rule change is one edit here.
+vectorized backend: ordering, bound state, thresholds, offers, stats.  How a
+*block of balls* is evaluated arrives as the ``kernels`` argument — a
+:class:`NumpyKernels` (the default; a pool worker hands in one over its own
+ball index).  That argument is the seam a different provider would plug
+into: it must return the same bits and charge the same work counters per
+block (DESIGN.md §8), so a route, numeric-contract or stopping-rule change
+stays one edit here.
 
-How each phase vectorizes (numpy provider)
-------------------------------------------
+How each phase vectorizes
+-------------------------
 * **Ball evaluation** (forward): candidates are taken from the processing
   order in *blocks*; one frontier-batched multi-source BFS
   (:func:`~repro.graph.csr.batched_hop_balls`) expands every block member's
@@ -38,8 +37,8 @@ How each phase vectorizes (numpy provider)
   over the batched ``F(u) + delta(v-u)`` bounds.
 * **Distribution / bounding** (backward): per-ball score deposits are fancy-
   indexed adds; the Eq. 3 bound of *every* node is one array expression.
-  This phase is numpy code on every provider (its accumulation order is
-  part of the float contract, see :func:`distribute_scores`).
+  Its accumulation order is part of the float contract (see
+  :func:`distribute_scores`).
   Verification orders only the candidates it reaches
   (:func:`descending_prefixes`), never all ``n`` bounds.
 * **Exhaustive scans** (base / weighted base): candidate blocks expand with
@@ -143,8 +142,7 @@ def adaptive_block_size(
     the rising ``topklbound`` *between* blocks, so evaluating a large slice
     of the graph per round would erase the pruning the blocking exists for.
 
-    This is the numpy provider's profile (:meth:`NumpyKernels.block_size`);
-    the compiled tier's lives with its provider.
+    This is :meth:`NumpyKernels.block_size`'s profile.
     """
     if num_nodes <= 0:
         return _MIN_BLOCK
@@ -373,7 +371,6 @@ def forward_topk_numpy(
     stats.balls_expanded = counter.balls_expanded
     stats.extra["ordering"] = ordering
     stats.extra["block_size"] = float(block_size)
-    kernels.stamp(stats)
     return TopKResult(entries=acc.entries(), stats=stats)
 
 
@@ -444,8 +441,7 @@ def distribute_scores(
     accumulates in pair order), so every node's partial sum is built by the
     same float addition sequence as the Python backend's.  That order is
     part of the float contract — under the exact shortcut the partials *are*
-    the answers — which is why this loop is numpy code on every provider,
-    in-process and in the sharded workers.
+    the answers — in process and in the sharded workers alike.
     """
     n = int(dist_csr.num_nodes)
     partial = np.zeros(n, dtype=np.float64)
@@ -535,7 +531,7 @@ def verify_blocked(
     np, candidate_order, bounds, acc, stats, block_size, verify,
     shortcut_values=None,
 ) -> int:
-    """Phase 3 of LONA-Backward on every in-process route and provider:
+    """Phase 3 of LONA-Backward on every in-process route:
     offers in descending bound order until the TA-style stop fires.
 
     ``candidate_order`` is the lazy :func:`descending_prefixes` iterator,
@@ -605,8 +601,8 @@ def backward_topk_numpy(
     the flat arrays are the graph's own (``graph.csr()``, and on directed
     graphs ``graph.rev_csr()``, whose reversed arcs distribution walks).
     ``ball_cache`` optionally supplies a session-scoped
-    :class:`~repro.graph.csr.CSRBallCache` over the same CSR, which the
-    numpy provider reads verification blocks through when its ``(csr, hops,
+    :class:`~repro.graph.csr.CSRBallCache` over the same CSR, which
+    verification blocks are read through when its ``(csr, hops,
     include_self)`` triple matches.
     """
     import numpy as np
@@ -724,7 +720,6 @@ def _scan_stats(algorithm, aggregate, spec, kernels, start, evaluated, counter, 
         balls_expanded=counter.balls_expanded,
     )
     stats.extra["block_size"] = float(block_size)
-    kernels.stamp(stats)
     return stats
 
 
@@ -944,7 +939,6 @@ def _backward_topk(
     stats.extra["distributed_nodes"] = float(distributed.size)
     stats.extra["rest_bound"] = rest_bound
     stats.extra["exact_shortcut"] = float(exact_shortcut)
-    kernels.stamp(stats)
     return TopKResult(entries=acc.entries(), stats=stats)
 
 
@@ -1004,22 +998,21 @@ class NumpyKernels:
     The provider seam (DESIGN.md §8): the drivers below own every route and
     ask a provider only to *evaluate a block*.  Each primitive charges
     ``counter`` with the same ``(edges_scanned, nodes_visited,
-    balls_expanded)`` and returns the same bits on every provider
-    (``tests/test_block_kernels.py``; the fused sums agree to the last ulp):
+    balls_expanded)`` a per-center BFS would and returns the values the
+    Python reference computes over the sorted ball
+    (``tests/test_block_kernels.py``):
 
     * :meth:`ball_values` — exact aggregates of a block of balls, any kind
       (COUNT arrives folded to SUM), plus the ball sizes when asked;
     * :meth:`weighted_ball_sums` — footnote 1's ``sum w(d) f(v)`` per ball;
     * :meth:`fused_ball_values` — every query of a batch over one expansion;
     * :meth:`prune_step` — Eq. 1's neighbor pass for one evaluated block;
-    * :meth:`block_size` / :meth:`stamp` — the block profile and the
-      provenance written into ``stats.extra``.
+    * :meth:`block_size` — the block profile of each loop.
 
     No primitive owns a loop: LONA-Backward's verification is
-    :func:`verify_blocked` on every provider, a ``ball_values`` /
-    ``weighted_ball_sums`` call per block, handed the session's
-    :class:`~repro.graph.csr.CSRBallCache` (read through here, ignored by a
-    compiled provider, whose balls never leave its scratch).
+    :func:`verify_blocked`, a ``ball_values`` / ``weighted_ball_sums`` call
+    per block, read through the session's
+    :class:`~repro.graph.csr.CSRBallCache`.
 
     A provider lives as long as its query (a pool worker: its task).
     ``ball_index`` is a :class:`~repro.graph.csr.CSRBallIndex` — the
@@ -1049,9 +1042,6 @@ class NumpyKernels:
         if role == "verify" and requested is None:
             block = min(block, _VERIFY_BLOCK)
         return block
-
-    def stamp(self, stats: QueryStats) -> None:
-        """Nothing beyond ``stats.backend`` (the executor tags the tier)."""
 
     def _block_pairs(self, csr, centers, hops, include_self, counter):
         """``(owners, members)`` of one block: off the ball index when it was

@@ -36,7 +36,7 @@ from repro.aggregates.weighted import (
     inverse_distance,
     precompute_weights,
 )
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.backward import resolve_gamma
 from repro.core.deadline import check_deadline
 from repro.core.query import QuerySpec
@@ -79,7 +79,6 @@ def weighted_base_topk(
             scores,
             spec,
             weights=precompute_weights(profile, spec.hops),
-            kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
     start = time.perf_counter()
@@ -148,7 +147,6 @@ def weighted_backward_topk(
             distribution_fraction=distribution_fraction,
             sizes=sizes,
             dist_ball_cache=dist_ball_cache,  # type: ignore[arg-type]
-            kernels=kernel_provider(concrete),
         )
     weights = precompute_weights(profile, spec.hops)
     w_max = max(weights[1:], default=0.0)

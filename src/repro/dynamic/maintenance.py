@@ -42,11 +42,11 @@ import time
 from typing import Any, List, Sequence, Set, Tuple, Union
 
 from repro.aggregates.functions import AggregateKind, coerce_aggregate
-from repro.core.backends import kernel_provider, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
-from repro.core.vectorized import descending_prefixes
+from repro.core.vectorized import NumpyKernels, descending_prefixes
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import InvalidParameterError, RelevanceError
 from repro.graph.csr import csr_hop_ball
@@ -129,7 +129,7 @@ class MaintainedAggregateView:
             return sums, sizes
         centers = np.asarray(nodes, dtype=np.int64)
         csr = self.graph.csr()
-        kernels = kernel_provider(self._backend)
+        kernels = NumpyKernels()
         # The provider's scan profile, not a constant: the initial build is
         # a full scan and sets the process's peak memory.
         block = kernels.block_size(None, csr.num_nodes, int(csr.num_arcs))

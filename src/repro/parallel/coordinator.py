@@ -168,10 +168,6 @@ class ShardedCoordinator:
     #: ``"threshold"`` / ``"all"`` on a link whose workers apply a ship
     #: policy to candidate replies; ``None`` where replies are not shipped.
     ship_policy: Optional[str] = None
-    #: Whether tasks ask workers for the compiled kernel tier (``None`` =
-    #: probe on first use: offered only when the kernels actually compiled,
-    #: interpreted ones are a parity device and lose to numpy).
-    _native: Optional[bool] = False
 
     def __init__(
         self,
@@ -362,16 +358,6 @@ class ShardedCoordinator:
         the session's own index may (``GraphContext.ball_index``)."""
         budget = self.ctx.ball_cache_bytes
         return None if budget is None else budget // 2 // self.workers
-
-    def _workers_native(self) -> bool:
-        if self._native is None:
-            try:
-                from repro.native import kernels
-
-                self._native = kernels.KERNEL_MODE == "compiled"
-            except Exception:  # pragma: no cover - partial numba installs
-                self._native = False
-        return self._native
 
     # ------------------------------------------------------------------
     # Round plumbing
@@ -634,7 +620,6 @@ class ShardedCoordinator:
                 np, scores, spec.aggregate, spec if weights is None else None,
                 centers,
             )
-            native = self._workers_native()
             if weights is not None:
                 algorithm = "weighted-base"
                 weights = [float(w) for w in weights]
@@ -663,7 +648,6 @@ class ShardedCoordinator:
                         if algorithm == "forward"
                         else None
                     ),
-                    "native": native,
                 }
 
             entries, headers = self._collect_topk(
@@ -862,7 +846,6 @@ class ShardedCoordinator:
         θ is the accumulator's current k-th value: a shipping link's
         workers return only pairs with value >= θ.
         """
-        native = self._workers_native()
         ship = {"theta": float(theta), "mode": self.ship_policy}
 
         def build() -> List[dict]:
@@ -876,7 +859,6 @@ class ShardedCoordinator:
                 "hops": int(spec.hops),
                 "include_self": bool(spec.include_self),
                 "block": block,
-                "native": native,
             }
             specs = []
             for shard in range(self._plan.num_shards):

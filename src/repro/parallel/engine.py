@@ -99,7 +99,6 @@ class ParallelEngine(ShardedCoordinator):
             seed=seed,
         )
         self.timeout = timeout
-        self._native = None  # probed on first use
         # Per-task-slot shared reply buffers (float64 (capacity, 2) rows of
         # [node, value]); rotated — never reused — after any round that
         # respawned a worker or raised, because a straggler holding the old

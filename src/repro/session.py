@@ -188,9 +188,8 @@ class QueryBuilder:
 
     def backend(self, backend: str) -> "QueryBuilder":
         """Pin the execution backend (``auto``/``python``/``numpy``/
-        ``native``/``parallel``/``cluster``).  ``auto`` prefers the
-        compiled ``native`` tier when numba is importable, then ``numpy``,
-        then ``python``."""
+        ``parallel``/``cluster``).  ``auto`` is ``numpy`` when numpy
+        imports, else ``python``."""
         return self._with(backend=str(backend))
 
     def gamma(self, gamma: Union[str, float]) -> "QueryBuilder":
@@ -324,23 +323,28 @@ _BUILDER_TERMINALS = frozenset(
 _TOPK_POSITIONAL = frozenset({"limit", "k", "aggregate", "hops"})
 
 
-def _builder_refinements() -> frozenset:
-    """``Network.topk``'s option whitelist, derived from the builder surface.
-
-    Every public callable on :class:`QueryBuilder` that is neither a
-    terminal nor covered by ``topk``'s positional parameters is a refinement
-    ``topk(..., name=value)`` forwards as ``builder.name(value)``.  Deriving
-    the set keeps the one-shot surface in lockstep with the fluent one — a
-    new builder refinement needs no hand-kept whitelist edit.
-    """
-    return frozenset(
-        name
+def _refinement_methods() -> Dict[str, Callable]:
+    """Every refinement on the :class:`QueryBuilder` surface, by name: each
+    public callable that is not a terminal.  The remote builder runs these
+    same functions (:class:`repro.client.RemoteQueryBuilder`)."""
+    return {
+        name: member
         for name, member in vars(QueryBuilder).items()
         if not name.startswith("_")
         and callable(member)
         and name not in _BUILDER_TERMINALS
-        and name not in _TOPK_POSITIONAL
-    )
+    }
+
+
+def _builder_refinements() -> frozenset:
+    """``Network.topk``'s option whitelist, derived from the builder surface.
+
+    Every refinement not covered by ``topk``'s positional parameters is one
+    ``topk(..., name=value)`` forwards as ``builder.name(value)``.  Deriving
+    the set keeps the one-shot surface in lockstep with the fluent one — a
+    new builder refinement needs no hand-kept whitelist edit.
+    """
+    return frozenset(_refinement_methods()) - _TOPK_POSITIONAL
 
 
 class Network:

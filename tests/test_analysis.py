@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import textwrap
 
-import pytest
-
 from repro.analysis import (
     BASELINE_NAME,
     all_checkers,
@@ -31,7 +29,6 @@ from repro.analysis.rules.rc002_locks import LockDiscipline
 from repro.analysis.rules.rc003_backends import BackendRegistryParity
 from repro.analysis.rules.rc004_wire import WireCodeExhaustiveness
 from repro.analysis.rules.rc005_spawn import SpawnFrameSafety
-from repro.analysis.rules.rc006_njit import NjitPurity
 from repro.analysis.rules.rc007_faults import FaultPointHygiene
 from repro.analysis.rules.rc008_csr_owner import CsrOwnership
 
@@ -308,6 +305,14 @@ class TestRC003:
         report = _run(tmp_path, BackendRegistryParity(self.CFG))
         assert any("'fortran'" in f.message for f in report.active)
 
+    def test_stale_readme_row_is_flagged(self, tmp_path):
+        readme = self.GOOD["README.md"] + '    | `"native"` | jitted    |\n'
+        _tree(tmp_path, dict(self.GOOD, **{"README.md": readme}))
+        report = _run(tmp_path, BackendRegistryParity(self.CFG))
+        assert [f.path for f in report.active] == ["README.md"]
+        assert "'native'" in report.active[0].message
+        assert report.active[0].line == 6
+
 
 # ----------------------------------------------------------------------
 # RC004 wire-code exhaustiveness
@@ -449,68 +454,6 @@ class TestRC005:
         """})
         report = _run(tmp_path, SpawnFrameSafety(self.CFG))
         assert report.active == []
-
-
-# ----------------------------------------------------------------------
-# RC006 njit purity
-# ----------------------------------------------------------------------
-class TestRC006:
-    CFG = AnalysisConfig(kernels_module="kernels.py")
-
-    def test_clean_kernel_passes(self, tmp_path):
-        _tree(tmp_path, {"kernels.py": """
-            @njit(cache=True)
-            def aggregate(indptr, indices, out):
-                '''Docstrings are allowed (and stripped before checking).'''
-                total = 0.0
-                for i in range(len(indices)):
-                    if indices[i] >= 0:
-                        total += indices[i]
-                out.sort()
-                return total
-        """})
-        report = _run(tmp_path, NjitPurity(self.CFG))
-        assert report.active == []
-
-    @pytest.mark.parametrize(
-        "body,needle",
-        [
-            ("    x = [i for i in range(3)]\n", "list comprehension"),
-            ("    d = {}\n", "dict literal"),
-            ("    s = f'{1}'\n", "f-string"),
-            ("    with open('f'):\n        pass\n", "`with` block"),
-            ("    try:\n        pass\n    except Exception:\n        pass\n", "`try` block"),
-            ("    assert True\n", "`assert`"),
-            ("    print(1)\n", "print()"),
-            ("    y = x.mean()\n", ".mean()"),
-        ],
-    )
-    def test_banned_constructs_are_flagged(self, tmp_path, body, needle):
-        _tree(
-            tmp_path,
-            {"kernels.py": "@njit\ndef kernel(x):\n" + body + "    return 0\n"},
-        )
-        report = _run(tmp_path, NjitPurity(self.CFG))
-        assert report.active, f"expected a finding for: {body!r}"
-        assert any(needle in f.message for f in report.active)
-
-    def test_undecorated_functions_are_not_checked(self, tmp_path):
-        _tree(tmp_path, {"kernels.py": """
-            @njit
-            def kernel(x):
-                return abs(x)
-
-            def glue(x):
-                return {"wrapped": [kernel(v) for v in x]}
-        """})
-        report = _run(tmp_path, NjitPurity(self.CFG))
-        assert report.active == []
-
-    def test_missing_kernels_are_a_finding(self, tmp_path):
-        _tree(tmp_path, {"kernels.py": "def plain(x):\n    return x\n"})
-        report = _run(tmp_path, NjitPurity(self.CFG))
-        assert len(report.active) == 1
-        assert "no @njit" in report.active[0].message
 
 
 # ----------------------------------------------------------------------
@@ -764,8 +707,7 @@ class TestFramework:
     def test_registry_is_complete_and_ordered(self):
         rules = [cls.rule for cls in all_checkers()]
         assert rules == [
-            "RC001", "RC002", "RC003", "RC004", "RC005", "RC006", "RC007",
-            "RC008",
+            "RC001", "RC002", "RC003", "RC004", "RC005", "RC007", "RC008",
         ]
 
 

@@ -228,16 +228,23 @@ class TestBackwardParity:
 
 class TestBackendSelection:
     def test_auto_resolves_down_the_ladder(self):
-        # auto prefers the compiled tier when it can load, then numpy;
-        # the pure-python fallback is covered by the no-numpy CI cell.
-        from repro.core.backends import native_available
+        # auto is numpy wherever numpy imports; the pure-python fallback is
+        # covered by the no-numpy CI cell.
+        assert resolve_backend("auto") == "numpy"
 
-        expected = "native" if native_available() else "numpy"
-        assert resolve_backend("auto") == expected
+    def test_declared_backends(self):
+        assert BACKENDS == ("auto", "python", "numpy", "parallel", "cluster")
 
     def test_explicit_backends_resolve_to_themselves(self):
         assert resolve_backend("python") == "python"
         assert resolve_backend("numpy") == "numpy"
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_results_tag_their_kernel(self, backend):
+        g = random_graph(40, 0.1, seed=5)
+        net = Network(g, hops=2, backend=backend)
+        net.add_scores("s", random_scores(40, seed=5))
+        assert net.topk("s", 5).stats.extra["kernel"] == backend
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InvalidParameterError):

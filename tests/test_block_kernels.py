@@ -1,19 +1,19 @@
-"""The kernel-provider seam: numpy and native evaluate a block identically.
+"""The kernel-provider seam: a block evaluates as the Python reference does.
 
-The route drivers in :mod:`repro.core.vectorized` are shared; a backend is
-a *provider* of block primitives.  The parity suites compare final top-k
-entries through ``Network``, which cannot see a below-the-cut value or a
-work counter drifting — and the access counters are part of the contract
-(they are what the paper's cost argument is stated in).  So this file pins
-the seam itself: every primitive, both providers, bit-identical values
-(the fused multi-query sums: to the last ulp, see there) and identical
-``(edges_scanned, nodes_visited, balls_expanded)``, on directed and
-undirected graphs with isolated nodes, ``hops`` 0-3 and both ball
-conventions.
-
-The native provider is built directly, so the file runs everywhere numpy
-does: jitted where numba is installed, as plain Python otherwise or under
-``REPRO_NATIVE_INTERPRETED=1`` (CI runs both).
+The route drivers in :mod:`repro.core.vectorized` ask a *provider* only to
+evaluate a block of balls.  The parity suites compare final top-k entries
+through ``Network``, which cannot see a below-the-cut value or a work
+counter drifting — and the access counters are part of the contract (they
+are what the paper's cost argument is stated in).  So this file pins the
+seam itself: every :class:`NumpyKernels` primitive against the Python
+reference (:func:`~repro.graph.traversal.hop_ball` /
+:func:`~repro.graph.traversal.hop_ball_with_distances` with a
+:class:`TraversalCounter`, each ball summed in ascending member order — the
+order ``bincount`` adds in), bit-identical values on non-dyadic floats and
+identical ``(edges_scanned, nodes_visited, balls_expanded)``, on directed
+and undirected graphs with isolated nodes, ``hops`` 0-3 and both ball
+conventions.  A second provider plugged into the seam must pass the same
+file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.core.query import QuerySpec
 from repro.core.results import QueryStats
 from repro.core.topk import TopKAccumulator
 from repro.graph.graph import Graph
-from repro.graph.traversal import TraversalCounter
+from repro.graph.traversal import TraversalCounter, hop_ball, hop_ball_with_distances
 
 np = pytest.importorskip("numpy")
 
@@ -40,7 +40,6 @@ from repro.core.vectorized import (  # noqa: E402
 )
 from repro.graph.csr import CSRBallCache, to_csr  # noqa: E402
 from repro.graph.diffindex import build_differential_index  # noqa: E402
-from repro.native.provider import NativeKernels  # noqa: E402
 
 N = 36  # nodes 30..35 touch no edge: isolated, empty open balls
 CASES = [
@@ -83,17 +82,47 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _both(call):
-    """Run ``call(kernels, counter)`` on both providers; assert the counters
-    agree and return the two results."""
-    out = []
-    for kernels in (NumpyKernels(), NativeKernels()):
-        counter = TraversalCounter()
-        out.append((call(kernels, counter), counter.snapshot()))
-    (ref, ref_work), (nat, nat_work) = out
-    assert ref_work == nat_work
-    assert ref_work["balls_expanded"] > 0
-    return ref, nat
+def _reference(graph, centers, hops, include_self, value):
+    """``value(sorted ball)`` per center off the Python BFS, and its work."""
+    counter = TraversalCounter()
+    values = [
+        value(sorted(hop_ball(graph, int(c), hops, include_self=include_self, counter=counter)))
+        for c in centers
+    ]
+    return values, counter.snapshot()
+
+
+def _ascending_sum(terms) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _aggregate(kind, scores):
+    """The reference aggregate of one sorted ball (empty balls: 0.0)."""
+
+    def value(ball):
+        terms = [float(scores[m]) for m in ball]
+        if not terms:
+            return 0.0
+        if kind is AggregateKind.MAX:
+            return max(terms)
+        if kind is AggregateKind.MIN:
+            return min(terms)
+        total = _ascending_sum(terms)
+        return total / len(terms) if kind is AggregateKind.AVG else total
+
+    return value
+
+
+def _numpy(call):
+    """Run ``call(kernels, counter)`` on a fresh provider; return its result
+    and the work it charged."""
+    counter = TraversalCounter()
+    out = call(NumpyKernels(), counter)
+    assert counter.balls_expanded > 0
+    return out, counter.snapshot()
 
 
 @pytest.mark.parametrize("directed,hops,include_self", CASES)
@@ -103,52 +132,75 @@ class TestBlockPrimitives:
         [AggregateKind.SUM, AggregateKind.AVG, AggregateKind.MAX, AggregateKind.MIN],
     )
     def test_ball_values(self, directed, hops, include_self, kind):
-        csr = to_csr(_graph(directed), use_numpy=True)
+        graph = _graph(directed)
+        csr = to_csr(graph, use_numpy=True)
         scores, centers = _scores(1), _centers()
+        want, want_work = _reference(
+            graph, centers, hops, include_self, _aggregate(kind, scores)
+        )
+        sizes, _ = _reference(graph, centers, hops, include_self, len)
         for want_sizes in (False, True):
-            ref, nat = _both(
+            (values, got_sizes), work = _numpy(
                 lambda kernels, counter, want_sizes=want_sizes: kernels.ball_values(
                     np, csr, centers, scores, kind, hops, include_self, counter,
                     want_sizes=want_sizes,
                 )
             )
-            assert _same_bits(ref[0], nat[0])
+            assert work == want_work
+            assert _same_bits(values, want)
             if want_sizes:
-                assert ref[1].tolist() == nat[1].tolist()
+                assert got_sizes.tolist() == sizes
                 if not include_self:  # the isolated center 33: an empty ball
-                    assert ref[1][-2] == 0 and ref[0][-2] == 0.0
+                    assert got_sizes[-2] == 0 and values[-2] == 0.0
             else:
-                assert ref[1] is None and nat[1] is None
+                assert got_sizes is None
 
     def test_weighted_ball_sums(self, directed, hops, include_self):
-        csr = to_csr(_graph(directed), use_numpy=True)
+        graph = _graph(directed)
+        csr = to_csr(graph, use_numpy=True)
         scores, centers = _scores(2), _centers()
         weights = np.asarray(precompute_weights(inverse_distance, hops))
-        ref, nat = _both(
+        counter = TraversalCounter()
+        want = []
+        for c in centers.tolist():
+            dists = hop_ball_with_distances(
+                graph, c, hops, include_self=include_self, counter=counter
+            )
+            want.append(_ascending_sum(
+                weights[d] * scores[m] for m, d in sorted(dists.items())
+            ))
+        values, work = _numpy(
             lambda kernels, counter: kernels.weighted_ball_sums(
                 np, csr, centers, scores, weights, hops, include_self, counter
             )
         )
-        assert _same_bits(ref, nat)
+        assert work == counter.snapshot()
+        assert _same_bits(values, want)
 
     def test_fused_ball_values(self, directed, hops, include_self):
-        csr = to_csr(_graph(directed), use_numpy=True)
+        graph = _graph(directed)
+        csr = to_csr(graph, use_numpy=True)
         centers = _centers()
-        node_scores = np.ascontiguousarray(
-            np.stack([_scores(3), _scores(4), _scores(5)], axis=1)
-        )
+        columns = [_scores(3), _scores(4), _scores(5)]
+        node_scores = np.ascontiguousarray(np.stack(columns, axis=1))
         avg_rows = np.asarray([False, True, False])
-        ref, nat = _both(
+        values, work = _numpy(
             lambda kernels, counter: kernels.fused_ball_values(
                 np, csr, centers, node_scores, avg_rows, hops, include_self, counter
             )
         )
-        assert ref.shape == (3, centers.size)
-        # The one value contract that is not bit-level: ``np.add.reduceat``
-        # over a 2-d slab may re-associate a segment's additions, the
-        # kernel adds strictly left to right — a last-ulp difference, which
-        # is why batch parity has always been asserted to 1e-9.
-        np.testing.assert_allclose(ref, nat, rtol=1e-13, atol=0.0)
+        assert values.shape == (3, centers.size)
+        for row, (column, avg) in enumerate(zip(columns, avg_rows)):
+            kind = AggregateKind.AVG if avg else AggregateKind.SUM
+            want, want_work = _reference(
+                graph, centers, hops, include_self, _aggregate(kind, column)
+            )
+            assert work == want_work
+            # The one value contract that is not bit-level: ``np.add.reduceat``
+            # over a 2-d slab may re-associate a segment's additions, the
+            # reference adds strictly left to right — a last-ulp difference,
+            # which is why batch parity has always been asserted to 1e-9.
+            np.testing.assert_allclose(values[row], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("is_avg", [False, True])
     def test_prune_step(self, directed, hops, include_self, is_avg):
@@ -165,29 +217,43 @@ class TestBlockPrimitives:
         ubound = _scores(7) * 6.0 + 1.0
         inv_size = 1.0 / np.arange(1, N + 1) if is_avg else None
         threshold = 2.5 * (0.2 if is_avg else 1.0)
-        states = []
-        for kernels in (NumpyKernels(), NativeKernels()):
-            bound, cut = ubound.copy(), pruned.copy()
-            counts = kernels.prune_step(
-                np, csr, deltas, sources, source_sums, threshold, bound,
-                inv_size, evaluated, cut,
-            )
-            states.append((counts, bound, cut))
-        (ref_counts, ref_bound, ref_cut), (nat_counts, nat_bound, nat_cut) = states
-        assert ref_counts == nat_counts
-        assert _same_bits(ref_bound, nat_bound)
-        assert ref_cut.tolist() == nat_cut.tolist()
-        assert not (ref_cut & evaluated).any()  # only open nodes are cut
+        # The reference: Eq. 1 arc by arc, then one cut over touched nodes.
+        want_bound, want_cut = ubound.tolist(), pruned.tolist()
+        bound_evals, touched = 0, set()
+        indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
+        for u, fu in zip(sources.tolist(), source_sums.tolist()):
+            for p in range(indptr[u], indptr[u + 1]):
+                v = indices[p]
+                if evaluated[v] or pruned[v]:
+                    continue
+                bound_evals += 1
+                want_bound[v] = min(want_bound[v], fu + float(deltas[p]))
+                touched.add(v)
+        newly = 0
+        for v in touched:
+            scale = inv_size[v] if is_avg else 1.0
+            if want_bound[v] * scale <= threshold:
+                want_cut[v] = True
+                newly += 1
+        bound, cut = ubound.copy(), pruned.copy()
+        counts = NumpyKernels().prune_step(
+            np, csr, deltas, sources, source_sums, threshold, bound,
+            inv_size, evaluated, cut,
+        )
+        assert counts == (bound_evals, newly)
+        assert _same_bits(bound, want_bound)
+        assert cut.tolist() == want_cut
+        assert not (cut & evaluated).any()  # only open nodes are cut
 
 
 @pytest.mark.parametrize("directed,hops,include_self", CASES)
 def test_verify_backward_same_entries_different_loop_shape(
     directed, hops, include_self
 ):
-    """Both providers, one loop (``verify_blocked``): same entries as
-    stopping before every candidate, every offer a verification, and never
-    a full block verified past that stop — at each provider's own verify
-    block and at a pinned one."""
+    """One loop (``verify_blocked``): same entries as stopping before every
+    candidate, every offer a verification, and never a full block verified
+    past that stop — at the provider's own verify block and at a pinned
+    one."""
     graph = _graph(directed)
     csr = to_csr(graph, use_numpy=True)
     scores = _scores(8)
@@ -205,117 +271,70 @@ def test_verify_backward_same_entries_different_loop_shape(
             break
         reference.offer(node, float(exact[node]))
         stop += 1
-    for kernels in (NumpyKernels(), NativeKernels()):
-        own = kernels.block_size(None, N, int(csr.num_arcs), role="verify")
-        for block in (own, 5):
-            acc = TopKAccumulator(spec.k)
-            stats = QueryStats(algorithm="backward", aggregate="sum")
-            counter = TraversalCounter()
-            cache = CSRBallCache(csr, hops, include_self=include_self)
-            offered = vectorized.verify_blocked(
-                np, descending_prefixes(np, bounds, 2 * spec.k), bounds, acc,
-                stats, block,
-                lambda chunk: kernels.ball_values(
-                    np, csr, chunk, scores, AggregateKind.SUM, hops,
-                    include_self, counter, cache=cache,
-                )[0],
-            )
-            assert stats.candidates_verified == offered == counter.balls_expanded
-            assert acc.entries() == reference.entries()
-            assert stop <= offered < stop + block
-            assert stats.early_terminated == (offered < N)
+    kernels = NumpyKernels()
+    own = kernels.block_size(None, N, int(csr.num_arcs), role="verify")
+    for block in (own, 5):
+        acc = TopKAccumulator(spec.k)
+        stats = QueryStats(algorithm="backward", aggregate="sum")
+        counter = TraversalCounter()
+        cache = CSRBallCache(csr, hops, include_self=include_self)
+        offered = vectorized.verify_blocked(
+            np, descending_prefixes(np, bounds, 2 * spec.k), bounds, acc,
+            stats, block,
+            lambda chunk: kernels.ball_values(
+                np, csr, chunk, scores, AggregateKind.SUM, hops,
+                include_self, counter, cache=cache,
+            )[0],
+        )
+        assert stats.candidates_verified == offered == counter.balls_expanded
+        assert acc.entries() == reference.entries()
+        assert stop <= offered < stop + block
+        assert stats.early_terminated == (offered < N)
 
 
-class TestProfilesAndProvenance:
-    def test_roles_pick_each_providers_profile(self):
-        n, arcs = 100_000, 600_000
-        assert NumpyKernels().block_size(None, n, arcs) == 1024
-        assert NumpyKernels().block_size(None, n, arcs, role="prune") == 256
-        # A numpy verification block is a measured constant (the stop is
-        # tested between blocks), never above the scan block.
-        assert NumpyKernels().block_size(None, n, arcs, role="verify") == 32
-        assert NumpyKernels().block_size(None, n, 100 * 1024 * n, role="verify") == 10
-        assert NumpyKernels().block_size(7, n, arcs, role="verify") == 7
-        native = NativeKernels()
-        assert native.block_size(None, n, arcs) == 4096
-        assert native.block_size(None, n, arcs, role="prune") == 1024
-        assert native.block_size(None, n, arcs, role="verify") == 1024
-        assert native.block_size(None, 400, 2000, role="verify") == 400 // 8
-        assert native.block_size(None, 0, 0) == 4
-
-    def test_stamp(self):
-        stats = QueryStats(algorithm="base", aggregate="sum")
-        NumpyKernels().stamp(stats)
-        assert stats.extra == {}
-        NativeKernels().stamp(stats)
-        assert stats.extra["kernel"] == "native"
-        assert stats.extra["kernel_mode"] in ("compiled", "interpreted")
-        assert stats.extra["jit_compile_sec"] >= 0.0
-
-    def test_native_scratch_follows_the_graph(self):
-        # A pool worker keeps one provider across tasks on different graphs.
-        native = NativeKernels()
-        small = to_csr(Graph.from_edges([(0, 1), (1, 2)]), use_numpy=True)
-        big = to_csr(_graph(False), use_numpy=True)
-        for csr, n in ((big, N), (small, 3), (big, N)):
-            scores = _scores(12, n)
-            centers = np.arange(n, dtype=np.int64)
-            ref, _ = NumpyKernels().ball_values(
-                np, csr, centers, scores, AggregateKind.SUM, 2, True,
-                TraversalCounter(),
-            )
-            nat, _ = native.ball_values(
-                np, csr, centers, scores, AggregateKind.SUM, 2, True,
-                TraversalCounter(),
-            )
-            assert _same_bits(ref, nat)
+def test_block_profile_by_role():
+    n, arcs = 100_000, 600_000
+    kernels = NumpyKernels()
+    assert kernels.block_size(None, n, arcs) == 1024
+    assert kernels.block_size(None, n, arcs, role="prune") == 256
+    # A verification block is a measured constant (the stop is tested
+    # between blocks), never above the scan block.
+    assert kernels.block_size(None, n, arcs, role="verify") == 32
+    assert kernels.block_size(None, n, 100 * 1024 * n, role="verify") == 10
+    assert kernels.block_size(7, n, arcs, role="verify") == 7
 
 
-_WORK = (
-    "nodes_evaluated", "pruned_nodes", "bound_evaluations", "edges_scanned",
-    "nodes_visited", "balls_expanded", "distribution_pushes",
-)
+_WORK = ("nodes_evaluated", "edges_scanned", "nodes_visited", "balls_expanded")
 
 
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
-def test_drivers_agree_on_entries_and_work_at_equal_blocks(directed, aggregate):
-    """One driver, two providers: with the block size pinned equal, the
-    scan and forward routes report the same entries *and* the same work."""
+@pytest.mark.parametrize("aggregate", ["sum", "avg", "count", "max"])
+def test_scan_driver_charges_the_python_scan_work(directed, aggregate):
+    """A block-scanned Base does the Python loop's work, ball for ball, and
+    finds its answer (the loop sums in set order: values agree to ulps)."""
+    from repro.core.base import base_topk
+    from repro.core.weighted import weighted_base_topk
+
     graph = _graph(directed)
     scores = _scores(13).tolist()
     spec = QuerySpec(k=5, hops=2, aggregate=aggregate)
-    index = build_differential_index(graph, 2)
-    runs = {
-        "base": lambda k: vectorized.base_topk_numpy(
-            graph, scores, spec, block_size=7, kernels=k
-        ),
-        "forward": lambda k: vectorized.forward_topk_numpy(
-            graph, scores, spec, diff_index=index, block_size=7, kernels=k
-        ),
-    }
+    pairs = [(
+        vectorized.base_topk_numpy(graph, scores, spec, block_size=7),
+        base_topk(graph, scores, QuerySpec(k=5, hops=2, aggregate=aggregate, backend="python")),
+    )]
     if aggregate == "sum":
-        runs["weighted-base"] = lambda k: vectorized.base_topk_numpy(
-            graph, scores, spec, block_size=7, weights=(1.0, 1.0, 0.5), kernels=k
+        weights = precompute_weights(inverse_distance, 2)
+        pairs.append((
+            vectorized.base_topk_numpy(graph, scores, spec, block_size=7, weights=weights),
+            weighted_base_topk(graph, scores, QuerySpec(k=5, hops=2, backend="python")),
+        ))
+    for got, want in pairs:
+        assert [u for u, _ in got.entries] == [u for u, _ in want.entries]
+        assert [v for _, v in got.entries] == pytest.approx(
+            [v for _, v in want.entries], rel=1e-13, abs=0.0
         )
-    for route, run in runs.items():
-        ref, nat = run(NumpyKernels()), run(NativeKernels())
-        assert ref.entries == nat.entries, route
-        assert (ref.stats.backend, nat.stats.backend) == ("numpy", "native")
         for field in _WORK:
-            assert getattr(ref.stats, field) == getattr(nat.stats, field), (
-                route, field,
-            )
-    # Backward routes: verification loop shapes differ, entries do not.
-    for run in (
-        lambda k: vectorized.backward_topk_numpy(graph, scores, spec, kernels=k),
-        lambda k: vectorized.weighted_backward_topk_numpy(
-            graph, scores, QuerySpec(k=5, hops=2), kernels=k
-        ),
-    ):
-        ref, nat = run(NumpyKernels()), run(NativeKernels())
-        assert ref.entries == nat.entries
-        assert ref.stats.distribution_pushes == nat.stats.distribution_pushes
+            assert getattr(got.stats, field) == getattr(want.stats, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +497,7 @@ def _counting_prefixes(monkeypatch):
 def _check_depth(kernels, stats, pulled, chunks, arcs):
     """How far one in-process run dug into the lazy order.  ``chunks`` is
     what stopping before every candidate needs: the shortcut walk pulls
-    exactly that on every provider and route, a blocked verification pulls
+    exactly that on every route, a blocked verification pulls
     a further chunk only to fill a block that starts at or before its stop."""
     assert sum(pulled) >= CROSS_N - stats["pruned_nodes"]
     if stats["exact_shortcut"] == 1.0:
@@ -497,40 +516,35 @@ def test_backward_chunked_equals_full_order_in_process(
 
     scores = _binary_scores(share)
     spec = QuerySpec(k=k, hops=2, aggregate=aggregate)
-    providers = {"numpy": NumpyKernels, "native": NativeKernels}
-    runs = {
-        name: lambda make=make: vectorized.backward_topk_numpy(
-            cross_graph, scores, spec, kernels=make()
-        )
-        for name, make in providers.items()
-    }
+    kernels = NumpyKernels()
+
+    def run():
+        return _facts(vectorized.backward_topk_numpy(
+            cross_graph, scores, spec, kernels=NumpyKernels()
+        ))
+
     pulled = _counting_prefixes(monkeypatch)
     arcs = int(cross_graph.csr().num_arcs)
-    lazy = {}
-    for name, run in runs.items():
-        del pulled[:]
-        lazy[name] = _facts(run())
-        _check_depth(providers[name](), lazy[name][1], pulled, chunks, arcs)
+    entries, stats = run()
+    _check_depth(kernels, stats, pulled, chunks, arcs)
     monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
-    for name, run in runs.items():
-        assert lazy[name] == _facts(run()), name
+    assert (entries, stats) == run()
     reference = _facts(backward_topk(
         cross_graph, scores, QuerySpec(k=k, hops=2, aggregate=aggregate, backend="python")
     ))
-    for name, (entries, stats) in lazy.items():
-        assert entries == reference[0], name
-        if stats["exact_shortcut"] == 1.0:
-            # The shortcut walk is the python backend's, candidate for candidate.
-            assert stats == reference[1], name
-            continue
-        # Verification stops per block: at least the python backend's
-        # candidates, less than one block more.
-        block = providers[name]().block_size(None, CROSS_N, arcs, role="verify")
-        want = reference[1]["candidates_verified"]
-        assert want <= stats["candidates_verified"] < want + block, name
-        assert stats["pruned_nodes"] == CROSS_N - stats["candidates_verified"]
-        assert stats["distribution_pushes"] == reference[1]["distribution_pushes"]
-        assert stats["early_terminated"] == reference[1]["early_terminated"]
+    assert entries == reference[0]
+    if stats["exact_shortcut"] == 1.0:
+        # The shortcut walk is the python backend's, candidate for candidate.
+        assert stats == reference[1]
+        return
+    # Verification stops per block: at least the python backend's
+    # candidates, less than one block more.
+    block = kernels.block_size(None, CROSS_N, arcs, role="verify")
+    want = reference[1]["candidates_verified"]
+    assert want <= stats["candidates_verified"] < want + block
+    assert stats["pruned_nodes"] == CROSS_N - stats["candidates_verified"]
+    assert stats["distribution_pushes"] == reference[1]["distribution_pushes"]
+    assert stats["early_terminated"] == reference[1]["early_terminated"]
 
 
 #: Weighted rounds: (0/1 scores?, non-zero share, k, chunks stopping per
@@ -561,22 +575,21 @@ def test_weighted_backward_digs_no_deeper_than_its_stop(
     reference = _facts(weighted_backward_topk(
         cross_graph, scores, QuerySpec(k=k, hops=2, backend="python")
     ))
-    for make in (NumpyKernels, NativeKernels):
-        del pulled[:]
-        entries, stats = _facts(vectorized.weighted_backward_topk_numpy(
-            cross_graph, scores, spec, kernels=make()
-        ))
-        _check_depth(make(), stats, pulled, chunks, arcs)
-        # The python backend adds a ball's members in dict order: the same
-        # nodes, and on graded scores the values to the last ulps.
-        assert [node for node, _ in entries] == [node for node, _ in reference[0]]
-        assert [value for _, value in entries] == pytest.approx(
-            [value for _, value in reference[0]], rel=1e-13, abs=0.0
-        )
-        assert stats["exact_shortcut"] == float(binary)
-        if binary:  # the python backend's walk, candidate for candidate
-            assert stats["pruned_nodes"] == reference[1]["pruned_nodes"]
-            assert stats["candidates_verified"] == 0
+    del pulled[:]
+    entries, stats = _facts(vectorized.weighted_backward_topk_numpy(
+        cross_graph, scores, spec, kernels=NumpyKernels()
+    ))
+    _check_depth(NumpyKernels(), stats, pulled, chunks, arcs)
+    # The python backend adds a ball's members in dict order: the same
+    # nodes, and on graded scores the values to the last ulps.
+    assert [node for node, _ in entries] == [node for node, _ in reference[0]]
+    assert [value for _, value in entries] == pytest.approx(
+        [value for _, value in reference[0]], rel=1e-13, abs=0.0
+    )
+    assert stats["exact_shortcut"] == float(binary)
+    if binary:  # the python backend's walk, candidate for candidate
+        assert stats["pruned_nodes"] == reference[1]["pruned_nodes"]
+        assert stats["candidates_verified"] == 0
 
 
 @pytest.fixture(scope="module")

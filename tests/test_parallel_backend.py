@@ -4,8 +4,9 @@ Route parity against numpy — every route the sharded coordinator covers,
 on both links — lives in ``tests/test_sharded_routes.py``.  This module
 pins what only the pipe link has: shared-memory export/attach round-trips,
 version-stamp invalidation after dynamic mutations, deferred unlink of
-LRU-evicted exports, unlink on ``Network.close``, and worker-crash
-recovery.
+LRU-evicted exports, unlink on ``Network.close``, worker-crash recovery,
+work-stealing chunk arithmetic, and the shared-memory reply buffers (with
+their pipe fallback after a respawn).
 
 The graphs here are far below the engine's production ``min_nodes`` floor,
 so every fixture forces the process path with ``min_nodes=0``.
@@ -29,11 +30,13 @@ from repro.graph.csr import (
     SharedCSR,
     to_csr,
 )
+from repro.graph.graph import Graph
+from repro.parallel.coordinator import _chunked
 from repro.parallel.merge import merge_shard_entries
 from repro.parallel.pool import ShardWorkerPool
 from repro.parallel.shards import build_shard_plan
 from repro.session import Network
-from tests.conftest import random_graph
+from tests.conftest import random_graph, random_scores
 
 np = pytest.importorskip("numpy")
 
@@ -439,3 +442,114 @@ class TestShardPlanAndMerge:
         arr = partition.as_array()
         assert arr is not None and arr.tolist() == [0, 1, 0, 1, 0]
         assert partition.as_array() is arr
+
+
+def _scored_net(graph, scores, backend):
+    net = Network(graph, hops=2, backend=backend)
+    net.add_scores("s", scores)
+    return net
+
+
+class TestWorkStealing:
+    def test_chunked_partitions_exactly(self):
+        task = {"type": "scan", "shard": 0}
+        pieces = _chunked(task, 1000, 100)
+        assert len(pieces) > 1
+        assert pieces[0]["lo"] == 0 and pieces[-1]["hi"] == 1000
+        for left, right in zip(pieces, pieces[1:]):
+            assert left["hi"] == right["lo"]  # no gaps, no overlap
+        assert all(p["hi"] > p["lo"] for p in pieces)
+
+    def test_chunked_never_splits_below_a_block(self):
+        task = {"type": "scan", "shard": 0}
+        assert _chunked(task, 150, 100) == [task]
+        assert _chunked(dict(task), 0, 100) == [task]
+
+    def test_chunk_count_is_bounded(self):
+        pieces = _chunked({"shard": 1}, 10**6, 10)
+        assert len(pieces) <= 4
+
+    def test_skewed_graph_answers_match_numpy(self):
+        # A hub-heavy graph gives one shard most of the work; stealing
+        # must not change the entries, only the task count.
+        rng = random.Random(29)
+        n = 5000  # each shard must own >= 2 kernel blocks (1024) to split
+        edges = {(u, u + 1) for u in range(n - 1)}
+        for _ in range(3 * n):
+            u, v = rng.randrange(120), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph.from_edges(sorted(edges), num_nodes=n)
+        scores = random_scores(n, seed=31)
+        ref = _scored_net(g, scores, "numpy").topk("s", 12)
+
+        net = _scored_net(g, scores, "parallel")
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        try:
+            res = net.topk("s", 12)
+            assert res.entries == ref.entries
+            # Scans were split into more tasks than shards.
+            assert res.stats.extra["tasks"] > len(engine.stats()["shards"])
+        finally:
+            net.close()
+
+
+class TestReplyBuffers:
+    def test_respawn_falls_back_to_pipe_replies(self):
+        # Killing a worker mid-life forces the reissue path: reissued
+        # tasks are stripped of their reply buffers (two writers must
+        # never share a slot) and the engine rotates segments afterwards.
+        g = random_graph(300, 0.02, seed=43)
+        scores = random_scores(300, seed=47)
+        ref = _scored_net(g, scores, "numpy").topk("s", 10)
+
+        net = _scored_net(g, scores, "parallel")
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        try:
+            assert net.topk("s", 10).entries == ref.entries
+            pool = engine._resources["pool"]
+            pool._members[0].process.terminate()
+            pool._members[0].process.join()
+            assert net.topk("s", 10).entries == ref.entries
+            assert pool.respawns >= 1
+            # The next healthy round still matches.
+            assert net.topk("s", 10).entries == ref.entries
+        finally:
+            net.close()
+
+    def test_stats_surface_the_new_gauges(self):
+        g = random_graph(200, 0.03, seed=53)
+        net = _scored_net(g, random_scores(200, seed=59), "parallel")
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        try:
+            res = net.topk("s", 8)
+            stats = engine.stats()
+            for key in ("reply_buffers", "pipe_bytes_sent", "pipe_bytes_received"):
+                assert key in stats
+            assert res.stats.extra["pipe_bytes_sent"] > 0
+            assert res.stats.extra["pipe_bytes_received"] > 0
+        finally:
+            net.close()
+
+
+class TestWorkerKernels:
+    def test_workers_answer_every_route_as_numpy(self):
+        # Each worker builds its own NumpyKernels over its ball index; the
+        # scan, weighted and backward rounds must all match in-process numpy.
+        g = random_graph(300, 0.02, seed=67)
+        scores = random_scores(300, seed=71)
+        ref = _scored_net(g, scores, "numpy")
+        net = _scored_net(g, scores, "parallel")
+        net.parallel(workers=WORKERS, min_nodes=0)
+        try:
+            assert net.topk("s", 9).entries == ref.topk("s", 9).entries
+            assert (
+                net.topk_weighted("s", 9).entries
+                == ref.topk_weighted("s", 9).entries
+            )
+            b = net.query("s").limit(9).algorithm("backward").run()
+            rb = ref.query("s").limit(9).algorithm("backward").run()
+            assert b.entries == rb.entries
+            assert b.stats.extra["kernel"] == "numpy"
+        finally:
+            net.close()

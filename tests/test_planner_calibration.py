@@ -71,25 +71,8 @@ def test_parallel_plan_keeps_the_same_route_ordering(workload) -> None:
     assert plan.chosen == MEASURED_FASTEST
 
 
-def test_native_plan_keeps_the_same_route_ordering(workload, monkeypatch) -> None:
-    # The native factors discount every route below numpy's without
-    # reordering the canonical workloads.  The interpreted escape hatch
-    # makes the tier resolvable on runners without numba; plan choice is a
-    # pure function of the factor tables either way.
-    monkeypatch.setenv("REPRO_NATIVE_INTERPRETED", "1")
-    _fig, spec, graph, scores = workload
-    plan = QueryPlanner(
-        graph,
-        scores,
-        hops=spec.hops,
-        index_available=True,
-        backend="native",
-    ).plan(QuerySpec(k=100, hops=spec.hops))
-    assert plan.chosen == MEASURED_FASTEST
-
-
 def test_factor_tables_cover_every_backend_and_route() -> None:
-    for backend in ("python", "numpy", "native", "parallel"):
+    for backend in ("python", "numpy", "parallel", "cluster"):
         assert set(BACKEND_COST_FACTORS[backend]) == {
             "base",
             "forward",
@@ -105,20 +88,11 @@ def test_factor_tables_cover_every_backend_and_route() -> None:
             < BACKEND_COST_FACTORS["parallel"][route]
             < BACKEND_COST_FACTORS["numpy"][route]
         )
-        # The compiled tier beats numpy per expansion too (bench_native.py:
-        # jitted stamp-BFS vs the slab-gather numpy kernels).
-        assert (
-            0
-            < BACKEND_COST_FACTORS["native"][route]
-            < BACKEND_COST_FACTORS["numpy"][route]
-        )
 
 
 def test_fixed_costs_rank_process_tiers() -> None:
-    # Warm-tier fixed costs: in-process backends pay none (native's jit
-    # compile is once-per-machine via the on-disk cache, not per query);
-    # the process pool pays spawn/IPC; the socket cluster pays more.
+    # Warm-tier fixed costs: in-process backends pay none; the process
+    # pool pays spawn/IPC; the socket cluster pays more.
     assert BACKEND_FIXED_COSTS["python"] == 0.0
     assert BACKEND_FIXED_COSTS["numpy"] == 0.0
-    assert BACKEND_FIXED_COSTS["native"] == 0.0
     assert 0 < BACKEND_FIXED_COSTS["parallel"] < BACKEND_FIXED_COSTS["cluster"]

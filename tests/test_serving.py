@@ -453,6 +453,33 @@ class TestServerConfig:
         with pytest.raises(InvalidParameterError, match="ServerConfig.quota"):
             ServerConfig(quota="lots")
 
+    @pytest.mark.parametrize(
+        "section, cls, field",
+        [
+            ("service", "ServiceConfig", "coalesce"),
+            ("cluster", "ClusterConfig", "hedge"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["false", "off", "", 0, 1, None, [True]])
+    def test_bool_fields_accept_only_bools(self, tmp_path, section, cls, field, value):
+        """``bool("false")`` is true: a bool field takes ``True``/``False``
+        and nothing else, from a file or a constructor."""
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps({section: {field: value}}))
+        with pytest.raises(InvalidParameterError, match=f"{cls}.{field} must be bool"):
+            ServerConfig.from_file(path)
+        with pytest.raises(InvalidParameterError, match=f"{cls}.{field} must be bool"):
+            getattr(repro.config, cls)(**{field: value})
+
+    def test_bool_fields_keep_real_bools(self, tmp_path):
+        path = tmp_path / "server.json"
+        path.write_text(json.dumps(
+            {"service": {"coalesce": False}, "cluster": {"hedge": False}}
+        ))
+        cfg = ServerConfig.from_file(path)
+        assert cfg.service.coalesce is False and cfg.cluster.hedge is False
+        assert repro.ServiceConfig(coalesce=True).coalesce is True
+
     def test_cli_reports_a_bad_config_file_and_exits_2(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
@@ -559,6 +586,122 @@ class TestClientParity:
                 assert handle.state in {"pending", "running", "cancelled", "done"}
         finally:
             handle_server.close()
+
+
+# ---------------------------------------------------------------------------
+# The remote builder is the local builder's surface
+# ---------------------------------------------------------------------------
+#: One call shape per local refinement (``where`` takes the wire's form:
+#: node ids, not a predicate).
+REFINEMENT_CALLS = {
+    "limit": [(4,), ("4",)],
+    "k": [(5,), ("5",)],
+    "hops": [(2,)],
+    "aggregate": [("avg",), (repro.AggregateKind.MAX,)],
+    "where": [([3, 1, 2],)],
+    "algorithm": [("backward",)],
+    "backend": [("numpy",)],
+    "gamma": [(0.5,), ("auto",)],
+    "distribution_fraction": [(0.25,), ("0.25",)],
+    "exact_sizes": [(), (False,), (0,)],
+    "ordering": [("degree",)],
+    "seed": [(7,), ("7",)],
+    "weighted": [(), (lambda d: 0.5 ** d,)],
+    "priority": [(3,), ("3",)],
+    "deadline": [(2.5,), ("2.5",)],
+}
+
+
+class TestRemoteBuilderParity:
+    @pytest.fixture()
+    def remote(self, net):
+        client = repro.RemoteNetwork("http://127.0.0.1:9")  # never contacted
+        defaults = {"hops": net.hops, "include_self": net.include_self, "backend": net.backend}
+        client._session_defaults = lambda: dict(defaults)
+        return client
+
+    def test_every_local_refinement_has_call_shapes_here(self):
+        from repro.session import _refinement_methods
+
+        assert set(_refinement_methods()) == set(REFINEMENT_CALLS)
+
+    @pytest.mark.parametrize("name", sorted(REFINEMENT_CALLS))
+    def test_same_call_shapes_lower_to_equal_requests(self, net, remote, name):
+        for args in REFINEMENT_CALLS[name]:
+            local = getattr(net.query("s").limit(3), name)(*args).request()
+            wire = getattr(remote.query("s").limit(3), name)(*args).request()
+            assert wire == local, (name, args)
+            assert wire.pinned == local.pinned, (name, args)
+            assert wire.priority == local.priority and wire.deadline == local.deadline
+            # The payload that crosses the wire decodes to the same request.
+            assert QueryRequest.from_dict(wire.to_dict()) == local
+
+    def test_chained_where_intersects_as_locally(self, net, remote):
+        local = net.query("s").limit(3).where([1, 2, 3]).where([2, 3, 4]).request()
+        wire = remote.query("s").limit(3).where([1, 2, 3]).where([2, 3, 4]).request()
+        assert wire == local
+        assert tuple(wire.candidates) == (2, 3)
+
+    def test_exact_sizes_defaults_to_true_and_k_coerces(self, remote):
+        request = remote.query("s").exact_sizes().k("5").request()
+        assert request.exact_sizes is True and request.k == 5
+
+    def test_local_validation_runs_remotely(self, net, remote):
+        with pytest.raises(InvalidParameterError, match="hops"):
+            remote.query("s").hops(net.hops + 1)
+        with pytest.raises(InvalidParameterError, match="predicates"):
+            remote.query("s").where(lambda u: u > 3)
+        with pytest.raises(AttributeError, match="unknown query refinement"):
+            remote.query("s").not_a_refinement
+
+
+# ---------------------------------------------------------------------------
+# ``native`` is not a backend, on any door
+# ---------------------------------------------------------------------------
+FIVE_BACKENDS = "('auto', 'python', 'numpy', 'parallel', 'cluster')"
+
+
+class TestNoNativeBackend:
+    def test_builder_rejects_it(self, net):
+        with pytest.raises(InvalidParameterError) as info:
+            net.query("s").limit(3).backend("native").run()
+        assert "unknown backend 'native'" in str(info.value)
+        assert FIVE_BACKENDS in str(info.value)
+
+    def test_request_rejects_it(self):
+        with pytest.raises(InvalidParameterError) as info:
+            QueryRequest.from_dict({"k": 3, "score": "s", "backend": "native"})
+        assert "unknown backend 'native'" in str(info.value)
+        assert FIVE_BACKENDS in str(info.value)
+
+    def test_cli_rejects_it(self, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as info:
+            cli_main(["query", "--dataset", "collaboration_like", "--backend", "native"])
+        assert info.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
+
+    def test_http_rejects_it_with_a_400(self, server):
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(server.url)
+        request = QueryRequest(k=3, score="s").to_dict()
+        request["backend"] = "native"
+        conn = http.client.HTTPConnection(address.hostname, address.port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/query", json.dumps({"request": request}),
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["error"]["code"] == InvalidParameterError.code
+        assert "unknown backend 'native'" in body["error"]["message"]
 
 
 # ---------------------------------------------------------------------------

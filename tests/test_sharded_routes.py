@@ -149,17 +149,15 @@ class TestRouteParity:
             if stats.algorithm == "batch-base":
                 assert stats.extra["batch_size"] == ref.stats.extra["batch_size"]
 
-    @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("route", ["weighted-base", "weighted-backward"])
     @pytest.mark.parametrize("score", ["dense", "sparse"])
-    def test_weighted_in_process_tiers(self, net, monkeypatch, backend, route, score):
-        """The other two in-process tiers answer the weighted cells as numpy
-        does (native with its kernels interpreted, as everywhere in tier-1)."""
-        monkeypatch.setenv("REPRO_NATIVE_INTERPRETED", "1")
-        got, results = _outcome(net, backend, route, "sum", score, False)
+    def test_weighted_in_process_tiers(self, net, route, score):
+        """The other in-process tier answers the weighted cells as numpy
+        does."""
+        got, results = _outcome(net, "python", route, "sum", score, False)
         want, refs = _outcome(net, "numpy", route, "sum", score, False)
         assert got == want
-        assert results[0].stats.backend == backend
+        assert results[0].stats.backend == "python"
         assert results[0].stats.algorithm == refs[0].stats.algorithm == route
 
     @pytest.mark.parametrize("link", LINKS)

@@ -3,8 +3,7 @@
 The acceptance bar for the backend-coverage work: every executor route —
 base (all aggregates), forward, backward, batch, filtered, weighted base
 and weighted backward — resolves to a vectorized kernel under
-``backend="auto"`` when numpy is importable (the compiled native tier when
-*it* is available, plain numpy otherwise), the session reuses ball
+``backend="auto"`` when numpy is importable, the session reuses ball
 expansions across queries (version-invalidated on dynamic graphs), the
 block-size heuristic adapts to graph size and degree, and the planner's
 cost model is backend-sensitive.
@@ -25,9 +24,7 @@ from tests.conftest import random_graph
 
 np = pytest.importorskip("numpy")
 
-#: What ``backend="auto"`` resolves to here: "native" when the compiled
-#: tier can load (numba installed, or REPRO_NATIVE_INTERPRETED set),
-#: "numpy" otherwise.  Either way the route ran on a vectorized kernel.
+#: What ``backend="auto"`` resolves to wherever numpy imports.
 AUTO_BACKEND = resolve_backend("auto")
 
 
@@ -138,22 +135,19 @@ class TestAdaptiveBlockSize:
 
         assert resolve_block_size(17, 1000, 5000) == 17
         assert resolve_block_size(1, 1000, 5000) == 1
-        # No budget clamps an explicit request, on any provider or graph size.
+        # No budget clamps an explicit request, in any role or graph size.
         n = 4_000_000
         assert resolve_block_size(1024, n, 10 * n) == 1024
         assert resolve_block_size(0, 1000, 5000) == 1
         from repro.core.vectorized import NumpyKernels
-        from repro.native.provider import NativeKernels
 
-        for kernels in (NumpyKernels(), NativeKernels()):
-            for role in ("scan", "prune", "verify"):
-                assert kernels.block_size(5000, n, 10 * n, role=role) == 5000
+        for role in ("scan", "prune", "verify"):
+            assert NumpyKernels().block_size(5000, n, 10 * n, role=role) == 5000
 
 
 class TestSessionBallCache:
-    """The ball stores are a numpy-backend feature — the native tier's
-    per-center stamp-BFS recomputes balls in-kernel instead of reading them
-    through a store — so these sessions pin ``backend="numpy"``."""
+    """The session ball stores, read by the numpy kernels (these sessions
+    pin ``backend="numpy"``)."""
 
     @pytest.fixture()
     def np_net(self, cov_graph):
