@@ -157,8 +157,7 @@ _HOT_PATHS = {
     # The route drivers of every vectorized backend, plus the numpy kernel
     # provider, which owns no loop: its block primitives are helpers (only
     # ever called from a polled driver/task loop, like the generators of
-    # the lazy candidate order and the ball-store read-through that
-    # ``verify_blocked`` reaches them by).
+    # the lazy candidate order).
     "src/repro/core/vectorized.py": HotModule(
         functions=frozenset(
             {
@@ -174,7 +173,6 @@ _HOT_PATHS = {
                 "NumpyKernels._block_pairs",
                 "NumpyKernels.weighted_ball_sums",
                 "NumpyKernels.fused_ball_values",
-                "_read_through",
                 "descending_prefixes",
                 "in_blocks",
             }

@@ -551,7 +551,8 @@ class ClusterTransport:
         tasks: List[dict],
         store_provider: Callable[[str], Tuple[dict, dict]],
     ) -> List[Tuple[dict, dict]]:
-        """Run one round of tasks; returns replies in task order.
+        """Run one round of tasks; returns replies in task order, each
+        header naming the slot of the peer that answered it (``"worker"``).
 
         Each task dict carries ``task`` (the worker payload), ``ship``
         (theta/quota spec), optional ``arrays`` (e.g. a verify frontier),
@@ -832,6 +833,7 @@ class ClusterTransport:
                     drop_duplicates(index, keep=None)
                     status = header.get("status")
                     if status == "ok":
+                        header["worker"] = self.peers.index(peer)
                         results[index] = (header, arrays)
                         self.health_for(peer).record_success()
                     elif status == "missing":

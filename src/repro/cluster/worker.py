@@ -384,6 +384,7 @@ class ClusterWorker:
                 "counters": result["counters"],
                 "candidates_total": len(entries),
                 "candidates_shipped": len(shipped),
+                "ball_index": result["ball_index"],
             }
             return payload, _entries_arrays(self.np, shipped)
         if kind == "distribute":

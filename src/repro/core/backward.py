@@ -94,7 +94,7 @@ def backward_topk(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    ball_cache: Optional[object] = None,
+    ball_index: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` with LONA-Backward.
 
@@ -115,14 +115,15 @@ def backward_topk(
         estimates are used (upper bound for the SUM term, lower bound for
         the AVG denominator), keeping the algorithm precomputation-free as
         the paper advertises.
-    ball_cache:
-        Optional session-scoped :class:`~repro.graph.csr.CSRBallCache`
-        that verification blocks are read through, so repeated queries
-        re-expand nothing.  Ignored by the Python backend.
+    ball_index:
+        Optional session-scoped :class:`~repro.graph.csr.CSRBallIndex`
+        that verification blocks are read through (matched on its ``(csr,
+        hops, include_self)`` triple), so repeated queries re-expand
+        nothing.  Ignored by the Python backend.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
-        from repro.core.vectorized import backward_topk_numpy
+        from repro.core.vectorized import NumpyKernels, backward_topk_numpy
 
         return backward_topk_numpy(
             graph,
@@ -131,7 +132,7 @@ def backward_topk(
             gamma=gamma,
             distribution_fraction=distribution_fraction,
             sizes=sizes,
-            ball_cache=ball_cache,  # type: ignore[arg-type]
+            kernels=NumpyKernels(ball_index),
         )
     kind = spec.aggregate
     if not kind.lona_supported:

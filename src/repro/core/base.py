@@ -49,7 +49,7 @@ def base_topk(
     order-independent.  ``ball_index`` optionally supplies the session's
     :class:`~repro.graph.csr.CSRBallIndex`, which the numpy scan fills and
     reads instead of re-expanding (matched on its ``(csr, hops,
-    include_self)`` triple, like backward's ``ball_cache``).
+    include_self)`` triple).
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":

@@ -2,12 +2,11 @@
 
 Every execution path over one graph wants the same offline artifacts: the
 differential index (LONA-Forward), the neighborhood-size index
-(LONA-Backward), and — for the vectorized backends — the session-scoped
-ball caches (backward verification balls and their distance-labeled
-weighted counterparts) and the ball index repeated exhaustive scans read
-back.  :class:`GraphContext` owns them once, so a
-:class:`~repro.session.Network` session, its query service and its sharded
-engines share a single cache.  The flat CSR arrays are *not* a context artifact: every
+(LONA-Backward), and — for the vectorized backends — the session's one
+ball structure, the node-keyed ball index that scans, LONA-Backward's
+verification and weighted reads fill and read back.  :class:`GraphContext`
+owns them once, so a :class:`~repro.session.Network` session, its query
+service and its sharded engines share a single cache.  The flat CSR arrays are *not* a context artifact: every
 :class:`~repro.graph.graph.Graph` owns its own (built once when immutable,
 patched when dynamic), and :meth:`GraphContext.csr` only revalidates and
 asks it.
@@ -19,18 +18,18 @@ session over a mutating graph never serves answers from a dead index.
 Dropping is cheap to recover from where it can be: the graph's patched CSR
 views were never dropped, and the degree-based size bounds are re-derived
 from those arrays in about a millisecond (DESIGN.md §2, "Dynamic
-integration").  The differential index, the ball caches and the ball
-index are rebuilt from scratch.
+integration").  The differential index and the ball index are rebuilt
+from scratch.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
 (:mod:`repro.service`) can run parallel queries over one context without
-double-building or observing half-built caches.  The ball caches carry
-their own internal locks and an LRU byte budget
-(:data:`DEFAULT_BALL_CACHE_BYTES` per cache unless overridden), so a
-long-lived session over a ~1M-node graph cannot grow without limit; the
-ball index takes half of one such budget and never evicts.
-:meth:`cache_stats` reports all three.
+double-building or observing half-built caches.  The ball index carries
+its own lock and takes half of the session's ball budget
+(:data:`DEFAULT_BALL_CACHE_BYTES` unless overridden), the other half going
+to a sharded engine's workers; it never evicts, so a long-lived session
+over a ~1M-node graph holds a fixed footprint.  :meth:`cache_stats`
+reports it.
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ from repro.graph.neighborhood import NeighborhoodSizeIndex
 
 __all__ = ["GraphContext", "DEFAULT_BALL_CACHE_BYTES"]
 
-#: Default LRU byte budget for each session ball cache (members resident).
-#: 64 MiB holds the full verification working set of every paper workload
-#: while bounding a serving session over a ~1M-node graph to a fixed
-#: footprint; pass ``ball_cache_bytes=None`` for the old unbounded mode.
+#: Default session ball budget.  Half of it caps the in-process ball index
+#: (32 MiB: the whole 16,000-node bench closure, pairs and hop labels, or
+#: about 72 % of the 100,000-node one), the other half is split over a
+#: sharded engine's workers' own indexes; ``ball_cache_bytes=None`` lifts
+#: both caps.
 DEFAULT_BALL_CACHE_BYTES = 64 * 1024 * 1024
 
 
@@ -57,13 +57,12 @@ class GraphContext:
     """Lazily built, shared caches for one ``(graph, hops, include_self)``.
 
     Owns: the differential index, the exact/estimated neighborhood-size
-    indexes, the session-scoped ball caches (:meth:`ball_cache` /
-    :meth:`dist_ball_cache`), the ball index (:meth:`ball_index`) and the
-    sharded engines.  It does not own the
-    (reversed) CSR views the vectorized backends consume — those belong to
-    the graph, and :meth:`csr` / :meth:`rev_csr` hand out the graph's.  All
-    artifacts build on first use and are reused until :meth:`invalidate`
-    (called automatically when the graph's version counter moves).
+    indexes, the ball index (:meth:`ball_index`) and the sharded engines.
+    It does not own the (reversed) CSR views the vectorized backends
+    consume — those belong to the graph, and :meth:`csr` / :meth:`rev_csr`
+    hand out the graph's.  All artifacts build on first use and are reused
+    until :meth:`invalidate` (called automatically when the graph's version
+    counter moves).
     Accessors are safe to call from concurrent query threads.
     """
 
@@ -75,8 +74,6 @@ class GraphContext:
         "_diff_index",
         "_size_index",
         "_estimated_sizes",
-        "_ball_cache",
-        "_dist_ball_cache",
         "_ball_index",
         "_engines",
         "_engine_options",
@@ -99,8 +96,6 @@ class GraphContext:
         self._diff_index: Optional[DifferentialIndex] = None
         self._size_index: Optional[NeighborhoodSizeIndex] = None
         self._estimated_sizes: Optional[NeighborhoodSizeIndex] = None
-        self._ball_cache = None
-        self._dist_ball_cache = None
         self._ball_index = None
         self._engines: Dict[str, object] = {}
         self._engine_options: Dict[str, dict] = {}
@@ -124,8 +119,6 @@ class GraphContext:
             self._diff_index = None
             self._size_index = None
             self._estimated_sizes = None
-            self._ball_cache = None
-            self._dist_ball_cache = None
             self._ball_index = None
             self._graph_version = getattr(self.graph, "version", None)
 
@@ -235,55 +228,20 @@ class GraphContext:
         return self.graph.rev_csr()
 
     # ------------------------------------------------------------------
-    # Session-scoped ball caches (numpy backend)
+    # The session's ball index (numpy backend)
     # ------------------------------------------------------------------
-    def ball_cache(self):
-        """Session-scoped :class:`~repro.graph.csr.CSRBallCache` over :meth:`csr`.
-
-        LONA-Backward's verification phase expands the high-bound balls;
-        repeated queries over one session mostly re-verify the same nodes,
-        so the numpy provider reads verification blocks through this store
-        and pays each expansion once per session.  Bounded by the context's
-        LRU byte budget, and version-invalidated with every other artifact
-        (:meth:`invalidate`), so dynamic graphs never serve stale balls.
-        """
-        with self._lock:
-            self.check_fresh()
-            if self._ball_cache is None:
-                self._ball_cache = self._new_ball_store()
-            return self._ball_cache
-
-    def dist_ball_cache(self):
-        """The session's second :class:`~repro.graph.csr.CSRBallCache`, of
-        ``(members, dists)`` balls: the weighted analogue of
-        :meth:`ball_cache` (distances never depend on the decay profile).
-        Same budget and version-invalidation rules."""
-        with self._lock:
-            self.check_fresh()
-            if self._dist_ball_cache is None:
-                self._dist_ball_cache = self._new_ball_store()
-            return self._dist_ball_cache
-
-    def _new_ball_store(self):
-        from repro.graph.csr import CSRBallCache
-
-        return CSRBallCache(
-            self.csr(),
-            self.hops,
-            include_self=self.include_self,
-            max_bytes=self.ball_cache_bytes,
-        )
-
     def ball_index(self):
         """Session-scoped :class:`~repro.graph.csr.CSRBallIndex` over :meth:`csr`.
 
-        The balls an exhaustive scan expands depend on the graph and
-        ``(hops, include_self)``, never on the scores, so the in-process
-        scans (base, the fused batch, forward, ``.where`` filters, streams)
-        keep the ones they expand and every later scan reads them back
-        instead of re-deriving them.  Capped at half the context's
-        ball-cache budget — the half a sharded engine splits over its
-        workers' own indexes — and version-invalidated like the ball caches.
+        The h-hop balls depend on the graph and ``(hops, include_self)``,
+        never on the scores, so every in-process read (base, the fused
+        batch, forward, ``.where`` filters, streams, LONA-Backward's
+        verification, weighted or not) keeps the balls it expands and every
+        later read takes them back instead of re-deriving them.  Capped at
+        half the context's ball budget — the half a sharded engine splits
+        over its workers' own indexes — and version-invalidated with every
+        other artifact (:meth:`invalidate`), so dynamic graphs never serve
+        stale balls.
         """
         with self._lock:
             self.check_fresh()
@@ -361,28 +319,20 @@ class GraphContext:
         Exists so ``Network.close`` (and tests) can deterministically free
         the sharded engines instead of waiting for garbage collection, and
         so a caller that closes one session and opens another never holds
-        two sessions' ball index and ball caches at once.  The context stays
+        two sessions' ball indexes at once.  The context stays
         usable: they rebuild lazily.  Engines are closed outside the ctx
         lock for the same lock-ordering reason as :meth:`sharded_engine`.
         """
         with self._lock:
             engines = list(self._engines.values())
             self._engines.clear()
-            self._ball_cache = None
-            self._dist_ball_cache = None
             self._ball_index = None
         for engine in engines:
             if engine is not None:
                 engine.close()
 
     def cache_stats(self) -> Dict[str, Optional[dict]]:
-        """Counters of the session ball caches and the ball index (None = unbuilt)."""
+        """``{"ball_cache": ...}``: the ball index's counters (None = unbuilt)."""
         with self._lock:
-            return {
-                name: None if artifact is None else artifact.stats()
-                for name, artifact in (
-                    ("ball_cache", self._ball_cache),
-                    ("dist_ball_cache", self._dist_ball_cache),
-                    ("ball_index", self._ball_index),
-                )
-            }
+            index = self._ball_index
+            return {"ball_cache": None if index is None else index.stats()}

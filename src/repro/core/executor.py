@@ -291,7 +291,7 @@ def execute(
             gamma=request.gamma,  # type: ignore[arg-type]
             distribution_fraction=request.distribution_fraction,
             sizes=sizes,
-            ball_cache=ctx.ball_cache() if concrete != "python" else None,
+            ball_index=ctx.ball_index() if concrete != "python" else None,
         )
     )
 
@@ -407,7 +407,7 @@ def _weighted_topk(
         gamma=request.gamma,  # type: ignore[arg-type]
         distribution_fraction=request.distribution_fraction,
         sizes=ctx.size_index(exact=request.exact_sizes),
-        dist_ball_cache=ctx.dist_ball_cache() if concrete != "python" else None,
+        ball_index=ctx.ball_index() if concrete != "python" else None,
     )
 
 

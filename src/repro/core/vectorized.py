@@ -51,7 +51,8 @@ How each phase vectorizes
   member's hop distance, so footnote 1's ``w(d) * f(v)`` deposits and sums
   are one gather + one ``bincount``.
 * **Verification** (backward, weighted or not): :func:`verify_blocked`, a
-  block of candidates per kernel call, read through the session ball store.
+  block of candidates per kernel call, read through the session ball index
+  like any scan block.
 
 Block sizes adapt to the average degree (:func:`adaptive_block_size`); the
 expansion dedups by sorting its keys, so no buffer scales with the node
@@ -77,7 +78,6 @@ from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
 from repro.graph.csr import (
-    CSRBallCache,
     CSRBallIndex,
     batched_hop_balls,
     batched_hop_balls_with_distances,
@@ -592,7 +592,6 @@ def backward_topk_numpy(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    ball_cache: Optional[CSRBallCache] = None,
     kernels=None,
 ) -> TopKResult:
     """LONA-Backward over CSR flat arrays (see module docstring).
@@ -600,10 +599,9 @@ def backward_topk_numpy(
     Mirrors :func:`repro.core.backward.backward_topk` argument-for-argument;
     the flat arrays are the graph's own (``graph.csr()``, and on directed
     graphs ``graph.rev_csr()``, whose reversed arcs distribution walks).
-    ``ball_cache`` optionally supplies a session-scoped
-    :class:`~repro.graph.csr.CSRBallCache` over the same CSR, which
-    verification blocks are read through when its ``(csr, hops,
-    include_self)`` triple matches.
+    ``kernels`` is the block-kernel provider (``None`` ->
+    :class:`NumpyKernels`); verification blocks are read through its ball
+    index.
     """
     import numpy as np
 
@@ -615,7 +613,7 @@ def backward_topk_numpy(
         )
     return _backward_topk(
         np, graph, scores, spec, None, gamma, distribution_fraction, sizes,
-        ball_cache, kernels or NumpyKernels(),
+        kernels or NumpyKernels(),
     )
 
 
@@ -805,7 +803,6 @@ def weighted_backward_topk_numpy(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    dist_ball_cache: Optional[CSRBallCache] = None,
     kernels=None,
 ) -> TopKResult:
     """LONA-Backward with distance weights, over CSR flat arrays.
@@ -813,23 +810,21 @@ def weighted_backward_topk_numpy(
     Mirrors :func:`repro.core.weighted.weighted_backward_topk` (same
     adapted Eq. 3 soundness argument): the distribution phase deposits
     ``w(d) * f(u)`` with distance-labeled batched expansions, the bound of
-    every node is one array expression, and verification reads
-    distance-labeled balls through ``dist_ball_cache`` when a session
-    supplies one (matched on the ``(csr, hops, include_self)`` triple, like
-    the unweighted backward's ``ball_cache``).
+    every node is one array expression, and verification reads hop-labelled
+    balls through the ball index of ``kernels``, when it has one.
     """
     import numpy as np
 
     weights = _distance_weights(np, spec, profile)
     return _backward_topk(
         np, graph, scores, spec, weights, gamma, distribution_fraction, sizes,
-        dist_ball_cache, kernels or NumpyKernels(),
+        kernels or NumpyKernels(),
     )
 
 
 def _backward_topk(
     np, graph, scores, spec, weights, gamma, distribution_fraction, sizes,
-    cache, kernels,
+    kernels,
 ) -> TopKResult:
     """Both LONA-Backward drivers: ``weights is None`` is the paper's form,
     an array footnote 1's (whose Eq. 3 charges an unknown member ``w_max *
@@ -900,19 +895,12 @@ def _backward_topk(
             np, self_scores, partial, self_distributed, sizes,
             include_self=include_self, is_avg=is_avg,
         )
-    if cache is not None and not (
-        cache.csr is csr
-        and cache.hops == hops
-        and cache.include_self == include_self
-    ):
-        cache = None  # a session cache built for another view of the graph
     acc = TopKAccumulator(spec.k)
     if weighted:
 
         def verify(chunk):
             return kernels.weighted_ball_sums(
-                np, csr, chunk, scores_arr, weights, hops, include_self,
-                counter, cache,
+                np, csr, chunk, scores_arr, weights, hops, include_self, counter,
             )
 
     else:
@@ -921,7 +909,7 @@ def _backward_topk(
         def verify(chunk):
             return kernels.ball_values(
                 np, csr, chunk, scores_arr, verify_kind, hops, include_self,
-                counter, cache=cache,
+                counter,
             )[0]
 
     offered = verify_blocked(
@@ -940,53 +928,6 @@ def _backward_topk(
     stats.extra["rest_bound"] = rest_bound
     stats.extra["exact_shortcut"] = float(exact_shortcut)
     return TopKResult(entries=acc.entries(), stats=stats)
-
-
-def _ball_value(kind: AggregateKind, member_scores) -> float:
-    """One stored ball's aggregate, bit for bit what
-    :func:`aggregate_ball_segments` gives it in a block: ``cumsum`` adds
-    sequentially like ``bincount`` in pair order (``np.sum`` is pairwise:
-    a last-ulp difference); an empty ball is 0.0 whatever the kind."""
-    if not member_scores.size:
-        return 0.0
-    if kind is AggregateKind.MAX:
-        return member_scores.max()
-    if kind is AggregateKind.MIN:
-        return member_scores.min()
-    total = member_scores.cumsum()[-1]
-    return total / member_scores.size if kind is AggregateKind.AVG else total
-
-
-def _read_through(np, cache: CSRBallCache, centers, hit, expand):
-    """``(values, sizes)`` of a block of balls read through a session store.
-
-    ``hit(*arrays)`` is the value of a ball the store holds.  The rest are
-    expanded in one ``expand(misses)`` call — ``(values, owners, columns)``,
-    ``columns`` the pair arrays sorted by ``(owner, member)`` — and each
-    ball's slice of them is deposited, so its next read is a hit with the
-    same bits.  Only ``expand`` charges traversal work: a hit is free.
-    """
-    values, sizes, positions = [0.0] * centers.size, [0] * centers.size, []
-    for j, node in enumerate(centers.tolist()):
-        arrays = cache.get(node)
-        if arrays is None:
-            positions.append(j)
-        else:
-            values[j], sizes[j] = hit(*arrays), arrays[0].size
-    values = np.asarray(values, dtype=np.float64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if positions:
-        misses = centers[positions]
-        values[positions], owners, columns = expand(misses)
-        sizes[positions] = np.bincount(owners, minlength=misses.size)
-        stops = np.cumsum(sizes[positions]).tolist()
-        start = 0
-        for node, stop in zip(misses.tolist(), stops):
-            # Copies: a stored slice would keep its whole block alive, past
-            # the byte budget the store evicts by.
-            cache.put(node, *(column[start:stop].copy() for column in columns))
-            start = stop
-    return values, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -1011,16 +952,15 @@ class NumpyKernels:
 
     No primitive owns a loop: LONA-Backward's verification is
     :func:`verify_blocked`, a ``ball_values`` / ``weighted_ball_sums`` call
-    per block, read through the session's
-    :class:`~repro.graph.csr.CSRBallCache`.
+    per block.
 
     A provider lives as long as its query (a pool worker: its task).
     ``ball_index`` is a :class:`~repro.graph.csr.CSRBallIndex` — the
     session's when the query runs in the session's process, the worker's own
-    in a pool / cluster scan or batch task: :meth:`ball_values` and
-    :meth:`fused_ball_values` fill it from the blocks they expand and read
-    blocks whose balls are all present back instead of expanding them (same
-    pairs, so same values; a hit charges nothing, like a ball-cache hit).
+    in a pool / cluster task.  Every block of every primitive but
+    :meth:`prune_step` is read through it: present balls are gathered, only
+    absent ones are expanded (and charged), appended and merged back in
+    block order — the pairs a full expansion returns, so the same values.
     """
 
     name = "numpy"
@@ -1043,81 +983,48 @@ class NumpyKernels:
             block = min(block, _VERIFY_BLOCK)
         return block
 
-    def _block_pairs(self, csr, centers, hops, include_self, counter):
-        """``(owners, members)`` of one block: off the ball index when it was
-        built for this ``(csr, hops, include_self)`` and holds every ball,
-        else expanded, charged to ``counter`` and offered to the index."""
+    def _block_pairs(self, csr, centers, hops, include_self, counter, labels=False):
+        """``(owners, members)`` of one block — ``(owners, members, dists)``
+        with ``labels`` — through the ball index when it was built for this
+        ``(csr, hops, include_self)``; whatever has to be expanded is charged
+        to ``counter``."""
+
+        def expand(block):
+            kernel = batched_hop_balls_with_distances if labels else batched_hop_balls
+            *pairs, edges = kernel(csr, block, hops, include_self=include_self)
+            counter.charge_block(edges, pairs[1].size, int(block.size), include_self)
+            return tuple(pairs)
+
         index = self._ball_index
-        if index is not None and not index.serves(csr, hops, include_self):
-            index = None
-        pairs = None if index is None else index.pairs(centers)
-        if pairs is None:
-            owners, members, edges = batched_hop_balls(
-                csr, centers, hops, include_self=include_self
-            )
-            counter.charge_block(edges, members.size, int(centers.size), include_self)
-            if index is not None:
-                index.extend(centers, owners, members)
-            pairs = owners, members
+        if index is not None and index.serves(csr, hops, include_self):
+            pairs = index.pairs(centers, expand, labels)
+        else:
+            pairs = expand(centers)
         self._held = pairs
         return pairs
 
     def ball_values(
         self, np, csr, centers, scores, kind, hops, include_self, counter,
-        *, want_sizes=False, cache: Optional[CSRBallCache] = None,
+        *, want_sizes=False,
     ):
-        """``(values, sizes)`` of the ``centers`` balls, read through the
-        session ``cache`` when given (:func:`_read_through`); ``sizes`` is
+        """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is
         ``None`` unless asked for (a ``bincount`` pass base never needs)."""
-
-        def expand(block):
-            owners, members = self._block_pairs(csr, block, hops, include_self, counter)
-            values = aggregate_ball_segments(
-                np, kind, owners, scores[members], int(block.size)
-            )
-            return values, owners, (members,)
-
-        if cache is not None:
-            values, sizes = _read_through(
-                np, cache, centers,
-                lambda members: _ball_value(kind, scores[members]), expand,
-            )
-            return values, sizes if want_sizes else None
-        values, owners, _ = expand(centers)
+        owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
         count = int(centers.size)
+        values = aggregate_ball_segments(np, kind, owners, scores[members], count)
         return values, np.bincount(owners, minlength=count) if want_sizes else None
 
     def weighted_ball_sums(
-        self, np, csr, centers, scores, weights, hops, include_self, counter,
-        cache: Optional[CSRBallCache] = None,
+        self, np, csr, centers, scores, weights, hops, include_self, counter
     ):
-        """Distance-weighted SUM of every center's ball: one batched
-        distance BFS reduced with ``bincount``, read through the session's
-        ``(members, dists)`` ``cache`` when given (:func:`_read_through`)."""
-
-        def expand(block):
-            owners, members, dists, edges = self._held = (
-                batched_hop_balls_with_distances(
-                    csr, block, hops, include_self=include_self
-                )
-            )
-            counter.charge_block(edges, members.size, int(block.size), include_self)
-            sums = np.bincount(
-                owners,
-                weights=weights[dists] * scores[members],
-                minlength=int(block.size),
-            )
-            return sums, owners, (members, dists)
-
-        if cache is None:
-            return expand(centers)[0]
-        return _read_through(
-            np, cache, centers,
-            lambda members, dists: _ball_value(
-                AggregateKind.SUM, weights[dists] * scores[members]
-            ),
-            expand,
-        )[0]
+        """Distance-weighted SUM of every center's ball: hop-labelled pairs
+        reduced as ``bincount(owners, w[dist] * f[member])``."""
+        owners, members, dists = self._block_pairs(
+            csr, centers, hops, include_self, counter, labels=True
+        )
+        return np.bincount(
+            owners, weights=weights[dists] * scores[members], minlength=int(centers.size)
+        )
 
     def fused_ball_values(
         self, np, csr, centers, node_scores, avg_rows, hops, include_self, counter

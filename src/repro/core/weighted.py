@@ -118,7 +118,7 @@ def weighted_backward_topk(
     gamma: Union[float, str] = "auto",
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
-    dist_ball_cache: Optional[object] = None,
+    ball_index: Optional[object] = None,
 ) -> TopKResult:
     """LONA-Backward with distance weights.
 
@@ -128,15 +128,14 @@ def weighted_backward_topk(
     dominates the true weighted sum (the self term has weight
     ``w(0) <= 1``; using ``f(v)`` unweighted keeps the bound sound).
 
-    Dispatches on ``spec.backend``; ``dist_ball_cache`` optionally supplies
-    a session-scoped :class:`~repro.graph.csr.CSRBallCache` of
-    ``(members, dists)`` balls reused across queries (ignored by the Python
-    backend).
+    Dispatches on ``spec.backend``; ``ball_index`` optionally supplies the
+    session's :class:`~repro.graph.csr.CSRBallIndex`, whose hop-labelled
+    balls verification reads (ignored by the Python backend).
     """
     check_weighted_spec(spec)
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
-        from repro.core.vectorized import weighted_backward_topk_numpy
+        from repro.core.vectorized import NumpyKernels, weighted_backward_topk_numpy
 
         return weighted_backward_topk_numpy(
             graph,
@@ -146,7 +145,7 @@ def weighted_backward_topk(
             gamma=gamma,
             distribution_fraction=distribution_fraction,
             sizes=sizes,
-            dist_ball_cache=dist_ball_cache,  # type: ignore[arg-type]
+            kernels=NumpyKernels(ball_index),
         )
     weights = precompute_weights(profile, spec.hops)
     w_max = max(weights[1:], default=0.0)

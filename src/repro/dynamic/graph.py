@@ -19,7 +19,7 @@ insert or delete at the slot ``list.append`` / ``list.remove`` used, one
 after any mutation sequence is array-equal to a fresh ``to_csr(graph,
 use_numpy=True)``, arc order included, at the cost of an ``O(arcs)`` memcpy
 instead of an interpreted pass over every adjacency list.  A patch always
-lands in new arrays: a reader or ball cache holding the previous
+lands in new arrays: a reader or ball index holding the previous
 :class:`~repro.graph.csr.CSRGraph` keeps a consistent snapshot.
 """
 

@@ -12,8 +12,9 @@ built from:
 * :func:`batched_hop_balls` — multi-center frontier-batched expansion, the
   one h-hop expansion every vectorized route evaluates blocks with
   (:func:`csr_hop_ball` is its one-center call);
-* :class:`CSRBallCache` / :class:`CSRBallIndex` — what a session keeps of
-  the balls it expanded: an LRU store of single balls and a CSR of a scan's.
+* :class:`CSRBallIndex` — what a session (or a sharded worker) keeps of the
+  balls it expanded: a second CSR, keyed by node, that every read fills and
+  reads back.
 
 Everything numpy-flavored imports numpy lazily so the module itself stays
 importable on a bare interpreter.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -41,7 +41,6 @@ __all__ = [
     "csr_hop_ball",
     "batched_hop_balls",
     "batched_hop_balls_with_distances",
-    "CSRBallCache",
     "CSRBallIndex",
     "SharedArray",
     "SharedCSR",
@@ -396,90 +395,42 @@ def _sorted_unique(np, keys: Any) -> Any:
     return keys[keep]
 
 
-class CSRBallCache:
-    """Byte-budgeted LRU store of the balls of one ``(csr, h, ball)`` triple.
+def _run_positions(np, starts: Any, sizes: Any) -> Any:
+    """Flat positions of the runs ``starts[i] : starts[i] + sizes[i]``,
+    concatenated (one ``repeat``, no per-run Python call)."""
+    ends = np.cumsum(sizes)
+    if ends.size == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
 
-    A plain ``get`` / ``put`` / ``stats`` store — nothing is expanded here;
-    the numpy provider reads LONA-Backward's verification blocks through it
-    (``repro.core.vectorized._read_through``).  A payload is the tuple of
-    one ball's aligned arrays in the canonical ascending member order:
-    ``(members,)``, or ``(members, dists)`` for the distance-labeled store
-    (distances never depend on the decay profile, so one store serves every
-    weighted query of a session).  Callers match a store on its ``(csr,
-    hops, include_self)`` before reading through it.
 
-    Entries are kept in recency order and the least recently used are
-    dropped once the resident arrays exceed ``max_bytes`` (``None`` =
-    unbounded), so a long-lived serving session holds a fixed footprint.
-    Every operation takes the one lock: concurrent queries share a store
-    safely (two threads racing the same cold ball both expand; the second
-    deposit replaces the first — identical arrays, benign).
-    """
+def _regrown(np, buffer: Any, room: int, keep: int) -> Any:
+    """A ``room``-long buffer of ``buffer``'s dtype holding its first ``keep``."""
+    grown = np.empty(room, dtype=buffer.dtype)
+    grown[:keep] = buffer[:keep]
+    return grown
 
-    __slots__ = (
-        "csr", "hops", "include_self", "max_bytes",
-        "_bytes", "_hits", "_misses", "_evictions", "_entries", "_lock",
-    )
 
-    def __init__(
-        self,
-        csr: CSRGraph,
-        hops: int,
-        *,
-        include_self: bool = True,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        _require_numpy_csr(csr)
-        self.csr = csr
-        self.hops = hops
-        self.include_self = include_self
-        self.max_bytes = max_bytes
-        self._bytes = self._hits = self._misses = self._evictions = 0
-        self._entries: "OrderedDict[int, Tuple[Tuple[Any, ...], int]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> dict:
-        """Hit/miss/eviction counters and the resident byte footprint."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-    def get(self, center: int) -> Optional[Tuple[Any, ...]]:
-        """The stored arrays of ``center``'s ball (the objects :meth:`put`
-        was handed; treat as read-only), or ``None``."""
-        with self._lock:
-            entry = self._entries.get(center)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(center)
-            self._hits += 1
-            return entry[0]
-
-    def put(self, center: int, *arrays: Any) -> None:
-        """Deposit one expanded ball: ``members`` sorted ascending, any
-        further array aligned with it, all read-only from here on."""
-        nbytes = sum(int(a.nbytes) for a in arrays)
-        with self._lock:
-            old = self._entries.pop(center, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[center] = (arrays, nbytes)
-            self._bytes += nbytes
-            if self.max_bytes is not None:
-                while self._bytes > self.max_bytes and len(self._entries) > 1:
-                    _, (_, dropped) = self._entries.popitem(last=False)
-                    self._bytes -= dropped
-                    self._evictions += 1
+def _merge_blocks(np, present: Any, kept: Tuple[Any, ...], fresh: Tuple[Any, ...]):
+    """One block's pair arrays from two parts: ``kept`` holds the balls of
+    the ``present`` centers, ``fresh`` those of the rest, each with owners
+    numbered within its part.  Owners come out in block order and every run
+    keeps its ascending members, so the result is what expanding the whole
+    block returns."""
+    hit_at, miss_at = np.flatnonzero(present), np.flatnonzero(~present)
+    sizes = np.empty(present.size, dtype=np.intp)
+    sizes[hit_at] = np.bincount(kept[0], minlength=hit_at.size)
+    sizes[miss_at] = np.bincount(fresh[0], minlength=miss_at.size)
+    starts = np.cumsum(sizes) - sizes
+    hit_pos = _run_positions(np, starts[hit_at], sizes[hit_at])
+    miss_pos = _run_positions(np, starts[miss_at], sizes[miss_at])
+    merged = [np.repeat(np.arange(present.size), sizes)]
+    for old, new in zip(kept[1:], fresh[1:]):
+        column = np.empty(old.size + new.size, dtype=np.intp)
+        column[hit_pos] = old
+        column[miss_pos] = new
+        merged.append(column)
+    return tuple(merged)
 
 
 class CSRBallIndex:
@@ -487,39 +438,36 @@ class CSRBallIndex:
 
     ``members[start[v] : start[v] + size[v]]`` is ``S_h(v)`` in the canonical
     ascending order — the pairs :func:`batched_hop_balls` returns, 4 bytes
-    each — for every ``v`` whose ball is present (``start[v] >= 0``).
-    Nothing is expanded for the index's sake: a scan hands every block it
-    expanded to :meth:`extend`, which appends the balls not yet present while
-    they fit ``max_bytes`` (``None`` = unbounded).  Nothing is evicted or
-    rewritten and the first ball that does not fit closes the index, so a
-    scan that cycles over more balls than fit re-reads the same ones every
-    time instead of thrashing.  :meth:`pairs` answers *any* center set whose
-    balls are all present with the ``(owners, members)`` arrays its expansion
-    returned — a slice when the runs are adjacent in the buffer (a re-scan in
-    the order that filled it), one gather of positions otherwise, then a
-    ``repeat`` and a widening copy instead of the sort-dedup BFS — so
-    whatever reduces them gets the same bits; the caller charges no
-    traversal work for a hit (as for a ball off a :class:`CSRBallCache`).
+    each — for every ``v`` whose ball is present (``start[v] >= 0``).  It is
+    the one ball structure of a session: scans, LONA-Backward's verification
+    and the fused batch all read their blocks through :meth:`pairs`, which
+    gathers the present balls, has the caller expand only the absent ones,
+    appends those (:meth:`extend`) and merges both parts back in block
+    order — so whatever reduces the arrays gets the bits a full expansion
+    would give, and the caller charges traversal work for the absent balls
+    alone.  Balls are appended while they fit ``max_bytes`` (``None`` =
+    unbounded); nothing is evicted or rewritten and the first ball that does
+    not fit closes the index, so a read stream that cycles over more balls
+    than fit re-reads the same ones every time instead of thrashing.
 
-    Thread-safe: appends and lookups take one lock, a present ball never
-    changes, and a grown buffer leaves earlier readers on the old one.
+    Hop labels (footnote 1's weighted reads): the first weighted read
+    allocates ``dists`` beside ``members`` (``np.min_scalar_type(hops)``, one
+    byte a pair, counted against the same cap) and a per-node labelled flag.
+    A weighted read then gathers labelled balls, appends absent ones with
+    their labels, and labels a ball an unweighted read stored without them in
+    place (expanded once more, with distances).  A session that never reads
+    weighted allocates neither.
+
+    Thread-safe: appends and lookups take one lock, a present ball's members
+    and a labelled ball's labels never change, and a grown buffer leaves
+    earlier readers on the old one.
     """
 
     __slots__ = (
-        "csr",
-        "hops",
-        "include_self",
-        "max_bytes",
-        "covered",
-        "served",
-        "appended",
-        "_start",
-        "_size",
-        "_used",
-        "_full",
-        "_members",
-        "_np",
-        "_lock",
+        "csr", "hops", "include_self", "max_bytes",
+        "covered", "served", "appended", "hits", "misses",
+        "_start", "_size", "_used", "_full", "_members", "_dists", "_labelled",
+        "_np", "_lock",
     )
 
     def __init__(
@@ -536,13 +484,17 @@ class CSRBallIndex:
         self.include_self = include_self
         self.max_bytes = max_bytes
         self.covered = 0  # balls present
-        self.served = 0
-        self.appended = 0
+        self.served = 0  # blocks that read at least one ball back
+        self.appended = 0  # blocks that appended at least one ball
+        self.hits = 0  # balls read back
+        self.misses = 0  # balls the caller had to expand
         self._start = np.full(csr.num_nodes, -1, dtype=np.int64)
         self._size = np.zeros(csr.num_nodes, dtype=np.int64)
         self._used = 0  # pairs stored
         self._full = False  # a ball did not fit: nothing more is taken
         self._members = np.empty(0, dtype=np.int32)
+        self._dists = None  # hop labels, from the first weighted read on
+        self._labelled = None
         self._np = np
         self._lock = threading.Lock()
 
@@ -554,73 +506,145 @@ class CSRBallIndex:
             and self.include_self == include_self
         )
 
+    def _pair_bytes(self) -> int:
+        return 4 + (0 if self._dists is None else self._dists.itemsize)
+
     def stats(self) -> dict:
-        """Balls present, resident pair bytes, the cap, and blocks served/appended."""
+        """Balls present, resident bytes (pairs and labels), the cap, blocks
+        served/appended, and balls read back (``hits``) or expanded
+        (``misses``)."""
         with self._lock:
             return {
                 "covered": self.covered,
-                "bytes": 4 * self._used,
+                "bytes": self._pair_bytes() * self._used,
                 "max_bytes": self.max_bytes,
                 "served": self.served,
                 "appended": self.appended,
+                "hits": self.hits,
+                "misses": self.misses,
             }
 
-    def _gather(self, source: Any, starts: Any, sizes: Any) -> Any:
-        """``source``'s runs ``starts[i] : starts[i] + sizes[i]``, concatenated."""
+    def _runs(self, buffers, starts: Any, sizes: Any) -> Tuple[Any, ...]:
+        """``(owners, *columns)`` of the runs at ``starts`` in ``buffers`` —
+        a slice when they are adjacent (a re-read in the order that filled
+        them), one gather of positions otherwise — widened to intp."""
         np = self._np
-        ends = np.cumsum(sizes)
-        return source[np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])]
-
-    def pairs(self, centers: Any) -> Optional[Tuple[Any, Any]]:
-        """``(owners, members)`` of the ``centers`` balls as
-        :func:`batched_hop_balls` returns them, or ``None`` unless every one
-        of them is present."""
-        np = self._np
-        with self._lock:
-            starts, sizes, buffer = self._start[centers], self._size[centers], self._members
-            if starts.size == 0 or starts.min() < 0:
-                return None
-            self.served += 1
         ends = starts + sizes
         if (starts[1:] == ends[:-1]).all():
-            members = buffer[starts[0] : ends[-1]]
+            columns = [buffer[starts[0] : ends[-1]] for buffer in buffers]
         else:
-            members = self._gather(buffer, starts, sizes)
-        owners = np.repeat(np.arange(centers.size), sizes)
-        return owners, members.astype(np.intp)
+            positions = _run_positions(np, starts, sizes)
+            columns = [buffer[positions] for buffer in buffers]
+        owners = np.repeat(np.arange(starts.size), sizes)
+        return (owners, *(column.astype(np.intp) for column in columns))
 
-    def extend(self, centers: Any, owners: Any, members: Any) -> None:
-        """Keep the balls of a freshly expanded block that are not present
-        yet, in ascending center order, for as long as they fit the cap."""
+    def pairs(self, centers: Any, expand=None, labels: bool = False):
+        """The ``centers`` balls as :func:`batched_hop_balls` returns them:
+        ``(owners, members)``, or with ``labels`` ``(owners, members,
+        dists)`` as :func:`batched_hop_balls_with_distances` does.
+
+        Present balls (labelled ones, with ``labels``) are gathered;
+        ``expand(absent)`` returns the other centers' arrays in the same
+        layout, which are offered to :meth:`extend` and merged back in block
+        order.  Without ``expand`` a set with an absent ball gives ``None``.
+        """
         np = self._np
-        if self._full or centers.size == 0:
+        with self._lock:
+            starts, sizes = self._start[centers], self._size[centers]
+            present = starts >= 0
+            if labels:
+                if self._labelled is None:
+                    present[:] = False
+                else:
+                    present &= self._labelled[centers]
+            hits = int(np.count_nonzero(present))
+            self.hits += hits
+            self.misses += int(centers.size) - hits
+            if hits:
+                self.served += 1
+            buffers = (self._members, self._dists) if labels else (self._members,)
+        if hits and hits == centers.size:
+            return self._runs(buffers, starts, sizes)
+        if expand is None:
+            return None
+        absent = centers[~present]
+        fresh = expand(absent)
+        self.extend(absent, *fresh)
+        if not hits:
+            return fresh
+        kept = self._runs(buffers, starts[present], sizes[present])
+        return _merge_blocks(np, present, kept, fresh)
+
+    def _labels_fit(self) -> bool:
+        """Allocate the hop labels on first use, if every pair stored so far
+        still fits the cap with its label (lock held)."""
+        if self._dists is not None:
+            return True
+        np = self._np
+        dtype = np.min_scalar_type(self.hops)
+        per_pair = 4 + dtype.itemsize
+        if self.max_bytes is not None and per_pair * self._used > self.max_bytes:
+            return False
+        room = self._members.size if self.max_bytes is None else self.max_bytes // per_pair
+        self._dists = np.empty(room, dtype=dtype)
+        self._labelled = np.zeros(self.csr.num_nodes, dtype=bool)
+        return True
+
+    def extend(self, centers: Any, owners: Any, members: Any, dists: Any = None) -> None:
+        """Keep the balls of a freshly expanded block that are not present
+        yet, in ascending center order, for as long as they fit the cap.
+        With ``dists`` (their hop labels) they are kept labelled, and a
+        present ball without labels takes them in place."""
+        np = self._np
+        if centers.size == 0 or (self._full and dists is None):
             return
         sizes = np.bincount(owners, minlength=centers.size)
+        offsets = np.cumsum(sizes) - sizes
         # First occurrence of every center: a repeated one is stored once.
         first = np.unique(centers, return_index=True)[1]
         with self._lock:
-            fresh = first[self._start[centers[first]] < 0]
+            stored = self._start[centers[first]] >= 0
+            if dists is not None and self._labels_fit():
+                bare = first[stored & ~self._labelled[centers[first]]]
+                if bare.size:
+                    runs = _run_positions(np, self._start[centers[bare]], sizes[bare])
+                    self._dists[runs] = dists[_run_positions(np, offsets[bare], sizes[bare])]
+                    self._labelled[centers[bare]] = True
+            else:
+                dists = None
+            fresh = first[~stored]
+            if self._full or fresh.size == 0:
+                return
             if self.max_bytes is not None:
-                fits = np.cumsum(sizes[fresh]) <= self.max_bytes // 4 - self._used
+                room = self.max_bytes // self._pair_bytes() - self._used
+                fits = np.cumsum(sizes[fresh]) <= room
                 self._full = not fits.all()
                 fresh = fresh[fits]
-            if fresh.size == 0:
-                return
+                if fresh.size == 0:
+                    return
             kept = sizes[fresh]
             if fresh.size < centers.size or (fresh[1:] < fresh[:-1]).any():
-                members = self._gather(members, np.cumsum(sizes)[fresh] - kept, kept)
+                positions = _run_positions(np, offsets[fresh], kept)
+                members = members[positions]
+                if dists is not None:
+                    dists = dists[positions]
             start = self._used
             stop = start + int(members.size)
             if stop > self._members.size:
                 # A capped index reserves its cap once (untouched pages cost
                 # nothing, and no big buffer is ever freed mid-session); an
-                # unbounded one doubles.
-                doubled = max(stop, 2 * int(self._members.size))
-                room = doubled if self.max_bytes is None else self.max_bytes // 4
-                grown = np.empty(room, dtype=np.int32)
-                grown[:start] = self._members[:start]
-                self._members = grown
+                # unbounded one doubles, its labels with it.
+                room = max(stop, 2 * int(self._members.size))
+                capped = self.max_bytes is not None
+                self._members = _regrown(
+                    np, self._members, self.max_bytes // 4 if capped else room, start
+                )
+                if self._dists is not None and not capped:
+                    self._dists = _regrown(np, self._dists, room, start)
             self._members[start:stop] = members
+            if dists is not None:
+                self._dists[start:stop] = dists
+                self._labelled[centers[fresh]] = True
             self._size[centers[fresh]] = kept
             self._start[centers[fresh]] = start + np.cumsum(kept) - kept
             self._used = stop

@@ -201,8 +201,8 @@ class ShardedCoordinator:
         self._score_exports: "OrderedDict[int, Tuple[object, object]]" = OrderedDict()
         self._bound_exports: "OrderedDict[Tuple, Tuple[object, object]]" = OrderedDict()
         self._deferred_drops: list = []
-        # shard -> the ``CSRBallIndex.stats()`` its latest scan or batch
-        # reply carried (the replying worker's index).
+        # worker slot -> the ``CSRBallIndex.stats()`` of that worker's
+        # latest reply that carried them (scan, batch and verify tasks).
         self._worker_indexes: Dict[int, dict] = {}
         self.queries_served = 0
         self.declined = 0
@@ -409,11 +409,15 @@ class ShardedCoordinator:
                 self._drop(deferred)
             traffic.rounds += 1
             traffic.tasks += len(replies)
-            for spec, (header, _arrays) in zip(specs, replies):
+            for header, _arrays in replies:
                 traffic.shipped += int(header.get("candidates_shipped", 0))
                 traffic.total += int(header.get("candidates_total", 0))
-                if header.get("ball_index") is not None:
-                    self._worker_indexes[spec["shard"]] = header["ball_index"]
+            # Replies come in task order, not in the order a worker ran its
+            # tasks; within a round a worker's index only grows, so its
+            # latest snapshot is the one with the most lookups.
+            snapshots = [(h["worker"], h["ball_index"]) for h, _ in replies if "ball_index" in h]
+            for worker, stats in sorted(snapshots, key=lambda p: p[1]["hits"] + p[1]["misses"]):
+                self._worker_indexes[worker] = stats
             return replies
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -859,6 +863,7 @@ class ShardedCoordinator:
                 "hops": int(spec.hops),
                 "include_self": bool(spec.include_self),
                 "block": block,
+                "index_bytes": self._index_bytes(),
             }
             specs = []
             for shard in range(self._plan.num_shards):

@@ -156,7 +156,8 @@ class ShardWorkerPool:
         dynamic: bool = False,
         homes: Optional[Sequence[int]] = None,
     ) -> List[dict]:
-        """Execute ``tasks`` across the pool; results in input order.
+        """Execute ``tasks`` across the pool; results in input order, each
+        naming the slot of the worker that answered it (``"worker"``).
 
         ``homes[i]`` is the worker slot (modulo the pool size) task ``i``
         belongs on — its shard's; by default its position.  The default
@@ -309,6 +310,7 @@ class ShardWorkerPool:
                     elif status == "error":
                         raise ParallelError(f"shard worker failed: {payload}")
                     else:
+                        payload["worker"] = slot_of[id(conn)]
                         results[position] = payload
                 # Any reply (even a duplicate from a re-issued round) means
                 # this worker is idle — feed it the next backlog task.

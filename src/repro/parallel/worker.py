@@ -114,13 +114,15 @@ class _AttachmentCache:
 
 
 def _ball_index(cache, csr, task: dict) -> CSRBallIndex:
-    """The worker's one ball index, rebuilt when ``task`` scans another view
-    than it holds; ``csr`` comes from ``cache.csr()`` (stamp checked)."""
+    """The worker's one ball index, rebuilt when ``task`` reads another view
+    than it holds; ``csr`` comes from ``cache.csr()`` (stamp checked) and
+    the cap from the task (``index_bytes``; every task kind that reads the
+    index carries it)."""
     index = cache.index
     if index is None or not index.serves(csr, task["hops"], task["include_self"]):
         index = cache.index = CSRBallIndex(
             csr, task["hops"], include_self=task["include_self"],
-            max_bytes=task.get("index_bytes"),
+            max_bytes=task["index_bytes"],
         )
     return index
 
@@ -304,13 +306,15 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
 
 
 def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
-    """Exact aggregates of an explicit candidate set (TA verification)."""
+    """Exact aggregates of an explicit candidate set (TA verification),
+    read through the worker's ball index like a scan's blocks."""
     csr = cache.csr(task["csr"]).csr
     scores = cache.array(task["scores"])
     centers = np.asarray(task["centers"], dtype=np.int64)
     folded, kind = folded_scores(np, scores, AggregateKind(task["aggregate"]))
     block = task["block"]
-    kernels = NumpyKernels()
+    index = _ball_index(cache, csr, task)
+    kernels = NumpyKernels(index)
     counter = TraversalCounter()
     nodes: List[int] = []
     values: List[float] = []
@@ -322,7 +326,7 @@ def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
         )
         nodes.extend(int(c) for c in chunk)
         values.extend(float(v) for v in chunk_values)
-    out = {"counters": _counters(counter, int(centers.size))}
+    out = {"counters": _counters(counter, int(centers.size)), "ball_index": index.stats()}
     return _ship_pairs(np, cache, task, out, list(zip(nodes, values)), "pairs")
 
 

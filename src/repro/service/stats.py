@@ -5,7 +5,7 @@ tallies the lifecycle of every submission (admitted / completed / failed /
 cancelled / expired / rejected), the scheduler's coalescing wins, and the
 result-cache traffic.  :meth:`ServiceStats.snapshot` returns a plain dict
 so ``QueryService.stats()`` can merge in the scheduler gauges and the
-session ball-cache counters for one monitoring payload.
+session ball-index counters for one monitoring payload.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.core.vectorized import (  # noqa: E402
     descending_prefixes,
     in_blocks,
 )
-from repro.graph.csr import CSRBallCache, to_csr  # noqa: E402
+from repro.graph.csr import CSRBallIndex, to_csr  # noqa: E402
 from repro.graph.diffindex import build_differential_index  # noqa: E402
 
 N = 36  # nodes 30..35 touch no edge: isolated, empty open balls
@@ -271,19 +271,18 @@ def test_verify_backward_same_entries_different_loop_shape(
             break
         reference.offer(node, float(exact[node]))
         stop += 1
-    kernels = NumpyKernels()
-    own = kernels.block_size(None, N, int(csr.num_arcs), role="verify")
+    own = NumpyKernels().block_size(None, N, int(csr.num_arcs), role="verify")
     for block in (own, 5):
         acc = TopKAccumulator(spec.k)
         stats = QueryStats(algorithm="backward", aggregate="sum")
         counter = TraversalCounter()
-        cache = CSRBallCache(csr, hops, include_self=include_self)
+        kernels = NumpyKernels(CSRBallIndex(csr, hops, include_self=include_self))
         offered = vectorized.verify_blocked(
             np, descending_prefixes(np, bounds, 2 * spec.k), bounds, acc,
             stats, block,
             lambda chunk: kernels.ball_values(
                 np, csr, chunk, scores, AggregateKind.SUM, hops,
-                include_self, counter, cache=cache,
+                include_self, counter,
             )[0],
         )
         assert stats.candidates_verified == offered == counter.balls_expanded

@@ -660,6 +660,7 @@ class TestWorkerDeadline:
             "include_self": True,
             "block": 1,
             "k": 2,
+            "index_bytes": 1 << 20,
         }
 
     def test_zero_budget_task_reports_deadline_status(self):

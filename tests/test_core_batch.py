@@ -335,20 +335,21 @@ class TestGroupIsItsMembers:
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     def test_entries_and_work_equal_the_single_path(self, directed, backend):
         # Two fresh sessions, same order (the group runs its sparse members
-        # first, in input order), so neither side inherits a ball cache.  A
-        # dense member scans a session of its own: a second base scan would
-        # read the ball index the first one filled and charge no traversal.
+        # first, in input order), so neither side inherits a ball.  A dense
+        # member scans a session of its own that has run the sparse members
+        # first: the group's fused scan reads the ball index their
+        # verification filled (and a second base scan would read the one
+        # the first filled, charging no traversal).
         grouped = _as_group(_member_session(directed, backend))
         alone = _member_session(directed, backend)
-        order = sorted(MEMBERS, key=lambda m: not m[0].startswith("sparse"))
-        singles = {
-            member: _singly(
-                alone if member[0].startswith("sparse")
-                else _member_session(directed, backend),
-                member,
-            )
-            for member in order
-        }
+        sparse = [m for m in MEMBERS if m[0].startswith("sparse")]
+        singles = {member: _singly(alone, member) for member in sparse}
+        for member in MEMBERS:
+            if member not in singles:
+                session = _member_session(directed, backend)
+                for earlier in sparse:
+                    _singly(session, earlier)
+                singles[member] = _singly(session, member)
         for member, got in zip(MEMBERS, grouped):
             want = singles[member]
             assert got.entries == want.entries, member

@@ -8,7 +8,7 @@ Two families:
   regression (``array('q')`` is 8 bytes everywhere; ``'l'`` is 4 on
   Windows/ILP32).
 * the numpy expansion kernels (``neighbor_slab`` / ``csr_hop_ball`` /
-  ``batched_hop_balls`` / ``CSRBallCache``) checked against the pure-Python
+  ``batched_hop_balls`` / ``CSRBallIndex``) checked against the pure-Python
   :func:`~repro.graph.traversal.hop_ball` oracle on the same randomized
   shapes, the batched kernels against the python reference's single-center
   BFS on arbitrary graphs and center lists (hypothesis) under both key
@@ -202,20 +202,19 @@ class TestExpansionKernels:
         np = self.np
         g = random_graph(30, 0.12, seed=6)
         csr = to_csr(g, use_numpy=True)
-        cache = csr_module.CSRBallCache(csr, 2)
-        assert cache.get(4) is None  # a store expands nothing: a miss
-        scores = np.linspace(0.1, 0.7, 30)
+        index = csr_module.CSRBallIndex(csr, 2)
         center = np.asarray([4], dtype=np.int64)
+        assert index.pairs(center) is None  # an index expands nothing: a miss
+        scores = np.linspace(0.1, 0.7, 30)
         counter = TraversalCounter()
-        kernels = NumpyKernels()
+        kernels = NumpyKernels(index)
         first, _ = kernels.ball_values(
-            np, csr, center, scores, AggregateKind.SUM, 2, True, counter, cache=cache
+            np, csr, center, scores, AggregateKind.SUM, 2, True, counter
         )
-        assert counter.balls_expanded == 1 and len(cache) == 1
-        (members,) = cache.get(4)
-        assert cache.get(4)[0] is members  # the stored array itself
+        assert counter.balls_expanded == 1 and index.covered == 1
+        _owners, members = index.pairs(center)
         again, _ = kernels.ball_values(
-            np, csr, center, scores, AggregateKind.SUM, 2, True, counter, cache=cache
+            np, csr, center, scores, AggregateKind.SUM, 2, True, counter
         )
         assert again.tobytes() == first.tobytes()
         assert counter.balls_expanded == 1  # hits are free
@@ -224,9 +223,9 @@ class TestExpansionKernels:
         assert members.tolist() == sorted(expected)
         assert counter.edges_scanned == oracle.edges_scanned
         assert counter.nodes_visited == oracle.nodes_visited
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"]) == (3, 2)
-        assert stats["bytes"] == members.nbytes and stats["entries"] == 1
+        stats = index.stats()
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+        assert stats["bytes"] == 4 * members.size and stats["covered"] == 1
 
     def test_plain_csr_rejected_by_kernels(self):
         csr = to_csr(random_graph(10, 0.2, seed=8))  # stdlib arrays

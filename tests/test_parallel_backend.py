@@ -14,6 +14,7 @@ so every fixture forces the process path with ``min_nodes=0``.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import zlib
@@ -23,6 +24,7 @@ import pytest
 from repro.core.backends import BACKENDS
 from repro.core.request import QueryRequest
 from repro.errors import InvalidParameterError, ParallelError
+from repro.faults import ENV_VAR
 from repro.graph.csr import (
     AttachedArray,
     AttachedCSR,
@@ -469,17 +471,22 @@ class TestWorkStealing:
         pieces = _chunked({"shard": 1}, 10**6, 10)
         assert len(pieces) <= 4
 
-    def test_skewed_graph_answers_match_numpy(self):
-        # A hub-heavy graph gives one shard most of the work; stealing
-        # must not change the entries, only the task count.
+    @staticmethod
+    def _skewed_graph(n=5000):
+        """A hub-heavy graph: one shard gets most of the work.  Each shard
+        must own >= 2 kernel blocks (1024) to split."""
         rng = random.Random(29)
-        n = 5000  # each shard must own >= 2 kernel blocks (1024) to split
         edges = {(u, u + 1) for u in range(n - 1)}
         for _ in range(3 * n):
             u, v = rng.randrange(120), rng.randrange(n)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        g = Graph.from_edges(sorted(edges), num_nodes=n)
+        return Graph.from_edges(sorted(edges), num_nodes=n)
+
+    def test_skewed_graph_answers_match_numpy(self):
+        # Stealing must not change the entries, only the task count.
+        n = 5000
+        g = self._skewed_graph(n)
         scores = random_scores(n, seed=31)
         ref = _scored_net(g, scores, "numpy").topk("s", 12)
 
@@ -490,6 +497,38 @@ class TestWorkStealing:
             assert res.entries == ref.entries
             # Scans were split into more tasks than shards.
             assert res.stats.extra["tasks"] > len(engine.stats()["shards"])
+        finally:
+            net.close()
+
+    def test_index_stats_are_filed_under_the_worker_that_ran_the_task(
+        self, monkeypatch
+    ):
+        # Worker 0's replacement is slowed down, so the others run their own
+        # chunks and then steal shard 0's.  A reply's index stats belong to
+        # the worker that sent it, not to the shard its chunk came from:
+        # filed by slot, the workers' indexes together hold each ball the
+        # cold scan expanded exactly once.
+        n = 5000
+        g = self._skewed_graph(n)
+        net = _scored_net(g, random_scores(n, seed=31), "parallel")
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        try:
+            pool = engine._pool()
+            pool.ensure_started()
+            plan = {"rules": [{"point": "parallel.worker.task", "kind": "delay", "delay": 0.4}]}
+            monkeypatch.setenv(ENV_VAR, json.dumps(plan))
+            pool._members[0].process.terminate()
+            pool._members[0].process.join(timeout=10)
+            pool.ensure_started()
+            monkeypatch.delenv(ENV_VAR)
+            res = net.topk("s", 12)
+            owned = [int(size) for size in engine.stats()["shards"]]
+            stats = engine.stats()["ball_index"]
+            assert sorted(stats) == list(range(WORKERS))
+            assert any(stats[slot]["covered"] > owned[slot] for slot in stats)
+            assert res.stats.balls_expanded == n
+            assert sum(entry["covered"] for entry in stats.values()) == n
+            assert sum(entry["misses"] for entry in stats.values()) == n
         finally:
             net.close()
 

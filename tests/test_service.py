@@ -500,31 +500,30 @@ class TestSetFieldsMask:
 
 
 # ---------------------------------------------------------------------------
-# Bounded session ball caches (ROADMAP open item)
+# The bounded session ball index
 # ---------------------------------------------------------------------------
 class TestBoundedBallCaches:
-    def test_lru_byte_budget_evicts(self):
+    def test_byte_budget_closes_the_index(self):
         np = pytest.importorskip("numpy")
-        from repro.graph.csr import CSRBallCache, csr_hop_ball, to_csr
+        from repro.graph.csr import CSRBallIndex, batched_hop_balls, to_csr
 
         graph = random_graph(40, 0.15, seed=9)
         csr = to_csr(graph, use_numpy=True)
-        balls = [csr_hop_ball(csr, v, 2) for v in range(40)]
-        budget = sum(int(ball.nbytes) for ball in balls[:10])
-        cache = CSRBallCache(csr, 2, max_bytes=budget)
-        for v, ball in enumerate(balls):
-            cache.put(v, ball)
-        stats = cache.stats()
-        assert stats["evictions"] > 0
-        assert stats["bytes"] <= budget
-        assert len(cache) < 40
-        # Least recently used first: the oldest deposit is gone, the newest
-        # is the array it was handed, and a re-deposit is readable again.
-        assert cache.get(0) is None
-        assert cache.get(39)[0] is balls[39]
-        cache.put(0, balls[0])
-        assert np.array_equal(cache.get(0)[0], balls[0])
-        assert cache.stats()["bytes"] <= budget
+        balls = [batched_hop_balls(csr, np.asarray([v]), 2) for v in range(40)]
+        budget = 4 * sum(int(members.size) for _, members, _ in balls[:10])
+        index = CSRBallIndex(csr, 2, max_bytes=budget)
+        for v, (owners, members, _) in enumerate(balls):
+            index.extend(np.asarray([v]), owners, members)
+        stats = index.stats()
+        assert stats["bytes"] <= budget and stats["covered"] == 10
+        # Closed when full, never evicted: the first balls stay readable
+        # and a later one is not taken even after a re-offer.
+        center = np.asarray([0])
+        assert index.pairs(center)[1].tolist() == balls[0][1].tolist()
+        assert index.pairs(np.asarray([39])) is None
+        index.extend(np.asarray([39]), *balls[39][:2])
+        assert index.pairs(np.asarray([39])) is None
+        assert index.stats()["bytes"] == stats["bytes"]
 
     def test_hit_counters_exposed_via_session_stats(self, net):
         pytest.importorskip("numpy")
@@ -533,29 +532,28 @@ class TestBoundedBallCaches:
         payload = net.service().stats()["session_caches"]
         ball = payload["ball_cache"]
         assert ball is not None and ball["hits"] > 0
-        assert ball["max_bytes"] == net._ctx.ball_cache_bytes
+        assert ball["max_bytes"] == net._ctx.ball_cache_bytes // 2
 
-    def test_dist_cache_budget(self):
+    def test_label_bytes_count_against_the_budget(self):
         np = pytest.importorskip("numpy")
         from repro.graph.csr import (
-            CSRBallCache,
+            CSRBallIndex,
             batched_hop_balls_with_distances,
             to_csr,
         )
 
         graph = random_graph(30, 0.15, seed=11)
         csr = to_csr(graph, use_numpy=True)
-        cache = CSRBallCache(csr, 2, max_bytes=2048)
+        index = CSRBallIndex(csr, 2, max_bytes=2048)
         for v in range(30):
-            _owners, members, dists, _edges = batched_hop_balls_with_distances(
-                csr, np.asarray([v]), 2
+            index.extend(
+                np.asarray([v]), *batched_hop_balls_with_distances(csr, np.asarray([v]), 2)[:3]
             )
-            cache.put(v, members, dists)
-        stats = cache.stats()
-        assert stats["bytes"] <= 2048 or stats["entries"] == 1
-        members, dists = cache.get(29)
-        assert members.size == dists.size
-        assert stats["bytes"] >= members.nbytes + dists.nbytes  # both arrays count
+        stats = index.stats()
+        assert 0 < stats["bytes"] <= 2048
+        assert stats["bytes"] == 5 * int(index._size[index._start >= 0].sum())
+        owners, members, dists = index.pairs(np.asarray([0]), labels=True)
+        assert members.size == dists.size == index._size[0]
 
 
 class TestHandleRepr:

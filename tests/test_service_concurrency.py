@@ -102,8 +102,8 @@ class TestParallelQueries:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             for entries in pool.map(worker, range(THREADS * 4)):
                 assert entries == expected
-        stats = net._ctx.ball_cache().stats()
-        assert stats["hits"] > 0  # the sessions cache was genuinely shared
+        stats = net._ctx.ball_index().stats()
+        assert stats["hits"] > 0  # the session's index was genuinely shared
 
     def test_concurrent_submit_and_stream(self):
         net = build_net(graph_seed=57)

@@ -710,14 +710,12 @@ class TestContractEdges:
         # A batch builds exactly what its members run singly would build,
         # and nothing else.  An all-sparse batch is backward requests, and
         # backward needs the size estimate and — on a vectorized backend —
-        # the session ball cache its verification reads through (the pin
+        # the session ball index its verification reads through (the pin
         # used to say "no ball cache": the group path bypassed the session
         # and expanded every ball afresh per member).  Still no differential
-        # index, no exact size index, no distance-ball cache.  The CSR is
-        # the graph's, not a context artifact, so there is nothing to pin
-        # on the context for it.
-        artifacts = ("_diff_index", "_size_index", "_estimated_sizes",
-                     "_ball_cache", "_dist_ball_cache")
+        # index, no exact size index.  The CSR is the graph's, not a context
+        # artifact, so there is nothing to pin on the context for it.
+        artifacts = ("_diff_index", "_size_index", "_estimated_sizes", "_ball_index")
 
         def built(session):
             return {a for a in artifacts if getattr(session._ctx, a) is not None}
@@ -730,7 +728,7 @@ class TestContractEdges:
         assert built(net) == built(single)
         expected = {"_estimated_sizes"}
         if numpy_available():
-            expected.add("_ball_cache")
+            expected.add("_ball_index")
         assert built(net) == expected
 
     def test_filtered_max_runs_vectorized(self, net):

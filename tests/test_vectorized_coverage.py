@@ -146,7 +146,7 @@ class TestAdaptiveBlockSize:
 
 
 class TestSessionBallCache:
-    """The session ball stores, read by the numpy kernels (these sessions
+    """The session ball index, read by the numpy kernels (these sessions
     pin ``backend="numpy"``)."""
 
     @pytest.fixture()
@@ -158,14 +158,14 @@ class TestSessionBallCache:
     def test_backward_reuses_verification_balls(self, np_net):
         net = np_net
         ctx = net._ctx
-        cache = ctx.ball_cache()
-        assert len(cache) == 0
+        index = ctx.ball_index()
+        assert index.covered == 0
         first = net.query("dense").limit(5).algorithm("backward").run()
-        expanded_once = len(cache)
+        expanded_once = index.covered
         assert expanded_once > 0
         second = net.query("dense").limit(5).algorithm("backward").run()
         assert second.entries == first.entries
-        assert ctx.ball_cache() is cache
+        assert ctx.ball_index() is index
         # The repeat query verified the same candidates: cache hits, no
         # (or almost no) new expansions, and strictly less charged BFS work.
         assert second.stats.balls_expanded < first.stats.balls_expanded
@@ -173,17 +173,17 @@ class TestSessionBallCache:
     def test_weighted_backward_reuses_distance_balls(self, np_net):
         net = np_net
         ctx = net._ctx
-        cache = ctx.dist_ball_cache()
+        index = ctx.ball_index()
         first = net.topk_weighted("dense", 5, algorithm="backward")
-        expanded_once = len(cache)
+        expanded_once = int(index._labelled.sum())
         assert expanded_once > 0
         second = net.topk_weighted("dense", 5, algorithm="backward")
         assert second.entries == first.entries
-        assert ctx.dist_ball_cache() is cache
+        assert ctx.ball_index() is index
         assert second.stats.balls_expanded < first.stats.balls_expanded
 
     def test_cache_not_charged_to_later_counters(self, np_net):
-        # The session store holds no counter: a later query's expansions
+        # The session index holds no counter: a later query's expansions
         # (a larger k verifies more) never reach an earlier query's stats.
         query = np_net.query("dense").algorithm("backward")
         first = query.limit(5).run()
@@ -191,7 +191,7 @@ class TestSessionBallCache:
         later = query.limit(25).run()
         assert later.stats.balls_expanded > 0
         assert first.stats.as_dict() == before
-        assert not hasattr(np_net._ctx.ball_cache(), "counter")
+        assert not hasattr(np_net._ctx.ball_index(), "counter")
 
     def test_dynamic_mutation_invalidates(self, cov_graph):
         from repro.dynamic.graph import DynamicGraph
@@ -201,12 +201,12 @@ class TestSessionBallCache:
         )
         session.add_scores("dense", continuous_scores(60, seed=413))
         session.query("dense").limit(5).algorithm("backward").run()
-        stale = session._ctx.ball_cache()
-        assert len(stale) > 0
+        stale = session._ctx.ball_index()
+        assert stale.covered > 0
         session.add_edge(0, 59)
-        fresh = session._ctx.ball_cache()
+        fresh = session._ctx.ball_index()
         assert fresh is not stale
-        assert len(fresh) == 0
+        assert fresh.covered == 0
 
     def test_results_unchanged_by_cache(self, net, cov_graph):
         # A cold context (no shared cache) and the warm session agree.

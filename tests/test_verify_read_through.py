@@ -1,24 +1,28 @@
-"""LONA-Backward's verification read through the session ball store.
+"""LONA-Backward's verification read through the session ball index.
 
 ``verify_blocked`` is the one phase-3 loop; the numpy provider reads each
-block through a :class:`~repro.graph.csr.CSRBallCache`: a stored ball is
-summed from its slice with ``cumsum``, the rest are expanded in one batched
-call, reduced with ``bincount`` and deposited.  A hit must therefore return
-the *bits* of its miss — and not only on the dyadic scores the parity suites
+block through the session's one :class:`~repro.graph.csr.CSRBallIndex`,
+as scans do: present balls are gathered, absent ones expanded in one
+batched call, appended and merged back in block order, and the block is
+reduced with ``bincount`` either way.  A hit must therefore return the
+*bits* of its miss — and not only on the dyadic scores the parity suites
 use, where summation order cannot show.  Scores here are arbitrary floats
 drawn from a small pool, so many balls hold the same values in different
 member orders and the k-th value is crowded with near- and exact ties.
 Every numpy comparison is ``==`` on entries or on the raw bytes of a value
 array.  The python backend adds a ball's members in ``set`` order, so on
 these scores it agrees on the nodes and to the last few ulps on the values
-(ROADMAP item 4 owns that contract); on the 0/1 copy it is compared with
+(ROADMAP item 5 owns that contract); on the 0/1 copy it is compared with
 ``==`` too.
 
 Covered: SUM / AVG / COUNT and footnote 1's weighted sums over hops 1-3,
 both ball conventions, directed and undirected, isolated nodes; cold, warm
-(all hits), mixed hit/miss blocks and no store at all; a stop that falls
-exactly on a block boundary, one candidate before and one past it; racing
-threads through one store; ``add_edge``.
+(all hits), partial blocks (values of the whole expansion, only the absent
+balls charged) and no index at all, for ``ball_values``,
+``weighted_ball_sums`` and ``fused_ball_values``; hop labels written by a
+weighted read over a scan-filled ball, once, and a cap that leaves no room
+for them; a stop that falls exactly on a block boundary, one candidate
+before and one past it; racing threads through one index; ``add_edge``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core import vectorized  # noqa: E402
 from repro.core.vectorized import NumpyKernels, verify_blocked  # noqa: E402
-from repro.graph.csr import CSRBallCache  # noqa: E402
+from repro.graph.csr import CSRBallIndex, batched_hop_balls_with_distances  # noqa: E402
 
 THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
 N = 400
@@ -82,14 +86,14 @@ def _scores(seed: int, n: int = N):
 def _session(graph, hops, include_self, budget="default"):
     net = Network(graph, hops=hops, include_self=include_self, backend="numpy")
     if budget != "default":
-        net._ctx.ball_cache_bytes = budget  # read when the stores are made
+        net._ctx.ball_cache_bytes = budget  # read when the index is made
     net.add_scores("s", _scores(41, graph.num_nodes))
     net.add_scores("bits", [float(v > 0.5) for v in _scores(41, graph.num_nodes)])
     return net
 
 
-def _ball_stats(net, name="ball_cache"):
-    return net._ctx.cache_stats()[name]
+def _ball_stats(net):
+    return net._ctx.cache_stats()["ball_cache"]
 
 
 def _close(entries, reference):
@@ -101,7 +105,7 @@ def _close(entries, reference):
 
 
 # ---------------------------------------------------------------------------
-# Through the session: cold == warm == mixed == no store == python
+# Through the session: cold == warm == mixed == no index == python
 # ---------------------------------------------------------------------------
 class TestColdWarmMixed:
     @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
@@ -116,7 +120,7 @@ class TestColdWarmMixed:
         warm = query.limit(K).run()
         after_warm = _ball_stats(net)
         spec = QuerySpec(K, aggregate, hops, include_self, "numpy")
-        off = backward_topk(graph, scores, spec)  # no store at all
+        off = backward_topk(graph, scores, spec)  # no index at all
         assert cold.entries == warm.entries == off.entries
         # Same candidates, every one a hit: nothing expanded for verification.
         assert after_warm["misses"] == after_cold["misses"]
@@ -132,7 +136,7 @@ class TestColdWarmMixed:
         primed = _ball_stats(mixed_net)
         mixed = mixed_query.limit(K).run()
         assert mixed.entries == off.entries
-        if cold.stats.extra["exact_shortcut"] == 0.0 and primed["entries"]:
+        if cold.stats.extra["exact_shortcut"] == 0.0 and primed["covered"]:
             after = _ball_stats(mixed_net)
             assert after["hits"] > primed["hits"]
         python = backward_topk(
@@ -161,9 +165,9 @@ class TestColdWarmMixed:
         net = _session(graph, hops, include_self)
         scores = net.scores_of("s").values()
         cold = net.topk_weighted("s", K, algorithm="backward")
-        after_cold = _ball_stats(net, "dist_ball_cache")
+        after_cold = _ball_stats(net)
         warm = net.topk_weighted("s", K, algorithm="backward")
-        after_warm = _ball_stats(net, "dist_ball_cache")
+        after_warm = _ball_stats(net)
         spec = QuerySpec(K, "sum", hops, include_self, "numpy")
         off = weighted_backward_topk(graph, scores, spec)
         assert cold.entries == warm.entries == off.entries
@@ -181,6 +185,14 @@ class TestColdWarmMixed:
 # ---------------------------------------------------------------------------
 # At the seam: the hit path and the miss path return the same bytes
 # ---------------------------------------------------------------------------
+def _work(call, centers):
+    """What ``call(kernels, centers, counter)`` charges on a provider with
+    no index: the cost of expanding exactly ``centers``."""
+    counter = TraversalCounter()
+    call(NumpyKernels(), centers, counter)
+    return counter.snapshot()
+
+
 @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
 class TestHitBytesEqualMissBytes:
     def _centers(self):
@@ -189,79 +201,133 @@ class TestHitBytesEqualMissBytes:
             [rng.randrange(N) for _ in range(90)] + [N - 1, N - 1, 0], dtype=np.int64
         )
 
+    def _cold_warm_partial(self, csr, hops, include_self, call):
+        """``call`` with no index, then on a cold index, the warm one and a
+        half-filled one: the first result, the other three, the index."""
+        centers = self._centers()
+        plain = call(NumpyKernels(), centers, TraversalCounter())
+        index = CSRBallIndex(csr, hops, include_self=include_self)
+        cold_work, warm_work, partial_work = (TraversalCounter() for _ in range(3))
+        cold = call(NumpyKernels(index), centers, cold_work)
+        # Every center a miss; repeated centers miss together: expanded twice.
+        assert cold_work.snapshot() == _work(call, centers)
+        assert index.covered == len(set(centers.tolist()))
+        assert (index.hits, index.misses) == (0, centers.size)
+        warm = call(NumpyKernels(index), centers, warm_work)
+        assert warm_work.snapshot() == TraversalCounter().snapshot()  # hits are free
+        assert (index.hits, index.misses) == (centers.size, centers.size)
+        half = CSRBallIndex(csr, hops, include_self=include_self)
+        primed = np.unique(centers)[::2]
+        call(NumpyKernels(half), primed, TraversalCounter())
+        partial = call(NumpyKernels(half), centers, partial_work)
+        # Only the absent balls are expanded and charged.
+        absent = centers[~np.isin(centers, primed)]
+        assert partial_work.snapshot() == _work(call, absent)
+        assert half.covered == index.covered
+        return plain, (cold, warm, partial), index
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_ball_values(self, directed, hops, include_self, kind):
         csr = _graph(directed).csr()
         scores = np.asarray(_scores(42))
-        centers = self._centers()
-        kernels = NumpyKernels()
 
-        def read(cache, counter):
+        def read(kernels, centers, counter):
             return kernels.ball_values(
                 np, csr, centers, scores, kind, hops, include_self, counter,
-                want_sizes=True, cache=cache,
+                want_sizes=True,
             )
 
-        plain = TraversalCounter()
-        values, sizes = read(None, plain)  # bincount / reduceat over the pairs
-        cache = CSRBallCache(csr, hops, include_self=include_self)
-        cold_work, warm_work, mixed_work = (TraversalCounter() for _ in range(3))
-        cold = read(cache, cold_work)  # every center a miss, deposited
-        # Repeated centers miss together: the first read expands them twice.
-        assert cold_work.snapshot() == plain.snapshot()
-        assert len(cache) == len(set(centers.tolist()))
-        warm = read(cache, warm_work)  # every center a hit: cumsum over its slice
-        assert warm_work.snapshot() == TraversalCounter().snapshot()  # hits are free
-        half = CSRBallCache(csr, hops, include_self=include_self)
-        primed = np.unique(centers)[::2]
-        kernels.ball_values(
-            np, csr, primed, scores, kind, hops, include_self, TraversalCounter(),
-            cache=half,
+        (values, sizes), reads, index = self._cold_warm_partial(
+            csr, hops, include_self, read
         )
-        mixed = read(half, mixed_work)
-        missing = int((~np.isin(centers, primed)).sum())
-        assert mixed_work.balls_expanded == missing
-        for got_values, got_sizes in (cold, warm, mixed):
+        for got_values, got_sizes in reads:
             assert got_values.dtype == np.float64
             assert got_values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
             assert got_sizes.tolist() == sizes.tolist()
-        for node in set(centers.tolist()):
-            (members,) = cache.get(node)
-            assert members.base is None  # the store owns what it counts
-            assert members.tolist() == sorted(members.tolist())
-        assert cache.stats()["bytes"] == sum(
-            cache.get(node)[0].nbytes for node in set(centers.tolist())
-        )
+        # Each ball stored once, ascending, and the byte count is theirs.
+        present = np.flatnonzero(index._start >= 0)
+        for node in present.tolist():
+            run = index._members[index._start[node] : index._start[node] + index._size[node]]
+            assert run.tolist() == sorted(run.tolist())
+        assert index.stats()["bytes"] == 4 * int(index._size[present].sum())
 
     def test_weighted_ball_sums(self, directed, hops, include_self):
         csr = _graph(directed).csr()
         scores = np.asarray(_scores(43))
         weights = np.asarray(precompute_weights(inverse_distance, hops))
-        centers = self._centers()
-        kernels = NumpyKernels()
 
-        def read(cache, counter=None):
+        def read(kernels, centers, counter):
             return kernels.weighted_ball_sums(
-                np, csr, centers, scores, weights, hops, include_self,
-                counter or TraversalCounter(), cache,
+                np, csr, centers, scores, weights, hops, include_self, counter,
             )
 
-        values = np.asarray(read(None), dtype=np.float64)
-        cache = CSRBallCache(csr, hops, include_self=include_self)
-        cold = read(cache)
-        warm_work = TraversalCounter()
-        warm = read(cache, warm_work)
-        assert warm_work.balls_expanded == 0
-        half = CSRBallCache(csr, hops, include_self=include_self)
-        kernels.weighted_ball_sums(
-            np, csr, np.unique(centers)[1::2], scores, weights, hops, include_self,
-            TraversalCounter(), half,
-        )
-        mixed = read(half)
-        for got in (cold, warm, mixed):
+        values, reads, index = self._cold_warm_partial(csr, hops, include_self, read)
+        for got in reads:
+            assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+        labelled = np.flatnonzero(index._labelled)
+        assert labelled.size == index.covered and index._dists.itemsize == 1
+        assert index.stats()["bytes"] == 5 * int(index._size[labelled].sum())
+        assert int(index._dists[: index._used].max(initial=0)) <= hops
+
+    def test_fused_ball_values(self, directed, hops, include_self):
+        csr = _graph(directed).csr()
+        node_scores = np.stack([np.asarray(_scores(s)) for s in (44, 45, 46)], axis=1)
+        avg_rows = np.asarray([False, True, False])
+
+        def read(kernels, centers, counter):
+            return kernels.fused_ball_values(
+                np, csr, centers, node_scores, avg_rows, hops, include_self, counter,
+            )
+
+        values, reads, _ = self._cold_warm_partial(csr, hops, include_self, read)
+        for got in reads:
             assert got.tobytes() == values.tobytes()
-        members, dists = cache.get(int(centers[0]))
-        assert members.size == dists.size and int(dists.max(initial=0)) <= hops
+
+    def test_a_scan_filled_ball_is_labelled_once(self, directed, hops, include_self):
+        csr = _graph(directed).csr()
+        scores = np.asarray(_scores(47))
+        weights = np.asarray(precompute_weights(inverse_distance, hops))
+        centers = np.arange(N, dtype=np.int64)
+
+        def weighted(index, counter):
+            return NumpyKernels(index).weighted_ball_sums(
+                np, csr, centers, scores, weights, hops, include_self, counter
+            )
+
+        def scan(index):
+            NumpyKernels(index).ball_values(
+                np, csr, centers, scores, AggregateKind.SUM, hops, include_self,
+                TraversalCounter(),
+            )
+
+        want = weighted(None, TraversalCounter())
+        edges = batched_hop_balls_with_distances(
+            csr, centers, hops, include_self=include_self
+        )[3]
+        index = CSRBallIndex(csr, hops, include_self=include_self)
+        scan(index)  # an unweighted scan fills it, without labels
+        filled = index.stats()
+        assert index._dists is None and filled["bytes"] == 4 * index._used
+        labelling, repeat = TraversalCounter(), TraversalCounter()
+        assert weighted(index, labelling).tobytes() == want.tobytes()
+        # Expanded once more, with distances, and labelled in place.
+        assert labelling.edges_scanned == edges and labelling.balls_expanded == N
+        after = index.stats()
+        assert (after["covered"], after["appended"]) == (N, filled["appended"])
+        assert after["bytes"] == 5 * index._used == 5 * filled["bytes"] // 4
+        assert weighted(index, repeat).tobytes() == want.tobytes()
+        assert repeat.snapshot() == TraversalCounter().snapshot()
+        # A cap the pairs fill leaves no room for labels: every weighted
+        # read expands, nothing is labelled, and the answer is the same.
+        tight = CSRBallIndex(
+            csr, hops, include_self=include_self, max_bytes=filled["bytes"]
+        )
+        scan(tight)
+        for _ in range(2):
+            work = TraversalCounter()
+            assert weighted(tight, work).tobytes() == want.tobytes()
+            assert work.edges_scanned == edges
+        assert tight._dists is None and tight.stats()["bytes"] == filled["bytes"]
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +395,14 @@ def _race(target, count=THREADS):
     assert not errors, errors
 
 
-def _stored_once(cache) -> bool:
-    """Every resident ball is one entry and the byte count is theirs."""
-    stats = cache.stats()
-    resident = sum(
-        sum(int(a.nbytes) for a in arrays) for arrays, _ in cache._entries.values()
-    )
-    return stats["entries"] == len(cache._entries) and stats["bytes"] == resident
+def _stored_once(index) -> bool:
+    """Every present ball is one run, the runs tile the stored pairs, and
+    the byte count is theirs."""
+    present = np.flatnonzero(index._start >= 0)
+    order = present[np.argsort(index._start[present])]
+    starts, sizes = index._start[order], index._size[order]
+    tiled = bool((starts == np.cumsum(sizes) - sizes).all())
+    return tiled and index.stats()["bytes"] == 4 * int(sizes.sum()) == 4 * index._used
 
 
 class TestSharedStore:
@@ -361,40 +428,41 @@ class TestSharedStore:
                 assert got.limit(shape[1]).run().entries == expected[shape], shape
 
         _race(worker)
-        cache = net._ctx.ball_cache()
-        stats = cache.stats()
-        assert _stored_once(cache)
+        index = net._ctx.ball_index()
+        stats = index.stats()
+        assert _stored_once(index)
         if budget is None:
-            # One epoch: exactly the balls the single-threaded run stored.
-            assert (stats["entries"], stats["bytes"]) == (single["entries"], single["bytes"])
-            assert stats["evictions"] == 0 and stats["hits"] > 0
+            # Exactly the balls the single-threaded run stored, each once.
+            assert (stats["covered"], stats["bytes"]) == (single["covered"], single["bytes"])
+            assert stats["hits"] > 0
         else:
-            assert stats["evictions"] > 0 and stats["bytes"] <= budget
+            # Closed when full: the balls past the cap are expanded per read.
+            assert index._full and 0 < stats["bytes"] <= budget // 2
 
     def test_racing_threads_on_the_bare_store(self):
         csr = _graph(True).csr()
         scores = np.asarray(_scores(44))
-        cache = CSRBallCache(csr, 2, max_bytes=4_000)
+        index = CSRBallIndex(csr, 2, max_bytes=4_000)
         centers = np.arange(N, dtype=np.int64)
         want, _ = NumpyKernels().ball_values(
             np, csr, centers, scores, AggregateKind.SUM, 2, True, TraversalCounter()
         )
 
         def worker(i):
-            kernels = NumpyKernels()
+            kernels = NumpyKernels(index)
             rng = random.Random(i)
             for _ in range(30):
                 block = np.asarray(rng.sample(range(N), 32), dtype=np.int64)
                 got, _ = kernels.ball_values(
                     np, csr, block, scores, AggregateKind.SUM, 2, True,
-                    TraversalCounter(), cache=cache,
+                    TraversalCounter(),
                 )
                 assert got.tobytes() == want[block].tobytes()
 
         _race(worker)
-        stats = cache.stats()
-        assert _stored_once(cache)
-        assert stats["bytes"] <= 4_000 and stats["evictions"] > 0
+        stats = index.stats()
+        assert _stored_once(index)
+        assert 0 < stats["bytes"] <= 4_000 and index._full
         assert stats["hits"] + stats["misses"] == THREADS * 30 * 32
 
     def test_add_edge_drops_the_store_and_the_next_read_is_a_fresh_sessions(self):
@@ -403,17 +471,16 @@ class TestSharedStore:
         query = net.query("s").algorithm("backward").aggregate("avg").limit(K)
         query.run()
         net.topk_weighted("s", K, algorithm="backward")
-        stale = net._ctx.ball_cache(), net._ctx.dist_ball_cache()
-        assert all(len(store) > 0 for store in stale)
+        stale = net._ctx.ball_index()
+        assert stale.covered > 0 and stale._labelled.any()
         u, v = next(
             (u, v) for u in range(N) for v in range(u + 1, N) if not base.has_edge(u, v)
         )
         net.add_edge(u, v)
-        assert _ball_stats(net) is None and _ball_stats(net, "dist_ball_cache") is None
+        assert _ball_stats(net) is None
         after = query.run()
         after_weighted = net.topk_weighted("s", K, algorithm="backward")
-        assert net._ctx.ball_cache() is not stale[0]
-        assert net._ctx.dist_ball_cache() is not stale[1]
+        assert net._ctx.ball_index() is not stale
         fresh = _session(net.graph.snapshot(), 2, True)
         fresh_query = fresh.query("s").algorithm("backward").aggregate("avg").limit(K)
         assert after.entries == fresh_query.run().entries

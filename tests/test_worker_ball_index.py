@@ -1,15 +1,16 @@
-"""The workers' ball indexes: a repeated sharded scan reads balls back too.
+"""The workers' ball indexes: a repeated sharded read takes balls back too.
 
 Every pool / cluster worker keeps one node-keyed
 :class:`~repro.graph.csr.CSRBallIndex` over the CSR it is attached to, fills
-it from the blocks its scan and batch tasks expand and reads present balls
-back — the arrays its expansion returned, into the same reduction — so a
-warm sharded answer must equal a cold one and the in-process numpy one
+it from the blocks its scan, batch and verify tasks expand and reads present
+balls back — the arrays its expansion returned, into the same reduction — so
+a warm sharded answer must equal a cold one and the in-process numpy one
 *exactly*.  Scores are arbitrary (non-dyadic) floats and every comparison is
 ``==`` on entries.  Covered, on both links: every base aggregate, the fused
 batch (filled in one block size, singles read in another), the bound-pruned
 forward scan and the weighted scan over hops 1-3 and both ball conventions;
-the work counters of a second scan; the budget split over 2 and 4 workers;
+LONA-Backward's verification rounds; the work counters of a second scan and
+a second backward; the budget split over 2 and 4 workers;
 70 ``DynamicGraph`` writes (past the worker's attachment limit) with the
 index both on the newest CSR and left behind on a retired one; a killed
 worker (the survivor keeps its slot and its hits); a stolen chunk.  A
@@ -34,8 +35,14 @@ from repro.core.query import QuerySpec
 from repro.dynamic.graph import DynamicGraph
 from repro.faults import ENV_VAR
 from repro.graph.graph import Graph
+from repro.graph.traversal import TraversalCounter
 
 np = pytest.importorskip("numpy")
+
+from repro.core.vectorized import (  # noqa: E402
+    backward_distribution_split,
+    distribute_scores,
+)
 
 #: Pool size of the pipe link; the CI sharded-smoke job raises it to 4.
 WORKERS = int(os.environ.get("REPRO_PARALLEL_TEST_WORKERS", "2"))
@@ -171,10 +178,9 @@ class TestWarmEqualsColdEqualsNumpy:
                 )
                 assert weighted.run().entries == weighted_ref.entries
                 assert weighted.run().entries == weighted_ref.entries
-                # Per shard, the index of the worker that answered last (a
-                # stolen chunk reports the thief's).
+                # Per worker slot, that worker's latest index stats.
                 stats = session.index_stats(link)
-                assert len(stats) == session.engines[link].shards
+                assert sorted(stats) == list(range(session.engines[link].workers))
                 assert all(s["served"] > 0 < s["covered"] for s in stats.values())
 
 
@@ -201,9 +207,41 @@ class TestAccounting:
             stats = session.index_stats(link)
             assert sorted(stats) == list(range(len(stats)))
             for entry in stats.values():
-                assert set(entry) == {"covered", "bytes", "max_bytes", "served", "appended"}
+                assert set(entry) == {
+                    "covered", "bytes", "max_bytes", "served", "appended", "hits", "misses",
+                }
             # No stats.extra key was added for any of this.
             assert not any("index" in key for key in second.stats.extra)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_a_repeated_backward_verifies_off_the_workers_indexes(self, link):
+        graph = Graph.from_edges(_edges(N, 3), num_nodes=N)
+        with _Session(graph, links=(link,)) as session:
+            net = session.net
+            query = net.query("s0").algorithm("backward").limit(20)
+            want = query.backend("numpy").run()
+            first = query.backend(link).run()
+            before = session.index_stats(link)
+            second = query.backend(link).run()
+            after = session.index_stats(link)
+            assert first.stats.backend == second.stats.backend == link
+            assert first.entries == second.entries == want.entries
+            verified = second.stats.candidates_verified
+            assert verified == first.stats.candidates_verified > 0
+            # Phase 1 walks the arcs again; every verified ball is read back.
+            vector = net.scores_of("s0")
+            distributed = backward_distribution_split(
+                np, vector, vector.array(), "auto", 0.1
+            )[0]
+            phase1 = TraversalCounter()
+            distribute_scores(
+                np, graph.csr(), distributed, vector.array(), 2, True, 1024, phase1
+            )
+            assert second.stats.edges_scanned == phase1.edges_scanned
+            assert first.stats.edges_scanned > phase1.edges_scanned
+            misses = [sum(s["misses"] for s in st.values()) for st in (before, after)]
+            hits = [sum(s["hits"] for s in st.values()) for st in (before, after)]
+            assert misses[1] == misses[0] and hits[1] - hits[0] == verified
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("link", LINKS)
@@ -224,7 +262,7 @@ class TestAccounting:
             assert 0 < runs[2].stats.edges_scanned < runs[0].stats.edges_scanned
             # The session's own index keeps its half, in process.
             net.query("s0").algorithm("base").limit(10).run()
-            own = net._ctx.cache_stats()["ball_index"]
+            own = net._ctx.cache_stats()["ball_cache"]
             assert own["max_bytes"] == budget // 2 and own["bytes"] <= budget // 2
 
     def test_unbounded_session_means_unbounded_workers(self):
@@ -384,8 +422,8 @@ class TestRecovery:
             assert stolen.entries == ref.entries
             assert stolen.stats.extra["tasks"] > 2  # chunks, not one task a shard
             # Worker 1 holds balls of shard 0 now; the stolen chunks' replies
-            # carried its index, filed under the shard they belong to.
-            assert engine.stats()["ball_index"][0]["covered"] > max(owned)
+            # carried its index, filed under its own slot.
+            assert engine.stats()["ball_index"][1]["covered"] > max(owned)
             again = query.backend("parallel").run()
             assert again.entries == ref.entries
             assert again.stats.edges_scanned < stolen.stats.edges_scanned
