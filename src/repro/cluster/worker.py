@@ -393,6 +393,8 @@ class ClusterWorker:
                 "pushes": result["pushes"],
                 "distributed": result["distributed"],
             }
+            if "ball_index" in result:  # undirected: read through the index
+                payload["ball_index"] = result["ball_index"]
             arrays = {
                 "touched": result["touched"],
                 "partial": result["partial"],

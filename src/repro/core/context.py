@@ -15,11 +15,12 @@ The context is *version-aware*: when the underlying graph is a
 :class:`~repro.dynamic.graph.DynamicGraph`, every accessor revalidates
 against ``graph.version`` and drops stale artifacts automatically, so a
 session over a mutating graph never serves answers from a dead index.
-Dropping is cheap to recover from where it can be: the graph's patched CSR
-views were never dropped, and the degree-based size bounds are re-derived
-from those arrays in about a millisecond (DESIGN.md §2, "Dynamic
-integration").  The differential index and the ball index are rebuilt
-from scratch.
+A session's own edge writes go through :meth:`GraphContext.edge_write`
+instead, which drops only what one arc can have changed: the ball index
+forgets the balls within ``h - 1`` hops of an endpoint and is kept, the
+degree-based size bounds are patched in the rows the write moved, and the
+graph's patched CSR views were never dropped (DESIGN.md §2, "Dynamic
+integration").  The differential index is rebuilt from scratch.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.backends import numpy_available
+from repro.graph.csr import edge_write_reach
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
@@ -62,7 +64,7 @@ class GraphContext:
     consume — those belong to the graph, and :meth:`csr` / :meth:`rev_csr`
     hand out the graph's.  All artifacts build on first use and are reused
     until :meth:`invalidate` (called automatically when the graph's version
-    counter moves).
+    counter moves), or patched by :meth:`edge_write` (a session's edge write).
     Accessors are safe to call from concurrent query threads.
     """
 
@@ -121,6 +123,48 @@ class GraphContext:
             self._estimated_sizes = None
             self._ball_index = None
             self._graph_version = getattr(self.graph, "version", None)
+
+    def edge_write(self, u: int, v: int, write: Callable[[], None]) -> None:
+        """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
+        and drop what it can have changed, keeping the rest.
+
+        The differential and exact size indexes go, as in :meth:`invalidate`.
+        The ball index stays: it forgets only the balls of the nodes within
+        ``hops - 1`` hops of an endpoint, on the CSR that has the arc
+        (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
+        patched CSR.  The estimated sizes are patched row by row
+        (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
+        A context that was already stale before the write (a mutation it
+        did not see, such as a node added through a maintained view) gets a
+        full :meth:`invalidate`.
+        """
+        with self._lock:
+            graph = self.graph
+            index = sizes = None
+            if numpy_available() and getattr(graph, "version", None) == self._graph_version:
+                index, sizes = self._ball_index, self._estimated_sizes
+            if index is not None and not index.serves(graph.csr(), self.hops, self.include_self):
+                index = None
+            if index is None and sizes is None:
+                write()
+                self.invalidate()
+                return
+            # A directed ball is an out-ball: who can reach u is read off
+            # the reverse view, built only when there are balls to forget.
+            reach_view = graph.rev_csr if graph.directed else graph.csr
+            old_csr = graph.csr()
+            old_view = reach_view() if index is not None else None
+            write()
+            csr = graph.csr()
+            self._diff_index = None
+            self._size_index = None
+            self._ball_index = index
+            if index is not None:
+                view = reach_view() if csr.num_arcs > old_csr.num_arcs else old_view
+                index.forget(edge_write_reach(view, u, v, self.hops), csr)
+            if sizes is not None:
+                self._estimated_sizes = sizes.patched_from_csr(old_csr, csr, u, v)
+            self._graph_version = graph.version
 
     def check_fresh(self) -> None:
         """Invalidate automatically when the graph's version moved."""
@@ -236,12 +280,14 @@ class GraphContext:
         The h-hop balls depend on the graph and ``(hops, include_self)``,
         never on the scores, so every in-process read (base, the fused
         batch, forward, ``.where`` filters, streams, LONA-Backward's
-        verification, weighted or not) keeps the balls it expands and every
-        later read takes them back instead of re-deriving them.  Capped at
-        half the context's ball budget — the half a sharded engine splits
-        over its workers' own indexes — and version-invalidated with every
-        other artifact (:meth:`invalidate`), so dynamic graphs never serve
-        stale balls.
+        verification, and on an undirected graph its distribution, weighted
+        or not) keeps the balls it expands and every later read takes them
+        back instead of re-deriving them.  Capped at half the context's ball
+        budget — the half a sharded engine splits over its workers' own
+        indexes.  A session edge write keeps it and forgets only the balls it
+        can have changed (:meth:`edge_write`); every other version move drops
+        it with the other artifacts (:meth:`invalidate`), so dynamic graphs
+        never serve stale balls.
         """
         with self._lock:
             self.check_fresh()

@@ -17,11 +17,19 @@ same value multiset — the invariant the test-suite checks.
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import InvalidParameterError
 
 __all__ = ["TopKAccumulator"]
+
+#: Node ids past CPython's cached small ints are a fresh object per entry
+#: (32 bytes), and the same nodes come back in answer after answer.  Entries
+#: take their ids from this table instead, so whoever holds many results (a
+#: result cache, a closed-loop client keeping every answer) holds each id
+#: once; it is emptied when it passes :data:`_SHARED_IDS_CAP` ids.
+_shared_ids: Dict[int, int] = {}
+_SHARED_IDS_CAP = 1 << 16
 
 
 class TopKAccumulator:
@@ -82,9 +90,21 @@ class TopKAccumulator:
         """The top-k as ``(node, value)`` pairs, best first.
 
         Ties are broken by ascending node id for deterministic output.
+        Node ids come from one shared table, and tied non-zero values (equal
+        floats, so equal bits) share one float: a held result costs its
+        tuples, not an int and a float an entry.
         """
         ordered = sorted(self._heap, key=lambda e: (-e[0], e[2]))
-        return [(node, value) for value, _neg_order, node in ordered]
+        if len(_shared_ids) > _SHARED_IDS_CAP:
+            _shared_ids.clear()
+        share = _shared_ids.setdefault
+        out = []
+        last = None
+        for value, _neg_order, node in ordered:
+            if value != last or value == 0.0:  # 0.0 == -0.0: never merged
+                last = value
+            out.append((share(node, int(node)), last))
+        return out
 
     def values(self) -> List[float]:
         """The top-k values only, descending."""

@@ -430,18 +430,22 @@ def backward_distribution_split(np, scores, scores_arr, gamma, distribution_frac
 
 def distribute_scores(
     np, dist_csr, distributed, scores_arr, hops, include_self, block_size,
-    counter, weights=None,
+    counter, kernels, weights=None,
 ):
     """The distribution loop of LONA-Backward: ``(partial, covered, pushes)``.
 
     Every node of ``distributed`` pushes its score (times ``weights[dist]``
     when ``weights`` is given — footnote 1) to each member of its ball over
-    ``dist_csr`` (the reversed graph when directed).  Deposits stay in the
-    order of ``distributed`` (block order preserves it and ``bincount``
-    accumulates in pair order), so every node's partial sum is built by the
-    same float addition sequence as the Python backend's.  That order is
-    part of the float contract — under the exact shortcut the partials *are*
-    the answers — in process and in the sharded workers alike.
+    ``dist_csr`` (the reversed graph when directed).  Each block's balls
+    come through ``kernels``' ball index when it was built for ``dist_csr``
+    (undirected: ``v in S_h(u)`` iff ``u in S_h(v)``, so the scans' runs are
+    the distribution's), and only absent ones are expanded and charged to
+    ``counter``.  Deposits stay in the order of ``distributed`` (block order
+    preserves it, an index read returns the pairs an expansion would, and
+    ``bincount`` accumulates in pair order), so every node's partial sum is
+    built by the same float addition sequence as the Python backend's.  That
+    order is part of the float contract — under the exact shortcut the
+    partials *are* the answers — in process and in the sharded workers alike.
     """
     n = int(dist_csr.num_nodes)
     partial = np.zeros(n, dtype=np.float64)
@@ -450,19 +454,13 @@ def distribute_scores(
     for lo in range(0, int(distributed.size), block_size):
         check_deadline()
         block = distributed[lo : lo + block_size]
-        if weights is None:
-            owners, members, edges = batched_hop_balls(
-                dist_csr, block, hops, include_self=include_self
-            )
-        else:
-            owners, members, dists, edges = batched_hop_balls_with_distances(
-                dist_csr, block, hops, include_self=include_self
-            )
-        counter.charge_block(edges, members.size, int(block.size), include_self)
+        owners, members, *dists = kernels._block_pairs(
+            dist_csr, block, hops, include_self, counter, labels=weights is not None
+        )
         ball_sizes = np.bincount(owners, minlength=block.size)
         deposits = np.repeat(scores_arr[block], ball_sizes)
         if weights is not None:
-            deposits = deposits * weights[dists]
+            deposits = deposits * weights[dists[0]]
         partial += np.bincount(members, weights=deposits, minlength=n)
         covered += np.bincount(members, minlength=n)
         pushes += int(members.size)
@@ -535,10 +533,12 @@ def verify_blocked(
     offers in descending bound order until the TA-style stop fires.
 
     ``candidate_order`` is the lazy :func:`descending_prefixes` iterator,
-    advanced no further than the stop.  Under the exact shortcut a
-    candidate's value is a read off ``shortcut_values`` (not a
-    verification), so the chunks are walked as they come and the stop is
-    tested before every candidate.  Otherwise its ball must be expanded,
+    advanced no further than the stop.  Under the exact shortcut Eq. 3's
+    bound *is* the exact value (``shortcut_values``), so the walk would
+    offer the order's first ``k`` and stop at the next: they are taken in
+    one pass instead (the first chunk of the same ``(-value, id)`` order),
+    and the order is never advanced.  Otherwise a candidate's ball must be
+    expanded,
     and ``verify(chunk)`` returns the exact values of a ``block_size``
     block of the order per kernel call (one BFS per candidate costs more in
     call overhead than the loop it replaces).  The block is cut at the
@@ -547,20 +547,13 @@ def verify_blocked(
     acceptance), so entries are identical — only work counters differ, by
     less than a block.  Returns the offers made.
     """
-    offered = 0
     if shortcut_values is not None:
-        offer = acc.offer
-        for chunk in candidate_order:
-            check_deadline()
-            for node, bound, value in zip(
-                chunk.tolist(), bounds[chunk].tolist(), shortcut_values[chunk].tolist()
-            ):
-                if acc.is_full and bound <= acc.threshold:
-                    stats.early_terminated = True
-                    return offered
-                offer(node, value)
-                offered += 1
-        return offered
+        top = next(descending_prefixes(np, shortcut_values, acc.k))[: acc.k]
+        for node, value in zip(top.tolist(), shortcut_values[top].tolist()):
+            acc.offer(node, value)
+        stats.early_terminated = top.size < shortcut_values.size
+        return int(top.size)
+    offered = 0
     for chunk in in_blocks(np, candidate_order, block_size):
         check_deadline()
         if acc.is_full:
@@ -865,7 +858,8 @@ def _backward_topk(
     )
     partial, covered, stats.distribution_pushes = distribute_scores(
         np, dist_csr, distributed, scores_arr, hops, include_self,
-        resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, weights,
+        resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, kernels,
+        weights,
     )
     self_distributed = np.zeros(n, dtype=bool)
     if include_self:

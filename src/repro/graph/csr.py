@@ -14,7 +14,8 @@ built from:
   (:func:`csr_hop_ball` is its one-center call);
 * :class:`CSRBallIndex` — what a session (or a sharded worker) keeps of the
   balls it expanded: a second CSR, keyed by node, that every read fills and
-  reads back.
+  reads back, and that an edge write keeps (:func:`edge_write_reach` names
+  the balls it forgets).
 
 Everything numpy-flavored imports numpy lazily so the module itself stays
 importable on a bare interpreter.
@@ -42,6 +43,7 @@ __all__ = [
     "batched_hop_balls",
     "batched_hop_balls_with_distances",
     "CSRBallIndex",
+    "edge_write_reach",
     "SharedArray",
     "SharedCSR",
     "AttachedArray",
@@ -458,16 +460,23 @@ class CSRBallIndex:
     place (expanded once more, with distances).  A session that never reads
     weighted allocates neither.
 
+    An edge write keeps the index (:meth:`forget`): it drops only the balls
+    the write can have changed and rebinds to the patched CSR.  Their runs
+    stay behind as garbage until it outweighs the live pairs; the same call
+    then compacts the live runs into a fresh buffer and reopens a closed
+    index, so resident bytes stay at most twice the live ones.
+
     Thread-safe: appends and lookups take one lock, a present ball's members
-    and a labelled ball's labels never change, and a grown buffer leaves
-    earlier readers on the old one.
+    and a labelled ball's labels never change, and a grown or compacted
+    buffer leaves earlier readers on the old one.  Forgetting is a write:
+    its caller excludes readers of the old CSR (the session's write guard).
     """
 
     __slots__ = (
         "csr", "hops", "include_self", "max_bytes",
         "covered", "served", "appended", "hits", "misses",
-        "_start", "_size", "_used", "_full", "_members", "_dists", "_labelled",
-        "_np", "_lock",
+        "_start", "_size", "_used", "_live", "_full", "_members", "_dists",
+        "_labelled", "_np", "_lock",
     )
 
     def __init__(
@@ -490,7 +499,8 @@ class CSRBallIndex:
         self.misses = 0  # balls the caller had to expand
         self._start = np.full(csr.num_nodes, -1, dtype=np.int64)
         self._size = np.zeros(csr.num_nodes, dtype=np.int64)
-        self._used = 0  # pairs stored
+        self._used = 0  # pairs stored, garbage included
+        self._live = 0  # pairs of present balls
         self._full = False  # a ball did not fit: nothing more is taken
         self._members = np.empty(0, dtype=np.int32)
         self._dists = None  # hop labels, from the first weighted read on
@@ -648,8 +658,67 @@ class CSRBallIndex:
             self._size[centers[fresh]] = kept
             self._start[centers[fresh]] = start + np.cumsum(kept) - kept
             self._used = stop
+            self._live += int(members.size)
             self.covered += int(fresh.size)
             self.appended += 1
+
+    def forget(self, nodes: Any, csr: CSRGraph) -> None:
+        """Drop the balls of ``nodes`` and serve ``csr`` from now on.
+
+        What an edge write does to the index: ``nodes`` are the centers
+        whose balls it can have changed (:func:`edge_write_reach`), every
+        other ball is the same over ``csr``, which must have the node count
+        of the old view.  Compacts once garbage outweighs the live pairs.
+        """
+        np = self._np
+        with self._lock:
+            nodes = nodes[self._start[nodes] >= 0]
+            self._start[nodes] = -1
+            self._live -= int(self._size[nodes].sum())
+            self.covered -= int(nodes.size)
+            if self._labelled is not None:
+                self._labelled[nodes] = False
+            self.csr = csr
+            if self._used - self._live > self._live:
+                self._compact(np)
+
+    def _compact(self, np) -> None:
+        """Move the live runs, in buffer order, to the front of fresh
+        buffers of the old capacity and reopen the index (lock held)."""
+        held = np.flatnonzero(self._start >= 0)
+        held = held[np.argsort(self._start[held], kind="stable")]
+        sizes = self._size[held]
+        positions = _run_positions(np, self._start[held], sizes)
+        buffers = []
+        for buffer in (self._members, self._dists):
+            if buffer is not None:
+                fresh = np.empty(buffer.size, dtype=buffer.dtype)
+                fresh[: positions.size] = buffer[positions]
+                buffer = fresh
+            buffers.append(buffer)
+        self._members, self._dists = buffers
+        self._start[held] = np.cumsum(sizes) - sizes
+        self._used = self._live
+        self._full = False
+
+
+def edge_write_reach(view: CSRGraph, u: int, v: int, hops: int) -> Any:
+    """The nodes whose ``hops``-hop ball an edge write ``(u, v)`` can change.
+
+    A path that gains or loses the arc reaches an endpoint first, so only
+    the balls of nodes within ``hops - 1`` hops of one can change: one
+    :func:`batched_hop_balls` call over ``view``, the CSR that *has* the arc
+    (the patched one after an insert, the old one before a delete).  On a
+    directed graph balls are out-balls and only the nodes that reach ``u``
+    can cross ``u -> v``, so ``view`` is then the reverse CSR and ``u`` the
+    one center.
+    """
+    np = _require_numpy_csr(view)
+    if hops <= 0:
+        return np.empty(0, dtype=np.intp)
+    centers = np.array([u] if view.directed else [u, v], dtype=np.int64)
+    _owners, members, _edges = batched_hop_balls(view, centers, hops - 1)
+    return np.unique(members)
 
 
 # ---------------------------------------------------------------------------

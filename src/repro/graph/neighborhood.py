@@ -25,7 +25,8 @@ same integers, entry for entry — from a numpy CSR view with one
 ``np.diff(indptr)`` and one ``np.add.reduceat`` over ``deg[indices]``
 (about 1 ms at 16,000 nodes against 38), which is what
 :class:`~repro.core.context.GraphContext` serves whenever numpy is
-importable, once per graph version.
+importable; after an edge write :func:`patch_csr_estimates` recomputes
+only the rows the write can have moved.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.graph.csr import neighbor_slab, slab_positions
 from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
 
@@ -42,6 +44,7 @@ __all__ = [
     "upper_estimate",
     "lower_estimate",
     "csr_estimates",
+    "patch_csr_estimates",
 ]
 
 
@@ -155,19 +158,86 @@ def csr_estimates(csr: Any, hops: int, *, include_self: bool = True) -> Tuple[An
         return lower, lower
     cap = n if include_self else n - 1
     back_edge = 0 if csr.directed else 1
-    branch = max(int(degrees.max()) - back_edge, 0)
+    branch = _branch(np, degrees, csr.directed)
     level = np.zeros(n, dtype=np.int64)
     rows = np.flatnonzero(degrees)
     if rows.size:
         # Widened first: indexing with the int32 ids directly costs numpy a
-        # slower hidden cast, and this runs on every edge write.
+        # slower hidden cast.
         slots = np.maximum(degrees - back_edge, 0)[csr.indices.astype(np.intp)]
         level[rows] = np.add.reduceat(slots, csr.indptr[rows])
-    total = np.minimum(lower + level, cap)
+    return _deeper_levels(np, lower + level, level, hops, cap, branch), lower
+
+
+def _deeper_levels(np, total: Any, level: Any, hops: int, cap: int, branch: int) -> Any:
+    """Levels 3..h of the BFS-slot count on top of levels 0..2 (``total``),
+    every running value clamped to the cap."""
+    total = np.minimum(total, cap)
     for _ in range(3, hops + 1):
         level = np.minimum(level, cap) * branch
         total = np.minimum(total + level, cap)
-    return total, lower
+    return total
+
+
+def _branch(np, degrees: Any, directed: bool) -> int:
+    """New nodes a level-3+ node can add at most: the maximum degree, less
+    the back edge on an undirected graph."""
+    return max(int(degrees.max(initial=0)) - (0 if directed else 1), 0)
+
+
+def patch_csr_estimates(
+    upper: Any,
+    lower: Any,
+    old_csr: Any,
+    csr: Any,
+    u: int,
+    v: int,
+    hops: int,
+    *,
+    include_self: bool = True,
+) -> Tuple[Any, Any]:
+    """:func:`csr_estimates` of ``csr`` from ``(upper, lower)``, those of
+    ``old_csr``, one edge write ``(u, v)`` apart.
+
+    The write moves the degree of an endpoint (levels 0-1), so only the rows
+    of the endpoints and of the nodes with an arc into one (level 2 sums
+    their degrees) change; they are recomputed into copies of the tables.
+    From level 3 on every row depends on the maximum degree: when it moved,
+    the whole table is rebuilt.
+    """
+    import numpy as np
+
+    if hops == 0:
+        return upper, lower
+    degrees = np.diff(csr.indptr)
+    if hops >= 3 and _branch(np, degrees, csr.directed) != _branch(
+        np, np.diff(old_csr.indptr), csr.directed
+    ):
+        return csr_estimates(csr, hops, include_self=include_self)
+    arcs = csr if csr.num_arcs > old_csr.num_arcs else old_csr  # has (u, v)
+    if csr.directed:  # the tails of the arcs into an endpoint
+        into = np.flatnonzero((arcs.indices == u) | (arcs.indices == v))
+        tails = np.searchsorted(arcs.indptr, into, side="right") - 1
+    else:
+        tails = neighbor_slab(arcs, np.array([u, v], dtype=np.intp))[0]
+    rows = np.unique(np.concatenate(([u, v], tails)))
+    patched_lower = lower.copy()
+    patched_lower[rows] = degrees[rows] + (1 if include_self else 0)
+    if hops == 1:
+        return patched_lower, patched_lower
+    back_edge = 0 if csr.directed else 1
+    positions, counts = slab_positions(csr, rows)
+    level = np.zeros(rows.size, dtype=np.int64)
+    if positions.size:
+        slots = np.maximum(degrees[csr.indices[positions]] - back_edge, 0)
+        filled = counts > 0
+        level[filled] = np.add.reduceat(slots, (np.cumsum(counts) - counts)[filled])
+    cap = csr.num_nodes if include_self else csr.num_nodes - 1
+    patched_upper = upper.copy()
+    patched_upper[rows] = _deeper_levels(
+        np, patched_lower[rows] + level, level, hops, cap, _branch(np, degrees, csr.directed)
+    )
+    return patched_upper, patched_lower
 
 
 class NeighborhoodSizeIndex:
@@ -268,6 +338,19 @@ class NeighborhoodSizeIndex:
     ) -> "NeighborhoodSizeIndex":
         """:meth:`estimated`, entry for entry, from a numpy CSR view."""
         upper, lower = csr_estimates(csr, hops, include_self=include_self)
+        return cls._read_only(upper, lower, hops, include_self)
+
+    def patched_from_csr(self, old_csr: Any, csr: Any, u: int, v: int) -> "NeighborhoodSizeIndex":
+        """:meth:`estimated_from_csr` of ``csr``, from this estimate of
+        ``old_csr`` one edge write ``(u, v)`` earlier (:func:`patch_csr_estimates`)."""
+        upper, lower = patch_csr_estimates(
+            self._upper_values, self._lower_values, old_csr, csr, u, v, self.hops,
+            include_self=self.include_self,
+        )
+        return self._read_only(upper, lower, self.hops, self.include_self)
+
+    @classmethod
+    def _read_only(cls, upper: Any, lower: Any, hops: int, include_self: bool):
         for table in (upper, lower):  # shared by every query of a version
             table.setflags(write=False)
         return cls(upper, lower, hops=hops, include_self=include_self, exact=False)

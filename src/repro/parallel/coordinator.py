@@ -740,6 +740,7 @@ class ShardedCoordinator:
                     "hops": int(spec.hops),
                     "include_self": include_self,
                     "block": block,
+                    "index_bytes": self._index_bytes(),
                 }
                 return [
                     _spec(shard, dict(task, owned=self._owned[shard].meta()))

@@ -275,7 +275,11 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
     over the (reversed, for directed graphs) shared CSR, accumulating the
     partial-sum and coverage-count arrays for *all* n nodes
     (:func:`repro.core.vectorized.distribute_scores`, which polls the
-    deadline at block boundaries).  The engine sums these per-shard states —
+    deadline at block boundaries).  On an undirected graph the CSR is the
+    forward view, and the balls are read through the worker's ball index as
+    scans read them; a directed task walks the reverse view and expands
+    without touching the index (rebuilding it over the reverse view would
+    thrash it against the scans).  The engine sums these per-shard states —
     addition is order-independent on the count side and reassociates only
     the float partials (values are verified exactly afterwards, so bound
     soundness is all that matters).
@@ -287,15 +291,16 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
     owned = cache.array(task["owned"])
     mine = owned[(scores[owned] > 0.0) & (scores[owned] >= task["gamma"])]
     counter = TraversalCounter()
+    index = None if csr.directed else _ball_index(cache, csr, task)
     partial, covered, pushes = distribute_scores(
         np, csr, mine, scores, task["hops"], task["include_self"], task["block"],
-        counter,
+        counter, NumpyKernels(index),
     )
     # Ship only the touched slice: the pipe payload then scales with the
     # distribution's actual reach, not with n (a sparse gamma cut on a
     # million-node graph touches a fraction of it).
     touched = np.nonzero(covered)[0]
-    return {
+    out = {
         "touched": touched,
         "partial": partial[touched],
         "covered": covered[touched],
@@ -303,6 +308,9 @@ def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
         "distributed": int(mine.size),
         "counters": _counters(counter, 0),
     }
+    if index is not None:
+        out["ball_index"] = index.stats()
+    return out
 
 
 def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:

@@ -927,7 +927,8 @@ class Network:
         return self.graph
 
     def add_edge(self, u: int, v: int) -> int:
-        """Insert an edge; repairs every maintained view, drops stale caches.
+        """Insert an edge; repairs every maintained view and forgets what the
+        edge can have changed (:meth:`GraphContext.edge_write`).
 
         Returns the number of view entries repaired (0 with no views).
         """
@@ -937,16 +938,16 @@ class Network:
             # mutation — repairing such a view would bake the stale state in.
             for view in self._views.values():
                 view.check_in_sync()
-            graph.add_edge(u, v)
+            self._ctx.edge_write(u, v, lambda: graph.add_edge(u, v))
             repaired = 0
             for view in self._views.values():
                 repaired += view.repair_after_insert(u, v)
-            self._ctx.invalidate()
         self._invalidate_service_cache()
         return repaired
 
     def remove_edge(self, u: int, v: int) -> int:
-        """Delete an edge; repairs every maintained view, drops stale caches."""
+        """Delete an edge; repairs every maintained view and forgets what the
+        edge can have changed (:meth:`GraphContext.edge_write`)."""
         graph = self._require_dynamic()
         with self._write_guard():
             # Affected sets come from the OLD graph (paths through the edge
@@ -956,11 +957,10 @@ class Network:
                 name: view.affected_for_delete(u, v)
                 for name, view in self._views.items()
             }
-            graph.remove_edge(u, v)
+            self._ctx.edge_write(u, v, lambda: graph.remove_edge(u, v))
             repaired = 0
             for name, view in self._views.items():
                 repaired += view.repair_after_delete(pre[name])
-            self._ctx.invalidate()
         self._invalidate_service_cache()
         return repaired
 

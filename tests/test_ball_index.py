@@ -11,7 +11,9 @@ conventions, directed and undirected; a cap that stops coverage mid-graph
 and is never exceeded or rewritten; blocks with absent balls (only those
 expanded and charged); permuted,
 strided, reversed and repeated center sets; ``.where(...)`` and streamed
-re-scans; invalidation by every ``DynamicGraph`` write; ``close()``; the
+re-scans; invalidation by every ``DynamicGraph`` write made behind the
+session's back, and the session's own edge writes forgetting only the balls
+they changed (``tests/test_edge_write_index.py`` has the rest); ``close()``; the
 work counters; ``cache_stats()``; racing threads on a cold index and a cold
 session.  The workers' indexes are in ``tests/test_worker_ball_index.py``.
 """
@@ -429,19 +431,25 @@ class TestLifetime:
         assert got.entries == _scan(fresh, scores).entries
         assert _scan(ctx, scores).entries == got.entries  # and warm again
 
-    def test_session_writes_drop_it_too(self):
+    def test_session_writes_forget_only_the_balls_they_changed(self):
         net = _session(DynamicGraph.from_edges(_edges(SMALL, False, 3), num_nodes=SMALL))
         query = net.query("s0").algorithm("base").limit(10)
         before = query.run()
         assert _index_stats(net)["covered"] == SMALL
+        index = net._ctx.ball_index()
         net.add_edge(SMALL - 1, 0)
-        assert _index_stats(net) is None
+        # One hop of either endpoint is forgotten (hops=2): node 0 and its
+        # neighbours, the joining node among them.
+        forgotten = len(net.graph.neighbors(0)) + 1
+        assert net._ctx.ball_index() is index
+        assert _index_stats(net)["covered"] == SMALL - forgotten
         after = query.run()
-        assert after.stats.edges_scanned > 0
+        assert after.stats.balls_expanded == forgotten
         fresh = _session(Graph.from_edges(list(net.graph.edges()), num_nodes=SMALL))
         assert after.entries == fresh.query("s0").algorithm("base").limit(10).run().entries
         net.remove_edge(SMALL - 1, 0)
         assert query.run().entries == before.entries
+        assert _index_stats(net)["covered"] == SMALL
 
     def test_close_releases_every_ball_array(self):
         net = _session(_graph(SMALL, False))

@@ -99,3 +99,33 @@ class TestAgainstSortModel:
             acc.offer(node, rng.random())
             assert acc.threshold >= last
             last = acc.threshold
+
+
+class TestHeldResultsShareObjects:
+    """A caller that holds many results holds each node id once and each run
+    of tied values once; the entries themselves do not change."""
+
+    def test_ids_are_shared_across_results_and_always_ints(self):
+        np = pytest.importorskip("numpy")
+        first, second = TopKAccumulator(3), TopKAccumulator(3)
+        numpy_ids = np.arange(70_001, 70_004)  # a caller's numpy ids come back as ints
+        for acc, nodes in ((first, [70_001, 70_002, 70_003]), (second, numpy_ids)):
+            for node in nodes:
+                acc.offer(node, float(node % 7) + 0.5)
+        a, b = first.entries(), second.entries()
+        assert a == b
+        assert all(type(node) is int for node, _ in b)
+        assert all(x[0] is y[0] for x, y in zip(a, b))
+
+    def test_tied_values_share_one_float_with_the_same_bits(self):
+        acc = TopKAccumulator(6)
+        for node, value in enumerate([0.1 + 0.2, 0.30000000000000004, 0.3, 0.0, -0.0, 0.0]):
+            acc.offer(node, value)
+        entries = acc.entries()
+        assert [v.hex() for _, v in entries] == [
+            (0.1 + 0.2).hex(), (0.1 + 0.2).hex(), (0.3).hex(), (0.0).hex(), (-0.0).hex(),
+            (0.0).hex(),
+        ]
+        assert entries[0][1] is entries[1][1]
+        assert entries[2][1] is not entries[1][1]
+        assert entries[3][1] is not entries[4][1]  # 0.0 == -0.0: never merged

@@ -193,20 +193,22 @@ class TestSessionBallCache:
         assert first.stats.as_dict() == before
         assert not hasattr(np_net._ctx.ball_index(), "counter")
 
-    def test_dynamic_mutation_invalidates(self, cov_graph):
+    def test_dynamic_mutation_forgets_the_balls_it_changed(self, cov_graph):
         from repro.dynamic.graph import DynamicGraph
+        from repro.graph.csr import edge_write_reach
 
         session = Network(
             DynamicGraph.from_graph(cov_graph), hops=2, backend="numpy"
         )
         session.add_scores("dense", continuous_scores(60, seed=413))
         session.query("dense").limit(5).algorithm("backward").run()
-        stale = session._ctx.ball_index()
-        assert stale.covered > 0
+        index = session._ctx.ball_index()
+        assert index.covered > 0
         session.add_edge(0, 59)
-        fresh = session._ctx.ball_index()
-        assert fresh is not stale
-        assert fresh.covered == 0
+        assert session._ctx.ball_index() is index
+        assert index.csr is session.graph.csr()
+        reach = edge_write_reach(session.graph.csr(), 0, 59, 2)
+        assert not (index._start[reach] >= 0).any()
 
     def test_results_unchanged_by_cache(self, net, cov_graph):
         # A cold context (no shared cache) and the warm session agree.

@@ -22,7 +22,8 @@ balls charged) and no index at all, for ``ball_values``,
 ``weighted_ball_sums`` and ``fused_ball_values``; hop labels written by a
 weighted read over a scan-filled ball, once, and a cap that leaves no room
 for them; a stop that falls exactly on a block boundary, one candidate
-before and one past it; racing threads through one index; ``add_edge``.
+before and one past it, and the exact shortcut's one-pass top k; racing
+threads through one index; ``add_edge`` forgetting only the balls it changed.
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ np = pytest.importorskip("numpy")
 
 from repro.core import vectorized  # noqa: E402
 from repro.core.vectorized import NumpyKernels, verify_blocked  # noqa: E402
-from repro.graph.csr import CSRBallIndex, batched_hop_balls_with_distances  # noqa: E402
+from repro.graph.csr import (  # noqa: E402
+    CSRBallIndex,
+    batched_hop_balls_with_distances,
+    edge_write_reach,
+)
 
 THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
 N = 400
@@ -96,6 +101,13 @@ def _ball_stats(net):
     return net._ctx.cache_stats()["ball_cache"]
 
 
+def _index_reads(result, directed):
+    """Balls a backward read takes from the index: every verified candidate,
+    plus, on an undirected graph, every distributed node (phase 1)."""
+    distributed = 0 if directed else int(result.stats.extra["distributed_nodes"])
+    return result.stats.candidates_verified + distributed
+
+
 def _close(entries, reference):
     """Same nodes, values to a few ulps (the python backend's set order)."""
     assert [node for node, _ in entries] == [node for node, _ in reference]
@@ -122,10 +134,14 @@ class TestColdWarmMixed:
         spec = QuerySpec(K, aggregate, hops, include_self, "numpy")
         off = backward_topk(graph, scores, spec)  # no index at all
         assert cold.entries == warm.entries == off.entries
-        # Same candidates, every one a hit: nothing expanded for verification.
+        # Same candidates, every one a hit: nothing expanded for verification,
+        # and on an undirected graph nothing for distribution either (phase 1
+        # reads the same runs; a directed one walks the reverse view).
         assert after_warm["misses"] == after_cold["misses"]
-        assert after_warm["hits"] - after_cold["hits"] == warm.stats.candidates_verified
+        assert after_warm["hits"] - after_cold["hits"] == _index_reads(warm, directed)
         assert warm.stats.candidates_verified == cold.stats.candidates_verified
+        if not directed:
+            assert warm.stats.edges_scanned == 0
         if cold.stats.candidates_verified:
             assert warm.stats.balls_expanded < cold.stats.balls_expanded
         # Mixed blocks: a session that has verified a smaller k holds some
@@ -172,7 +188,7 @@ class TestColdWarmMixed:
         off = weighted_backward_topk(graph, scores, spec)
         assert cold.entries == warm.entries == off.entries
         assert after_warm["misses"] == after_cold["misses"]
-        assert after_warm["hits"] - after_cold["hits"] == warm.stats.candidates_verified
+        assert after_warm["hits"] - after_cold["hits"] == _index_reads(warm, directed)
         mixed_net = _session(graph, hops, include_self)
         mixed_net.topk_weighted("s", 2, algorithm="backward")
         assert mixed_net.topk_weighted("s", K, algorithm="backward").entries == off.entries
@@ -359,14 +375,73 @@ def test_stop_on_and_around_a_block_boundary(stop):
     assert [i for call in calls for i in call] == list(range(max(stop, block)))
     assert all(len(call) <= block for call in calls)
     assert stats.early_terminated
-    # The same order under the exact shortcut: read, not verified, and the
-    # stop is tested before every candidate.
+    # Under the exact shortcut the values are read, not verified, and the
+    # first k of their order are taken in one pass: one offer, no walk.
     acc = TopKAccumulator(1)
     stats = QueryStats(algorithm="backward", aggregate="sum")
     order = vectorized.descending_prefixes(np, bounds, 64)
     offered = verify_blocked(np, order, bounds, acc, stats, block, None, exact)
     assert acc.entries() == [(0, float(exact[0]))]
-    assert (offered, stats.candidates_verified) == (stop, 0)
+    assert (offered, stats.candidates_verified) == (1, 0)
+    assert stats.early_terminated
+
+
+def _walk(bounds, values, k):
+    """The shortcut as a walk: offer in descending bound order, stop before
+    the first candidate whose bound cannot beat a full top-k."""
+    acc = TopKAccumulator(k)
+    offered = 0
+    for chunk in vectorized.descending_prefixes(np, bounds, max(2 * k, 64)):
+        for node, bound, value in zip(
+            chunk.tolist(), bounds[chunk].tolist(), values[chunk].tolist()
+        ):
+            if acc.is_full and bound <= acc.threshold:
+                return acc.entries(), offered, True
+            acc.offer(node, value)
+            offered += 1
+    return acc.entries(), offered, False
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("vector", ["graded", "bits"])
+@pytest.mark.parametrize("shape", ["sum", "count", "avg", "weighted"])
+def test_the_shortcut_takes_in_one_pass_what_the_walk_took(
+    monkeypatch, directed, vector, shape
+):
+    """Full distribution (``gamma = 0``: ``rest_bound == 0``), AVG over exact
+    sizes: Eq. 3's bound is the exact value, so the first ``k`` of its order
+    are the walk's offers, ties at rank ``k`` included (the 0/1 copy)."""
+    from repro.graph.neighborhood import NeighborhoodSizeIndex
+
+    graph = _graph(directed)
+    values = _scores(41)
+    if vector == "bits":
+        values = [float(v > 0.5) for v in values]
+    sizes = NeighborhoodSizeIndex.exact(graph, 2) if shape == "avg" else None
+    calls = []
+    one_pass = vectorized.verify_blocked
+
+    def spy(np_, order, bounds, acc, stats, block, verify, shortcut_values=None):
+        offered = one_pass(np_, order, bounds, acc, stats, block, verify, shortcut_values)
+        calls.append((bounds, shortcut_values, acc, stats, offered))
+        return offered
+
+    monkeypatch.setattr(vectorized, "verify_blocked", spy)
+    tied = 0
+    for k in (1, 5, 12, 40, 100, N):  # k = N: nothing left to stop before
+        spec = QuerySpec(k, "sum" if shape == "weighted" else shape, 2, True, "numpy")
+        if shape == "weighted":
+            vectorized.weighted_backward_topk_numpy(graph, values, spec, gamma=0.0)
+        else:
+            vectorized.backward_topk_numpy(graph, values, spec, gamma=0.0, sizes=sizes)
+        bounds, exact, acc, stats, offered = calls[-1]
+        assert exact is not None and bounds.tobytes() == exact.tobytes()
+        assert (acc.entries(), offered, stats.early_terminated) == _walk(bounds, exact, k)
+        assert stats.candidates_verified == 0
+        ranked = np.sort(exact)[::-1]
+        tied += bool(k < N and ranked[k - 1] == ranked[k])
+    if vector == "bits":
+        assert tied  # ties at rank k were exercised
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +540,44 @@ class TestSharedStore:
         assert 0 < stats["bytes"] <= 4_000 and index._full
         assert stats["hits"] + stats["misses"] == THREADS * 30 * 32
 
-    def test_add_edge_drops_the_store_and_the_next_read_is_a_fresh_sessions(self):
+    def test_add_edge_forgets_only_what_it_changed_and_reads_as_a_fresh_session(self):
         base = _graph(False)
         net = _session(DynamicGraph.from_graph(base), 2, True)
         query = net.query("s").algorithm("backward").aggregate("avg").limit(K)
         query.run()
         net.topk_weighted("s", K, algorithm="backward")
-        stale = net._ctx.ball_index()
-        assert stale.covered > 0 and stale._labelled.any()
+        kept = net._ctx.ball_index()
+        assert kept.covered > 0 and kept._labelled.any()
         u, v = next(
             (u, v) for u in range(N) for v in range(u + 1, N) if not base.has_edge(u, v)
         )
+        reach = edge_write_reach(DynamicGraph.from_graph(base).csr(), u, v, 2)
+        present = kept._start >= 0
         net.add_edge(u, v)
-        assert _ball_stats(net) is None
+        reach = np.union1d(reach, edge_write_reach(net.graph.csr(), u, v, 2))
+        # The same index, bound to the patched CSR: the balls within one hop
+        # of an endpoint are gone (labels too), every other one stayed.
+        assert net._ctx.ball_index() is kept and kept.csr is net.graph.csr()
+        assert not (kept._start[reach] >= 0).any() and not kept._labelled[reach].any()
+        survivors = present.copy()
+        survivors[reach] = False
+        assert np.array_equal(kept._start >= 0, survivors)
+        assert _ball_stats(net)["covered"] == int(survivors.sum())
         after = query.run()
         after_weighted = net.topk_weighted("s", K, algorithm="backward")
-        assert net._ctx.ball_index() is not stale
+        assert net._ctx.ball_index() is kept
         fresh = _session(net.graph.snapshot(), 2, True)
         fresh_query = fresh.query("s").algorithm("backward").aggregate("avg").limit(K)
         assert after.entries == fresh_query.run().entries
         assert after_weighted.entries == fresh.topk_weighted(
             "s", K, algorithm="backward"
         ).entries
-        assert _ball_stats(net)["misses"] == _ball_stats(fresh)["misses"]
+        # Every ball the kept index holds, and every label, is the fresh
+        # graph's.
+        held = np.flatnonzero(kept._start >= 0)
+        labelled = held[kept._labelled[held]]
+        for centers, labels in ((held, False), (labelled, True)):
+            want = batched_hop_balls_with_distances(net.graph.csr(), centers, 2)[:-1]
+            got = kept.pairs(centers, labels=labels)
+            for column, expected in zip(got, want):
+                assert np.array_equal(column, expected)

@@ -9,7 +9,9 @@ a warm sharded answer must equal a cold one and the in-process numpy one
 ``==`` on entries.  Covered, on both links: every base aggregate, the fused
 batch (filled in one block size, singles read in another), the bound-pruned
 forward scan and the weighted scan over hops 1-3 and both ball conventions;
-LONA-Backward's verification rounds; the work counters of a second scan and
+LONA-Backward's verification rounds and its phase 1 (an undirected
+distribution reads the same runs; a directed one walks the reverse view and
+leaves the forward index alone); the work counters of a second scan and
 a second backward; the budget split over 2 and 4 workers;
 70 ``DynamicGraph`` writes (past the worker's attachment limit) with the
 index both on the newest CSR and left behind on a retired one; a killed
@@ -40,6 +42,7 @@ from repro.graph.traversal import TraversalCounter
 np = pytest.importorskip("numpy")
 
 from repro.core.vectorized import (  # noqa: E402
+    NumpyKernels,
     backward_distribution_split,
     distribute_scores,
 )
@@ -121,6 +124,12 @@ class _Session:
 
     def index_stats(self, link):
         return self.engines[link].stats()["ball_index"]
+
+
+def _bits(entries):
+    """Entries with each value as its raw bytes (``==`` on floats would let
+    ``-0.0`` pass for ``0.0``)."""
+    return [(node, np.float64(value).tobytes()) for node, value in entries]
 
 
 def _spec(net, k, aggregate):
@@ -225,23 +234,50 @@ class TestAccounting:
             second = query.backend(link).run()
             after = session.index_stats(link)
             assert first.stats.backend == second.stats.backend == link
-            assert first.entries == second.entries == want.entries
+            assert _bits(first.entries) == _bits(second.entries) == _bits(want.entries)
             verified = second.stats.candidates_verified
             assert verified == first.stats.candidates_verified > 0
-            # Phase 1 walks the arcs again; every verified ball is read back.
+            distributed = int(second.stats.extra["distributed_nodes"])
+            assert distributed > 0
+            # Phase 1 reads the distributed balls back too (undirected: the
+            # same runs), so the second read walks no arc at all.
+            assert first.stats.edges_scanned > 0 and second.stats.edges_scanned == 0
+            misses = [sum(s["misses"] for s in st.values()) for st in (before, after)]
+            hits = [sum(s["hits"] for s in st.values()) for st in (before, after)]
+            assert misses[1] == misses[0] and hits[1] - hits[0] == verified + distributed
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_a_directed_backward_leaves_the_forward_index_alone(self, link):
+        rng = random.Random(7)
+        arcs = {(rng.randrange(N - 20), rng.randrange(N - 20)) for _ in range(3 * N)}
+        graph = Graph.from_edges(
+            sorted((u, v) for u, v in arcs if u != v), num_nodes=N, directed=True
+        )
+        with _Session(graph, links=(link,)) as session:
+            net = session.net
+            scan = net.query("s0").algorithm("base").limit(10).backend(link)
+            backward = net.query("s0").algorithm("backward").limit(20)
+            cold = scan.run()
+            want = backward.backend("numpy").run()
+            runs = [backward.backend(link).run() for _ in range(2)]
+            assert all(_bits(run.entries) == _bits(want.entries) for run in runs)
+            # Phase 1 walks the reverse view: it expands every time.
             vector = net.scores_of("s0")
             distributed = backward_distribution_split(
                 np, vector, vector.array(), "auto", 0.1
             )[0]
             phase1 = TraversalCounter()
             distribute_scores(
-                np, graph.csr(), distributed, vector.array(), 2, True, 1024, phase1
+                np, graph.rev_csr(), distributed, vector.array(), 2, True, 1024,
+                phase1, NumpyKernels(),
             )
-            assert second.stats.edges_scanned == phase1.edges_scanned
-            assert first.stats.edges_scanned > phase1.edges_scanned
-            misses = [sum(s["misses"] for s in st.values()) for st in (before, after)]
-            hits = [sum(s["hits"] for s in st.values()) for st in (before, after)]
-            assert misses[1] == misses[0] and hits[1] - hits[0] == verified
+            assert runs[1].stats.edges_scanned == phase1.edges_scanned > 0
+            # ... and never rebuilt the forward index the scan filled: a scan
+            # after it reads its balls back (a stolen chunk may still miss
+            # on the worker that steals it).
+            again = scan.run()
+            assert again.entries == cold.entries
+            assert again.stats.balls_expanded < N // 4 < cold.stats.balls_expanded
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("link", LINKS)
@@ -299,9 +335,11 @@ class TestDynamicWrites:
                         u, v = SMALL - 1 - step, step  # an isolated node joins
                     net.add_edge(u, v)
                     added.append((u, v))
-                # Steps 20-69 attach fifty CSRs through index-free backward
-                # tasks only: the index stays behind on step 19's mapping,
-                # which the attachment cache then retires under it.
+                # Steps 20-69 attach fifty CSRs through the backward's tasks
+                # alone, which rebuild each worker's index on every new
+                # mapping while the attachment cache retires the old ones (an
+                # index left behind on a retired mapping is
+                # test_the_index_goes_before_the_attachment_it_reads's case).
                 if step < 20 or step == 69:
                     got = scan.backend(link).run()
                     assert got.stats.backend == link
