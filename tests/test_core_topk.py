@@ -107,6 +107,9 @@ class TestHeldResultsShareObjects:
 
     def test_ids_are_shared_across_results_and_always_ints(self):
         np = pytest.importorskip("numpy")
+        from repro.core import topk
+
+        topk._shared_ids.clear()  # far from the cap, whatever ran before
         first, second = TopKAccumulator(3), TopKAccumulator(3)
         numpy_ids = np.arange(70_001, 70_004)  # a caller's numpy ids come back as ints
         for acc, nodes in ((first, [70_001, 70_002, 70_003]), (second, numpy_ids)):
