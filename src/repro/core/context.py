@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.backends import numpy_available
 from repro.graph.csr import edge_write_reach
@@ -124,15 +124,17 @@ class GraphContext:
             self._ball_index = None
             self._graph_version = getattr(self.graph, "version", None)
 
-    def edge_write(self, u: int, v: int, write: Callable[[], None]) -> None:
+    def edge_write(self, u: int, v: int, write: Callable[[], None]) -> Optional[Any]:
         """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
         and drop what it can have changed, keeping the rest.
 
         The differential and exact size indexes go, as in :meth:`invalidate`.
         The ball index stays: it forgets only the balls of the nodes within
-        ``hops - 1`` hops of an endpoint, on the CSR that has the arc
+        ``hops - 1`` hops of an endpoint
         (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
-        patched CSR.  The estimated sizes are patched row by row
+        patched CSR.  That reach is returned (``None`` when no index was
+        kept), so the session's maintained views repair the same nodes.
+        The estimated sizes are patched row by row
         (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
         A context that was already stale before the write (a mutation it
         did not see, such as a node added through a maintained view) gets a
@@ -148,23 +150,24 @@ class GraphContext:
             if index is None and sizes is None:
                 write()
                 self.invalidate()
-                return
-            # A directed ball is an out-ball: who can reach u is read off
-            # the reverse view, built only when there are balls to forget.
-            reach_view = graph.rev_csr if graph.directed else graph.csr
+                return None
             old_csr = graph.csr()
-            old_view = reach_view() if index is not None else None
             write()
             csr = graph.csr()
             self._diff_index = None
             self._size_index = None
             self._ball_index = index
+            reach = None
             if index is not None:
-                view = reach_view() if csr.num_arcs > old_csr.num_arcs else old_view
-                index.forget(edge_write_reach(view, u, v, self.hops), csr)
+                # A directed ball is an out-ball: who can reach u is read
+                # off the reverse view.
+                view = graph.rev_csr() if graph.directed else csr
+                reach = edge_write_reach(view, u, v, self.hops)
+                index.forget(reach, csr)
             if sizes is not None:
                 self._estimated_sizes = sizes.patched_from_csr(old_csr, csr, u, v)
             self._graph_version = graph.version
+            return reach
 
     def check_fresh(self) -> None:
         """Invalidate automatically when the graph's version moved."""

@@ -17,19 +17,39 @@ same value multiset — the invariant the test-suite checks.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["TopKAccumulator"]
+__all__ = ["TopKAccumulator", "shared_entries"]
 
-#: Node ids past CPython's cached small ints are a fresh object per entry
-#: (32 bytes), and the same nodes come back in answer after answer.  Entries
-#: take their ids from this table instead, so whoever holds many results (a
-#: result cache, a closed-loop client keeping every answer) holds each id
-#: once; it is emptied when it passes :data:`_SHARED_IDS_CAP` ids.
-_shared_ids: Dict[int, int] = {}
-_SHARED_IDS_CAP = 1 << 16
+#: The same ``(node, value)`` pairs come back in answer after answer, each a
+#: tuple (64 bytes) plus an id past CPython's small ints (32 bytes).  Taken
+#: from this table, they are held once by whoever holds many results (a
+#: result cache, a closed-loop client); emptied past the cap.  Zero values
+#: stay out: ``0.0 == -0.0``, and a shared pair keeps its value's bits.
+_shared_entries: Dict[Tuple[int, float], Tuple[int, float]] = {}
+_SHARED_ENTRIES_CAP = 1 << 16
+
+
+def shared_entries(pairs: Iterable[Tuple[int, float]]) -> List[Tuple[int, float]]:
+    """``(node, value)`` pairs, best first, as held entries: ``int`` ids and
+    ``float`` values, non-zero pairs from the shared table, and each run of tied values
+    (equal floats, so equal bits) sharing one float."""
+    if len(_shared_entries) > _SHARED_ENTRIES_CAP:
+        _shared_entries.clear()
+    share = _shared_entries.setdefault
+    out = []
+    last = None
+    for node, value in pairs:
+        if value != last or value == 0.0:  # 0.0 == -0.0: never merged
+            last = float(value)
+        entry = (int(node), last)
+        if last != 0.0:
+            entry = share(entry, entry)
+            last = entry[1]
+        out.append(entry)
+    return out
 
 
 class TopKAccumulator:
@@ -90,21 +110,11 @@ class TopKAccumulator:
         """The top-k as ``(node, value)`` pairs, best first.
 
         Ties are broken by ascending node id for deterministic output.
-        Node ids come from one shared table, and tied non-zero values (equal
-        floats, so equal bits) share one float: a held result costs its
-        tuples, not an int and a float an entry.
+        A held result costs its list, not a tuple, an int and a float an
+        entry (:func:`shared_entries`).
         """
         ordered = sorted(self._heap, key=lambda e: (-e[0], e[2]))
-        if len(_shared_ids) > _SHARED_IDS_CAP:
-            _shared_ids.clear()
-        share = _shared_ids.setdefault
-        out = []
-        last = None
-        for value, _neg_order, node in ordered:
-            if value != last or value == 0.0:  # 0.0 == -0.0: never merged
-                last = value
-            out.append((share(node, int(node)), last))
-        return out
+        return shared_entries((node, value) for value, _neg_order, node in ordered)
 
     def values(self) -> List[float]:
         """The top-k values only, descending."""

@@ -9,13 +9,13 @@ a dynamic network produces, repairing *locally* instead of rebuilding:
   affected, i.e. the *reverse* h-hop ball of ``x``; their sums shift by
   exactly ``s - f_old(x)`` and their ball sizes do not change.  Pure
   arithmetic, one reverse-ball BFS.
-* **edge insertion** ``(a, b)`` — a node's ball can only change if the new
-  edge lies within ``h`` hops, i.e. the node reaches ``a`` or ``b``;
-  the affected set is the union of the reverse balls of the endpoints *in
-  the new graph*, and those nodes are re-evaluated exactly.
-* **edge deletion** ``(a, b)`` — same union of reverse balls, taken *in the
-  old graph* (paths through the edge existed only there), re-evaluated in
-  the new graph.
+* **edge insertion / deletion** ``(a, b)`` — a path that gains or loses
+  the edge reaches an endpoint first, so only the balls of nodes within
+  ``h - 1`` hops of ``a`` or ``b`` can change (on a directed graph, of the
+  nodes reaching ``a``): that *reach* is re-evaluated exactly, its sums and
+  sizes.  The edge never shortens a hop distance to an endpoint, so the
+  reach is the same before and after the write; a session computes it once
+  per write and hands the same set to its ball index and every view.
 
 Each repair's cost is proportional to the perturbed region, not the graph —
 the property that makes the monitoring scenario ("dynamic intrusion
@@ -26,14 +26,15 @@ Two representations, one behaviour.  On a vectorized backend the view keeps
 ``F_sum`` and ``N`` in two numpy arrays: the affected set is re-evaluated
 with the backend's block primitive (``ball_values(..., want_sizes=True)``,
 the one Base scans with) over the graph-owned, already patched CSR
-(:meth:`DynamicGraph.csr`), reverse balls come from
-:func:`~repro.graph.csr.csr_hop_ball` over the graph-owned reverse CSR, and
+(:meth:`DynamicGraph.csr`), reverse balls and reaches come from
+:func:`~repro.graph.csr.csr_hop_ball` / :func:`~repro.graph.csr.edge_write_reach`
+over the graph-owned reverse CSR, and
 ``topk`` reads the first ``k`` ids of the descending value order, sorted no
 further than that (:func:`~repro.core.vectorized.descending_prefixes`) — the
 entries, and the lowest-id-wins ties, of offering every node in id order.
 On the python backend (numpy absent, or asked for) it keeps two lists and
-walks one ``hop_ball`` per affected node: the dependency-free reference the
-other is tested against.
+walks one ``hop_ball`` per affected node (the reach too, at ``h - 1``): the
+dependency-free reference the other is tested against.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from repro.aggregates.functions import AggregateKind, coerce_aggregate
 from repro.core.backends import resolve_backend
 from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
-from repro.core.topk import TopKAccumulator
+from repro.core.topk import TopKAccumulator, shared_entries
 from repro.core.vectorized import NumpyKernels, descending_prefixes
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import InvalidParameterError, RelevanceError
-from repro.graph.csr import csr_hop_ball
+from repro.graph.csr import csr_hop_ball, edge_write_reach
 from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
 from repro.relevance.base import ScoreVector
@@ -143,6 +144,14 @@ class MaintainedAggregateView:
             )
         return sums, sizes
 
+    def _reverse_graph(self) -> Graph:
+        """Python backend: the graph balls are reversed on, per version."""
+        if not self.graph.directed:
+            return self.graph
+        if self._reversed[0] != self.graph.version:
+            self._reversed = (self.graph.version, self.graph.reversed())
+        return self._reversed[1]
+
     def _reverse_ball(self, node: int) -> NodeSet:
         """Nodes whose h-hop ball contains ``node``."""
         if self._np is not None:
@@ -151,23 +160,27 @@ class MaintainedAggregateView:
             return csr_hop_ball(
                 csr, node, self.hops, include_self=self.include_self
             )
-        reverse: Graph = self.graph
-        if self.graph.directed:
-            if self._reversed[0] != self.graph.version:
-                self._reversed = (self.graph.version, self.graph.reversed())
-            reverse = self._reversed[1]
         return hop_ball(
-            reverse,
+            self._reverse_graph(),
             node,
             self.hops,
             include_self=self.include_self,
             counter=self.counter,
         )
 
-    def _affected_by_edge(self, u: int, v: int) -> NodeSet:
-        """Union of the endpoints' reverse balls in the current graph."""
-        a, b = self._reverse_ball(u), self._reverse_ball(v)
-        return a | b if self._np is None else self._np.union1d(a, b)
+    def _edge_reach(self, u: int, v: int) -> NodeSet:
+        """Nodes whose h-hop ball an edge write ``(u, v)`` can change."""
+        if self._np is not None:
+            return edge_write_reach(
+                self.graph.rev_csr() or self.graph.csr(), u, v, self.hops
+            )
+        reach: Set[int] = set()
+        if self.hops > 0:
+            for center in (u,) if self.graph.directed else (u, v):
+                reach |= hop_ball(
+                    self._reverse_graph(), center, self.hops - 1, counter=self.counter
+                )
+        return reach
 
     def _repair(self, affected: NodeSet) -> None:
         sums, sizes = self._evaluate(affected)
@@ -224,41 +237,31 @@ class MaintainedAggregateView:
         self.graph.add_edge(u, v)
         return self.repair_after_insert(u, v)
 
-    def repair_after_insert(self, u: int, v: int) -> int:
-        """Repair for an edge ``(u, v)`` *already inserted* in the graph.
-
-        Split out so a session owning several views over one graph can
-        apply the mutation once and repair each view (the classic
-        ``add_edge`` wraps it).  Reverse balls are taken in the NEW graph:
-        any node reaching an endpoint within h hops may have gained ball
-        members through the new edge.
-        """
-        self._version = self.graph.version
-        affected = self._affected_by_edge(u, v)
-        self._repair(affected)
-        return len(affected)
-
-    def affected_for_delete(self, u: int, v: int) -> NodeSet:
-        """Nodes whose view entry a pending ``(u, v)`` deletion may change.
-
-        Must be called *before* the edge is removed — paths through the
-        edge existed only in the old graph.
-        """
-        self._check_version()
-        return self._affected_by_edge(u, v)
-
-    def repair_after_delete(self, affected: NodeSet) -> int:
-        """Repair ``affected`` (from :meth:`affected_for_delete`) after the
-        deletion has been applied to the graph."""
-        self._version = self.graph.version
-        self._repair(affected)
-        return len(affected)
-
     def remove_edge(self, u: int, v: int) -> int:
         """Delete an edge and repair; returns affected-node count."""
-        affected = self.affected_for_delete(u, v)
+        self._check_version()
+        # Before the write (the same set): the python reversal is cached.
+        reach = self._edge_reach(u, v)
         self.graph.remove_edge(u, v)
-        return self.repair_after_delete(affected)
+        return self.repair_after_delete(u, v, reach)
+
+    def repair_after_insert(self, u: int, v: int, reach: Any = None) -> int:
+        """Repair for an edge ``(u, v)`` *already* written to the graph:
+        re-evaluate the nodes within ``h - 1`` hops of an endpoint, the
+        caller's ``reach`` (a session's :meth:`GraphContext.edge_write`) or
+        the view's own.  A session with several views writes once and
+        repairs each."""
+        self._version = self.graph.version
+        if reach is None:
+            reach = self._edge_reach(u, v)
+        elif self._np is None:
+            reach = set(map(int, reach))  # a session's array
+        self._repair(reach)
+        return len(reach)
+
+    #: A deletion changes the same balls: the reach is the same with or
+    #: without the edge (module docstring).
+    repair_after_delete = repair_after_insert
 
     def add_node(self) -> int:
         """Append an isolated node with score 0; returns its id."""
@@ -315,7 +318,7 @@ class MaintainedAggregateView:
             # Best value first, lowest id among equals: what offering every
             # node in id order leaves in the accumulator.
             best = next(descending_prefixes(np, values, spec.k))[: spec.k]
-            entries = list(zip(best.tolist(), values[best].tolist()))
+            entries = shared_entries(zip(best.tolist(), values[best].tolist()))
         stats = QueryStats(
             algorithm="maintained-view",
             aggregate=kind.value,

@@ -707,11 +707,11 @@ def edge_write_reach(view: CSRGraph, u: int, v: int, hops: int) -> Any:
 
     A path that gains or loses the arc reaches an endpoint first, so only
     the balls of nodes within ``hops - 1`` hops of one can change: one
-    :func:`batched_hop_balls` call over ``view``, the CSR that *has* the arc
-    (the patched one after an insert, the old one before a delete).  On a
-    directed graph balls are out-balls and only the nodes that reach ``u``
-    can cross ``u -> v``, so ``view`` is then the reverse CSR and ``u`` the
-    one center.
+    :func:`batched_hop_balls` call over ``view``.  On a directed graph balls
+    are out-balls and only the nodes that reach ``u`` can cross ``u -> v``,
+    so ``view`` is then the reverse CSR and ``u`` the one center.  The arc
+    itself never shortens a hop distance to an endpoint, so the reach is
+    the same with or without it: ``view`` may be taken after the write.
     """
     np = _require_numpy_csr(view)
     if hops <= 0:

@@ -17,6 +17,7 @@ use, never per query — the rule ``Graph.csr()`` follows for the flat arrays).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Iterable, Iterator, List, Protocol, Sequence, Tuple
 
 from repro.aggregates.functions import AggregateKind
@@ -46,21 +47,53 @@ class ScoreVector:
     Eq. 3).
     """
 
-    __slots__ = ("_values", "_nonzero", "_is_binary", "_array", "_sorted")
+    __slots__ = ("_values", "_nonzero", "_nonbinary", "_array", "_sorted")
 
     def __init__(self, values: Iterable[float]) -> None:
         vals = [float(v) for v in values]
         for i, v in enumerate(vals):
             if not 0.0 <= v <= 1.0:
-                raise RelevanceError(
-                    f"relevance score out of range at node {i}: {v}"
-                )
+                raise _out_of_range(i, v)
         self._values: List[float] = vals
         self._nonzero: Tuple[int, ...] = tuple(
             i for i, v in enumerate(vals) if v > 0.0
         )
-        self._is_binary = all(v in (0.0, 1.0) for v in vals)
+        # A count, not a flag, so one-slot writes keep it without a scan.
+        self._nonbinary = sum(1 for v in vals if v not in (0.0, 1.0))
         self._array = self._sorted = None  # built on first use (numpy)
+
+    def with_value(self, node: int, value: float) -> "ScoreVector":
+        """The successor vector with ``f(node) = value``: the one value is
+        validated, the list and (if built) the array are copied — memcpy, no
+        numpy import — and set in that slot, ``nonzero_nodes`` takes one
+        bisect.  This vector is untouched: a reader holding it keeps its
+        snapshot."""
+        if not 0 <= node < len(self._values):
+            raise RelevanceError(f"node {node} not in the score vector")
+        value = float(value)
+        if not 0.0 <= value <= 1.0:
+            raise _out_of_range(node, value)
+        old = self._values[node]
+        succ = ScoreVector.__new__(ScoreVector)
+        succ._values = values = list(self._values)
+        values[node] = value
+        nonzero = self._nonzero
+        if (old > 0.0) != (value > 0.0):
+            at = bisect_left(nonzero, node)
+            if value > 0.0:
+                nonzero = nonzero[:at] + (node,) + nonzero[at:]
+            else:
+                nonzero = nonzero[:at] + nonzero[at + 1 :]
+        succ._nonzero = nonzero
+        binary = (0.0, 1.0)
+        succ._nonbinary = self._nonbinary - (old not in binary) + (value not in binary)
+        succ._array = succ._sorted = None
+        if self._array is not None:
+            arr = self._array.copy()
+            arr[node] = value
+            arr.flags.writeable = False
+            succ._array = arr
+        return succ
 
     def __getitem__(self, node: int) -> float:
         return self._values[node]
@@ -74,13 +107,13 @@ class ScoreVector:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ScoreVector n={len(self._values)} nonzero={len(self._nonzero)}"
-            f"{' binary' if self._is_binary else ''}>"
+            f"{' binary' if self.is_binary else ''}>"
         )
 
     @property
     def is_binary(self) -> bool:
         """True when every score is exactly 0 or 1."""
-        return self._is_binary
+        return self._nonbinary == 0
 
     @property
     def nonzero_nodes(self) -> Tuple[int, ...]:
@@ -143,6 +176,10 @@ class ScoreVector:
                 f"score vector has {len(self._values)} entries, "
                 f"graph has {graph.num_nodes} nodes"
             )
+
+
+def _out_of_range(node: int, value: float) -> RelevanceError:
+    return RelevanceError(f"relevance score out of range at node {node}: {value}")
 
 
 def descending_nonzero(np: Any, scores_arr: Any) -> Tuple[Any, Any]:

@@ -934,14 +934,7 @@ class Network:
         """
         graph = self._require_dynamic()
         with self._write_guard():
-            # Fail BEFORE mutating if any view already missed an outside
-            # mutation — repairing such a view would bake the stale state in.
-            for view in self._views.values():
-                view.check_in_sync()
-            self._ctx.edge_write(u, v, lambda: graph.add_edge(u, v))
-            repaired = 0
-            for view in self._views.values():
-                repaired += view.repair_after_insert(u, v)
+            repaired = self._edge_write(u, v, graph.add_edge, "repair_after_insert")
         self._invalidate_service_cache()
         return repaired
 
@@ -950,45 +943,37 @@ class Network:
         edge can have changed (:meth:`GraphContext.edge_write`)."""
         graph = self._require_dynamic()
         with self._write_guard():
-            # Affected sets come from the OLD graph (paths through the edge
-            # existed only there) — collect them for every view before
-            # deleting.
-            pre = {
-                name: view.affected_for_delete(u, v)
-                for name, view in self._views.items()
-            }
-            self._ctx.edge_write(u, v, lambda: graph.remove_edge(u, v))
-            repaired = 0
-            for name, view in self._views.items():
-                repaired += view.repair_after_delete(pre[name])
+            repaired = self._edge_write(u, v, graph.remove_edge, "repair_after_delete")
         self._invalidate_service_cache()
         return repaired
+
+    def _edge_write(self, u: int, v: int, write, repair: str) -> int:
+        """One edge write (write guard held): every maintained view repairs
+        the reach the context computed and forgot (``h - 1`` hops)."""
+        # Fail BEFORE mutating if any view already missed an outside
+        # mutation — repairing such a view would bake the stale state in.
+        for view in self._views.values():
+            view.check_in_sync()
+        reach = self._ctx.edge_write(u, v, lambda: write(u, v))
+        return sum(getattr(view, repair)(u, v, reach) for view in self._views.values())
 
     def update_score(self, score: str, node: int, value: float) -> int:
         """Update one node's score in a named vector (repairing its view).
 
-        Pure arithmetic on the maintained view (no traversal beyond the
-        reverse ball); the session's named vector is re-materialized so
-        subsequent non-view queries see the new score too.
+        Costs what it changes: the successor vector is the old one patched
+        in one slot (:meth:`ScoreVector.with_value`), and a maintained view
+        shifts the sums of the node's reverse ball by the delta.
         """
-        vector = self.scores_of(score)
-        # Validate BEFORE touching any state: a bad node id must not
-        # half-apply to a maintained view (which mutates its score list
-        # before repairing).
+        # Validate BEFORE touching any state: a bad node id or value must
+        # not half-apply to a maintained view.
         if not 0 <= node < self.graph.num_nodes:
             raise InvalidParameterError(
                 f"node {node} not in graph (num_nodes={self.graph.num_nodes})"
             )
         with self._write_guard():
+            replacement = self.scores_of(score).with_value(node, value)
             view = self._views.get(score)
-            if view is not None:
-                affected = view.update_score(node, value)
-                replacement = ScoreVector(view.scores)
-            else:
-                values = vector.values()
-                values[node] = float(value)
-                replacement = ScoreVector(values)
-                affected = 0
+            affected = 0 if view is None else view.update_score(node, value)
             with self._lock:
                 self._scores[score] = replacement
                 self._planners.pop(score, None)

@@ -102,14 +102,14 @@ class TestAgainstSortModel:
 
 
 class TestHeldResultsShareObjects:
-    """A caller that holds many results holds each node id once and each run
-    of tied values once; the entries themselves do not change."""
+    """A caller that holds many results holds each non-zero pair once and
+    each run of tied values once; the entries themselves do not change."""
 
     def test_ids_are_shared_across_results_and_always_ints(self):
         np = pytest.importorskip("numpy")
         from repro.core import topk
 
-        topk._shared_ids.clear()  # far from the cap, whatever ran before
+        topk._shared_entries.clear()  # far from the cap, whatever ran before
         first, second = TopKAccumulator(3), TopKAccumulator(3)
         numpy_ids = np.arange(70_001, 70_004)  # a caller's numpy ids come back as ints
         for acc, nodes in ((first, [70_001, 70_002, 70_003]), (second, numpy_ids)):
@@ -118,9 +118,12 @@ class TestHeldResultsShareObjects:
         a, b = first.entries(), second.entries()
         assert a == b
         assert all(type(node) is int for node, _ in b)
-        assert all(x[0] is y[0] for x, y in zip(a, b))
+        assert all(x is y for x, y in zip(a, b))  # whole pairs, ids with them
 
     def test_tied_values_share_one_float_with_the_same_bits(self):
+        from repro.core import topk
+
+        topk._shared_entries.clear()  # no pair an earlier test left behind
         acc = TopKAccumulator(6)
         for node, value in enumerate([0.1 + 0.2, 0.30000000000000004, 0.3, 0.0, -0.0, 0.0]):
             acc.offer(node, value)

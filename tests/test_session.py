@@ -911,7 +911,10 @@ class TestOneArrayPerVector:
                 node = before.nonzero_nodes[0]
                 net.update_score(name, node, 0.0)
                 after = net.scores_of(name)
+                # The write copied the built array and patched one slot.
                 assert after is not before and after.array() is not held
+                assert count_conversions(after) == 0
+                assert after.array().tolist() == after.values()
                 assert after.array()[node] == 0.0 and held[node] == before[node] > 0.0
                 assert not after.array().flags.writeable
                 reference = base_topk(
@@ -920,7 +923,7 @@ class TestOneArrayPerVector:
                 for route in ("backward", "base") + (("view",) if name == "sparse" else ()):
                     got = net.query(name).limit(5).algorithm(route).run()
                     assert got.values == reference.values, (name, route)
-                assert count_conversions(before) == count_conversions(after) == 1
+                assert (count_conversions(before), count_conversions(after)) == (1, 0)
             replaced = net.scores_of("dense")
             held = replaced.array()
             net.add_scores("dense", [0.5] * ARRAY_N)
