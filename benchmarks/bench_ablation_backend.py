@@ -79,7 +79,6 @@ def full_scale_fig1():
     )
     diff_index = build_differential_index(graph, spec.hops, include_self=True)
     graph.csr()  # offline, like the index: built once, outside the timings
-    diff_index.flat_deltas()
     return graph, scores, dense_scores, diff_index
 
 

@@ -62,7 +62,6 @@ def measure(scale: float = 1.0) -> dict:
         for i in range(BATCH_QUERIES)
     ]
     diff_index = build_differential_index(graph, spec.hops, include_self=True)
-    diff_index.flat_deltas()
     graph.csr()  # offline, like the index: built once, outside the timings
     py = QuerySpec(k=K, aggregate="sum", hops=2, backend="python")
     np_ = py.with_backend("numpy")

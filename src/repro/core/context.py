@@ -18,9 +18,10 @@ session over a mutating graph never serves answers from a dead index.
 A session's own edge writes go through :meth:`GraphContext.edge_write`
 instead, which drops only what one arc can have changed: the ball index
 forgets the balls within ``h - 1`` hops of an endpoint and is kept, the
+differential index (with its exact ``N(v)``) is patched on that reach, the
 degree-based size bounds are patched in the rows the write moved, and the
 graph's patched CSR views were never dropped (DESIGN.md §2, "Dynamic
-integration").  The differential index is rebuilt from scratch.
+integration").
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -74,7 +75,6 @@ class GraphContext:
         "include_self",
         "ball_cache_bytes",
         "_diff_index",
-        "_size_index",
         "_estimated_sizes",
         "_ball_index",
         "_engines",
@@ -96,7 +96,6 @@ class GraphContext:
         self.include_self = include_self
         self.ball_cache_bytes = ball_cache_bytes
         self._diff_index: Optional[DifferentialIndex] = None
-        self._size_index: Optional[NeighborhoodSizeIndex] = None
         self._estimated_sizes: Optional[NeighborhoodSizeIndex] = None
         self._ball_index = None
         self._engines: Dict[str, object] = {}
@@ -119,7 +118,6 @@ class GraphContext:
         """
         with self._lock:
             self._diff_index = None
-            self._size_index = None
             self._estimated_sizes = None
             self._ball_index = None
             self._graph_version = getattr(self.graph, "version", None)
@@ -128,12 +126,13 @@ class GraphContext:
         """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
         and drop what it can have changed, keeping the rest.
 
-        The differential and exact size indexes go, as in :meth:`invalidate`.
         The ball index stays: it forgets only the balls of the nodes within
         ``hops - 1`` hops of an endpoint
         (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
         patched CSR.  That reach is returned (``None`` when no index was
-        kept), so the session's maintained views repair the same nodes.
+        kept), so the session's maintained views repair the same nodes.  A
+        built differential index is patched on that reach through the ball
+        index (:meth:`~repro.graph.diffindex.DifferentialIndex.patched`).
         The estimated sizes are patched row by row
         (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
         A context that was already stale before the write (a mutation it
@@ -142,9 +141,10 @@ class GraphContext:
         """
         with self._lock:
             graph = self.graph
-            index = sizes = None
+            index = sizes = diff = None
             if numpy_available() and getattr(graph, "version", None) == self._graph_version:
-                index, sizes = self._ball_index, self._estimated_sizes
+                diff, sizes = self._diff_index, self._estimated_sizes
+                index = self._ball_index if diff is None else self.ball_index()
             if index is not None and not index.serves(graph.csr(), self.hops, self.include_self):
                 index = None
             if index is None and sizes is None:
@@ -155,7 +155,6 @@ class GraphContext:
             write()
             csr = graph.csr()
             self._diff_index = None
-            self._size_index = None
             self._ball_index = index
             reach = None
             if index is not None:
@@ -164,6 +163,8 @@ class GraphContext:
                 view = graph.rev_csr() if graph.directed else csr
                 reach = edge_write_reach(view, u, v, self.hops)
                 index.forget(reach, csr)
+                if diff is not None:
+                    self._diff_index = diff.patched(index, old_csr, u, v, reach, graph.version)
             if sizes is not None:
                 self._estimated_sizes = sizes.patched_from_csr(old_csr, csr, u, v)
             self._graph_version = graph.version
@@ -191,6 +192,7 @@ class GraphContext:
         Returns the build time in seconds (0.0 when already built) — the
         offline step of LONA-Forward, reported separately from query time
         exactly as the paper excludes index construction from runtimes.
+        With numpy every ball is read through :meth:`ball_index`.
         """
         with self._lock:
             self.check_fresh()
@@ -198,9 +200,9 @@ class GraphContext:
                 return 0.0
             start = time.perf_counter()
             self._diff_index = build_differential_index(
-                self.graph, self.hops, include_self=self.include_self
+                self.graph, self.hops, include_self=self.include_self,
+                ball_index=self.ball_index() if numpy_available() else None,
             )
-            self._size_index = self._diff_index.sizes
             return time.perf_counter() - start
 
     def size_index(self, *, exact: bool = False) -> NeighborhoodSizeIndex:
@@ -209,8 +211,8 @@ class GraphContext:
             self.check_fresh()
             if exact:
                 self.build_indexes()
-            if self._size_index is not None:
-                return self._size_index
+            if self._diff_index is not None:
+                return self._diff_index.sizes
             return self.estimated_sizes()
 
     def estimated_sizes(self) -> NeighborhoodSizeIndex:
@@ -257,7 +259,6 @@ class GraphContext:
             index = load_differential_index(self.graph, path)  # type: ignore[arg-type]
             index.check_compatible(self.graph, self.hops, self.include_self)
             self._diff_index = index
-            self._size_index = index.sizes
 
     # ------------------------------------------------------------------
     # CSR views (vectorized backends; owned by the graph)

@@ -14,202 +14,214 @@ because every member of ``S(v) ∩ S(u)`` contributes to ``F(u)`` at least what
 it contributes to ``F(v)`` (it contributes exactly ``f(.) <= 1``), and each of
 the ``delta(v - u)`` remaining members contributes at most 1.
 
-The index is direction-sensitive — ``delta(v - u) != delta(u - v)`` in
-general — so it is stored per *arc*, aligned position-for-position with the
-graph's adjacency lists: ``index.delta_row(u)[i]`` corresponds to
-``graph.neighbors(u)[i]``.
+One format: a flat arc-major delta table aligned with the graph's CSR
+(``delta_row(u)[i]`` is the arc to ``graph.neighbors(u)[i]``), the row
+offsets it was built on, and the exact ``N(v)`` table, which falls out of the
+same pass (a :class:`NeighborhoodSizeIndex`).  Building it is LONA-Forward's
+offline step ("needs to be pre-computed and stored"); two builds fill it:
 
-Building the index is the offline, paid-once step of LONA-Forward ("The
-differential index adopted by forward processing needs to be pre-computed and
-stored").  The exact per-node ball sizes ``N(v)`` fall out of the same pass
-for free and are exposed as a :class:`NeighborhoodSizeIndex`.
+* off a :class:`~repro.graph.csr.CSRBallIndex` (numpy): every ball is read
+  through the index (absent ones expanded, kept while they fit its cap), and
+  ``delta(v - u)`` is ``N(v)`` minus the members of ``S(v)`` found in a
+  bitmap of ``S(u)`` — one probe per undirected edge, ``|S(u) ∩ S(v)|``
+  being symmetric;
+* the Python set builder: one ``hop_ball`` set per node — the path without
+  numpy, and the oracle the array build is tested against.
+
+An edge write patches a built index (:meth:`DifferentialIndex.patched`):
+only ``N`` on the write's reach and ``delta`` of arcs touching it can move.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import sys
+from array import array
+from typing import Any, Optional, Sequence
 
 from repro.errors import IndexNotBuiltError, InvalidParameterError
+from repro.graph.csr import _run_positions, batched_hop_balls
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter, hop_ball
 
 __all__ = ["DifferentialIndex", "build_differential_index"]
 
+#: Bytes of one membership bitmap: how many rows' balls one probe block marks.
+_MARK_BYTES = 1 << 22
+
 
 class DifferentialIndex:
     """Per-arc ``delta(v-u)`` table plus the exact ball-size index.
 
-    Construct with :func:`build_differential_index` (or
-    :meth:`DifferentialIndex.build`).  Instances are immutable and tied to the
-    ``(graph, hops, include_self)`` triple they were built for; algorithms
-    validate this via :meth:`check_compatible`.
+    ``deltas[offsets[u] : offsets[u + 1]]`` is ``u``'s row and ``sizes`` the
+    exact ``N(v)`` index.  Construct with :func:`build_differential_index`.
+    Instances are immutable and tied to the arc layout (``offsets``), the
+    :class:`~repro.dynamic.graph.DynamicGraph` ``version`` and the
+    ``(hops, include_self)`` they were built for (:meth:`check_compatible`).
     """
 
-    __slots__ = ("_rows", "_sizes", "hops", "include_self", "_num_nodes", "_flat")
+    __slots__ = ("deltas", "offsets", "sizes", "hops", "include_self", "version")
 
-    def __init__(
-        self,
-        rows: List[List[int]],
-        sizes: NeighborhoodSizeIndex,
-        *,
-        hops: int,
-        include_self: bool = True,
-    ) -> None:
-        self._rows = rows
-        self._sizes = sizes
-        self.hops = hops
-        self.include_self = include_self
-        self._num_nodes = len(rows)
-        self._flat = None  # lazily built arc-major numpy view
-
-    @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        hops: int,
-        *,
-        include_self: bool = True,
-        counter: Optional[TraversalCounter] = None,
-    ) -> "DifferentialIndex":
-        """Alias of :func:`build_differential_index`."""
-        return build_differential_index(
-            graph, hops, include_self=include_self, counter=counter
+    def __init__(self, deltas, offsets, sizes, *, hops, include_self=True, version=None) -> None:
+        self.deltas, self.offsets = deltas, offsets
+        self.hops, self.include_self, self.version = hops, include_self, version
+        self.sizes = NeighborhoodSizeIndex(
+            sizes, sizes, hops=hops, include_self=include_self, exact=True
         )
 
-    @property
-    def sizes(self) -> NeighborhoodSizeIndex:
-        """The exact ``N(v)`` index obtained during the build."""
-        return self._sizes
-
     def __len__(self) -> int:
-        return self._num_nodes
+        return len(self.offsets) - 1
 
     def delta_row(self, u: int) -> Sequence[int]:
-        """Deltas for all of ``u``'s out-arcs, parallel to ``neighbors(u)``.
-
-        ``delta_row(u)[i] == delta(v - u)`` where ``v = graph.neighbors(u)[i]``.
-        """
-        return self._rows[u]
-
-    def flat_deltas(self):
-        """All delta rows concatenated arc-major, as a numpy int64 array.
-
-        Position-aligned with the ``indices`` array of
-        ``to_csr(graph, use_numpy=True)`` for the graph this index was built
-        on (both follow adjacency-list order), which is what lets the
-        vectorized backend apply Eq. 1 with one gather per evaluated node.
-        Built on first use and cached; requires numpy.
-        """
-        if self._flat is None:
-            from itertools import chain
-
-            import numpy as np
-
-            total = sum(len(row) for row in self._rows)
-            self._flat = np.fromiter(
-                chain.from_iterable(self._rows), dtype=np.int64, count=total
-            )
-        return self._flat
+        """Deltas for all of ``u``'s out-arcs, parallel to ``neighbors(u)``."""
+        return self.deltas[self.offsets[u] : self.offsets[u + 1]]
 
     def delta(self, graph: Graph, u: int, v: int) -> int:
         """``delta(v - u)`` for the arc ``u -> v`` (linear scan of the row)."""
-        nbrs = graph.neighbors(u)
-        try:
-            i = nbrs.index(v)  # type: ignore[attr-defined]
-        except ValueError:
-            raise IndexNotBuiltError(
-                f"arc ({u}, {v}) is not in the graph the index was built on"
-            ) from None
-        return self._rows[u][i]
+        nbrs = list(graph.neighbors(u))
+        if v not in nbrs:
+            raise IndexNotBuiltError(f"arc ({u}, {v}) is not in the graph the index was built on")
+        return self.delta_row(u)[nbrs.index(v)]
 
     def check_compatible(self, graph: Graph, hops: int, include_self: bool) -> None:
         """Raise unless the index matches the query's graph and parameters."""
-        if self._num_nodes != graph.num_nodes:
-            raise IndexNotBuiltError(
-                f"differential index built for {self._num_nodes} nodes, "
-                f"graph has {graph.num_nodes}"
-            )
-        if self.hops != hops:
-            raise IndexNotBuiltError(
-                f"differential index built for h={self.hops}, query uses h={hops}"
-            )
-        if self.include_self != include_self:
-            raise IndexNotBuiltError(
-                "differential index built with include_self="
-                f"{self.include_self}, query uses {include_self}"
-            )
+        for what, built, used in (
+            ("nodes", len(self), graph.num_nodes),
+            ("h", self.hops, hops),
+            ("include_self", self.include_self, include_self),
+            ("graph version", self.version, getattr(graph, "version", None)),
+        ):
+            if built != used:
+                raise IndexNotBuiltError(f"index built for {what} {built}, query uses {used}")
+        offsets, np = self.offsets, sys.modules.get("numpy")  # python-only reads never import it
+        if np is not None:
+            same = np.array_equal(np.asarray(offsets), graph.csr().indptr)
+        else:
+            same = all(offsets[u + 1] - offsets[u] == graph.degree(u) for u in range(len(self)))
+        if not same:
+            raise IndexNotBuiltError("differential index built on another arc layout")
+
+    def patched(self, balls: Any, old_csr: Any, u: int, v: int, reach: Any, version: int):
+        """This index after the edge write ``(u, v)`` that turned ``old_csr``
+        into ``balls.csr``: the written slots inserted or deleted, ``N`` redone
+        on ``reach`` (the balls the write can have changed, which ``balls``
+        forgot) and ``delta`` on every arc touching it or a written row."""
+        import numpy as np
+
+        csr = balls.csr
+        inserted = csr.num_arcs > old_csr.num_arcs
+        holder = csr if inserted else old_csr
+        slots = [
+            int(old_csr.indptr[row]) + int(np.flatnonzero(holder.neighbors(row) == head)[0])
+            for row, head in ([(u, v)] if csr.directed else sorted(((u, v), (v, u))))
+        ]
+        deltas = np.asarray(self.deltas, dtype=np.int64)
+        deltas = np.insert(deltas, slots, 0) if inserted else np.delete(deltas, slots)
+        indptr = csr.indptr
+        rows = np.union1d(reach, [u, v])
+        in_reach = np.bincount(reach, minlength=csr.num_nodes).astype(bool)
+        arcs = np.union1d(
+            _run_positions(np, indptr[rows], indptr[rows + 1] - indptr[rows]),
+            np.flatnonzero(in_reach[csr.indices]),
+        )
+        src = np.searchsorted(indptr, arcs, side="right") - 1
+        dst = csr.indices[arcs].astype(np.intp)
+        sizes = np.array(self.sizes.upper_values(), dtype=np.int64)
+        sizes[reach] = int(self.include_self)  # a ball with no out-arc is {v}
+        common = _shared_members(np, balls, src, dst, sizes)  # fills sizes first
+        deltas[arcs] = sizes[dst] - common
+        return DifferentialIndex(
+            deltas, indptr, sizes, hops=self.hops, include_self=self.include_self, version=version
+        )
+
+
+def _run_keys(np, members: Any, starts: Any, sizes: Any, rows: Any, n: int) -> Any:
+    """``rows[i] * n + member`` for every member of the run ``i``."""
+    return np.repeat(rows * n, sizes) + members[_run_positions(np, starts, sizes)]
+
+
+def _shared_members(np, balls: Any, src: Any, dst: Any, sizes: Any, counter=None) -> Any:
+    """``|S(src[i]) ∩ S(dst[i])|`` for arcs in ascending ``src`` order, every
+    ball read through ``balls`` (absent ones expanded, charged to ``counter``
+    and offered to the index), ``N(c)`` into ``sizes[c]`` for each; a block
+    of rows marks its balls in one bitmap, probed with ``S(dst)``."""
+    csr, hops, closed = balls.csr, balls.hops, balls.include_self
+    n = csr.num_nodes
+
+    def expand(block):
+        owners, members, edges = batched_hop_balls(csr, block, hops, include_self=closed)
+        if counter is not None:
+            counter.charge_block(edges, members.size, int(block.size), closed)
+        return owners, members
+
+    rows, row_of = np.unique(src, return_inverse=True)
+    per = max(1, _MARK_BYTES // max(n, 1))
+    cuts = np.append(np.searchsorted(row_of, np.arange(0, rows.size, per)), src.size).tolist()
+    common = np.empty(src.size, dtype=np.int64)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        block_rows = rows[row_of[a] : row_of[b - 1] + 1]
+        centers = np.unique(np.concatenate((block_rows, dst[a:b])))
+        owners, members = balls.pairs(centers, expand)
+        size = np.bincount(owners, minlength=centers.size)
+        start = np.cumsum(size) - size
+        sizes[centers] = size
+        at = np.searchsorted(centers, block_rows)
+        mark = np.zeros(at.size * n, dtype=bool)
+        mark[_run_keys(np, members, start[at], size[at], np.arange(at.size), n)] = True
+        at = np.searchsorted(centers, dst[a:b])
+        rows_of = row_of[a:b] - row_of[a]
+        seen = np.cumsum(mark[_run_keys(np, members, start[at], size[at], rows_of, n)])
+        common[a:b] = np.diff(np.r_[0, seen][np.r_[0, np.cumsum(size[at])]])
+    return common
 
 
 def build_differential_index(
-    graph: Graph,
-    hops: int,
-    *,
-    include_self: bool = True,
-    counter: Optional[TraversalCounter] = None,
-    max_resident_balls: Optional[int] = None,
+    graph: Graph, hops: int, *, include_self: bool = True,
+    counter: Optional[TraversalCounter] = None, ball_index: Optional[Any] = None,
 ) -> DifferentialIndex:
     """Precompute ``delta(v-u)`` for every arc and ``N(v)`` for every node.
 
-    Strategy: materialize every node's h-hop ball once, then for each arc
-    ``u -> v`` count ``|S(v) \\ S(u)|`` by probing ``S(u)`` with the members
-    of ``S(v)``.  Worst-case time ``O(sum_over_arcs |S(v)|)``; memory
-    ``O(sum_over_nodes |S(v)|)`` when fully resident.
-
-    ``max_resident_balls`` bounds peak memory: when set, balls are computed
-    in bounded batches and the inner loop recomputes the partner ball when it
-    is not resident.  This trades time for memory for graphs whose ball
-    catalog would not fit; the default (fully resident) is right for the
-    bench scales in this repository.
+    With ``ball_index`` — a :class:`~repro.graph.csr.CSRBallIndex` serving
+    ``(graph.csr(), hops, include_self)`` — every ball is read through it
+    and only absent ones are expanded (and charged to ``counter``); without
+    one, the Python set builder materializes every ball as a set and counts
+    ``|S(v) \\ S(u)|`` arc by arc.  Both give the same integers.
     """
     if hops < 0:
         raise InvalidParameterError(f"hops must be >= 0, got {hops}")
-    if max_resident_balls is not None and max_resident_balls < 1:
-        raise InvalidParameterError(
-            f"max_resident_balls must be >= 1, got {max_resident_balls}"
-        )
-
-    n = graph.num_nodes
-    rows: List[List[int]] = [[] for _ in range(n)]
-    sizes: List[int] = [0] * n
-
-    if max_resident_balls is None or max_resident_balls >= n:
-        balls: List[Set[int]] = [
+    version = getattr(graph, "version", None)
+    if ball_index is None:
+        balls = [
             hop_ball(graph, u, hops, include_self=include_self, counter=counter)
-            for u in range(n)
+            for u in range(graph.num_nodes)
         ]
-        for u in range(n):
-            ball_u = balls[u]
-            row = rows[u]
-            sizes[u] = len(ball_u)
-            for v in graph.neighbors(u):
-                ball_v = balls[v]
-                row.append(sum(1 for w in ball_v if w not in ball_u))
-    else:
-        cache: Dict[int, Set[int]] = {}
+        deltas, offsets = array("q"), array("q", [0])
+        for u, ball_u in enumerate(balls):
+            deltas.extend(sum(1 for w in balls[v] if w not in ball_u) for v in graph.neighbors(u))
+            offsets.append(len(deltas))
+        sizes = [len(ball) for ball in balls]
+        return DifferentialIndex(
+            deltas, offsets, sizes, hops=hops, include_self=include_self, version=version
+        )
+    csr = graph.csr()
+    if not ball_index.serves(csr, hops, include_self):
+        raise InvalidParameterError("ball_index does not serve this graph view")
+    import numpy as np
 
-        def get_ball(node: int) -> Set[int]:
-            ball = cache.get(node)
-            if ball is None:
-                ball = hop_ball(
-                    graph, node, hops, include_self=include_self, counter=counter
-                )
-                if len(cache) >= max_resident_balls:
-                    cache.pop(next(iter(cache)))
-                cache[node] = ball
-            return ball
-
-        for u in range(n):
-            ball_u = get_ball(u)
-            sizes[u] = len(ball_u)
-            row = rows[u]
-            for v in graph.neighbors(u):
-                ball_v = get_ball(v)
-                # get_ball may have evicted ball_u; it is still referenced
-                # locally so correctness is unaffected.
-                row.append(sum(1 for w in ball_v if w not in ball_u))
-
-    size_index = NeighborhoodSizeIndex(
-        sizes, sizes, hops=hops, include_self=include_self, exact=True
+    n = csr.num_nodes
+    src = np.repeat(np.arange(n), np.diff(csr.indptr))
+    dst = csr.indices.astype(np.intp)
+    sizes = np.full(n, int(include_self), dtype=np.int64)  # a ball with no out-arc
+    probe = np.arange(src.size) if csr.directed else np.flatnonzero(src <= dst)
+    common = _shared_members(np, ball_index, src[probe], dst[probe], sizes, counter)
+    deltas = np.empty(src.size, dtype=np.int64)
+    deltas[probe] = sizes[dst[probe]] - common
+    if not csr.directed:
+        # Arc v -> u takes the probe of u -> v: ranks by (src, dst) and by
+        # (dst, src) pair every arc with its reverse.
+        back = np.empty(src.size, dtype=np.intp)
+        back[np.argsort(src * n + dst)] = np.argsort(dst * n + src)
+        deltas[back[probe]] = sizes[src[probe]] - common
+    return DifferentialIndex(
+        deltas, csr.indptr, sizes, hops=hops, include_self=include_self, version=version
     )
-    return DifferentialIndex(rows, size_index, hops=hops, include_self=include_self)

@@ -31,7 +31,6 @@ from typing import IO, Tuple, Union
 from repro.errors import IndexNotBuiltError
 from repro.graph.diffindex import DifferentialIndex
 from repro.graph.graph import Graph
-from repro.graph.neighborhood import NeighborhoodSizeIndex
 
 __all__ = ["save_differential_index", "load_differential_index", "graph_fingerprint"]
 
@@ -66,11 +65,10 @@ def save_differential_index(
     own = isinstance(sink, (str, os.PathLike))
     handle = open(os.fspath(sink), "wb") if own else sink
     try:
-        degrees = array("i", (len(index.delta_row(u)) for u in range(len(index))))
-        deltas = array("i")
-        for u in range(len(index)):
-            deltas.extend(index.delta_row(u))
-        sizes = array("i", (index.sizes.value(u) for u in range(len(index))))
+        offsets = index.offsets
+        degrees = array("i", (offsets[u + 1] - offsets[u] for u in range(len(index))))
+        deltas = array("i", index.deltas)
+        sizes = array("i", index.sizes.upper_values())
         lo, hi = _split_fingerprint(graph_fingerprint(graph))
         handle.write(_MAGIC)
         handle.write(
@@ -78,9 +76,8 @@ def save_differential_index(
                 len(index), len(deltas), index.hops, lo, hi, index.include_self
             )
         )
-        degrees.tofile(handle)  # type: ignore[arg-type]
-        deltas.tofile(handle)  # type: ignore[arg-type]
-        sizes.tofile(handle)  # type: ignore[arg-type]
+        for table in (degrees, deltas, sizes):
+            table.tofile(handle)  # type: ignore[arg-type]
     finally:
         if own:
             handle.close()
@@ -115,12 +112,9 @@ def load_differential_index(graph: Graph, source: PathOrFile) -> DifferentialInd
                 "graph fingerprint mismatch: the index was built on a "
                 "different (or since-mutated) graph"
             )
-        degrees = array("i")
-        degrees.fromfile(handle, num_nodes)  # type: ignore[arg-type]
-        deltas = array("i")
-        deltas.fromfile(handle, num_arcs)  # type: ignore[arg-type]
-        sizes = array("i")
-        sizes.fromfile(handle, num_nodes)  # type: ignore[arg-type]
+        degrees, deltas, sizes = array("i"), array("i"), array("i")
+        for table, count in ((degrees, num_nodes), (deltas, num_arcs), (sizes, num_nodes)):
+            table.fromfile(handle, count)  # type: ignore[arg-type]
     except (EOFError, ValueError) as exc:
         raise IndexNotBuiltError(
             f"truncated differential-index payload ({exc})"
@@ -129,20 +123,12 @@ def load_differential_index(graph: Graph, source: PathOrFile) -> DifferentialInd
         if own:
             handle.close()
 
-    rows = []
-    offset = 0
-    for u in range(num_nodes):
-        degree = degrees[u]
+    offsets = array("q", [0])  # the flat tables, row by row checked against the graph
+    for u, degree in enumerate(degrees):
         if degree != graph.degree(u):
-            raise IndexNotBuiltError(
-                f"adjacency row length mismatch at node {u}"
-            )
-        rows.append(list(deltas[offset : offset + degree]))
-        offset += degree
-    size_list = list(sizes)
-    size_index = NeighborhoodSizeIndex(
-        size_list, size_list, hops=hops, include_self=include_self, exact=True
-    )
+            raise IndexNotBuiltError(f"adjacency row length mismatch at node {u}")
+        offsets.append(offsets[-1] + degree)
     return DifferentialIndex(
-        rows, size_index, hops=hops, include_self=include_self
+        deltas, offsets, sizes.tolist(), hops=hops, include_self=include_self,
+        version=getattr(graph, "version", None),
     )

@@ -206,9 +206,9 @@ class TestBlockPrimitives:
     def test_prune_step(self, directed, hops, include_self, is_avg):
         graph = _graph(directed)
         csr = to_csr(graph, use_numpy=True)
-        deltas = build_differential_index(
-            graph, hops, include_self=include_self
-        ).flat_deltas()
+        deltas = np.asarray(
+            build_differential_index(graph, hops, include_self=include_self).deltas
+        )
         rng = random.Random(11)
         evaluated = np.asarray([rng.random() < 0.3 for _ in range(N)])
         pruned = ~evaluated & np.asarray([rng.random() < 0.2 for _ in range(N)])

@@ -1,13 +1,23 @@
-"""Tests for the differential index against brute-force set computation."""
+"""Tests for the differential index against brute-force set computation,
+the ball-index build against the Python set build, and the staleness check."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.backends import numpy_available
+from repro.core.base import base_topk
+from repro.core.forward import forward_topk
+from repro.core.query import QuerySpec
+from repro.dynamic.graph import DynamicGraph
 from repro.errors import IndexNotBuiltError, InvalidParameterError
 from repro.graph.diffindex import build_differential_index
 from repro.graph.graph import Graph
-from tests.conftest import random_graph, ref_ball
+from tests.conftest import random_graph, random_scores, ref_ball, rounded
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def brute_delta(graph: Graph, u: int, v: int, hops: int, include_self: bool = True) -> int:
@@ -67,13 +77,6 @@ class TestIndexStructure:
         assert idx.sizes.is_exact
         assert [idx.sizes.value(u) for u in range(5)] == [3, 4, 5, 4, 3]
 
-    def test_bounded_memory_mode_matches_full(self):
-        g = random_graph(25, 0.15, seed=11)
-        full = build_differential_index(g, 2)
-        bounded = build_differential_index(g, 2, max_resident_balls=4)
-        for u in g.nodes():
-            assert list(full.delta_row(u)) == list(bounded.delta_row(u))
-
     def test_delta_unknown_arc(self, path_graph):
         idx = build_differential_index(path_graph, 1)
         with pytest.raises(IndexNotBuiltError):
@@ -82,8 +85,6 @@ class TestIndexStructure:
     def test_invalid_parameters(self, path_graph):
         with pytest.raises(InvalidParameterError):
             build_differential_index(path_graph, -1)
-        with pytest.raises(InvalidParameterError):
-            build_differential_index(path_graph, 1, max_resident_balls=0)
 
 
 class TestCompatibility:
@@ -105,3 +106,87 @@ class TestCompatibility:
         idx = build_differential_index(path_graph, 2)
         with pytest.raises(IndexNotBuiltError):
             idx.check_compatible(star_graph, 2, True)
+
+
+class TestBallIndexBuild:
+    """The numpy build reads every ball through a ``CSRBallIndex`` and must
+    give the Python set build's arrays: delta arc for arc, N node for node."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("hops", [0, 1, 2, 3])
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("cap", [None, 0, 600])
+    def test_arrays_equal_the_set_build(self, directed, hops, include_self, cap):
+        np = pytest.importorskip("numpy")
+        from repro.graph.csr import CSRBallIndex
+
+        base = random_graph(30, 0.08, seed=hops + 5 * directed, directed=directed)
+        # Five trailing isolated nodes: their N is the bare center (or 0).
+        g = Graph.from_edges(list(base.edges()), num_nodes=35, directed=directed)
+        balls = CSRBallIndex(g.csr(), hops, include_self=include_self, max_bytes=cap)
+        want = build_differential_index(g, hops, include_self=include_self)
+        for _ in range(2):  # cold, then whatever the cap kept
+            got = build_differential_index(
+                g, hops, include_self=include_self, ball_index=balls
+            )
+            assert np.array_equal(got.deltas, np.asarray(want.deltas))
+            assert np.array_equal(got.offsets, g.csr().indptr)
+            assert got.sizes.is_exact
+            assert got.sizes.upper_values().tolist() == list(want.sizes.upper_values())
+        if cap is not None:
+            assert balls.stats()["bytes"] <= cap
+
+    def test_a_ball_index_of_another_view_is_refused(self, path_graph):
+        pytest.importorskip("numpy")
+        from repro.graph.csr import CSRBallIndex
+
+        balls = CSRBallIndex(path_graph.csr(), 1)
+        with pytest.raises(InvalidParameterError):
+            build_differential_index(path_graph, 2, ball_index=balls)
+
+
+class TestStaleIndex:
+    """An index describes one arc layout at one graph version: a forward
+    read over anything else raises instead of pruning with wrong deltas."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_an_index_from_before_edge_writes_is_refused(self, backend, seed):
+        rng = random.Random(seed)
+        g = DynamicGraph.from_graph(random_graph(40, 0.1, seed=seed))
+        scores = random_scores(40, seed=seed)
+        spec = QuerySpec(k=5, hops=2, backend=backend)
+        old = build_differential_index(g, 2)
+        forward_topk(g, scores, spec, diff_index=old)
+        for _ in range(10):
+            g.remove_edge(*rng.choice(list(g.edges())))
+        for _ in range(10):
+            u, v = rng.sample(range(40), 2)
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+        with pytest.raises(IndexNotBuiltError):
+            forward_topk(g, scores, spec, diff_index=old)
+        fresh = build_differential_index(g, 2)
+        assert rounded(forward_topk(g, scores, spec, diff_index=fresh).values) == rounded(
+            base_topk(g, scores, spec).values
+        )
+
+    def test_one_write_moves_the_version(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+        idx = build_differential_index(g, 1)
+        g.add_edge(0, 3)
+        g.remove_edge(0, 3)  # same arcs again, two versions later
+        with pytest.raises(IndexNotBuiltError, match="version"):
+            idx.check_compatible(g, 1, True)
+
+    def test_another_layout_with_the_same_node_count_is_refused(self):
+        a = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+        b = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(IndexNotBuiltError, match="layout"):
+            build_differential_index(a, 1).check_compatible(b, 1, True)
+        if numpy_available():
+            from repro.graph.csr import CSRBallIndex
+
+            index = build_differential_index(a, 1, ball_index=CSRBallIndex(a.csr(), 1))
+            with pytest.raises(IndexNotBuiltError, match="layout"):
+                index.check_compatible(b, 1, True)

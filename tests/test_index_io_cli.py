@@ -102,6 +102,54 @@ class TestIndexRoundtrip:
         assert rounded(actual.values) == rounded(expected.values)
 
 
+class TestFormat:
+    """One ``LONADIF1`` format whichever build filled the index."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_the_ball_index_build_saves_the_set_builds_bytes(self, directed, hops):
+        pytest.importorskip("numpy")
+        from repro.graph.csr import CSRBallIndex
+
+        g = random_graph(30, 0.1, seed=182 + hops, directed=directed)
+        saved = []
+        for balls in (None, CSRBallIndex(g.csr(), hops)):
+            buffer = io.BytesIO()
+            save_differential_index(
+                build_differential_index(g, hops, ball_index=balls), g, buffer
+            )
+            saved.append(buffer.getvalue())
+        assert saved[0] == saved[1]
+        assert saved[0].startswith(b"LONADIF1")
+        assert len(saved[0]) == 8 + 21 + 4 * (2 * g.num_nodes + len(list(g.arcs())))
+
+    def test_load_reads_the_flat_tables(self):
+        g = random_graph(25, 0.15, seed=185)
+        idx = build_differential_index(g, 2)
+        buffer = io.BytesIO()
+        save_differential_index(idx, g, buffer)
+        buffer.seek(0)
+        loaded = load_differential_index(g, buffer)
+        assert list(loaded.deltas) == list(idx.deltas)
+        assert list(loaded.offsets) == list(idx.offsets)
+        assert list(loaded.sizes.upper_values()) == list(idx.sizes.upper_values())
+        loaded.check_compatible(g, 2, True)
+
+    def test_a_row_length_mismatch_is_rejected(self):
+        g = random_graph(25, 0.15, seed=186)
+        buffer = io.BytesIO()
+        save_differential_index(build_differential_index(g, 2), g, buffer)
+        data = bytearray(buffer.getvalue())
+        # Move one arc from node 0's row to node 1's: same total, same
+        # fingerprint (it hashes the graph, not the file), wrong rows.
+        degrees = memoryview(data)[8 + 21 : 8 + 21 + 8].cast("i")
+        degrees[0] += 1
+        degrees[1] -= 1
+        degrees.release()
+        with pytest.raises(IndexNotBuiltError, match="row length mismatch at node 0"):
+            load_differential_index(g, io.BytesIO(bytes(data)))
+
+
 class TestCLI:
     def test_query_dataset(self, capsys):
         code = cli_main(

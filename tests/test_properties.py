@@ -7,7 +7,8 @@ Four families:
 2. **Algorithm agreement** — Base, Forward, Backward, the relational plan,
    and the distributed BSP execution return identical top-k value multisets.
 3. **Traversal** — the library BFS equals an independent set-expansion
-   reference under composed parameters.
+   reference under composed parameters, and the differential index read off
+   the ball index equals the Python set build.
 4. **Accumulator model** — the bounded heap matches a sort-based model under
    arbitrary offer sequences.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +333,26 @@ class TestTraversalProperties:
             smaller = hop_ball(g, center, hops)
             bigger = hop_ball(g, center, hops + 1)
             assert smaller <= bigger
+
+    @given(
+        directed=st.booleans(),
+        data=st.data(),
+        hops=st.integers(min_value=0, max_value=3),
+        include_self=st.booleans(),
+    )
+    def test_ball_index_build_equals_the_set_build(self, directed, data, hops, include_self):
+        """Differential index read off a ``CSRBallIndex``: the Python set
+        build's deltas arc for arc and ``N`` node for node."""
+        np = pytest.importorskip("numpy")
+        from repro.graph.csr import CSRBallIndex
+
+        g = data.draw(graphs(directed=directed))
+        balls = CSRBallIndex(g.csr(), hops, include_self=include_self)
+        got = build_differential_index(g, hops, include_self=include_self, ball_index=balls)
+        want = build_differential_index(g, hops, include_self=include_self)
+        assert got.deltas.tolist() == list(want.deltas)
+        assert got.sizes.upper_values().tolist() == list(want.sizes.upper_values())
+        assert np.array_equal(got.offsets, np.asarray(want.offsets))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Pins (1) ``repro.__all__`` — the package's exported names — (2) the
 fluent :class:`~repro.session.QueryBuilder` / :class:`~repro.session.Network`
-method surfaces, including parameter names, (3) the option fields of the
+method surfaces, including parameter names, and the exported
+``build_differential_index``'s parameters, (3) the option fields of the
 service's and the sharded backends' config classes, and (4) the lowered
 :class:`~repro.core.request.QueryRequest`'s fields and the executor's entry
 points.  A failing test here means the
@@ -147,6 +148,13 @@ def test_request_fields_and_executor_entry_points_are_pinned():
     ]
     assert executor.__all__ == [
         "execute", "execute_batch", "stream", "plan", "choose_algorithm",
+    ]
+
+
+def test_exported_index_builder_signature_is_pinned():
+    """``ball_index``: read every ball through a session's ball index."""
+    assert list(inspect.signature(repro.build_differential_index).parameters) == [
+        "graph", "hops", "include_self", "counter", "ball_index",
     ]
 
 

@@ -24,6 +24,7 @@ from repro.core.results import StreamUpdate
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.maintenance import MaintainedAggregateView
 from repro.errors import InvalidParameterError
+from repro.graph.diffindex import build_differential_index
 from repro.relational.engine import relational_topk
 from repro.relevance import BinaryRelevance
 from repro.session import Network, QueryBuilder
@@ -473,11 +474,21 @@ class TestDynamic:
         session, _scores = dyn
         session.maintain("live")
         session.build_indexes()
-        assert session.diff_index is not None
+        old = session.diff_index
+        assert old is not None
         repaired = session.add_edge(2, 5)
         assert repaired > 0
-        # Caches dropped: the old differential index would be unsound now.
-        assert session.diff_index is None
+        # The old differential index would be unsound now: with numpy it is
+        # patched to the new graph, without it dropped.
+        index = session.diff_index
+        assert index is not old
+        if numpy_available():
+            index.check_compatible(session.graph, 2, True)
+            fresh = build_differential_index(session.graph, 2)
+            assert list(index.deltas) == list(fresh.deltas)
+            assert list(index.sizes.upper_values()) == list(fresh.sizes.upper_values())
+        else:
+            assert index is None
         via_view = session.query("live").limit(3).algorithm("view").run()
         via_base = session.query("live").limit(3).algorithm("base").run()
         assert rounded(via_view.values) == rounded(via_base.values)
@@ -715,7 +726,7 @@ class TestContractEdges:
         # and expanded every ball afresh per member).  Still no differential
         # index, no exact size index.  The CSR is the graph's, not a context
         # artifact, so there is nothing to pin on the context for it.
-        artifacts = ("_diff_index", "_size_index", "_estimated_sizes", "_ball_index")
+        artifacts = ("_diff_index", "_estimated_sizes", "_ball_index")
 
         def built(session):
             return {a for a in artifacts if getattr(session._ctx, a) is not None}
