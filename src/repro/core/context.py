@@ -18,10 +18,10 @@ session over a mutating graph never serves answers from a dead index.
 A session's own edge writes go through :meth:`GraphContext.edge_write`
 instead, which drops only what one arc can have changed: the ball index
 forgets the balls within ``h - 1`` hops of an endpoint and is kept, the
-differential index (with its exact ``N(v)``) is patched on that reach, the
 degree-based size bounds are patched in the rows the write moved, and the
 graph's patched CSR views were never dropped (DESIGN.md §2, "Dynamic
-integration").
+integration").  The differential index is dropped and read off the kept
+ball index at the next forward read.
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -126,13 +126,13 @@ class GraphContext:
         """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
         and drop what it can have changed, keeping the rest.
 
+        The differential index goes; the next forward read rebuilds it off
+        the ball index, which keeps every ball the write cannot have moved.
         The ball index stays: it forgets only the balls of the nodes within
         ``hops - 1`` hops of an endpoint
         (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
         patched CSR.  That reach is returned (``None`` when no index was
-        kept), so the session's maintained views repair the same nodes.  A
-        built differential index is patched on that reach through the ball
-        index (:meth:`~repro.graph.diffindex.DifferentialIndex.patched`).
+        kept), so the session's maintained views repair the same nodes.
         The estimated sizes are patched row by row
         (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
         A context that was already stale before the write (a mutation it
@@ -141,10 +141,9 @@ class GraphContext:
         """
         with self._lock:
             graph = self.graph
-            index = sizes = diff = None
+            index = sizes = None
             if numpy_available() and getattr(graph, "version", None) == self._graph_version:
-                diff, sizes = self._diff_index, self._estimated_sizes
-                index = self._ball_index if diff is None else self.ball_index()
+                index, sizes = self._ball_index, self._estimated_sizes
             if index is not None and not index.serves(graph.csr(), self.hops, self.include_self):
                 index = None
             if index is None and sizes is None:
@@ -163,8 +162,6 @@ class GraphContext:
                 view = graph.rev_csr() if graph.directed else csr
                 reach = edge_write_reach(view, u, v, self.hops)
                 index.forget(reach, csr)
-                if diff is not None:
-                    self._diff_index = diff.patched(index, old_csr, u, v, reach, graph.version)
             if sizes is not None:
                 self._estimated_sizes = sizes.patched_from_csr(old_csr, csr, u, v)
             self._graph_version = graph.version

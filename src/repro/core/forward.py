@@ -48,7 +48,7 @@ from repro.core.query import QuerySpec
 from repro.core.results import QueryStats, TopKResult
 from repro.core.topk import TopKAccumulator
 from repro.errors import InvalidParameterError
-from repro.graph.diffindex import DifferentialIndex, build_differential_index
+from repro.graph.diffindex import DifferentialIndex, _set_build
 from repro.graph.graph import Graph
 from repro.graph.traversal import TraversalCounter, hop_ball
 
@@ -114,9 +114,7 @@ def forward_topk(
     build_sec = 0.0
     if diff_index is None:
         build_start = time.perf_counter()
-        diff_index = build_differential_index(
-            graph, spec.hops, include_self=spec.include_self
-        )
+        diff_index = _set_build(graph, spec.hops, include_self=spec.include_self)
         build_sec = time.perf_counter() - build_start
     diff_index.check_compatible(graph, spec.hops, spec.include_self)
     sizes = diff_index.sizes

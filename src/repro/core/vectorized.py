@@ -255,8 +255,7 @@ def forward_topk_numpy(
     if diff_index is None:
         build_start = time.perf_counter()
         diff_index = build_differential_index(
-            graph, spec.hops, include_self=spec.include_self,
-            ball_index=CSRBallIndex(csr, spec.hops, include_self=spec.include_self),
+            graph, spec.hops, include_self=spec.include_self
         )
         build_sec = time.perf_counter() - build_start
     diff_index.check_compatible(graph, spec.hops, spec.include_self)

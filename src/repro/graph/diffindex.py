@@ -18,28 +18,23 @@ One format: a flat arc-major delta table aligned with the graph's CSR
 (``delta_row(u)[i]`` is the arc to ``graph.neighbors(u)[i]``), the row
 offsets it was built on, and the exact ``N(v)`` table, which falls out of the
 same pass (a :class:`NeighborhoodSizeIndex`).  Building it is LONA-Forward's
-offline step ("needs to be pre-computed and stored"); two builds fill it:
-
-* off a :class:`~repro.graph.csr.CSRBallIndex` (numpy): every ball is read
-  through the index (absent ones expanded, kept while they fit its cap), and
-  ``delta(v - u)`` is ``N(v)`` minus the members of ``S(v)`` found in a
-  bitmap of ``S(u)`` — one probe per undirected edge, ``|S(u) ∩ S(v)|``
-  being symmetric;
-* the Python set builder: one ``hop_ball`` set per node — the path without
-  numpy, and the oracle the array build is tested against.
-
-An edge write patches a built index (:meth:`DifferentialIndex.patched`):
-only ``N`` on the write's reach and ``delta`` of arcs touching it can move.
+offline step ("needs to be pre-computed and stored"); where numpy imports,
+every ball is read through a :class:`~repro.graph.csr.CSRBallIndex` (the
+session's, when one is passed: absent balls are expanded and kept while they
+fit its cap), and ``delta(v - u)`` is ``N(v)`` minus the members of ``S(v)``
+found in a bitmap of ``S(u)`` — one probe per undirected edge,
+``|S(u) ∩ S(v)|`` being symmetric.  Without numpy a Python set builder
+materializes one ``hop_ball`` set per node; it is also the oracle the array
+build is tested against.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import IndexNotBuiltError, InvalidParameterError
-from repro.graph.csr import _run_positions, batched_hop_balls
+from repro.graph.csr import CSRBallIndex, _run_positions, batched_hop_balls
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter, hop_ball
@@ -62,77 +57,77 @@ class DifferentialIndex:
 
     __slots__ = ("deltas", "offsets", "sizes", "hops", "include_self", "version")
 
-    def __init__(self, deltas, offsets, sizes, *, hops, include_self=True, version=None) -> None:
-        self.deltas, self.offsets = deltas, offsets
-        self.hops, self.include_self, self.version = hops, include_self, version
+    def __init__(
+        self,
+        deltas: Sequence[int],
+        offsets: Sequence[int],
+        sizes: Sequence[int],
+        *,
+        hops: int,
+        include_self: bool = True,
+        version: Optional[int] = None,
+    ) -> None:
+        self.deltas = deltas
+        self.offsets = offsets
         self.sizes = NeighborhoodSizeIndex(
             sizes, sizes, hops=hops, include_self=include_self, exact=True
         )
+        self.hops = hops
+        self.include_self = include_self
+        self.version = version
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def delta_row(self, u: int) -> Sequence[int]:
-        """Deltas for all of ``u``'s out-arcs, parallel to ``neighbors(u)``."""
-        return self.deltas[self.offsets[u] : self.offsets[u + 1]]
+    def delta_row(self, u: int) -> List[int]:
+        """Deltas for all of ``u``'s out-arcs, parallel to ``neighbors(u)``,
+        as Python ints (the python backend's bounds arithmetic)."""
+        return self.deltas[self.offsets[u] : self.offsets[u + 1]].tolist()
 
     def delta(self, graph: Graph, u: int, v: int) -> int:
         """``delta(v - u)`` for the arc ``u -> v`` (linear scan of the row)."""
         nbrs = list(graph.neighbors(u))
         if v not in nbrs:
-            raise IndexNotBuiltError(f"arc ({u}, {v}) is not in the graph the index was built on")
+            raise IndexNotBuiltError(
+                f"arc ({u}, {v}) is not in the graph the index was built on"
+            )
         return self.delta_row(u)[nbrs.index(v)]
 
     def check_compatible(self, graph: Graph, hops: int, include_self: bool) -> None:
-        """Raise unless the index matches the query's graph and parameters."""
-        for what, built, used in (
-            ("nodes", len(self), graph.num_nodes),
-            ("h", self.hops, hops),
-            ("include_self", self.include_self, include_self),
-            ("graph version", self.version, getattr(graph, "version", None)),
-        ):
-            if built != used:
-                raise IndexNotBuiltError(f"index built for {what} {built}, query uses {used}")
-        offsets, np = self.offsets, sys.modules.get("numpy")  # python-only reads never import it
-        if np is not None:
-            same = np.array_equal(np.asarray(offsets), graph.csr().indptr)
+        """Raise unless the index matches the query's graph and parameters:
+        node count, ``h``, ball convention, graph version and arc layout."""
+        if len(self) != graph.num_nodes:
+            raise IndexNotBuiltError(
+                f"differential index built for {len(self)} nodes, "
+                f"graph has {graph.num_nodes}"
+            )
+        if self.hops != hops:
+            raise IndexNotBuiltError(
+                f"differential index built for h={self.hops}, query uses h={hops}"
+            )
+        if self.include_self != include_self:
+            raise IndexNotBuiltError(
+                "differential index built with include_self="
+                f"{self.include_self}, query uses {include_self}"
+            )
+        version = getattr(graph, "version", None)
+        if self.version != version:
+            raise IndexNotBuiltError(
+                f"differential index built at graph version {self.version}, "
+                f"graph is at {version}"
+            )
+        offsets = self.offsets
+        csr = getattr(graph, "_csr", None)
+        if csr is not None:  # compare with the CSR the graph already holds
+            import numpy as np
+
+            same = np.array_equal(np.asarray(offsets), csr.indptr)
         else:
-            same = all(offsets[u + 1] - offsets[u] == graph.degree(u) for u in range(len(self)))
+            same = all(
+                offsets[u + 1] - offsets[u] == graph.degree(u) for u in range(len(self))
+            )
         if not same:
             raise IndexNotBuiltError("differential index built on another arc layout")
-
-    def patched(self, balls: Any, old_csr: Any, u: int, v: int, reach: Any, version: int):
-        """This index after the edge write ``(u, v)`` that turned ``old_csr``
-        into ``balls.csr``: the written slots inserted or deleted, ``N`` redone
-        on ``reach`` (the balls the write can have changed, which ``balls``
-        forgot) and ``delta`` on every arc touching it or a written row."""
-        import numpy as np
-
-        csr = balls.csr
-        inserted = csr.num_arcs > old_csr.num_arcs
-        holder = csr if inserted else old_csr
-        slots = [
-            int(old_csr.indptr[row]) + int(np.flatnonzero(holder.neighbors(row) == head)[0])
-            for row, head in ([(u, v)] if csr.directed else sorted(((u, v), (v, u))))
-        ]
-        deltas = np.asarray(self.deltas, dtype=np.int64)
-        deltas = np.insert(deltas, slots, 0) if inserted else np.delete(deltas, slots)
-        indptr = csr.indptr
-        rows = np.union1d(reach, [u, v])
-        in_reach = np.bincount(reach, minlength=csr.num_nodes).astype(bool)
-        arcs = np.union1d(
-            _run_positions(np, indptr[rows], indptr[rows + 1] - indptr[rows]),
-            np.flatnonzero(in_reach[csr.indices]),
-        )
-        src = np.searchsorted(indptr, arcs, side="right") - 1
-        dst = csr.indices[arcs].astype(np.intp)
-        sizes = np.array(self.sizes.upper_values(), dtype=np.int64)
-        sizes[reach] = int(self.include_self)  # a ball with no out-arc is {v}
-        common = _shared_members(np, balls, src, dst, sizes)  # fills sizes first
-        deltas[arcs] = sizes[dst] - common
-        return DifferentialIndex(
-            deltas, indptr, sizes, hops=self.hops, include_self=self.include_self, version=version
-        )
 
 
 def _run_keys(np, members: Any, starts: Any, sizes: Any, rows: Any, n: int) -> Any:
@@ -140,7 +135,7 @@ def _run_keys(np, members: Any, starts: Any, sizes: Any, rows: Any, n: int) -> A
     return np.repeat(rows * n, sizes) + members[_run_positions(np, starts, sizes)]
 
 
-def _shared_members(np, balls: Any, src: Any, dst: Any, sizes: Any, counter=None) -> Any:
+def _shared_members(np, balls: Any, src: Any, dst: Any, sizes: Any, counter) -> Any:
     """``|S(src[i]) ∩ S(dst[i])|`` for arcs in ascending ``src`` order, every
     ball read through ``balls`` (absent ones expanded, charged to ``counter``
     and offered to the index), ``N(c)`` into ``sizes[c]`` for each; a block
@@ -176,38 +171,34 @@ def _shared_members(np, balls: Any, src: Any, dst: Any, sizes: Any, counter=None
 
 
 def build_differential_index(
-    graph: Graph, hops: int, *, include_self: bool = True,
-    counter: Optional[TraversalCounter] = None, ball_index: Optional[Any] = None,
+    graph: Graph,
+    hops: int,
+    *,
+    include_self: bool = True,
+    counter: Optional[TraversalCounter] = None,
+    ball_index: Optional[Any] = None,
 ) -> DifferentialIndex:
     """Precompute ``delta(v-u)`` for every arc and ``N(v)`` for every node.
 
-    With ``ball_index`` — a :class:`~repro.graph.csr.CSRBallIndex` serving
-    ``(graph.csr(), hops, include_self)`` — every ball is read through it
-    and only absent ones are expanded (and charged to ``counter``); without
-    one, the Python set builder materializes every ball as a set and counts
-    ``|S(v) \\ S(u)|`` arc by arc.  Both give the same integers.
+    Where numpy imports, every ball is read through ``ball_index`` — a
+    :class:`~repro.graph.csr.CSRBallIndex` serving ``(graph.csr(), hops,
+    include_self)``, such as a session's — or through a fresh unbounded one,
+    and only absent balls are expanded (and charged to ``counter``).
+    Without numpy the Python set builder runs.  Both give the same integers.
     """
     if hops < 0:
         raise InvalidParameterError(f"hops must be >= 0, got {hops}")
-    version = getattr(graph, "version", None)
-    if ball_index is None:
-        balls = [
-            hop_ball(graph, u, hops, include_self=include_self, counter=counter)
-            for u in range(graph.num_nodes)
-        ]
-        deltas, offsets = array("q"), array("q", [0])
-        for u, ball_u in enumerate(balls):
-            deltas.extend(sum(1 for w in balls[v] if w not in ball_u) for v in graph.neighbors(u))
-            offsets.append(len(deltas))
-        sizes = [len(ball) for ball in balls]
-        return DifferentialIndex(
-            deltas, offsets, sizes, hops=hops, include_self=include_self, version=version
-        )
-    csr = graph.csr()
-    if not ball_index.serves(csr, hops, include_self):
-        raise InvalidParameterError("ball_index does not serve this graph view")
+    from repro.core.backends import numpy_available
+
+    if not numpy_available():
+        return _set_build(graph, hops, include_self=include_self, counter=counter)
     import numpy as np
 
+    csr = graph.csr()
+    if ball_index is None:
+        ball_index = CSRBallIndex(csr, hops, include_self=include_self)
+    elif not ball_index.serves(csr, hops, include_self):
+        raise InvalidParameterError("ball_index does not serve this graph view")
     n = csr.num_nodes
     src = np.repeat(np.arange(n), np.diff(csr.indptr))
     dst = csr.indices.astype(np.intp)
@@ -223,5 +214,31 @@ def build_differential_index(
         back[np.argsort(src * n + dst)] = np.argsort(dst * n + src)
         deltas[back[probe]] = sizes[src[probe]] - common
     return DifferentialIndex(
-        deltas, csr.indptr, sizes, hops=hops, include_self=include_self, version=version
+        deltas, csr.indptr, sizes, hops=hops, include_self=include_self,
+        version=getattr(graph, "version", None),
+    )
+
+
+def _set_build(
+    graph: Graph,
+    hops: int,
+    *,
+    include_self: bool = True,
+    counter: Optional[TraversalCounter] = None,
+) -> DifferentialIndex:
+    """:func:`build_differential_index` from one ``hop_ball`` set per node,
+    counting ``|S(v) \\ S(u)|`` arc by arc."""
+    balls = [
+        hop_ball(graph, u, hops, include_self=include_self, counter=counter)
+        for u in range(graph.num_nodes)
+    ]
+    deltas = array("q")
+    offsets = array("q", [0])
+    for u, ball_u in enumerate(balls):
+        deltas.extend(sum(1 for w in balls[v] if w not in ball_u) for v in graph.neighbors(u))
+        offsets.append(len(deltas))
+    sizes = [len(ball) for ball in balls]
+    return DifferentialIndex(
+        deltas, offsets, sizes, hops=hops, include_self=include_self,
+        version=getattr(graph, "version", None),
     )

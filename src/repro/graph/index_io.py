@@ -76,8 +76,9 @@ def save_differential_index(
                 len(index), len(deltas), index.hops, lo, hi, index.include_self
             )
         )
-        for table in (degrees, deltas, sizes):
-            table.tofile(handle)  # type: ignore[arg-type]
+        degrees.tofile(handle)  # type: ignore[arg-type]
+        deltas.tofile(handle)  # type: ignore[arg-type]
+        sizes.tofile(handle)  # type: ignore[arg-type]
     finally:
         if own:
             handle.close()
@@ -112,9 +113,12 @@ def load_differential_index(graph: Graph, source: PathOrFile) -> DifferentialInd
                 "graph fingerprint mismatch: the index was built on a "
                 "different (or since-mutated) graph"
             )
-        degrees, deltas, sizes = array("i"), array("i"), array("i")
-        for table, count in ((degrees, num_nodes), (deltas, num_arcs), (sizes, num_nodes)):
-            table.fromfile(handle, count)  # type: ignore[arg-type]
+        degrees = array("i")
+        degrees.fromfile(handle, num_nodes)  # type: ignore[arg-type]
+        deltas = array("i")
+        deltas.fromfile(handle, num_arcs)  # type: ignore[arg-type]
+        sizes = array("i")
+        sizes.fromfile(handle, num_nodes)  # type: ignore[arg-type]
     except (EOFError, ValueError) as exc:
         raise IndexNotBuiltError(
             f"truncated differential-index payload ({exc})"
@@ -126,9 +130,15 @@ def load_differential_index(graph: Graph, source: PathOrFile) -> DifferentialInd
     offsets = array("q", [0])  # the flat tables, row by row checked against the graph
     for u, degree in enumerate(degrees):
         if degree != graph.degree(u):
-            raise IndexNotBuiltError(f"adjacency row length mismatch at node {u}")
+            raise IndexNotBuiltError(
+                f"adjacency row length mismatch at node {u}"
+            )
         offsets.append(offsets[-1] + degree)
     return DifferentialIndex(
-        deltas, offsets, sizes.tolist(), hops=hops, include_self=include_self,
+        deltas,
+        offsets,
+        sizes.tolist(),
+        hops=hops,
+        include_self=include_self,
         version=getattr(graph, "version", None),
     )

@@ -5,24 +5,24 @@
 :class:`~repro.graph.csr.CSRBallIndex` stays, rebound to the patched CSR,
 with ``start[w] = -1`` (labels cleared) for every ``w`` within ``h - 1`` hops
 of an endpoint on the CSR that has the arc
-(:func:`~repro.graph.csr.edge_write_reach`); a built differential index is
-patched on that reach (its exact ``N(v)`` with it); and the estimated
-``N(v)`` table is patched row by row
+(:func:`~repro.graph.csr.edge_write_reach`); the differential index is
+dropped and read off that ball index at the next forward read; and the
+estimated ``N(v)`` table is patched row by row
 (:func:`~repro.graph.neighborhood.patch_csr_estimates`).
 
 Covered, after *every* step of random insert/delete sequences over hops 1-3,
 both ball conventions, directed and undirected: every present ball (and
 every hop label a weighted read wrote) equals a fresh expansion over the
-current CSR; answers equal a fresh session's; the patched differential
-index equals a fresh Python build, delta for delta and N for N, and is built
-once over the whole sequence; the patched estimates equal
+current CSR; answers equal a fresh session's; the differential index a
+forward read rebuilds equals a fresh Python build, delta for delta and N
+for N; the patched estimates equal
 ``csr_estimates`` of the current CSR (also chained over hypothesis-drawn
 sequences, with nothing in between to repair a wrong row).  Compaction keeps
 resident bytes at most twice the live pairs and reopens a closed index.  A
 context that missed a mutation falls back to a full invalidation; a write
 that fails keeps everything.  Readers — base, backward and forward — race
-writers under the write guard; a dense ``auto`` read after a write stays on
-forward.
+writers under the write guard; a dense ``auto`` read after a write equals
+``base``.
 Scores are arbitrary floats; answers compare with ``==``.
 """
 
@@ -41,7 +41,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro import Network  # noqa: E402
-from repro.core import context  # noqa: E402
 from repro.dynamic.graph import DynamicGraph  # noqa: E402
 from repro.graph.csr import (  # noqa: E402
     CSRBallIndex,
@@ -49,7 +48,7 @@ from repro.graph.csr import (  # noqa: E402
     batched_hop_balls_with_distances,
     edge_write_reach,
 )
-from repro.graph.diffindex import build_differential_index  # noqa: E402
+from repro.graph.diffindex import _set_build  # noqa: E402
 from repro.graph.graph import Graph  # noqa: E402
 from repro.graph.neighborhood import csr_estimates, patch_csr_estimates  # noqa: E402
 
@@ -210,37 +209,30 @@ def test_a_failed_write_keeps_everything():
 
 
 # ---------------------------------------------------------------------------
-# The differential index: patched on the same reach, never rebuilt
+# The differential index: dropped, and read off the ball index again
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("directed,hops,include_self", VIEWS)
-def test_the_differential_index_is_patched_after_every_write(
-    directed, hops, include_self, monkeypatch
+def test_the_differential_index_is_rebuilt_off_the_ball_index_after_every_write(
+    directed, hops, include_self
 ):
-    builds = []
-    build = context.build_differential_index
-    monkeypatch.setattr(
-        context, "build_differential_index",
-        lambda graph, *args, **kwargs: builds.append(graph) or build(graph, *args, **kwargs),
-    )
     net = _session(_graph(directed), hops, include_self)
     net.build_indexes()
     rng = random.Random(hops * 10 + include_self + 2 * directed)
     forward = net.query("s").algorithm("forward").limit(8)
     for step in range(25):
         _random_edit(net, rng)
+        assert net.diff_index is None
+        got = forward.run().entries
         index = net.diff_index
         index.check_compatible(net.graph, hops, include_self)
-        want = build_differential_index(net.graph, hops, include_self=include_self)
+        want = _set_build(net.graph, hops, include_self=include_self)
         assert index.deltas.tolist() == list(want.deltas)
         assert index.sizes.upper_values().tolist() == list(want.sizes.upper_values())
         if step % 5 == 4:
-            assert forward.run().entries == _fresh(net).query("s").algorithm(
-                "forward"
-            ).limit(8).run().entries
-    assert [graph for graph in builds if graph is net.graph] == [net.graph]
+            assert got == _fresh(net).query("s").algorithm("forward").limit(8).run().entries
 
 
-def test_a_dense_auto_read_after_a_write_stays_on_forward():
+def test_a_dense_auto_read_after_a_write_equals_base():
     net = Network(_graph(False), hops=2, backend="numpy")
     rng = random.Random(8)
     net.add_scores("dense", [0.05 + 0.95 * rng.random() for _ in range(N)])
@@ -248,7 +240,6 @@ def test_a_dense_auto_read_after_a_write_stays_on_forward():
     for _ in range(6):
         _random_edit(net, rng)
         auto = net.query("dense").limit(8).run()
-        assert auto.stats.algorithm == "forward"
         assert auto.entries == net.query("dense").algorithm("base").limit(8).run().entries
 
 
@@ -421,9 +412,9 @@ def test_racing_reads_and_writes_leave_every_ball_current():
 
 
 def test_forward_reads_racing_writes_read_one_side_of_the_edge():
-    """A forward read takes the differential index under the read lock and
-    an edge write patches it under the write guard: every answer is the
-    graph's with or without the toggled edge."""
+    """A forward read builds or takes the differential index under the
+    context lock and an edge write drops it under the write guard: every
+    answer is the graph's with or without the toggled edge."""
     net = _session(_graph(False), 2, True)
     net.build_indexes()
     forward = net.query("s").algorithm("forward").limit(8)
@@ -466,5 +457,5 @@ def test_forward_reads_racing_writes_read_one_side_of_the_edge():
     if net.graph.has_edge(u, v):
         net.remove_edge(u, v)
     assert forward.run().entries == without
-    want = build_differential_index(net.graph, 2)
+    want = _set_build(net.graph, 2)
     assert net.diff_index.deltas.tolist() == list(want.deltas)

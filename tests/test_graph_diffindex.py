@@ -13,7 +13,7 @@ from repro.core.forward import forward_topk
 from repro.core.query import QuerySpec
 from repro.dynamic.graph import DynamicGraph
 from repro.errors import IndexNotBuiltError, InvalidParameterError
-from repro.graph.diffindex import build_differential_index
+from repro.graph.diffindex import _set_build, build_differential_index
 from repro.graph.graph import Graph
 from tests.conftest import random_graph, random_scores, ref_ball, rounded
 
@@ -124,15 +124,21 @@ class TestBallIndexBuild:
         # Five trailing isolated nodes: their N is the bare center (or 0).
         g = Graph.from_edges(list(base.edges()), num_nodes=35, directed=directed)
         balls = CSRBallIndex(g.csr(), hops, include_self=include_self, max_bytes=cap)
-        want = build_differential_index(g, hops, include_self=include_self)
-        for _ in range(2):  # cold, then whatever the cap kept
+        want = _set_build(g, hops, include_self=include_self)
+        # Cold, then whatever the cap kept, then a fresh unbounded index.
+        for shared in (balls, balls, None):
             got = build_differential_index(
-                g, hops, include_self=include_self, ball_index=balls
+                g, hops, include_self=include_self, ball_index=shared
             )
             assert np.array_equal(got.deltas, np.asarray(want.deltas))
             assert np.array_equal(got.offsets, g.csr().indptr)
             assert got.sizes.is_exact
             assert got.sizes.upper_values().tolist() == list(want.sizes.upper_values())
+            # Python ints for the python backend's bounds arithmetic.
+            assert [got.delta_row(u) for u in g.nodes()] == [
+                want.delta_row(u) for u in g.nodes()
+            ]
+            assert {type(d) for u in g.nodes() for d in got.delta_row(u)} <= {int}
         if cap is not None:
             assert balls.stats()["bytes"] <= cap
 
@@ -149,14 +155,15 @@ class TestStaleIndex:
     """An index describes one arc layout at one graph version: a forward
     read over anything else raises instead of pruning with wrong deltas."""
 
+    @pytest.mark.parametrize("build", [_set_build, build_differential_index])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_an_index_from_before_edge_writes_is_refused(self, backend, seed):
+    def test_an_index_from_before_edge_writes_is_refused(self, build, backend, seed):
         rng = random.Random(seed)
         g = DynamicGraph.from_graph(random_graph(40, 0.1, seed=seed))
         scores = random_scores(40, seed=seed)
         spec = QuerySpec(k=5, hops=2, backend=backend)
-        old = build_differential_index(g, 2)
+        old = build(g, 2)
         forward_topk(g, scores, spec, diff_index=old)
         for _ in range(10):
             g.remove_edge(*rng.choice(list(g.edges())))
@@ -166,14 +173,14 @@ class TestStaleIndex:
                 g.add_edge(u, v)
         with pytest.raises(IndexNotBuiltError):
             forward_topk(g, scores, spec, diff_index=old)
-        fresh = build_differential_index(g, 2)
+        fresh = build(g, 2)
         assert rounded(forward_topk(g, scores, spec, diff_index=fresh).values) == rounded(
             base_topk(g, scores, spec).values
         )
 
     def test_one_write_moves_the_version(self):
         g = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3)])
-        idx = build_differential_index(g, 1)
+        idx = _set_build(g, 1)
         g.add_edge(0, 3)
         g.remove_edge(0, 3)  # same arcs again, two versions later
         with pytest.raises(IndexNotBuiltError, match="version"):
@@ -183,10 +190,12 @@ class TestStaleIndex:
         a = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         b = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
         with pytest.raises(IndexNotBuiltError, match="layout"):
-            build_differential_index(a, 1).check_compatible(b, 1, True)
+            _set_build(a, 1).check_compatible(b, 1, True)
+        index = build_differential_index(a, 1)
+        with pytest.raises(IndexNotBuiltError, match="layout"):
+            index.check_compatible(b, 1, True)  # b holds no CSR: a degree walk
         if numpy_available():
-            from repro.graph.csr import CSRBallIndex
-
-            index = build_differential_index(a, 1, ball_index=CSRBallIndex(a.csr(), 1))
-            with pytest.raises(IndexNotBuiltError, match="layout"):
-                index.check_compatible(b, 1, True)
+            b.csr()
+            for built in (index, _set_build(a, 1)):
+                with pytest.raises(IndexNotBuiltError, match="layout"):
+                    built.check_compatible(b, 1, True)  # against b's CSR

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import IndexNotBuiltError
-from repro.graph.diffindex import build_differential_index
+from repro.graph.diffindex import _set_build, build_differential_index
 from repro.graph.index_io import (
     graph_fingerprint,
     load_differential_index,
@@ -113,11 +113,12 @@ class TestFormat:
 
         g = random_graph(30, 0.1, seed=182 + hops, directed=directed)
         saved = []
-        for balls in (None, CSRBallIndex(g.csr(), hops)):
+        for index in (
+            _set_build(g, hops),
+            build_differential_index(g, hops, ball_index=CSRBallIndex(g.csr(), hops)),
+        ):
             buffer = io.BytesIO()
-            save_differential_index(
-                build_differential_index(g, hops, ball_index=balls), g, buffer
-            )
+            save_differential_index(index, g, buffer)
             saved.append(buffer.getvalue())
         assert saved[0] == saved[1]
         assert saved[0].startswith(b"LONADIF1")
