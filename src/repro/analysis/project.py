@@ -223,11 +223,13 @@ _LOCK_CONTRACTS = {
         mutators={
             "GraphContext": (
                 "invalidate",
+                "edge_write",
                 "check_fresh",
                 "build_indexes",
                 "load_index",
                 "close",
-            )
+            ),
+            "Phase1Memo": ("get", "put"),
         },
         locks=frozenset({"_lock"}),
     ),

@@ -95,6 +95,7 @@ def backward_topk(
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
     ball_index: Optional[object] = None,
+    memo: Optional[object] = None,
 ) -> TopKResult:
     """Answer ``spec`` with LONA-Backward.
 
@@ -120,6 +121,10 @@ def backward_topk(
         that verification blocks are read through (matched on its ``(csr,
         hops, include_self)`` triple), so repeated queries re-expand
         nothing.  Ignored by the Python backend.
+    memo:
+        Optional session :class:`~repro.core.context.Phase1Memo` for this
+        graph view: a repeated read of a vector reuses its phases 1-2 and
+        pays only for verification.  Ignored by the Python backend.
     """
     concrete = resolve_backend(spec.backend)
     if concrete != "python":
@@ -133,6 +138,7 @@ def backward_topk(
             distribution_fraction=distribution_fraction,
             sizes=sizes,
             kernels=NumpyKernels(ball_index),
+            memo=memo,
         )
     kind = spec.aggregate
     if not kind.lona_supported:

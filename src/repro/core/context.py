@@ -9,7 +9,8 @@ owns them once, so a :class:`~repro.session.Network` session, its query
 service and its sharded engines share a single cache.  The flat CSR arrays are *not* a context artifact: every
 :class:`~repro.graph.graph.Graph` owns its own (built once when immutable,
 patched when dynamic), and :meth:`GraphContext.csr` only revalidates and
-asks it.
+asks it.  LONA-Backward's k-independent phases 1-2 are derived state too:
+:class:`Phase1Memo` keeps them per live score vector.
 
 The context is *version-aware*: when the underlying graph is a
 :class:`~repro.dynamic.graph.DynamicGraph`, every accessor revalidates
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.backends import numpy_available
@@ -46,7 +48,7 @@ from repro.graph.diffindex import DifferentialIndex, build_differential_index
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 
-__all__ = ["GraphContext", "DEFAULT_BALL_CACHE_BYTES"]
+__all__ = ["GraphContext", "Phase1Memo", "DEFAULT_BALL_CACHE_BYTES"]
 
 #: Default session ball budget.  Half of it caps the in-process ball index
 #: (32 MiB: the whole 16,000-node bench closure, pairs and hop labels, or
@@ -56,11 +58,64 @@ __all__ = ["GraphContext", "DEFAULT_BALL_CACHE_BYTES"]
 DEFAULT_BALL_CACHE_BYTES = 64 * 1024 * 1024
 
 
+class Phase1Memo:
+    """LONA-Backward's k-independent state (phases 1-2), per score vector.
+
+    One slot per live :class:`~repro.relevance.base.ScoreVector` (a weak
+    key: the slot dies with its vector) and aggregate family (``False`` for
+    SUM and binary COUNT, whose folded arrays are one array; ``True`` for
+    AVG).  A slot holds the last ``key`` read with it — gamma,
+    ``distribution_fraction`` and the size index — and the driver's state,
+    which has an ``nbytes``.  So the memo holds at most one state per live
+    vector and family.  The graph view, hops and ``include_self`` are the
+    owning context's: it swaps in a :meth:`successor` when the graph moves,
+    so a read that started before the move stores into a memo nobody reads.
+    """
+
+    __slots__ = ("_slots", "_lock", "_counts")
+
+    def __init__(
+        self, lock: Optional[Any] = None, counts: Optional[list] = None
+    ) -> None:
+        self._slots: Any = weakref.WeakKeyDictionary()
+        self._lock = lock if lock is not None else threading.Lock()
+        self._counts = counts if counts is not None else [0, 0]  # hits, misses
+
+    def successor(self) -> "Phase1Memo":
+        """An empty memo that keeps counting where this one stopped."""
+        return Phase1Memo(self._lock, self._counts)
+
+    def get(self, scores: object, family: bool, key: tuple) -> Optional[Any]:
+        """The state stored for ``(scores, family)`` under ``key``, or None."""
+        with self._lock:
+            held = self._slots.get(scores, {}).get(family)
+            hit = held is not None and held[0] == key
+            self._counts[0 if hit else 1] += 1
+            return held[1] if hit else None
+
+    def put(self, scores: object, family: bool, key: tuple, state: Any) -> None:
+        """Keep ``state`` as the one entry of ``(scores, family)``."""
+        with self._lock:
+            self._slots.setdefault(scores, {})[family] = (key, state)
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            states = [s for slot in self._slots.values() for _, s in slot.values()]
+            hits, misses = self._counts
+        return {
+            "entries": len(states),
+            "bytes": sum(state.nbytes for state in states),
+            "hits": hits,
+            "misses": misses,
+        }
+
+
 class GraphContext:
     """Lazily built, shared caches for one ``(graph, hops, include_self)``.
 
     Owns: the differential index, the exact/estimated neighborhood-size
-    indexes, the ball index (:meth:`ball_index`) and the sharded engines.
+    indexes, the ball index (:meth:`ball_index`), LONA-Backward's phase-1
+    memo (:meth:`phase1_memo`) and the sharded engines.
     It does not own the (reversed) CSR views the vectorized backends
     consume — those belong to the graph, and :meth:`csr` / :meth:`rev_csr`
     hand out the graph's.  All artifacts build on first use and are reused
@@ -77,6 +132,7 @@ class GraphContext:
         "_diff_index",
         "_estimated_sizes",
         "_ball_index",
+        "_phase1",
         "_engines",
         "_engine_options",
         "_graph_version",
@@ -98,6 +154,7 @@ class GraphContext:
         self._diff_index: Optional[DifferentialIndex] = None
         self._estimated_sizes: Optional[NeighborhoodSizeIndex] = None
         self._ball_index = None
+        self._phase1 = Phase1Memo()
         self._engines: Dict[str, object] = {}
         self._engine_options: Dict[str, dict] = {}
         self._graph_version = getattr(graph, "version", None)
@@ -120,14 +177,16 @@ class GraphContext:
             self._diff_index = None
             self._estimated_sizes = None
             self._ball_index = None
+            self._phase1 = self._phase1.successor()
             self._graph_version = getattr(self.graph, "version", None)
 
     def edge_write(self, u: int, v: int, write: Callable[[], None]) -> Optional[Any]:
         """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
         and drop what it can have changed, keeping the rest.
 
-        The differential index goes; the next forward read rebuilds it off
-        the ball index, which keeps every ball the write cannot have moved.
+        The differential index and the phase-1 memo go; the next forward
+        read rebuilds the index off the ball index, which keeps every ball
+        the write cannot have moved.
         The ball index stays: it forgets only the balls of the nodes within
         ``hops - 1`` hops of an endpoint
         (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
@@ -154,6 +213,7 @@ class GraphContext:
             write()
             csr = graph.csr()
             self._diff_index = None
+            self._phase1 = self._phase1.successor()
             self._ball_index = index
             reach = None
             if index is not None:
@@ -304,6 +364,15 @@ class GraphContext:
                 )
             return self._ball_index
 
+    def phase1_memo(self) -> Phase1Memo:
+        """The :class:`Phase1Memo` of the current graph version: LONA-Backward
+        reads of one vector share phases 1-2 across ``k``, SUM and binary
+        COUNT, and lanes.  Dropped with the other artifacts by
+        :meth:`invalidate` and by :meth:`edge_write`."""
+        with self._lock:
+            self.check_fresh()
+            return self._phase1
+
     # ------------------------------------------------------------------
     # Sharded engines (the "parallel" and "cluster" backends)
     # ------------------------------------------------------------------
@@ -361,7 +430,7 @@ class GraphContext:
 
     def close(self) -> None:
         """Release out-of-process resources (worker pool, shared memory,
-        cluster peers) and the session's ball arrays.
+        cluster peers), the session's ball arrays and its phase-1 memo.
 
         Exists so ``Network.close`` (and tests) can deterministically free
         the sharded engines instead of waiting for garbage collection, and
@@ -374,12 +443,18 @@ class GraphContext:
             engines = list(self._engines.values())
             self._engines.clear()
             self._ball_index = None
+            self._phase1 = self._phase1.successor()
         for engine in engines:
             if engine is not None:
                 engine.close()
 
     def cache_stats(self) -> Dict[str, Optional[dict]]:
-        """``{"ball_cache": ...}``: the ball index's counters (None = unbuilt)."""
+        """``{"ball_cache": ..., "phase1": ...}``: the ball index's counters
+        (None = unbuilt) and the phase-1 memo's entries, bytes, hits and
+        misses."""
         with self._lock:
-            index = self._ball_index
-            return {"ball_cache": None if index is None else index.stats()}
+            index, memo = self._ball_index, self._phase1
+            return {
+                "ball_cache": None if index is None else index.stats(),
+                "phase1": memo.stats(),
+            }

@@ -281,7 +281,10 @@ def execute(
                 ball_index=ctx.ball_index() if concrete != "python" else None,
             )
         )
-    # backward
+    # backward: a repeated read of a vector takes phases 1-2 from the memo
+    # (fetched first: a write after this point leaves it unread).
+    vectorized = concrete != "python"
+    memo = ctx.phase1_memo() if vectorized else None
     sizes = ctx.size_index(exact=request.exact_sizes)
     return _with_kernel(
         backward_topk(
@@ -291,7 +294,8 @@ def execute(
             gamma=request.gamma,  # type: ignore[arg-type]
             distribution_fraction=request.distribution_fraction,
             sizes=sizes,
-            ball_index=ctx.ball_index() if concrete != "python" else None,
+            ball_index=ctx.ball_index() if vectorized else None,
+            memo=memo,
         )
     )
 

@@ -69,7 +69,7 @@ entry-for-entry equality on every aggregate and both ball conventions.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from repro.aggregates.functions import AggregateKind
 from repro.core.deadline import check_deadline
@@ -586,6 +586,7 @@ def backward_topk_numpy(
     distribution_fraction: float = 0.1,
     sizes: Optional[NeighborhoodSizeIndex] = None,
     kernels=None,
+    memo=None,
 ) -> TopKResult:
     """LONA-Backward over CSR flat arrays (see module docstring).
 
@@ -594,7 +595,10 @@ def backward_topk_numpy(
     graphs ``graph.rev_csr()``, whose reversed arcs distribution walks).
     ``kernels`` is the block-kernel provider (``None`` ->
     :class:`NumpyKernels`); verification blocks are read through its ball
-    index.
+    index.  ``memo`` is a session's
+    :class:`~repro.core.context.Phase1Memo` (built for this graph view,
+    hops and ball convention): a repeated read of a vector takes phases 1-2
+    from it and runs only verification.
     """
     import numpy as np
 
@@ -606,7 +610,7 @@ def backward_topk_numpy(
         )
     return _backward_topk(
         np, graph, scores, spec, None, gamma, distribution_fraction, sizes,
-        kernels or NumpyKernels(),
+        kernels or NumpyKernels(), memo,
     )
 
 
@@ -815,13 +819,86 @@ def weighted_backward_topk_numpy(
     )
 
 
+class BackwardState(NamedTuple):
+    """LONA-Backward's phases 1-2, which no ``k`` changes: the distributed
+    ids, the resolved gamma, Eq. 3's ``rest_bound``, the push count, and
+    every node's bound — the exact value under the exact shortcut."""
+
+    distributed: Any
+    gamma: float
+    rest_bound: float
+    pushes: int
+    bounds: Any
+    exact: bool
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.distributed.nbytes + self.bounds.nbytes)
+
+
+def _backward_state(
+    np, graph, scores, scores_arr, spec, weights, gamma, distribution_fraction,
+    sizes, kernels, counter,
+) -> BackwardState:
+    """Phases 1-2 of both LONA-Backward drivers; distribution expansions are
+    charged to ``counter``."""
+    is_avg = spec.aggregate is AggregateKind.AVG
+    include_self = spec.include_self
+    n = graph.num_nodes
+    # Distribution walks the reversed arcs; an undirected graph is its own
+    # reversal (``rev_csr()`` is None).
+    dist_csr = graph.rev_csr() or graph.csr()
+
+    # Phase 1: partial distribution in descending score order.
+    distributed, effective_gamma, rest_bound = backward_distribution_split(
+        np, scores, scores_arr, gamma, distribution_fraction
+    )
+    partial, covered, pushes = distribute_scores(
+        np, dist_csr, distributed, scores_arr, spec.hops, include_self,
+        resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, kernels,
+        weights,
+    )
+    self_distributed = np.zeros(n, dtype=bool)
+    if include_self:
+        self_distributed[distributed] = True
+
+    # Phase 2: Eq. 3 upper bound for every node, one array expression.
+    if weights is not None:
+        self_scores = weights[0] * scores_arr
+        w_max = float(weights[1:].max()) if weights.size > 1 else 0.0
+        unknown_bound = w_max * rest_bound
+    else:
+        self_scores = scores_arr
+        unknown_bound = rest_bound
+    # Under the exact shortcut (nothing undistributed, exact AVG sizes) the
+    # bound *is* the exact value, bit for bit: Eq. 3 adds ``0.0 * unknown``
+    # and divides by a lower size equal to the upper one.  One array serves.
+    exact = rest_bound == 0.0 and (not is_avg or sizes.is_exact)
+    if exact:
+        bounds = backward_shortcut_values(
+            np, self_scores, partial, self_distributed, sizes,
+            include_self=include_self, is_avg=is_avg,
+        )
+    else:
+        bounds = backward_eq3_bounds(
+            np, self_scores, partial, covered, self_distributed, sizes,
+            unknown_bound, include_self=include_self, is_avg=is_avg,
+        )
+    bounds.flags.writeable = False  # a memo hands it to racing readers
+    return BackwardState(
+        distributed, effective_gamma, rest_bound, pushes, bounds, exact
+    )
+
+
 def _backward_topk(
     np, graph, scores, spec, weights, gamma, distribution_fraction, sizes,
-    kernels,
+    kernels, memo=None,
 ) -> TopKResult:
     """Both LONA-Backward drivers: ``weights is None`` is the paper's form,
     an array footnote 1's (whose Eq. 3 charges an unknown member ``w_max *
-    rest_bound`` and an undistributed center ``w(0) * f``)."""
+    rest_bound`` and an undistributed center ``w(0) * f``).  With a ``memo``,
+    a vector's own array (SUM, AVG, binary COUNT) keeps its phases 1-2
+    there, keyed by the inputs they read beyond the memo's graph view."""
     weighted = weights is not None
     scores_arr, _ = folded_scores(np, scores, spec.aggregate)
     is_avg = spec.aggregate is AggregateKind.AVG
@@ -838,9 +915,6 @@ def _backward_topk(
 
     start = time.perf_counter()
     csr = graph.csr()
-    # Distribution walks the reversed arcs; an undirected graph is its own
-    # reversal (``rev_csr()`` is None).
-    dist_csr = graph.rev_csr() or csr
     counter = TraversalCounter()
     n = graph.num_nodes
     stats = QueryStats(
@@ -852,43 +926,25 @@ def _backward_topk(
         index_build_sec=build_sec,
     )
 
-    # Phase 1: partial distribution in descending score order.
-    distributed, effective_gamma, rest_bound = backward_distribution_split(
-        np, scores, scores_arr, gamma, distribution_fraction
-    )
-    partial, covered, stats.distribution_pushes = distribute_scores(
-        np, dist_csr, distributed, scores_arr, hops, include_self,
-        resolve_block_size(None, n, int(dist_csr.num_arcs)), counter, kernels,
-        weights,
-    )
-    self_distributed = np.zeros(n, dtype=bool)
-    if include_self:
-        self_distributed[distributed] = True
-
-    # Phase 2: Eq. 3 upper bound for every node, one array expression.
-    if weighted:
-        self_scores = weights[0] * scores_arr
-        w_max = float(weights[1:].max()) if weights.size > 1 else 0.0
-        unknown_bound = w_max * rest_bound
-    else:
-        self_scores = scores_arr
-        unknown_bound = rest_bound
-    bounds = backward_eq3_bounds(
-        np, self_scores, partial, covered, self_distributed, sizes,
-        unknown_bound, include_self=include_self, is_avg=is_avg,
-    )
+    state = key = None
+    if memo is not None and isinstance(scores, ScoreVector) and (
+        scores_arr is scores.array()
+    ):
+        key = (gamma, distribution_fraction, sizes)
+        state = memo.get(scores, is_avg, key)
+    if state is None:
+        state = _backward_state(
+            np, graph, scores, scores_arr, spec, weights, gamma,
+            distribution_fraction, sizes, kernels, counter,
+        )
+        if key is not None:
+            memo.put(scores, is_avg, key, state)
+    stats.distribution_pushes = state.pushes
     stats.bound_evaluations = n
     # Descending bound order, sorted only as far as verification reaches.
-    candidate_order = descending_prefixes(np, bounds, max(2 * spec.k, 64))
+    candidate_order = descending_prefixes(np, state.bounds, max(2 * spec.k, 64))
 
     # Phase 3: verification in descending bound order, TA-style stop.
-    exact_shortcut = rest_bound == 0.0 and (not is_avg or sizes.is_exact)
-    shortcut_values = None
-    if exact_shortcut:
-        shortcut_values = backward_shortcut_values(
-            np, self_scores, partial, self_distributed, sizes,
-            include_self=include_self, is_avg=is_avg,
-        )
     acc = TopKAccumulator(spec.k)
     if weighted:
 
@@ -907,9 +963,9 @@ def _backward_topk(
             )[0]
 
     offered = verify_blocked(
-        np, candidate_order, bounds, acc, stats,
+        np, candidate_order, state.bounds, acc, stats,
         kernels.block_size(None, n, int(csr.num_arcs), role="verify"),
-        verify, shortcut_values,
+        verify, state.bounds if state.exact else None,
     )
 
     stats.pruned_nodes = n - offered
@@ -917,10 +973,10 @@ def _backward_topk(
     stats.edges_scanned = counter.edges_scanned
     stats.nodes_visited = counter.nodes_visited
     stats.balls_expanded = counter.balls_expanded
-    stats.extra["gamma"] = effective_gamma
-    stats.extra["distributed_nodes"] = float(distributed.size)
-    stats.extra["rest_bound"] = rest_bound
-    stats.extra["exact_shortcut"] = float(exact_shortcut)
+    stats.extra["gamma"] = state.gamma
+    stats.extra["distributed_nodes"] = float(state.distributed.size)
+    stats.extra["rest_bound"] = state.rest_bound
+    stats.extra["exact_shortcut"] = float(state.exact)
     return TopKResult(entries=acc.entries(), stats=stats)
 
 

@@ -47,7 +47,10 @@ class ScoreVector:
     Eq. 3).
     """
 
-    __slots__ = ("_values", "_nonzero", "_nonbinary", "_array", "_sorted")
+    # Weak-referenceable: a session's LONA-Backward memo dies with its vector.
+    __slots__ = (
+        "_values", "_nonzero", "_nonbinary", "_array", "_sorted", "__weakref__"
+    )
 
     def __init__(self, values: Iterable[float]) -> None:
         vals = [float(v) for v in values]

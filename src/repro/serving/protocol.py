@@ -28,6 +28,7 @@ from dataclasses import fields
 from typing import Dict, Type
 
 from repro.core.results import QueryStats, StreamUpdate, TopKResult
+from repro.core.topk import shared_entries
 from repro.errors import (
     DeadlineExceededError,
     DistributedError,
@@ -89,9 +90,8 @@ def decode_result(payload: object) -> TopKResult:
         # extras are heterogeneous JSON scalars (gamma=0.4, ordering="ubound")
         stats.extra = {str(k): v for k, v in extra.items()}
     try:
-        entries = [
-            (int(node), float(value)) for node, value in payload["entries"]
-        ]
+        # Held like an in-process result's entries: shared pairs.
+        entries = shared_entries(payload["entries"])
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed result entries: {exc}") from None
     return TopKResult(entries=entries, stats=stats)

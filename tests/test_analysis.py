@@ -23,7 +23,12 @@ from repro.analysis import (
     run_checkers,
     write_baseline,
 )
-from repro.analysis.project import AnalysisConfig, HotModule, LockContract
+from repro.analysis.project import (
+    DEFAULT_CONFIG,
+    AnalysisConfig,
+    HotModule,
+    LockContract,
+)
 from repro.analysis.rules.rc001_deadline import DeadlineCoverage
 from repro.analysis.rules.rc002_locks import LockDiscipline
 from repro.analysis.rules.rc003_backends import BackendRegistryParity
@@ -228,6 +233,29 @@ class TestRC002:
         report = _run(tmp_path, LockDiscipline(self.CFG))
         assert len(report.active) == 1
         assert "no longer exists" in report.active[0].message
+
+    CONTEXT = "src/repro/core/context.py"
+
+    def test_live_contract_covers_every_context_writer(self):
+        mutators = DEFAULT_CONFIG.lock_contracts[self.CONTEXT].mutators
+        assert "edge_write" in mutators["GraphContext"]
+        assert mutators["Phase1Memo"] == ("get", "put")
+
+    def test_an_unlocked_context_writer_is_flagged(self, tmp_path):
+        with open(f"{REPO_ROOT}/{self.CONTEXT}", encoding="utf-8") as handle:
+            live = handle.read()
+        locked = "with self._lock:\n            self._slots.setdefault("
+        assert live.count(locked) == 1
+        bare = live.replace(locked, "if True:\n            self._slots.setdefault(")
+        path = tmp_path / self.CONTEXT
+        path.parent.mkdir(parents=True)
+        path.write_text(bare, encoding="utf-8")
+        cfg = AnalysisConfig(
+            lock_contracts={self.CONTEXT: DEFAULT_CONFIG.lock_contracts[self.CONTEXT]}
+        )
+        report = _run(tmp_path, LockDiscipline(cfg))
+        assert len(report.active) == 1
+        assert "Phase1Memo.put" in report.active[0].message
 
 
 # ----------------------------------------------------------------------

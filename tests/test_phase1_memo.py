@@ -1,0 +1,458 @@
+"""LONA-Backward's phase-1 memo: a repeated read pays only for its ``k``.
+
+Phases 1-2 (partial distribution and the Eq. 3 bound of every node) depend
+on the score vector, gamma, ``distribution_fraction``, the size index and
+the graph view, never on ``k``; SUM and COUNT of a 0/1 vector fold to one
+array.  A session keeps them per live vector and family
+(:class:`~repro.core.context.Phase1Memo`), so a hit runs only verification.
+
+Checked here, every value compared by its bytes (``float.hex``) on
+non-dyadic scores: a hit equals its miss and a context-free
+``backward_topk`` over k, aggregate, gamma, size index, ball convention and
+direction; the exact shortcut's values equal Eq. 3's bounds bit for bit,
+which is why one array serves as both; every write drops what it moved; an
+entry dies with its vector; racing readers see one of the writer's states;
+the Python backend never makes an entry or reaches for numpy.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import random
+import subprocess
+import sys
+import textwrap
+import threading
+
+import pytest
+
+from repro import Network
+from repro.core.backends import numpy_available
+from repro.core.backward import backward_topk
+from repro.core.query import QuerySpec
+from repro.dynamic.graph import DynamicGraph
+from repro.graph.graph import Graph
+from repro.graph.neighborhood import NeighborhoodSizeIndex
+
+THREADS = int(os.environ.get("REPRO_STRESS_THREADS", "4"))
+ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "3"))
+N = 240
+KS = (1, 10, 200)
+AGGREGATES = ("sum", "count", "avg")
+VIEWS = [
+    (directed, include_self)
+    for directed in (False, True)
+    for include_self in (True, False)
+]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="the memo is numpy's")
+
+
+def _edges(directed: bool, seed: int = 7, n: int = N):
+    """About two edges a node; the last 10 nodes touch none."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < 2 * n:
+        u, v = rng.randrange(n - 10), rng.randrange(n - 10)
+        if u != v:
+            edges.add((u, v) if directed else (min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def _graph(directed: bool, dynamic: bool = False) -> Graph:
+    cls = DynamicGraph if dynamic else Graph
+    return cls.from_edges(_edges(directed), num_nodes=N, directed=directed)
+
+
+def _scores(seed: int, n: int = N):
+    """Non-dyadic floats from a pool of nine values, about a third non-zero."""
+    rng = random.Random(seed)
+    pool = [rng.random() for _ in range(9)]
+    return [rng.choice(pool) if rng.random() < 0.35 else 0.0 for _ in range(n)]
+
+
+def _bits(entries):
+    return [(node, value.hex()) for node, value in entries]
+
+
+def _extra(result):
+    """``stats.extra`` without the executor's ``kernel`` tag."""
+    return {k: v for k, v in result.stats.extra.items() if k != "kernel"}
+
+
+def _memo(net):
+    return net._ctx.cache_stats()["phase1"]
+
+
+def _session(graph, include_self=True, backend="numpy"):
+    net = Network(graph, hops=2, include_self=include_self, backend=backend)
+    net.add_scores("s", _scores(11))
+    net.add_scores("bits", [float(x > 0.5) for x in _scores(11)])
+    return net
+
+
+# ---------------------------------------------------------------------------
+# The exact shortcut's values are Eq. 3's bounds
+# ---------------------------------------------------------------------------
+@needs_numpy
+@pytest.mark.parametrize("directed,include_self", VIEWS)
+@pytest.mark.parametrize("vector", ["bits", "s"])
+@pytest.mark.parametrize("is_avg", [False, True])
+def test_shortcut_values_equal_eq3_bounds_under_full_distribution(
+    directed, include_self, vector, is_avg
+):
+    import numpy as np
+
+    from repro.core import vectorized as vec
+    from repro.graph.traversal import TraversalCounter
+
+    graph = _graph(directed)
+    net = _session(graph, include_self)
+    scores = net.scores_of(vector)
+    arr = scores.array()
+    distributed, _, rest_bound = vec.backward_distribution_split(
+        np, scores, arr, 0.0, 0.1
+    )
+    assert rest_bound == 0.0 and distributed.size == len(scores.nonzero_nodes)
+    partial, covered, _ = vec.distribute_scores(
+        np, graph.rev_csr() or graph.csr(), distributed, arr, 2, include_self,
+        32, TraversalCounter(), vec.NumpyKernels(),
+    )
+    self_distributed = np.zeros(N, dtype=bool)
+    if include_self:
+        self_distributed[distributed] = True
+    sizes = NeighborhoodSizeIndex.exact(graph, 2, include_self=include_self)
+    bounds = vec.backward_eq3_bounds(
+        np, arr, partial, covered, self_distributed, sizes, rest_bound,
+        include_self=include_self, is_avg=is_avg,
+    )
+    values = vec.backward_shortcut_values(
+        np, arr, partial, self_distributed, sizes,
+        include_self=include_self, is_avg=is_avg,
+    )
+    assert np.array_equal(bounds, values)
+    assert bounds.tobytes() == values.tobytes()
+
+
+@needs_numpy
+def test_the_shortcut_builds_one_array_and_still_counts_every_bound(monkeypatch):
+    from repro.core import vectorized as vec
+
+    net = _session(_graph(False))
+    calls = []
+    real = vec.backward_eq3_bounds
+    monkeypatch.setattr(
+        vec, "backward_eq3_bounds", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    exact = net.query("s").algorithm("backward").gamma(0.0).limit(10).run()
+    assert exact.stats.extra["exact_shortcut"] == 1.0 and calls == []
+    assert exact.stats.bound_evaluations == N
+    net.query("s").algorithm("backward").aggregate("avg").limit(10).run()
+    assert calls == [1]  # estimated AVG sizes: Eq. 3 proper
+
+
+# ---------------------------------------------------------------------------
+# Hit == miss == context-free, byte for byte
+# ---------------------------------------------------------------------------
+@needs_numpy
+@pytest.mark.parametrize("directed,include_self", VIEWS)
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("gamma", ["auto", 0.4])
+def test_hit_equals_miss_equals_context_free(directed, include_self, exact, gamma):
+    graph = _graph(directed)
+    warm = _session(graph, include_self)
+    seen = set()
+    for vector in ("s", "bits"):
+        scores = warm.scores_of(vector)
+        for aggregate in AGGREGATES:
+            builder = (
+                warm.query(vector).algorithm("backward").aggregate(aggregate)
+                .gamma(gamma).exact_sizes(exact)
+            )
+            folded = aggregate != "count" or scores.is_binary
+            for k in KS:
+                before = _memo(warm)
+                hit = builder.limit(k).run()
+                after = _memo(warm)
+                cold = _session(graph, include_self)
+                miss = (
+                    cold.query(vector).algorithm("backward").aggregate(aggregate)
+                    .gamma(gamma).exact_sizes(exact).limit(k).run()
+                )
+                assert _memo(cold)["hits"] == 0
+                spec = QuerySpec(k, aggregate, 2, include_self, "numpy")
+                sizes = (
+                    NeighborhoodSizeIndex.exact(graph, 2, include_self=include_self)
+                    if exact else None
+                )
+                off = backward_topk(graph, scores, spec, gamma=gamma, sizes=sizes)
+                assert _bits(hit.entries) == _bits(miss.entries) == _bits(off.entries)
+                for name in ("distribution_pushes", "bound_evaluations", "pruned_nodes"):
+                    assert getattr(hit.stats, name) == getattr(off.stats, name), name
+                assert _extra(hit) == _extra(off)
+                # A family's first read misses and every later one hits; COUNT
+                # of graded scores folds to a fresh array and skips the memo.
+                family = (vector, aggregate == "avg")
+                want = (0, 0) if not folded else (1, 0) if family in seen else (0, 1)
+                seen.add(family)
+                got = (after["hits"] - before["hits"], after["misses"] - before["misses"])
+                assert got == want, (vector, aggregate, k)
+    # One entry per vector and family: s/SUM, s/AVG, bits/SUM+COUNT, bits/AVG.
+    assert _memo(warm)["entries"] == len(seen) == 4
+
+
+@needs_numpy
+def test_every_key_field_separates_entries():
+    graph = _graph(False)
+    net = _session(graph)
+    # One field moves a step: fraction (under gamma "auto"), gamma, sizes
+    # (the first exact read builds the differential index, whose exact sizes
+    # then serve every read).
+    reads = [("auto", 0.1, False), ("auto", 0.5, False), (0.0, 0.5, False), (0.0, 0.5, True)]
+    for gamma, fraction, exact in reads + reads[::-1]:
+        got = (
+            net.query("s").algorithm("backward").aggregate("avg").gamma(gamma)
+            .distribution_fraction(fraction).exact_sizes(exact).limit(10).run()
+        )
+        want = backward_topk(
+            graph, net.scores_of("s"), QuerySpec(10, "avg", 2, True, "numpy"),
+            gamma=gamma, distribution_fraction=fraction,
+            sizes=net._ctx.size_index(exact=exact),
+        )
+        assert _bits(got.entries) == _bits(want.entries)
+        assert got.stats.candidates_verified == want.stats.candidates_verified
+        assert _extra(got) == _extra(want)
+    # One slot per vector and family: each new key replaced the last entry.
+    assert _memo(net)["entries"] == 1
+
+
+@needs_numpy
+def test_a_hit_expands_nothing_for_phase_one():
+    graph = _graph(True)  # distribution walks the reverse view: never indexed
+    net = _session(graph)
+    query = net.query("s").algorithm("backward").limit(10)
+    first, second = query.run(), query.run()
+    assert first.stats.edges_scanned > 0
+    assert second.stats.edges_scanned == 0  # verified balls are in the index
+    assert second.stats.distribution_pushes == first.stats.distribution_pushes > 0
+    assert _bits(second.entries) == _bits(first.entries)
+
+
+@needs_numpy
+def test_weighted_and_filtered_reads_make_no_entry():
+    net = _session(_graph(False))
+    net.topk_weighted("s", 5, algorithm="backward")
+    net.query("s").where(range(0, N, 3)).limit(5).run()
+    net.query("s").algorithm("base").limit(5).run()
+    assert _memo(net) == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+
+
+# ---------------------------------------------------------------------------
+# Writes drop what they moved
+# ---------------------------------------------------------------------------
+def _fresh_answer(net, vector, aggregate, k):
+    graph = net.graph
+    fresh = Network(
+        Graph.from_edges(list(graph.edges()), num_nodes=N, directed=graph.directed),
+        hops=2, include_self=net.include_self, backend="numpy",
+    )
+    fresh.add_scores(vector, net.scores_of(vector).values())
+    return fresh.query(vector).algorithm("backward").aggregate(aggregate).limit(k).run()
+
+
+@needs_numpy
+@pytest.mark.parametrize("directed", [False, True])
+def test_every_write_is_seen_by_the_next_read(directed):
+    net = _session(_graph(directed, dynamic=True))
+    rng = random.Random(5)
+    reads = [(v, a, k) for v in ("s", "bits") for a in AGGREGATES for k in (1, 25)]
+
+    def check():
+        for vector, aggregate, k in reads:
+            got = net.query(vector).algorithm("backward").aggregate(aggregate).limit(k)
+            want = _fresh_answer(net, vector, aggregate, k)
+            assert _bits(got.run().entries) == _bits(want.entries), (vector, aggregate, k)
+
+    def absent():
+        while True:
+            u, v = rng.randrange(N), rng.randrange(N)
+            if u != v and not net.graph.has_edge(u, v):
+                return u, v
+
+    check()
+    for step in range(8):
+        assert _memo(net)["entries"] > 0
+        write = step % 4
+        if write == 0:
+            net.add_edge(*absent())
+            assert _memo(net)["entries"] == 0
+        elif write == 1:
+            net.remove_edge(*rng.choice(list(net.graph.edges())))
+            assert _memo(net)["entries"] == 0
+        elif write == 2:
+            net.update_score("s", rng.randrange(N), rng.choice([0.0, 0.3, 0.77, 1.0]))
+        else:
+            net.add_scores("bits", [float(rng.random() < 0.2) for _ in range(N)])
+        check()
+
+
+@needs_numpy
+def test_an_outside_mutation_drops_the_memo():
+    net = _session(_graph(False, dynamic=True))
+    query = net.query("s").algorithm("backward").limit(10)
+    query.run()
+    net.query("bits").algorithm("backward").limit(10).run()
+    u, v = next(
+        (u, v) for u in range(N) for v in range(u + 1, N) if not net.graph.has_edge(u, v)
+    )
+    net.graph.add_edge(u, v)  # not through the session: the version moves
+    assert _bits(query.run().entries) == _bits(_fresh_answer(net, "s", "sum", 10).entries)
+    assert _memo(net)["hits"] == 0
+    assert _memo(net)["entries"] == 1  # the 0/1 vector's went with the version
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: an entry dies with its vector
+# ---------------------------------------------------------------------------
+@needs_numpy
+def test_a_replaced_vector_takes_its_entries_with_it():
+    net = _session(_graph(False, dynamic=True))
+    for aggregate in AGGREGATES:
+        net.query("s").algorithm("backward").aggregate(aggregate).limit(5).run()
+        net.query("bits").algorithm("backward").aggregate(aggregate).limit(5).run()
+    full = _memo(net)
+    assert full["entries"] == 4
+    assert full["bytes"] >= 4 * N * 8
+    net.add_scores("bits", _scores(12))
+    gc.collect()
+    halved = _memo(net)
+    assert halved["entries"] == 2 and halved["bytes"] < full["bytes"]
+    net.update_score("s", 0, 0.5)
+    gc.collect()
+    assert _memo(net)["entries"] == 0 and _memo(net)["bytes"] == 0
+    net.close()
+    assert _memo(net)["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Readers racing a writer
+# ---------------------------------------------------------------------------
+@needs_numpy
+def test_racing_readers_see_one_of_the_writers_states():
+    net = _session(_graph(False, dynamic=True))
+    u, v = next(
+        (u, v) for u in range(N) for v in range(u + 1, N) if not net.graph.has_edge(u, v)
+    )
+    node = next(x for x in range(N) if net.scores_of("s")[x] == 0.0)
+    reads = {
+        (aggregate, k): net.query("s").algorithm("backward").aggregate(aggregate).limit(k)
+        for aggregate in AGGREGATES
+        for k in (1, 10, 60)
+    }
+
+    def answers():
+        return {key: _bits(builder.run().entries) for key, builder in reads.items()}
+
+    # Every state the writer passes through: edge absent/present, score 0/0.77.
+    states = []
+    for edge in (False, True):
+        for value in (0.0, 0.77):
+            net.update_score("s", node, value)
+            states.append(answers())
+        net.update_score("s", node, 0.0)
+        if not edge:
+            net.add_edge(u, v)
+    net.remove_edge(u, v)
+
+    net.service(workers=THREADS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    stop = threading.Event()
+    errors = []
+
+    def write():
+        try:
+            while not stop.is_set():
+                net.update_score("s", node, 0.77)
+                net.add_edge(u, v)
+                net.update_score("s", node, 0.0)
+                net.update_score("s", node, 0.77)
+                net.remove_edge(u, v)
+                net.update_score("s", node, 0.0)
+        except Exception as exc:  # pragma: no cover - must not happen
+            errors.append(exc)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        for _ in range(ROUNDS * 4):
+            handles = [
+                (key, builder.submit(cached=False))
+                for key, builder in reads.items()
+                for _ in range(max(1, THREADS // 2))
+            ]
+            for key, handle in handles:
+                got = _bits(handle.result(timeout=30).entries)
+                assert got in [state[key] for state in states], key
+    finally:
+        stop.set()
+        writer.join(timeout=10)
+        sys.setswitchinterval(interval)
+        net.service().shutdown()
+    assert not writer.is_alive() and not errors, errors
+
+
+# ---------------------------------------------------------------------------
+# The Python backend
+# ---------------------------------------------------------------------------
+def test_python_backend_makes_no_entry():
+    net = _session(_graph(False), backend="python")
+    for aggregate in AGGREGATES:
+        for _ in range(2):
+            net.query("bits").algorithm("backward").aggregate(aggregate).limit(5).run()
+    assert _memo(net) == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+
+
+def test_python_backend_never_reaches_for_numpy():
+    script = textwrap.dedent(
+        """
+        import sys
+
+        attempts = []
+
+        class Block:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" or name.startswith("numpy."):
+                    attempts.append(name)
+                    raise ImportError("numpy is blocked")
+                return None
+
+        sys.meta_path.insert(0, Block())
+        from repro import DynamicGraph, Network
+        from repro.core.backends import numpy_available
+
+        assert not numpy_available()
+        attempts.clear()
+        graph = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+        net = Network(graph, hops=2, backend="python")
+        net.add_scores("s", [0.0, 1.0, 0.3, 0.0, 1.0])
+        for aggregate in ("sum", "count", "avg", "sum"):
+            net.query("s").algorithm("backward").aggregate(aggregate).limit(2).run()
+        net.add_edge(0, 4)
+        net.update_score("s", 0, 0.5)
+        net.query("s").algorithm("backward").limit(2).run()
+        phase1 = net._ctx.cache_stats()["phase1"]
+        assert phase1 == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}, phase1
+        assert attempts == [] and "numpy" not in sys.modules, attempts
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

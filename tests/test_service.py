@@ -533,6 +533,10 @@ class TestBoundedBallCaches:
         ball = payload["ball_cache"]
         assert ball is not None and ball["hits"] > 0
         assert ball["max_bytes"] == net._ctx.ball_cache_bytes // 2
+        # The second read took phases 1-2 from the memo: one float64 n-array.
+        phase1 = payload["phase1"]
+        assert (phase1["entries"], phase1["hits"], phase1["misses"]) == (1, 1, 1)
+        assert phase1["bytes"] >= 8 * net.graph.num_nodes
 
     def test_label_bytes_count_against_the_budget(self):
         np = pytest.importorskip("numpy")

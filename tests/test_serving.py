@@ -104,6 +104,14 @@ class TestProtocol:
         assert back.entries == result.entries
         assert back.stats.as_dict() == result.stats.as_dict()
 
+    def test_decoded_results_hold_shared_entries(self):
+        result = TopKResult(entries=[(4, 2.5), (1, 2.5), (9, 0.5)], stats=QueryStats())
+        wire = json.dumps(encode_result(result))
+        first, second = (decode_result(json.loads(wire)) for _ in range(2))
+        assert first.entries == second.entries == result.entries
+        assert all(a is b for a, b in zip(first.entries, second.entries))
+        assert first.entries[0][1] is first.entries[1][1]  # one float per tie
+
     def test_result_decode_tolerates_unknown_stats_fields(self):
         payload = encode_result(TopKResult(entries=[(0, 1.0)], stats=QueryStats()))
         payload["stats"]["a_future_counter"] = 9
@@ -573,6 +581,8 @@ class TestClientParity:
         stats = client.stats()
         assert stats["admission"]["admitted"] > 0
         assert stats["replicas"]["replicas"] == 3
+        for lane in stats["replicas"]["lanes"]:  # lanes share one session
+            assert lane["session_caches"]["phase1"] == net._ctx.cache_stats()["phase1"]
 
     def test_cancel_pending_remote_query(self, net):
         # A dedicated zero-worker... not possible remotely; instead submit

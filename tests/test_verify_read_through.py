@@ -101,10 +101,12 @@ def _ball_stats(net):
     return net._ctx.cache_stats()["ball_cache"]
 
 
-def _index_reads(result, directed):
+def _index_reads(result, directed, memo_hit=False):
     """Balls a backward read takes from the index: every verified candidate,
-    plus, on an undirected graph, every distributed node (phase 1)."""
-    distributed = 0 if directed else int(result.stats.extra["distributed_nodes"])
+    plus, on an undirected graph, every distributed node (phase 1) unless
+    the session's phase-1 memo held that phase."""
+    phase1 = not (directed or memo_hit)
+    distributed = int(result.stats.extra["distributed_nodes"]) if phase1 else 0
     return result.stats.candidates_verified + distributed
 
 
@@ -135,10 +137,16 @@ class TestColdWarmMixed:
         off = backward_topk(graph, scores, spec)  # no index at all
         assert cold.entries == warm.entries == off.entries
         # Same candidates, every one a hit: nothing expanded for verification,
-        # and on an undirected graph nothing for distribution either (phase 1
-        # reads the same runs; a directed one walks the reverse view).
+        # and on an undirected graph nothing for distribution either.  SUM and
+        # AVG take phase 1 from the memo; COUNT folds this non-binary vector
+        # into a fresh array, which the memo does not keep, so its phase 1
+        # reads the same runs again (a directed one walks the reverse view).
+        memo_hit = aggregate != "count"
         assert after_warm["misses"] == after_cold["misses"]
-        assert after_warm["hits"] - after_cold["hits"] == _index_reads(warm, directed)
+        assert after_warm["hits"] - after_cold["hits"] == _index_reads(
+            warm, directed, memo_hit
+        )
+        assert net._ctx.cache_stats()["phase1"]["hits"] == int(memo_hit)
         assert warm.stats.candidates_verified == cold.stats.candidates_verified
         if not directed:
             assert warm.stats.edges_scanned == 0
