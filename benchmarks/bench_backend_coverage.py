@@ -14,8 +14,14 @@ Two modes:
   ``benchmarks/BENCH_backend_coverage.json``.
 * ``--check``  — run and compare against the committed baseline, emitting
   a GitHub-annotation warning for every number that regressed by more than
-  ``--tolerance`` (default 20%).  Exit code stays 0 unless ``--strict``:
+  ``--tolerance`` (default 20%), and for every route where numpy is less
+  than 3x faster than python.  Exit code stays 0 unless ``--strict``:
   shared CI runners make timings indicative, not gating.
+
+Every timed pair also checks the two backends' answers: entry for entry on
+the binary fig1 scores (exact small rationals), node for node on the dense
+continuous scores the weighted routes run on (real verification, where
+LONA-Backward's exact shortcut does not apply).
 
 Run with::
 
@@ -28,29 +34,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
-_BENCH_DIR = Path(__file__).resolve().parent
-BASELINE_PATH = _BENCH_DIR / "BENCH_backend_coverage.json"
+BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_backend_coverage.json"
 
 BATCH_QUERIES = 6
 K = 100
+#: numpy must answer every gated route at least this much faster than python.
+SPEEDUP_GATE = 3.0
+
+
+def _best_of(fn, reps=3):
+    best_time = float("inf")
+    result = None
+    for _ in range(reps):
+        start = time.perf_counter()
+        candidate = fn()
+        elapsed = time.perf_counter() - start
+        if elapsed < best_time:
+            best_time, result = elapsed, candidate
+    return best_time, result
 
 
 def measure(scale: float = 1.0) -> dict:
-    """Run every timed cell and return the report dict.
-
-    The per-route runners and the best-of-N timing protocol are imported
-    from the speedup gate (``bench_ablation_backend``) so the committed
-    baseline and the gate can never drift apart.
-    """
-    sys.path.insert(0, str(_BENCH_DIR))
-    from bench_ablation_backend import GATED_ROUTES, _best_of, route_runner
-
+    """Run every timed cell and return the report dict."""
     from repro.bench.workloads import figure
+    from repro.core.backward import backward_topk
     from repro.core.base import base_topk
     from repro.core.batch import BatchQuery, batch_base_topk
+    from repro.core.forward import forward_topk
     from repro.core.query import QuerySpec
+    from repro.core.weighted import weighted_backward_topk, weighted_base_topk
     from repro.graph.diffindex import build_differential_index
     from repro.relevance.mixture import MixtureRelevance
 
@@ -62,19 +78,33 @@ def measure(scale: float = 1.0) -> dict:
         for i in range(BATCH_QUERIES)
     ]
     diff_index = build_differential_index(graph, spec.hops, include_self=True)
+    sizes = diff_index.sizes
     graph.csr()  # offline, like the index: built once, outside the timings
     py = QuerySpec(k=K, aggregate="sum", hops=2, backend="python")
     np_ = py.with_backend("numpy")
 
+    # Every vectorized route the speedup gate covers.  The binary scores
+    # make every value an exact small rational, so those routes must agree
+    # entry for entry; the weighted routes run on dense continuous scores
+    # (real verification) and compare node selections.
+    weighted_scores = dense[0].values()
+    routes = {
+        "base": lambda q: base_topk(graph, scores, q),
+        "forward": lambda q: forward_topk(graph, scores, q, diff_index=diff_index),
+        "backward": lambda q: backward_topk(graph, scores, q, sizes=sizes),
+        "weighted-base": lambda q: weighted_base_topk(graph, weighted_scores, q),
+        "weighted-backward": lambda q: weighted_backward_topk(
+            graph, weighted_scores, q, sizes=sizes
+        ),
+    }
     timings: dict = {}
     speedups: dict = {}
-    for route in GATED_ROUTES:
-        run, _exact = route_runner(
-            route, graph, scores, dense[0].values(), diff_index
-        )
-        t_py, r_py = _best_of(lambda: run(py))
-        t_np, r_np = _best_of(lambda: run(np_))
+    for route, run in routes.items():
+        t_py, r_py = _best_of(partial(run, py))
+        t_np, r_np = _best_of(partial(run, np_))
         assert r_py.nodes == r_np.nodes, f"{route}: backend answers diverged"
+        if not route.startswith("weighted-"):
+            assert r_py.entries == r_np.entries, f"{route}: backend values diverged"
         timings[route] = {"python": t_py, "numpy": t_np}
         speedups[route] = t_py / t_np
 
@@ -113,6 +143,12 @@ def check(report: dict, baseline: dict, tolerance: float) -> list:
             f"scale mismatch (baseline {baseline.get('scale')}, "
             f"run {report['scale']}): ratios compared anyway"
         )
+    for route, current in report["speedups"].items():
+        if current < SPEEDUP_GATE:
+            warnings.append(
+                f"{route}: numpy only {current:.2f}x faster than python "
+                f"(< {SPEEDUP_GATE:.0f}x gate)"
+            )
     for route, recorded in baseline.get("speedups", {}).items():
         current = report["speedups"].get(route)
         if current is None:

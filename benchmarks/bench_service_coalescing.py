@@ -14,8 +14,9 @@ The fig1 workload uses binary blacking relevance, so every aggregate is an
 exact small-integer float and reduction order cannot introduce last-ULP
 drift — "identical" means ``==``, not approx.
 
-The pytest-benchmark pair below the gate records both paths for the
-perf-artifact trajectory.
+Run with::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_service_coalescing.py
 """
 
 from __future__ import annotations
@@ -105,21 +106,3 @@ def test_concurrent_coalesced_2x_over_sequential():
         f"({speedup:.2f}x < {SPEEDUP_GATE}x)"
     )
 
-
-def test_sequential_runs(benchmark):
-    net = _context()["net"]
-    results = benchmark.pedantic(lambda: _sequential(net), rounds=3, iterations=1)
-    assert len(results) == NUM_QUERIES
-
-
-@pytest.mark.skipif(not numpy_available(), reason="fused shared scan needs numpy")
-def test_concurrent_coalesced(benchmark):
-    net = _context()["net"]
-    net.service(workers=2)
-    try:
-        results = benchmark.pedantic(
-            lambda: _concurrent(net), rounds=3, iterations=1
-        )
-    finally:
-        net.service().shutdown()
-    assert len(results) == NUM_QUERIES

@@ -1,4 +1,4 @@
-"""Command-line harness: regenerate any paper figure.
+"""Command-line harness: regenerate any paper figure or ablation.
 
 Usage::
 
@@ -6,10 +6,13 @@ Usage::
     python -m repro.bench.figures --all                 # all six figures
     python -m repro.bench.figures --figure 2 --scale 0.5 --reps 3
     python -m repro.bench.figures --figure 1-mixture    # continuous relevance
+    python -m repro.bench.figures --figure abl-gamma    # one ablation
     python -m repro.bench.figures --all --csv out/ --series out/
 
-Prints the same runtime-vs-k series the paper plots (one table per figure)
-plus speedup-over-base summaries, and can emit CSV / gnuplot data files.
+Prints the same runtime-vs-k series the paper plots (one table per figure,
+or per call of an ablation) plus speedup-over-base summaries, and can emit
+CSV / gnuplot data files.  Every cell is cross-checked against its table's
+first algorithm, so a run that returns is also a correctness check.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from repro.bench.harness import run_figure
 from repro.bench.reporting import format_figure, write_csv, write_series
-from repro.bench.workloads import FIGURES, figure
+from repro.bench.workloads import ABLATIONS, FIGURES, AblationCall, figure
 
 __all__ = ["main"]
 
@@ -34,7 +37,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument(
         "--figure",
-        help="figure id: 1..6, fig1..fig6, optionally with '-mixture' suffix",
+        help="figure id: 1..6, fig1..fig6, optionally with '-mixture' suffix; "
+        f"or an ablation: {', '.join(sorted(ABLATIONS))}",
     )
     target.add_argument(
         "--all", action="store_true", help="run all six paper figures"
@@ -43,7 +47,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         "--scale",
         type=float,
         default=1.0,
-        help="dataset scale factor (1.0 = default bench size)",
+        help="dataset scale factor (1.0 = default bench size); an ablation "
+        "call's own scale multiplies it",
     )
     parser.add_argument(
         "--reps", type=int, default=1, help="timing repetitions per cell (best-of)"
@@ -59,7 +64,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         type=str,
         default="",
         help="comma-separated algorithm list (base,forward,backward,"
-        "backward-indexfree,materialized)",
+        "backward-indexfree,materialized,relational,weighted-base,"
+        "weighted-backward; e.g. backward:gamma=0.5, forward:ordering=random)",
     )
     parser.add_argument(
         "--backends",
@@ -83,22 +89,24 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = _parse_args(argv)
-    figure_ids: List[str] = (
-        sorted(FIGURES) if args.all else [args.figure]
-    )
+    if args.all:
+        calls: List[AblationCall] = [AblationCall(FIGURES[f]) for f in sorted(FIGURES)]
+    elif args.figure in ABLATIONS:
+        calls = list(ABLATIONS[args.figure])
+    else:
+        calls = [AblationCall(figure(args.figure))]
     ks = tuple(int(x) for x in args.ks.split(",") if x) or None
     algorithms = tuple(a for a in args.algorithms.split(",") if a) or None
     backends = tuple(b for b in args.backends.split(",") if b) or None
 
-    for figure_id in figure_ids:
-        spec = figure(figure_id)
+    for spec, scale, call_backends in calls:
         run = run_figure(
             spec,
-            scale=args.scale,
+            scale=args.scale * scale,
             repetitions=args.reps,
             ks=ks,
             algorithms=algorithms,
-            backends=backends,
+            backends=backends or call_backends,
         )
         print(format_figure(run, show_counters=args.counters))
         print()

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.aggregates.weighted import exponential_decay, inverse_distance
 from repro.bench.workloads import FigureSpec
 from repro.core.backends import resolve_backend
 from repro.core.backward import backward_topk
@@ -26,18 +27,38 @@ from repro.core.forward import forward_topk
 from repro.core.materialized import MaterializedView
 from repro.core.query import QuerySpec
 from repro.core.results import TopKResult
+from repro.core.weighted import weighted_backward_topk, weighted_base_topk
 from repro.errors import InvalidParameterError
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
 
 __all__ = ["Measurement", "FigureRun", "run_figure"]
 
 
-#: Algorithms whose execution dispatches on ``spec.backend``.  Base and the
-#: materialized view have a single (pure Python) implementation, so backend
-#: sweeps run them once instead of producing duplicate mislabeled cells.
-BACKEND_AWARE_ALGORITHMS = frozenset(
-    {"forward", "backward", "backward-indexfree"}
-)
+#: Algorithms with a single (pure Python) implementation: backend sweeps
+#: run them once instead of producing duplicate mislabeled cells.  Every
+#: other algorithm dispatches on ``spec.backend``.
+PYTHON_ONLY_ALGORITHMS = frozenset({"materialized", "relational"})
+
+#: Algorithms that read the differential index (or the sizes it yields).
+_INDEXED_ALGORITHMS = frozenset({"forward", "backward", "weighted-backward"})
+
+#: The one parameter each parametrised algorithm name may carry.
+_PARAMETERS = {"backward": "gamma", "forward": "ordering"}
+_PARAMETERS.update(dict.fromkeys(("weighted-base", "weighted-backward"), "decay"))
+
+
+def _split_algorithm(algorithm: str):
+    """``"backward:gamma=0.3"`` -> ``("backward", "0.3")``; no parameter -> None."""
+    name, colon, parameter = algorithm.partition(":")
+    if not colon:
+        return name, None
+    key, _, value = parameter.partition("=")
+    if _PARAMETERS.get(name) != key or not value:
+        raise InvalidParameterError(
+            f"bad algorithm parameter in {algorithm!r}; "
+            f"{name!r} takes {_PARAMETERS.get(name) or 'none'}"
+        )
+    return name, value
 
 
 def cell_label(algorithm: str, backend: str) -> str:
@@ -129,16 +150,32 @@ def _run_algorithm(
     diff_index: Optional[DifferentialIndex],
     view: Optional[MaterializedView],
 ) -> TopKResult:
-    if algorithm == "base":
+    name, value = _split_algorithm(algorithm)
+    sizes = diff_index.sizes if diff_index is not None else None
+    if name == "base":
         return base_topk(graph, scores, spec)
-    if algorithm == "forward":
-        return forward_topk(graph, scores, spec, diff_index=diff_index)
-    if algorithm == "backward":
-        sizes = diff_index.sizes if diff_index is not None else None
-        return backward_topk(graph, scores, spec, sizes=sizes)
-    if algorithm == "backward-indexfree":
+    if name == "forward":
+        ordering = value or "ubound"
+        return forward_topk(
+            graph, scores, spec, diff_index=diff_index, ordering=ordering, seed=7
+        )
+    if name == "backward":
+        gamma = "auto" if value in (None, "auto") else float(value)
+        return backward_topk(graph, scores, spec, gamma=gamma, sizes=sizes)
+    if name == "backward-indexfree":
         return backward_topk(graph, scores, spec, sizes=None)
-    if algorithm == "materialized":
+    if name in ("weighted-base", "weighted-backward"):
+        profile = exponential_decay(float(value)) if value else inverse_distance
+        if name == "weighted-base":
+            return weighted_base_topk(graph, scores, spec, profile)
+        return weighted_backward_topk(graph, scores, spec, profile, sizes=sizes)
+    if name == "relational":
+        # Imported here: bench/ reads its inputs through this package, and
+        # only the relational ablation needs the mini column store.
+        from repro.relational.engine import relational_topk
+
+        return relational_topk(graph, scores, spec)
+    if name == "materialized":
         if view is None:
             raise InvalidParameterError("materialized view was not built")
         return view.topk(spec.k, spec.aggregate)
@@ -159,7 +196,13 @@ def run_figure(
 
     ``repetitions`` takes the minimum wall-clock over that many runs per
     cell (paper-style best-of timing; counters are identical across reps).
-    ``ks`` / ``algorithms`` override the spec for ablations.  ``backends``
+    ``ks`` / ``algorithms`` override the spec.  Besides ``base``,
+    ``forward``, ``backward``, ``backward-indexfree``, ``materialized``,
+    ``relational``, ``weighted-base`` and ``weighted-backward``, an
+    algorithm may carry one parameter: ``backward:gamma=<float|auto>``,
+    ``forward:ordering=<name>`` (random orders are seeded) or
+    ``weighted-*:decay=<factor>`` (exponential decay instead of the paper's
+    inverse distance).  ``backends``
     optionally sweeps execution backends as an extra cell dimension (e.g.
     ``("python", "numpy")`` for backend-ablation columns); the default runs
     each cell once on the ``"auto"`` backend.  Cross-checking covers every
@@ -176,6 +219,7 @@ def run_figure(
     sweep_algorithms = (
         tuple(algorithms) if algorithms is not None else figure_spec.algorithms
     )
+    names = {_split_algorithm(a)[0] for a in sweep_algorithms}
     sweep_backends = tuple(backends) if backends else ("auto",)
     if any(resolve_backend(b) != "python" for b in sweep_backends):
         # Offline artifacts like the indexes below: the graph builds its
@@ -186,14 +230,14 @@ def run_figure(
     # Offline artifacts, shared by every cell.
     index_build_sec = 0.0
     diff_index: Optional[DifferentialIndex] = None
-    if any(a in ("forward", "backward") for a in sweep_algorithms):
+    if names & _INDEXED_ALGORITHMS:
         start = time.perf_counter()
         diff_index = build_differential_index(
             graph, figure_spec.hops, include_self=True
         )
         index_build_sec = time.perf_counter() - start
     view: Optional[MaterializedView] = None
-    if "materialized" in sweep_algorithms:
+    if "materialized" in names:
         view = MaterializedView(graph, scores, hops=figure_spec.hops)
         index_build_sec += view.build_sec
 
@@ -209,7 +253,7 @@ def run_figure(
     for k in sweep_ks:
         reference_values: Optional[List[float]] = None
         for algorithm in sweep_algorithms:
-            if algorithm in BACKEND_AWARE_ALGORITHMS:
+            if _split_algorithm(algorithm)[0] not in PYTHON_ONLY_ALGORITHMS:
                 algorithm_backends = sweep_backends
             elif sweep_backends == ("auto",):
                 algorithm_backends = ("auto",)

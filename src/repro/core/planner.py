@@ -66,14 +66,13 @@ __all__ = [
 #: phase, by concrete backend.  The vectorized backend does not speed every
 #: route up equally — Base is the most array-shaped (multi-source BFS blocks
 #: + one segmented reduction each), LONA-Forward interleaves bulk expansion
-#: with per-block pruning bookkeeping, and LONA-Backward's verification
-#: still walks candidates one ball at a time — so plan *choice* can
-#: legitimately flip with the backend (a full vectorized scan can undercut a
-#: prune-light forward run).  numpy factors are recalibrated against a fresh
-#: ``benchmarks/bench_backend_coverage.py`` run (PR 3/4 shifted the kernels:
-#: Base gained the adaptive-block fused reductions, backward verification
-#: gained the session ball caches), asserted against the canonical fig1/fig2
-#: workloads in ``tests/test_planner_calibration.py``.  The parallel factors
+#: with per-block pruning bookkeeping, and LONA-Backward verifies its
+#: candidates in blocks read off the session's ball index — so plan
+#: *choice* can legitimately flip with the backend (a full vectorized scan
+#: can undercut a prune-light forward run).  numpy factors were calibrated
+#: against a ``benchmarks/bench_backend_coverage.py`` run (before blocked
+#: verification and the ball index; not re-derived since), asserted against
+#: the canonical fig1/fig2 workloads in ``tests/test_planner_calibration.py``.  The parallel factors
 #: assume a nominal 4-worker pool over the numpy kernels: scans split
 #: near-perfectly (Base/Forward), backward's merge + TA rounds keep a serial
 #: component.  The offline index build is python-side construction either

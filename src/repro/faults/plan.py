@@ -5,7 +5,7 @@ declares named **fault points** — :func:`fault_point` for control-flow
 faults, :func:`fault_frame` where raw frame bytes pass by.  With no plan
 installed a fault point is one global load and a ``None`` check, so the
 hooks stay in production code permanently (the disabled cost is measured
-by ``benchmarks/bench_faults.py`` and gated < 1%).
+by ``benchmarks/bench_faults.py``, which warns above 1%).
 
 A :class:`FaultPlan` is a seeded schedule of fault events::
 

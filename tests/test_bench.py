@@ -16,7 +16,8 @@ from repro.bench.reporting import (
     write_csv,
     write_series,
 )
-from repro.bench.workloads import FIGURES, PAPER_KS, figure
+from repro.bench.workloads import ABLATIONS, FIGURES, PAPER_KS, figure
+from repro.core.backends import numpy_available
 from repro.errors import InvalidParameterError
 
 
@@ -110,6 +111,29 @@ class TestHarness:
         with pytest.raises(InvalidParameterError):
             run_figure(FIGURES["fig1"], scale=0.05, repetitions=0)
 
+    @pytest.mark.skipif(not numpy_available(), reason="sweeps the numpy backend")
+    def test_backend_sweep_times_base_on_both_backends(self):
+        run = run_figure(
+            FIGURES["fig1"], scale=0.05, ks=[3, 6], backends=("python", "numpy")
+        )
+        assert {m.label for m in run.measurements} == {
+            f"{a}[{b}]"
+            for a in ("base", "forward", "backward")
+            for b in ("python", "numpy")
+        }
+        for k in (3, 6):
+            tops = {round(m.top_value, 9) for m in run.measurements if m.k == k}
+            assert len(tops) == 1, f"backends disagreed at k={k}"
+        assert run.backend_speedup("base")
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["backward:ordering=random", "forward:gamma=0.5", "base:decay=0.5", "forward:"],
+    )
+    def test_bad_algorithm_parameter(self, algorithm):
+        with pytest.raises(InvalidParameterError):
+            run_figure(FIGURES["fig1"], scale=0.05, ks=[3], algorithms=[algorithm])
+
 
 class TestReporting:
     def test_format_figure_contains_series(self, small_run):
@@ -192,3 +216,28 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "backward" in out and "forward (s)" not in out
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_ablation_cells_cross_check(ablation, tmp_path, capsys):
+    """Every ablation runs through the figure CLI and every cell agrees.
+
+    The harness raises when a cell's values differ from its table's first
+    algorithm; the CSV is read back to check each call produced its full
+    grid and that the top values agree.
+    """
+    calls = ABLATIONS[ablation]
+    if not numpy_available() and any(call.backends for call in calls):
+        pytest.skip("sweeps the numpy backend")
+    assert figures_main(
+        ["--figure", ablation, "--scale", "0.05", "--csv", str(tmp_path)]
+    ) == 0
+    assert ablation in capsys.readouterr().out
+    for spec, _scale, backends in calls:
+        with open(tmp_path / f"{spec.figure_id}.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {row["figure"] for row in rows} == {spec.figure_id}
+        assert len(rows) == len(spec.ks) * len(spec.algorithms) * max(len(backends), 1)
+        for k in spec.ks:
+            tops = {row["top_value"] for row in rows if row["k"] == str(k)}
+            assert len(tops) == 1, f"{spec.figure_id} k={k}: cells disagreed"
