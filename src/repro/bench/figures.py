@@ -65,7 +65,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         default="",
         help="comma-separated algorithm list (base,forward,backward,"
         "backward-indexfree,materialized,relational,weighted-base,"
-        "weighted-backward; e.g. backward:gamma=0.5, forward:ordering=random)",
+        "weighted-backward; e.g. backward:gamma=0.5, forward:ordering=random, "
+        "weighted-base:exp)",
     )
     parser.add_argument(
         "--backends",

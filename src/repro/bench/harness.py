@@ -25,6 +25,7 @@ from repro.core.backward import backward_topk
 from repro.core.base import base_topk
 from repro.core.forward import forward_topk
 from repro.core.materialized import MaterializedView
+from repro.core.ordering import ORDERINGS
 from repro.core.query import QuerySpec
 from repro.core.results import TopKResult
 from repro.core.weighted import weighted_backward_topk, weighted_base_topk
@@ -42,23 +43,27 @@ PYTHON_ONLY_ALGORITHMS = frozenset({"materialized", "relational"})
 #: Algorithms that read the differential index (or the sizes it yields).
 _INDEXED_ALGORITHMS = frozenset({"forward", "backward", "weighted-backward"})
 
-#: The one parameter each parametrised algorithm name may carry.
-_PARAMETERS = {"backward": "gamma", "forward": "ordering"}
-_PARAMETERS.update(dict.fromkeys(("weighted-base", "weighted-backward"), "decay"))
-
 
 def _split_algorithm(algorithm: str):
-    """``"backward:gamma=0.3"`` -> ``("backward", "0.3")``; no parameter -> None."""
+    """``"backward:gamma=0.3"`` -> ``("backward", 0.3)``; no parameter -> None."""
     name, colon, parameter = algorithm.partition(":")
+    key, _, value = parameter.partition("=")
     if not colon:
         return name, None
-    key, _, value = parameter.partition("=")
-    if _PARAMETERS.get(name) != key or not value:
-        raise InvalidParameterError(
-            f"bad algorithm parameter in {algorithm!r}; "
-            f"{name!r} takes {_PARAMETERS.get(name) or 'none'}"
-        )
-    return name, value
+    if name in ("weighted-base", "weighted-backward") and parameter == "exp":
+        return name, exponential_decay()
+    if name == "forward" and key == "ordering" and value in ORDERINGS:
+        return name, value
+    if name == "backward" and key == "gamma":
+        try:
+            return name, value if value == "auto" else float(value)
+        except ValueError:
+            pass
+    raise InvalidParameterError(
+        f"bad algorithm parameter in {algorithm!r}; expected "
+        f"backward:gamma=<float|auto>, forward:ordering=<{'|'.join(ORDERINGS)}> "
+        "or weighted-*:exp"
+    )
 
 
 def cell_label(algorithm: str, backend: str) -> str:
@@ -160,12 +165,12 @@ def _run_algorithm(
             graph, scores, spec, diff_index=diff_index, ordering=ordering, seed=7
         )
     if name == "backward":
-        gamma = "auto" if value in (None, "auto") else float(value)
+        gamma = "auto" if value is None else value
         return backward_topk(graph, scores, spec, gamma=gamma, sizes=sizes)
     if name == "backward-indexfree":
         return backward_topk(graph, scores, spec, sizes=None)
     if name in ("weighted-base", "weighted-backward"):
-        profile = exponential_decay(float(value)) if value else inverse_distance
+        profile = value or inverse_distance
         if name == "weighted-base":
             return weighted_base_topk(graph, scores, spec, profile)
         return weighted_backward_topk(graph, scores, spec, profile, sizes=sizes)
@@ -196,13 +201,10 @@ def run_figure(
 
     ``repetitions`` takes the minimum wall-clock over that many runs per
     cell (paper-style best-of timing; counters are identical across reps).
-    ``ks`` / ``algorithms`` override the spec.  Besides ``base``,
-    ``forward``, ``backward``, ``backward-indexfree``, ``materialized``,
-    ``relational``, ``weighted-base`` and ``weighted-backward``, an
-    algorithm may carry one parameter: ``backward:gamma=<float|auto>``,
-    ``forward:ordering=<name>`` (random orders are seeded) or
-    ``weighted-*:decay=<factor>`` (exponential decay instead of the paper's
-    inverse distance).  ``backends``
+    ``ks`` / ``algorithms`` override the spec; an algorithm may carry one
+    parameter (``backward:gamma=0.3``, ``forward:ordering=random``, seeded,
+    or ``weighted-base:exp``, exponential decay for the paper's inverse
+    distance), checked before anything is built.  ``backends``
     optionally sweeps execution backends as an extra cell dimension (e.g.
     ``("python", "numpy")`` for backend-ablation columns); the default runs
     each cell once on the ``"auto"`` backend.  Cross-checking covers every
@@ -212,14 +214,14 @@ def run_figure(
         raise InvalidParameterError(
             f"repetitions must be >= 1, got {repetitions}"
         )
-    graph = figure_spec.build_graph(scale)
-    score_vector = figure_spec.build_scores(graph)
-    scores = score_vector.values()
     sweep_ks = tuple(ks) if ks is not None else figure_spec.ks
     sweep_algorithms = (
         tuple(algorithms) if algorithms is not None else figure_spec.algorithms
     )
     names = {_split_algorithm(a)[0] for a in sweep_algorithms}
+    graph = figure_spec.build_graph(scale)
+    score_vector = figure_spec.build_scores(graph)
+    scores = score_vector.values()
     sweep_backends = tuple(backends) if backends else ("auto",)
     if any(resolve_backend(b) != "python" for b in sweep_backends):
         # Offline artifacts like the indexes below: the graph builds its

@@ -194,9 +194,10 @@ _BASE_BACKWARD = ("base", "backward")
 _GAMMAS = ("0.1", "0.3", "0.5", "0.8", "1.0", "auto")
 _REGIMES = (("binary", "fig1"), ("continuous", "fig1-mixture"))
 
-#: Algorithm names may take one ``:name=value`` parameter (see
-#: :func:`repro.bench.harness.run_figure`); each call's first algorithm is
-#: the reference its other cells are cross-checked against.
+#: Algorithm names may take one ``:name=value`` parameter, or ``:exp`` on
+#: the weighted routes (see :func:`repro.bench.harness.run_figure`); each
+#: call's first algorithm is the reference its other cells are
+#: cross-checked against.
 ABLATIONS: Dict[str, Tuple[AblationCall, ...]] = {
     # python vs numpy execution of every route on two figures.
     "abl-backend": tuple(
@@ -248,6 +249,6 @@ ABLATIONS: Dict[str, Tuple[AblationCall, ...]] = {
     "abl-weighted": tuple(
         _call(f"abl-weighted-{name}",
               algorithms=(f"weighted-base{param}", f"weighted-backward{param}"))
-        for name, param in (("inverse", ""), ("exp-decay", ":decay=0.5"))
+        for name, param in (("inverse", ""), ("exp-decay", ":exp"))
     ),
 }

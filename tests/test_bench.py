@@ -16,7 +16,7 @@ from repro.bench.reporting import (
     write_csv,
     write_series,
 )
-from repro.bench.workloads import ABLATIONS, FIGURES, PAPER_KS, figure
+from repro.bench.workloads import ABLATIONS, FIGURES, PAPER_KS, FigureSpec, figure
 from repro.core.backends import numpy_available
 from repro.errors import InvalidParameterError
 
@@ -111,26 +111,21 @@ class TestHarness:
         with pytest.raises(InvalidParameterError):
             run_figure(FIGURES["fig1"], scale=0.05, repetitions=0)
 
-    @pytest.mark.skipif(not numpy_available(), reason="sweeps the numpy backend")
-    def test_backend_sweep_times_base_on_both_backends(self):
-        run = run_figure(
-            FIGURES["fig1"], scale=0.05, ks=[3, 6], backends=("python", "numpy")
-        )
-        assert {m.label for m in run.measurements} == {
-            f"{a}[{b}]"
-            for a in ("base", "forward", "backward")
-            for b in ("python", "numpy")
-        }
-        for k in (3, 6):
-            tops = {round(m.top_value, 9) for m in run.measurements if m.k == k}
-            assert len(tops) == 1, f"backends disagreed at k={k}"
-        assert run.backend_speedup("base")
-
     @pytest.mark.parametrize(
         "algorithm",
-        ["backward:ordering=random", "forward:gamma=0.5", "base:decay=0.5", "forward:"],
+        [
+            "backward:ordering=random",
+            "forward:gamma=0.5",
+            "base:exp",
+            "forward:",
+            "backward:gamma=abc",
+            "forward:ordering=bogus",
+            "weighted-base:decay=0.5",
+        ],
     )
-    def test_bad_algorithm_parameter(self, algorithm):
+    def test_bad_algorithm_parameter(self, algorithm, monkeypatch):
+        # Rejected before the graph (or any index) is built.
+        monkeypatch.setattr(FigureSpec, "build_graph", None)
         with pytest.raises(InvalidParameterError):
             run_figure(FIGURES["fig1"], scale=0.05, ks=[3], algorithms=[algorithm])
 
@@ -224,7 +219,8 @@ def test_ablation_cells_cross_check(ablation, tmp_path, capsys):
 
     The harness raises when a cell's values differ from its table's first
     algorithm; the CSV is read back to check each call produced its full
-    grid and that the top values agree.
+    grid (a backend sweep times every algorithm, Base too, on each backend)
+    and that the top values agree.
     """
     calls = ABLATIONS[ablation]
     if not numpy_available() and any(call.backends for call in calls):
@@ -237,7 +233,13 @@ def test_ablation_cells_cross_check(ablation, tmp_path, capsys):
         with open(tmp_path / f"{spec.figure_id}.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert {row["figure"] for row in rows} == {spec.figure_id}
-        assert len(rows) == len(spec.ks) * len(spec.algorithms) * max(len(backends), 1)
+        grid = sorted(
+            (algorithm, backend, str(k))
+            for algorithm in spec.algorithms
+            for backend in backends or ("auto",)
+            for k in spec.ks
+        )
+        assert sorted((row["algorithm"], row["backend"], row["k"]) for row in rows) == grid
         for k in spec.ks:
             tops = {row["top_value"] for row in rows if row["k"] == str(k)}
             assert len(tops) == 1, f"{spec.figure_id} k={k}: cells disagreed"
