@@ -224,12 +224,13 @@ _LOCK_CONTRACTS = {
             "GraphContext": (
                 "invalidate",
                 "edge_write",
+                "score_write",
                 "check_fresh",
                 "build_indexes",
                 "load_index",
                 "close",
             ),
-            "Phase1Memo": ("get", "put"),
+            "Phase1Memo": ("get", "put", "successor", "carry"),
         },
         locks=frozenset({"_lock"}),
     ),

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 from repro.bench.harness import run_figure
 from repro.bench.reporting import format_figure, write_csv, write_series
 from repro.bench.workloads import ABLATIONS, FIGURES, AblationCall, figure
+from repro.errors import ReproError
 
 __all__ = ["main"]
 
@@ -88,8 +89,17 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2, after an ``error:``
+    line on stderr, when the library rejects the request)."""
     args = _parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.all:
         calls: List[AblationCall] = [AblationCall(FIGURES[f]) for f in sorted(FIGURES)]
     elif args.figure in ABLATIONS:

@@ -32,7 +32,7 @@ from repro.core.weighted import weighted_backward_topk, weighted_base_topk
 from repro.errors import InvalidParameterError
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
 
-__all__ = ["Measurement", "FigureRun", "run_figure"]
+__all__ = ["Measurement", "FigureRun", "base_of", "run_figure"]
 
 
 #: Algorithms with a single (pure Python) implementation: backend sweeps
@@ -64,6 +64,16 @@ def _split_algorithm(algorithm: str):
         f"backward:gamma=<float|auto>, forward:ordering=<{'|'.join(ORDERINGS)}> "
         "or weighted-*:exp"
     )
+
+
+def base_of(algorithm: str) -> str:
+    """The series ``algorithm``'s speedups are measured against: the
+    weighted scan with the same distance profile for a weighted route
+    (``weighted-backward:exp`` -> ``weighted-base:exp``), Base otherwise."""
+    name, colon, parameter = algorithm.partition(":")
+    if name.startswith("weighted-"):
+        return "weighted-base" + colon + parameter
+    return "base"
 
 
 def cell_label(algorithm: str, backend: str) -> str:
@@ -124,8 +134,10 @@ class FigureRun:
     def speedup_over_base(
         self, algorithm: str, backend: Optional[str] = None
     ) -> Dict[int, float]:
-        """Per-k speedup of ``algorithm`` relative to base (same backend)."""
-        base_points = self.series("base", backend) or self.series("base")
+        """Per-k speedup of ``algorithm`` relative to its base series
+        (:func:`base_of`; same backend when that backend has one)."""
+        base = base_of(algorithm)
+        base_points = self.series(base, backend) or self.series(base)
         base = {m.k: m.elapsed_sec for m in base_points}
         out: Dict[int, float] = {}
         for m in self.series(algorithm, backend):

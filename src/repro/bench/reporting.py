@@ -13,7 +13,7 @@ import csv
 import os
 from typing import IO, List, Sequence, Union
 
-from repro.bench.harness import FigureRun, cell_label
+from repro.bench.harness import FigureRun, base_of, cell_label
 
 __all__ = ["format_figure", "write_csv", "write_series", "format_speedups"]
 
@@ -88,7 +88,7 @@ def format_speedups(run: FigureRun) -> str:
     )
     lines = []
     for algorithm, backend in cells:
-        if algorithm == "base":
+        if algorithm == base_of(algorithm):
             continue
         speedups = run.speedup_over_base(algorithm, backend)
         if not speedups:
@@ -96,7 +96,7 @@ def format_speedups(run: FigureRun) -> str:
         label = cell_label(algorithm, backend)
         best_k = max(speedups, key=lambda k: speedups[k])
         lines.append(
-            f"speedup over base — {label}: "
+            f"speedup over {base_of(algorithm)} — {label}: "
             + ", ".join(f"k={k}: {s:.1f}x" for k, s in sorted(speedups.items()))
             + f"  (best {speedups[best_k]:.1f}x at k={best_k})"
         )

@@ -22,7 +22,9 @@ forgets the balls within ``h - 1`` hops of an endpoint and is kept, the
 degree-based size bounds are patched in the rows the write moved, and the
 graph's patched CSR views were never dropped (DESIGN.md §2, "Dynamic
 integration").  The differential index is dropped and read off the kept
-ball index at the next forward read.
+ball index at the next forward read.  The phase-1 memo's states are
+repaired where the write moved them, as they are after a session's score
+write (:meth:`GraphContext.score_write`).
 
 It is also *thread-safe*: every accessor builds (or revalidates) its
 artifact under one re-entrant lock, so the concurrent serving layer
@@ -70,6 +72,9 @@ class Phase1Memo:
     vector and family.  The graph view, hops and ``include_self`` are the
     owning context's: it swaps in a :meth:`successor` when the graph moves,
     so a read that started before the move stores into a memo nobody reads.
+    A write carries a slot over when it can repair it (:meth:`successor`
+    with a ``repair``, :meth:`carry`) and drops it otherwise; ``stats()``
+    counts both.
     """
 
     __slots__ = ("_slots", "_lock", "_counts")
@@ -79,11 +84,50 @@ class Phase1Memo:
     ) -> None:
         self._slots: Any = weakref.WeakKeyDictionary()
         self._lock = lock if lock is not None else threading.Lock()
-        self._counts = counts if counts is not None else [0, 0]  # hits, misses
+        # hits, misses, repaired, dropped
+        self._counts = counts if counts is not None else [0, 0, 0, 0]
 
-    def successor(self) -> "Phase1Memo":
-        """An empty memo that keeps counting where this one stopped."""
-        return Phase1Memo(self._lock, self._counts)
+    def successor(self, repair: Optional[Callable] = None) -> "Phase1Memo":
+        """The memo of the next graph version, counting where this one
+        stopped.  It holds the ``(key, state)`` that ``repair(scores,
+        family, key, state)`` returns for a slot of this one; a slot it
+        returns None for, and every slot without a ``repair``, is dropped."""
+        with self._lock:
+            held = [
+                (scores, family, key, state)
+                for scores, slot in list(self._slots.items())
+                for family, (key, state) in slot.items()
+            ]
+        successor = Phase1Memo(self._lock, self._counts)
+        kept = successor._slots
+        for scores, family, key, state in held:
+            carried = None if repair is None else repair(scores, family, key, state)
+            if carried is not None:
+                kept.setdefault(scores, {})[family] = carried
+        self._tally(sum(len(slot) for slot in kept.values()), len(held))
+        return successor
+
+    def carry(self, old: object, new: object, repair: Optional[Callable]) -> None:
+        """Give ``new`` — the vector a score write made of ``old`` — the
+        state that ``repair(family, key, state)`` returns for each slot of
+        ``old``, under the same key; the rest are dropped (``old``'s own
+        slots die with it)."""
+        with self._lock:
+            held = list(self._slots.get(old, {}).items())
+        carried = {}
+        for family, (key, state) in held:
+            state = None if repair is None else repair(family, key, state)
+            if state is not None:
+                carried[family] = (key, state)
+        with self._lock:
+            if carried:
+                self._slots.setdefault(new, {}).update(carried)
+        self._tally(len(carried), len(held))
+
+    def _tally(self, repaired: int, held: int) -> None:
+        with self._lock:
+            self._counts[2] += repaired
+            self._counts[3] += held - repaired
 
     def get(self, scores: object, family: bool, key: tuple) -> Optional[Any]:
         """The state stored for ``(scores, family)`` under ``key``, or None."""
@@ -101,12 +145,14 @@ class Phase1Memo:
     def stats(self) -> Dict[str, int]:
         with self._lock:
             states = [s for slot in self._slots.values() for _, s in slot.values()]
-            hits, misses = self._counts
+            hits, misses, repaired, dropped = self._counts
         return {
             "entries": len(states),
             "bytes": sum(state.nbytes for state in states),
             "hits": hits,
             "misses": misses,
+            "repaired": repaired,
+            "dropped": dropped,
         }
 
 
@@ -184,9 +230,8 @@ class GraphContext:
         """Run ``write`` — the graph's insert or delete of edge ``(u, v)`` —
         and drop what it can have changed, keeping the rest.
 
-        The differential index and the phase-1 memo go; the next forward
-        read rebuilds the index off the ball index, which keeps every ball
-        the write cannot have moved.
+        The differential index goes; the next forward read rebuilds it off
+        the ball index, which keeps every ball the write cannot have moved.
         The ball index stays: it forgets only the balls of the nodes within
         ``hops - 1`` hops of an endpoint
         (:func:`~repro.graph.csr.edge_write_reach`), and rebinds to the
@@ -194,6 +239,10 @@ class GraphContext:
         kept), so the session's maintained views repair the same nodes.
         The estimated sizes are patched row by row
         (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
+        The phase-1 memo's slots keyed to them are repaired — bounds at the
+        rows whose estimates moved, partial sums and coverage counts at the
+        rows a distributed ball in the reach gained or lost — and re-keyed
+        to the patched sizes (:meth:`_edge_repair`); the others are dropped.
         A context that was already stale before the write (a mutation it
         did not see, such as a node added through a maintained view) gets a
         full :meth:`invalidate`.
@@ -213,7 +262,6 @@ class GraphContext:
             write()
             csr = graph.csr()
             self._diff_index = None
-            self._phase1 = self._phase1.successor()
             self._ball_index = index
             reach = None
             if index is not None:
@@ -224,8 +272,162 @@ class GraphContext:
                 index.forget(reach, csr)
             if sizes is not None:
                 self._estimated_sizes = sizes.patched_from_csr(old_csr, csr, u, v)
+            self._phase1 = self._phase1.successor(self._edge_repair(reach, sizes, old_csr))
             self._graph_version = graph.version
             return reach
+
+    def _edge_repair(self, reach, old_sizes, old_csr) -> Optional[Callable]:
+        """The phase-1 memo's repair for one edge write (lock held), or None
+        when no slot can be kept.
+
+        Gamma, the distributed set and ``rest_bound`` read only the scores.
+        The patch moved the estimated sizes of some rows: their bounds are
+        re-evaluated.  A coverage moves only where a distributed ball
+        changed — for a distributed node ``d`` in ``reach`` — and only at
+        the nodes that entered or left ``S(d)`` (``w in S(d)`` iff ``d in
+        S(w)``): those rows are recounted from their own balls
+        (:func:`~repro.core.vectorized.repair_backward_state`).  A slot keyed
+        to the pre-write estimate ``old_sizes`` is re-keyed to the patched
+        one.  Dropped: every slot on a directed graph (distribution walks the
+        reverse view, which the index does not hold), a slot keyed to the
+        exact sizes (they went with the differential index), and a slot
+        whose recounted rows' balls hold more pairs than it pushed (a
+        rebuild reads fewer).
+        """
+        if reach is None or old_sizes is None or self.graph.directed:
+            return None
+        import numpy as np
+
+        from repro.core.vectorized import deposits_from_balls, repair_backward_state
+        from repro.graph.csr import batched_hop_balls
+
+        sizes, csr = self._estimated_sizes, self.graph.csr()
+        n, hops, include_self = csr.num_nodes, self.hops, self.include_self
+        moved = np.flatnonzero(
+            (sizes.upper_values() != old_sizes.upper_values())
+            | (sizes.lower_values() != old_sizes.lower_values())
+        )
+        crossing = np.zeros(n, dtype=bool)
+        crossing[reach] = True
+        recounted: Dict[Any, Any] = {}  # one expansion per distributed set
+
+        def recount_rows(crossed):
+            """The rows that entered or left a ``crossed`` ball, and their
+            own balls' pairs over the written graph."""
+            keys = []
+            for view in (old_csr, csr):
+                owners, members, _ = batched_hop_balls(
+                    view, crossed, hops, include_self=include_self
+                )
+                keys.append(owners * n + members)
+            nodes = np.unique(np.setxor1d(*keys) % n)
+            return (nodes, *batched_hop_balls(csr, nodes, hops, include_self=include_self)[:2])
+
+        def repair(scores, family, key, state):
+            gamma, fraction, keyed = key
+            if keyed is not old_sizes:
+                return None
+            distributed = state.distributed
+            crossed = distributed[crossing[distributed]]
+            # The shortcut's SUM values read no size.
+            rows = moved if family or not state.exact else moved[:0]
+            recount = None
+            if crossed.size:
+                held = (id(scores), distributed.size)
+                if held not in recounted:
+                    recounted[held] = recount_rows(crossed)
+                nodes, owners, members = recounted[held]
+                if members.size > state.pushes:
+                    return None
+                recount = (nodes, *deposits_from_balls(
+                    np, owners, members, scores.array(), state.gamma
+                ))
+                rows = np.union1d(rows, nodes)
+            if rows.size:
+                state = repair_backward_state(
+                    np, state, scores.array(), distributed, sizes, rows, recount,
+                    include_self=include_self, is_avg=family,
+                )
+            return (gamma, fraction, sizes), state
+
+        return repair
+
+    def score_write(self, old: Any, new: Any, node: int) -> None:
+        """Carry the phase-1 memo's slots of ``old`` to ``new``, the vector a
+        session's score write made of it by setting ``node``.
+
+        A slot moves when ``new`` resolves its key to the same gamma and
+        ``rest_bound`` and distributes the same nodes but for ``node``.  Then
+        ``node``'s own bound is re-evaluated and, when it is distributed
+        before or after the write, so are the partial sums and coverage
+        counts of its ball's rows (on an undirected graph, the rows whose
+        balls hold it), recounted from the distributed balls
+        (:func:`~repro.core.vectorized.repair_backward_state`).  Otherwise,
+        or on a directed graph, the slot is dropped.
+        """
+        with self._lock:
+            self.check_fresh()
+            memo = self._phase1
+            repair = None if self.graph.directed else self._score_repair(new, node)
+            memo.carry(old, new, repair)
+
+    def _score_repair(self, new: Any, node: int) -> Callable:
+        """The per-slot repair of :meth:`score_write` (lock held); the
+        written node's ball and each distributed set's balls are gathered
+        once for the slots that need them."""
+        gathered: Dict[Any, Any] = {}
+
+        def repair(family, key, state):
+            import numpy as np
+
+            from repro.core.vectorized import (
+                NumpyKernels,
+                backward_distribution_split,
+                deposits_from_distributed,
+                repair_backward_state,
+            )
+            from repro.graph.traversal import TraversalCounter
+
+            gamma, fraction, sizes = key
+            scores_arr = new.array()
+            distributed, effective_gamma, rest_bound = backward_distribution_split(
+                np, new, scores_arr, gamma, fraction
+            )
+            old_distributed = state.distributed
+            if (
+                effective_gamma != state.gamma
+                or rest_bound != state.rest_bound
+                or not np.array_equal(
+                    distributed[distributed != node],
+                    old_distributed[old_distributed != node],
+                )
+            ):
+                return None
+            rows, recount = np.array([node]), None
+            if distributed.size != old_distributed.size or (distributed == node).any():
+                csr = self.graph.csr()
+                kernels = NumpyKernels(self.ball_index())
+
+                def gather(centers):
+                    return kernels._block_pairs(
+                        csr, centers, self.hops, self.include_self, TraversalCounter()
+                    )
+
+                if "ball" not in gathered:
+                    gathered["ball"] = gather(rows)[1]
+                if distributed.size not in gathered:
+                    gathered[distributed.size] = gather(distributed)
+                nodes = gathered["ball"]
+                recount = (nodes, *deposits_from_distributed(
+                    np, nodes, *gathered[distributed.size], scores_arr, distributed
+                ))
+                rows = np.union1d(nodes, rows)
+            return repair_backward_state(
+                np, state, scores_arr, distributed, sizes, rows, recount,
+                include_self=self.include_self, is_avg=family,
+            )
+
+        return repair
 
     def check_fresh(self) -> None:
         """Invalidate automatically when the graph's version moved."""
@@ -368,7 +570,8 @@ class GraphContext:
         """The :class:`Phase1Memo` of the current graph version: LONA-Backward
         reads of one vector share phases 1-2 across ``k``, SUM and binary
         COUNT, and lanes.  Dropped with the other artifacts by
-        :meth:`invalidate` and by :meth:`edge_write`."""
+        :meth:`invalidate`; an edge or score write repairs or drops each
+        slot (:meth:`edge_write`, :meth:`score_write`)."""
         with self._lock:
             self.check_fresh()
             return self._phase1
@@ -450,8 +653,8 @@ class GraphContext:
 
     def cache_stats(self) -> Dict[str, Optional[dict]]:
         """``{"ball_cache": ..., "phase1": ...}``: the ball index's counters
-        (None = unbuilt) and the phase-1 memo's entries, bytes, hits and
-        misses."""
+        (None = unbuilt) and the phase-1 memo's entries, bytes, hits,
+        misses, and the slots writes repaired or dropped."""
         with self._lock:
             index, memo = self._ball_index, self._phase1
             return {

@@ -100,6 +100,9 @@ __all__ = [
     "backward_eq3_bounds",
     "backward_shortcut_values",
     "distribute_scores",
+    "deposits_from_balls",
+    "deposits_from_distributed",
+    "repair_backward_state",
     "offer_block",
     "static_upper_bounds_array",
     "verify_blocked",
@@ -442,10 +445,14 @@ def distribute_scores(
     the distribution's), and only absent ones are expanded and charged to
     ``counter``.  Deposits stay in the order of ``distributed`` (block order
     preserves it, an index read returns the pairs an expansion would, and
-    ``bincount`` accumulates in pair order), so every node's partial sum is
-    built by the same float addition sequence as the Python backend's.  That
-    order is part of the float contract — under the exact shortcut the
-    partials *are* the answers — in process and in the sharded workers alike.
+    ``bincount`` accumulates in pair order), and each block's ``bincount``
+    starts every bin from its running sum (the sums are fed in front of the
+    block's deposits), so every node's partial sum is one left-to-right
+    addition over its deposits in distribution order — the Python backend's
+    sequence, whatever the block size.  That order is part of the float
+    contract — under the exact shortcut the partials *are* the answers, and
+    :func:`repair_backward_state` rebuilds single rows in it — in process
+    and in the sharded workers alike.
     """
     n = int(dist_csr.num_nodes)
     partial = np.zeros(n, dtype=np.float64)
@@ -461,9 +468,12 @@ def distribute_scores(
         deposits = np.repeat(scores_arr[block], ball_sizes)
         if weights is not None:
             deposits = deposits * weights[dists[0]]
-        partial += np.bincount(members, weights=deposits, minlength=n)
         covered += np.bincount(members, minlength=n)
         pushes += int(members.size)
+        if lo:  # carry the running sums: ``partial += bincount`` regroups them
+            members = np.concatenate((np.arange(n), members))
+            deposits = np.concatenate((partial, deposits))
+        partial = np.bincount(members, weights=deposits, minlength=n)
     return partial, covered, pushes
 
 
@@ -478,6 +488,7 @@ def backward_eq3_bounds(
     *,
     include_self: bool,
     is_avg: bool,
+    rows=None,
 ):
     """Eq. 3 upper bound for every node, one array expression.
 
@@ -485,17 +496,24 @@ def backward_eq3_bounds(
     (plus the AVG division), shared by the backward driver and the parallel
     engine's merged-state bounding so their pruning can never diverge.  The
     weighted route passes ``w(0) * f`` as ``scores_arr`` and ``w_max *
-    rest_bound`` as ``rest_bound`` (its adapted Eq. 3).
+    rest_bound`` as ``rest_bound`` (its adapted Eq. 3).  With ``rows`` the
+    node arrays hold those rows only, and the size tables are read at them:
+    element-wise, so each row gets the bits the full expression gives it.
     """
-    upper = np.asarray(sizes.upper_values(), dtype=np.int64)
+    upper = _size_table(np, sizes.upper_values(), rows)
     self_known = self_distributed | (not include_self)
     unknown = np.where(self_known, upper - covered, upper - covered - 1)
     extra = np.where(self_known, 0.0, scores_arr)
     sum_bounds = partial + rest_bound * np.maximum(unknown, 0) + extra
     if is_avg:
-        lower = np.asarray(sizes.lower_values(), dtype=np.int64)
+        lower = _size_table(np, sizes.lower_values(), rows)
         return sum_bounds / np.maximum(lower, 1)
     return sum_bounds
+
+
+def _size_table(np, table, rows):
+    table = np.asarray(table, dtype=np.int64)
+    return table if rows is None else table[rows]
 
 
 def backward_shortcut_values(
@@ -507,6 +525,7 @@ def backward_shortcut_values(
     *,
     include_self: bool,
     is_avg: bool,
+    rows=None,
 ):
     """Exact aggregates from full distribution (``rest_bound == 0``).
 
@@ -514,13 +533,14 @@ def backward_shortcut_values(
     score where applicable) *is* the exact SUM; AVG divides by the exact
     ball size (callers guarantee ``sizes.is_exact`` before taking the
     shortcut).  Shared for the same no-divergence reason as
-    :func:`backward_eq3_bounds`, with the same weighted calling convention.
+    :func:`backward_eq3_bounds`, with the same weighted and ``rows``
+    calling conventions.
     """
     totals = partial + np.where(
         ~self_distributed & include_self, scores_arr, 0.0
     )
     if is_avg:
-        size_values = np.asarray(sizes.upper_values(), dtype=np.int64)
+        size_values = _size_table(np, sizes.upper_values(), rows)
         return totals / np.maximum(size_values, 1)
     return totals
 
@@ -821,8 +841,11 @@ def weighted_backward_topk_numpy(
 
 class BackwardState(NamedTuple):
     """LONA-Backward's phases 1-2, which no ``k`` changes: the distributed
-    ids, the resolved gamma, Eq. 3's ``rest_bound``, the push count, and
-    every node's bound — the exact value under the exact shortcut."""
+    ids, the resolved gamma, Eq. 3's ``rest_bound``, the push count, every
+    node's bound — the exact value under the exact shortcut — and the
+    distribution's own arrays, every node's partial sum and coverage count
+    (int32), from which a write's repair re-evaluates the rows it moved
+    (:func:`repair_backward_state`)."""
 
     distributed: Any
     gamma: float
@@ -830,10 +853,13 @@ class BackwardState(NamedTuple):
     pushes: int
     bounds: Any
     exact: bool
+    partial: Any
+    covered: Any
 
     @property
     def nbytes(self) -> int:
-        return int(self.distributed.nbytes + self.bounds.nbytes)
+        arrays = {id(a): a for a in (self.distributed, self.bounds, self.partial, self.covered)}
+        return int(sum(array.nbytes for array in arrays.values()))
 
 
 def _backward_state(
@@ -884,9 +910,96 @@ def _backward_state(
             np, self_scores, partial, covered, self_distributed, sizes,
             unknown_bound, include_self=include_self, is_avg=is_avg,
         )
-    bounds.flags.writeable = False  # a memo hands it to racing readers
+    if exact and not is_avg:
+        # Everything non-zero is distributed, so every node's own term is
+        # 0.0: the shortcut's SUM values *are* the partial sums.
+        partial = bounds
+    covered = covered.astype(np.int32)
+    # A memo hands them to racing readers.
+    for array in (bounds, partial, covered):
+        array.flags.writeable = False
     return BackwardState(
-        distributed, effective_gamma, rest_bound, pushes, bounds, exact
+        distributed, effective_gamma, rest_bound, pushes, bounds, exact,
+        partial, covered,
+    )
+
+
+def repair_backward_state(
+    np, state, scores_arr, distributed, sizes, rows, recount=None, *,
+    include_self, is_avg,
+) -> BackwardState:
+    """``state`` after a write that keeps its gamma and ``rest_bound``: what
+    a fresh :func:`_backward_state` over the written inputs returns, byte
+    for byte (undirected, unweighted reads).
+
+    ``distributed`` is the written vector's set and ``rows`` the nodes
+    whose bound the write can have moved (size estimates, score, coverage).
+    ``recount``, when given, is ``(nodes, at, deposits)``: the nodes (a
+    subset of ``rows``) whose partial sum and coverage count the write can
+    have moved, and every deposit they take over the written graph —
+    ``deposits[i]`` lands on ``nodes[at[i]]`` — in distribution order per
+    node (:func:`deposits_from_balls`, :func:`deposits_from_distributed`).
+    One ``bincount`` adds each node's deposits left to right from 0.0, as
+    :func:`distribute_scores` does, so the recounted sums are bit for bit a
+    rebuild's.  Every other row keeps its partial sum and count, and Eq. 3
+    (or the shortcut) is re-evaluated at ``rows`` of a copy of the bounds.
+    """
+    partial, covered, pushes = state.partial, state.covered, state.pushes
+    if recount is not None:
+        nodes, at, deposits = recount
+        partial, covered = partial.copy(), covered.copy()
+        counts = np.bincount(at, minlength=nodes.size)
+        pushes += int(counts.sum()) - int(covered[nodes].sum())
+        partial[nodes] = np.bincount(at, weights=deposits, minlength=nodes.size)
+        covered[nodes] = counts
+    row_scores = scores_arr[rows]
+    self_distributed = (row_scores > 0.0) & (row_scores >= state.gamma) & include_self
+    shape = {"include_self": include_self, "is_avg": is_avg, "rows": rows}
+    if state.exact:
+        values = backward_shortcut_values(
+            np, row_scores, partial[rows], self_distributed, sizes, **shape
+        )
+    else:
+        values = backward_eq3_bounds(
+            np, row_scores, partial[rows], covered[rows], self_distributed, sizes,
+            state.rest_bound, **shape,
+        )
+    bounds = state.bounds.copy()
+    bounds[rows] = values
+    if state.partial is state.bounds:  # as :func:`_backward_state` shares it
+        partial = bounds
+    for array in (bounds, partial, covered):
+        array.flags.writeable = False
+    return state._replace(
+        distributed=distributed, pushes=pushes, bounds=bounds, partial=partial,
+        covered=covered,
+    )
+
+
+def deposits_from_balls(np, owners, members, scores_arr, gamma: float):
+    """``(at, deposits)`` of some nodes from their own balls' pairs (owners
+    indexing the nodes, members ascending per owner): on an undirected
+    graph ``d in S(w)`` iff ``w in S(d)``, so a node takes one deposit from
+    each distributed member (score above 0 and at least ``gamma``).  One
+    stable sort by descending score puts each node's deposits in
+    distribution order (descending score, ties by id)."""
+    member_scores = scores_arr[members]
+    pushed = (member_scores > 0.0) & (member_scores >= gamma)
+    owners, member_scores = owners[pushed], member_scores[pushed]
+    order = np.argsort(-member_scores, kind="stable")
+    return owners[order], member_scores[order]
+
+
+def deposits_from_distributed(np, nodes, owners, members, scores_arr, distributed):
+    """``(at, deposits)`` of the sorted ``nodes`` from the balls of
+    ``distributed`` (owners indexing it), which come in distribution order:
+    the pairs that name a node, kept in order."""
+    named = np.zeros(scores_arr.size, dtype=bool)
+    named[nodes] = True
+    named = named[members]
+    return (
+        np.searchsorted(nodes, members[named]),
+        scores_arr[distributed[owners[named]]],
     )
 
 

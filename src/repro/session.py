@@ -961,8 +961,11 @@ class Network:
         """Update one node's score in a named vector (repairing its view).
 
         Costs what it changes: the successor vector is the old one patched
-        in one slot (:meth:`ScoreVector.with_value`), and a maintained view
-        shifts the sums of the node's reverse ball by the delta.
+        in one slot (:meth:`ScoreVector.with_value`), a maintained view
+        shifts the sums of the node's reverse ball by the delta, and the
+        old vector's LONA-Backward phases 1-2 are repaired over that ball
+        for the new one when the write keeps its distribution cut
+        (:meth:`GraphContext.score_write`).
         """
         # Validate BEFORE touching any state: a bad node id or value must
         # not half-apply to a maintained view.
@@ -971,7 +974,9 @@ class Network:
                 f"node {node} not in graph (num_nodes={self.graph.num_nodes})"
             )
         with self._write_guard():
-            replacement = self.scores_of(score).with_value(node, value)
+            current = self.scores_of(score)
+            replacement = current.with_value(node, value)
+            self._ctx.score_write(current, replacement, node)
             view = self._views.get(score)
             affected = 0 if view is None else view.update_score(node, value)
             with self._lock:

@@ -238,8 +238,8 @@ class TestRC002:
 
     def test_live_contract_covers_every_context_writer(self):
         mutators = DEFAULT_CONFIG.lock_contracts[self.CONTEXT].mutators
-        assert "edge_write" in mutators["GraphContext"]
-        assert mutators["Phase1Memo"] == ("get", "put")
+        assert {"edge_write", "score_write"} <= set(mutators["GraphContext"])
+        assert mutators["Phase1Memo"] == ("get", "put", "successor", "carry")
 
     def test_an_unlocked_context_writer_is_flagged(self, tmp_path):
         with open(f"{REPO_ROOT}/{self.CONTEXT}", encoding="utf-8") as handle:

@@ -225,6 +225,27 @@ class TestBackwardParity:
         assert b.stats.extra["exact_shortcut"] == 1.0
         assert a.entries == b.entries
 
+    @pytest.mark.parametrize("distributed", [1000, 1100, 2500])
+    def test_shortcut_bits_past_one_distribution_block(self, distributed):
+        # Under the exact shortcut the partial sums are the answers; numpy
+        # distributes 1,024 nodes a block and must keep adding each node's
+        # deposits in the Python loop's order across blocks.
+        from repro.bench.workloads import figure
+
+        g = figure("fig1").build_graph(1.0)
+        rng = random.Random(5)
+        scores = [0.0] * g.num_nodes
+        for node in rng.sample(range(g.num_nodes), distributed):
+            scores[node] = rng.random()
+        py, npy = spec_pair(k=50)
+        a = backward_topk(g, scores, py, gamma=1e-12)
+        b = backward_topk(g, scores, npy, gamma=1e-12)
+        assert b.stats.extra["exact_shortcut"] == 1.0
+        assert b.stats.extra["distributed_nodes"] == distributed
+        assert [(u, v.hex()) for u, v in a.entries] == [
+            (u, v.hex()) for u, v in b.entries
+        ]
+
 
 class TestBackendSelection:
     def test_auto_resolves_down_the_ladder(self):

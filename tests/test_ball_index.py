@@ -462,10 +462,14 @@ class TestLifetime:
         assert ctx.cache_stats()["phase1"]["entries"] == 1
         net.close()
         assert ctx._ball_index is None
-        # The one backward read missed the memo; its entry went with the balls.
+        # The one backward read missed the memo; its entry went with the
+        # balls, counted as dropped.
         assert ctx.cache_stats() == {
             "ball_cache": None,
-            "phase1": {"entries": 0, "bytes": 0, "hits": 0, "misses": 1},
+            "phase1": {
+                "entries": 0, "bytes": 0, "hits": 0, "misses": 1, "repaired": 0,
+                "dropped": 1,
+            },
         }
         # Still usable: the artefacts rebuild lazily.
         again = scan.run()

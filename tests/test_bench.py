@@ -145,6 +145,21 @@ class TestReporting:
         run = run_figure(FIGURES["fig1"], scale=0.05, ks=[3], algorithms=["backward"])
         assert "unavailable" in format_speedups(run)
 
+    @pytest.mark.parametrize("profile", ["", ":exp"])
+    def test_weighted_routes_take_the_weighted_scan_as_base(self, profile):
+        run = run_figure(
+            FIGURES["fig1"], scale=0.05, ks=[3, 6],
+            algorithms=[f"weighted-base{profile}", f"weighted-backward{profile}"],
+        )
+        speedups = run.speedup_over_base(f"weighted-backward{profile}")
+        assert set(speedups) == {3, 6} and all(s > 0 for s in speedups.values())
+        text = format_speedups(run)
+        assert "unavailable" not in text
+        assert text.startswith(
+            f"speedup over weighted-base{profile} — weighted-backward{profile}: k=3: "
+        )
+        assert text.count("\n") == 0  # the base series has no line of its own
+
     def test_write_csv(self, small_run, tmp_path):
         path = tmp_path / "out.csv"
         write_csv(small_run, path)
@@ -169,6 +184,21 @@ class TestReporting:
 
 
 class TestCLI:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--figure", "fig9"],
+            ["--figure", "1", "--reps", "0"],
+            ["--figure", "1", "--algorithms", "backward:gamma=abc"],
+        ],
+    )
+    def test_library_errors_exit_like_the_cli(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(FigureSpec, "build_graph", None)  # rejected first
+        assert figures_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_single_figure(self, capsys):
         code = figures_main(["--figure", "1", "--scale", "0.05", "--ks", "3"])
         assert code == 0

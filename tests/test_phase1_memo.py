@@ -45,6 +45,7 @@ VIEWS = [
     for directed in (False, True)
     for include_self in (True, False)
 ]
+EMPTY = {"entries": 0, "bytes": 0, "hits": 0, "misses": 0, "repaired": 0, "dropped": 0}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="the memo is numpy's")
@@ -246,20 +247,25 @@ def test_weighted_and_filtered_reads_make_no_entry():
     net.topk_weighted("s", 5, algorithm="backward")
     net.query("s").where(range(0, N, 3)).limit(5).run()
     net.query("s").algorithm("base").limit(5).run()
-    assert _memo(net) == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+    assert _memo(net) == EMPTY
 
 
 # ---------------------------------------------------------------------------
-# Writes drop what they moved
+# Every write is seen
 # ---------------------------------------------------------------------------
-def _fresh_answer(net, vector, aggregate, k):
+def _fresh_answer(net, vector, aggregate, k, gamma="auto"):
     graph = net.graph
     fresh = Network(
-        Graph.from_edges(list(graph.edges()), num_nodes=N, directed=graph.directed),
+        Graph.from_edges(
+            list(graph.edges()), num_nodes=graph.num_nodes, directed=graph.directed
+        ),
         hops=2, include_self=net.include_self, backend="numpy",
     )
     fresh.add_scores(vector, net.scores_of(vector).values())
-    return fresh.query(vector).algorithm("backward").aggregate(aggregate).limit(k).run()
+    return (
+        fresh.query(vector).algorithm("backward").aggregate(aggregate).gamma(gamma)
+        .limit(k).run()
+    )
 
 
 @needs_numpy
@@ -283,14 +289,18 @@ def test_every_write_is_seen_by_the_next_read(directed):
 
     check()
     for step in range(8):
-        assert _memo(net)["entries"] > 0
+        held = _memo(net)["entries"]
+        assert held > 0
         write = step % 4
-        if write == 0:
-            net.add_edge(*absent())
-            assert _memo(net)["entries"] == 0
-        elif write == 1:
-            net.remove_edge(*rng.choice(list(net.graph.edges())))
-            assert _memo(net)["entries"] == 0
+        if write < 2:
+            if write == 0:
+                net.add_edge(*absent())
+            else:
+                net.remove_edge(*rng.choice(list(net.graph.edges())))
+            # Undirected: every slot is repaired over the write's reach; a
+            # directed graph distributes over the reverse view: all dropped.
+            kept = _memo(net)
+            assert kept["entries"] == (0 if directed else held)
         elif write == 2:
             net.update_score("s", rng.randrange(N), rng.choice([0.0, 0.3, 0.77, 1.0]))
         else:
@@ -329,11 +339,238 @@ def test_a_replaced_vector_takes_its_entries_with_it():
     gc.collect()
     halved = _memo(net)
     assert halved["entries"] == 2 and halved["bytes"] < full["bytes"]
-    net.update_score("s", 0, 0.5)
+    # A score write that keeps the cut hands the entries to the successor
+    # vector, and the old vector's die with it.
+    old = net.scores_of("s")
+    node = next(x for x in range(N) if old[x] == 0.0)
+    net.update_score("s", node, old[next(iter(old.nonzero_nodes))] / 2)
+    del old
+    gc.collect()
+    carried = _memo(net)
+    assert carried["entries"] == 2 and carried["repaired"] == 2
+    net.add_scores("s", _scores(13))
     gc.collect()
     assert _memo(net)["entries"] == 0 and _memo(net)["bytes"] == 0
+    net.query("s").algorithm("backward").limit(5).run()
     net.close()
     assert _memo(net)["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Writes repair what they moved, byte for byte
+# ---------------------------------------------------------------------------
+def _fresh_state(net, vector, family, key):
+    """A context-free phases 1-2 over a freshly built copy of the graph."""
+    import numpy as np
+
+    from repro.core import vectorized as vec
+    from repro.graph.traversal import TraversalCounter
+
+    graph = Graph.from_edges(list(net.graph.edges()), num_nodes=net.graph.num_nodes)
+    gamma, fraction, _ = key
+    sizes = NeighborhoodSizeIndex.estimated_from_csr(
+        graph.csr(), net.hops, include_self=net.include_self
+    )
+    spec = QuerySpec(1, "avg" if family else "sum", net.hops, net.include_self, "numpy")
+    return vec._backward_state(
+        np, graph, vector, vector.array(), spec, None, gamma, fraction, sizes,
+        vec.NumpyKernels(), TraversalCounter(),
+    )
+
+
+def _assert_slots_fresh(net):
+    """Every kept slot is keyed to the session's size estimate and holds,
+    byte for byte, what a fresh build over the current inputs holds."""
+    memo = net._ctx.phase1_memo()
+    slots = [
+        (vector, family, key, state)
+        for vector, slot in list(memo._slots.items())
+        for family, (key, state) in slot.items()
+    ]
+    for vector, family, key, state in slots:
+        assert key[2] is net._ctx.estimated_sizes()
+        fresh = _fresh_state(net, vector, family, key)
+        assert state.distributed.tobytes() == fresh.distributed.tobytes()
+        assert state.distributed.dtype == fresh.distributed.dtype
+        assert (state.gamma, state.rest_bound, state.pushes, state.exact) == (
+            fresh.gamma, fresh.rest_bound, fresh.pushes, fresh.exact,
+        )
+        for name in ("bounds", "partial", "covered"):
+            mine, theirs = getattr(state, name), getattr(fresh, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+            assert not mine.flags.writeable
+    return len(slots)
+
+
+def _pool_scores(rng, n, pool, share):
+    return [rng.choice(pool) if rng.random() < share else 0.0 for _ in range(n)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_repaired_slots_equal_fresh_builds(include_self, seed):
+    rng = random.Random(seed)
+    pool = [rng.random() for _ in range(9)]  # non-dyadic
+    net = Network(
+        DynamicGraph.from_edges(_edges(False, seed), num_nodes=N),
+        hops=2, include_self=include_self, backend="numpy",
+    )
+    net.add_scores("s", _pool_scores(rng, N, pool, 0.35))
+    net.add_scores("bits", [float(rng.random() < 0.2) for _ in range(N)])
+    # gamma: auto (its cut moves with the scores), a fixed cut with a
+    # rest_bound, and everything (the exact shortcut).
+    gammas = ("auto", 0.4, 0.0)
+
+    def read_all():
+        for vector in ("s", "bits"):
+            for aggregate in ("sum", "avg"):
+                gamma = rng.choice(gammas)
+                got = (
+                    net.query(vector).algorithm("backward").aggregate(aggregate)
+                    .gamma(gamma).limit(12).run()
+                )
+                want = _fresh_answer(net, vector, aggregate, 12, gamma)
+                assert _bits(got.entries) == _bits(want.entries), (vector, aggregate, gamma)
+
+    read_all()
+    kept = 0
+    for step in range(40):
+        write = rng.randrange(5)
+        if write == 0:
+            u, v = rng.sample(range(N), 2)
+            if not net.graph.has_edge(u, v):
+                net.add_edge(u, v)
+        elif write == 1:
+            net.remove_edge(*rng.choice(list(net.graph.edges())))
+        elif write == 2:  # graded: may move gamma "auto" or the rest_bound
+            net.update_score("s", rng.randrange(N), rng.choice(pool + [0.0, 1.0, 0.39]))
+        elif write == 3:
+            net.update_score("bits", rng.randrange(N), float(rng.random() < 0.5))
+        else:
+            read_all()
+        kept += _assert_slots_fresh(net)
+    read_all()
+    stats = _memo(net)
+    assert kept > 0 and stats["repaired"] > 0
+    assert stats["hits"] > 0
+
+
+@needs_numpy
+def test_a_write_that_moves_the_cut_drops_the_slot():
+    net = _session(_graph(False, dynamic=True))
+    scores = net.scores_of("s").values()
+    top = max(scores)
+    query = net.query("s").algorithm("backward").gamma(0.4).limit(10)
+    query.run()
+    rest = query.run().stats.extra["rest_bound"]
+    assert 0.0 < rest < 0.4 and _memo(net)["repaired"] == 0
+    zero = next(x for x in range(N) if scores[x] == 0.0)
+    net.update_score("s", zero, (rest + 0.4) / 2)  # the new rest_bound
+    assert _memo(net)["dropped"] == 1 and _memo(net)["repaired"] == 0
+    query.run()
+    net.update_score("s", zero, 0.0)  # and back: rest_bound moves again
+    assert _memo(net)["dropped"] == 2
+    auto = net.query("s").algorithm("backward").limit(10)
+    auto.run()
+    net.update_score("s", zero, top)  # gamma "auto" keeps its depth's score
+    assert _memo(net)["repaired"] == 1
+    assert _assert_slots_fresh(net) == 1
+    assert _bits(auto.run().entries) == _bits(_fresh_answer(net, "s", "sum", 10).entries)
+
+
+@needs_numpy
+def test_repairs_past_one_distribution_block():
+    # More than 1,024 distributed nodes: the repair must add in the order
+    # the blocked distribution adds.
+    n = 1500
+    rng = random.Random(3)
+    edges = sorted({
+        (min(u, v), max(u, v))
+        for u, v in ((rng.randrange(n), rng.randrange(n)) for _ in range(3 * n))
+        if u != v
+    })
+    pool = [rng.random() for _ in range(13)]
+    net = Network(DynamicGraph.from_edges(edges, num_nodes=n), hops=2, backend="numpy")
+    net.add_scores("s", _pool_scores(rng, n, pool, 0.9))
+    reads = [
+        net.query("s").algorithm("backward").aggregate(aggregate).gamma(0.0).limit(30)
+        for aggregate in ("sum", "avg")
+    ]
+    for read in reads:
+        assert read.run().stats.extra["distributed_nodes"] > 1024
+    for step in range(12):
+        if step % 3 == 0:
+            net.update_score("s", rng.randrange(n), rng.choice(pool))
+        elif step % 3 == 1:
+            u, v = rng.sample(range(n), 2)
+            if not net.graph.has_edge(u, v):
+                net.add_edge(u, v)
+        else:
+            net.remove_edge(*rng.choice(list(net.graph.edges())))
+        assert _assert_slots_fresh(net) == 2
+    for read, aggregate in zip(reads, ("sum", "avg")):
+        before = _memo(net)["hits"]
+        got = read.run()
+        assert _memo(net)["hits"] == before + 1
+        fresh = Network(Graph.from_edges(list(net.graph.edges()), num_nodes=n), hops=2)
+        fresh.add_scores("s", net.scores_of("s").values())
+        want = fresh.query("s").algorithm("backward").aggregate(aggregate).gamma(0.0)
+        assert _bits(got.entries) == _bits(want.limit(30).run().entries)
+
+
+@needs_numpy
+def test_directed_writes_drop_every_slot():
+    net = _session(_graph(True, dynamic=True))
+    for vector in ("s", "bits"):
+        net.query(vector).algorithm("backward").limit(5).run()
+    assert _memo(net)["entries"] == 2
+    net.update_score("s", 0, 0.5)
+    gc.collect()
+    assert _memo(net)["entries"] == 1 and _memo(net)["dropped"] == 1
+    u, v = next(
+        (u, v) for u in range(N) for v in range(N) if u != v and not net.graph.has_edge(u, v)
+    )
+    net.add_edge(u, v)
+    assert _memo(net)["entries"] == 0 and _memo(net)["dropped"] == 2
+    assert _memo(net)["repaired"] == 0
+
+
+@needs_numpy
+def test_a_repair_dearer_than_a_rebuild_drops_the_slot():
+    # One distributed leaf; the write joins it to a hub, so the rows whose
+    # coverage moves are the hub's neighbors, whose balls hold the whole
+    # star: more pairs than the leaf ever pushed.
+    hub, leaf, n = 0, 40, 41
+    edges = [(hub, x) for x in range(1, 30)] + [(leaf - 1, leaf)]
+    net = Network(DynamicGraph.from_edges(edges, num_nodes=n), hops=2, backend="numpy")
+    net.add_scores("one", [1.0 if x == leaf else 0.0 for x in range(n)])
+    net.add_scores("many", [1.0 if x % 2 else 0.0 for x in range(n)])
+    for vector in ("one", "many"):
+        net.query(vector).algorithm("backward").limit(3).run()
+    net.add_edge(hub, leaf)
+    stats = _memo(net)
+    assert (stats["entries"], stats["repaired"], stats["dropped"]) == (1, 1, 1)
+    assert _assert_slots_fresh(net) == 1
+    got = net.query("one").algorithm("backward").limit(3).run()
+    assert _bits(got.entries) == _bits(_fresh_answer(net, "one", "sum", 3).entries)
+
+
+@needs_numpy
+def test_a_churn_replay_reads_phase_one_from_the_memo():
+    from bench import churn
+
+    net = churn.build_session(1.0, 21, None)
+    stream = churn.op_stream(21, net.graph)
+    before = _memo(net)
+    for _ in range(20 * churn.CYCLE):
+        churn.call(net, next(stream))
+    after = _memo(net)
+    hits = after["hits"] - before["hits"]
+    assert hits / (hits + after["misses"] - before["misses"]) >= 0.9
+    assert after["repaired"] > after["dropped"]
+    failed, problems = churn.check_final_state(net, [])
+    assert failed == 0, problems
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +649,7 @@ def test_python_backend_makes_no_entry():
     for aggregate in AGGREGATES:
         for _ in range(2):
             net.query("bits").algorithm("backward").aggregate(aggregate).limit(5).run()
-    assert _memo(net) == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+    assert _memo(net) == EMPTY
 
 
 def test_python_backend_never_reaches_for_numpy():
@@ -444,7 +681,10 @@ def test_python_backend_never_reaches_for_numpy():
         net.update_score("s", 0, 0.5)
         net.query("s").algorithm("backward").limit(2).run()
         phase1 = net._ctx.cache_stats()["phase1"]
-        assert phase1 == {"entries": 0, "bytes": 0, "hits": 0, "misses": 0}, phase1
+        assert phase1 == {
+            "entries": 0, "bytes": 0, "hits": 0, "misses": 0, "repaired": 0,
+            "dropped": 0,
+        }, phase1
         assert attempts == [] and "numpy" not in sys.modules, attempts
         print("ok")
         """
