@@ -240,9 +240,10 @@ class GraphContext:
         The estimated sizes are patched row by row
         (:meth:`~repro.graph.neighborhood.NeighborhoodSizeIndex.patched_from_csr`).
         The phase-1 memo's slots keyed to them are repaired — bounds at the
-        rows whose estimates moved, partial sums and coverage counts at the
-        rows a distributed ball in the reach gained or lost — and re-keyed
-        to the patched sizes (:meth:`_edge_repair`); the others are dropped.
+        rows whose estimates moved, coverage counts (and a 0/1 vector's
+        partial sums, which are those counts) shifted at the rows a
+        distributed ball in the reach gained or lost — and re-keyed to the
+        patched sizes (:meth:`_edge_repair`); the others are dropped.
         A context that was already stale before the write (a mutation it
         did not see, such as a node added through a maintained view) gets a
         full :meth:`invalidate`.
@@ -283,22 +284,24 @@ class GraphContext:
         Gamma, the distributed set and ``rest_bound`` read only the scores.
         The patch moved the estimated sizes of some rows: their bounds are
         re-evaluated.  A coverage moves only where a distributed ball
-        changed — for a distributed node ``d`` in ``reach`` — and only at
-        the nodes that entered or left ``S(d)`` (``w in S(d)`` iff ``d in
-        S(w)``): those rows are recounted from their own balls
-        (:func:`~repro.core.vectorized.repair_backward_state`).  A slot keyed
-        to the pre-write estimate ``old_sizes`` is re-keyed to the patched
-        one.  Dropped: every slot on a directed graph (distribution walks the
-        reverse view, which the index does not hold), a slot keyed to the
-        exact sizes (they went with the differential index), and a slot
-        whose recounted rows' balls hold more pairs than it pushed (a
-        rebuild reads fewer).
+        changed — for a distributed node in ``reach`` — so each row shifts
+        by the number of those crossed balls that hold it over the written
+        graph minus the number that held it before: one ``bincount`` of
+        each side's members.  On a 0/1 vector the partial sums are those
+        counts and shift with them
+        (:func:`~repro.core.vectorized.repair_backward_state`); a graded
+        vector's slot whose distributed ball the write crosses is dropped.
+        A slot keyed to the pre-write estimate ``old_sizes`` is re-keyed to
+        the patched one.  Dropped as well: every slot on a directed graph
+        (distribution walks the reverse view, which the index does not
+        hold) and a slot keyed to the exact sizes (they went with the
+        differential index).
         """
         if reach is None or old_sizes is None or self.graph.directed:
             return None
         import numpy as np
 
-        from repro.core.vectorized import deposits_from_balls, repair_backward_state
+        from repro.core.vectorized import repair_backward_state
         from repro.graph.csr import batched_hop_balls
 
         sizes, csr = self._estimated_sizes, self.graph.csr()
@@ -309,19 +312,18 @@ class GraphContext:
         )
         crossing = np.zeros(n, dtype=bool)
         crossing[reach] = True
-        recounted: Dict[Any, Any] = {}  # one expansion per distributed set
+        shifts: Dict[bytes, Any] = {}  # one old/new expansion per crossed set
 
-        def recount_rows(crossed):
-            """The rows that entered or left a ``crossed`` ball, and their
-            own balls' pairs over the written graph."""
-            keys = []
-            for view in (old_csr, csr):
-                owners, members, _ = batched_hop_balls(
-                    view, crossed, hops, include_self=include_self
-                )
-                keys.append(owners * n + members)
-            nodes = np.unique(np.setxor1d(*keys) % n)
-            return (nodes, *batched_hop_balls(csr, nodes, hops, include_self=include_self)[:2])
+        def shift(crossed):
+            """``(nodes, delta)``: the rows the ``crossed`` balls gained or
+            lost and the change of each one's count."""
+            old, new = (
+                batched_hop_balls(view, crossed, hops, include_self=include_self)[1]
+                for view in (old_csr, csr)
+            )
+            delta = np.bincount(new, minlength=n) - np.bincount(old, minlength=n)
+            nodes = np.flatnonzero(delta)
+            return nodes, delta[nodes]
 
         def repair(scores, family, key, state):
             gamma, fraction, keyed = key
@@ -331,21 +333,17 @@ class GraphContext:
             crossed = distributed[crossing[distributed]]
             # The shortcut's SUM values read no size.
             rows = moved if family or not state.exact else moved[:0]
-            recount = None
+            nodes = delta = None
             if crossed.size:
-                held = (id(scores), distributed.size)
-                if held not in recounted:
-                    recounted[held] = recount_rows(crossed)
-                nodes, owners, members = recounted[held]
-                if members.size > state.pushes:
+                if not scores.is_binary:
                     return None
-                recount = (nodes, *deposits_from_balls(
-                    np, owners, members, scores.array(), state.gamma
-                ))
-                rows = np.union1d(rows, nodes)
-            if rows.size:
+                held = crossed.tobytes()
+                if held not in shifts:
+                    shifts[held] = shift(crossed)
+                nodes, delta = shifts[held]
+            if rows.size or nodes is not None:
                 state = repair_backward_state(
-                    np, state, scores.array(), distributed, sizes, rows, recount,
+                    np, state, scores.array(), distributed, sizes, rows, nodes, delta,
                     include_self=include_self, is_avg=family,
                 )
             return (gamma, fraction, sizes), state
@@ -358,35 +356,35 @@ class GraphContext:
 
         A slot moves when ``new`` resolves its key to the same gamma and
         ``rest_bound`` and distributes the same nodes but for ``node``.  Then
-        ``node``'s own bound is re-evaluated and, when it is distributed
-        before or after the write, so are the partial sums and coverage
-        counts of its ball's rows (on an undirected graph, the rows whose
-        balls hold it), recounted from the distributed balls
-        (:func:`~repro.core.vectorized.repair_backward_state`).  Otherwise,
-        or on a directed graph, the slot is dropped.
+        ``node``'s own bound is re-evaluated.  When the write moved the
+        score ``node`` deposits — it entered or left the distributed set, or
+        a distributed score changed — the partial sums of its ball's rows
+        (on an undirected graph, the rows whose balls hold it) moved: on a
+        0/1 vector, before and after, that is a ±1 shift of their counts
+        (:func:`~repro.core.vectorized.repair_backward_state`), over the one
+        ball read through the ball index.  Otherwise, or on a directed
+        graph, the slot is dropped.
         """
         with self._lock:
             self.check_fresh()
             memo = self._phase1
-            repair = None if self.graph.directed else self._score_repair(new, node)
+            repair = None if self.graph.directed else self._score_repair(old, new, node)
             memo.carry(old, new, repair)
 
-    def _score_repair(self, new: Any, node: int) -> Callable:
+    def _score_repair(self, old: Any, new: Any, node: int) -> Callable:
         """The per-slot repair of :meth:`score_write` (lock held); the
-        written node's ball and each distributed set's balls are gathered
-        once for the slots that need them."""
-        gathered: Dict[Any, Any] = {}
+        written node's ball is read once for the slots that shift it."""
+        binary = old.is_binary and new.is_binary
+        ball: list = []
 
         def repair(family, key, state):
             import numpy as np
 
             from repro.core.vectorized import (
-                NumpyKernels,
                 backward_distribution_split,
-                deposits_from_distributed,
                 repair_backward_state,
             )
-            from repro.graph.traversal import TraversalCounter
+            from repro.graph.csr import batched_hop_balls
 
             gamma, fraction, sizes = key
             scores_arr = new.array()
@@ -403,27 +401,24 @@ class GraphContext:
                 )
             ):
                 return None
-            rows, recount = np.array([node]), None
-            if distributed.size != old_distributed.size or (distributed == node).any():
-                csr = self.graph.csr()
-                kernels = NumpyKernels(self.ball_index())
-
-                def gather(centers):
-                    return kernels._block_pairs(
-                        csr, centers, self.hops, self.include_self, TraversalCounter()
-                    )
-
-                if "ball" not in gathered:
-                    gathered["ball"] = gather(rows)[1]
-                if distributed.size not in gathered:
-                    gathered[distributed.size] = gather(distributed)
-                nodes = gathered["ball"]
-                recount = (nodes, *deposits_from_distributed(
-                    np, nodes, *gathered[distributed.size], scores_arr, distributed
-                ))
-                rows = np.union1d(nodes, rows)
+            before = old[node] if (old_distributed == node).any() else 0.0
+            after = new[node] if (distributed == node).any() else 0.0
+            rows, nodes, delta = np.array([node]), None, None
+            if before != after:
+                if not binary:
+                    return None
+                if not ball:
+                    csr, hops, include_self = self.csr(), self.hops, self.include_self
+                    ball.append(self.ball_index().pairs(
+                        rows,
+                        lambda absent: batched_hop_balls(
+                            csr, absent, hops, include_self=include_self
+                        )[:2],
+                    )[1])
+                nodes = ball[0]
+                delta = np.full(nodes.size, int(after - before))
             return repair_backward_state(
-                np, state, scores_arr, distributed, sizes, rows, recount,
+                np, state, scores_arr, distributed, sizes, rows, nodes, delta,
                 include_self=self.include_self, is_avg=family,
             )
 

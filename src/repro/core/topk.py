@@ -30,24 +30,26 @@ __all__ = ["TopKAccumulator", "shared_entries"]
 #: stay out: ``0.0 == -0.0``, and a shared pair keeps its value's bits.
 _shared_entries: Dict[Tuple[int, float], Tuple[int, float]] = {}
 _SHARED_ENTRIES_CAP = 1 << 16
+#: The one float of each non-zero value the table's pairs are built on, so
+#: equal values share it in every pair (equal non-zero floats have equal
+#: bits); emptied with the table.
+_shared_values: Dict[float, float] = {}
 
 
 def shared_entries(pairs: Iterable[Tuple[int, float]]) -> List[Tuple[int, float]]:
     """``(node, value)`` pairs, best first, as held entries: ``int`` ids and
-    ``float`` values, non-zero pairs from the shared table, and each run of tied values
-    (equal floats, so equal bits) sharing one float."""
+    ``float`` values, non-zero pairs from the shared table, and equal
+    non-zero values — each run of ties among them — sharing one float."""
     if len(_shared_entries) > _SHARED_ENTRIES_CAP:
         _shared_entries.clear()
-    share = _shared_entries.setdefault
+        _shared_values.clear()
     out = []
-    last = None
     for node, value in pairs:
-        if value != last or value == 0.0:  # 0.0 == -0.0: never merged
-            last = float(value)
-        entry = (int(node), last)
-        if last != 0.0:
-            entry = share(entry, entry)
-            last = entry[1]
+        node, value = int(node), float(value)
+        entry = (node, value)
+        if value != 0.0:  # 0.0 == -0.0: never merged
+            entry = (node, _shared_values.setdefault(value, value))
+            entry = _shared_entries.setdefault(entry, entry)
         out.append(entry)
     return out
 

@@ -100,8 +100,6 @@ __all__ = [
     "backward_eq3_bounds",
     "backward_shortcut_values",
     "distribute_scores",
-    "deposits_from_balls",
-    "deposits_from_distributed",
     "repair_backward_state",
     "offer_block",
     "static_upper_bounds_array",
@@ -450,9 +448,11 @@ def distribute_scores(
     block's deposits), so every node's partial sum is one left-to-right
     addition over its deposits in distribution order — the Python backend's
     sequence, whatever the block size.  That order is part of the float
-    contract — under the exact shortcut the partials *are* the answers, and
-    :func:`repair_backward_state` rebuilds single rows in it — in process
-    and in the sharded workers alike.
+    contract — under the exact shortcut the partials *are* the answers — in
+    process and in the sharded workers alike.  Nothing else re-adds
+    deposits: a write's repair (:func:`repair_backward_state`) shifts a
+    0/1 vector's partial sums, which are counts, and drops a graded
+    vector's state where one would move.
     """
     n = int(dist_csr.num_nodes)
     partial = np.zeros(n, dtype=np.float64)
@@ -925,7 +925,7 @@ def _backward_state(
 
 
 def repair_backward_state(
-    np, state, scores_arr, distributed, sizes, rows, recount=None, *,
+    np, state, scores_arr, distributed, sizes, rows, nodes=None, delta=None, *,
     include_self, is_avg,
 ) -> BackwardState:
     """``state`` after a write that keeps its gamma and ``rest_bound``: what
@@ -933,25 +933,22 @@ def repair_backward_state(
     for byte (undirected, unweighted reads).
 
     ``distributed`` is the written vector's set and ``rows`` the nodes
-    whose bound the write can have moved (size estimates, score, coverage).
-    ``recount``, when given, is ``(nodes, at, deposits)``: the nodes (a
-    subset of ``rows``) whose partial sum and coverage count the write can
-    have moved, and every deposit they take over the written graph —
-    ``deposits[i]`` lands on ``nodes[at[i]]`` — in distribution order per
-    node (:func:`deposits_from_balls`, :func:`deposits_from_distributed`).
-    One ``bincount`` adds each node's deposits left to right from 0.0, as
-    :func:`distribute_scores` does, so the recounted sums are bit for bit a
-    rebuild's.  Every other row keeps its partial sum and count, and Eq. 3
-    (or the shortcut) is re-evaluated at ``rows`` of a copy of the bounds.
+    whose bound the write can have moved through their size estimates or
+    their own score.  ``nodes`` and ``delta``, when given, are the rows
+    whose coverage count the write shifted and the shift of each.  Only a
+    0/1 vector's state takes them: its every deposit is 1.0, so a partial
+    sum is the coverage count itself, exact in any summation order, and
+    shifts with it.  Every other row keeps its partial sum and count, and
+    Eq. 3 (or the shortcut) is re-evaluated at ``rows`` and ``nodes`` of a
+    copy of the bounds.
     """
     partial, covered, pushes = state.partial, state.covered, state.pushes
-    if recount is not None:
-        nodes, at, deposits = recount
+    if nodes is not None:
         partial, covered = partial.copy(), covered.copy()
-        counts = np.bincount(at, minlength=nodes.size)
-        pushes += int(counts.sum()) - int(covered[nodes].sum())
-        partial[nodes] = np.bincount(at, weights=deposits, minlength=nodes.size)
-        covered[nodes] = counts
+        partial[nodes] += delta
+        covered[nodes] += delta
+        pushes += int(delta.sum())
+        rows = np.union1d(rows, nodes)
     row_scores = scores_arr[rows]
     self_distributed = (row_scores > 0.0) & (row_scores >= state.gamma) & include_self
     shape = {"include_self": include_self, "is_avg": is_avg, "rows": rows}
@@ -973,33 +970,6 @@ def repair_backward_state(
     return state._replace(
         distributed=distributed, pushes=pushes, bounds=bounds, partial=partial,
         covered=covered,
-    )
-
-
-def deposits_from_balls(np, owners, members, scores_arr, gamma: float):
-    """``(at, deposits)`` of some nodes from their own balls' pairs (owners
-    indexing the nodes, members ascending per owner): on an undirected
-    graph ``d in S(w)`` iff ``w in S(d)``, so a node takes one deposit from
-    each distributed member (score above 0 and at least ``gamma``).  One
-    stable sort by descending score puts each node's deposits in
-    distribution order (descending score, ties by id)."""
-    member_scores = scores_arr[members]
-    pushed = (member_scores > 0.0) & (member_scores >= gamma)
-    owners, member_scores = owners[pushed], member_scores[pushed]
-    order = np.argsort(-member_scores, kind="stable")
-    return owners[order], member_scores[order]
-
-
-def deposits_from_distributed(np, nodes, owners, members, scores_arr, distributed):
-    """``(at, deposits)`` of the sorted ``nodes`` from the balls of
-    ``distributed`` (owners indexing it), which come in distribution order:
-    the pairs that name a node, kept in order."""
-    named = np.zeros(scores_arr.size, dtype=bool)
-    named[nodes] = True
-    named = named[members]
-    return (
-        np.searchsorted(nodes, members[named]),
-        scores_arr[distributed[owners[named]]],
     )
 
 

@@ -963,9 +963,10 @@ class Network:
         Costs what it changes: the successor vector is the old one patched
         in one slot (:meth:`ScoreVector.with_value`), a maintained view
         shifts the sums of the node's reverse ball by the delta, and the
-        old vector's LONA-Backward phases 1-2 are repaired over that ball
-        for the new one when the write keeps its distribution cut
-        (:meth:`GraphContext.score_write`).
+        old vector's LONA-Backward phases 1-2 carry to the new one when the
+        write keeps its distribution cut: a 0/1 vector's partial sums shift
+        by ±1 over the node's ball, a graded vector's slot is kept only when
+        no partial sum moved (:meth:`GraphContext.score_write`).
         """
         # Validate BEFORE touching any state: a bad node id or value must
         # not half-apply to a maintained view.

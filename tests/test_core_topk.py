@@ -135,3 +135,15 @@ class TestHeldResultsShareObjects:
         assert entries[0][1] is entries[1][1]
         assert entries[2][1] is not entries[1][1]
         assert entries[3][1] is not entries[4][1]  # 0.0 == -0.0: never merged
+
+    def test_a_tie_shares_its_float_with_a_pair_held_from_before(self):
+        from repro.core import topk
+
+        topk._shared_entries.clear()
+        held = topk.shared_entries([(1, float("2.5"))])  # another 2.5 object
+        entries = topk.shared_entries([(4, 2.5), (1, 2.5), (9, 0.5)])
+        assert entries == [(4, 2.5), (1, 2.5), (9, 0.5)]
+        assert entries[0][1] is entries[1][1]  # one float per tie
+        assert held[0] is entries[1]  # one pair across results
+        again = topk.shared_entries([(1, 2.5), (4, 2.5)])  # another run order
+        assert again[0] is entries[1] and again[1] is entries[0]

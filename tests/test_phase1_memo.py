@@ -10,7 +10,9 @@ Checked here, every value compared by its bytes (``float.hex``) on
 non-dyadic scores: a hit equals its miss and a context-free
 ``backward_topk`` over k, aggregate, gamma, size index, ball convention and
 direction; the exact shortcut's values equal Eq. 3's bounds bit for bit,
-which is why one array serves as both; every write drops what it moved; an
+which is why one array serves as both; a write shifts a 0/1 vector's counts
+byte for byte as a rebuild would, drops a graded vector's slot where a
+partial sum moved, and reads no more balls than the write changed; an
 entry dies with its vector; racing readers see one of the writer's states;
 the Python backend never makes an entry or reaches for numpy.
 """
@@ -297,7 +299,8 @@ def test_every_write_is_seen_by_the_next_read(directed):
                 net.add_edge(*absent())
             else:
                 net.remove_edge(*rng.choice(list(net.graph.edges())))
-            # Undirected: every slot is repaired over the write's reach; a
+            # Undirected: every slot is repaired over the write's reach (these
+            # writes cross no distributed ball of the graded vector); a
             # directed graph distributes over the reverse view: all dropped.
             kept = _memo(net)
             assert kept["entries"] == (0 if directed else held)
@@ -471,18 +474,33 @@ def test_a_write_that_moves_the_cut_drops_the_slot():
     query.run()
     net.update_score("s", zero, 0.0)  # and back: rest_bound moves again
     assert _memo(net)["dropped"] == 2
+    # Below the rest_bound the written node is not distributed: no partial
+    # sum moves, only its own bound, and the slot is repaired.
+    query.run()
+    net.update_score("s", zero, rest / 2)
+    assert _memo(net)["repaired"] == 1 and _assert_slots_fresh(net) == 1
+    net.update_score("s", zero, 0.0)
     auto = net.query("s").algorithm("backward").limit(10)
     auto.run()
-    net.update_score("s", zero, top)  # gamma "auto" keeps its depth's score
-    assert _memo(net)["repaired"] == 1
-    assert _assert_slots_fresh(net) == 1
-    assert _bits(auto.run().entries) == _bits(_fresh_answer(net, "s", "sum", 10).entries)
+    # gamma "auto" keeps its depth's score, so the cut holds, but the node
+    # now deposits a graded score on its ball: those partial sums moved and
+    # would have to be re-added in distribution order.  The slot goes.
+    before = _memo(net)
+    net.update_score("s", zero, top)
+    after = _memo(net)
+    assert after["dropped"] == before["dropped"] + 1
+    assert after["repaired"] == before["repaired"] and _assert_slots_fresh(net) == 0
+    got = auto.run()
+    assert _memo(net)["misses"] == after["misses"] + 1
+    assert _bits(got.entries) == _bits(_fresh_answer(net, "s", "sum", 10).entries)
 
 
 @needs_numpy
 def test_repairs_past_one_distribution_block():
-    # More than 1,024 distributed nodes: the repair must add in the order
-    # the blocked distribution adds.
+    # More than 1,024 distributed nodes, so a fresh build adds over several
+    # distribution blocks: the 0/1 vector's shifted counts must still be its
+    # bytes, and the graded vector's reads (dropped and rebuilt where a
+    # partial sum moved) a fresh session's.
     n = 1500
     rng = random.Random(3)
     edges = sorted({
@@ -492,15 +510,29 @@ def test_repairs_past_one_distribution_block():
     })
     pool = [rng.random() for _ in range(13)]
     net = Network(DynamicGraph.from_edges(edges, num_nodes=n), hops=2, backend="numpy")
+    net.add_scores("bits", [float(rng.random() < 0.9) for _ in range(n)])
     net.add_scores("s", _pool_scores(rng, n, pool, 0.9))
     reads = [
-        net.query("s").algorithm("backward").aggregate(aggregate).gamma(0.0).limit(30)
+        (vector, aggregate, net.query(vector).algorithm("backward").aggregate(aggregate)
+         .gamma(0.0).limit(30))
+        for vector in ("bits", "s")
         for aggregate in ("sum", "avg")
     ]
-    for read in reads:
-        assert read.run().stats.extra["distributed_nodes"] > 1024
+
+    def read_all():
+        for vector, aggregate, read in reads:
+            got = read.run()
+            assert got.stats.extra["distributed_nodes"] > 1024
+            fresh = Network(Graph.from_edges(list(net.graph.edges()), num_nodes=n), hops=2)
+            fresh.add_scores(vector, net.scores_of(vector).values())
+            want = fresh.query(vector).algorithm("backward").aggregate(aggregate).gamma(0.0)
+            assert _bits(got.entries) == _bits(want.limit(30).run().entries), vector
+
+    read_all()
     for step in range(12):
         if step % 3 == 0:
+            node = rng.randrange(n)
+            net.update_score("bits", node, 1.0 - net.scores_of("bits")[node])
             net.update_score("s", rng.randrange(n), rng.choice(pool))
         elif step % 3 == 1:
             u, v = rng.sample(range(n), 2)
@@ -508,15 +540,14 @@ def test_repairs_past_one_distribution_block():
                 net.add_edge(u, v)
         else:
             net.remove_edge(*rng.choice(list(net.graph.edges())))
-        assert _assert_slots_fresh(net) == 2
-    for read, aggregate in zip(reads, ("sum", "avg")):
+        # The 0/1 vector's two slots are always kept; the graded one's only
+        # where no partial sum moved.
+        kept = _assert_slots_fresh(net)
+        assert 2 <= kept <= 4
+        assert len(net._ctx.phase1_memo()._slots.get(net.scores_of("bits"), {})) == 2
         before = _memo(net)["hits"]
-        got = read.run()
-        assert _memo(net)["hits"] == before + 1
-        fresh = Network(Graph.from_edges(list(net.graph.edges()), num_nodes=n), hops=2)
-        fresh.add_scores("s", net.scores_of("s").values())
-        want = fresh.query("s").algorithm("backward").aggregate(aggregate).gamma(0.0)
-        assert _bits(got.entries) == _bits(want.limit(30).run().entries)
+        read_all()
+        assert _memo(net)["hits"] >= before + 2
 
 
 @needs_numpy
@@ -537,10 +568,11 @@ def test_directed_writes_drop_every_slot():
 
 
 @needs_numpy
-def test_a_repair_dearer_than_a_rebuild_drops_the_slot():
+def test_a_repair_wider_than_the_pushes_keeps_the_slot():
     # One distributed leaf; the write joins it to a hub, so the rows whose
-    # coverage moves are the hub's neighbors, whose balls hold the whole
-    # star: more pairs than the leaf ever pushed.
+    # coverage moves are the hub's neighbors, whose own balls hold the whole
+    # star: more pairs than the leaf ever pushed.  The repair shifts their
+    # counts and reads none of those balls, so the slot is kept.
     hub, leaf, n = 0, 40, 41
     edges = [(hub, x) for x in range(1, 30)] + [(leaf - 1, leaf)]
     net = Network(DynamicGraph.from_edges(edges, num_nodes=n), hops=2, backend="numpy")
@@ -548,12 +580,80 @@ def test_a_repair_dearer_than_a_rebuild_drops_the_slot():
     net.add_scores("many", [1.0 if x % 2 else 0.0 for x in range(n)])
     for vector in ("one", "many"):
         net.query(vector).algorithm("backward").limit(3).run()
+    pushed = net.query("one").algorithm("backward").limit(3).run().stats.distribution_pushes
     net.add_edge(hub, leaf)
     stats = _memo(net)
-    assert (stats["entries"], stats["repaired"], stats["dropped"]) == (1, 1, 1)
-    assert _assert_slots_fresh(net) == 1
+    assert (stats["entries"], stats["repaired"], stats["dropped"]) == (2, 2, 0)
+    assert _assert_slots_fresh(net) == 2
     got = net.query("one").algorithm("backward").limit(3).run()
+    assert got.stats.distribution_pushes > pushed
+    assert _memo(net)["hits"] == stats["hits"] + 1
     assert _bits(got.entries) == _bits(_fresh_answer(net, "one", "sum", 3).entries)
+
+
+# ---------------------------------------------------------------------------
+# A repair costs what the write changed
+# ---------------------------------------------------------------------------
+@needs_numpy
+def test_a_binary_score_write_reads_one_ball():
+    net = _session(_graph(False, dynamic=True))
+    for aggregate in ("sum", "avg"):
+        net.query("bits").algorithm("backward").aggregate(aggregate).limit(10).run()
+
+    def balls_read():
+        stats = net._ctx.cache_stats()["ball_cache"]
+        return stats["hits"] + stats["misses"]
+
+    bits = net.scores_of("bits").values()
+    zero = next(x for x in range(N) if bits[x] == 0.0)
+    one = next(x for x in range(N) if bits[x] == 1.0)
+    for node, value in ((zero, 1.0), (zero, 0.0), (one, 0.0), (one, 1.0), (one, 1.0)):
+        before, held = balls_read(), _memo(net)
+        net.update_score("bits", node, value)
+        gc.collect()
+        after = _memo(net)
+        # Both slots are carried and shift over the one ball of the node.
+        assert after["repaired"] == held["repaired"] + 2 and after["dropped"] == held["dropped"]
+        assert balls_read() - before <= 1
+        assert _assert_slots_fresh(net) == 2
+
+
+@needs_numpy
+def test_an_edge_write_expands_each_crossed_ball_twice(monkeypatch):
+    import repro.graph.csr as csr_module
+
+    net = _session(_graph(False, dynamic=True))
+    for aggregate in ("sum", "avg"):
+        net.query("bits").algorithm("backward").aggregate(aggregate).limit(10).run()
+    calls = []
+    real = csr_module.batched_hop_balls
+
+    def counted(view, centers, hops, **kw):
+        if hops == net.hops:  # the reach is one hop shorter
+            calls.append((view, centers.tolist()))
+        return real(view, centers, hops, **kw)
+
+    monkeypatch.setattr(csr_module, "batched_hop_balls", counted)
+    bits = net.scores_of("bits").values()
+    ones = [x for x in range(N) if bits[x] == 1.0]
+    crossing = next(
+        (u, v) for u in ones for v in range(N - 10, N) if not net.graph.has_edge(u, v)
+    )
+    isolated = (N - 2, N - 1)  # no distributed ball holds either
+    for write in (crossing, isolated):
+        calls.clear()
+        old_csr = net.graph.csr()
+        net.add_edge(*write)
+        if write is crossing:
+            # The old view and the new one, over the crossed distributed
+            # nodes, once for both of the vector's slots.
+            assert len(calls) == 2
+            assert calls[0][0] is old_csr and calls[1][0] is net.graph.csr()
+            assert calls[0][1] == calls[1][1] and write[0] in calls[0][1]
+            assert set(calls[0][1]) <= set(ones)
+        else:
+            assert calls == []
+        assert _memo(net)["dropped"] == 0 and _assert_slots_fresh(net) == 2
 
 
 @needs_numpy
@@ -583,8 +683,13 @@ def test_racing_readers_see_one_of_the_writers_states():
         (u, v) for u in range(N) for v in range(u + 1, N) if not net.graph.has_edge(u, v)
     )
     node = next(x for x in range(N) if net.scores_of("s")[x] == 0.0)
+    # The graded write drops the slots of "s"; the 0/1 write repairs those
+    # of "bits", so readers race repaired slots too.
+    bit = next(x for x in range(N) if net.scores_of("bits")[x] == 0.0)
     reads = {
-        (aggregate, k): net.query("s").algorithm("backward").aggregate(aggregate).limit(k)
+        (vector, aggregate, k): net.query(vector).algorithm("backward")
+        .aggregate(aggregate).limit(k)
+        for vector in ("s", "bits")
         for aggregate in AGGREGATES
         for k in (1, 10, 60)
     }
@@ -592,16 +697,21 @@ def test_racing_readers_see_one_of_the_writers_states():
     def answers():
         return {key: _bits(builder.run().entries) for key, builder in reads.items()}
 
-    # Every state the writer passes through: edge absent/present, score 0/0.77.
+    # Every state the writer passes through: edge absent/present, score
+    # 0/0.77, bit 0/1.
     states = []
     for edge in (False, True):
         for value in (0.0, 0.77):
             net.update_score("s", node, value)
-            states.append(answers())
+            for flag in (0.0, 1.0):
+                net.update_score("bits", bit, flag)
+                states.append(answers())
+            net.update_score("bits", bit, 0.0)
         net.update_score("s", node, 0.0)
         if not edge:
             net.add_edge(u, v)
     net.remove_edge(u, v)
+    repaired = _memo(net)["repaired"]
 
     net.service(workers=THREADS)
     interval = sys.getswitchinterval()
@@ -613,11 +723,15 @@ def test_racing_readers_see_one_of_the_writers_states():
         try:
             while not stop.is_set():
                 net.update_score("s", node, 0.77)
+                net.update_score("bits", bit, 1.0)
                 net.add_edge(u, v)
                 net.update_score("s", node, 0.0)
+                net.update_score("bits", bit, 0.0)
                 net.update_score("s", node, 0.77)
+                net.update_score("bits", bit, 1.0)
                 net.remove_edge(u, v)
                 net.update_score("s", node, 0.0)
+                net.update_score("bits", bit, 0.0)
         except Exception as exc:  # pragma: no cover - must not happen
             errors.append(exc)
 
@@ -639,6 +753,7 @@ def test_racing_readers_see_one_of_the_writers_states():
         sys.setswitchinterval(interval)
         net.service().shutdown()
     assert not writer.is_alive() and not errors, errors
+    assert _memo(net)["repaired"] > repaired
 
 
 # ---------------------------------------------------------------------------
