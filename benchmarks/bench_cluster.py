@@ -53,7 +53,6 @@ SCALE = 1.0
 K = 10
 WORKERS = 2
 SHARDS = 4
-SEED = 2010
 THETA_GATE = 2.0
 FORECAST_GATE = 1.5
 
@@ -79,7 +78,6 @@ def _run_cluster_scan(graph, scores, hops: int, ship_policy: str) -> dict:
         workers=WORKERS,
         shards=SHARDS,
         min_nodes=0,
-        seed=SEED,
         ship_policy=ship_policy,
     )
     try:

@@ -89,7 +89,7 @@ def measure_overhead(scale: float) -> dict:
 
     net = Network(graph, hops=spec.hops)
     net.add_scores("bench", scores)
-    net.cluster(workers=WORKERS, min_nodes=0, seed=SEED)
+    net.cluster(workers=WORKERS, min_nodes=0)
     try:
         # Warm-up spawns workers and ships stores off the clock.
         net.query("bench").limit(K).backend("cluster").run()
@@ -150,7 +150,7 @@ def _straggler_round_seconds(hedge: bool, scale: float) -> dict:
     try:
         net = Network(graph, hops=spec.hops)
         net.add_scores("bench", scores)
-        net.cluster(workers=WORKERS, min_nodes=0, seed=SEED, hedge=hedge)
+        net.cluster(workers=WORKERS, min_nodes=0, hedge=hedge)
         try:
             # Warm-up: spawn + store shipping + latency history (the
             # hedger needs a few samples per peer before it computes a
@@ -217,7 +217,7 @@ def _burst_seconds(chaos: bool, scale: float) -> dict:
     try:
         net = Network(graph, hops=spec.hops)
         net.add_scores("bench", scores)
-        net.cluster(workers=WORKERS, min_nodes=0, seed=SEED)
+        net.cluster(workers=WORKERS, min_nodes=0)
         try:
             net.query("bench").limit(K).backend("cluster").run()  # spawn
             # crash-heavy kills *every* worker generation at its 4th task

@@ -33,8 +33,9 @@ The algorithm functions (:func:`base_topk`, :func:`forward_topk`,
 :func:`backward_topk`) stay importable as the reference implementations the
 session's answers are checked against.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See DESIGN.md for the system inventory; the paper's figures and the
+ablations around them (DESIGN §11) run through ``python -m
+repro.bench.figures``.
 """
 
 from repro.aggregates import AggregateKind

@@ -2,7 +2,7 @@
 
 The paper's figures are runtime-vs-k line plots; :func:`format_figure`
 prints the same series as a table (one row per k, one column per
-algorithm), which is the form EXPERIMENTS.md records.  :func:`write_series`
+algorithm), which is the form the figure harness prints.  :func:`write_series`
 emits whitespace ``k runtime`` columns per algorithm — directly plottable
 with gnuplot, matching the visual style of the original figures.
 """

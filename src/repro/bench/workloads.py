@@ -22,8 +22,8 @@ Sec. IV develops the zero-skipping argument for 0/1 relevance, so the
 default workloads use the **binary** mixture (fraction ``r`` of nodes score
 exactly 1, the rest 0).  The full continuous mixture (exponential ``fr`` +
 random-walk ``fw``) is exercised by the ``mixture`` ablation variant of
-every figure — see EXPERIMENTS.md for how the two regimes bracket the
-paper's reported behaviour.
+every figure, and ``abl-mixture`` (DESIGN §11) runs the two regimes side
+by side.
 
 The ablations (:data:`ABLATIONS`, run with ``--figure abl-<id>``) are the
 parameter studies around the figures: each is a short list of

@@ -32,8 +32,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.transport import ClusterTransport
-from repro.errors import ClusterError, InvalidParameterError
-from repro.parallel.coordinator import DEFAULT_MIN_NODES, ShardedCoordinator
+from repro.config import DEFAULT_MIN_NODES, ClusterConfig
+from repro.errors import ClusterError
+from repro.parallel.coordinator import ShardedCoordinator
 
 __all__ = ["DEFAULT_MIN_NODES", "ClusterEngine"]
 
@@ -94,47 +95,17 @@ class ClusterEngine(ShardedCoordinator):
     execute_backward = ShardedCoordinator.execute_backward
     run_batch = ShardedCoordinator.run_batch
 
-    def __init__(
-        self,
-        ctx,
-        *,
-        workers=2,
-        shards: Optional[int] = None,
-        min_nodes: int = DEFAULT_MIN_NODES,
-        seed: int = 2010,
-        timeout: float = 120.0,
-        connect_timeout: float = 10.0,
-        io_timeout: float = 30.0,
-        hedge: bool = True,
-        ship_policy: str = "threshold",
-    ) -> None:
-        if ship_policy not in ("threshold", "all"):
-            raise InvalidParameterError(
-                f"ship_policy must be 'threshold' or 'all', got {ship_policy!r}"
-            )
-        transport = ClusterTransport(
-            workers,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            io_timeout=io_timeout,
-            hedge=hedge,
-        )
-        if transport.num_peers < 1:
-            raise InvalidParameterError("cluster needs at least one worker")
-        if shards is None:
-            shards = transport.num_peers
-        if int(shards) < 1:
-            raise InvalidParameterError(f"shards must be >= 1, got {shards}")
+    def __init__(self, ctx, config: ClusterConfig) -> None:
+        transport = ClusterTransport(config.workers, hedge=config.hedge)
         super().__init__(
             ctx,
             {"transport": transport},
             _close_transport,
             workers=transport.num_peers,
-            shards=shards,
-            min_nodes=min_nodes,
-            seed=seed,
+            shards=config.shards or transport.num_peers,
+            min_nodes=config.min_nodes,
         )
-        self.ship_policy = ship_policy
+        self.ship_policy = config.ship_policy
         # name -> ("put" header, arrays): everything shippable to a peer.
         self._payloads: Dict[str, Tuple[dict, dict]] = {}
         self._store_serial = 0

@@ -20,8 +20,9 @@ de-duplication absorbs the overlap.
 
 Beyond crash recovery, the transport defends against *degraded* peers:
 
-* **Timeouts everywhere** — connects use a dedicated ``connect_timeout``
-  and every socket keeps a permanent I/O timeout (``io_timeout``), so a
+* **Timeouts everywhere** — connects use a dedicated ``_CONNECT_TIMEOUT``
+  and every socket keeps a permanent I/O timeout (``_FRAME_READ_TIMEOUT``),
+  and a round is bounded by :data:`repro.parallel.pool.DEFAULT_TIMEOUT`, so a
   down or wedged peer surfaces as a typed
   :class:`~repro.errors.ClusterError` instead of a hang (blocking
   ``sendall`` against a full buffer included).
@@ -59,6 +60,7 @@ from repro.cluster.frames import read_frame, write_frame
 from repro.core.deadline import active_deadline
 from repro.errors import ClusterError, StaleShardError, error_from_wire
 from repro.faults import fault_point
+from repro.parallel.pool import DEFAULT_TIMEOUT
 
 __all__ = [
     "ClusterPeer",
@@ -70,11 +72,11 @@ __all__ = [
 #: Seconds granted to a spawned worker to print its listen address.
 _SPAWN_TIMEOUT = 30.0
 
-#: Default ceiling on connect() to a worker address — a down peer must
+#: Ceiling on connect() to a worker address — a down peer must
 #: surface as a typed error promptly, never hang for the round timeout.
 _CONNECT_TIMEOUT = 10.0
 
-#: Default permanent socket I/O timeout: bounds a blocking ``sendall``
+#: Permanent socket I/O timeout: bounds a blocking ``sendall``
 #: against a wedged peer and reading one frame after the selector reported
 #: the socket readable.  A peer that stalls mid-frame this long is dead.
 _FRAME_READ_TIMEOUT = 30.0
@@ -183,13 +185,11 @@ class ClusterPeer:
         port: int,
         *,
         proc: Optional[subprocess.Popen] = None,
-        io_timeout: float = _FRAME_READ_TIMEOUT,
     ) -> None:
         self.ident = ident
         self.host = host
         self.port = port
         self.proc = proc
-        self.io_timeout = io_timeout
         self.sock: Optional[socket.socket] = None
         self.alive = False
         self.shipped: set = set()
@@ -212,7 +212,7 @@ class ClusterPeer:
         # Keep a permanent I/O timeout: a blocking sendall against a
         # wedged peer's full buffer must fail instead of hanging the
         # coordinator.  recv() tightens/restores it per call.
-        self.sock.settimeout(self.io_timeout)
+        self.sock.settimeout(_FRAME_READ_TIMEOUT)
         self.alive = True
 
     def send(self, header: dict, arrays: Optional[dict] = None) -> None:
@@ -228,9 +228,9 @@ class ClusterPeer:
     def recv(self, timeout: Optional[float] = None) -> Tuple[dict, dict]:
         assert self.sock is not None
         try:
-            self.sock.settimeout(self.io_timeout if timeout is None else timeout)
+            self.sock.settimeout(_FRAME_READ_TIMEOUT if timeout is None else timeout)
             header, arrays, nbytes = read_frame(self.sock)
-            self.sock.settimeout(self.io_timeout)
+            self.sock.settimeout(_FRAME_READ_TIMEOUT)
         except (OSError, ValueError, ClusterError):
             # ClusterError here means the peer shipped garbage (oversize
             # length word, undecodable header): treat a protocol-broken
@@ -290,12 +290,7 @@ def _worker_env() -> dict:
     return env
 
 
-def spawn_local_worker(
-    ident: int,
-    *,
-    timeout: float = _SPAWN_TIMEOUT,
-    io_timeout: float = _FRAME_READ_TIMEOUT,
-) -> ClusterPeer:
+def spawn_local_worker(ident: int) -> ClusterPeer:
     """Spawn ``cluster-worker`` on a free localhost port and connect to it."""
     proc = subprocess.Popen(
         [
@@ -313,7 +308,7 @@ def spawn_local_worker(
         env=_worker_env(),
     )
     assert proc.stdout is not None
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + _SPAWN_TIMEOUT
     address = None
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
@@ -327,8 +322,8 @@ def spawn_local_worker(
         proc.terminate()
         raise ClusterError("spawned cluster worker never reported its address")
     host, _, port = address.rpartition(":")
-    peer = ClusterPeer(ident, host, int(port), proc=proc, io_timeout=io_timeout)
-    peer.connect(timeout)
+    peer = ClusterPeer(ident, host, int(port), proc=proc)
+    peer.connect(_SPAWN_TIMEOUT)
     return peer
 
 
@@ -352,9 +347,6 @@ class ClusterTransport:
         self,
         workers: Union[int, Sequence[str]],
         *,
-        timeout: float = 120.0,
-        connect_timeout: float = _CONNECT_TIMEOUT,
-        io_timeout: float = _FRAME_READ_TIMEOUT,
         hedge: bool = True,
     ) -> None:
         if isinstance(workers, int):
@@ -363,9 +355,6 @@ class ClusterTransport:
         else:
             self._spawn_count = 0
             self._addresses = [str(a) for a in workers]
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
         self.hedge_enabled = hedge
         self.peers: List[ClusterPeer] = []
         self.started = False
@@ -428,21 +417,12 @@ class ClusterTransport:
                     raise ClusterError(
                         f"worker address must be host:port, got {address!r}"
                     )
-                peer = ClusterPeer(
-                    self._next_ident,
-                    host,
-                    int(port),
-                    io_timeout=self.io_timeout,
-                )
+                peer = ClusterPeer(self._next_ident, host, int(port))
                 self._next_ident += 1
-                peer.connect(self.connect_timeout)
+                peer.connect(_CONNECT_TIMEOUT)
                 self.peers.append(peer)
             for _ in range(self._spawn_count):
-                self.peers.append(
-                    spawn_local_worker(
-                        self._next_ident, io_timeout=self.io_timeout
-                    )
-                )
+                self.peers.append(spawn_local_worker(self._next_ident))
                 self._next_ident += 1
         except (OSError, ConnectionError) as exc:
             self.close()
@@ -527,7 +507,7 @@ class ClusterTransport:
             if not health.admits():
                 continue
             try:
-                peer.connect(self.connect_timeout)
+                peer.connect(_CONNECT_TIMEOUT)
                 header, _ = peer.request({"type": "hello"})
                 if header.get("status") != "ok":
                     raise ConnectionError(
@@ -564,7 +544,7 @@ class ClusterTransport:
         if not tasks:
             return []
         tasks = [dict(spec) for spec in tasks]
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + DEFAULT_TIMEOUT
         results: List[Optional[Tuple[dict, dict]]] = [None] * len(tasks)
         pending: Dict[str, int] = {}
         owner: Dict[str, ClusterPeer] = {}
@@ -642,9 +622,7 @@ class ClusterTransport:
                 self.respawn_budget -= 1
                 dead.close(shutdown=False)
                 try:
-                    replacement = spawn_local_worker(
-                        self._next_ident, io_timeout=self.io_timeout
-                    )
+                    replacement = spawn_local_worker(self._next_ident)
                 except ClusterError:
                     return
                 self._next_ident += 1
@@ -739,7 +717,7 @@ class ClusterTransport:
                     raise ClusterError(
                         f"cluster round timed out with "
                         f"{len(pending) + len(undispatched)} task(s) "
-                        f"outstanding after {self.timeout:.1f}s"
+                        f"outstanding after {DEFAULT_TIMEOUT:.1f}s"
                     )
                 if undispatched:
                     self._revive_address_peers()

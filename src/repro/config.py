@@ -1,25 +1,25 @@
 """Typed configuration objects for the session's serving and parallel tiers.
 
-``Network.service(...)`` and ``Network.parallel(...)`` historically took
-loose keyword options that were forwarded — and only validated — deep
-inside :class:`~repro.service.QueryService` and
-:class:`~repro.parallel.engine.ParallelEngine`.  Now that the same knobs
-arrive from many directions (the fluent API, the CLI, the network server's
-JSON config file), each tier has one frozen dataclass that is the single
-schema for them all:
+Each tier has one frozen dataclass that is the single schema for its
+settings — the fluent API, the CLI and the network server's JSON config
+file all arrive here, and the engines and the service read the object they
+are handed:
 
 * :class:`ServiceConfig` — the in-process serving tier (scheduler threads,
-  admission bound, coalescing, result cache).
+  admission bound, coalescing).
 * :class:`ParallelConfig` — the multi-core engine (worker-process pool,
-  decline threshold, shard seed, IPC timeout).
+  decline threshold).
 * :class:`ClusterConfig` — the socket-cluster engine (spawned or addressed
-  workers, shard count, ship policy, round timeout).
+  workers, shard count, decline threshold, hedging, ship policy).
+
+This module is the one place a setting is declared, defaulted and checked;
+what no caller varies is a constant of the module that uses it (DESIGN.md's
+knob ledger lists both, with the caller that keeps each field).
 
 Every entry point normalizes through :meth:`~ServiceConfig.coerce`, which
 accepts an instance, a plain mapping (e.g. a parsed JSON section), or bare
 keyword options — and **rejects unknown keys** with a
-:class:`~repro.errors.InvalidParameterError` naming the valid ones, instead
-of the old silently-forwarded ``TypeError`` from an inner constructor.  A
+:class:`~repro.errors.InvalidParameterError` naming the valid ones.  A
 value that does not convert to its field's type is the same error, naming
 class and field — these objects are built from files.
 Instances are frozen and comparable, which is what makes
@@ -34,7 +34,12 @@ from typing import Mapping, Optional, Union
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["ServiceConfig", "ParallelConfig", "ClusterConfig"]
+__all__ = ["DEFAULT_MIN_NODES", "ServiceConfig", "ParallelConfig", "ClusterConfig"]
+
+#: Below this many evaluated centers a sharded query declines and runs
+#: in-process: even a warm round pays ~1 ms of IPC (more over sockets), which
+#: at small n exceeds the whole vectorized scan.
+DEFAULT_MIN_NODES = 8192
 
 
 class _FrozenConfig:
@@ -128,11 +133,6 @@ class _FrozenConfig:
         """Plain JSON-safe dict of every field (round-trips from_options)."""
         return asdict(self)
 
-    def to_engine_kwargs(self) -> dict:
-        """Engine-constructor kwargs (``None`` fields fall to the engine)."""
-        out = {name: getattr(self, name) for name in self._field_names()}
-        return {k: v for k, v in out.items() if v is not None}
-
     def replace(self, **changes: object) -> "_FrozenConfig":
         """A copy with the given fields replaced (validated anew)."""
         return replace(self, **changes)  # type: ignore[arg-type]
@@ -144,24 +144,19 @@ class ServiceConfig(_FrozenConfig):
 
     ``workers`` scheduler threads (0 = inline execution on the submitting
     thread); ``max_pending`` is the admission-control queue bound;
-    ``coalesce``/``coalesce_limit`` govern fused shared scans;
-    ``cache_entries`` sizes the result cache (0 disables).  Where queries
-    execute is not a service setting: a request runs on its own backend,
-    which the builder lowers from the session default
+    ``coalesce`` turns fused shared scans of compatible queued requests on
+    or off.  Where queries execute is not a service setting: a request runs
+    on its own backend, which the builder lowers from the session default
     (``Network(backend="parallel")``) unless the query pins one.
     """
 
     workers: int = 0
     max_pending: int = 1024
     coalesce: bool = True
-    coalesce_limit: int = 64
-    cache_entries: int = 512
 
     def __post_init__(self) -> None:
         self._coerce("workers", int, 0)
         self._coerce("max_pending", int, 1)
-        self._coerce("coalesce_limit", int, 2)
-        self._coerce("cache_entries", int, 0)
         self._coerce("coalesce", bool)
 
 
@@ -169,27 +164,18 @@ class ServiceConfig(_FrozenConfig):
 class ParallelConfig(_FrozenConfig):
     """Configuration of one :class:`~repro.parallel.engine.ParallelEngine`.
 
-    ``None`` means "the engine's default": ``workers=None`` sizes the pool
-    to ``os.cpu_count()``; ``min_nodes=None`` keeps the engine's decline
-    threshold (:data:`~repro.parallel.engine.DEFAULT_MIN_NODES`).
+    ``workers=None`` sizes the pool to ``os.cpu_count()``; a graph whose
+    evaluated centers number fewer than ``min_nodes`` declines to the
+    in-process numpy backend.
     """
 
     workers: Optional[int] = None
-    min_nodes: Optional[int] = None
-    seed: int = 2010
-    timeout: float = 120.0
+    min_nodes: int = DEFAULT_MIN_NODES
 
     def __post_init__(self) -> None:
         if self.workers is not None:
             self._coerce("workers", int, 1)
-        if self.min_nodes is not None:
-            self._coerce("min_nodes", int, 0)
-        self._coerce("seed", int)
-        self._coerce("timeout", float)
-        if self.timeout <= 0:
-            raise InvalidParameterError(
-                f"timeout must be > 0, got {self.timeout}"
-            )
+        self._coerce("min_nodes", int, 0)
 
 
 @dataclass(frozen=True)
@@ -200,18 +186,15 @@ class ClusterConfig(_FrozenConfig):
     processes (the single-machine form) or a list/tuple of ``host:port``
     addresses of already-running workers (the multi-machine form).
     ``shards`` defaults to the worker count; a smaller value leaves standby
-    workers that only serve re-issued tasks.  ``ship_policy`` is
-    ``"threshold"`` (θ-shipping + adaptive quotas, the default) or
-    ``"all"`` (naive ship-everything, the bench baseline).
+    workers that only serve re-issued tasks.  ``hedge`` re-issues a
+    straggler's task to an idle peer.  ``ship_policy`` is ``"threshold"``
+    (θ-shipping + adaptive quotas, the default) or ``"all"`` (naive
+    ship-everything, the bench baseline).
     """
 
     workers: object = 2
     shards: Optional[int] = None
-    min_nodes: Optional[int] = None
-    seed: int = 2010
-    timeout: float = 120.0
-    connect_timeout: float = 10.0
-    io_timeout: float = 30.0
+    min_nodes: int = DEFAULT_MIN_NODES
     hedge: bool = True
     ship_policy: str = "threshold"
 
@@ -237,15 +220,7 @@ class ClusterConfig(_FrozenConfig):
             )
         if self.shards is not None:
             self._coerce("shards", int, 1)
-        if self.min_nodes is not None:
-            self._coerce("min_nodes", int, 0)
-        self._coerce("seed", int)
-        for name in ("timeout", "connect_timeout", "io_timeout"):
-            self._coerce(name, float)
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(
-                    f"{name} must be > 0, got {getattr(self, name)}"
-                )
+        self._coerce("min_nodes", int, 0)
         self._coerce("hedge", bool)
         if self.ship_policy not in ("threshold", "all"):
             raise InvalidParameterError(

@@ -180,7 +180,7 @@ class GraphContext:
         "_ball_index",
         "_phase1",
         "_engines",
-        "_engine_options",
+        "_engine_configs",
         "_graph_version",
         "_lock",
     )
@@ -202,7 +202,7 @@ class GraphContext:
         self._ball_index = None
         self._phase1 = Phase1Memo()
         self._engines: Dict[str, object] = {}
-        self._engine_options: Dict[str, dict] = {}
+        self._engine_configs: Dict[str, object] = {}
         self._graph_version = getattr(graph, "version", None)
         self._lock = threading.RLock()
 
@@ -574,20 +574,21 @@ class GraphContext:
     # ------------------------------------------------------------------
     # Sharded engines (the "parallel" and "cluster" backends)
     # ------------------------------------------------------------------
-    def sharded_engine(self, concrete: str, **options):
+    def sharded_engine(self, concrete: str, config=None):
         """The session-scoped engine behind a sharded backend name:
         ``"parallel"`` -> :class:`~repro.parallel.engine.ParallelEngine`,
         ``"cluster"`` -> :class:`~repro.cluster.engine.ClusterEngine`.
 
         Created lazily on first use (creating one spawns or connects
-        nothing — workers start on the first query it accepts); passing
-        options reconfigures — the previous engine (pool, exports, peers)
-        is closed and a new one built, so ``workers=...`` changes take
-        effect deterministically.  With no options, repeated calls return
-        the same engine; if the engine was released (:meth:`close`), it is
-        rebuilt with the last *remembered* options, so an explicit
-        ``net.parallel(...)`` / ``net.cluster(...)`` configuration survives
-        a close/reopen cycle.
+        nothing — workers start on the first query it accepts); passing a
+        config (:class:`~repro.config.ParallelConfig` /
+        :class:`~repro.config.ClusterConfig`) reconfigures — the previous
+        engine (pool, exports, peers) is closed and a new one built, so
+        ``workers=...`` changes take effect deterministically.  With no
+        config, repeated calls return the same engine; if the engine was
+        released (:meth:`close`), it is rebuilt with the last *remembered*
+        config, so an explicit ``net.parallel(...)`` / ``net.cluster(...)``
+        configuration survives a close/reopen cycle.
 
         The previous engine is closed *outside* this context's lock: a
         sharded query holds the engine lock while reading ctx artifacts
@@ -595,22 +596,26 @@ class GraphContext:
         invert the order and deadlock.
         """
         if concrete == "parallel":
+            from repro.config import ParallelConfig as config_class
             from repro.parallel.engine import ParallelEngine as engine_class
         else:
             from repro.cluster.engine import ClusterEngine as engine_class
+            from repro.config import ClusterConfig as config_class
 
         while True:
             with self._lock:
                 current = self._engines.get(concrete)
-                previous = current if options else None
+                previous = current if config is not None else None
                 if previous is None:
                     if current is None or current.closed:
-                        create = options or self._engine_options.get(concrete, {})
                         current = self._engines[concrete] = engine_class(
-                            self, **create
+                            self,
+                            config
+                            or self._engine_configs.get(concrete)
+                            or config_class(),
                         )
-                        if options:
-                            self._engine_options[concrete] = dict(options)
+                        if config is not None:
+                            self._engine_configs[concrete] = config
                     return current
                 self._engines[concrete] = None
             previous.close()
@@ -618,7 +623,7 @@ class GraphContext:
     def engine_configured(self, concrete: str) -> bool:
         """Whether the session explicitly configured that sharded engine."""
         with self._lock:
-            return bool(self._engine_options.get(concrete))
+            return concrete in self._engine_configs
 
     def has_engine(self, concrete: str) -> bool:
         """Whether that sharded engine exists (without creating one)."""

@@ -942,9 +942,15 @@ def repair_backward_state(
     Eq. 3 (or the shortcut) is re-evaluated at ``rows`` and ``nodes`` of a
     copy of the bounds.
     """
+    # Racing readers hold the old arrays, so a repair writes copies; where
+    # the shortcut shares one array (:func:`_backward_state`), it is copied
+    # once — every shifted row is among ``rows`` and re-evaluated below.
+    shared = state.partial is state.bounds
+    bounds = state.bounds.copy()
     partial, covered, pushes = state.partial, state.covered, state.pushes
     if nodes is not None:
-        partial, covered = partial.copy(), covered.copy()
+        partial = bounds if shared else partial.copy()
+        covered = covered.copy()
         partial[nodes] += delta
         covered[nodes] += delta
         pushes += int(delta.sum())
@@ -961,9 +967,8 @@ def repair_backward_state(
             np, row_scores, partial[rows], covered[rows], self_distributed, sizes,
             state.rest_bound, **shape,
         )
-    bounds = state.bounds.copy()
     bounds[rows] = values
-    if state.partial is state.bounds:  # as :func:`_backward_state` shares it
+    if shared:
         partial = bounds
     for array in (bounds, partial, covered):
         array.flags.writeable = False

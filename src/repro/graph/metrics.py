@@ -1,13 +1,15 @@
 """Structural graph statistics.
 
-Used three ways in this repository:
+Used two ways in this repository:
 
 * the dataset tests assert each stand-in matches its paper profile
   (degree shape, clustering, component structure);
-* the cost-based planner (:mod:`repro.core.planner`) estimates algorithm
-  costs from cheap statistics instead of full traversals;
-* the reports in EXPERIMENTS.md quote them when explaining pruning
-  behaviour.
+* ``repro profile`` (:func:`profile_graph`) prints them for a dataset, the
+  structure to read beside the figure harness's pruning counters
+  (``python -m repro.bench.figures``, DESIGN §11).
+
+The planner does not read them: its ball sizes come from
+:mod:`repro.graph.neighborhood` (``upper_estimate``).
 
 Everything here is exact and dependency-free; the sampled variants exist
 for statistics whose exact computation would itself cost a full Base scan

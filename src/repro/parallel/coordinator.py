@@ -64,12 +64,7 @@ from repro.parallel.merge import merge_counters, merge_shard_entries
 from repro.parallel.shards import ShardPlan, build_shard_plan
 from repro.relevance.base import folded_scores
 
-__all__ = ["DEFAULT_MIN_NODES", "ShardedCoordinator"]
-
-#: Below this many evaluated centers a query declines and runs in-process:
-#: even a warm round pays ~1 ms of IPC (more over sockets), which at small n
-#: exceeds the whole vectorized scan.
-DEFAULT_MIN_NODES = 8192
+__all__ = ["ShardedCoordinator"]
 
 #: Resident score-vector exports kept per coordinator (LRU beyond this).
 _SCORE_EXPORT_LIMIT = 16
@@ -178,13 +173,11 @@ class ShardedCoordinator:
         workers: int,
         shards: int,
         min_nodes: int,
-        seed: int,
     ) -> None:
         self.ctx = ctx
         self.workers = int(workers)
         self.shards = int(shards)
         self.min_nodes = int(min_nodes)
-        self.seed = seed
         self._lock = threading.RLock()
         self._closed = False
         # All out-of-process state lives in one dict so a weakref finalizer
@@ -281,7 +274,7 @@ class ShardedCoordinator:
         rev = self.ctx.rev_csr()
         if rev is not None:
             self._rev = self._export_csr(rev, version, "rev")
-        self._plan = build_shard_plan(self.ctx.graph, self.shards, seed=self.seed)
+        self._plan = build_shard_plan(self.ctx.graph, self.shards)
         self._owned = [
             self._export_array(owned, f"owned{shard}")
             for shard, owned in enumerate(self._plan.owned)

@@ -28,9 +28,10 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
-from repro.errors import InvalidParameterError, ParallelError
+from repro.config import DEFAULT_MIN_NODES, ParallelConfig
+from repro.errors import ParallelError
 from repro.graph.csr import SharedArray, SharedCSR
-from repro.parallel.coordinator import DEFAULT_MIN_NODES, ShardedCoordinator
+from repro.parallel.coordinator import ShardedCoordinator
 from repro.parallel.pool import ShardWorkerPool
 
 __all__ = ["DEFAULT_MIN_NODES", "ParallelEngine"]
@@ -76,29 +77,16 @@ class ParallelEngine(ShardedCoordinator):
     execute_backward = ShardedCoordinator.execute_backward
     run_batch = ShardedCoordinator.run_batch
 
-    def __init__(
-        self,
-        ctx,
-        *,
-        workers: Optional[int] = None,
-        min_nodes: int = DEFAULT_MIN_NODES,
-        seed: int = 2010,
-        timeout: float = 120.0,
-    ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    def __init__(self, ctx, config: ParallelConfig) -> None:
+        workers = config.workers or os.cpu_count() or 1
         super().__init__(
             ctx,
             {"pool": None, "exports": []},
             _close_resources,
             workers=workers,
             shards=workers,
-            min_nodes=min_nodes,
-            seed=seed,
+            min_nodes=config.min_nodes,
         )
-        self.timeout = timeout
         # Per-task-slot shared reply buffers (float64 (capacity, 2) rows of
         # [node, value]); rotated — never reused — after any round that
         # respawned a worker or raised, because a straggler holding the old
@@ -110,7 +98,7 @@ class ParallelEngine(ShardedCoordinator):
     def _pool(self) -> ShardWorkerPool:
         pool = self._resources["pool"]
         if pool is None:
-            pool = ShardWorkerPool(self.workers, timeout=self.timeout)
+            pool = ShardWorkerPool(self.workers)
             self._resources["pool"] = pool
         return pool
 

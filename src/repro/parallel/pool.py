@@ -27,7 +27,7 @@ A :class:`ShardWorkerPool` owns ``workers`` spawned processes running
   stripped (``"reply": None``): the original issue may still be running on
   a straggler that writes the buffer, and answering the re-issue over the
   pipe is what guarantees the two writers can never interleave in shared
-  memory.  A round that cannot finish within ``timeout`` raises
+  memory.  A round that cannot finish within ``DEFAULT_TIMEOUT`` raises
   :class:`~repro.errors.ParallelError` instead of hanging.
 * **Metered, explicitly framed IPC.**  The parent pickles task messages
   itself and moves raw frames with ``send_bytes``/``recv_bytes`` (the
@@ -61,7 +61,8 @@ from repro.faults import fault_point
 
 __all__ = ["ShardWorkerPool"]
 
-#: Default per-round IPC timeout (seconds); generous — it only bounds hangs.
+#: Per-round timeout (seconds) of the pool and of the cluster transport;
+#: generous — it only bounds hangs, a request's own ``deadline`` is tighter.
 DEFAULT_TIMEOUT = 120.0
 
 
@@ -82,7 +83,6 @@ class ShardWorkerPool:
         self,
         workers: int,
         *,
-        timeout: float = DEFAULT_TIMEOUT,
         name: str = "repro-shard",
     ) -> None:
         if workers < 1:
@@ -90,7 +90,6 @@ class ShardWorkerPool:
         import multiprocessing
 
         self.workers = workers
-        self.timeout = timeout
         self.name = name
         self._mp = multiprocessing.get_context("spawn")
         self._members: List[_Worker] = []
@@ -258,7 +257,7 @@ class ShardWorkerPool:
         else:
             for position in range(len(tasks)):
                 self._issue(homes[position], tasks, position, pending, stripped)
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + DEFAULT_TIMEOUT
         respawn_budget = 2 * self.workers
         # Bounded tolerance for typed transient task failures (today only
         # injected faults reply "transient"): re-issue, but a worker set
@@ -271,7 +270,7 @@ class ShardWorkerPool:
             ready = wait([m.conn for m in self._members], timeout=0.25)
             if time.monotonic() > deadline:
                 raise ParallelError(
-                    f"parallel round timed out after {self.timeout:.0f}s "
+                    f"parallel round timed out after {DEFAULT_TIMEOUT:.0f}s "
                     f"({len(pending) + len(backlog)} of {len(tasks)} "
                     "tasks outstanding)"
                 )

@@ -19,7 +19,7 @@ Scheduling rules:
   themselves, whichever notices first).
 * **Coalescing.**  When the popped handle carries a non-None
   ``coalesce_key``, every queued handle with the same key (up to
-  ``coalesce_limit``) is pulled out of the queue — across priorities; they
+  :data:`COALESCE_LIMIT`) is pulled out of the queue — across priorities; they
   only ever run *earlier* — and the whole group is executed as one batch
   shared scan.  Unrelated concurrent callers thereby amortize one
   node-block expansion without ever knowing of each other.
@@ -39,7 +39,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.errors import ServiceOverloadedError, ServiceShutdownError
 from repro.service.handles import QueryHandle
 
-__all__ = ["Scheduler"]
+__all__ = ["COALESCE_LIMIT", "Scheduler"]
+
+#: Most handles one coalesced group executes as a single fused batch scan.
+COALESCE_LIMIT = 64
 
 
 class Scheduler:
@@ -50,22 +53,14 @@ class Scheduler:
         execute_one: Callable[[QueryHandle], None],
         execute_group: Callable[[Sequence[QueryHandle]], None],
         *,
-        workers: int = 0,
-        max_pending: int = 1024,
-        coalesce_limit: int = 64,
+        workers: int,
+        max_pending: int,
         name: str = "repro-service",
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if coalesce_limit < 2:
-            raise ValueError(f"coalesce_limit must be >= 2, got {coalesce_limit}")
         self._execute_one = execute_one
         self._execute_group = execute_group
         self.workers = workers
         self.max_pending = max_pending
-        self.coalesce_limit = coalesce_limit
         self._cond = threading.Condition()
         self._heap: List[Tuple[int, int, QueryHandle]] = []
         self._seq = itertools.count()
@@ -211,7 +206,7 @@ class Scheduler:
         for entry in self._heap:
             handle = entry[2]
             if (
-                len(taken) < self.coalesce_limit - 1
+                len(taken) < COALESCE_LIMIT - 1
                 and handle.coalesce_key == key
                 and not handle.done()
                 and not handle._expire(now)

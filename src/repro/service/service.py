@@ -5,7 +5,7 @@ a :class:`~repro.service.scheduler.Scheduler`, a
 :class:`~repro.service.cache.ResultCache`, and a readers-writer lock, and
 exposes exactly one verb::
 
-    service = net.service(workers=4)          # or QueryService(net, workers=4)
+    service = net.service(workers=4)   # or QueryService(net, ServiceConfig(workers=4))
     handle = service.submit(net.query("pagerank").limit(10))
     ...
     top = handle.result(timeout=1.0)
@@ -57,28 +57,18 @@ __all__ = ["QueryService"]
 class QueryService:
     """Handle-based asynchronous query execution over one session."""
 
-    def __init__(
-        self,
-        network,
-        config: Optional[ServiceConfig] = None,
-        **options: object,
-    ) -> None:
-        # One schema for every entry point: a ServiceConfig (or mapping)
-        # positionally, or the legacy bare keywords — both normalize here,
-        # so unknown option names fail with the valid ones listed.
-        cfg = ServiceConfig.coerce(config, options)
-        self.config = cfg
+    def __init__(self, network, config: ServiceConfig) -> None:
+        self.config = config
         self._net = network
         self._stats = ServiceStats()
-        self.cache = ResultCache(cfg.cache_entries)
+        self.cache = ResultCache()
         self._rw = ReadWriteLock()
-        self._coalesce = cfg.coalesce and cfg.workers > 0
+        self._coalesce = config.coalesce and config.workers > 0
         self._scheduler = Scheduler(
             self._execute_one,
             self._execute_group,
-            workers=cfg.workers,
-            max_pending=cfg.max_pending,
-            coalesce_limit=cfg.coalesce_limit,
+            workers=config.workers,
+            max_pending=config.max_pending,
         )
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The in-process scheduler already has *binary* admission control (queue
 full -> reject).  A network front door needs graded policies, applied in
 cheapest-first order before a request ever reaches a replica lane:
 
-1. **Token buckets** (global, then per tenant) bound request *rate*;
+1. **Token buckets** (one per tenant) bound request *rate*;
    rejections are :class:`~repro.errors.RateLimitedError` with the exact
    ``retry_after`` at which a token will exist.
 2. **Tenant quotas** bound *concurrency* — inflight queries per tenant —
@@ -93,8 +93,6 @@ class AdmissionController:
         occupancy across the replica lanes.  ``None`` disables shedding.
     rate / burst:
         Per-tenant token bucket (requests/sec); ``None`` = unlimited.
-    global_rate / global_burst:
-        One bucket shared by every tenant; ``None`` = unlimited.
     quota:
         Max concurrently inflight queries per tenant; ``None`` = unlimited.
     shed_watermark:
@@ -112,16 +110,10 @@ class AdmissionController:
         load_of: Optional[Callable[[], float]] = None,
         rate: Optional[float] = None,
         burst: Optional[float] = None,
-        global_rate: Optional[float] = None,
-        global_burst: Optional[float] = None,
         quota: Optional[int] = None,
         shed_watermark: float = 0.75,
         cost_limit: Optional[float] = None,
     ) -> None:
-        if not 0.0 <= shed_watermark < 1.0:
-            raise ValueError(
-                f"shed_watermark must be in [0, 1), got {shed_watermark}"
-            )
         self._cost_of = cost_of
         self._fixed_cost_of = fixed_cost_of
         self._load_of = load_of
@@ -131,11 +123,6 @@ class AdmissionController:
         self._watermark = float(shed_watermark)
         self._cost_limit = (
             float(cost_limit) if cost_limit is not None else None
-        )
-        self._global_bucket = (
-            TokenBucket(global_rate, global_burst)
-            if global_rate is not None
-            else None
         )
         self._buckets: Dict[str, TokenBucket] = {}
         self._inflight: Dict[str, int] = {}
@@ -172,13 +159,8 @@ class AdmissionController:
         query reaches a terminal state (the server wires it to the
         handle's done callback).
         """
-        retry = None
-        if self._global_bucket is not None:
-            retry = self._global_bucket.take()
-        if retry is None:
-            bucket = self._bucket(tenant)
-            if bucket is not None:
-                retry = bucket.take()
+        bucket = self._bucket(tenant)
+        retry = bucket.take() if bucket is not None else None
         if retry is not None:
             self._count("rate_limited")
             raise RateLimitedError(

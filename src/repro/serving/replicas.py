@@ -37,7 +37,6 @@ from typing import List, Tuple
 
 from repro.config import ServiceConfig
 from repro.core.request import QueryRequest
-from repro.errors import InvalidParameterError
 from repro.service import QueryService
 
 __all__ = ["ReplicaSet"]
@@ -56,18 +55,12 @@ def _shape_hash(request: QueryRequest) -> int:
 class ReplicaSet:
     """N routed replica lanes over one session."""
 
-    def __init__(
-        self, network, config: ServiceConfig, *, replicas: int = 2
-    ) -> None:
-        if replicas < 1:
-            raise InvalidParameterError(
-                f"replicas must be >= 1, got {replicas}"
-            )
+    def __init__(self, network, config: ServiceConfig, *, replicas: int) -> None:
         self._net = network
         self.config = config
         self._lanes: List[QueryService] = []
         try:
-            for _ in range(int(replicas)):
+            for _ in range(replicas):
                 lane = QueryService(network, config)
                 network._register_service(lane)
                 self._lanes.append(lane)

@@ -114,8 +114,6 @@ class ServerConfig(_FrozenConfig):
     quota: Optional[int] = None
     tenant_rate: Optional[float] = None
     tenant_burst: Optional[float] = None
-    global_rate: Optional[float] = None
-    global_burst: Optional[float] = None
     shed_watermark: float = 0.75
     cost_limit: Optional[float] = None
     max_handles: int = 1024
@@ -223,8 +221,6 @@ class QueryServer:
             load_of=self._load,
             rate=cfg.tenant_rate,
             burst=cfg.tenant_burst,
-            global_rate=cfg.global_rate,
-            global_burst=cfg.global_burst,
             quota=cfg.quota,
             shed_watermark=cfg.shed_watermark,
             cost_limit=cfg.cost_limit,

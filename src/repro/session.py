@@ -504,7 +504,7 @@ class Network:
         # in-flight readers (self._service never transits through None).
         if previous is not None:
             previous.shutdown(wait=True)
-        created = QueryService(self, cfg)
+        created = QueryService(self, cfg or ServiceConfig())
         with self._lock:
             if self._service is previous:
                 self._service = created
@@ -586,16 +586,17 @@ class Network:
         plain mapping); bare keyword options normalize to the same object
         and unknown names are rejected with the valid ones.  Reconfiguring
         closes the previous engine first.  Graphs smaller than
-        ``min_nodes`` (default
-        :data:`~repro.parallel.engine.DEFAULT_MIN_NODES`) decline and run
-        on the in-process numpy backend — same entries either way.
+        ``min_nodes`` (default :data:`~repro.config.DEFAULT_MIN_NODES`)
+        decline and run on the in-process numpy backend — same entries
+        either way.
         """
         from repro.config import ParallelConfig
 
         if config is None and not options:
             return self._ctx.sharded_engine("parallel")
-        cfg = ParallelConfig.coerce(config, options)
-        return self._ctx.sharded_engine("parallel", **cfg.to_engine_kwargs())
+        return self._ctx.sharded_engine(
+            "parallel", ParallelConfig.coerce(config, options)
+        )
 
     # ------------------------------------------------------------------
     # Multi-machine execution (the "cluster" backend)
@@ -626,8 +627,9 @@ class Network:
 
         if config is None and not options:
             return self._ctx.sharded_engine("cluster")
-        cfg = ClusterConfig.coerce(config, options)
-        return self._ctx.sharded_engine("cluster", **cfg.to_engine_kwargs())
+        return self._ctx.sharded_engine(
+            "cluster", ClusterConfig.coerce(config, options)
+        )
 
     def close(self) -> None:
         """Release out-of-process resources: serving threads, worker

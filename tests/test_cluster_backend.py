@@ -66,7 +66,6 @@ class TestRegistrationAndConfig:
         cfg = ClusterConfig(workers=["a:1", "b:2"])
         assert cfg.workers == ("a:1", "b:2")
         assert cfg.as_dict()["workers"] == ["a:1", "b:2"]
-        assert cfg.to_engine_kwargs()["workers"] == ("a:1", "b:2")
 
     def test_cluster_config_validates(self):
         with pytest.raises(InvalidParameterError):
@@ -76,7 +75,7 @@ class TestRegistrationAndConfig:
         with pytest.raises(InvalidParameterError):
             ClusterConfig(ship_policy="sometimes")
         with pytest.raises(InvalidParameterError):
-            ClusterConfig(timeout=0)
+            ClusterConfig(shards=0)
 
     def test_configuring_engine_spawns_nothing(self):
         g = random_graph(100, 0.03, seed=77)
@@ -469,9 +468,9 @@ class TestSocketTimeouts:
     The multi-machine form takes raw ``host:port`` addresses, so a down
     or wedged remote worker must surface as a typed :class:`ClusterError`
     within the configured timeout — not stall the coordinator for the
-    whole round budget (satellite of the resilience work; the timeouts
-    themselves are ``connect_timeout``/``io_timeout`` on
-    :class:`~repro.config.ClusterConfig`)."""
+    whole round budget.  The timeouts are the transport's constants
+    ``_CONNECT_TIMEOUT`` / ``_FRAME_READ_TIMEOUT``; these tests shorten
+    them with ``monkeypatch``."""
 
     def _closed_port(self):
         import socket
@@ -482,27 +481,31 @@ class TestSocketTimeouts:
         probe.close()
         return port
 
-    def test_down_address_raises_typed_error_promptly(self):
+    def test_down_address_raises_typed_error_promptly(self, monkeypatch):
         import time
 
+        from repro.cluster import transport as transport_module
         from repro.cluster.transport import ClusterTransport
 
+        monkeypatch.setattr(transport_module, "_CONNECT_TIMEOUT", 2.0)
         address = f"127.0.0.1:{self._closed_port()}"
-        transport = ClusterTransport([address, address], connect_timeout=2.0)
+        transport = ClusterTransport([address, address])
         started = time.monotonic()
         with pytest.raises(ClusterError, match="could not start"):
             transport.start()
         assert time.monotonic() - started < 5.0
 
-    def test_engine_surfaces_down_address_promptly(self):
+    def test_engine_surfaces_down_address_promptly(self, monkeypatch):
         import time
 
+        from repro.cluster import transport as transport_module
+
+        monkeypatch.setattr(transport_module, "_CONNECT_TIMEOUT", 2.0)
         address = f"127.0.0.1:{self._closed_port()}"
         g = random_graph(120, 0.03, seed=63)
         net = Network(g, hops=2)
         net.add_scores("s", _dense_scores(120, 20))
-        net.cluster(workers=[address, address], min_nodes=0,
-                    connect_timeout=2.0)
+        net.cluster(workers=[address, address], min_nodes=0)
         try:
             started = time.monotonic()
             with pytest.raises(ClusterError):
@@ -511,13 +514,15 @@ class TestSocketTimeouts:
         finally:
             net.close()
 
-    def test_silent_server_read_is_bounded(self):
+    def test_silent_server_read_is_bounded(self, monkeypatch):
         import socket
         import threading
         import time
 
+        from repro.cluster import transport as transport_module
         from repro.cluster.transport import ClusterPeer
 
+        monkeypatch.setattr(transport_module, "_FRAME_READ_TIMEOUT", 0.5)
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -533,7 +538,7 @@ class TestSocketTimeouts:
 
         thread = threading.Thread(target=absorb, daemon=True)
         thread.start()
-        peer = ClusterPeer(0, "127.0.0.1", port, io_timeout=0.5)
+        peer = ClusterPeer(0, "127.0.0.1", port)
         try:
             peer.connect(2.0)
             started = time.monotonic()

@@ -398,6 +398,8 @@ def _assert_slots_fresh(net):
         assert (state.gamma, state.rest_bound, state.pushes, state.exact) == (
             fresh.gamma, fresh.rest_bound, fresh.pushes, fresh.exact,
         )
+        # An exact SUM slot keeps one array for both, repaired or not.
+        assert (state.partial is state.bounds) == (fresh.partial is fresh.bounds)
         for name in ("bounds", "partial", "covered"):
             mine, theirs = getattr(state, name), getattr(fresh, name)
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name

@@ -115,24 +115,27 @@ NETWORK_SURFACE = {
 }
 
 
-#: Every independently settable option of the service and the two sharded
-#: backends.  Each field is one more configuration to test and benchmark:
-#: add one on purpose.
+#: Every independently settable option of the service, the two sharded
+#: backends and the network server.  Each field is one more configuration
+#: to test and benchmark: add one on purpose (DESIGN.md's knob ledger names
+#: the caller that keeps each).
 CONFIG_FIELDS = {
-    "ServiceConfig": [
-        "workers", "max_pending", "coalesce", "coalesce_limit", "cache_entries",
-    ],
-    "ParallelConfig": ["workers", "min_nodes", "seed", "timeout"],
-    "ClusterConfig": [
-        "workers", "shards", "min_nodes", "seed", "timeout",
-        "connect_timeout", "io_timeout", "hedge", "ship_policy",
+    "ServiceConfig": ["workers", "max_pending", "coalesce"],
+    "ParallelConfig": ["workers", "min_nodes"],
+    "ClusterConfig": ["workers", "shards", "min_nodes", "hedge", "ship_policy"],
+    "ServerConfig": [
+        "host", "port", "replicas", "service", "parallel", "cluster",
+        "quota", "tenant_rate", "tenant_burst", "shed_watermark",
+        "cost_limit", "max_handles", "max_body",
     ],
 }
 
 
 def test_sharded_config_fields_are_pinned():
+    from repro.serving import ServerConfig
+
     for name, fields in CONFIG_FIELDS.items():
-        cls = getattr(repro.config, name)
+        cls = ServerConfig if name == "ServerConfig" else getattr(repro.config, name)
         assert [f.name for f in dataclasses.fields(cls)] == fields
 
 

@@ -433,12 +433,6 @@ class TestResultCache:
         assert "result_cache" not in refreshed.stats.extra
         assert refreshed.entries == net.query("a").limit(5).run().entries
 
-    def test_cache_disabled_by_size_zero(self, net):
-        net.service(workers=1, cache_entries=0)
-        net.query("a").limit(5).submit().result(timeout=10)
-        again = net.query("a").limit(5).submit().result(timeout=10)
-        assert "result_cache" not in again.stats.extra
-
     def test_lru_eviction(self):
         cache = ResultCache(max_entries=2)
         from repro.core.results import QueryStats, TopKResult

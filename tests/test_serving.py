@@ -385,15 +385,15 @@ class TestServerConfig:
         cfg = ServerConfig.from_options(
             {
                 "replicas": 4,
-                "service": {"workers": 2, "coalesce_limit": 8},
-                "parallel": {"workers": 2, "timeout": "30"},
+                "service": {"workers": 2, "max_pending": 8},
+                "parallel": {"workers": 2, "min_nodes": "30"},
             }
         )
         assert cfg.replicas == 4
         assert isinstance(cfg.service, repro.ServiceConfig)
-        assert cfg.service.workers == 2
+        assert cfg.service.workers == 2 and cfg.service.max_pending == 8
         assert isinstance(cfg.parallel, repro.ParallelConfig)
-        assert cfg.parallel.timeout == 30.0
+        assert cfg.parallel.min_nodes == 30
 
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(InvalidParameterError, match="replica_count"):
@@ -433,7 +433,7 @@ class TestServerConfig:
             ({"replicas": 2.5}, "ServerConfig.replicas"),
             ({"service": {"workers": "a"}}, "ServiceConfig.workers"),
             ({"service": {"workers": 1.5}}, "ServiceConfig.workers"),
-            ({"parallel": {"timeout": "x"}}, "ParallelConfig.timeout"),
+            ({"parallel": {"min_nodes": "x"}}, "ParallelConfig.min_nodes"),
             ({"cluster": {"shards": "many"}}, "ClusterConfig.shards"),
             # Values that convert but are out of range.
             ({"port": 70000}, "port"),
@@ -441,9 +441,19 @@ class TestServerConfig:
             ({"shed_watermark": 5}, "shed_watermark"),
             ({"quota": -1}, "quota"),
             ({"replicas": 0}, "replicas"),
-            # The option this release removed is an unknown option.
+            # A removed option is an unknown option, listing the valid names.
             ({"parallel": {"partitioner": "bfs"}}, "unknown ParallelConfig option"),
             ({"cluster": {"partitioner": "bfs"}}, "unknown ClusterConfig option"),
+            ({"service": {"coalesce_limit": 8}}, r"unknown ServiceConfig .*'max_pending'"),
+            ({"service": {"cache_entries": 0}}, r"unknown ServiceConfig .*'max_pending'"),
+            ({"parallel": {"seed": 2010}}, r"unknown ParallelConfig .*'min_nodes'"),
+            ({"parallel": {"timeout": 30}}, r"unknown ParallelConfig .*'min_nodes'"),
+            ({"cluster": {"seed": 2010}}, r"unknown ClusterConfig .*'ship_policy'"),
+            ({"cluster": {"timeout": 30}}, r"unknown ClusterConfig .*'ship_policy'"),
+            ({"cluster": {"connect_timeout": 2}}, r"unknown ClusterConfig .*'ship_policy'"),
+            ({"cluster": {"io_timeout": 2}}, r"unknown ClusterConfig .*'ship_policy'"),
+            ({"global_rate": 10.0}, r"unknown ServerConfig .*'tenant_rate'"),
+            ({"global_burst": 10.0}, r"unknown ServerConfig .*'tenant_rate'"),
         ],
     )
     def test_bad_values_are_invalid_parameter_errors(self, options, names):
