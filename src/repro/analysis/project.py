@@ -183,7 +183,6 @@ _HOT_PATHS = {
             {
                 "_scan_task",
                 "_batch_task",
-                "_verify_task",
             }
         ),
     ),
@@ -194,12 +193,10 @@ _HOT_PATHS = {
             {
                 "ShardedCoordinator._collect_topk",
                 "ShardedCoordinator.execute_scan",
-                "ShardedCoordinator.execute_backward",
                 "ShardedCoordinator.run_batch",
-                "ShardedCoordinator._verify_frontier",
             }
         ),
-        delegates=frozenset({"_run_round", "_verify_frontier"}),
+        delegates=frozenset({"_run_round"}),
     ),
     # The cluster worker runs the *parallel* worker's task handlers under
     # a per-task deadline scope; it owns no expansion loop itself.  Listed

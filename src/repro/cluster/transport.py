@@ -535,7 +535,7 @@ class ClusterTransport:
         header naming the slot of the peer that answered it (``"worker"``).
 
         Each task dict carries ``task`` (the worker payload), ``ship``
-        (theta/quota spec), optional ``arrays`` (e.g. a verify frontier),
+        (theta/quota spec), optional ``arrays`` (e.g. a ``.where`` center set),
         ``stores`` (names the task references, shipped on demand),
         ``peer`` (preferred peer index) and optional ``fallback`` (the
         full task to re-run when a ``resume`` cannot be served).

@@ -369,38 +369,6 @@ class ClusterWorker:
             payload["pruned"] = result["pruned"]
             payload["ball_index"] = result["ball_index"]
             return payload, arrays
-        if kind == "verify":
-            entries = [
-                (int(node), float(value)) for node, value in result["pairs"]
-            ]
-            theta = float(ship.get("theta", _NEG_INF))
-            if ship.get("mode", "threshold") == "all":
-                shipped = entries
-            else:
-                shipped = [pair for pair in entries if pair[1] >= theta]
-            self.counters["candidates_total"] += len(entries)
-            self.counters["candidates_shipped"] += len(shipped)
-            payload = {
-                "counters": result["counters"],
-                "candidates_total": len(entries),
-                "candidates_shipped": len(shipped),
-                "ball_index": result["ball_index"],
-            }
-            return payload, _entries_arrays(self.np, shipped)
-        if kind == "distribute":
-            payload = {
-                "counters": result["counters"],
-                "pushes": result["pushes"],
-                "distributed": result["distributed"],
-            }
-            if "ball_index" in result:  # undirected: read through the index
-                payload["ball_index"] = result["ball_index"]
-            arrays = {
-                "touched": result["touched"],
-                "partial": result["partial"],
-                "covered": result["covered"],
-            }
-            return payload, arrays
         if kind == "batch":
             arrays = {}
             for i, entries in enumerate(result["entries_list"]):

@@ -163,8 +163,8 @@ class GraphContext:
     indexes, the ball index (:meth:`ball_index`), LONA-Backward's phase-1
     memo (:meth:`phase1_memo`) and the sharded engines.
     It does not own the (reversed) CSR views the vectorized backends
-    consume — those belong to the graph, and :meth:`csr` / :meth:`rev_csr`
-    hand out the graph's.  All artifacts build on first use and are reused
+    consume — those belong to the graph, and :meth:`csr` hands out the
+    graph's.  All artifacts build on first use and are reused
     until :meth:`invalidate` (called automatically when the graph's version
     counter moves), or patched by :meth:`edge_write` (a session's edge write).
     Accessors are safe to call from concurrent query threads.
@@ -522,12 +522,6 @@ class GraphContext:
         version-stamped artifacts built over it are dropped first)."""
         self.check_fresh()
         return self.graph.csr()
-
-    def rev_csr(self):
-        """The graph's reversed numpy CSR view (``None`` when undirected,
-        whose reversal is itself), obtained like :meth:`csr`."""
-        self.check_fresh()
-        return self.graph.rev_csr()
 
     # ------------------------------------------------------------------
     # The session's ball index (numpy backend)

@@ -34,6 +34,7 @@ from repro.aggregates.functions import (
     finalize_sum,
     fold_scores,
 )
+from repro.config import ClusterConfig
 from repro.core.backends import resolve_backend
 from repro.core.backward import backward_topk
 from repro.core.base import base_topk
@@ -179,12 +180,15 @@ def plan(
 
         # Shard/worker counts come from the session's configured engine
         # when one exists; otherwise the forecast assumes the default
-        # two-worker cluster.  Forecasting must never spawn workers —
-        # reading engine attributes does not touch its transport.
-        shards = workers = 2
+        # cluster (a local spawn count).  Forecasting must never spawn
+        # workers — reading engine attributes does not touch its transport.
         if ctx.engine_configured("cluster"):
             engine = ctx.sharded_engine("cluster")
             shards, workers = engine.shards, engine.workers
+        else:
+            default = ClusterConfig()
+            workers = default.workers
+            shards = default.shards or workers
         execution_plan.comm = comm_forecast(
             shards, request.spec().k, workers=workers
         )
@@ -260,8 +264,9 @@ def execute(
     if concrete in ("parallel", "cluster"):
         # Sharded execution (multi-process repro.parallel, or the socket
         # cluster) behind the same seam; the engine returns None when it
-        # declines — graph below its min_nodes floor or too few workers —
-        # and the query falls through to the in-process vectorized path.
+        # declines — graph below its min_nodes floor, too few workers, or
+        # LONA-Backward — and the query falls through to the in-process
+        # vectorized path.
         result = _sharded_execute(ctx, scores, request, algorithm, concrete)
         if result is not None:
             return _with_kernel(result)
@@ -309,7 +314,7 @@ def execute_batch(
     ``(scores, k[, aggregate])`` tuples.  A group is its members: a query at
     or below :data:`BATCH_SPARSE_DENSITY` is an ordinary
     ``algorithm="backward"`` request through :func:`execute` — same caches,
-    same sharded dispatch, same counters as when it is run alone — and the
+    same dispatch, same counters as when it is run alone — and the
     dense remainder shares one fused scan (:func:`batch_base_topk`, or one
     scan per shard on ``parallel`` / ``cluster`` unless the engine declines).
     """
@@ -352,21 +357,16 @@ def _sharded_execute(
     """Dispatch one resolved algorithm to a sharded engine (parallel/cluster).
 
     Returns None — caller falls back to in-process numpy — for algorithms
-    the engines do not cover (they cover base/forward/backward; relational
-    and view never reach here) or when the engine declines the graph.
+    the engines do not cover (they cover base/forward; backward always
+    declines; relational and view never reach here) or when the engine
+    declines the graph.
     """
     engine = ctx.sharded_engine(concrete)
     spec = request.spec()
     if algorithm in ("base", "forward"):
         return engine.execute_scan(scores, spec, algorithm)
     if algorithm == "backward":
-        return engine.execute_backward(
-            scores,
-            spec,
-            gamma=request.gamma,
-            distribution_fraction=request.distribution_fraction,
-            exact_sizes=request.exact_sizes,
-        )
+        return engine.execute_backward(scores, spec)
     return None
 
 

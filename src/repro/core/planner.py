@@ -74,28 +74,28 @@ __all__ = [
 #: verification and the ball index; not re-derived since), asserted against
 #: the canonical fig1/fig2 workloads in ``tests/test_planner_calibration.py``.  The parallel factors
 #: assume a nominal 4-worker pool over the numpy kernels: scans split
-#: near-perfectly (Base/Forward), backward's merge + TA rounds keep a serial
-#: component.  The offline index build is python-side construction either
-#: way and is never discounted.
+#: near-perfectly (Base/Forward).  LONA-Backward is not sharded: on
+#: ``parallel`` and ``cluster`` it runs in the session's process, so it is
+#: priced as numpy prices it.  The offline index build is python-side
+#: construction either way and is never discounted.
 BACKEND_COST_FACTORS = {
     "python": {"base": 1.0, "forward": 1.0, "backward": 1.0},
     # 1 / measured route speedup, benchmarks/BENCH_backend_coverage.json
     # (fig1, scale 1.0): base 4.19x, forward 3.67x, backward 6.09x.
     "numpy": {"base": 0.24, "forward": 0.27, "backward": 0.16},
-    # numpy factor / nominal 4-worker scaling (scans split ~perfectly,
-    # backward keeps a serial merge + TA-round component).
-    "parallel": {"base": 0.06, "forward": 0.07, "backward": 0.08},
+    # numpy factor / nominal 4-worker scaling (scans split ~perfectly).
+    "parallel": {"base": 0.06, "forward": 0.07, "backward": 0.16},
     # Same sharded kernels as parallel, but every round crosses a socket:
     # frame serialization and candidate shipping add a per-expansion tax on
-    # top of the parallel factors (heaviest on backward, whose TA rounds
-    # are the chattiest).
-    "cluster": {"base": 0.07, "forward": 0.08, "backward": 0.11},
+    # top of the parallel factors.
+    "cluster": {"base": 0.07, "forward": 0.08, "backward": 0.16},
 }
 
-#: Fixed per-query overhead of a backend, in the same ball-expansion
-#: currency, charged once on top of the per-expansion cost.  In-process
-#: backends have none; the parallel backend pays process dispatch + queue
-#: IPC + merge every query, which is why a small graph should route to
+#: Fixed per-query overhead of a backend's sharded routes (Base/Forward), in
+#: the same ball-expansion currency, charged once on top of the
+#: per-expansion cost.  In-process backends, and LONA-Backward on every
+#: backend, have none; the parallel backend pays process dispatch + queue
+#: IPC + merge every scan, which is why a small graph should route to
 #: in-process numpy even when the per-expansion factor favors parallel.
 #: The runtime twin of this term is the engine's ``min_nodes`` decline rule
 #: (:data:`repro.parallel.engine.DEFAULT_MIN_NODES`).
@@ -104,10 +104,10 @@ BACKEND_FIXED_COSTS = {
     "numpy": 0.0,
     # Recalibrated for the leaner round (shared-memory reply buffers
     # replaced pickled pipe replies; bench/ reports the round's traffic as
-    # parallel.pipe_bytes_per_op): a warm
-    # backward query now measures ~50-105 expansion-equivalents of round
-    # overhead vs ~1 ms (thousands) before.  Kept conservative at 500 —
-    # multi-round plans pay it repeatedly and cold exports cost more.
+    # parallel.pipe_bytes_per_op): a warm round measured ~50-105
+    # expansion-equivalents of overhead vs ~1 ms (thousands) before.  Kept
+    # conservative at 500 — multi-round plans pay it repeatedly and cold
+    # exports cost more.
     "parallel": 500.0,
     # Socket rounds cost strictly more than queue IPC: connection fan-out,
     # frame encode/decode, and store shipping on cold peers.  The runtime
@@ -305,8 +305,11 @@ class QueryPlanner:
         """The backend's per-expansion cost factor for one algorithm."""
         return BACKEND_COST_FACTORS[self.backend].get(algorithm, 1.0)
 
-    def _fixed_cost(self) -> float:
-        """The backend's per-query fixed overhead (expansion units)."""
+    def _fixed_cost(self, algorithm: str) -> float:
+        """The backend's per-query fixed overhead (expansion units): none
+        for backward, which runs in process on every backend."""
+        if algorithm == "backward":
+            return 0.0
         return BACKEND_FIXED_COSTS.get(self.backend, 0.0)
 
     def _threshold_proxy(self, k: int) -> float:
@@ -341,7 +344,7 @@ class QueryPlanner:
                 offline_ball_expansions=0.0,
                 note="full scan, no precomputation",
                 cost_multiplier=self._cost_factor("base"),
-                fixed_cost=self._fixed_cost(),
+                fixed_cost=self._fixed_cost("base"),
             )
         ]
 
@@ -361,7 +364,7 @@ class QueryPlanner:
                     note=f"static bound prunes ~{prunable} of {n} nodes "
                     f"(threshold proxy {threshold:.1f})",
                     cost_multiplier=self._cost_factor("forward"),
-                    fixed_cost=self._fixed_cost(),
+                    fixed_cost=self._fixed_cost("forward"),
                 )
             )
 
@@ -402,7 +405,7 @@ class QueryPlanner:
                     offline_ball_expansions=0.0,
                     note=note,
                     cost_multiplier=self._cost_factor("backward"),
-                    fixed_cost=self._fixed_cost(),
+                    fixed_cost=self._fixed_cost("backward"),
                 )
             )
 

@@ -9,9 +9,9 @@ a :func:`~repro.parallel.shards.bfs_partition` assigns every node an
 owning *shard* so h-hop balls mostly stay shard-local, and a persistent
 pool of worker processes — each warm-attached to the same physical pages —
 evaluates its shard's candidates with the numpy kernels.  Per-shard top-k
-candidate/bound state is merged into the exact global answer; LONA-Backward
-additionally runs a sharded distribution phase and TA-style verification
-rounds that dispatch frontier candidates back to their owning shards.
+candidate state is merged into the exact global answer.  LONA-Backward is
+not sharded: it runs in the session's process, where its phase-1 memo and
+ball index live.
 
 Selected with ``backend="parallel"`` anywhere a backend is accepted
 (builder, CLI, ``QueryRequest``, or the session default ``Network(graph,

@@ -9,25 +9,23 @@ merging the per-shard candidates exactly
 property of the *protocol* is decided here:
 
 * **Lifecycle and version-stamped refresh** — the shard plan
-  (:mod:`repro.parallel.shards`), the CSR view, its reversal and the
-  per-shard owned arrays are exported for one ``graph.version``; a mutation
-  moves the version and the next query retires exactly the graph-derived
-  exports (static bounds included: they fold in the size index) while score
+  (:mod:`repro.parallel.shards`), the CSR view and the per-shard owned
+  arrays are exported for one ``graph.version``; a mutation moves the
+  version and the next query retires exactly the graph-derived exports
+  (static bounds included: they fold in the size index) while score
   exports, keyed by score identity, survive.
 * **Identity-keyed score/bound LRUs with deferred drops** — an eviction
   that fires while a round's tasks are being built is only released after
   the round returns, because earlier tasks of the same round may already
   name the evicted export.
 * **The decline rule** — graphs (or candidate sets) too small to amortize a
-  round's fixed cost run in-process; so does the backward exact-shortcut
-  regime, whose answers are order-sensitive partial sums.
+  round's fixed cost run in-process; so does every LONA-Backward request,
+  whose phase-1 memo and ball index live in the session's process.
 * **The stale-retry round** — a worker that finds its export invalidated
   answers ``stale``; the round re-exports and runs once more.
-* **The three routes** — the sharded scan (Base, bound-pruned Forward,
-  distance-weighted Base), the Backward pipeline (distribution -> merged
-  Eq. 3 bounds -> TA verification rounds against owning shards, frontier
-  verification included) and the fused batch scan — including the
-  θ/quota/resume candidate-collection loop.
+* **The two routes** — the sharded scan (Base, bound-pruned Forward,
+  distance-weighted Base), with its θ/quota/resume candidate-collection
+  loop, and the fused batch scan.
 
 What is a property of the *link* is a hook the two engines override
 (:class:`~repro.parallel.engine.ParallelEngine`: pipes + shared memory;
@@ -58,8 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.aggregates.functions import AggregateKind
 from repro.core.deadline import check_deadline
 from repro.core.results import QueryStats, TopKResult
-from repro.core.topk import TopKAccumulator
-from repro.errors import InvalidParameterError, ReproError, StaleShardError
+from repro.errors import ReproError, StaleShardError
 from repro.parallel.merge import merge_counters, merge_shard_entries
 from repro.parallel.shards import ShardPlan, build_shard_plan
 from repro.relevance.base import folded_scores
@@ -71,9 +68,6 @@ _SCORE_EXPORT_LIMIT = 16
 
 #: Resident static-bound exports kept per coordinator (LRU beyond this).
 _BOUND_EXPORT_LIMIT = 8
-
-#: Candidates verified per TA round of the sharded backward pipeline.
-_VERIFY_ROUND = 256
 
 #: Max work-stealing chunks per shard scan.  A few pieces per shard is
 #: enough for idle workers to absorb a skewed partition's tail; many more
@@ -187,7 +181,6 @@ class ShardedCoordinator:
         self._plan: Optional[ShardPlan] = None
         self._export_version: Optional[int] = None
         self._csr = None
-        self._rev = None
         self._owned: list = []
         # key -> (pinned scores object, export): the strong reference keeps
         # the id() in the key unique for as long as the export lives.
@@ -195,7 +188,7 @@ class ShardedCoordinator:
         self._bound_exports: "OrderedDict[Tuple, Tuple[object, object]]" = OrderedDict()
         self._deferred_drops: list = []
         # worker slot -> the ``CSRBallIndex.stats()`` of that worker's
-        # latest reply that carried them (scan, batch and verify tasks).
+        # latest reply that carried them (scan and batch tasks).
         self._worker_indexes: Dict[int, dict] = {}
         self.queries_served = 0
         self.declined = 0
@@ -244,7 +237,7 @@ class ShardedCoordinator:
             if self._closed:
                 return
             self._closed = True
-            self._plan = self._csr = self._rev = None
+            self._plan = self._csr = None
             self._owned = []
             self._score_exports.clear()
             self._bound_exports.clear()
@@ -253,9 +246,9 @@ class ShardedCoordinator:
 
     def _retire_graph_exports(self) -> None:
         """Drop what was derived from the graph; score exports survive."""
-        stale = [e for e in (self._csr, self._rev, *self._owned) if e is not None]
+        stale = [e for e in (self._csr, *self._owned) if e is not None]
         stale.extend(export for _vec, export in self._bound_exports.values())
-        self._csr = self._rev = None
+        self._csr = None
         self._owned = []
         self._bound_exports.clear()
         self._plan = None
@@ -271,9 +264,6 @@ class ShardedCoordinator:
             return
         self._retire_graph_exports()
         self._csr = self._export_csr(self.ctx.csr(), version, "csr")
-        rev = self.ctx.rev_csr()
-        if rev is not None:
-            self._rev = self._export_csr(rev, version, "rev")
         self._plan = build_shard_plan(self.ctx.graph, self.shards)
         self._owned = [
             self._export_array(owned, f"owned{shard}")
@@ -662,217 +652,18 @@ class ShardedCoordinator:
                 result.stats.extra["candidates"] = float(centers.size)
             return result
 
-    def execute_backward(
-        self,
-        scores,
-        spec,
-        *,
-        gamma="auto",
-        distribution_fraction: float = 0.1,
-        exact_sizes: bool = False,
-        force: bool = False,
-    ) -> Optional[TopKResult]:
-        """Sharded LONA-Backward: distribution by owning shards, merged
-        Eq. 3 bounds, TA-style verification rounds against owning shards."""
-        import numpy as np
+    def execute_backward(self, scores, spec) -> None:
+        """LONA-Backward is not sharded: every request is declined.
 
-        from repro.core.vectorized import (
-            backward_distribution_split,
-            backward_eq3_bounds,
-            descending_prefixes,
-            in_blocks,
-        )
-
-        kind = spec.aggregate
-        if not kind.lona_supported:
-            raise InvalidParameterError(
-                f"LONA-Backward supports SUM/AVG/COUNT, not {kind.value}; "
-                "use algorithm='base' for MAX/MIN"
-            )
-        with self._lock:
-            if self._declines(force=force):
-                return None
-            start = time.perf_counter()
-            n = self.ctx.graph.num_nodes
-            scores_arr, _ = folded_scores(np, scores, kind)
-            is_avg = kind is AggregateKind.AVG
-            include_self = bool(spec.include_self)
-            sizes = self.ctx.size_index(exact=exact_sizes)
-
-            # Same distribution policy as the in-process kernel (shared
-            # helper): workers then select their owned subset of the same
-            # f(u) >= gamma set.
-            _distributed, effective_gamma, rest_bound = backward_distribution_split(
-                np, scores, scores_arr, gamma, distribution_fraction
-            )
-            if rest_bound == 0.0 and (not is_avg or sizes.is_exact):
-                # Full distribution -> the exact-shortcut regime, where the
-                # in-process kernel's *answers* are the partial sums built
-                # in one sequential descending-score deposit order.
-                # Summing per-shard partials reassociates those float
-                # additions, so the sharded values could differ in the
-                # last ulp and flip rank-k ties — and the regime is
-                # distribution-only (no verification BFS at all), the one
-                # backward shape with nothing left to parallelize.  Run it
-                # in-process for bit-identical entries.
-                self.declined += 1
-                return None
-            traffic = self._open_query()
-            block = self._block_size()
-
-            # --- Phase 1: owned high scores pushed outward, per shard ---
-            def build_distribute() -> List[dict]:
-                assert self._plan is not None
-                dist = self._rev if self._rev is not None else self._csr
-                task = {
-                    "kind": "distribute",
-                    "csr": dist.meta(),
-                    "scores": self._score_meta(scores),
-                    "aggregate": kind.value,
-                    "gamma": float(effective_gamma),
-                    "hops": int(spec.hops),
-                    "include_self": include_self,
-                    "block": block,
-                    "index_bytes": self._index_bytes(),
-                }
-                return [
-                    _spec(shard, dict(task, owned=self._owned[shard].meta()))
-                    for shard in range(self._plan.num_shards)
-                ]
-
-            replies = self._run_round(build_distribute, traffic)
-            partial = np.zeros(n, dtype=np.float64)
-            covered = np.zeros(n, dtype=np.int64)
-            pushes = 0
-            distributed_count = 0
-            # Shard-order summation on every link, so the reassociated float
-            # partials (bounds only — values are verified exactly) agree.
-            for header, arrays in replies:
-                # Touched indices are unique per shard (np.nonzero output),
-                # so plain fancy-index addition is safe and cheaper.
-                touched = arrays["touched"]
-                partial[touched] += arrays["partial"]
-                covered[touched] += arrays["covered"]
-                pushes += int(header["pushes"])
-                distributed_count += int(header["distributed"])
-
-            stats = self._new_stats("backward", kind.value, spec.hops, spec.k, 0.0)
-            merge_counters(stats, (header["counters"] for header, _ in replies))
-            stats.distribution_pushes = pushes
-
-            # --- Phase 2: Eq. 3 bounds over the merged state (the shared
-            # helper — literally the numpy backend's math) ------------------
-            self_distributed = np.zeros(n, dtype=bool)
-            if include_self:
-                self_distributed = (scores_arr > 0.0) & (
-                    scores_arr >= effective_gamma
-                )
-            bounds = backward_eq3_bounds(
-                np,
-                scores_arr,
-                partial,
-                covered,
-                self_distributed,
-                sizes,
-                rest_bound,
-                include_self=include_self,
-                is_avg=is_avg,
-            )
-            stats.bound_evaluations = n
-
-            # --- Phase 3: TA rounds against owning shards -----------------
-            # (The exact-shortcut regime declined above, so every offered
-            # value comes from exact verification — which accumulates ball
-            # members in the same ascending order as the in-process
-            # kernels, keeping values bit-identical.)  A round is the next
-            # _VERIFY_ROUND candidates of the descending bound order, which
-            # is sorted only as far as the rounds reach.
-            acc = TopKAccumulator(spec.k)
-            offered = 0
-            verify_rounds = 0
-            order = descending_prefixes(np, bounds, max(2 * spec.k, 64))
-            for candidates in in_blocks(np, order, _VERIFY_ROUND):
-                # Frontier: the round's candidates still above the current
-                # threshold, verified by their owning shards.
-                frontier = candidates
-                if acc.is_full:
-                    frontier = frontier[bounds[frontier] > acc.threshold]
-                if frontier.size == 0:
-                    stats.early_terminated = True
-                    break
-                theta = acc.threshold if acc.is_full else _NEG_INF
-                exact = self._verify_frontier(
-                    scores, spec, frontier, block, stats, theta, traffic
-                )
-                verify_rounds += 1
-                stats.candidates_verified += int(frontier.size)
-                for node, bound in zip(candidates.tolist(), bounds[candidates].tolist()):
-                    if acc.is_full and bound <= acc.threshold:
-                        stats.early_terminated = True
-                        break
-                    # A θ-pruned candidate is absent from ``exact``: its
-                    # value was below the threshold at round start, so the
-                    # skipped offer could never have been accepted.
-                    if node in exact:
-                        acc.offer(node, exact[node])
-                        offered += 1
-                if stats.early_terminated:
-                    break
-            stats.pruned_nodes = n - offered
-            stats.extra["gamma"] = float(effective_gamma)
-            stats.extra["distributed_nodes"] = float(distributed_count)
-            stats.extra["rest_bound"] = float(rest_bound)
-            stats.extra["exact_shortcut"] = 0.0  # shortcut shapes declined
-            stats.extra["verify_rounds"] = float(verify_rounds)
-            self._stamp_traffic(stats, traffic)
-            stats.elapsed_sec = time.perf_counter() - start
-            self.queries_served += 1
-            return TopKResult(entries=acc.entries(), stats=stats)
-
-    def _verify_frontier(
-        self,
-        scores,
-        spec,
-        frontier,
-        block: int,
-        stats: QueryStats,
-        theta: float,
-        traffic: _Traffic,
-    ) -> Dict[int, float]:
-        """Exact values of ``frontier`` candidates, from their owning shards.
-
-        θ is the accumulator's current k-th value: a shipping link's
-        workers return only pairs with value >= θ.
+        Phases 1-2 live in the session's phase-1 memo, kept across reads
+        and repaired across writes, and phase 3 reads the session's ball
+        index; a sharded pipeline could read neither, and it lost every
+        measured warm read at 16k and 100k (DESIGN §5).  The executor runs
+        the query in process instead.
         """
-        ship = {"theta": float(theta), "mode": self.ship_policy}
-
-        def build() -> List[dict]:
-            assert self._plan is not None
-            parts = self._plan.partition.as_array()
-            task = {
-                "kind": "verify",
-                "csr": self._csr.meta(),
-                "scores": self._score_meta(scores),
-                "aggregate": spec.aggregate.value,
-                "hops": int(spec.hops),
-                "include_self": bool(spec.include_self),
-                "block": block,
-                "index_bytes": self._index_bytes(),
-            }
-            specs = []
-            for shard in range(self._plan.num_shards):
-                mine = frontier[parts[frontier] == shard]
-                if mine.size:
-                    specs.append(_spec(shard, dict(task, centers=mine), ship))
-            return specs
-
-        exact: Dict[int, float] = {}
-        replies = self._run_round(build, traffic, rows=int(frontier.size))
-        for header, arrays in replies:
-            check_deadline()  # merge boundary: one poll per shard reply
-            merge_counters(stats, [header["counters"]])
-            exact.update(arrays["entries"])
-        return exact
+        with self._lock:
+            self.declined += 1
+        return None
 
     def run_batch(
         self, batch: Sequence, *, hops: int, include_self: bool, force: bool = False

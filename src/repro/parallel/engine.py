@@ -7,9 +7,9 @@ workers are a persistent, spawn-started
 :class:`~repro.parallel.pool.ShardWorkerPool` on this machine.  This module
 holds only what the pipe link decides:
 
-* **How data reaches a worker** — the CSR view (and its reversal), score
-  vectors, owned-node arrays and static bounds are exported into POSIX
-  shared memory (:class:`~repro.graph.csr.SharedCSR` /
+* **How data reaches a worker** — the CSR view, score vectors, owned-node
+  arrays and static bounds are exported into POSIX shared memory
+  (:class:`~repro.graph.csr.SharedCSR` /
   :class:`~repro.graph.csr.SharedArray`); a task names them by descriptor
   and workers map the same physical pages.  A retired CSR export is stamped
   stale before it is unlinked, so a worker still attached refuses it.
@@ -188,15 +188,14 @@ class ParallelEngine(ShardedCoordinator):
         in the pipe payload itself; both forms can appear within one round.
         Everything else the workers return is already keyed like a reply.
         """
-        for key in ("entries", "pairs"):
-            if key in result:
-                return result, {"entries": result[key]}
-            if key + "_n" in result:
-                rows = self._reply_buffers[slot].array[: int(result[key + "_n"])]
-                # Node ids are exact in float64 up to 2**53.
-                return result, {
-                    "entries": [(int(node), float(value)) for node, value in rows]
-                }
+        if "entries" in result:
+            return result, {"entries": result["entries"]}
+        if "entries_n" in result:
+            rows = self._reply_buffers[slot].array[: int(result["entries_n"])]
+            # Node ids are exact in float64 up to 2**53.
+            return result, {
+                "entries": [(int(node), float(value)) for node, value in rows]
+            }
         return result, result
 
     # ------------------------------------------------------------------

@@ -20,8 +20,8 @@ Correctness argument, once, for every sharded route:
 
 Rank-k *ties* are resolved by ascending node id — the canonical
 ascending-scan order every in-process backend uses for its Base scans.
-Bound-pruned routes (forward/backward) resolve boundary ties by their own
-pruning order on any backend, so cross-backend tie identity is only
+The bound-pruned route (forward) resolves boundary ties by its own pruning
+order on any backend, so cross-backend tie identity is only
 guaranteed for continuous scores (where exact rank-k ties do not occur);
 this is the same caveat the in-process backends already carry.
 """

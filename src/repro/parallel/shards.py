@@ -37,8 +37,8 @@ class Partition:
     lookup structures safe without any invalidation protocol: the
     per-partition *members index* (:meth:`members` — one O(n) bucketing
     pass instead of an O(n) rescan per call) and the numpy
-    :meth:`as_array` form the coordinator routes verification candidates
-    to their owning shard with.
+    :meth:`as_array` form the coordinator routes a ``.where`` scan's
+    candidates to their owning shard with.
     """
 
     __slots__ = ("assignment", "num_parts", "_members_index", "_array")
@@ -172,7 +172,7 @@ class ShardPlan:
     """Node ownership for ``num_shards`` workers over one graph version.
 
     ``owned[s]`` is shard ``s``'s sorted int64 node array; ``partition`` is
-    the underlying assignment (used to route verification candidates back
+    the underlying assignment (used to route a ``.where`` scan's candidates
     to their owning shard).
     """
 

@@ -15,10 +15,9 @@ retries) rather than with numbers from a dead graph.
 Every handler keeps only its attach/slice/ship plumbing and evaluates each
 block through :class:`~repro.core.vectorized.NumpyKernels` — the same
 primitives the in-process drivers of :mod:`repro.core.vectorized` call, plus
-their threshold-gated ``offer_block`` and ``distribute_scores`` — over the
-worker's *owned* centers only, which is what makes a shard's answer exact
-for its members and the merged answer exact globally (see
-:mod:`repro.parallel.merge`).
+their threshold-gated ``offer_block`` — over the worker's *owned* centers
+only, which is what makes a shard's answer exact for its members and the
+merged answer exact globally (see :mod:`repro.parallel.merge`).
 
 Results travel back one of two ways.  By default a task's entries ride
 the reply pipe as pickled tuples.  A task carrying a ``"reply"``
@@ -36,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.aggregates.functions import AggregateKind
 from repro.core.deadline import check_deadline
 from repro.core.topk import TopKAccumulator
-from repro.core.vectorized import NumpyKernels, distribute_scores, offer_block
+from repro.core.vectorized import NumpyKernels, offer_block
 from repro.errors import FaultInjectedError, StaleShardError
 from repro.faults import fault_point
 from repro.graph.csr import AttachedArray, AttachedCSR, CSRBallIndex
@@ -127,7 +126,7 @@ def _ball_index(cache, csr, task: dict) -> CSRBallIndex:
     return index
 
 
-def _ship_pairs(np, cache, task, out: dict, pairs, key: str) -> dict:
+def _ship_pairs(np, cache, task, out: dict, pairs) -> dict:
     """Attach ``(node, value)`` pairs to a reply, via shared buffer if offered.
 
     With a usable ``"reply"`` descriptor the pairs land in the engine's
@@ -138,13 +137,13 @@ def _ship_pairs(np, cache, task, out: dict, pairs, key: str) -> dict:
     """
     reply = task.get("reply")
     if reply is None or len(pairs) > reply["capacity"]:
-        out[key] = pairs
+        out["entries"] = pairs
         return out
     buffer = cache.array(reply["buffer"])
     n = len(pairs)
     if n:
         buffer[:n] = np.asarray(pairs, dtype=np.float64)
-    out[key + "_n"] = n
+    out["entries_n"] = n
     return out
 
 
@@ -225,7 +224,7 @@ def _scan_task(np, cache: _AttachmentCache, task: dict) -> dict:
         "pruned": pruned,
         "ball_index": index.stats(),
     }
-    return _ship_pairs(np, cache, task, out, acc.entries(), "entries")
+    return _ship_pairs(np, cache, task, out, acc.entries())
 
 
 def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
@@ -268,81 +267,9 @@ def _batch_task(np, cache: _AttachmentCache, task: dict) -> dict:
     }
 
 
-def _distribute_task(np, cache: _AttachmentCache, task: dict) -> dict:
-    """LONA-Backward phase 1 for one shard: push owned high scores outward.
-
-    The shard distributes exactly its owned nodes with ``f(u) >= gamma``
-    over the (reversed, for directed graphs) shared CSR, accumulating the
-    partial-sum and coverage-count arrays for *all* n nodes
-    (:func:`repro.core.vectorized.distribute_scores`, which polls the
-    deadline at block boundaries).  On an undirected graph the CSR is the
-    forward view, and the balls are read through the worker's ball index as
-    scans read them; a directed task walks the reverse view and expands
-    without touching the index (rebuilding it over the reverse view would
-    thrash it against the scans).  The engine sums these per-shard states —
-    addition is order-independent on the count side and reassociates only
-    the float partials (values are verified exactly afterwards, so bound
-    soundness is all that matters).
-    """
-    csr = cache.csr(task["csr"]).csr
-    scores, _kind = folded_scores(
-        np, cache.array(task["scores"]), AggregateKind(task["aggregate"])
-    )
-    owned = cache.array(task["owned"])
-    mine = owned[(scores[owned] > 0.0) & (scores[owned] >= task["gamma"])]
-    counter = TraversalCounter()
-    index = None if csr.directed else _ball_index(cache, csr, task)
-    partial, covered, pushes = distribute_scores(
-        np, csr, mine, scores, task["hops"], task["include_self"], task["block"],
-        counter, NumpyKernels(index),
-    )
-    # Ship only the touched slice: the pipe payload then scales with the
-    # distribution's actual reach, not with n (a sparse gamma cut on a
-    # million-node graph touches a fraction of it).
-    touched = np.nonzero(covered)[0]
-    out = {
-        "touched": touched,
-        "partial": partial[touched],
-        "covered": covered[touched],
-        "pushes": pushes,
-        "distributed": int(mine.size),
-        "counters": _counters(counter, 0),
-    }
-    if index is not None:
-        out["ball_index"] = index.stats()
-    return out
-
-
-def _verify_task(np, cache: _AttachmentCache, task: dict) -> dict:
-    """Exact aggregates of an explicit candidate set (TA verification),
-    read through the worker's ball index like a scan's blocks."""
-    csr = cache.csr(task["csr"]).csr
-    scores = cache.array(task["scores"])
-    centers = np.asarray(task["centers"], dtype=np.int64)
-    folded, kind = folded_scores(np, scores, AggregateKind(task["aggregate"]))
-    block = task["block"]
-    index = _ball_index(cache, csr, task)
-    kernels = NumpyKernels(index)
-    counter = TraversalCounter()
-    nodes: List[int] = []
-    values: List[float] = []
-    for lo in range(0, int(centers.size), block):
-        check_deadline()  # block boundary (live under a cluster task scope)
-        chunk = centers[lo : lo + block]
-        chunk_values, _ = kernels.ball_values(
-            np, csr, chunk, folded, kind, task["hops"], task["include_self"], counter
-        )
-        nodes.extend(int(c) for c in chunk)
-        values.extend(float(v) for v in chunk_values)
-    out = {"counters": _counters(counter, int(centers.size)), "ball_index": index.stats()}
-    return _ship_pairs(np, cache, task, out, list(zip(nodes, values)), "pairs")
-
-
 _HANDLERS = {
     "scan": _scan_task,
     "batch": _batch_task,
-    "distribute": _distribute_task,
-    "verify": _verify_task,
 }
 
 

@@ -77,17 +77,10 @@ class AdmissionController:
     Parameters
     ----------
     cost_of:
-        ``cost_of(request) -> float`` — the planner's amortized *online*
-        cost estimate for the request (the server memoizes it per shape
-        and graph version).  ``None`` disables cost shedding.
-    fixed_cost_of:
-        ``fixed_cost_of(request) -> float`` — the backend fixed cost
-        (:data:`~repro.core.planner.BACKEND_FIXED_COSTS`) the request
-        would pay on its effective backend: process-pool dispatch for
-        ``parallel``, socket rounds and store shipping for ``cluster``.
-        Added to ``cost_of`` in the shed comparison, so under pressure a
-        cluster-routed query is priced with its communication tax, not
-        just its scan work.  ``None`` prices fixed costs at zero.
+        ``cost_of(request) -> float`` — the planner's amortized cost
+        estimate of the route the request will run, backend fixed cost
+        included (the server memoizes it per shape and graph version).
+        ``None`` disables cost shedding.
     load_of:
         ``load_of() -> float`` in ``[0, 1]`` — current queued+inflight
         occupancy across the replica lanes.  ``None`` disables shedding.
@@ -106,16 +99,14 @@ class AdmissionController:
         self,
         *,
         cost_of: Optional[Callable[[QueryRequest], float]] = None,
-        fixed_cost_of: Optional[Callable[[QueryRequest], float]] = None,
         load_of: Optional[Callable[[], float]] = None,
         rate: Optional[float] = None,
         burst: Optional[float] = None,
         quota: Optional[int] = None,
-        shed_watermark: float = 0.75,
+        shed_watermark: float,
         cost_limit: Optional[float] = None,
     ) -> None:
         self._cost_of = cost_of
-        self._fixed_cost_of = fixed_cost_of
         self._load_of = load_of
         self._rate = rate
         self._burst = burst
@@ -216,8 +207,6 @@ class AdmissionController:
         headroom = (1.0 - load) / (1.0 - self._watermark)
         budget = self._cost_limit * headroom
         cost = float(self._cost_of(request))
-        if self._fixed_cost_of is not None:
-            cost += float(self._fixed_cost_of(request))
         if cost <= budget:
             return
         self._count("shed")

@@ -50,6 +50,7 @@ from repro.config import (
     ServiceConfig,
     _FrozenConfig,
 )
+from repro.core.executor import choose_algorithm
 from repro.core.request import QueryRequest
 from repro.errors import (
     FaultInjectedError,
@@ -217,7 +218,6 @@ class QueryServer:
         )
         self.admission = AdmissionController(
             cost_of=self._cost_of,
-            fixed_cost_of=self._fixed_cost_of,
             load_of=self._load,
             rate=cfg.tenant_rate,
             burst=cfg.tenant_burst,
@@ -317,17 +317,22 @@ class QueryServer:
         return used / capacity
 
     def _cost_of(self, request: QueryRequest) -> float:
-        """Planner cost (amortized ball expansions) for one request.
+        """Planner cost (amortized ball expansions) of the route one request
+        will run on its own backend, that backend's fixed cost included once.
 
-        Memoized per (score, canonical key, graph/score version): under
-        load the same hot shapes arrive repeatedly and the planner's scan
-        statistics are not free.  A request the planner cannot cost (e.g.
-        ``algorithm="view"``) admits at cost 0 — execution will produce
-        the real error with the right code.
+        The route is the request's pin, the executor's ``auto`` policy, or
+        the plan's choice for ``planned``.  Memoized per (score, canonical
+        key, graph/score version, index built): under load the same hot shapes arrive
+        repeatedly and the planner's scan statistics are not free.  A
+        request the planner cannot cost (e.g. ``algorithm="view"``) admits
+        at cost 0 — execution will produce the real error with the right
+        code.
         """
+        indexed = self._net._ctx.diff_index is not None  # ``auto`` reads it
         version = (
             getattr(self._net.graph, "version", None),
             self._net._score_epoch(request.score),
+            indexed,
         )
         key = (request.score, request.canonical_key())
         with self._cost_lock:
@@ -338,8 +343,18 @@ class QueryServer:
         try:
             # Distance weights change what a ball sums to, not which balls
             # a route expands: a weighted request costs its unweighted twin.
-            plan = self._net._plan(request.replace(weights=None))
-            cost = plan.estimate_for(plan.chosen).total_amortized()
+            request = request.replace(weights=None)
+            plan = self._net._plan(request)
+            algorithm = request.algorithm
+            if algorithm == "planned":
+                algorithm = plan.chosen
+            elif algorithm == "auto":
+                algorithm = choose_algorithm(
+                    self._net.scores_of(request.score),
+                    request.spec(),
+                    index_available=indexed,
+                )
+            cost = plan.estimate_for(algorithm).total_amortized()
         except ReproError:
             cost = 0.0
         with self._cost_lock:
@@ -347,15 +362,6 @@ class QueryServer:
             while len(self._cost_cache) > 512:
                 self._cost_cache.popitem(last=False)
         return cost
-
-    def _fixed_cost_of(self, request: QueryRequest) -> float:
-        """The fixed overhead of the request's own backend — the one it
-        executes on: a cluster-routed query is charged its socket /
-        store-shipping tax (:data:`~repro.core.planner.BACKEND_FIXED_COSTS`)
-        even when its scan cost alone would pass the shed budget."""
-        from repro.core.planner import BACKEND_FIXED_COSTS
-
-        return float(BACKEND_FIXED_COSTS.get(request.backend, 0.0))
 
     # ------------------------------------------------------------------
     # HTTP plumbing

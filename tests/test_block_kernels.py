@@ -589,36 +589,3 @@ def test_weighted_backward_digs_no_deeper_than_its_stop(
     if binary:  # the python backend's walk, candidate for candidate
         assert stats["pruned_nodes"] == reference[1]["pruned_nodes"]
         assert stats["candidates_verified"] == 0
-
-
-@pytest.fixture(scope="module")
-def cross_net(cross_graph):
-    from repro.session import Network
-
-    net = Network(cross_graph, hops=2)
-    for share in sorted({case[0] for case in CROSSINGS}):
-        net.add_scores(f"s{share}", _binary_scores(share))
-    net.parallel(workers=2, min_nodes=0)
-    net.cluster(workers=2, min_nodes=0)
-    yield net
-    net.close()
-
-
-@pytest.mark.parametrize("link", ["parallel", "cluster"])
-@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
-def test_backward_chunked_equals_full_order_sharded(
-    monkeypatch, cross_net, link, share, k, aggregate, chunks
-):
-    def run(backend):
-        query = cross_net.query(f"s{share}").limit(k).aggregate(aggregate)
-        return query.algorithm("backward").backend(backend).run()
-
-    run(link)  # exports and session ball caches warm: later runs are equal
-    lazy = run(link)
-    monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
-    eager = run(link)
-    assert _facts(lazy) == _facts(eager)
-    assert lazy.entries == run("python").entries
-    # Full distribution is handed back in-process (order-sensitive sums).
-    shortcut = lazy.stats.extra["exact_shortcut"] == 1.0
-    assert lazy.stats.backend == ("numpy" if shortcut else link)

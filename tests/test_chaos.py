@@ -132,6 +132,8 @@ class TestClusterChaos:
         )
         net.cluster(workers=WORKERS, min_nodes=0)
         try:
+            # The engine declines LONA-Backward, so its row crosses no
+            # fault point: a parity row beside the faulted scan.
             got_scan = _bounded(
                 lambda: net.query("s").limit(6).backend("cluster").run()
             )

@@ -568,8 +568,10 @@ class TestDeclineRule:
         )
         fixed = BACKEND_FIXED_COSTS["cluster"]
         assert fixed > BACKEND_FIXED_COSTS["parallel"]
-        for algorithm in ("base", "backward"):
-            assert clu.estimate_for(algorithm).fixed_cost == fixed
+        assert clu.estimate_for("base").fixed_cost == fixed
+        # Backward runs in process on every backend: no round to pay for.
+        assert clu.estimate_for("backward").fixed_cost == 0.0
+        assert clu.estimate_for("backward") == par.estimate_for("backward")
         # Socket rounds cost strictly more than queue IPC on this tiny
         # graph, mirroring the runtime decline rules.
         assert (

@@ -300,9 +300,10 @@ class TestDeclineRule:
         )
         fixed = BACKEND_FIXED_COSTS["parallel"]
         assert fixed > 0
-        for algorithm in ("base", "backward"):
-            assert par.estimate_for(algorithm).fixed_cost == fixed
-            assert ref.estimate_for(algorithm).fixed_cost == 0.0
+        assert par.estimate_for("base").fixed_cost == fixed
+        assert ref.estimate_for("base").fixed_cost == 0.0
+        # Backward runs in process on every backend: priced as numpy does.
+        assert par.estimate_for("backward") == ref.estimate_for("backward")
         # On a tiny graph the fixed cost dominates: every parallel estimate
         # is costlier than its numpy twin, which is exactly why the engine
         # declines such graphs at runtime.
@@ -574,7 +575,8 @@ class TestReplyBuffers:
 class TestWorkerKernels:
     def test_workers_answer_every_route_as_numpy(self):
         # Each worker builds its own NumpyKernels over its ball index; the
-        # scan, weighted and backward rounds must all match in-process numpy.
+        # scan and weighted rounds must match in-process numpy, and backward
+        # (declined, run in process) must too.
         g = random_graph(300, 0.02, seed=67)
         scores = random_scores(300, seed=71)
         ref = _scored_net(g, scores, "numpy")

@@ -80,13 +80,20 @@ def test_factor_tables_cover_every_backend_and_route() -> None:
         }
         assert backend in BACKEND_FIXED_COSTS
     # Calibration sanity: vectorized execution is a discount, never a
-    # markup, and parallel discounts at least as deeply per expansion.
+    # markup, and parallel discounts the sharded scans more deeply per
+    # expansion.  LONA-Backward runs in process on the sharded backends.
     for route in ("base", "forward", "backward"):
         assert 0 < BACKEND_COST_FACTORS["numpy"][route] < 1
+    for route in ("base", "forward"):
         assert (
             0
             < BACKEND_COST_FACTORS["parallel"][route]
             < BACKEND_COST_FACTORS["numpy"][route]
+        )
+    for backend in ("parallel", "cluster"):
+        assert (
+            BACKEND_COST_FACTORS[backend]["backward"]
+            == BACKEND_COST_FACTORS["numpy"]["backward"]
         )
 
 

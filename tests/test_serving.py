@@ -27,6 +27,7 @@ import pytest
 import repro
 import repro.config
 from repro.core.deadline import active_deadline, check_deadline, deadline_scope
+from repro.core.planner import BACKEND_FIXED_COSTS
 from repro.core.request import QueryRequest
 from repro.core.results import QueryStats, StreamUpdate, TopKResult
 from repro.errors import (
@@ -260,7 +261,7 @@ class TestAdmission:
         assert eta is not None and eta > 0
 
     def test_rate_limit_is_per_tenant(self):
-        controller = AdmissionController(rate=0.001, burst=1)
+        controller = AdmissionController(rate=0.001, burst=1, shed_watermark=0.75)
         controller.admit(QueryRequest(k=1), tenant="a")()
         with pytest.raises(RateLimitedError) as info:
             controller.admit(QueryRequest(k=1), tenant="a")
@@ -268,7 +269,7 @@ class TestAdmission:
         controller.admit(QueryRequest(k=1), tenant="b")()  # unaffected
 
     def test_quota_bounds_inflight_and_release_is_idempotent(self):
-        controller = AdmissionController(quota=1)
+        controller = AdmissionController(quota=1, shed_watermark=0.75)
         release = controller.admit(QueryRequest(k=1), tenant="a")
         with pytest.raises(QuotaExceededError):
             controller.admit(QueryRequest(k=1), tenant="a")
@@ -295,27 +296,51 @@ class TestAdmission:
         assert info.value.retry_after > 0
         assert controller.counters["shed"] == 1
 
-    def test_shedding_prices_backend_fixed_cost(self):
-        # Satellite of the cluster backend: the shed comparison adds the
-        # backend's fixed overhead, so a query that passes in-process is
-        # rejected when routed to a backend whose dispatch tax alone
-        # overflows the budget.
-        controller = AdmissionController(
-            cost_of=lambda request: float(request.k),
-            fixed_cost_of=lambda request: (
-                15.0 if request.backend == "cluster" else 0.0
-            ),
-            load_of=lambda: 0.9,
-            shed_watermark=0.5,
-            cost_limit=100.0,
+    def test_shedding_prices_the_route_it_runs_once(self):
+        # The server prices a request at the plan's estimate of the route it
+        # will run: a sharded backend's fixed cost is inside that estimate
+        # once, and a pinned route is priced as itself, not as the plan's
+        # choice.  A vanishing budget sheds every row, and the error carries
+        # the price.
+        session = Network(random_graph(300, 0.02, seed=614), hops=2)
+        session.add_scores("s", quantized_scores(300, seed=615, density=0.9))
+        server = QueryServer(
+            session, replicas=1, shed_watermark=0.5, cost_limit=1e-9
         )
-        # budget = 100 * (1 - 0.9) / (1 - 0.5) = 20; k=10 in-process passes
-        controller.admit(QueryRequest(k=10))()
-        # ... but the same k pinned to cluster pays 10 + 15 = 25 > 20.
-        with pytest.raises(ServiceOverloadedError) as info:
-            controller.admit(QueryRequest(k=10, backend="cluster"))
-        assert info.value.estimated_cost == 25.0
-        assert controller.counters["shed"] == 1
+        server.admission._load_of = lambda: 0.9
+        request = QueryRequest(k=5, score="s")
+        rows = [
+            # (request, the route it runs: auto on dense scores is base)
+            (request.replace(backend="parallel"), "base"),
+            (request.replace(backend="cluster"), "base"),
+            (request.replace(backend="cluster", algorithm="planned"), None),
+            (request.replace(algorithm="base"), "base"),
+        ]
+        try:
+            for row, route in rows:
+                plan = session._plan(row)
+                estimate = plan.estimate_for(route or plan.chosen)
+                if estimate.algorithm != "backward":  # runs in process
+                    assert estimate.fixed_cost == BACKEND_FIXED_COSTS.get(
+                        row.backend, 0.0
+                    )
+                with pytest.raises(ServiceOverloadedError) as info:
+                    server.admission.admit(row)
+                assert info.value.estimated_cost == estimate.total_amortized()
+            # The pinned-base row differs from pricing the plan's choice.
+            assert session._plan(rows[-1][0]).chosen != "base"
+            # A built index moves ``auto`` on dense scores to forward, and
+            # the memoized price follows it.
+            session.build_indexes()
+            auto = rows[0][0]
+            with pytest.raises(ServiceOverloadedError) as info:
+                server.admission.admit(auto)
+            forward = session._plan(auto).estimate_for("forward")
+            assert info.value.estimated_cost == forward.total_amortized()
+            assert server.admission.counters["shed"] == len(rows) + 1
+        finally:
+            server.close()
+            session.close()
 
     def test_no_shedding_below_watermark(self):
         controller = AdmissionController(
@@ -327,7 +352,7 @@ class TestAdmission:
         controller.admit(QueryRequest(k=1))()
 
     def test_rejections_do_not_leak_quota_slots(self):
-        controller = AdmissionController(rate=0.001, burst=1, quota=5)
+        controller = AdmissionController(rate=0.001, burst=1, quota=5, shed_watermark=0.75)
         controller.admit(QueryRequest(k=1), tenant="a")
         for _ in range(3):
             with pytest.raises(RateLimitedError):

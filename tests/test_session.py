@@ -886,7 +886,8 @@ class TestOneArrayPerVector:
             for handle in handles:
                 handle.result(timeout=10)
             assert service.stats()["coalesced_batches"] == 1
-            # Sharded scans, backward rounds and a fused group export it too.
+            # Sharded scans and a fused group export it too; backward runs
+            # in process and reads the same array.
             net.parallel(workers=2, min_nodes=0)
             for name in names:
                 net.query(name).limit(5).algorithm("base").backend("parallel").run()

@@ -8,9 +8,8 @@ contract is one matrix: link x route x aggregate x score shape x
 backend — the same entries, exactly (scores are dyadic rationals, so no
 summation order can change a value), or the same error (forward + MAX,
 ``.where`` on a pruning algorithm, a weighted AVG).  Coordinator decisions
-that do not depend on the link — the decline rules, the backward
-exact-shortcut hand-back, the reversed-CSR distribution on directed graphs —
-are pinned here too, once per link.  What only one link has (reply buffers,
+that do not depend on the link — the decline rules, LONA-Backward running in
+the session's process — are pinned here too, once per link.  What only one link has (reply buffers,
 respawn, θ/quota volumes, socket timeouts...) stays in
 ``tests/test_parallel_backend.py`` / ``tests/test_cluster_backend.py``.
 
@@ -134,16 +133,13 @@ class TestRouteParity:
             stats = result.stats
             if route == "batch" and score == "sparse" and result is results[0]:
                 # The executor peels a sparse member off as an ordinary
-                # backward request: it takes the sharded backward route.
+                # backward request.
                 assert stats.algorithm == "backward"
-            if ref.stats.extra.get("exact_shortcut") == 1.0:
-                assert stats.backend == "numpy"  # handed back, see below
+            if stats.algorithm == "backward":
+                assert stats.backend == "numpy"  # declined, see below
                 continue
             assert stats.backend == link
             assert stats.extra["shards"] == float(getattr(net, link)().shards)
-            if stats.algorithm == "backward":
-                assert stats.extra["gamma"] == ref.stats.extra["gamma"]
-                assert stats.extra["rest_bound"] == ref.stats.extra["rest_bound"]
             if where:
                 assert stats.extra["candidates"] == float(len(CANDIDATES))
             if stats.algorithm == "batch-base":
@@ -165,83 +161,37 @@ class TestRouteParity:
         got, _ = _outcome(net, link, "base", "min", "dense", False)
         assert got == _outcome(net, "numpy", "base", "min", "dense", False)[0]
 
-    @pytest.mark.parametrize("link", LINKS)
-    def test_backward_binary_shortcut_declines(self, net, link):
-        # Binary scores fully distribute (auto-gamma 1.0, rest_bound 0):
-        # the exact-shortcut regime's answers are order-sensitive partial
-        # sums, so the coordinator hands the query back to keep entries
-        # bit-identical — and there is no verification work to shard there.
-        got = net.query("binary").limit(K).algorithm("backward").backend(link).run()
-        ref = net.query("binary").limit(K).algorithm("backward").backend("numpy").run()
-        assert got.entries == ref.entries
-        assert got.stats.backend == "numpy"
-        assert got.stats.extra["exact_shortcut"] == 1.0
 
-    @pytest.mark.parametrize("link", LINKS)
-    def test_directed_graph_backward(self, link):
-        rng = random.Random(9)
-        net = Network(random_graph(120, 0.03, seed=5, directed=True), hops=2)
-        net.add_scores(
-            "s", [rng.randrange(1, 64) / 64 if rng.random() < 0.1 else 0.0 for _ in range(120)]
-        )
-        _configure(net, link, min_nodes=0)
+class TestBackwardRunsInProcess:
+    """Both links decline LONA-Backward: the executor runs it in the
+    session's process, over the session's phase-1 memo and ball index."""
+
+    @pytest.mark.parametrize("shape", ["graded", "binary", "directed"])
+    @pytest.mark.parametrize("aggregate", ["sum", "avg"])
+    @pytest.mark.parametrize("link,started", [("parallel", "pool_started"), ("cluster", "started")])
+    def test_same_bits_as_numpy_and_no_worker_starts(self, link, started, aggregate, shape):
+        rng = random.Random(10)
+        graph = random_graph(300, 0.02, seed=12, directed=shape == "directed")
+        net = Network(graph, hops=2)
+        # Non-dyadic graded scores: a different summation order would show
+        # in the last bits.  0/1 scores take the exact shortcut.
+        nonzero = [rng.random() < 0.3 for _ in range(300)]
+        values = [1.0 if shape == "binary" else rng.random() for _ in range(300)]
+        net.add_scores("s", [v if hit else 0.0 for v, hit in zip(values, nonzero)])
+        engine = _configure(net, link, min_nodes=0)
         try:
-            got = net.query("s").limit(5).algorithm("backward").backend(link).run()
-            ref = net.query("s").limit(5).algorithm("backward").backend("numpy").run()
-            assert got.entries == ref.entries
-            assert got.stats.backend == link
+            query = net.query("s").limit(K).aggregate(aggregate).algorithm("backward")
+            declined = engine.stats()["declined"]
+            got = query.backend(link).run()
+            ref = query.backend("numpy").run()
+            assert [(node, value.hex()) for node, value in got.entries] == [
+                (node, value.hex()) for node, value in ref.entries
+            ]
+            assert got.stats.backend == "numpy"
+            assert engine.stats()["declined"] == declined + 1
+            assert engine.stats()[started] is False
         finally:
             net.close()
-
-
-class TestBackwardRoundsOverTheLazyOrder:
-    """The TA rounds read the descending bound order a sorted prefix at a
-    time; a round is still the next ``_VERIFY_ROUND`` candidates of it."""
-
-    #: Traffic and work facts of a sharded backward run that the order feeds.
-    FACTS = (
-        "verify_rounds", "comm_rounds", "candidates_shipped", "candidates_pruned",
-        "shipped_candidate_bytes", "tasks",
-    )
-
-    @pytest.mark.parametrize("link", LINKS)
-    @pytest.mark.parametrize("score,aggregate", [("dense", "sum"), ("dense", "avg"), ("sparse", "avg")])
-    def test_same_rounds_as_the_full_order(self, net, monkeypatch, link, score, aggregate):
-        from repro.core import vectorized
-        from repro.parallel.coordinator import _VERIFY_ROUND
-        from tests.test_block_kernels import _eager_order
-
-        def run():
-            query = net.query(score).limit(K).aggregate(aggregate)
-            return query.algorithm("backward").backend(link).run()
-
-        run()  # exports warm
-        rounds = []
-        real = vectorized.in_blocks
-
-        def recording(np_, chunks, size):
-            for block in real(np_, chunks, size):
-                rounds.append(int(block.size))
-                yield block
-
-        monkeypatch.setattr(vectorized, "in_blocks", recording)
-        lazy = run()
-        monkeypatch.setattr(vectorized, "in_blocks", real)
-        monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
-        full = run()
-        assert lazy.entries == full.entries
-        assert lazy.stats.backend == full.stats.backend == link
-        assert lazy.stats.candidates_verified == full.stats.candidates_verified
-        assert lazy.stats.pruned_nodes == full.stats.pruned_nodes
-        for fact in self.FACTS:
-            assert lazy.stats.extra.get(fact) == full.stats.extra.get(fact), fact
-        # The first prefix is max(2k, 64) = 64 ids: a round pulls the next
-        # chunk when one runs short, and still takes _VERIFY_ROUND candidates.
-        assert len(rounds) >= lazy.stats.extra["verify_rounds"] >= 1
-        assert all(size == _VERIFY_ROUND for size in rounds[:-1])
-        if aggregate == "avg":  # digs past one round: 256 + the 144 left
-            assert rounds == [_VERIFY_ROUND, 400 - _VERIFY_ROUND]
-            assert lazy.stats.extra["verify_rounds"] == 2.0
 
 
 class TestGroupMembers:
@@ -250,7 +200,7 @@ class TestGroupMembers:
     MEMBERS = (("sparse", K, "sum"), ("dense", 4, "avg"), ("sparse", 3, "avg"))
 
     @pytest.mark.parametrize("link", LINKS)
-    def test_peeled_members_take_the_sharded_backward_route(self, net, link):
+    def test_sparse_members_run_in_process_dense_share_the_sharded_scan(self, net, link):
         queries = [
             BatchQuery(scores=net.scores_of(s), k=k, aggregate=a)
             for s, k, a in self.MEMBERS
@@ -265,11 +215,14 @@ class TestGroupMembers:
                 .algorithm("backward" if score == "sparse" else "base").run()
             )
             assert result.entries == alone.entries
-            assert result.stats.backend == link
-            assert result.stats.extra["shards"] == shards
             assert result.stats.algorithm == (
                 "backward" if score == "sparse" else "batch-base"
             )
+            if score == "sparse":
+                assert result.stats.backend == "numpy"
+            else:
+                assert result.stats.backend == link
+                assert result.stats.extra["shards"] == shards
 
 
 class TestDeclineRule:

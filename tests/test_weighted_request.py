@@ -396,7 +396,7 @@ def test_one_entry_point_per_layer():
     from repro.parallel.coordinator import ShardedCoordinator
     from repro.parallel.worker import _HANDLERS
 
-    assert sorted(_HANDLERS) == ["batch", "distribute", "scan", "verify"]
+    assert sorted(_HANDLERS) == ["batch", "scan"]
     routes = [n for n in vars(ShardedCoordinator) if n.startswith(("execute", "run_"))]
     assert sorted(routes) == ["execute_backward", "execute_scan", "run_batch"]
     for module, name in (

@@ -2,17 +2,14 @@
 
 Every pool / cluster worker keeps one node-keyed
 :class:`~repro.graph.csr.CSRBallIndex` over the CSR it is attached to, fills
-it from the blocks its scan, batch and verify tasks expand and reads present
+it from the blocks its scan and batch tasks expand and reads present
 balls back — the arrays its expansion returned, into the same reduction — so
 a warm sharded answer must equal a cold one and the in-process numpy one
 *exactly*.  Scores are arbitrary (non-dyadic) floats and every comparison is
 ``==`` on entries.  Covered, on both links: every base aggregate, the fused
 batch (filled in one block size, singles read in another), the bound-pruned
 forward scan and the weighted scan over hops 1-3 and both ball conventions;
-LONA-Backward's verification rounds and its phase 1 (an undirected
-distribution reads the same runs; a directed one walks the reverse view and
-leaves the forward index alone); the work counters of a second scan and
-a second backward; the budget split over 2 and 4 workers;
+the work counters of a second scan; the budget split over 2 and 4 workers;
 70 ``DynamicGraph`` writes (past the worker's attachment limit) with the
 index both on the newest CSR and left behind on a retired one; a killed
 worker (the survivor keeps its slot and its hits); a stolen chunk.  A
@@ -37,15 +34,8 @@ from repro.core.query import QuerySpec
 from repro.dynamic.graph import DynamicGraph
 from repro.faults import ENV_VAR
 from repro.graph.graph import Graph
-from repro.graph.traversal import TraversalCounter
 
 np = pytest.importorskip("numpy")
-
-from repro.core.vectorized import (  # noqa: E402
-    NumpyKernels,
-    backward_distribution_split,
-    distribute_scores,
-)
 
 #: Pool size of the pipe link; the CI sharded-smoke job raises it to 4.
 WORKERS = int(os.environ.get("REPRO_PARALLEL_TEST_WORKERS", "2"))
@@ -222,63 +212,6 @@ class TestAccounting:
             # No stats.extra key was added for any of this.
             assert not any("index" in key for key in second.stats.extra)
 
-    @pytest.mark.parametrize("link", LINKS)
-    def test_a_repeated_backward_verifies_off_the_workers_indexes(self, link):
-        graph = Graph.from_edges(_edges(N, 3), num_nodes=N)
-        with _Session(graph, links=(link,)) as session:
-            net = session.net
-            query = net.query("s0").algorithm("backward").limit(20)
-            want = query.backend("numpy").run()
-            first = query.backend(link).run()
-            before = session.index_stats(link)
-            second = query.backend(link).run()
-            after = session.index_stats(link)
-            assert first.stats.backend == second.stats.backend == link
-            assert _bits(first.entries) == _bits(second.entries) == _bits(want.entries)
-            verified = second.stats.candidates_verified
-            assert verified == first.stats.candidates_verified > 0
-            distributed = int(second.stats.extra["distributed_nodes"])
-            assert distributed > 0
-            # Phase 1 reads the distributed balls back too (undirected: the
-            # same runs), so the second read walks no arc at all.
-            assert first.stats.edges_scanned > 0 and second.stats.edges_scanned == 0
-            misses = [sum(s["misses"] for s in st.values()) for st in (before, after)]
-            hits = [sum(s["hits"] for s in st.values()) for st in (before, after)]
-            assert misses[1] == misses[0] and hits[1] - hits[0] == verified + distributed
-
-    @pytest.mark.parametrize("link", LINKS)
-    def test_a_directed_backward_leaves_the_forward_index_alone(self, link):
-        rng = random.Random(7)
-        arcs = {(rng.randrange(N - 20), rng.randrange(N - 20)) for _ in range(3 * N)}
-        graph = Graph.from_edges(
-            sorted((u, v) for u, v in arcs if u != v), num_nodes=N, directed=True
-        )
-        with _Session(graph, links=(link,)) as session:
-            net = session.net
-            scan = net.query("s0").algorithm("base").limit(10).backend(link)
-            backward = net.query("s0").algorithm("backward").limit(20)
-            cold = scan.run()
-            want = backward.backend("numpy").run()
-            runs = [backward.backend(link).run() for _ in range(2)]
-            assert all(_bits(run.entries) == _bits(want.entries) for run in runs)
-            # Phase 1 walks the reverse view: it expands every time.
-            vector = net.scores_of("s0")
-            distributed = backward_distribution_split(
-                np, vector, vector.array(), "auto", 0.1
-            )[0]
-            phase1 = TraversalCounter()
-            distribute_scores(
-                np, graph.rev_csr(), distributed, vector.array(), 2, True, 1024,
-                phase1, NumpyKernels(),
-            )
-            assert runs[1].stats.edges_scanned == phase1.edges_scanned > 0
-            # ... and never rebuilt the forward index the scan filled: a scan
-            # after it reads its balls back (a stolen chunk may still miss
-            # on the worker that steals it).
-            again = scan.run()
-            assert again.entries == cold.entries
-            assert again.stats.balls_expanded < N // 4 < cold.stats.balls_expanded
-
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("link", LINKS)
     def test_workers_together_stay_inside_the_session_cap(self, link, workers):
@@ -323,7 +256,10 @@ class TestDynamicWrites:
         with _Session(dyn, links=(link,)) as session:
             net = session.net
             scan = net.query("s0").algorithm("base").aggregate("avg").limit(12)
-            backward = net.query("sparse").algorithm("backward").limit(6)
+            probe = (
+                net.query("sparse").algorithm("base").limit(6)
+                .where(range(0, SMALL, 9))
+            )
             scan.backend(link).run()
             added = []
             for step in range(70):  # past the worker's _ATTACH_CACHE_LIMIT
@@ -335,8 +271,8 @@ class TestDynamicWrites:
                         u, v = SMALL - 1 - step, step  # an isolated node joins
                     net.add_edge(u, v)
                     added.append((u, v))
-                # Steps 20-69 attach fifty CSRs through the backward's tasks
-                # alone, which rebuild each worker's index on every new
+                # Steps 20-69 attach fifty CSRs through the filtered scan's
+                # tasks alone, which rebuild each worker's index on every new
                 # mapping while the attachment cache retires the old ones (an
                 # index left behind on a retired mapping is
                 # test_the_index_goes_before_the_attachment_it_reads's case).
@@ -345,8 +281,9 @@ class TestDynamicWrites:
                     assert got.stats.backend == link
                     assert got.entries == scan.backend("numpy").run().entries, step
                     assert scan.backend(link).run().entries == got.entries
-                got = backward.backend(link).run()
-                assert got.entries == backward.backend("numpy").run().entries, step
+                got = probe.backend(link).run()
+                assert got.stats.backend == link
+                assert got.entries == probe.backend("numpy").run().entries, step
             stats = session.engines[link].stats()
             assert stats["stale_retries"] == 0 and stats["respawns"] == 0
 
