@@ -589,3 +589,40 @@ def test_weighted_backward_digs_no_deeper_than_its_stop(
     if binary:  # the python backend's walk, candidate for candidate
         assert stats["pruned_nodes"] == reference[1]["pruned_nodes"]
         assert stats["candidates_verified"] == 0
+
+
+@pytest.fixture(scope="module")
+def cross_net(cross_graph):
+    from repro.session import Network
+
+    net = Network(cross_graph, hops=2)
+    for share in sorted({case[0] for case in CROSSINGS}):
+        net.add_scores(f"s{share}", _binary_scores(share))
+    net.parallel(workers=2, min_nodes=0)
+    net.cluster(workers=2, min_nodes=0)
+    yield net
+    net.close()
+
+
+@pytest.mark.parametrize("link", ["parallel", "cluster"])
+@pytest.mark.parametrize("share,k,aggregate,chunks", CROSSINGS)
+def test_backward_chunked_equals_full_order_sharded(
+    monkeypatch, cross_net, link, share, k, aggregate, chunks
+):
+    # Both links decline LONA-Backward: it runs in the session's process,
+    # over the session's phase-1 memo, and reads the same lazy order.
+    engine = getattr(cross_net, link)()
+
+    def run(backend):
+        query = cross_net.query(f"s{share}").limit(k).aggregate(aggregate)
+        return query.algorithm("backward").backend(backend).run()
+
+    run(link)  # the session's memo and ball cache warm: later runs are equal
+    declined = engine.stats()["declined"]
+    lazy = run(link)
+    monkeypatch.setattr(vectorized, "descending_prefixes", _eager_order)
+    eager = run(link)
+    assert _facts(lazy) == _facts(eager) == _facts(run("numpy"))
+    assert lazy.entries == run("python").entries
+    assert lazy.stats.backend == eager.stats.backend == "numpy"
+    assert engine.stats()["declined"] == declined + 2

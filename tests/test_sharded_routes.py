@@ -161,6 +161,37 @@ class TestRouteParity:
         got, _ = _outcome(net, link, "base", "min", "dense", False)
         assert got == _outcome(net, "numpy", "base", "min", "dense", False)[0]
 
+    @pytest.mark.parametrize("link", LINKS)
+    def test_backward_binary_shortcut_declines(self, net, link):
+        # Binary scores fully distribute (auto-gamma 1.0, rest_bound 0): the
+        # exact-shortcut regime declines like every backward request, and the
+        # in-process run keeps its answers bit-identical to numpy's.
+        engine = getattr(net, link)()
+        declined = engine.stats()["declined"]
+        got = net.query("binary").limit(K).algorithm("backward").backend(link).run()
+        ref = net.query("binary").limit(K).algorithm("backward").backend("numpy").run()
+        assert got.entries == ref.entries
+        assert got.stats.backend == "numpy"
+        assert got.stats.extra["exact_shortcut"] == 1.0
+        assert engine.stats()["declined"] == declined + 1
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_directed_graph_backward(self, link):
+        rng = random.Random(9)
+        net = Network(random_graph(120, 0.03, seed=5, directed=True), hops=2)
+        net.add_scores(
+            "s", [rng.randrange(1, 64) / 64 if rng.random() < 0.1 else 0.0 for _ in range(120)]
+        )
+        engine = _configure(net, link, min_nodes=0)
+        try:
+            got = net.query("s").limit(5).algorithm("backward").backend(link).run()
+            ref = net.query("s").limit(5).algorithm("backward").backend("numpy").run()
+            assert got.entries == ref.entries
+            assert got.stats.backend == "numpy"
+            assert engine.stats()["declined"] == 1
+        finally:
+            net.close()
+
 
 class TestBackwardRunsInProcess:
     """Both links decline LONA-Backward: the executor runs it in the

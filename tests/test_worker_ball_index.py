@@ -9,7 +9,9 @@ a warm sharded answer must equal a cold one and the in-process numpy one
 ``==`` on entries.  Covered, on both links: every base aggregate, the fused
 batch (filled in one block size, singles read in another), the bound-pruned
 forward scan and the weighted scan over hops 1-3 and both ball conventions;
-the work counters of a second scan; the budget split over 2 and 4 workers;
+the work counters of a second scan; a directed LONA-Backward, which runs in
+the session's process and leaves the workers' indexes alone; the budget
+split over 2 and 4 workers;
 70 ``DynamicGraph`` writes (past the worker's attachment limit) with the
 index both on the newest CSR and left behind on a retired one; a killed
 worker (the survivor keeps its slot and its hits); a stolen chunk.  A
@@ -211,6 +213,32 @@ class TestAccounting:
                 }
             # No stats.extra key was added for any of this.
             assert not any("index" in key for key in second.stats.extra)
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_a_directed_backward_leaves_the_forward_index_alone(self, link):
+        rng = random.Random(7)
+        arcs = {(rng.randrange(N - 20), rng.randrange(N - 20)) for _ in range(3 * N)}
+        graph = Graph.from_edges(
+            sorted((u, v) for u, v in arcs if u != v), num_nodes=N, directed=True
+        )
+        with _Session(graph, links=(link,)) as session:
+            net = session.net
+            scan = net.query("s0").algorithm("base").limit(10).backend(link)
+            backward = net.query("s0").algorithm("backward").limit(20)
+            cold = scan.run()
+            want = backward.backend("numpy").run()
+            before = session.index_stats(link)
+            runs = [backward.backend(link).run() for _ in range(2)]
+            assert all(_bits(run.entries) == _bits(want.entries) for run in runs)
+            # LONA-Backward runs in the session's process: no worker task
+            # reads, fills or rebuilds the forward index the scan filled ...
+            assert all(run.stats.backend == "numpy" for run in runs)
+            assert session.index_stats(link) == before
+            # ... so a scan after it reads its balls back.  How many is up to
+            # stealing: a stolen chunk misses on the worker that steals it.
+            again = scan.run()
+            assert again.entries == cold.entries
+            assert again.stats.balls_expanded < cold.stats.balls_expanded == N
 
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("link", LINKS)
