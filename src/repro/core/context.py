@@ -53,10 +53,11 @@ from repro.graph.neighborhood import NeighborhoodSizeIndex
 __all__ = ["GraphContext", "Phase1Memo", "DEFAULT_BALL_CACHE_BYTES"]
 
 #: Default session ball budget.  Half of it caps the in-process ball index
-#: (32 MiB: the whole 16,000-node bench closure, pairs and hop labels, or
-#: about 72 % of the 100,000-node one), the other half is split over a
-#: sharded engine's workers' own indexes; ``ball_cache_bytes=None`` lifts
-#: both caps.
+#: (32 MiB at 2 bytes a pair: the whole 16,000-node bench closure with hop
+#: labels, and the whole 100,000-node one, 22.96 MB), the other half is
+#: split over a sharded engine's workers' own indexes (16 MiB each for two
+#: workers: a whole home shard of the 100,000-node graph);
+#: ``ball_cache_bytes=None`` lifts both caps.
 DEFAULT_BALL_CACHE_BYTES = 64 * 1024 * 1024
 
 

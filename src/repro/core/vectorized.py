@@ -81,6 +81,7 @@ from repro.graph.csr import (
     CSRBallIndex,
     batched_hop_balls,
     batched_hop_balls_with_distances,
+    run_sizes,
     slab_positions,
 )
 from repro.graph.diffindex import DifferentialIndex, build_differential_index
@@ -655,7 +656,8 @@ def aggregate_ball_segments(np, kind: AggregateKind, owners, member_scores, coun
     """Per-owner aggregate of sorted ``(owner, score)`` pairs, one array op.
 
     ``owners`` must be sorted ascending (the order every batched ball
-    kernel emits).  SUM/AVG reduce with ``np.bincount``; MAX/MIN reduce
+    kernel emits).  SUM/AVG reduce with ``np.bincount`` (AVG's sizes are
+    the owners' run lengths, :func:`~repro.graph.csr.run_sizes`); MAX/MIN reduce
     each owner's contiguous segment with ``ufunc.reduceat``.  Owners with
     no pairs — empty balls, possible only with ``include_self=False`` on
     isolated nodes or ``hops=0`` — get 0.0, the library's empty-ball value
@@ -672,7 +674,7 @@ def aggregate_ball_segments(np, kind: AggregateKind, owners, member_scores, coun
         return values
     sums = np.bincount(owners, weights=member_scores, minlength=count)
     if kind is AggregateKind.AVG:
-        sizes = np.bincount(owners, minlength=count)
+        sizes = run_sizes(np, owners, count)
         return np.divide(
             sums, sizes, out=np.zeros(count, dtype=np.float64), where=sizes > 0
         )
@@ -696,7 +698,7 @@ def fused_ball_values(np, node_scores, avg_rows, owners, members, count: int):
             node_scores.take(members, axis=0), starts, axis=0
         ).T
     if avg_rows.any():
-        sizes = np.maximum(np.bincount(owners, minlength=count), 1)
+        sizes = np.maximum(run_sizes(np, owners, count), 1)
         values[avg_rows] /= sizes
     return values
 
@@ -1146,11 +1148,11 @@ class NumpyKernels:
         *, want_sizes=False,
     ):
         """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is
-        ``None`` unless asked for (a ``bincount`` pass base never needs)."""
+        ``None`` unless asked for (a pass base never needs)."""
         owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
         count = int(centers.size)
         values = aggregate_ball_segments(np, kind, owners, scores[members], count)
-        return values, np.bincount(owners, minlength=count) if want_sizes else None
+        return values, run_sizes(np, owners, count) if want_sizes else None
 
     def weighted_ball_sums(
         self, np, csr, centers, scores, weights, hops, include_self, counter

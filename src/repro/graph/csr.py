@@ -39,6 +39,7 @@ __all__ = [
     "degree_array",
     "neighbor_slab",
     "slab_positions",
+    "run_sizes",
     "csr_hop_ball",
     "batched_hop_balls",
     "batched_hop_balls_with_distances",
@@ -406,6 +407,35 @@ def _run_positions(np, starts: Any, sizes: Any) -> Any:
     return np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
 
 
+def run_sizes(np, owners: Any, count: int) -> Any:
+    """Pairs per owner ``0 .. count - 1`` of an owner array sorted ascending
+    (every ball kernel's output): one ``searchsorted`` of the run bounds,
+    several times cheaper than ``bincount``'s scatter over every pair."""
+    return np.diff(np.searchsorted(owners, np.arange(count + 1)))
+
+
+#: Largest step between consecutive members a ``uint16`` gap holds.
+_GAP_MAX = 0xFFFF
+
+
+def _gap_runs(np, owners: Any, members: Any, offsets: Any, sizes: Any) -> Tuple[Any, Any]:
+    """``(gaps, wide)`` of a block's sorted runs: ``gaps[i]`` is ``members[i]``
+    minus its predecessor in the same run (0 at each run's first slot), and
+    ``wide`` the runs, ascending, with a step above :data:`_GAP_MAX`; their
+    gaps are zeroed, so each decodes to its head repeated."""
+    gaps = np.empty_like(members)
+    wide = np.empty(0, dtype=np.intp)
+    if members.size == 0:
+        return gaps, wide
+    gaps[0] = 0
+    np.subtract(members[1:], members[:-1], out=gaps[1:])
+    gaps[offsets[sizes > 0]] = 0
+    if gaps.max() > _GAP_MAX:
+        wide = np.unique(owners[gaps > _GAP_MAX])
+        gaps[_run_positions(np, offsets[wide], sizes[wide])] = 0
+    return gaps, wide
+
+
 def _regrown(np, buffer: Any, room: int, keep: int) -> Any:
     """A ``room``-long buffer of ``buffer``'s dtype holding its first ``keep``."""
     grown = np.empty(room, dtype=buffer.dtype)
@@ -421,8 +451,8 @@ def _merge_blocks(np, present: Any, kept: Tuple[Any, ...], fresh: Tuple[Any, ...
     block returns."""
     hit_at, miss_at = np.flatnonzero(present), np.flatnonzero(~present)
     sizes = np.empty(present.size, dtype=np.intp)
-    sizes[hit_at] = np.bincount(kept[0], minlength=hit_at.size)
-    sizes[miss_at] = np.bincount(fresh[0], minlength=miss_at.size)
+    sizes[hit_at] = run_sizes(np, kept[0], hit_at.size)
+    sizes[miss_at] = run_sizes(np, fresh[0], miss_at.size)
     starts = np.cumsum(sizes) - sizes
     hit_pos = _run_positions(np, starts[hit_at], sizes[hit_at])
     miss_pos = _run_positions(np, starts[miss_at], sizes[miss_at])
@@ -438,22 +468,32 @@ def _merge_blocks(np, present: Any, kept: Tuple[Any, ...], fresh: Tuple[Any, ...
 class CSRBallIndex:
     """Balls of one ``(csr, h, ball)`` triple kept as pairs, keyed by node.
 
-    ``members[start[v] : start[v] + size[v]]`` is ``S_h(v)`` in the canonical
-    ascending order — the pairs :func:`batched_hop_balls` returns, 4 bytes
-    each — for every ``v`` whose ball is present (``start[v] >= 0``).  It is
-    the one ball structure of a session: scans, LONA-Backward's verification
-    and the fused batch all read their blocks through :meth:`pairs`, which
-    gathers the present balls, has the caller expand only the absent ones,
-    appends those (:meth:`extend`) and merges both parts back in block
-    order — so whatever reduces the arrays gets the bits a full expansion
-    would give, and the caller charges traversal work for the absent balls
-    alone.  Balls are appended while they fit ``max_bytes`` (``None`` =
-    unbounded); nothing is evicted or rewritten and the first ball that does
-    not fit closes the index, so a read stream that cycles over more balls
-    than fit re-reads the same ones every time instead of thrashing.
+    ``S_h(v)`` is kept, for every ``v`` whose ball is present
+    (``start[v] >= 0``), as a run ``gaps[start[v] : start[v] + size[v]]``
+    of ``uint16`` steps between consecutive members of the canonical
+    ascending order — the pairs :func:`batched_hop_balls` returns, 2 bytes
+    each — plus the run's first member (``head[v]``) and what it decodes to
+    at its end (``end[v]``).  A block of runs decodes in two passes over its
+    pairs: the widening copy to intp, then one in-place ``cumsum`` once each
+    run's first slot holds the step from the previous run's end to its head.
+    A ball with a step above ``2**16 - 1`` (rare: 83 of the 100,000 balls of
+    the 100k bench graph) keeps zero steps in its run and is kept whole as
+    int32 in a side table, 4 more bytes a pair, written over its decoded run.
+
+    It is the one ball structure of a session: scans, LONA-Backward's
+    verification and the fused batch all read their blocks through
+    :meth:`pairs`, which gathers the present balls, has the caller expand
+    only the absent ones, appends those (:meth:`extend`) and merges both
+    parts back in block order — so whatever reduces the arrays gets the bits
+    a full expansion would give, and the caller charges traversal work for
+    the absent balls alone.  Balls are appended while they fit ``max_bytes``
+    (``None`` = unbounded); nothing is evicted or rewritten and the first
+    ball that does not fit closes the index, so a read stream that cycles
+    over more balls than fit re-reads the same ones every time instead of
+    thrashing.
 
     Hop labels (footnote 1's weighted reads): the first weighted read
-    allocates ``dists`` beside ``members`` (``np.min_scalar_type(hops)``, one
+    allocates ``dists`` beside ``gaps`` (``np.min_scalar_type(hops)``, one
     byte a pair, counted against the same cap) and a per-node labelled flag.
     A weighted read then gathers labelled balls, appends absent ones with
     their labels, and labels a ball an unweighted read stored without them in
@@ -466,17 +506,18 @@ class CSRBallIndex:
     then compacts the live runs into a fresh buffer and reopens a closed
     index, so resident bytes stay at most twice the live ones.
 
-    Thread-safe: appends and lookups take one lock, a present ball's members
-    and a labelled ball's labels never change, and a grown or compacted
-    buffer leaves earlier readers on the old one.  Forgetting is a write:
-    its caller excludes readers of the old CSR (the session's write guard).
+    Thread-safe: appends and lookups take one lock, a present ball's run,
+    head, end and side-table entry and a labelled ball's labels never
+    change, and a grown or compacted buffer leaves earlier readers on the
+    old one.  Forgetting is a write: its caller excludes readers of the old
+    CSR (the session's write guard).
     """
 
     __slots__ = (
         "csr", "hops", "include_self", "max_bytes",
         "covered", "served", "appended", "hits", "misses",
-        "_start", "_size", "_used", "_live", "_full", "_members", "_dists",
-        "_labelled", "_np", "_lock",
+        "_start", "_size", "_head", "_end", "_wide", "_side", "_side_pairs",
+        "_used", "_live", "_full", "_gaps", "_dists", "_labelled", "_np", "_lock",
     )
 
     def __init__(
@@ -499,10 +540,15 @@ class CSRBallIndex:
         self.misses = 0  # balls the caller had to expand
         self._start = np.full(csr.num_nodes, -1, dtype=np.int64)
         self._size = np.zeros(csr.num_nodes, dtype=np.int64)
+        self._head = np.zeros(csr.num_nodes, dtype=np.int32)  # first member
+        self._end = np.zeros(csr.num_nodes, dtype=np.int32)  # decoded last slot
+        self._wide = np.zeros(csr.num_nodes, dtype=bool)  # kept in the side table
+        self._side = {}  # node -> its ball as int32, for the wide ones
+        self._side_pairs = 0
         self._used = 0  # pairs stored, garbage included
         self._live = 0  # pairs of present balls
         self._full = False  # a ball did not fit: nothing more is taken
-        self._members = np.empty(0, dtype=np.int32)
+        self._gaps = np.empty(0, dtype=np.uint16)
         self._dists = None  # hop labels, from the first weighted read on
         self._labelled = None
         self._np = np
@@ -517,16 +563,22 @@ class CSRBallIndex:
         )
 
     def _pair_bytes(self) -> int:
-        return 4 + (0 if self._dists is None else self._dists.itemsize)
+        return 2 + (0 if self._dists is None else self._dists.itemsize)
+
+    def _bytes(self) -> int:
+        """Resident bytes the cap counts: runs (and labels), side table."""
+        return self._pair_bytes() * self._used + 4 * self._side_pairs
 
     def stats(self) -> dict:
-        """Balls present, resident bytes (pairs and labels), the cap, blocks
-        served/appended, and balls read back (``hits``) or expanded
-        (``misses``)."""
+        """Balls present, live pairs, balls kept whole (``wide``), resident
+        bytes (runs, labels and side table), the cap, blocks served/appended,
+        and balls read back (``hits``) or expanded (``misses``)."""
         with self._lock:
             return {
                 "covered": self.covered,
-                "bytes": self._pair_bytes() * self._used,
+                "pairs": self._live,
+                "wide": len(self._side),
+                "bytes": self._bytes(),
                 "max_bytes": self.max_bytes,
                 "served": self.served,
                 "appended": self.appended,
@@ -534,10 +586,11 @@ class CSRBallIndex:
                 "misses": self.misses,
             }
 
-    def _runs(self, buffers, starts: Any, sizes: Any) -> Tuple[Any, ...]:
-        """``(owners, *columns)`` of the runs at ``starts`` in ``buffers`` —
-        a slice when they are adjacent (a re-read in the order that filled
-        them), one gather of positions otherwise — widened to intp."""
+    def _runs(self, buffers, centers: Any, starts: Any, sizes: Any) -> Tuple[Any, ...]:
+        """``(owners, members, *labels)`` of the ``centers`` runs at
+        ``starts`` — a slice when they are adjacent (a re-read in the order
+        that filled them), one gather of positions otherwise — widened to
+        intp, the members decoded in place."""
         np = self._np
         ends = starts + sizes
         if (starts[1:] == ends[:-1]).all():
@@ -546,7 +599,20 @@ class CSRBallIndex:
             positions = _run_positions(np, starts, sizes)
             columns = [buffer[positions] for buffer in buffers]
         owners = np.repeat(np.arange(starts.size), sizes)
-        return (owners, *(column.astype(np.intp) for column in columns))
+        members, *labels = (column.astype(np.intp) for column in columns)
+        held = np.flatnonzero(sizes)
+        if held.size:
+            firsts = (np.cumsum(sizes) - sizes)[held]
+            nodes = centers[held]
+            steps = self._head[nodes].astype(np.intp)
+            steps[1:] -= self._end[nodes[:-1]]
+            members[firsts] = steps
+            np.cumsum(members, out=members)
+            if self._side:
+                for at in np.flatnonzero(self._wide[nodes]).tolist():
+                    ball = self._side[int(nodes[at])]
+                    members[firsts[at] : firsts[at] + ball.size] = ball
+        return (owners, members, *labels)
 
     def pairs(self, centers: Any, expand=None, labels: bool = False):
         """The ``centers`` balls as :func:`batched_hop_balls` returns them:
@@ -572,9 +638,9 @@ class CSRBallIndex:
             self.misses += int(centers.size) - hits
             if hits:
                 self.served += 1
-            buffers = (self._members, self._dists) if labels else (self._members,)
+            buffers = (self._gaps, self._dists) if labels else (self._gaps,)
         if hits and hits == centers.size:
-            return self._runs(buffers, starts, sizes)
+            return self._runs(buffers, centers, starts, sizes)
         if expand is None:
             return None
         absent = centers[~present]
@@ -582,7 +648,7 @@ class CSRBallIndex:
         self.extend(absent, *fresh)
         if not hits:
             return fresh
-        kept = self._runs(buffers, starts[present], sizes[present])
+        kept = self._runs(buffers, centers[present], starts[present], sizes[present])
         return _merge_blocks(np, present, kept, fresh)
 
     def _labels_fit(self) -> bool:
@@ -592,10 +658,13 @@ class CSRBallIndex:
             return True
         np = self._np
         dtype = np.min_scalar_type(self.hops)
-        per_pair = 4 + dtype.itemsize
-        if self.max_bytes is not None and per_pair * self._used > self.max_bytes:
+        per_pair = 2 + dtype.itemsize
+        if (
+            self.max_bytes is not None
+            and per_pair * self._used + 4 * self._side_pairs > self.max_bytes
+        ):
             return False
-        room = self._members.size if self.max_bytes is None else self.max_bytes // per_pair
+        room = self._gaps.size if self.max_bytes is None else self.max_bytes // per_pair
         self._dists = np.empty(room, dtype=dtype)
         self._labelled = np.zeros(self.csr.num_nodes, dtype=bool)
         return True
@@ -608,10 +677,16 @@ class CSRBallIndex:
         np = self._np
         if centers.size == 0 or (self._full and dists is None):
             return
-        sizes = np.bincount(owners, minlength=centers.size)
+        sizes = run_sizes(np, owners, centers.size)
         offsets = np.cumsum(sizes) - sizes
         # First occurrence of every center: a repeated one is stored once.
         first = np.unique(centers, return_index=True)[1]
+        # Encoded outside the lock, so racing fills serialize only the copy;
+        # a closed index (it only labels from now on) keeps no new run.
+        if self._full:
+            gaps = wide = None
+        else:
+            gaps, wide = _gap_runs(np, owners, members, offsets, sizes)
         with self._lock:
             stored = self._start[centers[first]] >= 0
             if dists is not None and self._labels_fit():
@@ -625,40 +700,53 @@ class CSRBallIndex:
             fresh = first[~stored]
             if self._full or fresh.size == 0:
                 return
+            kept = sizes[fresh]
             if self.max_bytes is not None:
-                room = self.max_bytes // self._pair_bytes() - self._used
-                fits = np.cumsum(sizes[fresh]) <= room
+                cost = self._pair_bytes() * kept
+                if wide.size:
+                    cost += 4 * kept * np.isin(fresh, wide)
+                fits = np.cumsum(cost) <= self.max_bytes - self._bytes()
                 self._full = not fits.all()
-                fresh = fresh[fits]
+                fresh, kept = fresh[fits], kept[fits]
                 if fresh.size == 0:
                     return
-            kept = sizes[fresh]
             if fresh.size < centers.size or (fresh[1:] < fresh[:-1]).any():
                 positions = _run_positions(np, offsets[fresh], kept)
-                members = members[positions]
+                gaps = gaps[positions]
                 if dists is not None:
                     dists = dists[positions]
             start = self._used
-            stop = start + int(members.size)
-            if stop > self._members.size:
+            stop = start + int(gaps.size)
+            if stop > self._gaps.size:
                 # A capped index reserves its cap once (untouched pages cost
                 # nothing, and no big buffer is ever freed mid-session); an
                 # unbounded one doubles, its labels with it.
-                room = max(stop, 2 * int(self._members.size))
+                room = max(stop, 2 * int(self._gaps.size))
                 capped = self.max_bytes is not None
-                self._members = _regrown(
-                    np, self._members, self.max_bytes // 4 if capped else room, start
+                self._gaps = _regrown(
+                    np, self._gaps, self.max_bytes // 2 if capped else room, start
                 )
                 if self._dists is not None and not capped:
                     self._dists = _regrown(np, self._dists, room, start)
-            self._members[start:stop] = members
+            self._gaps[start:stop] = gaps
             if dists is not None:
                 self._dists[start:stop] = dists
                 self._labelled[centers[fresh]] = True
+            held = fresh[kept > 0]
+            nodes = centers[held]
+            self._head[nodes] = members[offsets[held]]
+            self._end[nodes] = members[offsets[held] + sizes[held] - 1]
+            for ball in np.intersect1d(held, wide).tolist():
+                node = int(centers[ball])
+                lo = int(offsets[ball])
+                self._side[node] = members[lo : lo + int(sizes[ball])].astype(np.int32)
+                self._side_pairs += int(sizes[ball])
+                self._wide[node] = True
+                self._end[node] = self._head[node]
             self._size[centers[fresh]] = kept
             self._start[centers[fresh]] = start + np.cumsum(kept) - kept
             self._used = stop
-            self._live += int(members.size)
+            self._live += int(gaps.size)
             self.covered += int(fresh.size)
             self.appended += 1
 
@@ -668,7 +756,8 @@ class CSRBallIndex:
         What an edge write does to the index: ``nodes`` are the centers
         whose balls it can have changed (:func:`edge_write_reach`), every
         other ball is the same over ``csr``, which must have the node count
-        of the old view.  Compacts once garbage outweighs the live pairs.
+        of the old view.  A dropped wide ball leaves the side table at once;
+        runs are compacted once garbage outweighs the live pairs.
         """
         np = self._np
         with self._lock:
@@ -678,25 +767,29 @@ class CSRBallIndex:
             self.covered -= int(nodes.size)
             if self._labelled is not None:
                 self._labelled[nodes] = False
+            for node in nodes[self._wide[nodes]].tolist():
+                self._side_pairs -= int(self._side.pop(node).size)
+            self._wide[nodes] = False
             self.csr = csr
             if self._used - self._live > self._live:
                 self._compact(np)
 
     def _compact(self, np) -> None:
         """Move the live runs, in buffer order, to the front of fresh
-        buffers of the old capacity and reopen the index (lock held)."""
+        buffers of the old capacity and reopen the index (lock held); heads,
+        ends and the side table are per node and stay as they are."""
         held = np.flatnonzero(self._start >= 0)
         held = held[np.argsort(self._start[held], kind="stable")]
         sizes = self._size[held]
         positions = _run_positions(np, self._start[held], sizes)
         buffers = []
-        for buffer in (self._members, self._dists):
+        for buffer in (self._gaps, self._dists):
             if buffer is not None:
                 fresh = np.empty(buffer.size, dtype=buffer.dtype)
                 fresh[: positions.size] = buffer[positions]
                 buffer = fresh
             buffers.append(buffer)
-        self._members, self._dists = buffers
+        self._gaps, self._dists = buffers
         self._start[held] = np.cumsum(sizes) - sizes
         self._used = self._live
         self._full = False

@@ -15,7 +15,8 @@ re-scans; invalidation by every ``DynamicGraph`` write made behind the
 session's back, and the session's own edge writes forgetting only the balls
 they changed (``tests/test_edge_write_index.py`` has the rest); ``close()``; the
 work counters; ``cache_stats()``; racing threads on a cold index and a cold
-session.  The workers' indexes are in ``tests/test_worker_ball_index.py``.
+session.  The workers' indexes are in ``tests/test_worker_ball_index.py``,
+balls with a step of 2**16 or more in ``tests/test_ball_index_wide.py``.
 """
 
 from __future__ import annotations
@@ -171,6 +172,15 @@ def _values(csr, centers, scores, kind, hops, include_self, index):
     return values.tobytes(), sizes.tobytes(), counter
 
 
+def _layout(index) -> tuple:
+    """Where every run sits and what it holds: the bytes that must not move
+    once a ball is stored."""
+    return tuple(
+        array.tobytes()
+        for array in (index._start, index._size, index._head, index._end, index._gaps)
+    )
+
+
 def _sweep(csr, index, block, hops=2, include_self=True, scores=None):
     """One pass over the graph in ``block``-sized ranges; returns the blocks
     that charged traversal work (their absent balls' only)."""
@@ -243,7 +253,7 @@ class TestKernelSeam:
         present = np.flatnonzero(index._start >= 0)
         assert present.size == stats["covered"]
         kept = index.pairs(present)
-        layout = (index._start.tobytes(), index._size.tobytes(), index._members.tobytes())
+        layout = _layout(index)
         # Cyclic scans in other block sizes and a shuffled one: the balls
         # that fit stay where they are, whatever else is offered.
         again = _sweep(csr, index, 64)
@@ -259,9 +269,7 @@ class TestKernelSeam:
         assert (after["covered"], after["bytes"], after["appended"]) == (
             stats["covered"], stats["bytes"], stats["appended"]
         )
-        assert layout == (
-            index._start.tobytes(), index._size.tobytes(), index._members.tobytes()
-        )
+        assert layout == _layout(index)
         again_kept = index.pairs(present)
         assert again_kept[0].tobytes() == kept[0].tobytes()
         assert again_kept[1].tobytes() == kept[1].tobytes()
@@ -288,7 +296,7 @@ class TestKernelSeam:
         assert after["covered"] == 150 and after["appended"] == before["appended"] + 1
         assert index._start[:100].tobytes() == layout  # present balls stay put
         sizes = batched_hop_balls(csr, np.arange(150, dtype=np.int64), 2)[1].size
-        assert after["bytes"] == 4 * sizes  # each ball stored once
+        assert after["bytes"] == 2 * sizes == 2 * after["pairs"]  # each ball stored once
         # Now the straddling block is a hit, and so is any mix of the 150.
         on = _values(csr, straddling, scores, AggregateKind.SUM, 2, True, index)
         assert on[:2] == off[:2] and on[2].balls_expanded == 0
@@ -349,7 +357,7 @@ class TestKernelSeam:
         everything = np.arange(SMALL, dtype=np.int64)
         owners, members, _ = batched_hop_balls(csr, everything, 2)
         assert index.stats()["covered"] == SMALL
-        assert index.stats()["bytes"] == 4 * members.size
+        assert index.stats()["bytes"] == 2 * members.size
         kept = index.pairs(everything)
         assert kept[0].tobytes() == owners.tobytes()
         assert kept[1].tobytes() == members.tobytes()
@@ -521,6 +529,8 @@ class TestAccounting:
         stats = net.service().stats()["session_caches"]["ball_cache"]
         assert stats == {
             "covered": SMALL,
+            "pairs": stats["pairs"],
+            "wide": 0,
             "bytes": stats["bytes"],
             "max_bytes": net._ctx.ball_cache_bytes // 2,
             "served": 1,
@@ -528,7 +538,7 @@ class TestAccounting:
             "hits": SMALL,
             "misses": SMALL,
         }
-        assert stats["bytes"] == 4 * int(
+        assert stats["bytes"] == 2 * stats["pairs"] == 2 * int(
             batched_hop_balls(net.graph.csr(), np.arange(SMALL, dtype=np.int64), 2)[1].size
         )
 
@@ -579,7 +589,7 @@ class TestConcurrentColdScans:
         owners, members, _ = batched_hop_balls(csr, everything, 2)
         stats = index.stats()
         assert stats["covered"] == SMALL
-        assert stats["bytes"] == 4 * members.size  # exactly the closure
+        assert stats["bytes"] == 2 * members.size  # exactly the closure
         runs = np.sort(index._start)
         assert (np.diff(runs) == index._size[np.argsort(index._start)][:-1]).all()
         kept = index.pairs(everything)

@@ -252,7 +252,7 @@ def test_compaction_keeps_bytes_within_twice_live_and_reopens(capped):
     csr = graph.csr()
     everything = np.arange(N, dtype=np.int64)
     full_pairs = batched_hop_balls(csr, everything, 2)[1].size
-    cap = (5 * full_pairs) // 2 if capped else None  # ~60 % fits: it closes
+    cap = (5 * full_pairs) // 4 if capped else None  # ~60 % fits: it closes
     index = CSRBallIndex(csr, 2, max_bytes=cap)
 
     def expand(block, labels=False):

@@ -225,7 +225,7 @@ class TestExpansionKernels:
         assert counter.nodes_visited == oracle.nodes_visited
         stats = index.stats()
         assert (stats["hits"], stats["misses"]) == (2, 2)
-        assert stats["bytes"] == 4 * members.size and stats["covered"] == 1
+        assert stats["bytes"] == 2 * members.size and stats["covered"] == 1
 
     def test_plain_csr_rejected_by_kernels(self):
         csr = to_csr(random_graph(10, 0.2, seed=8))  # stdlib arrays

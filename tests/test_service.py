@@ -504,7 +504,7 @@ class TestBoundedBallCaches:
         graph = random_graph(40, 0.15, seed=9)
         csr = to_csr(graph, use_numpy=True)
         balls = [batched_hop_balls(csr, np.asarray([v]), 2) for v in range(40)]
-        budget = 4 * sum(int(members.size) for _, members, _ in balls[:10])
+        budget = 2 * sum(int(members.size) for _, members, _ in balls[:10])
         index = CSRBallIndex(csr, 2, max_bytes=budget)
         for v, (owners, members, _) in enumerate(balls):
             index.extend(np.asarray([v]), owners, members)
@@ -549,7 +549,7 @@ class TestBoundedBallCaches:
             )
         stats = index.stats()
         assert 0 < stats["bytes"] <= 2048
-        assert stats["bytes"] == 5 * int(index._size[index._start >= 0].sum())
+        assert stats["bytes"] == 3 * int(index._size[index._start >= 0].sum())
         owners, members, dists = index.pairs(np.asarray([0]), labels=True)
         assert members.size == dists.size == index._size[0]
 

@@ -53,6 +53,7 @@ from repro.core import vectorized  # noqa: E402
 from repro.core.vectorized import NumpyKernels, verify_blocked  # noqa: E402
 from repro.graph.csr import (  # noqa: E402
     CSRBallIndex,
+    batched_hop_balls,
     batched_hop_balls_with_distances,
     edge_write_reach,
 )
@@ -268,12 +269,15 @@ class TestHitBytesEqualMissBytes:
             assert got_values.dtype == np.float64
             assert got_values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
             assert got_sizes.tolist() == sizes.tolist()
-        # Each ball stored once, ascending, and the byte count is theirs.
+        # Each ball stored once, decoding to its expansion, and the byte
+        # count is theirs: 2 bytes a pair (no step here needs the side table).
         present = np.flatnonzero(index._start >= 0)
-        for node in present.tolist():
-            run = index._members[index._start[node] : index._start[node] + index._size[node]]
-            assert run.tolist() == sorted(run.tolist())
-        assert index.stats()["bytes"] == 4 * int(index._size[present].sum())
+        want = batched_hop_balls(csr, present, hops, include_self=include_self)[:2]
+        for column, expected in zip(index.pairs(present), want):
+            assert column.tobytes() == expected.tobytes()
+        stats = index.stats()
+        assert (stats["pairs"], stats["wide"]) == (int(index._size[present].sum()), 0)
+        assert stats["bytes"] == 2 * stats["pairs"]
 
     def test_weighted_ball_sums(self, directed, hops, include_self):
         csr = _graph(directed).csr()
@@ -290,7 +294,7 @@ class TestHitBytesEqualMissBytes:
             assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
         labelled = np.flatnonzero(index._labelled)
         assert labelled.size == index.covered and index._dists.itemsize == 1
-        assert index.stats()["bytes"] == 5 * int(index._size[labelled].sum())
+        assert index.stats()["bytes"] == 3 * int(index._size[labelled].sum())
         assert int(index._dists[: index._used].max(initial=0)) <= hops
 
     def test_fused_ball_values(self, directed, hops, include_self):
@@ -331,14 +335,14 @@ class TestHitBytesEqualMissBytes:
         index = CSRBallIndex(csr, hops, include_self=include_self)
         scan(index)  # an unweighted scan fills it, without labels
         filled = index.stats()
-        assert index._dists is None and filled["bytes"] == 4 * index._used
+        assert index._dists is None and filled["bytes"] == 2 * index._used
         labelling, repeat = TraversalCounter(), TraversalCounter()
         assert weighted(index, labelling).tobytes() == want.tobytes()
         # Expanded once more, with distances, and labelled in place.
         assert labelling.edges_scanned == edges and labelling.balls_expanded == N
         after = index.stats()
         assert (after["covered"], after["appended"]) == (N, filled["appended"])
-        assert after["bytes"] == 5 * index._used == 5 * filled["bytes"] // 4
+        assert after["bytes"] == 3 * index._used == 3 * filled["bytes"] // 2
         assert weighted(index, repeat).tobytes() == want.tobytes()
         assert repeat.snapshot() == TraversalCounter().snapshot()
         # A cap the pairs fill leaves no room for labels: every weighted
@@ -485,7 +489,12 @@ def _stored_once(index) -> bool:
     order = present[np.argsort(index._start[present])]
     starts, sizes = index._start[order], index._size[order]
     tiled = bool((starts == np.cumsum(sizes) - sizes).all())
-    return tiled and index.stats()["bytes"] == 4 * int(sizes.sum()) == 4 * index._used
+    stats = index.stats()
+    return (
+        tiled
+        and stats["wide"] == 0
+        and stats["bytes"] == 2 * stats["pairs"] == 2 * int(sizes.sum()) == 2 * index._used
+    )
 
 
 class TestSharedStore:

@@ -209,7 +209,8 @@ class TestAccounting:
             assert sorted(stats) == list(range(len(stats)))
             for entry in stats.values():
                 assert set(entry) == {
-                    "covered", "bytes", "max_bytes", "served", "appended", "hits", "misses",
+                    "covered", "pairs", "wide", "bytes", "max_bytes", "served", "appended",
+                    "hits", "misses",
                 }
             # No stats.extra key was added for any of this.
             assert not any("index" in key for key in second.stats.extra)
@@ -244,7 +245,7 @@ class TestAccounting:
     @pytest.mark.parametrize("link", LINKS)
     def test_workers_together_stay_inside_the_session_cap(self, link, workers):
         graph = Graph.from_edges(_edges(N, 3), num_nodes=N)
-        budget = 240_000  # the closure is ~720 kB: the cap binds
+        budget = 240_000  # the closure is ~360 kB at 2 bytes a pair: the cap binds
         with _Session(graph, workers=workers, links=(link,), budget=budget) as session:
             net = session.net
             query = net.query("s0").algorithm("base").limit(10).backend(link)
