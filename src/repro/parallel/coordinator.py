@@ -80,10 +80,20 @@ _NEG_INF = float("-inf")
 _SHIP_ALL = {"mode": "all"}
 
 
-def _spec(shard: int, task: dict, ship: dict = _SHIP_ALL, fallback=None) -> dict:
-    """One task of a round: owning shard, worker payload, ship spec, and
-    (for a ``resume``) the full task to re-run if the remainder is lost."""
-    return {"shard": shard, "task": task, "ship": ship, "fallback": fallback}
+def _spec(
+    shard: int, task: dict, ship: dict = _SHIP_ALL, fallback=None, home: Optional[int] = None
+) -> dict:
+    """One task of a round: owning shard, worker payload, ship spec, (for a
+    ``resume``) the full task to re-run if the remainder is lost, and the
+    worker slot it is dealt to first (``home``, modulo the workers; by
+    default the shard's)."""
+    return {
+        "shard": shard,
+        "task": task,
+        "ship": ship,
+        "fallback": fallback,
+        "home": shard if home is None else home,
+    }
 
 
 def _chunked(task: dict, owned_size: int, block: int) -> List[dict]:
@@ -492,7 +502,15 @@ class ShardedCoordinator:
                     if steal
                     else [task]
                 )
-                specs.extend(_spec(shard, piece, ship) for piece in pieces)
+                # Piece p of shard s is homed on worker s + p: every worker
+                # gets as many pieces of each shard, however unequal the
+                # shards, so the pieces stay balanced without a steal and
+                # each runs, and keeps its balls, on the same worker every
+                # time.
+                specs.extend(
+                    _spec(shard, piece, ship, home=shard + at)
+                    for at, piece in enumerate(pieces)
+                )
             if steal:
                 # Heavy chunks first: the dynamic dispatcher then hands a
                 # skewed shard's tail to whichever worker idles first.

@@ -171,7 +171,7 @@ class ParallelEngine(ShardedCoordinator):
         pool = self._pool()
         try:
             results = pool.run(
-                tasks, dynamic=steal, homes=[spec["shard"] for spec in specs]
+                tasks, dynamic=steal, homes=[spec["home"] for spec in specs]
             )
         except BaseException:
             self._reply_dirty = True

@@ -35,9 +35,10 @@ A :class:`ShardWorkerPool` owns ``workers`` spawned processes running
   format), so every byte crossing a pipe is counted in ``bytes_sent`` /
   ``bytes_received``.  The counters are what the shared-reply-buffer
   optimization is benchmarked against.
-* **Two dispatch modes, both home-first.**  Every task has a home slot —
-  its shard's worker, which holds that shard's balls (the worker's ball
-  index, :mod:`repro.parallel.worker`).  The default deals each task to its
+* **Two dispatch modes, both home-first.**  Every task has a home slot,
+  the worker that holds its balls (the worker's ball index,
+  :mod:`repro.parallel.worker`): its shard's, or for a scan chunk the one
+  the coordinator spreads it to.  The default deals each task to its
   home up front.  ``run(tasks, dynamic=True)`` keeps one task in flight per
   worker: an idle worker takes the first backlog task homed on it and
   steals another worker's only when it has none, so a chunk lands where its
@@ -138,7 +139,7 @@ class ShardWorkerPool:
         if self._closed:
             raise ParallelError("worker pool has been closed")
         # A replacement takes the dead worker's slot: survivors keep theirs,
-        # so every shard keeps its home worker (and that worker's ball index).
+        # so every task keeps its home worker (and that worker's ball index).
         for slot, member in enumerate(self._members):
             if not member.process.is_alive():
                 member.conn.close()
@@ -248,8 +249,8 @@ class ShardWorkerPool:
 
         if dynamic and len(tasks) > len(self._members):
             # One task in flight per worker, the rest fed on completion: a
-            # chunk runs where its shard's balls are, and a heavy shard's
-            # tail still drains onto whichever worker runs out of its own.
+            # chunk runs where its balls are, and a slow worker's tail
+            # still drains onto whichever worker runs out of its own.
             backlog.extend(range(len(tasks)))
             for slot in range(len(self._members)):
                 if backlog:

@@ -484,6 +484,38 @@ class TestWorkStealing:
                 edges.add((min(u, v), max(u, v)))
         return Graph.from_edges(sorted(edges), num_nodes=n)
 
+    def test_every_worker_is_home_to_chunks_of_every_shard(self, monkeypatch):
+        # However lopsided the partition, each worker is home to as many
+        # chunks of each shard (give or take one): the chunks stay balanced
+        # without a steal, and each one runs, and keeps its balls, on the
+        # same worker every scan.
+        n = 5000
+        g = self._skewed_graph(n)
+        scores = random_scores(n, seed=31)
+        ref = _scored_net(g, scores, "numpy").topk("s", 12)
+        net = _scored_net(g, scores, "parallel")
+        engine = net.parallel(workers=WORKERS, min_nodes=0)
+        rounds = []
+        dispatch = engine._dispatch
+
+        def spy(specs, **kwargs):
+            rounds.append([(spec["shard"], spec["home"] % WORKERS) for spec in specs])
+            return dispatch(specs, **kwargs)
+
+        monkeypatch.setattr(engine, "_dispatch", spy)
+        try:
+            assert net.topk("s", 12).entries == ref.entries
+            [homes] = rounds
+            slots = {}
+            for shard, slot in homes:
+                slots.setdefault(shard, []).append(slot)
+            assert len(homes) > len(slots)  # the scan was chunked
+            for found in slots.values():
+                counts = [found.count(slot) for slot in range(WORKERS)]
+                assert max(counts) - min(counts) <= 1
+        finally:
+            net.close()
+
     def test_skewed_graph_answers_match_numpy(self):
         # Stealing must not change the entries, only the task count.
         n = 5000
