@@ -53,11 +53,11 @@ from repro.graph.neighborhood import NeighborhoodSizeIndex
 __all__ = ["GraphContext", "Phase1Memo", "DEFAULT_BALL_CACHE_BYTES"]
 
 #: Default session ball budget.  Half of it caps the in-process ball index
-#: (32 MiB at 2 bytes a pair: the whole 16,000-node bench closure with hop
-#: labels, and the whole 100,000-node one, 22.96 MB), the other half is
-#: split over a sharded engine's workers' own indexes (16 MiB each for two
-#: workers: the balls of a parallel worker's home chunks of the
-#: 100,000-node graph, about 11.4 MB);
+#: (32 MiB at 2 bytes a pair and 4 a high run: the whole 16,000-node bench
+#: closure with hop labels, and the whole 100,000-node one, 23.70 MB), the
+#: other half is split over a sharded engine's workers' own indexes (16 MiB
+#: each for two workers: the balls of a parallel worker's home chunks of the
+#: 100,000-node graph, about 11.8 MB);
 #: ``ball_cache_bytes=None`` lifts both caps.
 DEFAULT_BALL_CACHE_BYTES = 64 * 1024 * 1024
 

@@ -465,7 +465,7 @@ def distribute_scores(
         owners, members, *dists = kernels._block_pairs(
             dist_csr, block, hops, include_self, counter, labels=weights is not None
         )
-        ball_sizes = np.bincount(owners, minlength=block.size)
+        ball_sizes = run_sizes(np, owners, block.size)
         deposits = np.repeat(scores_arr[block], ball_sizes)
         if weights is not None:
             deposits = deposits * weights[dists[0]]

@@ -414,26 +414,52 @@ def run_sizes(np, owners: Any, count: int) -> Any:
     return np.diff(np.searchsorted(owners, np.arange(count + 1)))
 
 
-#: Largest step between consecutive members a ``uint16`` gap holds.
-_GAP_MAX = 0xFFFF
+#: Bits of a member each stored pair keeps (``uint16``); the rest, its high
+#: part, is kept once per ball and high value (:func:`_high_runs`).
+_LOW_BITS = 16
 
 
-def _gap_runs(np, owners: Any, members: Any, offsets: Any, sizes: Any) -> Tuple[Any, Any]:
-    """``(gaps, wide)`` of a block's sorted runs: ``gaps[i]`` is ``members[i]``
-    minus its predecessor in the same run (0 at each run's first slot), and
-    ``wide`` the runs, ascending, with a step above :data:`_GAP_MAX`; their
-    gaps are zeroed, so each decodes to its head repeated."""
-    gaps = np.empty_like(members)
-    wide = np.empty(0, dtype=np.intp)
-    if members.size == 0:
-        return gaps, wide
-    gaps[0] = 0
-    np.subtract(members[1:], members[:-1], out=gaps[1:])
-    gaps[offsets[sizes > 0]] = 0
-    if gaps.max() > _GAP_MAX:
-        wide = np.unique(owners[gaps > _GAP_MAX])
-        gaps[_run_positions(np, offsets[wide], sizes[wide])] = 0
-    return gaps, wide
+def _high_runs(np, members: Any, offsets: Any, sizes: Any) -> Tuple[Any, Any, Any]:
+    """``(highs, spans, counts)`` of a block's sorted runs: ball ``i``'s
+    members have high parts (``member >> 16``) from ``highs[i]`` to
+    ``highs[i] + spans[i] - 1`` (``spans[i]`` is 0 for an empty ball), and
+    ``counts`` holds, ball after ball, how many members have each of those
+    values — 0 for one a ball skips."""
+    high = members >> _LOW_BITS
+    highs = np.zeros(sizes.size, dtype=np.intp)
+    spans = np.zeros(sizes.size, dtype=np.intp)
+    held = np.flatnonzero(sizes)
+    highs[held] = high[offsets[held]]
+    spans[held] = high[offsets[held] + sizes[held] - 1] - highs[held] + 1
+    # Each pair's slot in the flat table: its ball's first slot plus how far
+    # its high part is past the ball's first (ascending, as the pairs are).
+    high += np.repeat(np.cumsum(spans) - spans - highs, sizes)
+    return highs, spans, run_sizes(np, high, int(spans.sum()))
+
+
+def _gather(np, buffers, starts: Any, sizes: Any) -> List[Any]:
+    """The runs ``starts[i] : starts[i] + sizes[i]`` of each buffer,
+    concatenated: a slice when they are adjacent (a re-read in the order
+    that filled them), one gather of positions otherwise."""
+    if (starts[1:] == starts[:-1] + sizes[:-1]).all():
+        lo, hi = int(starts[0]), int(starts[-1] + sizes[-1])
+        return [buffer[lo:hi] for buffer in buffers]
+    positions = _run_positions(np, starts, sizes)
+    return [buffer[positions] for buffer in buffers]
+
+
+def _packed(np, buffers, starts: Any, sizes: Any) -> List[Any]:
+    """Fresh buffers of ``buffers``' capacities holding those runs, in order,
+    from the front (a ``None`` buffer stays ``None``)."""
+    positions = _run_positions(np, starts, sizes)
+    packed = []
+    for buffer in buffers:
+        if buffer is not None:
+            fresh = np.empty(buffer.size, dtype=buffer.dtype)
+            fresh[: positions.size] = buffer[positions]
+            buffer = fresh
+        packed.append(buffer)
+    return packed
 
 
 def _regrown(np, buffer: Any, room: int, keep: int) -> Any:
@@ -469,16 +495,16 @@ class CSRBallIndex:
     """Balls of one ``(csr, h, ball)`` triple kept as pairs, keyed by node.
 
     ``S_h(v)`` is kept, for every ``v`` whose ball is present
-    (``start[v] >= 0``), as a run ``gaps[start[v] : start[v] + size[v]]``
-    of ``uint16`` steps between consecutive members of the canonical
-    ascending order — the pairs :func:`batched_hop_balls` returns, 2 bytes
-    each — plus the run's first member (``head[v]``) and what it decodes to
-    at its end (``end[v]``).  A block of runs decodes in two passes over its
-    pairs: the widening copy to intp, then one in-place ``cumsum`` once each
-    run's first slot holds the step from the previous run's end to its head.
-    A ball with a step above ``2**16 - 1`` (rare: 83 of the 100,000 balls of
-    the 100k bench graph) keeps zero steps in its run and is kept whole as
-    int32 in a side table, 4 more bytes a pair, written over its decoded run.
+    (``start[v] >= 0``), as a run ``low[start[v] : start[v] + size[v]]``
+    holding the low 16 bits (``uint16``, 2 bytes a pair) of its members in
+    the canonical ascending order — the pairs :func:`batched_hop_balls`
+    returns — plus its high parts (``member >> 16``) as runs: the first
+    one, ``high[v]``, and one int32 count a value from there to the last,
+    ``counts[rstart[v] : rstart[v] + span[v]]`` (0 for a value the ball
+    skips; the 100k bench graph's balls span at most two).  Members ascend,
+    so a block of runs decodes without a prefix sum: one ``repeat`` of the
+    high values shifted left by 16 over their counts, then one in-place add
+    of the low slice.
 
     It is the one ball structure of a session: scans, LONA-Backward's
     verification and the fused batch all read their blocks through
@@ -486,14 +512,14 @@ class CSRBallIndex:
     only the absent ones, appends those (:meth:`extend`) and merges both
     parts back in block order — so whatever reduces the arrays gets the bits
     a full expansion would give, and the caller charges traversal work for
-    the absent balls alone.  Balls are appended while they fit ``max_bytes``
-    (``None`` = unbounded); nothing is evicted or rewritten and the first
-    ball that does not fit closes the index, so a read stream that cycles
-    over more balls than fit re-reads the same ones every time instead of
-    thrashing.
+    the absent balls alone.  Balls are appended while their pairs and runs
+    fit ``max_bytes`` (``None`` = unbounded); nothing is evicted or
+    rewritten and the first ball that does not fit closes the index, so a
+    read stream that cycles over more balls than fit re-reads the same ones
+    every time instead of thrashing.
 
     Hop labels (footnote 1's weighted reads): the first weighted read
-    allocates ``dists`` beside ``gaps`` (``np.min_scalar_type(hops)``, one
+    allocates ``dists`` beside ``low`` (``np.min_scalar_type(hops)``, one
     byte a pair, counted against the same cap) and a per-node labelled flag.
     A weighted read then gathers labelled balls, appends absent ones with
     their labels, and labels a ball an unweighted read stored without them in
@@ -501,23 +527,24 @@ class CSRBallIndex:
     weighted allocates neither.
 
     An edge write keeps the index (:meth:`forget`): it drops only the balls
-    the write can have changed and rebinds to the patched CSR.  Their runs
-    stay behind as garbage until it outweighs the live pairs; the same call
-    then compacts the live runs into a fresh buffer and reopens a closed
-    index, so resident bytes stay at most twice the live ones.
+    the write can have changed and rebinds to the patched CSR.  Their pairs
+    and runs stay behind as garbage until it outweighs the live ones; the
+    same call then compacts the live balls into fresh buffers and reopens a
+    closed index, so resident bytes stay at most twice the live ones.
 
-    Thread-safe: appends and lookups take one lock, a present ball's run,
-    head, end and side-table entry and a labelled ball's labels never
-    change, and a grown or compacted buffer leaves earlier readers on the
-    old one.  Forgetting is a write: its caller excludes readers of the old
-    CSR (the session's write guard).
+    Thread-safe: appends and lookups take one lock, a present ball's pairs,
+    runs and first high value and a labelled ball's labels never change, and
+    a grown or compacted buffer leaves earlier readers on the old one.
+    Forgetting is a write: its caller excludes readers of the old CSR (the
+    session's write guard).
     """
 
     __slots__ = (
         "csr", "hops", "include_self", "max_bytes",
         "covered", "served", "appended", "hits", "misses",
-        "_start", "_size", "_head", "_end", "_wide", "_side", "_side_pairs",
-        "_used", "_live", "_full", "_gaps", "_dists", "_labelled", "_np", "_lock",
+        "_start", "_size", "_rstart", "_span", "_high", "_used", "_live",
+        "_runs_used", "_runs_live", "_full", "_low", "_counts", "_dists",
+        "_labelled", "_np", "_lock",
     )
 
     def __init__(
@@ -540,15 +567,16 @@ class CSRBallIndex:
         self.misses = 0  # balls the caller had to expand
         self._start = np.full(csr.num_nodes, -1, dtype=np.int64)
         self._size = np.zeros(csr.num_nodes, dtype=np.int64)
-        self._head = np.zeros(csr.num_nodes, dtype=np.int32)  # first member
-        self._end = np.zeros(csr.num_nodes, dtype=np.int32)  # decoded last slot
-        self._wide = np.zeros(csr.num_nodes, dtype=bool)  # kept in the side table
-        self._side = {}  # node -> its ball as int32, for the wide ones
-        self._side_pairs = 0
+        self._rstart = np.zeros(csr.num_nodes, dtype=np.int64)  # first count
+        self._span = np.zeros(csr.num_nodes, dtype=np.int32)  # counts held
+        self._high = np.zeros(csr.num_nodes, dtype=np.int32)  # first high part
         self._used = 0  # pairs stored, garbage included
         self._live = 0  # pairs of present balls
+        self._runs_used = 0  # counts stored, garbage included
+        self._runs_live = 0  # counts of present balls
         self._full = False  # a ball did not fit: nothing more is taken
-        self._gaps = np.empty(0, dtype=np.uint16)
+        self._low = np.empty(0, dtype=np.uint16)
+        self._counts = np.empty(0, dtype=np.int32)
         self._dists = None  # hop labels, from the first weighted read on
         self._labelled = None
         self._np = np
@@ -565,19 +593,20 @@ class CSRBallIndex:
     def _pair_bytes(self) -> int:
         return 2 + (0 if self._dists is None else self._dists.itemsize)
 
-    def _bytes(self) -> int:
-        """Resident bytes the cap counts: runs (and labels), side table."""
-        return self._pair_bytes() * self._used + 4 * self._side_pairs
+    def _bytes(self, live: bool = False) -> int:
+        """Bytes the cap counts: pairs (and labels) and runs, stored or live."""
+        pairs, runs = (self._live, self._runs_live) if live else (self._used, self._runs_used)
+        return self._pair_bytes() * pairs + 4 * runs
 
     def stats(self) -> dict:
-        """Balls present, live pairs, balls kept whole (``wide``), resident
-        bytes (runs, labels and side table), the cap, blocks served/appended,
-        and balls read back (``hits``) or expanded (``misses``)."""
+        """Balls present, live pairs and high runs, resident bytes (pairs,
+        labels and runs), the cap, blocks served/appended, and balls read
+        back (``hits``) or expanded (``misses``)."""
         with self._lock:
             return {
                 "covered": self.covered,
                 "pairs": self._live,
-                "wide": len(self._side),
+                "runs": self._runs_live,
                 "bytes": self._bytes(),
                 "max_bytes": self.max_bytes,
                 "served": self.served,
@@ -586,33 +615,17 @@ class CSRBallIndex:
                 "misses": self.misses,
             }
 
-    def _runs(self, buffers, centers: Any, starts: Any, sizes: Any) -> Tuple[Any, ...]:
-        """``(owners, members, *labels)`` of the ``centers`` runs at
-        ``starts`` — a slice when they are adjacent (a re-read in the order
-        that filled them), one gather of positions otherwise — widened to
-        intp, the members decoded in place."""
+    def _runs(self, buffers, counts, starts, sizes, rstarts, spans, highs) -> Tuple[Any, ...]:
+        """``(owners, members, *labels)`` of the runs at ``starts``, widened
+        to intp: each member is its run's high value shifted left by 16 (one
+        ``repeat`` over the counts) plus its low 16 bits."""
         np = self._np
-        ends = starts + sizes
-        if (starts[1:] == ends[:-1]).all():
-            columns = [buffer[starts[0] : ends[-1]] for buffer in buffers]
-        else:
-            positions = _run_positions(np, starts, sizes)
-            columns = [buffer[positions] for buffer in buffers]
+        low, *labels = _gather(np, buffers, starts, sizes)
+        (counts,) = _gather(np, (counts,), rstarts, spans)
+        members = np.repeat(_run_positions(np, highs, spans) << _LOW_BITS, counts)
+        members += low
         owners = np.repeat(np.arange(starts.size), sizes)
-        members, *labels = (column.astype(np.intp) for column in columns)
-        held = np.flatnonzero(sizes)
-        if held.size:
-            firsts = (np.cumsum(sizes) - sizes)[held]
-            nodes = centers[held]
-            steps = self._head[nodes].astype(np.intp)
-            steps[1:] -= self._end[nodes[:-1]]
-            members[firsts] = steps
-            np.cumsum(members, out=members)
-            if self._side:
-                for at in np.flatnonzero(self._wide[nodes]).tolist():
-                    ball = self._side[int(nodes[at])]
-                    members[firsts[at] : firsts[at] + ball.size] = ball
-        return (owners, members, *labels)
+        return (owners, members, *(label.astype(np.intp) for label in labels))
 
     def pairs(self, centers: Any, expand=None, labels: bool = False):
         """The ``centers`` balls as :func:`batched_hop_balls` returns them:
@@ -638,9 +651,13 @@ class CSRBallIndex:
             self.misses += int(centers.size) - hits
             if hits:
                 self.served += 1
-            buffers = (self._gaps, self._dists) if labels else (self._gaps,)
+            buffers = (self._low, self._dists) if labels else (self._low,)
+            counts = self._counts
+            where = (
+                starts, sizes, self._rstart[centers], self._span[centers], self._high[centers]
+            )
         if hits and hits == centers.size:
-            return self._runs(buffers, centers, starts, sizes)
+            return self._runs(buffers, counts, *where)
         if expand is None:
             return None
         absent = centers[~present]
@@ -648,7 +665,7 @@ class CSRBallIndex:
         self.extend(absent, *fresh)
         if not hits:
             return fresh
-        kept = self._runs(buffers, centers[present], starts[present], sizes[present])
+        kept = self._runs(buffers, counts, *(column[present] for column in where))
         return _merge_blocks(np, present, kept, fresh)
 
     def _labels_fit(self) -> bool:
@@ -661,10 +678,10 @@ class CSRBallIndex:
         per_pair = 2 + dtype.itemsize
         if (
             self.max_bytes is not None
-            and per_pair * self._used + 4 * self._side_pairs > self.max_bytes
+            and per_pair * self._used + 4 * self._runs_used > self.max_bytes
         ):
             return False
-        room = self._gaps.size if self.max_bytes is None else self.max_bytes // per_pair
+        room = self._low.size if self.max_bytes is None else self.max_bytes // per_pair
         self._dists = np.empty(room, dtype=dtype)
         self._labelled = np.zeros(self.csr.num_nodes, dtype=bool)
         return True
@@ -682,11 +699,12 @@ class CSRBallIndex:
         # First occurrence of every center: a repeated one is stored once.
         first = np.unique(centers, return_index=True)[1]
         # Encoded outside the lock, so racing fills serialize only the copy;
-        # a closed index (it only labels from now on) keeps no new run.
+        # a closed index (it only labels from now on) keeps no new ball.
         if self._full:
-            gaps = wide = None
+            low = highs = spans = counts = None
         else:
-            gaps, wide = _gap_runs(np, owners, members, offsets, sizes)
+            low = members.astype(np.uint16)
+            highs, spans, counts = _high_runs(np, members, offsets, sizes)
         with self._lock:
             stored = self._start[centers[first]] >= 0
             if dists is not None and self._labels_fit():
@@ -700,53 +718,50 @@ class CSRBallIndex:
             fresh = first[~stored]
             if self._full or fresh.size == 0:
                 return
-            kept = sizes[fresh]
+            kept, spanned = sizes[fresh], spans[fresh]
             if self.max_bytes is not None:
-                cost = self._pair_bytes() * kept
-                if wide.size:
-                    cost += 4 * kept * np.isin(fresh, wide)
+                cost = self._pair_bytes() * kept + 4 * spanned
                 fits = np.cumsum(cost) <= self.max_bytes - self._bytes()
                 self._full = not fits.all()
-                fresh, kept = fresh[fits], kept[fits]
+                fresh, kept, spanned = fresh[fits], kept[fits], spanned[fits]
                 if fresh.size == 0:
                     return
             if fresh.size < centers.size or (fresh[1:] < fresh[:-1]).any():
                 positions = _run_positions(np, offsets[fresh], kept)
-                gaps = gaps[positions]
+                low = low[positions]
                 if dists is not None:
                     dists = dists[positions]
-            start = self._used
-            stop = start + int(gaps.size)
-            if stop > self._gaps.size:
+                counts = counts[_run_positions(np, (np.cumsum(spans) - spans)[fresh], spanned)]
+            start, rstart = self._used, self._runs_used
+            stop, rstop = start + int(low.size), rstart + int(counts.size)
+            if stop > self._low.size:
                 # A capped index reserves its cap once (untouched pages cost
                 # nothing, and no big buffer is ever freed mid-session); an
                 # unbounded one doubles, its labels with it.
-                room = max(stop, 2 * int(self._gaps.size))
+                room = max(stop, 2 * int(self._low.size))
                 capped = self.max_bytes is not None
-                self._gaps = _regrown(
-                    np, self._gaps, self.max_bytes // 2 if capped else room, start
+                self._low = _regrown(
+                    np, self._low, self.max_bytes // 2 if capped else room, start
                 )
                 if self._dists is not None and not capped:
                     self._dists = _regrown(np, self._dists, room, start)
-            self._gaps[start:stop] = gaps
+            if rstop > self._counts.size:  # small: it doubles either way
+                room = max(rstop, 2 * int(self._counts.size))
+                self._counts = _regrown(np, self._counts, room, rstart)
+            self._low[start:stop] = low
+            self._counts[rstart:rstop] = counts
             if dists is not None:
                 self._dists[start:stop] = dists
                 self._labelled[centers[fresh]] = True
-            held = fresh[kept > 0]
-            nodes = centers[held]
-            self._head[nodes] = members[offsets[held]]
-            self._end[nodes] = members[offsets[held] + sizes[held] - 1]
-            for ball in np.intersect1d(held, wide).tolist():
-                node = int(centers[ball])
-                lo = int(offsets[ball])
-                self._side[node] = members[lo : lo + int(sizes[ball])].astype(np.int32)
-                self._side_pairs += int(sizes[ball])
-                self._wide[node] = True
-                self._end[node] = self._head[node]
-            self._size[centers[fresh]] = kept
-            self._start[centers[fresh]] = start + np.cumsum(kept) - kept
-            self._used = stop
-            self._live += int(gaps.size)
+            nodes = centers[fresh]
+            self._size[nodes] = kept
+            self._start[nodes] = start + np.cumsum(kept) - kept
+            self._span[nodes] = spanned
+            self._rstart[nodes] = rstart + np.cumsum(spanned) - spanned
+            self._high[nodes] = highs[fresh]
+            self._used, self._runs_used = stop, rstop
+            self._live += int(low.size)
+            self._runs_live += int(counts.size)
             self.covered += int(fresh.size)
             self.appended += 1
 
@@ -756,42 +771,34 @@ class CSRBallIndex:
         What an edge write does to the index: ``nodes`` are the centers
         whose balls it can have changed (:func:`edge_write_reach`), every
         other ball is the same over ``csr``, which must have the node count
-        of the old view.  A dropped wide ball leaves the side table at once;
-        runs are compacted once garbage outweighs the live pairs.
+        of the old view.  Pairs and runs are compacted once the garbage
+        outweighs the live bytes.
         """
         np = self._np
         with self._lock:
             nodes = nodes[self._start[nodes] >= 0]
             self._start[nodes] = -1
             self._live -= int(self._size[nodes].sum())
+            self._runs_live -= int(self._span[nodes].sum())
             self.covered -= int(nodes.size)
             if self._labelled is not None:
                 self._labelled[nodes] = False
-            for node in nodes[self._wide[nodes]].tolist():
-                self._side_pairs -= int(self._side.pop(node).size)
-            self._wide[nodes] = False
             self.csr = csr
-            if self._used - self._live > self._live:
+            if self._bytes() > 2 * self._bytes(live=True):
                 self._compact(np)
 
     def _compact(self, np) -> None:
-        """Move the live runs, in buffer order, to the front of fresh
-        buffers of the old capacity and reopen the index (lock held); heads,
-        ends and the side table are per node and stay as they are."""
+        """Move the live pairs and runs, in buffer order, to the front of
+        fresh buffers of the old capacities and reopen the index (lock
+        held); first high values are per node and stay as they are."""
         held = np.flatnonzero(self._start >= 0)
         held = held[np.argsort(self._start[held], kind="stable")]
-        sizes = self._size[held]
-        positions = _run_positions(np, self._start[held], sizes)
-        buffers = []
-        for buffer in (self._gaps, self._dists):
-            if buffer is not None:
-                fresh = np.empty(buffer.size, dtype=buffer.dtype)
-                fresh[: positions.size] = buffer[positions]
-                buffer = fresh
-            buffers.append(buffer)
-        self._gaps, self._dists = buffers
+        sizes, spans = self._size[held], self._span[held]
+        self._low, self._dists = _packed(np, (self._low, self._dists), self._start[held], sizes)
+        (self._counts,) = _packed(np, (self._counts,), self._rstart[held], spans)
         self._start[held] = np.cumsum(sizes) - sizes
-        self._used = self._live
+        self._rstart[held] = np.cumsum(spans) - spans
+        self._used, self._runs_used = self._live, self._runs_live
         self._full = False
 
 

@@ -34,7 +34,7 @@ from array import array
 from typing import Any, List, Optional, Sequence
 
 from repro.errors import IndexNotBuiltError, InvalidParameterError
-from repro.graph.csr import CSRBallIndex, _run_positions, batched_hop_balls
+from repro.graph.csr import CSRBallIndex, _run_positions, batched_hop_balls, run_sizes
 from repro.graph.graph import Graph
 from repro.graph.neighborhood import NeighborhoodSizeIndex
 from repro.graph.traversal import TraversalCounter, hop_ball
@@ -157,7 +157,7 @@ def _shared_members(np, balls: Any, src: Any, dst: Any, sizes: Any, counter) -> 
         block_rows = rows[row_of[a] : row_of[b - 1] + 1]
         centers = np.unique(np.concatenate((block_rows, dst[a:b])))
         owners, members = balls.pairs(centers, expand)
-        size = np.bincount(owners, minlength=centers.size)
+        size = run_sizes(np, owners, centers.size)
         start = np.cumsum(size) - size
         sizes[centers] = size
         at = np.searchsorted(centers, block_rows)

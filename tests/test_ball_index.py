@@ -16,7 +16,8 @@ session's back, and the session's own edge writes forgetting only the balls
 they changed (``tests/test_edge_write_index.py`` has the rest); ``close()``; the
 work counters; ``cache_stats()``; racing threads on a cold index and a cold
 session.  The workers' indexes are in ``tests/test_worker_ball_index.py``,
-balls with a step of 2**16 or more in ``tests/test_ball_index_wide.py``.
+balls whose members' high parts span several values in
+``tests/test_ball_index_wide.py``.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ def _layout(index) -> tuple:
     once a ball is stored."""
     return tuple(
         array.tobytes()
-        for array in (index._start, index._size, index._head, index._end, index._gaps)
+        for array in (
+            index._start, index._size, index._rstart, index._span, index._high,
+            index._low, index._counts,
+        )
     )
 
 
@@ -296,7 +300,9 @@ class TestKernelSeam:
         assert after["covered"] == 150 and after["appended"] == before["appended"] + 1
         assert index._start[:100].tobytes() == layout  # present balls stay put
         sizes = batched_hop_balls(csr, np.arange(150, dtype=np.int64), 2)[1].size
-        assert after["bytes"] == 2 * sizes == 2 * after["pairs"]  # each ball stored once
+        # Each ball stored once: its pairs, and one high run (every id < 2**16).
+        assert after["runs"] == 150
+        assert after["bytes"] == 2 * sizes + 4 * 150 == 2 * after["pairs"] + 4 * after["runs"]
         # Now the straddling block is a hit, and so is any mix of the 150.
         on = _values(csr, straddling, scores, AggregateKind.SUM, 2, True, index)
         assert on[:2] == off[:2] and on[2].balls_expanded == 0
@@ -356,8 +362,8 @@ class TestKernelSeam:
             assert on[:2] == off[:2]
         everything = np.arange(SMALL, dtype=np.int64)
         owners, members, _ = batched_hop_balls(csr, everything, 2)
-        assert index.stats()["covered"] == SMALL
-        assert index.stats()["bytes"] == 2 * members.size
+        assert index.stats()["covered"] == index.stats()["runs"] == SMALL
+        assert index.stats()["bytes"] == 2 * members.size + 4 * SMALL
         kept = index.pairs(everything)
         assert kept[0].tobytes() == owners.tobytes()
         assert kept[1].tobytes() == members.tobytes()
@@ -530,7 +536,7 @@ class TestAccounting:
         assert stats == {
             "covered": SMALL,
             "pairs": stats["pairs"],
-            "wide": 0,
+            "runs": SMALL,
             "bytes": stats["bytes"],
             "max_bytes": net._ctx.ball_cache_bytes // 2,
             "served": 1,
@@ -538,9 +544,9 @@ class TestAccounting:
             "hits": SMALL,
             "misses": SMALL,
         }
-        assert stats["bytes"] == 2 * stats["pairs"] == 2 * int(
+        assert stats["bytes"] == 2 * stats["pairs"] + 4 * SMALL == 2 * int(
             batched_hop_balls(net.graph.csr(), np.arange(SMALL, dtype=np.int64), 2)[1].size
-        )
+        ) + 4 * SMALL
 
     def test_python_backend_builds_no_index(self):
         net = _session(_graph(SMALL, False))
@@ -588,8 +594,8 @@ class TestConcurrentColdScans:
         everything = np.arange(SMALL, dtype=np.int64)
         owners, members, _ = batched_hop_balls(csr, everything, 2)
         stats = index.stats()
-        assert stats["covered"] == SMALL
-        assert stats["bytes"] == 2 * members.size  # exactly the closure
+        assert stats["covered"] == stats["runs"] == SMALL
+        assert stats["bytes"] == 2 * members.size + 4 * SMALL  # exactly the closure
         runs = np.sort(index._start)
         assert (np.diff(runs) == index._size[np.argsort(index._start)][:-1]).all()
         kept = index.pairs(everything)

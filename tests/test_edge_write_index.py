@@ -270,7 +270,8 @@ def test_compaction_keeps_bytes_within_twice_live_and_reopens(capped):
         forgotten = np.asarray(rng.sample(range(N), 12), dtype=np.int64)
         index.forget(forgotten, csr)
         stats = index.stats()
-        assert stats["bytes"] <= 2 * index._live * index._pair_bytes()
+        live = index._live * index._pair_bytes() + 4 * index._runs_live
+        assert stats["bytes"] <= 2 * live
         assert not (index._start[forgotten] >= 0).any()
         _check_index(index, csr, 2, True)
         reopened += closed and not index._full

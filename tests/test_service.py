@@ -504,7 +504,8 @@ class TestBoundedBallCaches:
         graph = random_graph(40, 0.15, seed=9)
         csr = to_csr(graph, use_numpy=True)
         balls = [batched_hop_balls(csr, np.asarray([v]), 2) for v in range(40)]
-        budget = 2 * sum(int(members.size) for _, members, _ in balls[:10])
+        # Ten balls' pairs at 2 bytes and their one high run each at 4.
+        budget = sum(2 * int(members.size) + 4 for _, members, _ in balls[:10])
         index = CSRBallIndex(csr, 2, max_bytes=budget)
         for v, (owners, members, _) in enumerate(balls):
             index.extend(np.asarray([v]), owners, members)
@@ -549,7 +550,8 @@ class TestBoundedBallCaches:
             )
         stats = index.stats()
         assert 0 < stats["bytes"] <= 2048
-        assert stats["bytes"] == 3 * int(index._size[index._start >= 0].sum())
+        assert stats["runs"] == stats["covered"]  # one high run a ball
+        assert stats["bytes"] == 3 * int(index._size[index._start >= 0].sum()) + 4 * stats["runs"]
         owners, members, dists = index.pairs(np.asarray([0]), labels=True)
         assert members.size == dists.size == index._size[0]
 

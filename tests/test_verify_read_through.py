@@ -270,14 +270,16 @@ class TestHitBytesEqualMissBytes:
             assert got_values.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
             assert got_sizes.tolist() == sizes.tolist()
         # Each ball stored once, decoding to its expansion, and the byte
-        # count is theirs: 2 bytes a pair (no step here needs the side table).
+        # count is theirs: 2 bytes a pair and 4 a high run, one a held ball
+        # (every id here is below 2**16).
         present = np.flatnonzero(index._start >= 0)
         want = batched_hop_balls(csr, present, hops, include_self=include_self)[:2]
         for column, expected in zip(index.pairs(present), want):
             assert column.tobytes() == expected.tobytes()
         stats = index.stats()
-        assert (stats["pairs"], stats["wide"]) == (int(index._size[present].sum()), 0)
-        assert stats["bytes"] == 2 * stats["pairs"]
+        sizes = index._size[present]
+        assert (stats["pairs"], stats["runs"]) == (int(sizes.sum()), np.count_nonzero(sizes))
+        assert stats["bytes"] == 2 * stats["pairs"] + 4 * stats["runs"]
 
     def test_weighted_ball_sums(self, directed, hops, include_self):
         csr = _graph(directed).csr()
@@ -294,7 +296,8 @@ class TestHitBytesEqualMissBytes:
             assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
         labelled = np.flatnonzero(index._labelled)
         assert labelled.size == index.covered and index._dists.itemsize == 1
-        assert index.stats()["bytes"] == 3 * int(index._size[labelled].sum())
+        sizes = index._size[labelled]
+        assert index.stats()["bytes"] == 3 * int(sizes.sum()) + 4 * np.count_nonzero(sizes)
         assert int(index._dists[: index._used].max(initial=0)) <= hops
 
     def test_fused_ball_values(self, directed, hops, include_self):
@@ -335,14 +338,16 @@ class TestHitBytesEqualMissBytes:
         index = CSRBallIndex(csr, hops, include_self=include_self)
         scan(index)  # an unweighted scan fills it, without labels
         filled = index.stats()
-        assert index._dists is None and filled["bytes"] == 2 * index._used
+        assert index._dists is None
+        assert filled["bytes"] == 2 * index._used + 4 * index._runs_used
         labelling, repeat = TraversalCounter(), TraversalCounter()
         assert weighted(index, labelling).tobytes() == want.tobytes()
         # Expanded once more, with distances, and labelled in place.
         assert labelling.edges_scanned == edges and labelling.balls_expanded == N
         after = index.stats()
         assert (after["covered"], after["appended"]) == (N, filled["appended"])
-        assert after["bytes"] == 3 * index._used == 3 * filled["bytes"] // 2
+        assert after["bytes"] == 3 * index._used + 4 * index._runs_used
+        assert after["bytes"] == filled["bytes"] + index._used  # one byte a pair more
         assert weighted(index, repeat).tobytes() == want.tobytes()
         assert repeat.snapshot() == TraversalCounter().snapshot()
         # A cap the pairs fill leaves no room for labels: every weighted
@@ -483,17 +488,20 @@ def _race(target, count=THREADS):
 
 
 def _stored_once(index) -> bool:
-    """Every present ball is one run, the runs tile the stored pairs, and
-    the byte count is theirs."""
+    """Every present ball is one run of pairs and one of high counts, the
+    runs tile the stored pairs and counts, and the byte count is theirs."""
     present = np.flatnonzero(index._start >= 0)
     order = present[np.argsort(index._start[present])]
     starts, sizes = index._start[order], index._size[order]
+    rstarts, spans = index._rstart[order], index._span[order]
     tiled = bool((starts == np.cumsum(sizes) - sizes).all())
+    tiled &= bool((rstarts == np.cumsum(spans) - spans).all())
     stats = index.stats()
     return (
         tiled
-        and stats["wide"] == 0
-        and stats["bytes"] == 2 * stats["pairs"] == 2 * int(sizes.sum()) == 2 * index._used
+        and stats["runs"] == np.count_nonzero(sizes) == int(spans.sum()) == index._runs_used
+        and stats["pairs"] == int(sizes.sum()) == index._used
+        and stats["bytes"] == 2 * stats["pairs"] + 4 * stats["runs"]
     )
 
 

@@ -209,7 +209,7 @@ class TestAccounting:
             assert sorted(stats) == list(range(len(stats)))
             for entry in stats.values():
                 assert set(entry) == {
-                    "covered", "pairs", "wide", "bytes", "max_bytes", "served", "appended",
+                    "covered", "pairs", "runs", "bytes", "max_bytes", "served", "appended",
                     "hits", "misses",
                 }
             # No stats.extra key was added for any of this.
