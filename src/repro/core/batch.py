@@ -223,9 +223,10 @@ def _shared_scan_numpy(
 
     Each node block is one ``kernels.fused_ball_values`` call over the
     node-major score matrix (one multi-source BFS, then
-    *every* query's ball sums out of a single segmented reduction,
-    :func:`repro.core.vectorized.fused_ball_values`) — the per-query work is
-    one row of vectorized arithmetic, not a separate bincount pass.  Offers
+    *every* query's ball sums out of segmented reductions over cuts of the
+    block, :meth:`repro.core.vectorized.NumpyKernels.fused_ball_values`) —
+    the per-query work is one row of vectorized arithmetic, not a separate
+    bincount pass.  Offers
     are threshold-gated per query (see
     :func:`repro.core.vectorized.offer_block`), so the Python-loop cost is
     proportional to plausible top-k entrants, not to ``q * n``.
@@ -245,12 +246,7 @@ def _shared_scan_numpy(
         [folded_scores(np, e.scores, e.aggregate)[0] for e in batch], axis=1
     )
     n = graph.num_nodes
-    # The fused reduction gathers a (block members x queries) score slab per
-    # block; shrink the block with the batch width so the slab stays as
-    # cache-resident as a single query's gather.
-    block_size = max(
-        4, kernels.block_size(None, n, int(csr.num_arcs)) // max(len(batch), 1)
-    )
+    block_size = kernels.block_size(None, n, int(csr.num_arcs))
     avg_rows = np.asarray(
         [entry.aggregate is AggregateKind.AVG for entry in batch], dtype=bool
     )

@@ -45,7 +45,9 @@ How each phase vectorizes
   one multi-source BFS; SUM/AVG/COUNT reduce with ``np.bincount``, MAX/MIN
   with ``ufunc.reduceat`` over the sorted owner segments, and offers into
   the accumulator are threshold-gated so the Python loop touches only
-  plausible top-k entrants.
+  plausible top-k entrants.  A multi-block scan evaluates its blocks on
+  the process's block pool (:func:`_block_pool`) and offers them in block
+  order (:func:`_pooled_scan`).
 * **Weighted variants**: distance-labeled batched expansion
   (:func:`~repro.graph.csr.batched_hop_balls_with_distances`) carries each
   member's hop distance, so footnote 1's ``w(d) * f(v)`` deposits and sums
@@ -68,7 +70,11 @@ entry-for-entry equality on every aggregate and both ball conventions.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from repro.aggregates.functions import AggregateKind
@@ -120,6 +126,11 @@ _MAX_BLOCK = 1024
 #: measured constant (DESIGN.md §8): 32 holds the 16k serving mixes level
 #: with stopping per candidate; 1,024 verified 1,024 where ~30 suffice.
 _VERIFY_BLOCK = 32
+
+#: Blocks of one scan in flight on the block pool, per pool thread: enough
+#: that every thread has a block queued while the caller offers the oldest,
+#: few enough that the held pair arrays stay a handful of blocks.
+_IN_FLIGHT_PER_THREAD = 2
 
 #: Target width of one BFS level's neighbor-slab gather.  Together with the
 #: average degree this bounds the per-level working set so a block's
@@ -722,6 +733,88 @@ def offer_block(np, acc: TopKAccumulator, centers, values) -> None:
         offer(int(centers[j]), float(values[j]))
 
 
+class _BlockPool(NamedTuple):
+    """The process's block pool: its owner's pid, the executor (``None``
+    with one CPU) and the blocks one scan may have in flight on it."""
+
+    pid: int
+    executor: Optional[ThreadPoolExecutor]
+    window: int
+
+
+_pool: Optional[_BlockPool] = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> Optional[_BlockPool]:
+    """The block pool exhaustive scans evaluate on, or ``None`` when the
+    process may run on one CPU only.
+
+    One per process, started on first use with a thread per CPU of the
+    process's affinity mask; a forked child (another pid) starts its own
+    rather than submit to threads that did not survive the fork.  Pool tasks
+    evaluate one block each and never submit to the pool, so a task never
+    waits for a task queued behind it.
+    """
+    global _pool
+    pool, pid = _pool, os.getpid()
+    if pool is None or pool.pid != pid:
+        with _pool_lock:
+            pool = _pool
+            if pool is None or pool.pid != pid:
+                affinity = getattr(os, "sched_getaffinity", None)
+                threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+                executor = None
+                if threads > 1:
+                    executor = ThreadPoolExecutor(threads, thread_name_prefix="repro-block")
+                pool = _pool = _BlockPool(pid, executor, _IN_FLIGHT_PER_THREAD * threads)
+    return pool if pool.executor is not None else None
+
+
+def _pooled_scan(np, pool: _BlockPool, acc, counter, evaluate, order, block_size) -> None:
+    """:func:`base_topk_numpy`'s block loop with the blocks on ``pool``.
+
+    Each block is ``evaluate(centers, block_counter, fills)`` on a pool
+    thread, with its own counter and its ball-index fills kept pending.
+    This thread alone checks the deadline and, in block order, merges each
+    block's counter, keeps its fills and offers its values, so the entries,
+    their bits, the counters and a capped index's contents are the serial
+    loop's.  At most ``pool.window`` blocks are in flight.  A deadline or
+    kernel error cancels the queued blocks and waits for the running ones
+    before it propagates: no block outlives the scan (and its read guard).
+    """
+
+    def task(centers):
+        block_counter, fills = TraversalCounter(), []
+        return evaluate(centers, block_counter, fills), block_counter, fills
+
+    in_flight = deque()
+
+    def offer_oldest():
+        centers, future = in_flight.popleft()
+        values, block_counter, fills = future.result()
+        counter.merge(block_counter)
+        for keep in fills:
+            keep()
+        offer_block(np, acc, centers, values)
+
+    try:
+        for lo in range(0, int(order.size), block_size):
+            check_deadline()
+            centers = order[lo : lo + block_size]
+            in_flight.append((centers, pool.executor.submit(task, centers)))
+            if len(in_flight) >= pool.window:
+                offer_oldest()
+        while in_flight:
+            check_deadline()
+            offer_oldest()
+    except BaseException:
+        for _, future in in_flight:
+            future.cancel()
+        wait([future for _, future in in_flight])
+        raise
+
+
 def _scan_stats(algorithm, aggregate, spec, kernels, start, evaluated, counter, block_size):
     """Stats of an exhaustive (pruning-free) scan over ``evaluated`` centers."""
     stats = QueryStats(
@@ -781,20 +874,26 @@ def base_topk_numpy(
     block_size = kernels.block_size(block_size, graph.num_nodes, int(csr.num_arcs))
     acc = TopKAccumulator(spec.k)
     counter = TraversalCounter()
-    for lo in range(0, int(order.size), block_size):
-        check_deadline()
-        centers = order[lo : lo + block_size]
+
+    def evaluate(centers, counter, fills=None):
         if weights is None:
-            values, _ = kernels.ball_values(
+            return kernels.ball_values(
                 np, csr, centers, scores_arr, eff_kind, spec.hops,
-                spec.include_self, counter,
-            )
-        else:
-            values = kernels.weighted_ball_sums(
-                np, csr, centers, scores_arr, weights, spec.hops,
-                spec.include_self, counter,
-            )
-        offer_block(np, acc, centers, values)
+                spec.include_self, counter, fills=fills,
+            )[0]
+        return kernels.weighted_ball_sums(
+            np, csr, centers, scores_arr, weights, spec.hops,
+            spec.include_self, counter, fills=fills,
+        )
+
+    pool = _block_pool() if order.size > block_size else None
+    if pool is None:
+        for lo in range(0, int(order.size), block_size):
+            check_deadline()
+            centers = order[lo : lo + block_size]
+            offer_block(np, acc, centers, evaluate(centers, counter))
+    else:
+        _pooled_scan(np, pool, acc, counter, evaluate, order, block_size)
     stats = _scan_stats(
         "base" if weights is None else "weighted-base", spec.aggregate.value,
         spec, kernels, start, int(order.size), counter, block_size,
@@ -1123,11 +1222,14 @@ class NumpyKernels:
             block = min(block, _VERIFY_BLOCK)
         return block
 
-    def _block_pairs(self, csr, centers, hops, include_self, counter, labels=False):
+    def _block_pairs(
+        self, csr, centers, hops, include_self, counter, labels=False, fills=None
+    ):
         """``(owners, members)`` of one block — ``(owners, members, dists)``
         with ``labels`` — through the ball index when it was built for this
         ``(csr, hops, include_self)``; whatever has to be expanded is charged
-        to ``counter``."""
+        to ``counter``.  ``fills`` defers the index's fills
+        (:meth:`~repro.graph.csr.CSRBallIndex.pairs`)."""
 
         def expand(block):
             kernel = batched_hop_balls_with_distances if labels else batched_hop_balls
@@ -1137,7 +1239,7 @@ class NumpyKernels:
 
         index = self._ball_index
         if index is not None and index.serves(csr, hops, include_self):
-            pairs = index.pairs(centers, expand, labels)
+            pairs = index.pairs(centers, expand, labels, fills)
         else:
             pairs = expand(centers)
         self._held = pairs
@@ -1145,36 +1247,56 @@ class NumpyKernels:
 
     def ball_values(
         self, np, csr, centers, scores, kind, hops, include_self, counter,
-        *, want_sizes=False,
+        *, want_sizes=False, fills=None,
     ):
         """``(values, sizes)`` of the ``centers`` balls; ``sizes`` is
-        ``None`` unless asked for (a pass base never needs)."""
-        owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
+        ``None`` unless asked for (a pass base never needs).  Gathers use
+        ``take``, which releases the GIL where fancy indexing does not."""
+        owners, members = self._block_pairs(
+            csr, centers, hops, include_self, counter, fills=fills
+        )
         count = int(centers.size)
-        values = aggregate_ball_segments(np, kind, owners, scores[members], count)
+        values = aggregate_ball_segments(np, kind, owners, scores.take(members), count)
         return values, run_sizes(np, owners, count) if want_sizes else None
 
     def weighted_ball_sums(
-        self, np, csr, centers, scores, weights, hops, include_self, counter
+        self, np, csr, centers, scores, weights, hops, include_self, counter,
+        *, fills=None,
     ):
         """Distance-weighted SUM of every center's ball: hop-labelled pairs
         reduced as ``bincount(owners, w[dist] * f[member])``."""
         owners, members, dists = self._block_pairs(
-            csr, centers, hops, include_self, counter, labels=True
+            csr, centers, hops, include_self, counter, labels=True, fills=fills
         )
         return np.bincount(
-            owners, weights=weights[dists] * scores[members], minlength=int(centers.size)
+            owners, weights=weights.take(dists) * scores.take(members),
+            minlength=int(centers.size),
         )
 
     def fused_ball_values(
         self, np, csr, centers, node_scores, avg_rows, hops, include_self, counter
     ):
-        """``(queries x centers)`` values: one expansion, then the module's
-        :func:`fused_ball_values` over the node-major score matrix."""
+        """``(queries x centers)`` values: the block's pairs read once, then
+        the module's :func:`fused_ball_values` over sub-blocks of ``block //
+        queries`` centers, so each gathered ``(members x queries)`` score
+        slab stays as cache-resident as a single query's gather.  Each
+        ball's ``reduceat`` segment is the same whatever the cut."""
         owners, members = self._block_pairs(csr, centers, hops, include_self, counter)
-        return fused_ball_values(
-            np, node_scores, avg_rows, owners, members, int(centers.size)
-        )
+        count, queries = int(centers.size), int(node_scores.shape[1])
+        step = max(_MIN_BLOCK, count // max(queries, 1))
+        if step >= count:
+            return fused_ball_values(np, node_scores, avg_rows, owners, members, count)
+        cuts = np.arange(0, count, step)
+        # Pair offsets of the cuts: owners ascend, so one searchsorted.
+        bounds = np.append(np.searchsorted(owners, cuts), owners.size).tolist()
+        values = np.empty((queries, count), dtype=np.float64)
+        for i, lo in enumerate(cuts.tolist()):
+            hi, first, last = min(lo + step, count), bounds[i], bounds[i + 1]
+            values[:, lo:hi] = fused_ball_values(
+                np, node_scores, avg_rows, owners[first:last] - lo,
+                members[first:last], hi - lo,
+            )
+        return values
 
     def prune_step(
         self, np, csr, deltas, sources, source_sums, threshold, ubound_sum,

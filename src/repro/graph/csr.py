@@ -23,6 +23,7 @@ importable on a bare interpreter.
 
 from __future__ import annotations
 
+import functools
 import threading
 from array import array
 from dataclasses import dataclass
@@ -535,8 +536,10 @@ class CSRBallIndex:
     Thread-safe: appends and lookups take one lock, a present ball's pairs,
     runs and first high value and a labelled ball's labels never change, and
     a grown or compacted buffer leaves earlier readers on the old one.
-    Forgetting is a write: its caller excludes readers of the old CSR (the
-    session's write guard).
+    Which racing fill stores a ball first is up to the threads, unless the
+    caller defers the fills and keeps them in block order (``pairs(...,
+    fills=)``), as a pooled scan does.  Forgetting is a write: its caller
+    excludes readers of the old CSR (the session's write guard).
     """
 
     __slots__ = (
@@ -627,7 +630,7 @@ class CSRBallIndex:
         owners = np.repeat(np.arange(starts.size), sizes)
         return (owners, members, *(label.astype(np.intp) for label in labels))
 
-    def pairs(self, centers: Any, expand=None, labels: bool = False):
+    def pairs(self, centers: Any, expand=None, labels: bool = False, fills=None):
         """The ``centers`` balls as :func:`batched_hop_balls` returns them:
         ``(owners, members)``, or with ``labels`` ``(owners, members,
         dists)`` as :func:`batched_hop_balls_with_distances` does.
@@ -636,6 +639,10 @@ class CSRBallIndex:
         ``expand(absent)`` returns the other centers' arrays in the same
         layout, which are offered to :meth:`extend` and merged back in block
         order.  Without ``expand`` a set with an absent ball gives ``None``.
+        With a ``fills`` list the offer is encoded but not kept: a callable
+        that keeps it is appended instead, so a caller that evaluates blocks
+        on several threads keeps them in block order (a capped index then
+        closes on the ball a serial scan closes on).
         """
         np = self._np
         with self._lock:
@@ -662,7 +669,11 @@ class CSRBallIndex:
             return None
         absent = centers[~present]
         fresh = expand(absent)
-        self.extend(absent, *fresh)
+        fill = self._encoded(absent, *fresh)
+        if fills is None:
+            self._keep(fill)
+        else:
+            fills.append(functools.partial(self._keep, fill))
         if not hits:
             return fresh
         kept = self._runs(buffers, counts, *(column[present] for column in where))
@@ -691,20 +702,34 @@ class CSRBallIndex:
         yet, in ascending center order, for as long as they fit the cap.
         With ``dists`` (their hop labels) they are kept labelled, and a
         present ball without labels takes them in place."""
+        self._keep(self._encoded(centers, owners, members, dists))
+
+    def _encoded(self, centers: Any, owners: Any, members: Any, dists: Any = None):
+        """What :meth:`_keep` takes to store a block's balls (``None``:
+        nothing to store), encoded outside the lock, so racing fills
+        serialize only the copy; a closed index (it only labels from now on)
+        encodes no new ball."""
         np = self._np
         if centers.size == 0 or (self._full and dists is None):
-            return
+            return None
         sizes = run_sizes(np, owners, centers.size)
         offsets = np.cumsum(sizes) - sizes
         # First occurrence of every center: a repeated one is stored once.
         first = np.unique(centers, return_index=True)[1]
-        # Encoded outside the lock, so racing fills serialize only the copy;
-        # a closed index (it only labels from now on) keeps no new ball.
         if self._full:
             low = highs = spans = counts = None
         else:
             low = members.astype(np.uint16)
             highs, spans, counts = _high_runs(np, members, offsets, sizes)
+        return centers, sizes, offsets, first, dists, low, highs, spans, counts
+
+    def _keep(self, fill) -> None:
+        """Store an :meth:`_encoded` block: label present bare balls, append
+        the absent ones while they fit the cap."""
+        if fill is None:
+            return
+        np = self._np
+        centers, sizes, offsets, first, dists, low, highs, spans, counts = fill
         with self._lock:
             stored = self._start[centers[first]] >= 0
             if dists is not None and self._labels_fit():

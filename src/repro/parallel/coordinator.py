@@ -337,14 +337,11 @@ class ShardedCoordinator:
             ),
         )
 
-    def _block_size(self, queries: int = 1) -> int:
+    def _block_size(self) -> int:
         from repro.core.vectorized import resolve_block_size
 
         csr = self.ctx.csr()
-        block = resolve_block_size(None, self.ctx.graph.num_nodes, int(csr.num_arcs))
-        if queries > 1:
-            block = max(4, block // queries)
-        return int(block)
+        return int(resolve_block_size(None, self.ctx.graph.num_nodes, int(csr.num_arcs)))
 
     def _index_bytes(self) -> Optional[int]:
         """Each worker's ball-index cap: together the workers may hold what
@@ -700,7 +697,7 @@ class ShardedCoordinator:
                 return None
             start = time.perf_counter()
             traffic = self._open_query()
-            block = self._block_size(queries=len(batch))
+            block = self._block_size()
 
             def build() -> List[dict]:
                 assert self._plan is not None

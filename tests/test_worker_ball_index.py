@@ -100,7 +100,7 @@ class _Session:
             for link in links
         }
         for engine in self.engines.values():
-            engine._block_size = lambda queries=1: max(4, BLOCK // queries)
+            engine._block_size = lambda: BLOCK
 
     def __enter__(self):
         return self
@@ -361,7 +361,7 @@ class TestRecovery:
             net = session.net
             # One task per shard, dealt to its home: no chunk is stolen, so
             # the indexes below are exactly the shards'.
-            session.engines["parallel"]._block_size = lambda queries=1: 4096
+            session.engines["parallel"]._block_size = lambda: 4096
             query = net.query("s0").algorithm("base").limit(10).backend("parallel")
             ref = base_topk(graph, net.scores_of("s0"), _spec(net, 10, "sum"))
             assert query.run().entries == query.run().entries == ref.entries
