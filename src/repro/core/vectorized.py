@@ -45,7 +45,7 @@ How each phase vectorizes
   one multi-source BFS; SUM/AVG/COUNT reduce with ``np.bincount``, MAX/MIN
   with ``ufunc.reduceat`` over the sorted owner segments, and offers into
   the accumulator are threshold-gated so the Python loop touches only
-  plausible top-k entrants.  A multi-block scan evaluates its blocks on
+  plausible top-k entrants.  A multi-block scan shares its blocks with
   the process's block pool (:func:`_block_pool`) and offers them in block
   order (:func:`_pooled_scan`).
 * **Weighted variants**: distance-labeled batched expansion
@@ -73,7 +73,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
@@ -126,11 +125,6 @@ _MAX_BLOCK = 1024
 #: measured constant (DESIGN.md §8): 32 holds the 16k serving mixes level
 #: with stopping per candidate; 1,024 verified 1,024 where ~30 suffice.
 _VERIFY_BLOCK = 32
-
-#: Blocks of one scan in flight on the block pool, per pool thread: enough
-#: that every thread has a block queued while the caller offers the oldest,
-#: few enough that the held pair arrays stay a handful of blocks.
-_IN_FLIGHT_PER_THREAD = 2
 
 #: Target width of one BFS level's neighbor-slab gather.  Together with the
 #: average degree this bounds the per-level working set so a block's
@@ -735,11 +729,11 @@ def offer_block(np, acc: TopKAccumulator, centers, values) -> None:
 
 class _BlockPool(NamedTuple):
     """The process's block pool: its owner's pid, the executor (``None``
-    with one CPU) and the blocks one scan may have in flight on it."""
+    with one CPU) and how many helpers work beside a scanning thread."""
 
     pid: int
     executor: Optional[ThreadPoolExecutor]
-    window: int
+    helpers: int
 
 
 _pool: Optional[_BlockPool] = None
@@ -747,14 +741,15 @@ _pool_lock = threading.Lock()
 
 
 def _block_pool() -> Optional[_BlockPool]:
-    """The block pool exhaustive scans evaluate on, or ``None`` when the
-    process may run on one CPU only.
+    """The block pool exhaustive scans share their blocks with, or ``None``
+    when the process may run on one CPU only.
 
     One per process, started on first use with a thread per CPU of the
-    process's affinity mask; a forked child (another pid) starts its own
-    rather than submit to threads that did not survive the fork.  Pool tasks
-    evaluate one block each and never submit to the pool, so a task never
-    waits for a task queued behind it.
+    process's affinity mask but one: the scanning thread evaluates blocks
+    too, so a scan keeps every CPU busy and no more.  A forked child
+    (another pid) starts its own rather than submit to threads that did not
+    survive the fork.  Pool tasks evaluate blocks and never submit to the
+    pool, so a task never waits for a task queued behind it.
     """
     global _pool
     pool, pid = _pool, os.getpid()
@@ -763,55 +758,90 @@ def _block_pool() -> Optional[_BlockPool]:
             pool = _pool
             if pool is None or pool.pid != pid:
                 affinity = getattr(os, "sched_getaffinity", None)
-                threads = len(affinity(0)) if affinity else os.cpu_count() or 1
+                helpers = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
                 executor = None
-                if threads > 1:
-                    executor = ThreadPoolExecutor(threads, thread_name_prefix="repro-block")
-                pool = _pool = _BlockPool(pid, executor, _IN_FLIGHT_PER_THREAD * threads)
+                if helpers > 0:
+                    executor = ThreadPoolExecutor(helpers, thread_name_prefix="repro-block")
+                pool = _pool = _BlockPool(pid, executor, helpers)
     return pool if pool.executor is not None else None
 
 
 def _pooled_scan(np, pool: _BlockPool, acc, counter, evaluate, order, block_size) -> None:
-    """:func:`base_topk_numpy`'s block loop with the blocks on ``pool``.
+    """:func:`base_topk_numpy`'s block loop, shared with ``pool``'s helpers.
 
-    Each block is ``evaluate(centers, block_counter, fills)`` on a pool
-    thread, with its own counter and its ball-index fills kept pending.
-    This thread alone checks the deadline and, in block order, merges each
-    block's counter, keeps its fills and offers its values, so the entries,
-    their bits, the counters and a capped index's contents are the serial
-    loop's.  At most ``pool.window`` blocks are in flight.  A deadline or
-    kernel error cancels the queued blocks and waits for the running ones
-    before it propagates: no block outlives the scan (and its read guard).
+    The calling thread and ``pool.helpers`` pool tasks take blocks from one
+    counter, lowest first, so a thread that stalls (a busy host, a block
+    waiting for the GIL) holds back no other.  Each block is
+    ``evaluate(centers, block_counter, fills)`` with its own counter and its
+    ball-index fills kept pending.  The calling thread alone checks the
+    deadline and, in block order, merges each finished block's counter,
+    keeps its fills and offers its values, so the entries, their bits, the
+    counters and a capped index's contents are the serial loop's.  A thread
+    runs one block at a time; a finished block waits only for its offer.  A
+    deadline or kernel error stops the taking, cancels the helpers not yet
+    started and waits for the running ones before it propagates: no block
+    outlives the scan (and its read guard).
     """
+    starts = range(0, int(order.size), block_size)
+    lock = threading.Lock()
+    taken, offered, stopped = 0, 0, False
+    finished = {}
 
-    def task(centers):
+    def take():
+        nonlocal taken
+        with lock:
+            if stopped or taken == len(starts):
+                return None
+            taken += 1
+            return taken - 1
+
+    def run(j):
         block_counter, fills = TraversalCounter(), []
-        return evaluate(centers, block_counter, fills), block_counter, fills
+        lo = starts[j]
+        values = evaluate(order[lo : lo + block_size], block_counter, fills)
+        finished[j] = values, block_counter, fills
 
-    in_flight = deque()
+    def helper():
+        nonlocal stopped
+        try:
+            for j in iter(take, None):
+                run(j)
+        except BaseException:
+            stopped = True
+            raise
 
-    def offer_oldest():
-        centers, future = in_flight.popleft()
-        values, block_counter, fills = future.result()
-        counter.merge(block_counter)
-        for keep in fills:
-            keep()
-        offer_block(np, acc, centers, values)
+    def offer_finished():
+        nonlocal offered
+        while offered in finished:
+            values, block_counter, fills = finished.pop(offered)
+            counter.merge(block_counter)
+            for keep in fills:
+                keep()
+            lo = starts[offered]
+            offer_block(np, acc, order[lo : lo + block_size], values)
+            offered += 1
 
+    helpers = [pool.executor.submit(helper) for _ in range(pool.helpers)]
     try:
-        for lo in range(0, int(order.size), block_size):
+        while True:
             check_deadline()
-            centers = order[lo : lo + block_size]
-            in_flight.append((centers, pool.executor.submit(task, centers)))
-            if len(in_flight) >= pool.window:
-                offer_oldest()
-        while in_flight:
-            check_deadline()
-            offer_oldest()
+            j = take()
+            if j is None:
+                break
+            run(j)
+            offer_finished()
+        for future in helpers:
+            future.cancel()  # one still queued (the pool busy elsewhere) has no block left
+        wait(helpers)
+        for future in helpers:
+            if not future.cancelled():
+                future.result()  # a helper's kernel error
+        offer_finished()
     except BaseException:
-        for _, future in in_flight:
+        stopped = True
+        for future in helpers:
             future.cancel()
-        wait([future for _, future in in_flight])
+        wait(helpers)
         raise
 
 

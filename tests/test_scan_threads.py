@@ -1,14 +1,15 @@
 """Exhaustive scans on the process's block pool against the serial loop.
 
-``base_topk_numpy`` evaluates the blocks of a multi-block scan on a thread
-pool and offers them, merges their counters and keeps their ball-index
-fills on the calling thread in block order.  Every case here runs the same
-scan twice, once on the pool and once with the module's pool accessor
-returning no pool (the serial loop), and compares what must not move:
-entries by ``float.hex`` on non-dyadic scores, the three traversal
-counters, and a capped index's contents.  The rest races the pool: a
-deadline or a kernel error mid-scan leaves no block running, two sessions
-scan at once, a forked child starts its own pool.  The fused batch stays
+``base_topk_numpy`` shares the blocks of a multi-block scan between the
+calling thread and the pool's helpers and offers them, merges their
+counters and keeps their ball-index fills on the calling thread in block
+order.  Every case here runs the same scan twice, once on the pool and
+once with the module's pool accessor returning no pool (the serial loop),
+and compares what must not move: entries by ``float.hex`` on non-dyadic
+scores, the three traversal counters, and a capped index's contents.  The
+rest races the pool: a deadline or a kernel error mid-scan leaves no block
+running, a stalled block holds back no other, two sessions scan at once, a
+forked child starts its own pool.  The fused batch stays
 serial and reads each block's pairs once; its bits on raw floats are pinned.
 """
 
@@ -70,12 +71,12 @@ def graph():
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """The process's pool; on a one-CPU host a private two-thread one, so
+    """The process's pool; on a one-CPU host a private one-helper one, so
     the pooled path runs wherever the suite does."""
     pool = vectorized._block_pool()
     if pool is None:
-        executor = ThreadPoolExecutor(2, thread_name_prefix="test-block")
-        pool = vectorized._BlockPool(os.getpid(), executor, 4)
+        executor = ThreadPoolExecutor(1, thread_name_prefix="test-block")
+        pool = vectorized._BlockPool(os.getpid(), executor, 1)
         monkeypatch.setattr(vectorized, "_block_pool", lambda: pool)
         yield pool
         executor.shutdown(wait=True)
@@ -225,10 +226,47 @@ class _SlowKernels(NumpyKernels):
                 self.running -= 1
 
 
+class _StallKernels(NumpyKernels):
+    """The first block taken waits (up to 30 s) until every other block of
+    the scan has run."""
+
+    def __init__(self, blocks):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.blocks = blocks
+        self.started = self.done = 0
+        self.rest_done = threading.Event()
+
+    def ball_values(self, *args, **kwargs):
+        with self.lock:
+            self.started += 1
+            first = self.started == 1
+        if first:
+            self.rest_done.wait(timeout=30)
+            return super().ball_values(*args, **kwargs)
+        values = super().ball_values(*args, **kwargs)
+        with self.lock:
+            self.done += 1
+            if self.done == self.blocks - 1:
+                self.rest_done.set()
+        return values
+
+
 class TestPoolLifecycle:
     def _slow_scan(self, graph, kernels):
         spec = QuerySpec(K, "sum", 2, True, "numpy")
         return base_topk_numpy(graph, _scores(), spec, block_size=4, kernels=kernels)
+
+    def test_a_stalled_block_holds_back_no_other(self, graph, pooled, monkeypatch):
+        """The first block taken waits until every other block has run: the
+        other thread takes them all from the shared counter, and the offers
+        still follow block order."""
+        kernels = _StallKernels(blocks=N // 40)
+        spec = QuerySpec(K, "sum", 2, True, "numpy")
+        run = base_topk_numpy(graph, _scores(), spec, block_size=40, kernels=kernels)
+        assert kernels.rest_done.is_set()
+        serial = _serial(monkeypatch, lambda: _scan(graph, _scores(), spec, block=40))
+        _assert_same(run, serial)
 
     def test_a_deadline_mid_scan_leaves_no_block_running(self, graph, pooled):
         kernels = _SlowKernels()
@@ -236,7 +274,7 @@ class TestPoolLifecycle:
             with deadline_scope(time.monotonic() + 0.1):
                 self._slow_scan(graph, kernels)
         assert kernels.running == 0
-        assert 0 < kernels.started < N // 4  # queued blocks were cancelled
+        assert 0 < kernels.started < N // 4  # the rest were never taken
         assert kernels.most >= 2  # blocks did run side by side
         started = kernels.started
         time.sleep(0.05)
@@ -302,7 +340,7 @@ class TestPoolLifecycle:
         monkeypatch.setattr(vectorized, "_pool", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         pool = vectorized._block_pool()
-        assert pool.window == 3 * vectorized._IN_FLIGHT_PER_THREAD
+        assert pool.helpers == 2  # the scanning thread is the third
         assert vectorized._block_pool() is pool  # started once
         pool.executor.shutdown(wait=True)
 
